@@ -346,7 +346,7 @@ def run_sparsity_sweep(cfg: SweepConfig) -> Path:
         solution = ddtl_fit(S, d, fit_cfg)
         max_level = max(cfg.sparsity_grid)
         for method, dictionary in sweep_dictionaries(d, solution).items():
-            code = omp(dictionary, S, sparsity=max_level, joint=True)
+            code = omp(dictionary, S, sparsity=max_level)
             for level, value in _nmse_at_levels(code, energy, cfg.sparsity_grid).items():
                 rows.append((method, level, real, value))
         if graph_summary is None:

@@ -1,10 +1,9 @@
 """Greedy sparse coding and the two retractions used by the transform learner.
 
-``omp`` implements orthogonal matching pursuit with exact least-squares
-refitting after every atom selection.  In joint mode one support is shared by
-all signal columns (atom scores are summed over the batch); in per-signal mode
-each column is coded independently and the results are merged on the union
-support.  ``row_hard_threshold`` and ``column_normalize`` are the Euclidean
+``omp`` implements joint orthogonal matching pursuit (one support shared by
+all signal columns) by progressive orthogonalization of the selected atoms,
+with the coefficients solved once at the end.  ``row_hard_threshold`` and
+``column_normalize`` are the Euclidean
 projections onto row-sparse matrices and onto the unit-column (oblique)
 manifold, respectively.
 """
@@ -35,62 +34,42 @@ class DegenerateRetractionWarning(UserWarning):
 
 @dataclass(frozen=True)
 class SparseCode:
-    """Result of a pursuit: selected atoms, refit coefficients, residual norms.
+    """Result of a pursuit: selected atoms, fitted coefficients, residual norms.
 
-    ``support`` lists atom indices in selection order (joint mode) or as the
-    sorted union of the per-signal supports (per-signal mode, in which case
-    ``per_signal_supports`` records each column's own selection and the
-    coefficient matrix is zero outside it).  ``residual_history[j]`` is the
-    Frobenius residual after j+1 atoms, so prefix sparsity levels of a single
-    run can be read off without re-running the pursuit.
+    ``support`` lists atom indices in selection order.  ``residual_history[j]``
+    is the Frobenius norm of the least-squares residual after j+1 atoms, so
+    prefix sparsity levels of a single run can be read off without re-running
+    the pursuit.  ``ridge_regularized`` marks a rank-deficient support (see
+    ``omp``'s rank rule).
     """
 
     support: tuple[int, ...]
     coefficients: np.ndarray
     residual_norm: float
     residual_history: tuple[float, ...] = field(default=())
-    per_signal_supports: tuple[tuple[int, ...], ...] | None = None
     ridge_regularized: bool = False
 
     def reconstruct(self, dictionary: np.ndarray) -> np.ndarray:
         return dictionary[:, list(self.support)] @ self.coefficients
 
 
-def _refit(dictionary: np.ndarray, support: list[int], signals: np.ndarray) -> tuple[np.ndarray, bool]:
-    sub = dictionary[:, support]
-    coef, _, rank, _ = np.linalg.lstsq(sub, signals, rcond=None)
-    if rank < len(support):
-        gram = sub.T @ sub + _RIDGE * np.eye(len(support))
-        coef = np.linalg.solve(gram, sub.T @ signals)
-        return coef, True
-    return coef, False
+def omp(dictionary: np.ndarray, signals: np.ndarray, sparsity: int) -> SparseCode:
+    """Joint orthogonal matching pursuit against a unit-column dictionary.
 
+    One support is shared by every signal column.  At each step the atom
+    with the largest summed squared correlation with the residual is
+    selected; exact ties in the computed scores resolve to the lowest atom
+    index.  The atom is then orthogonalized against the atoms already
+    selected (Gram-Schmidt with one re-orthogonalization), and the residual
+    and the correlations are updated by the new direction alone, so a step
+    costs O((N + n) T + N n) rather than a fresh least-squares fit.  The
+    least-squares coefficients are solved once, after the last step.
 
-def _greedy_select(dictionary: np.ndarray, signals: np.ndarray, sparsity: int):
-    """Shared-support pursuit over a batch; scores are summed squared correlations."""
-    num_atoms = dictionary.shape[1]
-    support: list[int] = []
-    taken = np.zeros(num_atoms, dtype=bool)
-    residual = signals.copy()
-    history: list[float] = []
-    ridge_used = False
-    coef = np.zeros((0, signals.shape[1]))
-    for _ in range(sparsity):
-        corr = dictionary.T @ residual
-        scores = np.einsum("nt,nt->n", corr, corr)
-        scores[taken] = -1.0
-        best = int(np.argmax(scores))  # ties resolve to the lowest index
-        support.append(best)
-        taken[best] = True
-        coef, ridge = _refit(dictionary, support, signals)
-        ridge_used = ridge_used or ridge
-        residual = signals - dictionary[:, support] @ coef
-        history.append(float(np.linalg.norm(residual)))
-    return support, coef, history, ridge_used
-
-
-def omp(dictionary: np.ndarray, signals: np.ndarray, sparsity: int, joint: bool = True) -> SparseCode:
-    """Orthogonal matching pursuit against a unit-column dictionary.
+    Rank rule: an atom whose orthogonalized part has norm at most
+    ``eps * max(n, sparsity)`` (the default ``lstsq`` cutoff) is kept in the
+    support but adds no direction, so the residual is unchanged.  The
+    coefficients then come from a ridge solve (ridge 1e-12) on the whole
+    support, and the result is flagged ``ridge_regularized``.
 
     Parameters
     ----------
@@ -99,17 +78,13 @@ def omp(dictionary: np.ndarray, signals: np.ndarray, sparsity: int, joint: bool 
     signals : ndarray, shape (n, T) or (n,)
         Signals to code (a single vector is treated as T = 1).
     sparsity : int
-        Number of atoms to select (per support).
-    joint : bool
-        Shared support across the batch (default) versus independent
-        per-signal supports merged on their union.
+        Number of atoms to select.
 
     Raises
     ------
     ValueError
         On non-normalized dictionaries, sparsity out of range, or shape
-        mismatch.  Rank-deficient least-squares refits do not raise; they are
-        re-solved with a tiny ridge and flagged on the result.
+        mismatch.  Rank-deficient supports do not raise (see the rank rule).
     """
     dictionary = np.asarray(dictionary, dtype=float)
     signals = np.asarray(signals, dtype=float)
@@ -126,40 +101,55 @@ def omp(dictionary: np.ndarray, signals: np.ndarray, sparsity: int, joint: bool 
     if not (1 <= sparsity <= dictionary.shape[1]):
         raise ValueError(f"sparsity must lie in [1, {dictionary.shape[1]}], got {sparsity}")
 
-    if joint:
-        support, coef, history, ridge_used = _greedy_select(dictionary, signals, sparsity)
-        return SparseCode(
-            support=tuple(support),
-            coefficients=coef,
-            residual_norm=history[-1],
-            residual_history=tuple(history),
-            ridge_regularized=ridge_used,
-        )
-
-    T = signals.shape[1]
-    per_supports: list[tuple[int, ...]] = []
-    per_coefs: list[np.ndarray] = []
-    step_sq = np.zeros(sparsity)
-    ridge_used = False
-    for t in range(T):
-        sup, coef, history, ridge = _greedy_select(dictionary, signals[:, t : t + 1], sparsity)
-        per_supports.append(tuple(sup))
-        per_coefs.append(coef[:, 0])
-        step_sq += np.asarray(history) ** 2
-        ridge_used = ridge_used or ridge
-    union = sorted(set().union(*per_supports))
-    lookup = {atom: row for row, atom in enumerate(union)}
-    coefficients = np.zeros((len(union), T))
-    for t, (sup, coef) in enumerate(zip(per_supports, per_coefs)):
-        for atom, value in zip(sup, coef):
-            coefficients[lookup[atom], t] = value
-    history = tuple(float(x) for x in np.sqrt(step_sq))
+    # Invariants after each step: residual = S - Q Q^T S and corr = D^T residual,
+    # where Q (n x rank) is an orthonormal basis of the independent selected
+    # atoms, and those atoms equal Q @ tri.
+    n, num_atoms = dictionary.shape
+    rank_tol = np.finfo(float).eps * max(n, sparsity)
+    q_basis = np.zeros((n, sparsity))
+    tri = np.zeros((sparsity, sparsity))
+    proj = np.zeros((sparsity, signals.shape[1]))  # rows Q^T S
+    support: list[int] = []
+    rank = 0
+    taken = np.zeros(num_atoms, dtype=bool)
+    residual = signals.copy()
+    corr = dictionary.T @ residual
+    history: list[float] = []
+    for _ in range(sparsity):
+        scores = np.einsum("nt,nt->n", corr, corr)
+        scores[taken] = -1.0
+        best = int(np.argmax(scores))  # ties resolve to the lowest index
+        support.append(best)
+        taken[best] = True
+        q = dictionary[:, best].copy()
+        coords = np.zeros(rank)
+        for _ in range(2):  # Gram-Schmidt with one re-orthogonalization
+            step = q_basis[:, :rank].T @ q
+            q -= q_basis[:, :rank] @ step
+            coords += step
+        length = float(np.linalg.norm(q))
+        if length > rank_tol:
+            q /= length
+            q_basis[:, rank] = q
+            tri[:rank, rank] = coords
+            tri[rank, rank] = length
+            proj[rank] = q @ residual
+            residual -= np.outer(q, proj[rank])
+            corr -= np.outer(dictionary.T @ q, proj[rank])
+            rank += 1
+        history.append(float(np.linalg.norm(residual)))
+    ridge_used = rank < sparsity
+    if ridge_used:
+        sub = dictionary[:, support]
+        gram = sub.T @ sub + _RIDGE * np.eye(len(support))
+        coef = np.linalg.solve(gram, sub.T @ signals)
+    else:
+        coef = np.linalg.solve(tri, proj)
     return SparseCode(
-        support=tuple(union),
-        coefficients=coefficients,
+        support=tuple(support),
+        coefficients=coef,
         residual_norm=history[-1],
-        residual_history=history,
-        per_signal_supports=tuple(per_supports),
+        residual_history=tuple(history),
         ridge_regularized=ridge_used,
     )
 

@@ -76,7 +76,7 @@ def class4_runs():
             "ddtl": solution.basis.psi_bar,
         }
         at35 = {
-            name: omp(D, S, sparsity=35, joint=True).residual_norm ** 2 / energy
+            name: omp(D, S, sparsity=35).residual_norm ** 2 / energy
             for name, D in dictionaries.items()
         }
         runs.append(
@@ -247,7 +247,7 @@ def _sweep_nmse(d, S, dictionaries, levels):
     energy = float(np.linalg.norm(S) ** 2)
     out = {}
     for name, D in dictionaries.items():
-        code = omp(D, S, sparsity=max(levels), joint=True)
+        code = omp(D, S, sparsity=max(levels))
         hist = np.asarray(code.residual_history)
         out[name] = {lv: float(hist[lv - 1] ** 2 / energy) for lv in levels}
     return out

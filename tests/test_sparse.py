@@ -15,6 +15,7 @@ from topospinor.sparse import (
     omp,
     row_hard_threshold,
 )
+from topospinor.synth import random_graph
 from topospinor.topology import (
     build_incidence,
     dirac_eigenbasis,
@@ -91,21 +92,153 @@ class TestOmp:
         assert code.ridge_regularized
         assert code.residual_norm < 1e-6
 
-    def test_per_signal_mode(self, rng):
-        q, _ = np.linalg.qr(rng.normal(size=(10, 10)))
-        # Two signals with different one-atom supports.
-        S = np.stack([2.0 * q[:, 3], -1.5 * q[:, 6]], axis=1)
-        code = omp(q, S, sparsity=1, joint=False)
-        assert code.per_signal_supports == ((3,), (6,))
-        assert code.support == (3, 6)
-        assert nmse(S, code.reconstruct(q)) < 1e-20
+def lstsq_pursuit(dictionary: np.ndarray, signals: np.ndarray, sparsity: int):
+    """Oracle: joint OMP with a fresh least-squares refit after every selection.
 
-    def test_joint_vs_per_signal_shared_support(self, rng):
-        q, _ = np.linalg.qr(rng.normal(size=(10, 10)))
-        S = q[:, [2, 5]] @ rng.normal(size=(2, 8))
-        joint = omp(q, S, sparsity=2, joint=True)
-        per = omp(q, S, sparsity=2, joint=False)
-        assert sorted(joint.support) == sorted(per.support) == [2, 5]
+    Returns the support, coefficients, residual history and ridge flag, plus
+    one flag per step marking the selection as ambiguous: the residual was
+    already at round-off (NMSE below 1e-20) or the top two scores were within
+    1e-12 relative, so rounding alone may decide between atoms.
+    """
+    energy = float(np.linalg.norm(signals) ** 2)
+    support: list[int] = []
+    taken = np.zeros(dictionary.shape[1], dtype=bool)
+    residual = signals.copy()
+    history, ambiguous = [], []
+    ridge_used = False
+    for _ in range(sparsity):
+        corr = dictionary.T @ residual
+        scores = np.einsum("nt,nt->n", corr, corr)
+        scores[taken] = -1.0
+        second, first = np.sort(scores)[-2:]
+        ambiguous.append(
+            float(np.linalg.norm(residual) ** 2) < 1e-20 * energy or first - second <= 1e-12 * first
+        )
+        best = int(np.argmax(scores))
+        support.append(best)
+        taken[best] = True
+        sub = dictionary[:, support]
+        coef, _, rank, _ = np.linalg.lstsq(sub, signals, rcond=None)
+        if rank < len(support):
+            coef = np.linalg.solve(sub.T @ sub + 1e-12 * np.eye(len(support)), sub.T @ signals)
+            ridge_used = True
+        residual = signals - sub @ coef
+        history.append(float(np.linalg.norm(residual)))
+    return support, coef, history, ridge_used, ambiguous
+
+
+def _unit_columns(rng, n, num_atoms):
+    D = rng.normal(size=(n, num_atoms))
+    return D / np.linalg.norm(D, axis=0)
+
+
+def _frame_case(seed, sparse_signal):
+    rng = np.random.default_rng(seed)
+    d = spectral_decompose(build_incidence(random_graph(8, 14, seed)))
+    phi, _ = dirac_eigenbasis(d)
+    theta, _ = super_laplacian_eigenbasis(d)
+    F = build_frame(phi, theta).matrix
+    if sparse_signal:
+        # A harmonic atom (duplicated in the frame) among the generating atoms.
+        harmonic = int(np.flatnonzero(np.abs(phi.T @ theta).max(axis=1) > 1 - 1e-12)[0])
+        S = F[:, [harmonic, 3, 30, 41]] @ rng.normal(size=(4, 6))
+    else:
+        S = rng.normal(size=(F.shape[0], 6))
+    return F, S
+
+
+def _pursuit_cases():
+    rng = np.random.default_rng(2024)
+    for trial in range(3):
+        q, _ = np.linalg.qr(rng.normal(size=(12, 12)))
+        yield f"orthonormal-{trial}", q, rng.normal(size=(12, 5)), 12
+    for trial in range(3):
+        D = _unit_columns(rng, 16, 40)
+        yield f"overcomplete-{trial}", D, rng.normal(size=(16, 6)), 16
+    D = _unit_columns(rng, 16, 40)
+    yield "overcomplete-sparse", D, D[:, [4, 17, 33]] @ rng.normal(size=(3, 6)), 10
+    for seed in range(2):
+        F, S = _frame_case(seed, sparse_signal=False)
+        yield f"frame-dense-{seed}", F, S, F.shape[0] + 4
+        F, S = _frame_case(seed, sparse_signal=True)
+        yield f"frame-sparse-{seed}", F, S, 12
+
+
+@pytest.mark.parametrize(
+    "dictionary, signals, sparsity",
+    [pytest.param(D, S, k, id=name) for name, D, S, k in _pursuit_cases()],
+)
+def test_omp_matches_lstsq_pursuit(dictionary, signals, sparsity):
+    support, coef, history, ridge_used, ambiguous = lstsq_pursuit(dictionary, signals, sparsity)
+    code = omp(dictionary, signals, sparsity)
+    scale = 1e-10 * np.linalg.norm(signals)
+    differs = [j for j, (a, b) in enumerate(zip(code.support, support)) if a != b]
+    if differs:
+        assert ambiguous[differs[0]], f"supports part at step {differs[0]} without a tie or round-off residual"
+    assert_allclose(code.residual_history, history, rtol=0, atol=scale)
+    # Exact representations stay visible at round-off, as the sweep's
+    # fully_coupled curves need (NMSE near 1e-30).
+    floor = 1e-14 * np.linalg.norm(signals)
+    assert np.all(np.asarray(code.residual_history)[np.asarray(history) < floor] < floor)
+    oracle_reconstruction = dictionary[:, support] @ coef
+    assert_allclose(code.reconstruct(dictionary), oracle_reconstruction, rtol=0, atol=scale)
+    assert code.ridge_regularized == ridge_used
+
+
+def test_nearly_dependent_atom_completes_the_span():
+    # Atom 2 lies within 1e-9 of the span of atoms 0 and 1; a single
+    # Gram-Schmidt pass would leave a residual near 1e-7 after the last atom.
+    rng = np.random.default_rng(7)
+    B = np.eye(6)
+    B[:, 2] = B[:, 0] + B[:, 1] + 1e-9 * B[:, 2]
+    U, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    D = U @ (B / np.linalg.norm(B, axis=0))
+    S = rng.normal(size=(6, 4))
+    code = omp(D, S, sparsity=6)
+    assert not code.ridge_regularized
+    assert code.residual_norm < 1e-14 * np.linalg.norm(S)
+
+
+def test_pursuit_cases_cover_the_ridge_path():
+    flags = {name: lstsq_pursuit(D, S, k)[3] for name, D, S, k in _pursuit_cases()}
+    assert flags["frame-dense-0"] and not flags["orthonormal-0"]
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=8),
+    extra=st.integers(min_value=0, max_value=8),
+    copies=st.integers(min_value=0, max_value=4),
+    num_signals=st.integers(min_value=1, max_value=4),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_residual_history_never_rises(seed, n, extra, copies, num_signals, data):
+    rng = np.random.default_rng(seed)
+    D = _unit_columns(rng, n, n + extra)
+    # Duplicated columns reach the ridge path once both copies are selected.
+    D = np.hstack([D, D[:, rng.integers(0, D.shape[1], size=copies)]])
+    sparsity = data.draw(st.integers(min_value=1, max_value=D.shape[1]))
+    code = omp(D, rng.normal(size=(n, num_signals)), sparsity)
+    hist = np.asarray(code.residual_history)
+    assert len(hist) == sparsity
+    # Subtracting a vanishing projection may round up by a few ulps.
+    assert np.all(hist[1:] <= hist[:-1] * (1 + 8 * np.finfo(float).eps))
+
+
+@given(
+    tied=arrays(np.float64, 3, elements=st.floats(1, 10)),
+    rest=arrays(np.float64, (6, 3), elements=st.floats(-0.5, 0.5)),
+    rows=st.lists(st.integers(min_value=0, max_value=5), min_size=2, max_size=2, unique=True),
+    flip=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_exact_tie_selects_lower_index_first(tied, rest, rows, flip):
+    S = rest.copy()
+    S[rows[0]] = tied
+    S[rows[1]] = -tied if flip else tied
+    code = omp(np.eye(6), S, sparsity=2)
+    assert code.support == tuple(sorted(rows))
 
 
 class TestNmse:

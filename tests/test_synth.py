@@ -113,7 +113,7 @@ class TestGenSignals:
     def test_joint_omp_over_generating_dictionary_is_exact(self):
         d, S, truth = small_batch_setup("mixture_of_dirac", seed=4)
         basis = build_mass_basis(d, CouplingVector(truth.k_modes, truth.k_modes.copy()))
-        code = omp(basis.psi_bar, S, sparsity=truth.support.size, joint=True)
+        code = omp(basis.psi_bar, S, sparsity=truth.support.size)
         assert nmse(S, code.reconstruct(basis.psi_bar)) < 1e-10
 
     def test_reproducible(self):
