@@ -33,9 +33,7 @@ from .topology import (
     GraphError,
     OrientedGraph,
     SpectralDecomposition,
-    Spinor,
     build_incidence,
-    dirac_apply,
     dirac_eigenbasis,
     dirac_operator,
     divergence,

@@ -49,7 +49,6 @@ def _add_ddtl_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--rho1", type=float, help="basis-splitting penalty")
     sub.add_argument("--rho2", type=float, help="code-splitting penalty")
     sub.add_argument("--primal-tol", type=float, help="relative primal-gap stopping tolerance")
-    sub.add_argument("--omega-update-mode", choices=("diagonal", "exact_pair_block"))
     sub.add_argument("--init-mode", choices=("dirac", "laplacian", "random_uniform_box"))
 
 

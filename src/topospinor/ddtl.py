@@ -12,6 +12,15 @@ in their own k, which keeps every k-subproblem an exact scalar quadratic).
 The structural constraints are handled through the auxiliary variables P and
 X with scaled dual matrices H and M, giving the six-step cycle
 k -> Omega -> P -> X -> H -> M per iteration.
+
+The data enter the cycle only in spectral coordinates.  With the orthonormal
+frame Q = [(u; 0) | (u_H; 0) | (0; v_H) | (0; v)], the batch is projected
+once per fit to z = Q^T S, whose rows follow the basis columns
+[minus | node-harmonic | edge-harmonic | plus].  Q^T Psi(k) pairs row u_i
+only with row v_i, so Psi(k)^T S, the reconstruction Psi(k) Omega and the
+objective all cost O((V+E) T) per iteration: no step of the loop multiplies
+an (V+E) x (V+E) matrix across the T signals.  P, H and Psi stay dense; they
+carry no T factor.
 """
 
 from __future__ import annotations
@@ -26,7 +35,6 @@ from .transform import (
     CouplingVector,
     MassBasis,
     build_mass_basis,
-    nonharmonic_column_indices,
     unnormalized_basis_matrix,
 )
 
@@ -47,9 +55,7 @@ __all__ = [
     "convergence_report",
 ]
 
-_OMEGA_MODES = ("diagonal", "exact_pair_block")
-_INIT_MODES = ("dirac", "laplacian", "random_uniform_box", "user")
-_MAX_K_SWEEPS = 100
+_INIT_MODES = ("dirac", "laplacian", "random_uniform_box")
 
 
 class NumericalDivergenceError(RuntimeError):
@@ -67,9 +73,9 @@ class DdtlConfig:
 
     eta0 is the target number of nonzero coefficient rows (the bandwidth);
     c1/c2 bound the coupling box [-c2, c1]; rho1/rho2 are the penalty weights
-    of the basis and code splittings.  ``omega_update_mode`` selects between
-    the diagonal-Gram closed form and the exact per-pair 2x2 block solve
-    (default, exact because branch pairs are the only Gram coupling).
+    of the basis and code splittings.  The coupling step is one closed-form
+    pass and the code step an exact 2x2 solve per mode, so neither has a
+    tolerance or a mode of its own.
     """
 
     eta0: int
@@ -79,11 +85,8 @@ class DdtlConfig:
     rho2: float = 10.0
     max_iter: int = 500
     primal_tol: float = 1e-4
-    k_solver_tol: float = 1e-10
-    omega_update_mode: str = "exact_pair_block"
     init_mode: str = "dirac"
     init_seed: int = 0
-    init_k: np.ndarray | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.c1 <= 1.0 and 0.0 <= self.c2 <= 1.0):
@@ -94,10 +97,8 @@ class DdtlConfig:
             raise ValueError(f"eta0 must be positive, got {self.eta0}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be positive, got {self.max_iter}")
-        if self.primal_tol <= 0 or self.k_solver_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.omega_update_mode not in _OMEGA_MODES:
-            raise ValueError(f"omega_update_mode must be one of {_OMEGA_MODES}")
+        if self.primal_tol <= 0:
+            raise ValueError("primal_tol must be positive")
         if self.init_mode not in _INIT_MODES:
             raise ValueError(f"init_mode must be one of {_INIT_MODES}")
 
@@ -108,8 +109,6 @@ class IterationStats:
     objective: float
     basis_gap: float
     code_gap: float
-    rel_basis_gap: float
-    rel_code_gap: float
 
 
 @dataclass(frozen=True)
@@ -125,8 +124,14 @@ class ConvergenceReport:
 
 @dataclass
 class DdtlState:
-    """Mutable ADMM iterate; ``psi`` caches the unnormalized basis at ``k``."""
+    """Mutable ADMM iterate.
 
+    ``z`` is the data in spectral coordinates (fixed for the fit; rows
+    [u^T S_V; u_H^T S_V; v_H^T S_E; v^T S_E]) and ``psi`` caches the
+    unnormalized basis at ``k``.
+    """
+
+    z: np.ndarray
     k: np.ndarray
     omega: np.ndarray
     p: np.ndarray
@@ -147,133 +152,114 @@ class DdtlSolution:
     s_hat: np.ndarray
     basis: MassBasis
     report: ConvergenceReport
-    psi_unnormalized: np.ndarray
 
-    def reconstruction(self, use_sparse_codes: bool = False) -> np.ndarray:
-        """Psi(k*) @ Omega* by default; with the row-sparse auxiliary codes X* on request."""
-        codes = self.x_star if use_sparse_codes else self.omega_star
-        return self.psi_unnormalized @ codes
+
+def _blocks(d: SpectralDecomposition) -> tuple[slice, slice, slice]:
+    """Row (and basis-column) slices of the minus, harmonic and plus blocks."""
+    n, r = d.dim, d.rank
+    return slice(0, r), slice(r, n - r), slice(n - r, n)
 
 
 def _split_k(d: SpectralDecomposition, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return k[: d.rank], k[d.rank :]
+    return k[: d.rank, None], k[d.rank :, None]
 
 
 def _build_psi(d: SpectralDecomposition, k: np.ndarray) -> np.ndarray:
+    return unnormalized_basis_matrix(d, k[: d.rank], k[d.rank :])
+
+
+def _project(S: np.ndarray, d: SpectralDecomposition) -> np.ndarray:
+    """Q^T S with rows [u^T S_V; u_H^T S_V; v_H^T S_E; v^T S_E]."""
+    s_node, s_edge = S[: d.num_nodes], S[d.num_nodes :]
+    return np.vstack([d.u.T @ s_node, d.u_harmonic.T @ s_node, d.v_harmonic.T @ s_edge, d.v.T @ s_edge])
+
+
+def _analysis(z: np.ndarray, k: np.ndarray, d: SpectralDecomposition) -> np.ndarray:
+    """Psi(k)^T S, from the projected data z."""
+    minus, harm, plus = _blocks(d)
     km, kp = _split_k(d, k)
-    return unnormalized_basis_matrix(d, km, kp)
+    return np.vstack([km * z[minus] - z[plus], z[harm], z[minus] + kp * z[plus]])
 
 
-def _objective(S: np.ndarray, psi: np.ndarray, omega: np.ndarray) -> float:
-    return float(np.linalg.norm(S - psi @ omega) ** 2)
+def _objective(state: DdtlState, d: SpectralDecomposition) -> float:
+    """||S - Psi(k) Omega||_F^2, evaluated as ||z - Q^T Psi(k) Omega||_F^2."""
+    minus, harm, plus = _blocks(d)
+    km, kp = _split_k(d, state.k)
+    om, op = state.omega[minus], state.omega[plus]
+    model = np.vstack([km * om + op, state.omega[harm], kp * op - om])
+    return float(np.linalg.norm(state.z - model) ** 2)
 
 
 def initialize_state(S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -> DdtlState:
-    """Build the starting iterate for the configured init mode."""
+    """Project the data and build the starting iterate for the configured init mode."""
     r = d.rank
     if cfg.init_mode == "dirac":
         k = np.ones(2 * r)
     elif cfg.init_mode == "laplacian":
         k = np.zeros(2 * r)
-    elif cfg.init_mode == "random_uniform_box":
+    else:
         rng = np.random.default_rng(cfg.init_seed)
         k = rng.uniform(-cfg.c2, cfg.c1, size=2 * r)
-    else:
-        if cfg.init_k is None:
-            raise ValueError("init_mode='user' requires cfg.init_k")
-        k = np.asarray(cfg.init_k, dtype=float).copy()
-        if k.shape != (2 * r,):
-            raise ValueError(f"init_k must have shape ({2 * r},), got {k.shape}")
     k = np.clip(k, -cfg.c2, cfg.c1)
+    z = _project(S, d)
     psi = _build_psi(d, k)
-    omega = psi.T @ S
-    x = row_hard_threshold(omega, cfg.eta0)
-    p = column_normalize(psi)
+    omega = _analysis(z, k, d)
     return DdtlState(
+        z=z,
         k=k,
         omega=omega,
-        p=p,
-        x=x,
+        p=column_normalize(psi),
+        x=row_hard_threshold(omega, cfg.eta0),
         h=np.zeros_like(psi),
         m=np.zeros_like(omega),
         psi=psi,
     )
 
 
-def update_k(state: DdtlState, S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -> np.ndarray:
-    """Box-constrained minimization of the k-subproblem by projected coordinate descent.
+def update_k(state: DdtlState, d: SpectralDecomposition, cfg: DdtlConfig) -> np.ndarray:
+    """Exact box-constrained minimizer of the k-subproblem, in one closed-form pass.
 
-    Each branch coupling k_i enters its column affinely along a direction
-    orthogonal to every other column's direction (the singular vectors are
-    orthonormal), so the coordinate quadratics are exactly decoupled: one
-    vectorized sweep lands on the joint minimizer and the second sweep only
-    confirms convergence.
+    In spectral coordinates a minus coupling k_i scales only Omega_minus_i in
+    row u_i of the reconstruction, and a plus coupling only Omega_plus_i in
+    row v_i; its penalty direction (u_i; 0) or (0; v_i) is orthogonal to every
+    other column's.  Each coordinate is therefore an independent scalar
+    quadratic with curvature ||Omega_row||^2 + rho1/2 (at least rho1/2 > 0),
+    minimized by clipping its vertex to the box.
     """
     V = d.num_nodes
-    r = d.rank
-    cols = nonharmonic_column_indices(d)
-    minus_cols, plus_cols = cols[:r], cols[r:]
-    ph = state.p - state.h
+    minus, _, plus = _blocks(d)
     # Penalty linear terms b_i^T (p_i - h_i) per branch column.
-    c_minus = np.einsum("vi,vi->i", d.u, ph[:V, minus_cols])
-    c_plus = np.einsum("ei,ei->i", d.v, ph[V:, plus_cols])
-    c_lin = np.concatenate([c_minus, c_plus])
-
-    omega_rows = state.omega[cols]
-    w2 = np.einsum("it,it->i", omega_rows, omega_rows)
-    denom = w2 + 0.5 * cfg.rho1
+    c_minus = np.einsum("vi,vi->i", d.u, state.p[:V, minus] - state.h[:V, minus])
+    c_plus = np.einsum("ei,ei->i", d.v, state.p[V:, plus] - state.h[V:, plus])
+    om, op = state.omega[minus], state.omega[plus]
+    g_minus = np.einsum("it,it->i", state.z[minus] - op, om)
+    g_plus = np.einsum("it,it->i", state.z[plus] + om, op)
+    w2 = np.einsum("it,it->i", state.omega, state.omega)
     half_rho1 = 0.5 * cfg.rho1
-
-    k = state.k.copy()
-    for _ in range(_MAX_K_SWEEPS):
-        psi = _build_psi(d, k)
-        residual = S - psi @ state.omega
-        g_minus = np.einsum("it,it->i", d.u.T @ residual[:V], omega_rows[:r])
-        g_plus = np.einsum("it,it->i", d.v.T @ residual[V:], omega_rows[r:])
-        g = np.concatenate([g_minus, g_plus]) + k * w2
-        with np.errstate(invalid="ignore", divide="ignore"):
-            proposal = (g + half_rho1 * c_lin) / denom
-        # Zero-curvature coordinates keep their previous value.
-        proposal = np.where(denom > 0.0, proposal, k)
-        new_k = np.clip(proposal, -cfg.c2, cfg.c1)
-        change = float(np.max(np.abs(new_k - k))) if new_k.size else 0.0
-        k = new_k
-        if change < cfg.k_solver_tol:
-            break
-    return k
+    g = np.concatenate([g_minus, g_plus]) + half_rho1 * np.concatenate([c_minus, c_plus])
+    return np.clip(g / (np.concatenate([w2[minus], w2[plus]]) + half_rho1), -cfg.c2, cfg.c1)
 
 
-def update_omega(state: DdtlState, S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -> np.ndarray:
+def update_omega(state: DdtlState, d: SpectralDecomposition, cfg: DdtlConfig) -> np.ndarray:
     """Solve the ridge-regularized code subproblem at the current basis.
 
-    In ``diagonal`` mode the Gram of Psi(k) is treated as the diagonal
-    of column norms 1 + k_i^2 (exact when both branches share each coupling);
-    ``exact_pair_block`` inverts the true Gram, which is block-diagonal with
-    one 2x2 block per branch pair and scalars on harmonic rows.
+    The Gram of Psi(k) is block-diagonal with one 2x2 block per branch pair
+    and ones on harmonic rows, so the solve is exact per mode.
     """
-    r = d.rank
     rho2 = cfg.rho2
-    rhs = state.psi.T @ S + rho2 * (state.x - state.m)
+    minus, harm, plus = _blocks(d)
+    rhs = _analysis(state.z, state.k, d) + rho2 * (state.x - state.m)
     km, kp = _split_k(d, state.k)
-    cols = nonharmonic_column_indices(d)
-    minus_cols, plus_cols = cols[:r], cols[r:]
 
-    if cfg.omega_update_mode == "diagonal":
-        denom = np.full(d.dim, 1.0 + rho2)
-        denom[minus_cols] = 1.0 + km**2 + rho2
-        denom[plus_cols] = 1.0 + kp**2 + rho2
-        return rhs / denom[:, None]
-
-    omega = rhs.copy()
-    harm = slice(r, r + d.xi0 + d.xi1)
+    omega = np.empty_like(rhs)
     omega[harm] = rhs[harm] / (1.0 + rho2)
     a = 1.0 + km**2 + rho2
     c = 1.0 + kp**2 + rho2
     b = km - kp
     det = a * c - b**2  # positive for rho2 > 0 since (1 + km kp)^2 >= 0
-    rhs_m, rhs_p = rhs[minus_cols], rhs[plus_cols]
-    omega[minus_cols] = (c[:, None] * rhs_m - b[:, None] * rhs_p) / det[:, None]
-    omega[plus_cols] = (a[:, None] * rhs_p - b[:, None] * rhs_m) / det[:, None]
+    rhs_m, rhs_p = rhs[minus], rhs[plus]
+    omega[minus] = (c * rhs_m - b * rhs_p) / det
+    omega[plus] = (a * rhs_p - b * rhs_m) / det
     return omega
 
 
@@ -316,13 +302,13 @@ def ddtl_fit(S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -> DdtlSo
         raise ValueError(f"eta0={cfg.eta0} exceeds basis size {d.dim}")
 
     state = initialize_state(S, d, cfg)
-    initial_objective = _objective(S, state.psi, state.omega)
+    initial_objective = _objective(state, d)
 
     stop_reason = "max_iter"
     for it in range(1, cfg.max_iter + 1):
-        state.k = update_k(state, S, d, cfg)
+        state.k = update_k(state, d, cfg)
         state.psi = _build_psi(d, state.k)
-        state.omega = update_omega(state, S, d, cfg)
+        state.omega = update_omega(state, d, cfg)
         state.p = update_p(state)
         state.x = update_x(state, cfg)
         state.h, state.m = update_duals(state)
@@ -334,31 +320,20 @@ def ddtl_fit(S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -> DdtlSo
         x_norm = float(np.linalg.norm(state.x))
         rel_basis = basis_gap / p_norm if p_norm > 0 else basis_gap
         rel_code = code_gap / x_norm if x_norm > 0 else code_gap
-        state.history.append(
-            IterationStats(
-                iteration=it,
-                objective=_objective(S, state.psi, state.omega),
-                basis_gap=basis_gap,
-                code_gap=code_gap,
-                rel_basis_gap=rel_basis,
-                rel_code_gap=rel_code,
-            )
-        )
+        state.history.append(IterationStats(it, _objective(state, d), basis_gap, code_gap))
         if rel_basis <= cfg.primal_tol and rel_code <= cfg.primal_tol:
             stop_reason = "tolerance"
             break
 
     report = convergence_report(state.history, initial_objective=initial_objective, stop_reason=stop_reason)
     k_star = CouplingVector.from_stacked(state.k, c1=cfg.c1, c2=cfg.c2)
-    basis = build_mass_basis(d, k_star, normalized=True)
     return DdtlSolution(
         k_star=k_star,
         omega_star=state.omega,
         x_star=state.x,
         s_hat=state.psi @ state.omega,
-        basis=basis,
+        basis=build_mass_basis(d, k_star, normalized=True),
         report=report,
-        psi_unnormalized=state.psi,
     )
 
 

@@ -193,7 +193,6 @@ class FitConfig:
     rho2: float = 10.0
     max_iter: int = 500
     primal_tol: float = 1e-4
-    omega_update_mode: str = "exact_pair_block"
     init_mode: str = "dirac"
     seed: int = 0
 
@@ -211,16 +210,16 @@ def _load_dataset(cfg) -> tuple[OrientedGraph, np.ndarray]:
     return graph, dataset.spinor_matrix()
 
 
-def _ddtl_config(cfg, eta0: int, init_seed: int) -> DdtlConfig:
+def _ddtl_config(cfg, eta0: int, max_iter: int, init_seed: int) -> DdtlConfig:
+    """The learner config of a pipeline: its flat learner fields plus the per-fit values."""
     return DdtlConfig(
         eta0=eta0,
         c1=cfg.c1,
         c2=cfg.c2,
         rho1=cfg.rho1,
         rho2=cfg.rho2,
-        max_iter=cfg.max_iter,
+        max_iter=max_iter,
         primal_tol=cfg.primal_tol,
-        omega_update_mode=cfg.omega_update_mode,
         init_mode=cfg.init_mode,
         init_seed=init_seed,
     )
@@ -230,7 +229,7 @@ def run_ddtl_fit(cfg: FitConfig) -> Path:
     """Fit the coupling transform to a dataset and store (k*, Omega*, diagnostics)."""
     graph, S = _load_dataset(cfg)
     d = spectral_decompose(build_incidence(graph))
-    solution = ddtl_fit(S, d, _ddtl_config(cfg, cfg.eta0, sub_seed(cfg.seed, 0, "ddtl-init")))
+    solution = ddtl_fit(S, d, _ddtl_config(cfg, cfg.eta0, cfg.max_iter, sub_seed(cfg.seed, 0, "ddtl-init")))
     report = solution.report
 
     out = Path(cfg.out)
@@ -286,7 +285,6 @@ class SweepConfig:
     rho2: float = 10.0
     ddtl_max_iter: int = 150
     primal_tol: float = 1e-4
-    omega_update_mode: str = "exact_pair_block"
     init_mode: str = "dirac"
     seed: int = 0
 
@@ -331,19 +329,8 @@ def run_sparsity_sweep(cfg: SweepConfig) -> Path:
         spec = _signal_spec(cfg, sub_seed(cfg.seed, real, "signals"))
         S, _ = gen_signals(d, spec)
         energy = float(np.linalg.norm(S) ** 2)
-        fit_cfg = DdtlConfig(
-            eta0=cfg.eta0,
-            c1=cfg.c1,
-            c2=cfg.c2,
-            rho1=cfg.rho1,
-            rho2=cfg.rho2,
-            max_iter=cfg.ddtl_max_iter,
-            primal_tol=cfg.primal_tol,
-            omega_update_mode=cfg.omega_update_mode,
-            init_mode=cfg.init_mode,
-            init_seed=sub_seed(cfg.seed, real, "ddtl-init"),
-        )
-        solution = ddtl_fit(S, d, fit_cfg)
+        init_seed = sub_seed(cfg.seed, real, "ddtl-init")
+        solution = ddtl_fit(S, d, _ddtl_config(cfg, cfg.eta0, cfg.ddtl_max_iter, init_seed))
         max_level = max(cfg.sparsity_grid)
         for method, dictionary in sweep_dictionaries(d, solution).items():
             code = omp(dictionary, S, sparsity=max_level)
@@ -393,7 +380,6 @@ class DenoiseConfig:
     rho2: float = 10.0
     ddtl_max_iter: int = 150
     primal_tol: float = 1e-4
-    omega_update_mode: str = "exact_pair_block"
     init_mode: str = "dirac"
     seed: int = 0
 
@@ -446,19 +432,8 @@ def run_denoise(cfg: DenoiseConfig) -> Path:
             noisy = add_awgn(clean, snr, sub_seed(cfg.seed, real, f"awgn@{snr:g}"))
             rows.append(("noisy_input", float(snr), None, real, nmse(clean, noisy)))
             for bandwidth in cfg.bandwidth_grid:
-                fit_cfg = DdtlConfig(
-                    eta0=int(bandwidth),
-                    c1=cfg.c1,
-                    c2=cfg.c2,
-                    rho1=cfg.rho1,
-                    rho2=cfg.rho2,
-                    max_iter=cfg.ddtl_max_iter,
-                    primal_tol=cfg.primal_tol,
-                    omega_update_mode=cfg.omega_update_mode,
-                    init_mode=cfg.init_mode,
-                    init_seed=sub_seed(cfg.seed, real, f"ddtl-init@{snr:g}@{bandwidth}"),
-                )
-                solution = ddtl_fit(noisy, d, fit_cfg)
+                init_seed = sub_seed(cfg.seed, real, f"ddtl-init@{snr:g}@{bandwidth}")
+                solution = ddtl_fit(noisy, d, _ddtl_config(cfg, int(bandwidth), cfg.ddtl_max_iter, init_seed))
                 rows.append(("ddtl", float(snr), int(bandwidth), real, nmse(clean, solution.s_hat)))
                 rows.append(
                     (

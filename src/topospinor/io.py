@@ -134,7 +134,8 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _read_numeric_csv(path, expected_cols: int, what: str) -> tuple[np.ndarray, tuple[str, ...] | None]:
+def read_matrix_csv(path, expected_cols: int, what: str = "matrix") -> tuple[np.ndarray, tuple[str, ...] | None]:
+    """``(rows, header labels or None)`` of a numeric CSV; ValueError on an empty, ragged or non-numeric file."""
     path = Path(path)
     with path.open(newline="") as fh:
         rows = list(csv.reader(fh))
@@ -165,8 +166,8 @@ def _read_numeric_csv(path, expected_cols: int, what: str) -> tuple[np.ndarray, 
 
 def load_time_series(graph: OrientedGraph, node_csv_path, edge_csv_path) -> TimeSeriesDataset:
     """Load matching node/edge CSVs (one row per time step) for a graph."""
-    node_series, node_labels = _read_numeric_csv(node_csv_path, graph.num_nodes, "node series")
-    edge_series, edge_labels = _read_numeric_csv(edge_csv_path, graph.num_edges, "edge series")
+    node_series, node_labels = read_matrix_csv(node_csv_path, graph.num_nodes, "node series")
+    edge_series, edge_labels = read_matrix_csv(edge_csv_path, graph.num_edges, "edge series")
     return TimeSeriesDataset(graph, node_series, edge_series, node_labels, edge_labels)
 
 
@@ -183,21 +184,6 @@ def write_matrix_csv(path, matrix: np.ndarray, header: tuple[str, ...] | None = 
             writer.writerow(header)
         for row in matrix:
             writer.writerow([format_float(x) for x in row])
-
-
-def read_matrix_csv(path, expected_cols: int | None = None) -> np.ndarray:
-    with Path(path).open(newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    start = 0
-    try:
-        float(rows[0][0])
-    except (ValueError, IndexError):
-        start = 1
-    data = [[float(cell) for cell in row] for row in rows[start:]]
-    out = np.asarray(data)
-    if expected_cols is not None and out.shape[1] != expected_cols:
-        raise ValueError(f"{path}: expected {expected_cols} columns, found {out.shape[1]}")
-    return out
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "GraphError",
     "OrientedGraph",
-    "Spinor",
     "SpectralDecomposition",
     "build_incidence",
     "gradient",
@@ -25,8 +24,8 @@ __all__ = [
     "hodge_laplacian_1",
     "dirac_operator",
     "super_laplacian",
-    "dirac_apply",
     "spectral_decompose",
+    "harmonic_columns",
     "dirac_eigenbasis",
     "super_laplacian_eigenbasis",
     "decomposition_residuals",
@@ -86,42 +85,6 @@ class OrientedGraph:
         return self.num_nodes + self.num_edges
 
 
-@dataclass(frozen=True)
-class Spinor:
-    """Joint node-edge signal: one contiguous vector, node block first."""
-
-    values: np.ndarray
-    num_nodes: int
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1:
-            raise ValueError(f"spinor values must be 1-D, got shape {v.shape}")
-        if not (0 <= self.num_nodes <= v.shape[0]):
-            raise ValueError(
-                f"num_nodes={self.num_nodes} inconsistent with vector of length {v.shape[0]}"
-            )
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def from_parts(cls, node_part: np.ndarray, edge_part: np.ndarray) -> "Spinor":
-        node_part = np.asarray(node_part, dtype=float)
-        edge_part = np.asarray(edge_part, dtype=float)
-        return cls(np.concatenate([node_part, edge_part]), node_part.shape[0])
-
-    @property
-    def node_part(self) -> np.ndarray:
-        return self.values[: self.num_nodes]
-
-    @property
-    def edge_part(self) -> np.ndarray:
-        return self.values[self.num_nodes :]
-
-    @property
-    def num_edges(self) -> int:
-        return self.values.shape[0] - self.num_nodes
-
-
 def build_incidence(g: OrientedGraph) -> np.ndarray:
     """Dense V x E incidence matrix: +1 at each edge's head, -1 at its tail."""
     B = np.zeros((g.num_nodes, g.num_edges))
@@ -172,16 +135,6 @@ def super_laplacian(B: np.ndarray) -> np.ndarray:
     top = np.hstack([graph_laplacian(B), np.zeros((V, E))])
     bottom = np.hstack([np.zeros((E, V)), hodge_laplacian_1(B)])
     return np.vstack([top, bottom])
-
-
-def dirac_apply(B: np.ndarray, s: Spinor) -> Spinor:
-    """Apply the Dirac operator: node part becomes B x1, edge part becomes B^T x0."""
-    V, E = B.shape
-    if s.num_nodes != V or s.num_edges != E:
-        raise ValueError(
-            f"spinor split ({s.num_nodes}, {s.num_edges}) does not match incidence shape {B.shape}"
-        )
-    return Spinor.from_parts(B @ s.edge_part, B.T @ s.node_part)
 
 
 @dataclass(frozen=True)
@@ -279,6 +232,18 @@ def spectral_decompose(B: np.ndarray, zero_tol: float | None = None) -> Spectral
     )
 
 
+def harmonic_columns(d: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-padded harmonic spinor columns: ``(node_harm, edge_harm)``.
+
+    ``node_harm`` holds (u_H; 0), one column per connected component, and
+    ``edge_harm`` holds (0; v_H), one column per independent cycle.  Each
+    basis chooses its own order of the two blocks.
+    """
+    node_harm = np.vstack([d.u_harmonic, np.zeros((d.num_edges, d.xi0))])
+    edge_harm = np.vstack([np.zeros((d.num_nodes, d.xi1)), d.v_harmonic])
+    return node_harm, edge_harm
+
+
 def dirac_eigenbasis(d: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal eigenbasis of the Dirac operator.
 
@@ -288,12 +253,10 @@ def dirac_eigenbasis(d: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
     Branch columns are (u_i; -v_i)/sqrt(2) and (u_i; v_i)/sqrt(2); the 1/sqrt(2)
     makes the mixed columns unit norm.
     """
-    V, E = d.num_nodes, d.num_edges
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     minus = np.vstack([d.u, -d.v]) * inv_sqrt2
     plus = np.vstack([d.u, d.v]) * inv_sqrt2
-    edge_harm = np.vstack([np.zeros((V, d.xi1)), d.v_harmonic])
-    node_harm = np.vstack([d.u_harmonic, np.zeros((E, d.xi0))])
+    node_harm, edge_harm = harmonic_columns(d)
     phi = np.hstack([minus, edge_harm, node_harm, plus])
     gamma = np.concatenate([-d.sigma, np.zeros(d.xi1 + d.xi0), d.sigma])
     return phi, gamma
@@ -308,8 +271,7 @@ def super_laplacian_eigenbasis(d: SpectralDecomposition) -> tuple[np.ndarray, np
     of the node/edge blocks.
     """
     V, E = d.num_nodes, d.num_edges
-    node_harm = np.vstack([d.u_harmonic, np.zeros((E, d.xi0))])
-    edge_harm = np.vstack([np.zeros((V, d.xi1)), d.v_harmonic])
+    node_harm, edge_harm = harmonic_columns(d)
     node_modes = np.vstack([d.u, np.zeros((E, d.rank))])
     edge_modes = np.vstack([np.zeros((V, d.rank)), d.v])
     theta = np.hstack([node_harm, edge_harm, node_modes, edge_modes])

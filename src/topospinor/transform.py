@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .topology import SpectralDecomposition
+from .topology import SpectralDecomposition, harmonic_columns
 
 __all__ = [
     "CouplingVector",
@@ -129,14 +129,6 @@ def coupling_bases(d: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray, np
     return a_minus, b_minus, a_plus, b_plus
 
 
-def harmonic_block(d: SpectralDecomposition) -> np.ndarray:
-    """Harmonic columns (u_H; 0) then (0; v_H); invariant under the coupling."""
-    V, E = d.num_nodes, d.num_edges
-    node_harm = np.vstack([d.u_harmonic, np.zeros((E, d.xi0))])
-    edge_harm = np.vstack([np.zeros((V, d.xi1)), d.v_harmonic])
-    return np.hstack([node_harm, edge_harm])
-
-
 def nonharmonic_column_indices(d: SpectralDecomposition) -> np.ndarray:
     """Full-basis column indices of the 2r coupled columns (minus block, then plus)."""
     r, xi = d.rank, d.xi0 + d.xi1
@@ -150,7 +142,7 @@ def unnormalized_basis_matrix(d: SpectralDecomposition, k_minus: np.ndarray, k_p
     psi = np.zeros((n, n))
     psi[:V, :r] = d.u * k_minus
     psi[V:, :r] = -d.v
-    psi[:, r : r + d.xi0 + d.xi1] = harmonic_block(d)
+    psi[:, r : r + d.xi0 + d.xi1] = np.hstack(harmonic_columns(d))
     plus0 = r + d.xi0 + d.xi1
     psi[:V, plus0 : plus0 + r] = d.u
     psi[V:, plus0 : plus0 + r] = d.v * k_plus

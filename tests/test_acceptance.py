@@ -185,7 +185,7 @@ def test_criterion_3_oracle_equivalence():
         state.psi = unnormalized_basis_matrix(d, state.k[: d.rank], state.k[d.rank:])
         state.x = rng.normal(size=state.omega.shape)
         state.m = rng.normal(size=state.omega.shape)
-        omega = update_omega(state, S, d, cfg)
+        omega = update_omega(state, d, cfg)
         rhs = state.psi.T @ S + cfg.rho2 * (state.x - state.m)
         dense = np.linalg.solve(state.psi.T @ state.psi + cfg.rho2 * np.eye(12), rhs)
         assert np.max(np.abs(omega - dense)) < 1e-10
@@ -215,7 +215,7 @@ def test_criterion_3_oracle_equivalence():
         state1.omega = rng.normal(size=(d1.dim, 1))
         state1.p = rng.normal(size=(d1.dim, d1.dim))
         state1.h = rng.normal(size=(d1.dim, d1.dim))
-        solved = update_k(state1, S1, d1, cfg1)
+        solved = update_k(state1, d1, cfg1)
 
         def objective(k_stacked):
             psi = unnormalized_basis_matrix(d1, k_stacked[:1], k_stacked[1:])

@@ -103,10 +103,10 @@ class TestFitCommand:
         assert k_star.shape == (2 * d.rank,)
 
         # Recompute the reconstruction from the saved pieces.
-        omega = read_matrix_csv(out / "omega_star.csv")
-        psi = unnormalized_basis_matrix(d, k_star[: d.rank], k_star[d.rank:])
         ds = load_time_series(graph, data / "node_series.csv", data / "edge_series.csv")
         S = ds.spinor_matrix()
+        omega, _ = read_matrix_csv(out / "omega_star.csv", S.shape[1])
+        psi = unnormalized_basis_matrix(d, k_star[: d.rank], k_star[d.rank:])
         assert abs(nmse(S, psi @ omega) - meta["reconstruction_nmse"]) < 1e-12
 
     def test_requires_input(self, tmp_path, capsys):
@@ -197,3 +197,19 @@ class TestFailureModes:
         assert code != 0
         err = json.loads(capsys.readouterr().err.strip())
         assert "bogus" in err["message"]
+
+    @pytest.mark.parametrize("command", ["ddtl-fit", "sparsity-sweep", "denoise"])
+    def test_removed_omega_update_mode_key(self, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"omega_update_mode": "diagonal"}))
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError"
+        assert "unknown config keys" in err["message"] and "omega_update_mode" in err["message"]
+
+    @pytest.mark.parametrize("command", ["ddtl-fit", "sparsity-sweep", "denoise"])
+    def test_removed_omega_update_mode_flag(self, tmp_path, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--omega-update-mode", "diagonal", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2

@@ -14,10 +14,10 @@ from topospinor.ddtl import (
     update_p,
     update_x,
 )
-from topospinor.sparse import nmse
+from topospinor.sparse import column_normalize, nmse, row_hard_threshold
 from topospinor.synth import SignalClassSpec, gen_signals, random_graph
-from topospinor.topology import build_incidence, spectral_decompose
-from topospinor.transform import unnormalized_basis_matrix
+from topospinor.topology import OrientedGraph, build_incidence, spectral_decompose
+from topospinor.transform import nonharmonic_column_indices, unnormalized_basis_matrix
 
 
 def small_problem(num_nodes=5, num_edges=7, seed=0):
@@ -52,6 +52,92 @@ def k_objective(d, S, state, cfg, k_stacked):
     return data + penalty
 
 
+# Dense oracle: the learner as it ran before the spectral projection.  Every
+# step multiplies Psi(k) against the full batch S in signal coordinates.
+
+
+def dense_psi(d, k):
+    return unnormalized_basis_matrix(d, k[: d.rank], k[d.rank :])
+
+
+def dense_update_k(d, S, cfg, k, omega, p, h):
+    """Projected coordinate sweeps on the dense residual S - Psi(k) Omega."""
+    V, r = d.num_nodes, d.rank
+    cols = nonharmonic_column_indices(d)
+    ph = p - h
+    c_lin = np.concatenate(
+        [np.einsum("vi,vi->i", d.u, ph[:V, cols[:r]]), np.einsum("ei,ei->i", d.v, ph[V:, cols[r:]])]
+    )
+    rows = omega[cols]
+    w2 = np.einsum("it,it->i", rows, rows)
+    for _ in range(100):
+        residual = S - dense_psi(d, k) @ omega
+        g = np.concatenate(
+            [
+                np.einsum("it,it->i", d.u.T @ residual[:V], rows[:r]),
+                np.einsum("it,it->i", d.v.T @ residual[V:], rows[r:]),
+            ]
+        )
+        new_k = np.clip((g + k * w2 + 0.5 * cfg.rho1 * c_lin) / (w2 + 0.5 * cfg.rho1), -cfg.c2, cfg.c1)
+        change = float(np.max(np.abs(new_k - k))) if k.size else 0.0
+        k = new_k
+        if change < 1e-10:
+            return k
+    return k
+
+
+def dense_update_omega(d, S, cfg, k, x, m):
+    """Pair-block code solve with the right-hand side Psi(k)^T S + rho2 (X - M)."""
+    r = d.rank
+    cols = nonharmonic_column_indices(d)
+    rhs = dense_psi(d, k).T @ S + cfg.rho2 * (x - m)
+    omega = rhs / (1.0 + cfg.rho2)
+    km, kp = k[:r, None], k[r:, None]
+    a, c, b = 1.0 + km**2 + cfg.rho2, 1.0 + kp**2 + cfg.rho2, km - kp
+    det = a * c - b**2
+    rhs_m, rhs_p = rhs[cols[:r]], rhs[cols[r:]]
+    omega[cols[:r]] = (c * rhs_m - b * rhs_p) / det
+    omega[cols[r:]] = (a * rhs_p - b * rhs_m) / det
+    return omega
+
+
+def dense_fit(S, d, cfg):
+    """Dirac-initialized dense ADMM for cfg.max_iter iterations: (k, Omega, objective, basis gap, code gap)."""
+    k = np.ones(2 * d.rank)
+    psi = dense_psi(d, k)
+    omega = psi.T @ S
+    x = row_hard_threshold(omega, cfg.eta0)
+    p, h, m = column_normalize(psi), np.zeros_like(psi), np.zeros_like(omega)
+    curves = ([], [], [])
+    for _ in range(cfg.max_iter):
+        k = dense_update_k(d, S, cfg, k, omega, p, h)
+        psi = dense_psi(d, k)
+        omega = dense_update_omega(d, S, cfg, k, x, m)
+        p = column_normalize(h + psi)
+        x = row_hard_threshold(omega + m, cfg.eta0)
+        h, m = h + (psi - p), m + (omega - x)
+        curves[0].append(float(np.linalg.norm(S - psi @ omega) ** 2))
+        curves[1].append(float(np.linalg.norm(psi - p)))
+        curves[2].append(float(np.linalg.norm(omega - x)))
+    return (k, omega, *curves)
+
+
+def assert_relative(actual, expected, bound=1e-10):
+    actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    assert actual.shape == expected.shape
+    assert np.max(np.abs(actual - expected)) <= bound * np.max(np.abs(expected))
+
+
+def two_triangles():
+    # Disconnected (two components, xi0 = 2) with one cycle each (xi1 = 2).
+    return OrientedGraph(6, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)))
+
+
+def path5():
+    # A tree: no cycles, so xi1 = 0.
+    return OrientedGraph(5, ((0, 1), (1, 2), (2, 3), (3, 4)))
+
+
 class TestUpdateK:
     def test_recovers_coupling_of_target_basis(self):
         # With no data term and no dual, the penalty is minimized at the
@@ -62,9 +148,9 @@ class TestUpdateK:
         target = unnormalized_basis_matrix(d, k0[: d.rank], k0[d.rank :])
         init = rng.normal(size=(d.dim, 4))
         cfg = DdtlConfig(eta0=3, max_iter=1)
+        # Zero codes remove the data term, whatever data the state holds.
         state = manual_state(d, init, cfg, omega=np.zeros((d.dim, 4)), p=target, h=np.zeros_like(target))
-        S = np.zeros((d.dim, 4))
-        k = update_k(state, S, d, cfg)
+        k = update_k(state, d, cfg)
         assert_allclose(k, k0, atol=1e-12)
 
     def test_box_clipping(self):
@@ -74,9 +160,9 @@ class TestUpdateK:
         target = unnormalized_basis_matrix(d, k0[: d.rank], k0[d.rank :])
         init = np.random.default_rng(0).normal(size=(d.dim, 2))
         cfg = DdtlConfig(eta0=3, max_iter=1)
+        # Zero codes remove the data term, whatever data the state holds.
         state = manual_state(d, init, cfg, omega=np.zeros((d.dim, 2)), p=target, h=np.zeros_like(target))
-        S = np.zeros((d.dim, 2))
-        k = update_k(state, S, d, cfg)
+        k = update_k(state, d, cfg)
         assert_allclose(k, 1.0, atol=1e-12)
 
     def test_scalar_minimizer_matches_grid_refinement(self):
@@ -98,7 +184,7 @@ class TestUpdateK:
             p=rng.normal(size=(d.dim, d.dim)),
             h=rng.normal(size=(d.dim, d.dim)),
         )
-        k_solved = update_k(state, S, d, cfg)
+        k_solved = update_k(state, d, cfg)
 
         for coord in range(2):
             probe = k_solved.copy()
@@ -129,7 +215,7 @@ class TestUpdateK:
         S = rng.normal(size=(d.dim, 6))
         cfg = DdtlConfig(eta0=4, c1=0.6, c2=0.3, max_iter=1)
         state = initialize_state(S, d, cfg)
-        k = update_k(state, S, d, cfg)
+        k = update_k(state, d, cfg)
         assert np.all(k <= 0.6 + 1e-15) and np.all(k >= -0.3 - 1e-15)
 
 
@@ -144,26 +230,8 @@ class TestUpdateOmega:
         state = initialize_state(S, d, cfg)
         state.x = np.zeros_like(state.omega)
         state.m = np.zeros_like(state.omega)
-        omega = update_omega(state, S, d, cfg)
+        omega = update_omega(state, d, cfg)
         assert np.max(np.abs(omega - state.psi.T @ S)) < 1e-9
-
-    def test_modes_agree_for_shared_coupling(self):
-        g, d = small_problem()
-        rng = np.random.default_rng(6)
-        S = rng.normal(size=(d.dim, 5))
-        shared = np.tile(rng.uniform(-1, 1, d.rank), 2)
-        for mode in ("diagonal", "exact_pair_block"):
-            cfg = DdtlConfig(eta0=3, omega_update_mode=mode, max_iter=1)
-            state = manual_state(d, S, cfg, k=shared)
-            state.x = rng.normal(size=state.omega.shape)
-            state.m = rng.normal(size=state.omega.shape)
-            if mode == "diagonal":
-                ref_state = state
-                omega_diag = update_omega(state, S, d, cfg)
-            else:
-                state.x, state.m = ref_state.x, ref_state.m
-                omega_block = update_omega(state, S, d, cfg)
-        assert np.max(np.abs(omega_diag - omega_block)) < 1e-10
 
     def test_pair_block_matches_dense_solve(self):
         # 12-dimensional instance: V=5, E=7.
@@ -176,7 +244,7 @@ class TestUpdateOmega:
         state = manual_state(d, S, cfg, k=k)
         state.x = rng.normal(size=state.omega.shape)
         state.m = rng.normal(size=state.omega.shape)
-        omega = update_omega(state, S, d, cfg)
+        omega = update_omega(state, d, cfg)
         # Oracle: dense linear solve of (Psi^T Psi + rho2 I) Omega = rhs.
         psi = state.psi
         rhs = psi.T @ S + cfg.rho2 * (state.x - state.m)
@@ -275,15 +343,6 @@ class TestDdtlFit:
         assert a.report.basis_gap_curve == b.report.basis_gap_curve
         assert np.array_equal(a.k_star.stacked(), b.k_star.stacked())
 
-    def test_sparse_code_reconstruction_option(self):
-        g, d = small_problem()
-        S = np.random.default_rng(13).normal(size=(d.dim, 6))
-        sol = ddtl_fit(S, d, DdtlConfig(eta0=4, max_iter=10))
-        assert_allclose(sol.reconstruction(), sol.s_hat)
-        alt = sol.reconstruction(use_sparse_codes=True)
-        assert alt.shape == sol.s_hat.shape
-        assert np.count_nonzero(np.linalg.norm(sol.x_star, axis=1)) <= 4
-
     def test_rejects_non_finite_input(self):
         g, d = small_problem()
         S = np.zeros((d.dim, 2))
@@ -295,6 +354,57 @@ class TestDdtlFit:
         err = NumericalDivergenceError(17, "omega")
         assert err.iteration == 17 and err.variable == "omega"
         assert "iteration 17" in str(err) and "omega" in str(err)
+
+
+class TestSpectralCoordinates:
+    @pytest.mark.parametrize(
+        "graph",
+        [random_graph(5, 7, 0), random_graph(12, 24, 3), path5(), two_triangles()],
+        ids=["random-5-7", "random-12-24", "tree", "disconnected"],
+    )
+    def test_fit_matches_dense_oracle_on_random_data(self, graph):
+        d = spectral_decompose(build_incidence(graph))
+        S = np.random.default_rng(graph.num_edges).normal(size=(d.dim, 40))
+        self._check(S, d, DdtlConfig(eta0=min(4, d.dim), max_iter=30))
+
+    def test_fit_matches_dense_oracle_on_mixture_data(self):
+        d = spectral_decompose(build_incidence(random_graph(10, 18, 1)))
+        spec = SignalClassSpec("mixture_of_dirac", eta0=8, num_signals=60, seed=5)
+        S, _ = gen_signals(d, spec)
+        self._check(S, d, DdtlConfig(eta0=8, max_iter=30))
+
+    @staticmethod
+    def _check(S, d, cfg):
+        sol = ddtl_fit(S, d, cfg)
+        assert sol.report.iterations == cfg.max_iter
+        k, omega, objective, basis_gap, code_gap = dense_fit(S, d, cfg)
+        assert_relative(sol.k_star.stacked(), k)
+        assert_relative(sol.omega_star, omega)
+        assert_relative(sol.report.objective_curve, objective)
+        assert_relative(sol.report.basis_gap_curve, basis_gap)
+        assert_relative(sol.report.code_gap_curve, code_gap)
+        assert_relative(sol.s_hat, dense_psi(d, k) @ omega)
+
+    def test_single_steps_match_dense_oracle(self):
+        g, d = small_problem(num_nodes=6, num_edges=9, seed=4)
+        rng = np.random.default_rng(21)
+        S = rng.normal(size=(d.dim, 7))
+        cfg = DdtlConfig(eta0=4, rho1=2.5, rho2=0.7, max_iter=1)
+        state = manual_state(
+            d,
+            S,
+            cfg,
+            k=rng.uniform(-1, 1, 2 * d.rank),
+            omega=rng.normal(size=(d.dim, 7)),
+            p=rng.normal(size=(d.dim, d.dim)),
+            h=rng.normal(size=(d.dim, d.dim)),
+            x=rng.normal(size=(d.dim, 7)),
+            m=rng.normal(size=(d.dim, 7)),
+        )
+        expected_k = dense_update_k(d, S, cfg, state.k, state.omega, state.p, state.h)
+        assert_relative(update_k(state, d, cfg), expected_k)
+        expected_omega = dense_update_omega(d, S, cfg, state.k, state.x, state.m)
+        assert_relative(update_omega(state, d, cfg), expected_omega)
 
 
 class TestConvergenceReport:

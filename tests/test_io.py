@@ -176,4 +176,11 @@ class TestResults:
 
         M = np.random.default_rng(3).normal(size=(4, 5)) * 1e-13
         write_matrix_csv(tmp_path / "m.csv", M)
-        assert np.array_equal(read_matrix_csv(tmp_path / "m.csv"), M)
+        assert np.array_equal(read_matrix_csv(tmp_path / "m.csv", 5)[0], M)
+
+    def test_matrix_csv_empty_file_raises(self, tmp_path):
+        from topospinor.io import read_matrix_csv
+
+        (tmp_path / "m.csv").write_text("")
+        with pytest.raises(ValueError, match="empty matrix file"):
+            read_matrix_csv(tmp_path / "m.csv", 5)

@@ -6,14 +6,13 @@ from numpy.testing import assert_allclose
 from topospinor.topology import (
     GraphError,
     OrientedGraph,
-    Spinor,
     build_incidence,
-    dirac_apply,
     dirac_eigenbasis,
     dirac_operator,
     divergence,
     gradient,
     graph_laplacian,
+    harmonic_columns,
     hodge_laplacian_1,
     spectral_decompose,
     super_laplacian,
@@ -186,34 +185,20 @@ class TestSpectralDecompose:
             spectral_decompose(np.array([[np.nan, 1.0]]))
 
 
-class TestDiracApply:
-    def test_node_only(self, p3, rng):
-        B = build_incidence(p3)
-        x0 = rng.normal(size=3)
-        out = dirac_apply(B, Spinor.from_parts(x0, np.zeros(2)))
-        assert_allclose(out.node_part, 0.0)
-        assert_allclose(out.edge_part, B.T @ x0)
-
-    def test_edge_only(self, p3, rng):
-        B = build_incidence(p3)
-        x1 = rng.normal(size=2)
-        out = dirac_apply(B, Spinor.from_parts(np.zeros(3), x1))
-        assert_allclose(out.node_part, B @ x1)
-        assert_allclose(out.edge_part, 0.0)
-
-    @given(connected_graphs())
-    @settings(max_examples=25)
-    def test_twice_equals_super_laplacian(self, g):
-        B = build_incidence(g)
-        rand = np.random.default_rng(g.num_edges)
-        s = Spinor(rand.normal(size=g.dim), g.num_nodes)
-        twice = dirac_apply(B, dirac_apply(B, s))
-        assert_allclose(twice.node_part, graph_laplacian(B) @ s.node_part, atol=1e-10)
-        assert_allclose(twice.edge_part, hodge_laplacian_1(B) @ s.edge_part, atol=1e-10)
-
-    def test_shape_mismatch(self, p3):
-        with pytest.raises(ValueError):
-            dirac_apply(build_incidence(p3), Spinor(np.zeros(5), 2))
+class TestHarmonicColumns:
+    def test_padding_and_order_in_each_basis(self):
+        # Two disjoint triangles: two components (xi0 = 2) and two cycles (xi1 = 2).
+        g = OrientedGraph(6, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)))
+        d = spectral_decompose(build_incidence(g))
+        node_harm, edge_harm = harmonic_columns(d)
+        assert node_harm.shape == (g.dim, 2) and edge_harm.shape == (g.dim, 2)
+        assert np.array_equal(node_harm[:6], d.u_harmonic) and not np.any(node_harm[6:])
+        assert np.array_equal(edge_harm[6:], d.v_harmonic) and not np.any(edge_harm[:6])
+        r = d.rank
+        phi, _ = dirac_eigenbasis(d)
+        assert np.array_equal(phi[:, r : r + 4], np.hstack([edge_harm, node_harm]))
+        theta, _ = super_laplacian_eigenbasis(d)
+        assert np.array_equal(theta[:, :4], np.hstack([node_harm, edge_harm]))
 
 
 class TestDiracEigenbasis:
