@@ -43,15 +43,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, help="master seed")
 
 
-def _add_ddtl_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--c1", type=float, help="upper coupling bound in [0, 1]")
-    sub.add_argument("--c2", type=float, help="magnitude of the lower coupling bound")
-    sub.add_argument("--rho1", type=float, help="basis-splitting penalty")
-    sub.add_argument("--rho2", type=float, help="code-splitting penalty")
-    sub.add_argument("--primal-tol", type=float, help="relative primal-gap stopping tolerance")
-    sub.add_argument("--init-mode", choices=("dirac", "laplacian", "random_uniform_box"))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="topospinor", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
@@ -85,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edge-csv", help="edge time-series CSV")
     p.add_argument("--eta0", type=int, help="bandwidth (row-sparsity) of the codes")
     p.add_argument("--max-iter", type=int)
-    _add_ddtl_flags(p)
     p.set_defaults(config_cls=FitConfig, runner=run_ddtl_fit)
 
     p = commands.add_parser("sparsity-sweep", help="reconstruction error vs sparsity for all dictionaries")
@@ -101,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--realizations", type=int)
     p.add_argument("--sparsity-grid", type=_int_grid, help="comma-separated sparsity levels")
     p.add_argument("--ddtl-max-iter", type=int)
-    _add_ddtl_flags(p)
     p.set_defaults(config_cls=SweepConfig, runner=run_sparsity_sweep)
 
     p = commands.add_parser("denoise", help="denoising sweep over SNR and bandwidth")
@@ -120,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bandwidth-grid", type=_int_grid, help="comma-separated bandwidths")
     p.add_argument("--realizations", type=int)
     p.add_argument("--ddtl-max-iter", type=int)
-    _add_ddtl_flags(p)
     p.set_defaults(config_cls=DenoiseConfig, runner=run_denoise)
 
     return parser

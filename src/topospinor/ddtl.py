@@ -21,6 +21,9 @@ only with row v_i, so Psi(k)^T S, the reconstruction Psi(k) Omega and the
 objective all cost O((V+E) T) per iteration: no step of the loop multiplies
 an (V+E) x (V+E) matrix across the T signals.  P, H and Psi stay dense; they
 carry no T factor.
+
+Every fit starts from the Dirac coupling k = 1 (clipped to the box) and stops
+once both relative primal gaps fall below ``PRIMAL_TOL``, or at ``max_iter``.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ __all__ = [
     "convergence_report",
 ]
 
-_INIT_MODES = ("dirac", "laplacian", "random_uniform_box")
+PRIMAL_TOL = 1e-4
 
 
 class NumericalDivergenceError(RuntimeError):
@@ -71,11 +74,12 @@ class NumericalDivergenceError(RuntimeError):
 class DdtlConfig:
     """Hyperparameters of the ADMM solver.
 
-    eta0 is the target number of nonzero coefficient rows (the bandwidth);
-    c1/c2 bound the coupling box [-c2, c1]; rho1/rho2 are the penalty weights
-    of the basis and code splittings.  The coupling step is one closed-form
-    pass and the code step an exact 2x2 solve per mode, so neither has a
-    tolerance or a mode of its own.
+    eta0 is the target number of nonzero coefficient rows (the bandwidth) and
+    max_iter the iteration budget: the two values the studies set.  c1/c2
+    bound the coupling box [-c2, c1] and rho1/rho2 are the penalty weights of
+    the basis and code splittings; no pipeline exposes them, and they stay
+    here so the ADMM steps can be checked away from their defaults.  The
+    start, the stopping tolerance and the closed-form steps have no settings.
     """
 
     eta0: int
@@ -84,9 +88,6 @@ class DdtlConfig:
     rho1: float = 10.0
     rho2: float = 10.0
     max_iter: int = 500
-    primal_tol: float = 1e-4
-    init_mode: str = "dirac"
-    init_seed: int = 0
 
     def __post_init__(self):
         if not (0.0 <= self.c1 <= 1.0 and 0.0 <= self.c2 <= 1.0):
@@ -97,10 +98,6 @@ class DdtlConfig:
             raise ValueError(f"eta0 must be positive, got {self.eta0}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be positive, got {self.max_iter}")
-        if self.primal_tol <= 0:
-            raise ValueError("primal_tol must be positive")
-        if self.init_mode not in _INIT_MODES:
-            raise ValueError(f"init_mode must be one of {_INIT_MODES}")
 
 
 @dataclass(frozen=True)
@@ -191,16 +188,8 @@ def _objective(state: DdtlState, d: SpectralDecomposition) -> float:
 
 
 def initialize_state(S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -> DdtlState:
-    """Project the data and build the starting iterate for the configured init mode."""
-    r = d.rank
-    if cfg.init_mode == "dirac":
-        k = np.ones(2 * r)
-    elif cfg.init_mode == "laplacian":
-        k = np.zeros(2 * r)
-    else:
-        rng = np.random.default_rng(cfg.init_seed)
-        k = rng.uniform(-cfg.c2, cfg.c1, size=2 * r)
-    k = np.clip(k, -cfg.c2, cfg.c1)
+    """Project the data and build the starting iterate at the Dirac coupling k = 1, clipped to the box."""
+    k = np.clip(np.ones(2 * d.rank), -cfg.c2, cfg.c1)
     z = _project(S, d)
     psi = _build_psi(d, k)
     omega = _analysis(z, k, d)
@@ -287,7 +276,7 @@ def _check_finite(iteration: int, **arrays: np.ndarray) -> None:
 
 
 def ddtl_fit(S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -> DdtlSolution:
-    """Run the ADMM cycle until both relative primal gaps fall below tolerance.
+    """Run the ADMM cycle until both relative primal gaps fall below ``PRIMAL_TOL``.
 
     The coupling applies only to the 2r non-harmonic columns; harmonic columns
     of the basis are fixed.  Stops at ``cfg.max_iter`` otherwise.  History
@@ -321,7 +310,7 @@ def ddtl_fit(S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -> DdtlSo
         rel_basis = basis_gap / p_norm if p_norm > 0 else basis_gap
         rel_code = code_gap / x_norm if x_norm > 0 else code_gap
         state.history.append(IterationStats(it, _objective(state, d), basis_gap, code_gap))
-        if rel_basis <= cfg.primal_tol and rel_code <= cfg.primal_tol:
+        if rel_basis <= PRIMAL_TOL and rel_code <= PRIMAL_TOL:
             stop_reason = "tolerance"
             break
 

@@ -70,6 +70,20 @@ def _load_graph(graph_path: str | None, num_nodes: int, num_edges: int, seed: in
     return random_graph(num_nodes, num_edges, seed)
 
 
+def _load_measured(graph_path, node_csv, edge_csv) -> tuple[OrientedGraph, np.ndarray] | None:
+    """The graph and (V+E) x T spinor matrix named by three paths; None when no path is given.
+
+    A partial set raises ValueError rather than falling back to anything.
+    """
+    paths = (graph_path, node_csv, edge_csv)
+    if not any(paths):
+        return None
+    if not all(paths):
+        raise ValueError("graph_path, node_csv and edge_csv must be given together")
+    graph = tsio.load_edge_list(graph_path)
+    return graph, tsio.load_time_series(graph, node_csv, edge_csv).spinor_matrix()
+
+
 # ---------------------------------------------------------------------------
 # spectra
 
@@ -129,10 +143,10 @@ class SynthConfig:
     seed: int = 0
 
 
-def _signal_spec(cfg, seed: int) -> SignalClassSpec:
+def _signal_spec(cfg, eta0: int, seed: int) -> SignalClassSpec:
     return SignalClassSpec(
         signal_class=cfg.signal_class,
-        eta0=cfg.eta0,
+        eta0=eta0,
         num_signals=cfg.num_signals,
         coeff_std=cfg.coeff_std,
         coupled_fraction=cfg.coupled_fraction,
@@ -145,7 +159,7 @@ def run_synth(cfg: SynthConfig) -> Path:
     """Generate one dataset (graph + node/edge series + ground truth) on disk."""
     graph = _load_graph(cfg.graph_path, cfg.num_nodes, cfg.num_edges, sub_seed(cfg.seed, 0, "graph"))
     d = spectral_decompose(build_incidence(graph))
-    spec = _signal_spec(cfg, sub_seed(cfg.seed, 0, "signals"))
+    spec = _signal_spec(cfg, cfg.eta0, sub_seed(cfg.seed, 0, "signals"))
     S, truth = gen_signals(d, spec, noise_std=cfg.noise_std)
 
     out = Path(cfg.out)
@@ -181,55 +195,37 @@ def run_synth(cfg: SynthConfig) -> Path:
 
 @dataclass(frozen=True)
 class FitConfig:
+    """A dataset (a synth directory, or a graph and two CSVs) and the learner's bandwidth and budget.
+
+    The fit draws no random numbers: ``seed`` is only recorded in run.json.
+    """
+
     out: str
     dataset_dir: str | None = None
     graph_path: str | None = None
     node_csv: str | None = None
     edge_csv: str | None = None
     eta0: int = 35
-    c1: float = 1.0
-    c2: float = 1.0
-    rho1: float = 10.0
-    rho2: float = 10.0
     max_iter: int = 500
-    primal_tol: float = 1e-4
-    init_mode: str = "dirac"
     seed: int = 0
 
 
-def _load_dataset(cfg) -> tuple[OrientedGraph, np.ndarray]:
+def _load_dataset(cfg: FitConfig) -> tuple[OrientedGraph, np.ndarray]:
     if cfg.dataset_dir:
         base = Path(cfg.dataset_dir)
-        graph = tsio.load_edge_list(base / "graph.txt")
-        dataset = tsio.load_time_series(graph, base / "node_series.csv", base / "edge_series.csv")
-        return graph, dataset.spinor_matrix()
-    if not (cfg.graph_path and cfg.node_csv and cfg.edge_csv):
+        measured = _load_measured(base / "graph.txt", base / "node_series.csv", base / "edge_series.csv")
+    else:
+        measured = _load_measured(cfg.graph_path, cfg.node_csv, cfg.edge_csv)
+    if measured is None:
         raise ValueError("provide either dataset_dir or graph_path + node_csv + edge_csv")
-    graph = tsio.load_edge_list(cfg.graph_path)
-    dataset = tsio.load_time_series(graph, cfg.node_csv, cfg.edge_csv)
-    return graph, dataset.spinor_matrix()
-
-
-def _ddtl_config(cfg, eta0: int, max_iter: int, init_seed: int) -> DdtlConfig:
-    """The learner config of a pipeline: its flat learner fields plus the per-fit values."""
-    return DdtlConfig(
-        eta0=eta0,
-        c1=cfg.c1,
-        c2=cfg.c2,
-        rho1=cfg.rho1,
-        rho2=cfg.rho2,
-        max_iter=max_iter,
-        primal_tol=cfg.primal_tol,
-        init_mode=cfg.init_mode,
-        init_seed=init_seed,
-    )
+    return measured
 
 
 def run_ddtl_fit(cfg: FitConfig) -> Path:
     """Fit the coupling transform to a dataset and store (k*, Omega*, diagnostics)."""
     graph, S = _load_dataset(cfg)
     d = spectral_decompose(build_incidence(graph))
-    solution = ddtl_fit(S, d, _ddtl_config(cfg, cfg.eta0, cfg.max_iter, sub_seed(cfg.seed, 0, "ddtl-init")))
+    solution = ddtl_fit(S, d, DdtlConfig(eta0=cfg.eta0, max_iter=cfg.max_iter))
     report = solution.report
 
     out = Path(cfg.out)
@@ -279,13 +275,7 @@ class SweepConfig:
     cauchy_scale: float | None = None
     realizations: int = 10
     sparsity_grid: tuple[int, ...] = (5, 10, 15, 20, 25, 30, 35, 40, 45, 50, 55, 60, 65, 70, 75, 80)
-    c1: float = 1.0
-    c2: float = 1.0
-    rho1: float = 10.0
-    rho2: float = 10.0
     ddtl_max_iter: int = 150
-    primal_tol: float = 1e-4
-    init_mode: str = "dirac"
     seed: int = 0
 
     def __post_init__(self):
@@ -326,11 +316,10 @@ def run_sparsity_sweep(cfg: SweepConfig) -> Path:
     for real in range(cfg.realizations):
         graph = random_graph(cfg.num_nodes, cfg.num_edges, sub_seed(cfg.seed, real, "graph"))
         d = spectral_decompose(build_incidence(graph))
-        spec = _signal_spec(cfg, sub_seed(cfg.seed, real, "signals"))
+        spec = _signal_spec(cfg, cfg.eta0, sub_seed(cfg.seed, real, "signals"))
         S, _ = gen_signals(d, spec)
         energy = float(np.linalg.norm(S) ** 2)
-        init_seed = sub_seed(cfg.seed, real, "ddtl-init")
-        solution = ddtl_fit(S, d, _ddtl_config(cfg, cfg.eta0, cfg.ddtl_max_iter, init_seed))
+        solution = ddtl_fit(S, d, DdtlConfig(eta0=cfg.eta0, max_iter=cfg.ddtl_max_iter))
         max_level = max(cfg.sparsity_grid)
         for method, dictionary in sweep_dictionaries(d, solution).items():
             code = omp(dictionary, S, sparsity=max_level)
@@ -374,13 +363,7 @@ class DenoiseConfig:
     snr_grid: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0)
     bandwidth_grid: tuple[int, ...] = (10, 30, 50)
     realizations: int = 10
-    c1: float = 1.0
-    c2: float = 1.0
-    rho1: float = 10.0
-    rho2: float = 10.0
     ddtl_max_iter: int = 150
-    primal_tol: float = 1e-4
-    init_mode: str = "dirac"
     seed: int = 0
 
     def __post_init__(self):
@@ -398,31 +381,18 @@ def _truncation_reconstruction(basis: np.ndarray, noisy: np.ndarray, bandwidth: 
 def run_denoise(cfg: DenoiseConfig) -> Path:
     """Denoising sweep: learned-transform filtering versus fixed-basis truncation.
 
-    Clean data comes either from node/edge CSV files or from a synthetic
-    surrogate batch.  For each SNR and noise realization the noisy input error
-    is recorded, then per bandwidth the transform is learned on the noisy data
-    and the filtered reconstruction compared against the clean signals,
-    alongside hard spectral truncation in the Dirac and Laplacian bases.
+    Clean data comes either from a graph and node/edge CSV files (all three
+    paths given) or, when none is given, from a synthetic surrogate batch.
+    For each SNR and noise realization the noisy input error is recorded,
+    then per bandwidth the transform is learned on the noisy data and the
+    filtered reconstruction compared against the clean signals, alongside
+    hard spectral truncation in the Dirac and Laplacian bases.
     """
-    if cfg.graph_path and cfg.node_csv and cfg.edge_csv:
-        graph = tsio.load_edge_list(cfg.graph_path)
-        dataset = tsio.load_time_series(graph, cfg.node_csv, cfg.edge_csv)
-        clean = dataset.spinor_matrix()
-    else:
-        graph = random_graph(cfg.num_nodes, cfg.num_edges, sub_seed(cfg.seed, 0, "graph"))
-        d0 = spectral_decompose(build_incidence(graph))
-        spec = SignalClassSpec(
-            signal_class=cfg.signal_class,
-            eta0=cfg.gen_eta0,
-            num_signals=cfg.num_signals,
-            coeff_std=cfg.coeff_std,
-            coupled_fraction=cfg.coupled_fraction,
-            cauchy_scale=cfg.cauchy_scale,
-            seed=sub_seed(cfg.seed, 0, "signals"),
-        )
-        clean, _ = gen_signals(d0, spec)
-
+    measured = _load_measured(cfg.graph_path, cfg.node_csv, cfg.edge_csv)
+    graph, clean = measured or (random_graph(cfg.num_nodes, cfg.num_edges, sub_seed(cfg.seed, 0, "graph")), None)
     d = spectral_decompose(build_incidence(graph))
+    if clean is None:
+        clean, _ = gen_signals(d, _signal_spec(cfg, cfg.gen_eta0, sub_seed(cfg.seed, 0, "signals")))
     phi, _ = dirac_eigenbasis(d)
     theta, _ = super_laplacian_eigenbasis(d)
 
@@ -432,8 +402,7 @@ def run_denoise(cfg: DenoiseConfig) -> Path:
             noisy = add_awgn(clean, snr, sub_seed(cfg.seed, real, f"awgn@{snr:g}"))
             rows.append(("noisy_input", float(snr), None, real, nmse(clean, noisy)))
             for bandwidth in cfg.bandwidth_grid:
-                init_seed = sub_seed(cfg.seed, real, f"ddtl-init@{snr:g}@{bandwidth}")
-                solution = ddtl_fit(noisy, d, _ddtl_config(cfg, int(bandwidth), cfg.ddtl_max_iter, init_seed))
+                solution = ddtl_fit(noisy, d, DdtlConfig(eta0=int(bandwidth), max_iter=cfg.ddtl_max_iter))
                 rows.append(("ddtl", float(snr), int(bandwidth), real, nmse(clean, solution.s_hat)))
                 rows.append(
                     (

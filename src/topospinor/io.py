@@ -92,7 +92,8 @@ def load_edge_list(path) -> OrientedGraph:
 
     Raises EdgeListParseError with the offending line number on malformed
     input; graph-structure violations (self-loops, duplicates, bad indices)
-    are reported against the line that introduced them.
+    are found by one validation of the whole edge list and reported against
+    the line that introduced them.
     """
     path = Path(path)
     lines = path.read_text().splitlines()
@@ -107,6 +108,7 @@ def load_edge_list(path) -> OrientedGraph:
     if num_nodes < 1:
         raise EdgeListParseError(path, first_no, f"node count must be positive, got {num_nodes}")
     edges: list[tuple[int, int]] = []
+    edge_lines = [line_no for line_no, _ in meaningful[1:]]
     for line_no, line in meaningful[1:]:
         parts = line.split()
         if len(parts) != 2:
@@ -115,12 +117,11 @@ def load_edge_list(path) -> OrientedGraph:
             tail, head = int(parts[0]), int(parts[1])
         except ValueError:
             raise EdgeListParseError(path, line_no, f"non-integer node index in {line!r}") from None
-        try:
-            OrientedGraph(num_nodes, tuple(edges) + ((tail, head),))
-        except GraphError as exc:
-            raise EdgeListParseError(path, line_no, str(exc)) from None
         edges.append((tail, head))
-    return OrientedGraph(num_nodes, tuple(edges))
+    try:
+        return OrientedGraph(num_nodes, tuple(edges))
+    except GraphError as exc:
+        raise EdgeListParseError(path, edge_lines[exc.edge], str(exc)) from None
 
 
 def save_edge_list(path, graph: OrientedGraph) -> None:

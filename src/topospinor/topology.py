@@ -33,7 +33,14 @@ __all__ = [
 
 
 class GraphError(ValueError):
-    """Raised for structurally invalid graphs (self-loops, bad indices, duplicates)."""
+    """Raised for structurally invalid graphs (self-loops, bad indices, duplicates).
+
+    ``edge`` is the index of the offending edge, or None for a bad node count.
+    """
+
+    def __init__(self, message: str, edge: int | None = None):
+        self.edge = edge
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -52,7 +59,8 @@ class OrientedGraph:
     ------
     GraphError
         On self-loops, out-of-range node indices, or duplicate undirected
-        edges; the message names the offending edge.
+        edges; the message names the offending edge and ``edge`` holds its
+        index.
     """
 
     num_nodes: int
@@ -66,13 +74,13 @@ class OrientedGraph:
         for e, (tail, head) in enumerate(self.edges):
             if not (0 <= tail < self.num_nodes and 0 <= head < self.num_nodes):
                 raise GraphError(
-                    f"edge {e} = ({tail}, {head}) has node index outside [0, {self.num_nodes})"
+                    f"edge {e} = ({tail}, {head}) has node index outside [0, {self.num_nodes})", e
                 )
             if tail == head:
-                raise GraphError(f"edge {e} = ({tail}, {head}) is a self-loop")
+                raise GraphError(f"edge {e} = ({tail}, {head}) is a self-loop", e)
             key = frozenset((tail, head))
             if key in seen:
-                raise GraphError(f"edge {e} = ({tail}, {head}) duplicates an earlier edge")
+                raise GraphError(f"edge {e} = ({tail}, {head}) duplicates an earlier edge", e)
             seen.add(key)
 
     @property

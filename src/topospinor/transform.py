@@ -27,7 +27,6 @@ __all__ = [
     "NonOrthonormalBasisWarning",
     "mass_to_coupling",
     "coupling_to_mass",
-    "coupling_bases",
     "unnormalized_basis_matrix",
     "build_mass_basis",
     "forward_transform",
@@ -112,21 +111,6 @@ class CouplingVector:
 
     def stacked(self) -> np.ndarray:
         return np.concatenate([self.k_minus, self.k_plus])
-
-
-def coupling_bases(d: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Fixed (offset, direction) column parts for the two branches.
-
-    Minus column i is ``a_minus[:, i] + k * b_minus[:, i]`` and similarly for
-    the plus branch; the direction parts are mutually orthonormal, which is
-    what makes least-squares problems in k separable per coordinate.
-    """
-    V, E, r = d.num_nodes, d.num_edges, d.rank
-    a_minus = np.vstack([np.zeros((V, r)), -d.v])
-    b_minus = np.vstack([d.u, np.zeros((E, r))])
-    a_plus = np.vstack([d.u, np.zeros((E, r))])
-    b_plus = np.vstack([np.zeros((V, r)), d.v])
-    return a_minus, b_minus, a_plus, b_plus
 
 
 def nonharmonic_column_indices(d: SpectralDecomposition) -> np.ndarray:

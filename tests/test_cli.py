@@ -1,9 +1,11 @@
+import argparse
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from topospinor.cli import main
+from topospinor.cli import build_parser, main
 from topospinor.experiments import sub_seed
 from topospinor.io import load_edge_list, load_results, load_time_series, read_matrix_csv
 from topospinor.sparse import nmse
@@ -11,6 +13,23 @@ from topospinor.topology import build_incidence, spectral_decompose
 from topospinor.transform import unnormalized_basis_matrix
 
 SQRT3 = np.sqrt(3.0)
+
+# Learner options deleted from every pipeline: config key -> (CLI flag, a value).
+REMOVED_LEARNER_OPTIONS = {
+    "omega_update_mode": ("--omega-update-mode", "diagonal"),
+    "c1": ("--c1", 0.5),
+    "c2": ("--c2", 0.5),
+    "rho1": ("--rho1", 1.0),
+    "rho2": ("--rho2", 1.0),
+    "primal_tol": ("--primal-tol", 1e-6),
+    "init_mode": ("--init-mode", "laplacian"),
+}
+# omega_update_mode, removed first, keeps the bare command as its id.
+REMOVED_LEARNER_CASES = [
+    pytest.param(command, key, id=command if key == "omega_update_mode" else f"{command}-{key}")
+    for key in REMOVED_LEARNER_OPTIONS
+    for command in ("ddtl-fit", "sparsity-sweep", "denoise")
+]
 
 
 def write_p3(tmp_path):
@@ -175,6 +194,29 @@ class TestDenoiseCommand:
         err = json.loads(capsys.readouterr().err.strip())
         assert set(err) == {"error", "message"}
 
+    def test_graph_without_series_is_rejected(self, tmp_path, capsys):
+        # A partial measured-data set must not fall back to the synthetic surrogate.
+        code = main(["denoise", "--graph", str(write_triangle(tmp_path)), "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError"
+        assert not (tmp_path / "x").exists()
+
+    def test_measured_data_run(self, tmp_path):
+        data = tmp_path / "data"
+        main(["synth", "--num-nodes", "8", "--num-edges", "12", "--eta0", "5",
+              "--num-signals", "20", "--seed", "3", "--out", str(data)])
+        out = tmp_path / "denoise"
+        code = main([
+            "denoise", "--graph", str(data / "graph.txt"), "--node-csv", str(data / "node_series.csv"),
+            "--edge-csv", str(data / "edge_series.csv"), "--snr-grid", "10", "--bandwidth-grid", "4",
+            "--realizations", "1", "--ddtl-max-iter", "5", "--out", str(out),
+        ])
+        assert code == 0
+        meta, tables = load_results(out)
+        assert meta["graph"] == {"num_nodes": 8, "num_edges": 12}
+        assert len(tables["results"].rows) == 4  # noisy input + three methods at one bandwidth
+
 
 class TestFailureModes:
     def test_missing_out(self, capsys):
@@ -198,18 +240,30 @@ class TestFailureModes:
         err = json.loads(capsys.readouterr().err.strip())
         assert "bogus" in err["message"]
 
-    @pytest.mark.parametrize("command", ["ddtl-fit", "sparsity-sweep", "denoise"])
-    def test_removed_omega_update_mode_key(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command, key", REMOVED_LEARNER_CASES)
+    def test_removed_omega_update_mode_key(self, tmp_path, capsys, command, key):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"omega_update_mode": "diagonal"}))
+        cfg.write_text(json.dumps({key: REMOVED_LEARNER_OPTIONS[key][1]}))
         code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ValueError"
-        assert "unknown config keys" in err["message"] and "omega_update_mode" in err["message"]
+        assert "unknown config keys" in err["message"] and repr(key) in err["message"]
 
-    @pytest.mark.parametrize("command", ["ddtl-fit", "sparsity-sweep", "denoise"])
-    def test_removed_omega_update_mode_flag(self, tmp_path, command):
+    @pytest.mark.parametrize("command, key", REMOVED_LEARNER_CASES)
+    def test_removed_omega_update_mode_flag(self, tmp_path, command, key):
+        flag, value = REMOVED_LEARNER_OPTIONS[key]
         with pytest.raises(SystemExit) as exc:
-            main([command, "--omega-update-mode", "diagonal", "--out", str(tmp_path / "o")])
+            main([command, flag, str(value), "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
+
+    def test_every_flag_sets_a_config_field(self):
+        # Flags are copied onto the config by field name, so a flag without a
+        # field would be accepted and silently ignored.
+        parser = build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(commands.choices) == {"spectra", "synth", "ddtl-fit", "sparsity-sweep", "denoise"}
+        for name, sub in commands.choices.items():
+            fields = {f.name for f in dataclasses.fields(sub.get_default("config_cls"))}
+            dests = {action.dest for action in sub._actions} - {"help", "config"}
+            assert dests <= fields, f"{name}: flags without a config field: {sorted(dests - fields)}"

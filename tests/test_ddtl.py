@@ -226,8 +226,8 @@ class TestUpdateOmega:
         g, d = small_problem()
         rng = np.random.default_rng(5)
         S = rng.normal(size=(d.dim, 3))
-        cfg = DdtlConfig(eta0=3, rho2=1e-10, max_iter=1, init_mode="laplacian")
-        state = initialize_state(S, d, cfg)
+        cfg = DdtlConfig(eta0=3, rho2=1e-10, max_iter=1)
+        state = manual_state(d, S, cfg, k=np.zeros(2 * d.rank))
         state.x = np.zeros_like(state.omega)
         state.m = np.zeros_like(state.omega)
         omega = update_omega(state, d, cfg)
@@ -256,8 +256,8 @@ class TestAuxiliaryUpdates:
     def test_p_identity_when_basis_normalized(self):
         g, d = small_problem()
         S = np.random.default_rng(1).normal(size=(d.dim, 3))
-        cfg = DdtlConfig(eta0=3, init_mode="laplacian", max_iter=1)
-        state = initialize_state(S, d, cfg)  # zero coupling: unit columns
+        cfg = DdtlConfig(eta0=3, max_iter=1)
+        state = manual_state(d, S, cfg, k=np.zeros(2 * d.rank))  # zero coupling: unit columns
         assert_allclose(update_p(state), state.psi, atol=1e-14)
 
     def test_x_identity_when_already_sparse(self):
@@ -337,7 +337,7 @@ class TestDdtlFit:
     def test_determinism(self):
         g, d = small_problem()
         S = np.random.default_rng(11).normal(size=(d.dim, 8))
-        cfg = DdtlConfig(eta0=4, max_iter=15, init_mode="random_uniform_box", init_seed=5)
+        cfg = DdtlConfig(eta0=4, max_iter=15)
         a, b = ddtl_fit(S, d, cfg), ddtl_fit(S, d, cfg)
         assert a.report.objective_curve == b.report.objective_curve
         assert a.report.basis_gap_curve == b.report.basis_gap_curve
@@ -409,15 +409,16 @@ class TestSpectralCoordinates:
 
 class TestConvergenceReport:
     def test_tolerance_stop(self):
-        # Fully decoupled data with a Laplacian start is a genuine fixed
-        # point of the splitting: both gaps vanish within one iteration.
+        # Fully decoupled data from the Dirac start: the couplings reach the
+        # decoupled fixed point of the splitting and both relative gaps fall
+        # below the tolerance well inside the budget.
         g = random_graph(8, 12, 4)
         d = spectral_decompose(build_incidence(g))
         spec = SignalClassSpec("fully_decoupled", eta0=5, num_signals=30, seed=2)
         S, _ = gen_signals(d, spec)
-        sol = ddtl_fit(S, d, DdtlConfig(eta0=5, init_mode="laplacian", max_iter=50))
+        sol = ddtl_fit(S, d, DdtlConfig(eta0=5, max_iter=500))
         assert sol.report.stop_reason == "tolerance"
-        assert sol.report.iterations < 50
+        assert sol.report.iterations < 500
 
     def test_max_iter_stop(self):
         g, d = small_problem()

@@ -17,8 +17,6 @@ class TestStudyDefaults:
         assert (cfg.num_nodes, cfg.num_edges) == (40, 80)
         assert cfg.eta0 == 35
         assert cfg.num_signals == 600
-        assert cfg.c1 == cfg.c2 == 1.0
-        assert cfg.rho1 == cfg.rho2 == 10.0
         assert cfg.realizations == 10
         assert 35 in cfg.sparsity_grid and 70 in cfg.sparsity_grid
 

@@ -43,16 +43,19 @@ def count_components(graph: OrientedGraph) -> int:
 
 class TestOrientedGraph:
     def test_self_loop_rejected(self):
-        with pytest.raises(GraphError, match=r"edge 1 = \(2, 2\)"):
+        with pytest.raises(GraphError, match=r"edge 1 = \(2, 2\)") as exc:
             OrientedGraph(3, ((0, 1), (2, 2)))
+        assert exc.value.edge == 1
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(GraphError, match="edge 0"):
+        with pytest.raises(GraphError, match="edge 0") as exc:
             OrientedGraph(2, ((0, 5),))
+        assert exc.value.edge == 0
 
     def test_duplicate_undirected_edge_rejected(self):
-        with pytest.raises(GraphError, match="duplicates"):
+        with pytest.raises(GraphError, match="duplicates") as exc:
             OrientedGraph(3, ((0, 1), (1, 0)))
+        assert exc.value.edge == 1
 
     def test_dim(self, triangle):
         assert triangle.dim == 6

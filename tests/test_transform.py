@@ -14,7 +14,6 @@ from topospinor.transform import (
     CouplingVector,
     NonOrthonormalBasisWarning,
     build_mass_basis,
-    coupling_bases,
     coupling_to_mass,
     forward_transform,
     inverse_transform,
@@ -198,19 +197,30 @@ class TestMassBasisStructure:
         assert_allclose(cols, expected, atol=1e-12)
 
     def test_affine_column_decomposition(self, triangle):
-        # Branch columns decompose as (fixed offset) + k * (fixed direction)
-        # with mutually orthonormal directions.
+        # Branch columns decompose as (fixed offset) + k * (fixed direction):
+        # minus column i is (0; -v_i) + k (u_i; 0), plus column i is
+        # (u_i; 0) + k (0; v_i), and the 2r directions are orthonormal.
         d = decomposition_for(triangle)
+        V, r = d.num_nodes, d.rank
         rng = np.random.default_rng(2)
-        km = rng.uniform(-1, 1, d.rank)
-        kp = rng.uniform(-1, 1, d.rank)
-        a_minus, b_minus, a_plus, b_plus = coupling_bases(d)
+        km = rng.uniform(-1, 1, r)
+        kp = rng.uniform(-1, 1, r)
         psi = unnormalized_basis_matrix(d, km, kp)
-        assert_allclose(psi[:, : d.rank], a_minus + b_minus * km, atol=1e-14)
-        plus0 = d.rank + d.xi0 + d.xi1
-        assert_allclose(psi[:, plus0:], a_plus + b_plus * kp, atol=1e-14)
-        directions = np.hstack([b_minus, b_plus])
-        assert_allclose(directions.T @ directions, np.eye(2 * d.rank), atol=1e-12)
+        offset = unnormalized_basis_matrix(d, np.zeros(r), np.zeros(r))
+        slope = unnormalized_basis_matrix(d, np.ones(r), np.ones(r)) - offset
+        assert_allclose(psi[:, :r], offset[:, :r] + slope[:, :r] * km, atol=1e-14)
+        plus0 = r + d.xi0 + d.xi1
+        assert_allclose(psi[:, plus0:], offset[:, plus0:] + slope[:, plus0:] * kp, atol=1e-14)
+        assert_allclose(offset[:V, :r], 0.0)
+        assert_allclose(offset[V:, :r], -d.v)
+        assert_allclose(offset[:V, plus0:], d.u)
+        assert_allclose(offset[V:, plus0:], 0.0)
+        directions = np.hstack([slope[:, :r], slope[:, plus0:]])
+        expected = np.zeros_like(directions)
+        expected[:V, :r] = d.u
+        expected[V:, r:] = d.v
+        assert_allclose(directions, expected, atol=1e-14)
+        assert_allclose(directions.T @ directions, np.eye(2 * r), atol=1e-12)
 
 
 class TestTransforms:
