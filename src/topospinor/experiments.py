@@ -195,7 +195,7 @@ def run_synth(cfg: SynthConfig) -> Path:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """A dataset (a synth directory, or a graph and two CSVs) and the learner's bandwidth and budget.
+    """A dataset (a synth directory or a graph and two CSVs, not both) and the learner's bandwidth and budget.
 
     The fit draws no random numbers: ``seed`` is only recorded in run.json.
     """
@@ -212,6 +212,8 @@ class FitConfig:
 
 def _load_dataset(cfg: FitConfig) -> tuple[OrientedGraph, np.ndarray]:
     if cfg.dataset_dir:
+        if cfg.graph_path or cfg.node_csv or cfg.edge_csv:
+            raise ValueError("give either dataset_dir or graph_path + node_csv + edge_csv, not both")
         base = Path(cfg.dataset_dir)
         measured = _load_measured(base / "graph.txt", base / "node_series.csv", base / "edge_series.csv")
     else:

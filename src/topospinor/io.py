@@ -1,4 +1,4 @@
-"""File formats: edge lists, node/edge time-series CSVs, and result tables.
+r"""File formats: edge lists, node/edge time-series CSVs, and result tables.
 
 Edge list format
     line 1:            V (node count)
@@ -8,7 +8,19 @@ Edge list format
 Time series
     One CSV per domain.  Each row is a time step; the node file has V numeric
     columns and the edge file E, in node/edge index order.  An optional header
-    row is detected by a non-numeric first cell and skipped.
+    row is detected by a non-numeric first cell and kept as labels.
+
+Matrix CSV dialect (``write_matrix_csv`` / ``read_matrix_csv``)
+    Written: comma-separated, ``\r\n`` row ends, every value with 17
+    significant digits (``nan``, ``inf`` and ``-inf`` for the non-finite
+    ones), and the optional header row quoted by csv rules.
+    Read: any of ``\n``, ``\r\n`` or ``\r`` row ends; rows whose cells are
+    all blank are skipped; cells may be padded with whitespace and
+    csv-quoted, but a quoted cell may not span rows.  An empty file, a header
+    with no data rows, a row with the wrong column count and a non-numeric
+    cell are rejected with a ValueError that names the row, counted among
+    the non-blank rows.  Numbers are read as numpy reads them, so a spelling
+    only Python's ``float`` accepts (``1_000``) is rejected.
 
 Results
     ``save_results`` writes a run directory containing ``run.json`` (metadata:
@@ -130,39 +142,66 @@ def save_edge_list(path, graph: OrientedGraph) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+# printf-style: ``format_float`` applies it to one value, ``write_matrix_csv`` to a whole row.
+FLOAT_FORMAT = "%.17g"
+
+
 def format_float(x: float) -> str:
     """17 significant digits: enough to round-trip any double exactly."""
-    return f"{float(x):.17g}"
+    return FLOAT_FORMAT % float(x)
 
 
 def read_matrix_csv(path, expected_cols: int, what: str = "matrix") -> tuple[np.ndarray, tuple[str, ...] | None]:
-    """``(rows, header labels or None)`` of a numeric CSV; ValueError on an empty, ragged or non-numeric file."""
+    """``(rows, header labels or None)`` of a numeric CSV; ValueError on an empty, ragged or non-numeric file.
+
+    Each row is checked (blank rows skipped, header detected, column count),
+    then the checked body is parsed in one ``np.loadtxt`` call.
+    """
     path = Path(path)
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows = [row for row in rows if any(cell.strip() for cell in row)]
-    if not rows:
-        raise ValueError(f"{path}: empty {what} file")
     labels: tuple[str, ...] | None = None
-    start = 0
-    try:
-        float(rows[0][0])
-    except ValueError:
-        labels = tuple(cell.strip() for cell in rows[0])
-        start = 1
-    data = []
-    for idx, row in enumerate(rows[start:], start=start + 1):
-        if len(row) != expected_cols:
-            raise ValueError(
-                f"{path}: row {idx} has {len(row)} columns, expected {expected_cols} ({what})"
-            )
-        try:
-            data.append([float(cell) for cell in row])
-        except ValueError as exc:
-            raise ValueError(f"{path}: row {idx} has a non-numeric cell: {exc}") from None
-    if not data:
+    body: list[str] = []
+    row_no = 0  # 1-based among the non-blank rows, header included
+    with path.open(newline="") as fh:
+        for line in fh:
+            # Only a quote makes the csv cells differ from a split on commas.
+            cells = _csv_cells(line) if '"' in line else line.split(",")
+            if not "".join(cells).strip():
+                continue
+            row_no += 1
+            if row_no == 1:
+                try:
+                    float(cells[0])
+                except ValueError:
+                    labels = tuple(cell.strip() for cell in cells)
+                    continue
+            if len(cells) != expected_cols:
+                _raise_non_numeric(path, body, first_row_no=1 if labels is None else 2)
+                raise ValueError(f"{path}: row {row_no} has {len(cells)} columns, expected {expected_cols} ({what})")
+            body.append(line)
+    if row_no == 0:
+        raise ValueError(f"{path}: empty {what} file")
+    if not body:
         raise ValueError(f"{path}: no data rows in {what} file")
-    return np.asarray(data), labels
+    try:
+        data = np.loadtxt(body, delimiter=",", quotechar='"', comments=None, ndmin=2)
+    except ValueError as exc:
+        _raise_non_numeric(path, body, first_row_no=1 if labels is None else 2)
+        # Every cell reads as a Python float but not as a numpy one (e.g. "1_000").
+        raise ValueError(f"{path}: {exc}") from None
+    return data, labels
+
+
+def _csv_cells(line: str) -> list[str]:
+    return next(csv.reader([line]), [])
+
+
+def _raise_non_numeric(path, lines: list[str], first_row_no: int) -> None:
+    """Name the first of ``lines`` (numbered from ``first_row_no``) with a cell ``float`` rejects."""
+    for row_no, line in enumerate(lines, start=first_row_no):
+        try:
+            [float(cell) for cell in _csv_cells(line)]
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {row_no} has a non-numeric cell: {exc}") from None
 
 
 def load_time_series(graph: OrientedGraph, node_csv_path, edge_csv_path) -> TimeSeriesDataset:
@@ -178,13 +217,16 @@ def save_time_series(dataset: TimeSeriesDataset, node_csv_path, edge_csv_path) -
 
 
 def write_matrix_csv(path, matrix: np.ndarray, header: tuple[str, ...] | None = None) -> None:
+    """One CSV row per matrix row, every value with ``FLOAT_FORMAT``; the header is quoted by csv rules."""
     matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2:
+        raise ValueError(f"write_matrix_csv needs a 2-D matrix, got shape {matrix.shape}")
+    row_format = ",".join([FLOAT_FORMAT] * matrix.shape[1]) + "\r\n"
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
         if header is not None:
-            writer.writerow(header)
+            csv.writer(fh).writerow(header)
         for row in matrix:
-            writer.writerow([format_float(x) for x in row])
+            fh.write(row_format % tuple(row.tolist()))
 
 
 @dataclass(frozen=True)

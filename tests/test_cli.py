@@ -38,6 +38,11 @@ def write_p3(tmp_path):
     return f
 
 
+def _files(root):
+    """Every file under ``root``: relative path -> bytes."""
+    return {f.relative_to(root).as_posix(): f.read_bytes() for f in root.rglob("*") if f.is_file()}
+
+
 def write_triangle(tmp_path):
     f = tmp_path / "tri.txt"
     f.write_text("3\n0 1\n1 2\n2 0\n")
@@ -100,8 +105,25 @@ class TestSynthCommand:
                 "--num-signals", "8", "--seed", "9"]
         main(args + ["--out", str(tmp_path / "a")])
         main(args + ["--out", str(tmp_path / "b")])
-        for name in ("graph.txt", "node_series.csv", "edge_series.csv", "run.json"):
+        for name in ("graph.txt", "node_series.csv", "edge_series.csv", "coefficients.csv", "run.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_every_output_of_synth_and_fit_byte_identical(self, tmp_path, monkeypatch):
+        # Relative paths, so the dataset path that ddtl-fit records in run.json is the same in both runs.
+        for run in ("a", "b"):
+            (tmp_path / run).mkdir()
+            monkeypatch.chdir(tmp_path / run)
+            assert main(["synth", "--num-nodes", "7", "--num-edges", "10", "--eta0", "4", "--num-signals", "9",
+                         "--noise-std", "0.1", "--seed", "9", "--out", "data"]) == 0
+            assert main(["ddtl-fit", "--dataset", "data", "--eta0", "4", "--max-iter", "12", "--seed", "9",
+                         "--out", "fit"]) == 0
+        written = {run: _files(tmp_path / run) for run in ("a", "b")}
+        assert set(written["a"]) == {
+            "data/graph.txt", "data/node_series.csv", "data/edge_series.csv", "data/clean_node_series.csv",
+            "data/clean_edge_series.csv", "data/coefficients.csv", "data/run.json",
+            "fit/graph.txt", "fit/omega_star.csv", "fit/history.csv", "fit/run.json",
+        }
+        assert written["a"] == written["b"]
 
 
 class TestFitCommand:
@@ -127,6 +149,21 @@ class TestFitCommand:
         omega, _ = read_matrix_csv(out / "omega_star.csv", S.shape[1])
         psi = unnormalized_basis_matrix(d, k_star[: d.rank], k_star[d.rank:])
         assert abs(nmse(S, psi @ omega) - meta["reconstruction_nmse"]) < 1e-12
+
+    def test_dataset_and_graph_are_exclusive(self, tmp_path, capsys):
+        # A dataset directory plus explicit files must not fit one and record the other.
+        data = tmp_path / "data"
+        main(["synth", "--num-nodes", "8", "--num-edges", "12", "--eta0", "4",
+              "--num-signals", "10", "--seed", "2", "--out", str(data)])
+        for extra in (["--graph", str(write_triangle(tmp_path))],
+                      ["--node-csv", str(data / "node_series.csv")],
+                      ["--edge-csv", str(data / "edge_series.csv")]):
+            code = main(["ddtl-fit", "--dataset", str(data), *extra, "--max-iter", "5",
+                         "--out", str(tmp_path / "fit")])
+            assert code == 1
+            err = json.loads(capsys.readouterr().err.strip())
+            assert err["error"] == "ValueError" and "not both" in err["message"]
+            assert not (tmp_path / "fit").exists()
 
     def test_requires_input(self, tmp_path, capsys):
         code = main(["ddtl-fit", "--eta0", "4", "--out", str(tmp_path / "fit")])

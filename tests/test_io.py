@@ -1,5 +1,12 @@
+import csv
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from topospinor.io import (
@@ -8,7 +15,9 @@ from topospinor.io import (
     TimeSeriesDataset,
     load_edge_list,
     load_results,
+    format_float,
     load_time_series,
+    read_matrix_csv,
     save_edge_list,
     save_results,
     save_time_series,
@@ -172,15 +181,223 @@ class TestResults:
             ResultTable("bad", ("a", "b"), ((1,),))
 
     def test_matrix_csv_full_precision(self, tmp_path):
-        from topospinor.io import read_matrix_csv
-
         M = np.random.default_rng(3).normal(size=(4, 5)) * 1e-13
         write_matrix_csv(tmp_path / "m.csv", M)
         assert np.array_equal(read_matrix_csv(tmp_path / "m.csv", 5)[0], M)
 
     def test_matrix_csv_empty_file_raises(self, tmp_path):
-        from topospinor.io import read_matrix_csv
-
         (tmp_path / "m.csv").write_text("")
         with pytest.raises(ValueError, match="empty matrix file"):
             read_matrix_csv(tmp_path / "m.csv", 5)
+
+
+# ---------------------------------------------------------------------------
+# Matrix CSVs against per-cell oracles: the csv-module writer and reader that
+# write_matrix_csv and read_matrix_csv must reproduce byte for byte and value
+# for value.
+
+
+def oracle_write(path, matrix, header=None):
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        if header is not None:
+            writer.writerow(header)
+        for row in np.asarray(matrix, dtype=float):
+            writer.writerow([format_float(x) for x in row])
+
+
+def oracle_read(path, expected_cols, what="matrix"):
+    path = Path(path)
+    with path.open(newline="") as fh:
+        rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
+    if not rows:
+        raise ValueError(f"{path}: empty {what} file")
+    labels, start = None, 0
+    try:
+        float(rows[0][0])
+    except ValueError:
+        labels, start = tuple(cell.strip() for cell in rows[0]), 1
+    data = []
+    for idx, row in enumerate(rows[start:], start=start + 1):
+        if len(row) != expected_cols:
+            raise ValueError(f"{path}: row {idx} has {len(row)} columns, expected {expected_cols} ({what})")
+        try:
+            data.append([float(cell) for cell in row])
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {idx} has a non-numeric cell: {exc}") from None
+    if not data:
+        raise ValueError(f"{path}: no data rows in {what} file")
+    return np.asarray(data), labels
+
+
+SPECIAL_VALUES = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e308, -1.7976931348623157e308,
+                  1.0, -3.0, 12345678.0, 2.0**53, 0.1, 1 / 3]
+
+
+class TestMatrixCsvWriter:
+    def assert_matches_oracle(self, tmp_path, matrix, header=None):
+        write_matrix_csv(tmp_path / "new.csv", matrix, header)
+        oracle_write(tmp_path / "old.csv", matrix, header)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_random_normals(self, tmp_path):
+        rng = np.random.default_rng(5)
+        self.assert_matches_oracle(tmp_path, rng.normal(size=(30, 17)) * 10.0 ** rng.integers(-300, 300, (30, 17)))
+
+    def test_special_values(self, tmp_path):
+        M = np.array(SPECIAL_VALUES * 2).reshape(2, -1)
+        self.assert_matches_oracle(tmp_path, M)
+        text = (tmp_path / "new.csv").read_text()
+        assert text.startswith("0,-0,nan,inf,-inf,4.9406564584124654e-324,")
+
+    def test_integer_valued_floats(self, tmp_path):
+        self.assert_matches_oracle(tmp_path, np.arange(-6, 6).reshape(3, 4))
+
+    def test_single_column(self, tmp_path):
+        self.assert_matches_oracle(tmp_path, np.linspace(-1, 1, 7).reshape(7, 1))
+
+    def test_zero_rows(self, tmp_path):
+        self.assert_matches_oracle(tmp_path, np.empty((0, 4)))
+        self.assert_matches_oracle(tmp_path, np.empty((0, 4)), ("a", "b", "c", "d"))
+        assert (tmp_path / "new.csv").read_bytes() == b"a,b,c,d\r\n"
+
+    def test_header_needing_quotes(self, tmp_path):
+        header = ("plain", "with,comma", 'with "quote"', " padded ")
+        self.assert_matches_oracle(tmp_path, np.ones((2, 4)), header)
+        first = (tmp_path / "new.csv").read_bytes().split(b"\r\n")[0]
+        assert first == b'plain,"with,comma","with ""quote""", padded '
+        M, labels = read_matrix_csv(tmp_path / "new.csv", 4)
+        assert labels == ("plain", "with,comma", 'with "quote"', "padded")
+        assert np.array_equal(M, np.ones((2, 4)))
+
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3, 4)])
+    def test_non_2d_input_rejected(self, tmp_path, shape):
+        with pytest.raises(ValueError, match=rf"shape {re.escape(str(shape))}"):
+            write_matrix_csv(tmp_path / "m.csv", np.zeros(shape))
+        assert not (tmp_path / "m.csv").exists()
+
+    @settings(max_examples=60, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6))))
+    def test_exact_round_trip(self, tmp_path_factory, M):
+        path = tmp_path_factory.mktemp("rt") / "m.csv"
+        write_matrix_csv(path, M)
+        oracle_write(path.with_name("old.csv"), M)
+        assert path.read_bytes() == path.with_name("old.csv").read_bytes()
+        loaded, labels = read_matrix_csv(path, M.shape[1])
+        assert labels is None
+        assert loaded.shape == M.shape
+        assert np.array_equal(loaded, M, equal_nan=True)
+        # -0.0 keeps its sign; a nan is written as plain "nan", whatever its sign.
+        not_nan = ~np.isnan(M)
+        assert np.array_equal(np.signbit(loaded[not_nan]), np.signbit(M[not_nan]))
+
+
+# Files the reader must read exactly as the oracle does: (text, expected columns).
+READER_CASES = {
+    "lf": ("1,2,3\n4,5,6\n", 3),
+    "crlf": ("1,2,3\r\n4,5,6\r\n", 3),
+    "cr": ("1,2,3\r4,5,6\r", 3),
+    "blank_rows": ("\n1,2,3\n\n   \n4,5,6\n\n", 3),
+    "all_comma_rows": (",,\n1,2,3\n , ,\t\n4,5,6\n,,\n", 3),
+    "header": ("a,b,c\n1,2,3\n", 3),
+    "header_after_blank_rows": ("\n,,\nx, y ,z\r\n1,2,3\r\n", 3),
+    "quoted_header": ('"a,1",b,"c ""q"""\n1,2,3\n', 3),
+    "quoted_numeric_cells": ('"1.5",2,"-3e-7"\n"4",\"5\",6\n', 3),
+    "whitespace_padded": (" 1 ,\t2,3  \n4,  5e3,6\t\n", 3),
+    "no_final_newline": ("1,2,3\n4,5,6", 3),
+    "single_column": ("1\n2\n\n3\n", 1),
+    "single_row": ("1,2,3\n", 3),
+    "non_finite": ("nan,inf,-inf\nNaN,Infinity,-0\n", 3),
+    "extremes": ("5e-324,1e308,-1.7976931348623157e308\n0.1,1e-400,1e400\n", 3),
+}
+
+# Files both must reject with the same message: (text, expected columns, row named).
+REJECTED_CASES = {
+    "empty": ("", 3, None),
+    "only_blank_rows": ("\n ,, \n\r\n", 3, None),
+    "header_only": ("a,b,c\n\n", 3, None),
+    "ragged_short": ("1,2,3\n4,5\n", 3, 2),
+    "ragged_long_after_header": ("a,b,c\n1,2,3\n\n4,5,6,7\n", 3, 3),
+    "trailing_comma": ("1,2,3,\n", 3, 1),
+    "non_numeric": ("1,2,3\n4,x,6\n", 3, 2),
+    "non_numeric_after_header": ("a,b,c\n\n1,2,3\n4,5,six\n", 3, 3),
+    "blank_cell": ("1,,3\n", 3, 1),
+    "space_cell": ("1, ,3\n", 3, 1),
+    "quoted_comma_cell": ('1,"2,5",3\n', 3, 1),
+    "non_numeric_before_ragged": ("1,2,3\n4,x,6\n7,8\n", 3, 2),
+    "ragged_before_non_numeric": ("1,2,3\n4,5\n7,x,9\n", 3, 2),
+    "non_numeric_last_row": ("1,2,3\n" * 5 + "4,5,?\n", 3, 6),
+    "wrong_width_file": ("1,2,3\n4,5,6\n", 2, 1),
+}
+
+
+class TestMatrixCsvReader:
+    @pytest.mark.parametrize("name", READER_CASES)
+    def test_same_result_as_oracle(self, tmp_path, name):
+        text, cols = READER_CASES[name]
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        expected, expected_labels = oracle_read(path, cols)
+        got, labels = read_matrix_csv(path, cols)
+        assert got.dtype == np.float64 and got.shape == expected.shape
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+        assert labels == expected_labels
+
+    @pytest.mark.parametrize("name", REJECTED_CASES)
+    def test_same_error_as_oracle(self, tmp_path, name):
+        text, cols, row = REJECTED_CASES[name]
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError) as expected:
+            oracle_read(path, cols, "edge series")
+        with pytest.raises(ValueError) as got:
+            read_matrix_csv(path, cols, "edge series")
+        assert str(got.value) == str(expected.value)
+        if row is not None:
+            assert f"row {row} " in str(got.value)
+
+    def test_python_only_number_spelling_rejected(self, tmp_path):
+        # float("1_000") is 1000.0, but numpy's parser, which reads the body, rejects it.
+        (tmp_path / "m.csv").write_text("1,2\n1_000,2\n")
+        with pytest.raises(ValueError, match="1_000"):
+            read_matrix_csv(tmp_path / "m.csv", 2)
+
+    def test_round_trip_with_header(self, tmp_path):
+        M = np.random.default_rng(8).normal(size=(9, 4))
+        write_matrix_csv(tmp_path / "m.csv", M, ("n0", "n1", "n2", "n3"))
+        got, labels = read_matrix_csv(tmp_path / "m.csv", 4)
+        expected, expected_labels = oracle_read(tmp_path / "m.csv", 4)
+        assert np.array_equal(got, M) and np.array_equal(expected, M)
+        assert labels == expected_labels == ("n0", "n1", "n2", "n3")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.text(alphabet='0123456789.,"e- \tx+', max_size=12), st.sampled_from(["\n", "\r\n", "\r"])),
+                 max_size=5),
+        st.integers(1, 3),
+        st.booleans(),
+    )
+    def test_random_files_match_oracle(self, tmp_path_factory, rows, cols, final_newline):
+        text = "".join(row + end for row, end in rows)
+        if rows and not final_newline:
+            text = text[: -len(rows[-1][1])]
+        lines = text.splitlines(keepends=True)
+        # A quoted cell spanning rows is outside the dialect.
+        assume(list(csv.reader(lines)) == [next(csv.reader([line]), []) for line in lines])
+        path = tmp_path_factory.mktemp("random") / "m.csv"
+        path.write_bytes(text.encode())
+
+        def outcome(read):
+            try:
+                M, labels = read(path, cols)
+            except ValueError as exc:
+                return str(exc)
+            return M.shape, M.tobytes(), labels
+
+        expected, got = outcome(oracle_read), outcome(read_matrix_csv)
+        if isinstance(expected, str) or isinstance(got, str):
+            assert got == expected
+        else:
+            assert got[0] == expected[0] and got[2] == expected[2]
+            assert np.array_equal(np.frombuffer(got[1]), np.frombuffer(expected[1]), equal_nan=True)
