@@ -18,9 +18,18 @@ frame Q = [(u; 0) | (u_H; 0) | (0; v_H) | (0; v)], the batch is projected
 once per fit to z = Q^T S, whose rows follow the basis columns
 [minus | node-harmonic | edge-harmonic | plus].  Q^T Psi(k) pairs row u_i
 only with row v_i, so Psi(k)^T S, the reconstruction Psi(k) Omega and the
-objective all cost O((V+E) T) per iteration: no step of the loop multiplies
-an (V+E) x (V+E) matrix across the T signals.  P, H and Psi stay dense; they
-carry no T factor.
+objective need no (V+E) x (V+E) product across the signals.  P, H and Psi
+stay dense; they carry no signal factor.
+
+When T > V+E the batch is first written as S = L Q1^T, with L square and
+Q1^T Q1 = I, by one reduced QR of S^T, and the cycle runs on L in place of S.
+This is exact.  Every step is a left multiplication of the codes (the
+projection, the analysis, the 2x2 code solve), a row mask chosen from row
+norms (the hard threshold), or a sum over the signals of products of rows
+(the k-step, the gaps, the objective); none of them changes when every
+T-wide iterate is the compressed one times Q1^T.  The fit maps the codes
+back once at the end.  After that one O((V+E)^2 T) QR, the signal-side work
+of an iteration costs O((V+E) min(V+E, T)) rather than O((V+E) T).
 
 Every fit starts from the Dirac coupling k = 1 (clipped to the box) and stops
 once both relative primal gaps fall below ``PRIMAL_TOL``, or at ``max_iter``.
@@ -125,7 +134,9 @@ class DdtlState:
 
     ``z`` is the data in spectral coordinates (fixed for the fit; rows
     [u^T S_V; u_H^T S_V; v_H^T S_E; v^T S_E]) and ``psi`` caches the
-    unnormalized basis at ``k``.
+    unnormalized basis at ``k``.  ``row_basis`` is Q1 of S = L Q1^T when the
+    batch has more signals than rows, and None otherwise; with it, ``z``,
+    ``omega``, ``x`` and ``m`` are those of L, each T-wide iterate times Q1.
     """
 
     z: np.ndarray
@@ -136,6 +147,7 @@ class DdtlState:
     h: np.ndarray
     m: np.ndarray
     psi: np.ndarray
+    row_basis: np.ndarray | None = None
     history: list[IterationStats] = field(default_factory=list)
 
 
@@ -188,8 +200,15 @@ def _objective(state: DdtlState, d: SpectralDecomposition) -> float:
 
 
 def initialize_state(S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -> DdtlState:
-    """Project the data and build the starting iterate at the Dirac coupling k = 1, clipped to the box."""
+    """Project the data and build the starting iterate at the Dirac coupling k = 1, clipped to the box.
+
+    With more signals than rows the data are compressed first: S = L Q1^T.
+    """
     k = np.clip(np.ones(2 * d.rank), -cfg.c2, cfg.c1)
+    row_basis = None
+    if S.shape[1] > d.dim:
+        row_basis, r_factor = np.linalg.qr(S.T)
+        S = r_factor.T
     z = _project(S, d)
     psi = _build_psi(d, k)
     omega = _analysis(z, k, d)
@@ -202,6 +221,7 @@ def initialize_state(S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -
         h=np.zeros_like(psi),
         m=np.zeros_like(omega),
         psi=psi,
+        row_basis=row_basis,
     )
 
 
@@ -280,7 +300,10 @@ def ddtl_fit(S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -> DdtlSo
 
     The coupling applies only to the 2r non-harmonic columns; harmonic columns
     of the basis are fixed.  Stops at ``cfg.max_iter`` otherwise.  History
-    records, per iteration, the data objective and both splitting gaps.
+    records, per iteration, the data objective and both splitting gaps.  A
+    wide batch is fitted on its square factor (see the module notes) and its
+    codes are mapped back to T columns once, the row-sparse X by its kept
+    rows only.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != d.dim:
@@ -316,11 +339,17 @@ def ddtl_fit(S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -> DdtlSo
 
     report = convergence_report(state.history, initial_objective=initial_objective, stop_reason=stop_reason)
     k_star = CouplingVector.from_stacked(state.k, c1=cfg.c1, c2=cfg.c2)
+    omega, x = state.omega, state.x
+    if state.row_basis is not None:
+        omega = omega @ state.row_basis.T
+        kept = np.flatnonzero(np.any(x != 0.0, axis=1))
+        x = np.zeros_like(omega)
+        x[kept] = state.x[kept] @ state.row_basis.T
     return DdtlSolution(
         k_star=k_star,
-        omega_star=state.omega,
-        x_star=state.x,
-        s_hat=state.psi @ state.omega,
+        omega_star=omega,
+        x_star=x,
+        s_hat=state.psi @ omega,
         basis=build_mass_basis(d, k_star, normalized=True),
         report=report,
     )

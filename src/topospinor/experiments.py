@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import json
 import zlib
+from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import io as tsio
-from .ddtl import DdtlConfig, DdtlSolution, ddtl_fit
+from .ddtl import ConvergenceReport, DdtlConfig, DdtlSolution, ddtl_fit
 from .frames import build_frame
 from .sparse import SparseCode, nmse, omp, row_hard_threshold
 from .synth import SignalClassSpec, add_awgn, gen_signals, random_graph
@@ -62,6 +63,15 @@ def _config_metadata(cfg) -> dict:
     meta = asdict(cfg)
     meta.pop("out", None)
     return meta
+
+
+def _learner_tally(reports: list[ConvergenceReport]) -> dict:
+    """How a study's learner fits ended: fit count, fits per stop reason, total iterations."""
+    return {
+        "fits": len(reports),
+        "stop_reasons": dict(Counter(r.stop_reason for r in reports)),
+        "iterations": sum(r.iterations for r in reports),
+    }
 
 
 def _load_graph(graph_path: str | None, num_nodes: int, num_edges: int, seed: int) -> OrientedGraph:
@@ -314,6 +324,7 @@ def run_sparsity_sweep(cfg: SweepConfig) -> Path:
     grid level, reading intermediate levels off the residual history.
     """
     rows = []
+    reports = []
     graph_summary = None
     for real in range(cfg.realizations):
         graph = random_graph(cfg.num_nodes, cfg.num_edges, sub_seed(cfg.seed, real, "graph"))
@@ -322,6 +333,7 @@ def run_sparsity_sweep(cfg: SweepConfig) -> Path:
         S, _ = gen_signals(d, spec)
         energy = float(np.linalg.norm(S) ** 2)
         solution = ddtl_fit(S, d, DdtlConfig(eta0=cfg.eta0, max_iter=cfg.ddtl_max_iter))
+        reports.append(solution.report)
         max_level = max(cfg.sparsity_grid)
         for method, dictionary in sweep_dictionaries(d, solution).items():
             code = omp(dictionary, S, sparsity=max_level)
@@ -339,6 +351,7 @@ def run_sparsity_sweep(cfg: SweepConfig) -> Path:
         "command": "sparsity-sweep",
         "config": _config_metadata(cfg),
         "graph": graph_summary,
+        "learner": _learner_tally(reports),
         "seed_rule": "sub_seed = SeedSequence([master, realization, crc32(tag)]) first word",
     }
     return tsio.save_results(cfg.out, table, metadata)
@@ -399,12 +412,14 @@ def run_denoise(cfg: DenoiseConfig) -> Path:
     theta, _ = super_laplacian_eigenbasis(d)
 
     rows = []
+    reports = []
     for real in range(cfg.realizations):
         for snr in cfg.snr_grid:
             noisy = add_awgn(clean, snr, sub_seed(cfg.seed, real, f"awgn@{snr:g}"))
             rows.append(("noisy_input", float(snr), None, real, nmse(clean, noisy)))
             for bandwidth in cfg.bandwidth_grid:
                 solution = ddtl_fit(noisy, d, DdtlConfig(eta0=int(bandwidth), max_iter=cfg.ddtl_max_iter))
+                reports.append(solution.report)
                 rows.append(("ddtl", float(snr), int(bandwidth), real, nmse(clean, solution.s_hat)))
                 rows.append(
                     (
@@ -434,6 +449,7 @@ def run_denoise(cfg: DenoiseConfig) -> Path:
         "command": "denoise",
         "config": _config_metadata(cfg),
         "graph": {"num_nodes": graph.num_nodes, "num_edges": graph.num_edges},
+        "learner": _learner_tally(reports),
         "seed_rule": "sub_seed = SeedSequence([master, realization, crc32(tag)]) first word",
     }
     return tsio.save_results(cfg.out, table, metadata)

@@ -17,10 +17,11 @@ Matrix CSV dialect (``write_matrix_csv`` / ``read_matrix_csv``)
     Read: any of ``\n``, ``\r\n`` or ``\r`` row ends; rows whose cells are
     all blank are skipped; cells may be padded with whitespace and
     csv-quoted, but a quoted cell may not span rows.  An empty file, a header
-    with no data rows, a row with the wrong column count and a non-numeric
-    cell are rejected with a ValueError that names the row, counted among
-    the non-blank rows.  Numbers are read as numpy reads them, so a spelling
-    only Python's ``float`` accepts (``1_000``) is rejected.
+    with no data rows, a header or row with the wrong column count and a
+    non-numeric cell are rejected with a ValueError that names the row,
+    counted among the non-blank rows.  Numbers are read as numpy reads them,
+    so a spelling only Python's ``float`` accepts (``1_000``) is rejected.
+    A header whose width is not the column count is refused on writing too.
 
 Results
     ``save_results`` writes a run directory containing ``run.json`` (metadata:
@@ -87,6 +88,9 @@ class TimeSeriesDataset:
             raise ValueError(f"edge series has {es.shape[1]} columns, graph has {self.graph.num_edges} edges")
         if ns.shape[0] != es.shape[0]:
             raise ValueError(f"node series has {ns.shape[0]} steps but edge series has {es.shape[0]}")
+        for what, labels, count in (("node", self.node_labels, ns.shape[1]), ("edge", self.edge_labels, es.shape[1])):
+            if labels is not None and len(labels) != count:
+                raise ValueError(f"{len(labels)} {what} labels for {count} {what} series columns")
         object.__setattr__(self, "node_series", ns)
         object.__setattr__(self, "edge_series", es)
 
@@ -173,6 +177,10 @@ def read_matrix_csv(path, expected_cols: int, what: str = "matrix") -> tuple[np.
                     float(cells[0])
                 except ValueError:
                     labels = tuple(cell.strip() for cell in cells)
+                    if len(labels) != expected_cols:
+                        raise ValueError(
+                            f"{path}: header row has {len(labels)} cells, expected {expected_cols} ({what})"
+                        ) from None
                     continue
             if len(cells) != expected_cols:
                 _raise_non_numeric(path, body, first_row_no=1 if labels is None else 2)
@@ -221,6 +229,8 @@ def write_matrix_csv(path, matrix: np.ndarray, header: tuple[str, ...] | None = 
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
         raise ValueError(f"write_matrix_csv needs a 2-D matrix, got shape {matrix.shape}")
+    if header is not None and len(header) != matrix.shape[1]:
+        raise ValueError(f"header has {len(header)} cells for {matrix.shape[1]} columns")
     row_format = ",".join([FLOAT_FORMAT] * matrix.shape[1]) + "\r\n"
     with Path(path).open("w", newline="") as fh:
         if header is not None:

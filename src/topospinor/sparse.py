@@ -2,7 +2,8 @@
 
 ``omp`` implements joint orthogonal matching pursuit (one support shared by
 all signal columns) by progressive orthogonalization of the selected atoms,
-with the coefficients solved once at the end.  ``row_hard_threshold`` and
+on the square triangular factor of a batch with more signals than rows, with
+the coefficients solved once at the end.  ``row_hard_threshold`` and
 ``column_normalize`` are the Euclidean
 projections onto row-sparse matrices and onto the unit-column (oblique)
 manifold, respectively.
@@ -61,9 +62,16 @@ def omp(dictionary: np.ndarray, signals: np.ndarray, sparsity: int) -> SparseCod
     selected; exact ties in the computed scores resolve to the lowest atom
     index.  The atom is then orthogonalized against the atoms already
     selected (Gram-Schmidt with one re-orthogonalization), and the residual
-    and the correlations are updated by the new direction alone, so a step
-    costs O((N + n) T + N n) rather than a fresh least-squares fit.  The
+    and the correlations are updated by the new direction alone.  The
     least-squares coefficients are solved once, after the last step.
+
+    When T > n the loop runs on the n x n triangular factor L of one reduced
+    QR, S = L Q1^T with Q1^T Q1 = I.  This is exact: every step is a left
+    multiplication of the residual or a sum over T of products of its rows
+    (the scores, the residual norms), and both are unchanged by the right
+    factor Q1^T, so the supports and residual norms are those of S itself.
+    A step then costs O((N + n) min(n, T) + N n) rather than a fresh
+    least-squares fit.
 
     Rank rule: an atom whose orthogonalized part has norm at most
     ``eps * max(n, sparsity)`` (the default ``lstsq`` cutoff) is kept in the
@@ -101,18 +109,18 @@ def omp(dictionary: np.ndarray, signals: np.ndarray, sparsity: int) -> SparseCod
     if not (1 <= sparsity <= dictionary.shape[1]):
         raise ValueError(f"sparsity must lie in [1, {dictionary.shape[1]}], got {sparsity}")
 
-    # Invariants after each step: residual = S - Q Q^T S and corr = D^T residual,
-    # where Q (n x rank) is an orthonormal basis of the independent selected
-    # atoms, and those atoms equal Q @ tri.
+    # Invariants after each step: residual = B - Q Q^T B and corr = D^T residual,
+    # where B is the batch (S, or its factor L when T > n), Q (n x rank) is an
+    # orthonormal basis of the independent selected atoms, and those atoms
+    # equal Q @ tri.
     n, num_atoms = dictionary.shape
     rank_tol = np.finfo(float).eps * max(n, sparsity)
     q_basis = np.zeros((n, sparsity))
     tri = np.zeros((sparsity, sparsity))
-    proj = np.zeros((sparsity, signals.shape[1]))  # rows Q^T S
     support: list[int] = []
     rank = 0
     taken = np.zeros(num_atoms, dtype=bool)
-    residual = signals.copy()
+    residual = np.linalg.qr(signals.T, mode="r").T if signals.shape[1] > n else signals.copy()
     corr = dictionary.T @ residual
     history: list[float] = []
     for _ in range(sparsity):
@@ -133,9 +141,9 @@ def omp(dictionary: np.ndarray, signals: np.ndarray, sparsity: int) -> SparseCod
             q_basis[:, rank] = q
             tri[:rank, rank] = coords
             tri[rank, rank] = length
-            proj[rank] = q @ residual
-            residual -= np.outer(q, proj[rank])
-            corr -= np.outer(dictionary.T @ q, proj[rank])
+            proj = q @ residual
+            residual -= np.outer(q, proj)
+            corr -= np.outer(dictionary.T @ q, proj)
             rank += 1
         history.append(float(np.linalg.norm(residual)))
     ridge_used = rank < sparsity
@@ -144,7 +152,7 @@ def omp(dictionary: np.ndarray, signals: np.ndarray, sparsity: int) -> SparseCod
         gram = sub.T @ sub + _RIDGE * np.eye(len(support))
         coef = np.linalg.solve(gram, sub.T @ signals)
     else:
-        coef = np.linalg.solve(tri, proj)
+        coef = np.linalg.solve(tri, q_basis.T @ signals)
     return SparseCode(
         support=tuple(support),
         coefficients=coef,

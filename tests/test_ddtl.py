@@ -373,6 +373,26 @@ class TestSpectralCoordinates:
         S, _ = gen_signals(d, spec)
         self._check(S, d, DdtlConfig(eta0=8, max_iter=30))
 
+    def test_fit_matches_dense_oracle_with_fewer_signals_than_rows(self):
+        # T < V+E: the learner runs on the batch itself, not on a factor of it.
+        d = spectral_decompose(build_incidence(random_graph(12, 24, 3)))
+        S = np.random.default_rng(5).normal(size=(d.dim, 20))
+        assert initialize_state(S, d, DdtlConfig(eta0=6)).row_basis is None
+        self._check(S, d, DdtlConfig(eta0=6, max_iter=30))
+
+    def test_wide_batch_is_compressed_to_a_square_factor(self):
+        g, d = small_problem()
+        S = np.random.default_rng(6).normal(size=(d.dim, 3 * d.dim))
+        state = initialize_state(S, d, DdtlConfig(eta0=4))
+        assert state.row_basis.shape == (3 * d.dim, d.dim)
+        assert_allclose(state.row_basis.T @ state.row_basis, np.eye(d.dim), atol=1e-13)
+        assert state.z.shape == state.omega.shape == state.x.shape == state.m.shape == (d.dim, d.dim)
+        # z is Q^T S with its signals mixed by Q1: z Q1^T is the projection of S.
+        square = state.z @ state.row_basis.T
+        narrow = initialize_state(S[:, : d.dim], d, DdtlConfig(eta0=4))
+        assert narrow.row_basis is None and narrow.z.shape == (d.dim, d.dim)
+        assert_allclose(square[:, : d.dim], narrow.z, atol=1e-12 * np.abs(narrow.z).max())
+
     @staticmethod
     def _check(S, d, cfg):
         sol = ddtl_fit(S, d, cfg)
@@ -405,6 +425,42 @@ class TestSpectralCoordinates:
         assert_relative(update_k(state, d, cfg), expected_k)
         expected_omega = dense_update_omega(d, S, cfg, state.k, state.x, state.m)
         assert_relative(update_omega(state, d, cfg), expected_omega)
+
+
+def _orthogonal_mixing_cases():
+    d = spectral_decompose(build_incidence(random_graph(8, 12, 4)))
+    S, _ = gen_signals(d, SignalClassSpec("fully_decoupled", eta0=5, num_signals=30, seed=2))
+    yield "tolerance-stop-wide", d, S, DdtlConfig(eta0=5, max_iter=500)
+    d = spectral_decompose(build_incidence(random_graph(10, 18, 1)))
+    S, _ = gen_signals(d, SignalClassSpec("mixture_of_dirac", eta0=8, num_signals=60, seed=5))
+    yield "max-iter-wide", d, S, DdtlConfig(eta0=8, max_iter=30)
+    g, d = small_problem()
+    yield "max-iter-narrow", d, np.random.default_rng(12).normal(size=(d.dim, 8)), DdtlConfig(eta0=4, max_iter=30)
+
+
+@pytest.mark.parametrize(
+    "d, S, cfg", [pytest.param(d, S, cfg, id=name) for name, d, S, cfg in _orthogonal_mixing_cases()]
+)
+def test_fit_is_equivariant_under_orthogonal_mixing_of_signals(d, S, cfg):
+    # ddtl_fit(S W) runs the same iterations as ddtl_fit(S) for any orthogonal
+    # W, and returns its codes and reconstruction times W, T wide.
+    T = S.shape[1]
+    W, _ = np.linalg.qr(np.random.default_rng(T).normal(size=(T, T)))
+    plain, mixed = ddtl_fit(S, d, cfg), ddtl_fit(S @ W, d, cfg)
+    assert mixed.report.stop_reason == plain.report.stop_reason
+    assert mixed.report.iterations == plain.report.iterations
+    assert np.max(np.abs(mixed.k_star.stacked() - plain.k_star.stacked())) <= 1e-9
+    energy = np.linalg.norm(S) ** 2
+    assert_allclose(mixed.report.objective_curve, plain.report.objective_curve, rtol=0, atol=1e-10 * energy)
+    for name in ("omega_star", "x_star", "s_hat"):
+        expected = getattr(plain, name) @ W
+        assert_relative(getattr(mixed, name), expected, bound=1e-9)
+    assert np.array_equal(np.any(mixed.x_star != 0, axis=1), np.any(plain.x_star != 0, axis=1))
+
+
+def test_orthogonal_mixing_cases_cover_both_stops():
+    reasons = {name: ddtl_fit(S, d, cfg).report.stop_reason for name, d, S, cfg in _orthogonal_mixing_cases()}
+    assert reasons == {"tolerance-stop-wide": "tolerance", "max-iter-wide": "max_iter", "max-iter-narrow": "max_iter"}
 
 
 class TestConvergenceReport:

@@ -3,6 +3,7 @@ import numpy as np
 from topospinor.experiments import (
     DenoiseConfig,
     SweepConfig,
+    run_denoise,
     run_sparsity_sweep,
     sub_seed,
 )
@@ -66,6 +67,29 @@ class TestSweepPipeline:
         _, ta = load_results(a)
         _, tb = load_results(b)
         assert ta["results"].rows != tb["results"].rows
+
+
+class TestLearnerTally:
+    @staticmethod
+    def check(meta, fits, max_iter):
+        tally = meta["learner"]
+        assert tally["fits"] == fits
+        assert sum(tally["stop_reasons"].values()) == fits
+        assert set(tally["stop_reasons"]) <= {"tolerance", "max_iter"}
+        budget_stops = tally["stop_reasons"].get("max_iter", 0)
+        assert budget_stops * max_iter + (fits - budget_stops) <= tally["iterations"] <= fits * max_iter
+
+    def test_sweep_counts_every_fit(self, tmp_path):
+        cfg = SweepConfig(out=str(tmp_path / "run"), num_nodes=8, num_edges=12, eta0=4, num_signals=10,
+                          realizations=3, sparsity_grid=(2,), ddtl_max_iter=6, seed=1)
+        meta, _ = load_results(run_sparsity_sweep(cfg))
+        self.check(meta, fits=3, max_iter=6)
+
+    def test_denoise_counts_every_fit(self, tmp_path):
+        cfg = DenoiseConfig(out=str(tmp_path / "run"), num_nodes=6, num_edges=9, num_signals=12, gen_eta0=5,
+                            snr_grid=(0.0, 10.0), bandwidth_grid=(3, 5), realizations=2, ddtl_max_iter=4, seed=3)
+        meta, _ = load_results(run_denoise(cfg))
+        self.check(meta, fits=2 * 2 * 2, max_iter=4)
 
 
 def test_sub_seed_matches_documented_rule():

@@ -131,6 +131,36 @@ class TestTimeSeries:
         with pytest.raises(ValueError, match="steps"):
             load_time_series(g, tmp_path / "node.csv", tmp_path / "edge.csv")
 
+    def test_label_counts_checked(self):
+        g = OrientedGraph(3, ((0, 1), (1, 2)))
+        node, edge = np.zeros((2, 3)), np.zeros((2, 2))
+        with pytest.raises(ValueError, match="1 node labels for 3"):
+            TimeSeriesDataset(g, node, edge, ("only_one",), ("e0", "e1"))
+        with pytest.raises(ValueError, match="4 edge labels for 2"):
+            TimeSeriesDataset(g, node, edge, ("n0", "n1", "n2"), ("e0", "e1", "e2", "e3"))
+
+    def test_wrong_width_header_rejected_on_save_and_load(self, tmp_path):
+        # A header one cell wide over three node columns: neither side of the
+        # save/load pair may accept it.
+        g = OrientedGraph(3, ((0, 1), (1, 2)))
+        node = np.arange(6.0).reshape(2, 3)
+        with pytest.raises(ValueError, match="header has 1 cells for 3 columns"):
+            write_matrix_csv(tmp_path / "node.csv", node, ("only_one",))
+        assert not (tmp_path / "node.csv").exists()
+        oracle_write(tmp_path / "node.csv", node, ("only_one",))
+        write_matrix_csv(tmp_path / "edge.csv", np.ones((2, 2)), ("e0", "e1"))
+        with pytest.raises(ValueError, match="header row has 1 cells, expected 3 \\(node series\\)"):
+            load_time_series(g, tmp_path / "node.csv", tmp_path / "edge.csv")
+
+    def test_right_width_header_round_trips(self, tmp_path):
+        g = OrientedGraph(3, ((0, 1), (1, 2)))
+        ds = TimeSeriesDataset(g, np.arange(6.0).reshape(2, 3), np.ones((2, 2)), ("a", "b", "c"), ("e0", "e1"))
+        save_time_series(ds, tmp_path / "node.csv", tmp_path / "edge.csv")
+        loaded = load_time_series(g, tmp_path / "node.csv", tmp_path / "edge.csv")
+        assert loaded.node_labels == ("a", "b", "c") and loaded.edge_labels == ("e0", "e1")
+        assert np.array_equal(loaded.node_series, ds.node_series)
+        assert np.array_equal(loaded.edge_series, ds.edge_series)
+
     def test_spinor_matrix_stacking(self, tmp_path):
         g = OrientedGraph(3, ((0, 1), (1, 2)))
         ds = TimeSeriesDataset(g, np.arange(6).reshape(2, 3), np.arange(4).reshape(2, 2))
@@ -217,6 +247,8 @@ def oracle_read(path, expected_cols, what="matrix"):
         float(rows[0][0])
     except ValueError:
         labels, start = tuple(cell.strip() for cell in rows[0]), 1
+        if len(labels) != expected_cols:
+            raise ValueError(f"{path}: header row has {len(labels)} cells, expected {expected_cols} ({what})")
     data = []
     for idx, row in enumerate(rows[start:], start=start + 1):
         if len(row) != expected_cols:
@@ -328,6 +360,8 @@ REJECTED_CASES = {
     "ragged_before_non_numeric": ("1,2,3\n4,5\n7,x,9\n", 3, 2),
     "non_numeric_last_row": ("1,2,3\n" * 5 + "4,5,?\n", 3, 6),
     "wrong_width_file": ("1,2,3\n4,5,6\n", 2, 1),
+    "header_too_narrow": ("a,b\n1,2,3\n", 3, None),
+    "header_too_wide_after_blank_rows": ("\n,,\na,b,c,d\n1,2,3\n", 3, None),
 }
 
 

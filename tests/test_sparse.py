@@ -132,7 +132,7 @@ def _unit_columns(rng, n, num_atoms):
     return D / np.linalg.norm(D, axis=0)
 
 
-def _frame_case(seed, sparse_signal):
+def _frame_case(seed, sparse_signal, num_signals=6):
     rng = np.random.default_rng(seed)
     d = spectral_decompose(build_incidence(random_graph(8, 14, seed)))
     phi, _ = dirac_eigenbasis(d)
@@ -141,9 +141,9 @@ def _frame_case(seed, sparse_signal):
     if sparse_signal:
         # A harmonic atom (duplicated in the frame) among the generating atoms.
         harmonic = int(np.flatnonzero(np.abs(phi.T @ theta).max(axis=1) > 1 - 1e-12)[0])
-        S = F[:, [harmonic, 3, 30, 41]] @ rng.normal(size=(4, 6))
+        S = F[:, [harmonic, 3, 30, 41]] @ rng.normal(size=(4, num_signals))
     else:
-        S = rng.normal(size=(F.shape[0], 6))
+        S = rng.normal(size=(F.shape[0], num_signals))
     return F, S
 
 
@@ -162,6 +162,18 @@ def _pursuit_cases():
         yield f"frame-dense-{seed}", F, S, F.shape[0] + 4
         F, S = _frame_case(seed, sparse_signal=True)
         yield f"frame-sparse-{seed}", F, S, 12
+    # More signals than rows: the pursuit runs on the triangular factor of the batch.
+    rng = np.random.default_rng(2025)
+    q, _ = np.linalg.qr(rng.normal(size=(12, 12)))
+    yield "wide-orthonormal", q, rng.normal(size=(12, 40)), 12
+    D = _unit_columns(rng, 16, 40)
+    yield "wide-overcomplete", D, rng.normal(size=(16, 50)), 16
+    yield "wide-overcomplete-sparse", D, D[:, [4, 17, 33]] @ rng.normal(size=(3, 50)), 10
+    for seed in range(2):
+        F, S = _frame_case(seed, sparse_signal=False, num_signals=60)
+        yield f"wide-frame-dense-{seed}", F, S, F.shape[0] + 4
+        F, S = _frame_case(seed, sparse_signal=True, num_signals=60)
+        yield f"wide-frame-sparse-{seed}", F, S, 12
 
 
 @pytest.mark.parametrize(
@@ -202,6 +214,42 @@ def test_nearly_dependent_atom_completes_the_span():
 def test_pursuit_cases_cover_the_ridge_path():
     flags = {name: lstsq_pursuit(D, S, k)[3] for name, D, S, k in _pursuit_cases()}
     assert flags["frame-dense-0"] and not flags["orthonormal-0"]
+    assert flags["wide-frame-dense-0"] and not flags["wide-orthonormal"]
+
+
+def test_pursuit_cases_cover_both_batch_widths():
+    wide = {name: S.shape[1] > D.shape[0] for name, D, S, _ in _pursuit_cases()}
+    assert all(wide[name] == name.startswith("wide-") for name in wide)
+
+
+def _random_orthogonal(rng, size):
+    w, _ = np.linalg.qr(rng.normal(size=(size, size)))
+    return w
+
+
+@pytest.mark.parametrize("num_signals", [5, 60])
+def test_omp_is_equivariant_under_orthogonal_mixing_of_signals(num_signals):
+    # omp(D, S W) equals omp(D, S) with its coefficients times W, for any
+    # orthogonal W: with T > n both runs go through the triangular factor of
+    # their own batch, and the coefficients must come back T wide.
+    rng = np.random.default_rng(num_signals)
+    F, S = _frame_case(1, sparse_signal=False, num_signals=num_signals)
+    # Three atoms that span half the space plus a copy of the first: the
+    # fourth pick is the copy while the residual is far from round-off,
+    # which takes the ridge path.
+    U = _random_orthogonal(rng, 6)
+    partial = U[:, [0, 1, 2, 0]]
+    cases = [(F, S, 12, False), (partial, rng.normal(size=(6, num_signals)), 4, True)]
+    W = _random_orthogonal(rng, num_signals)
+    for D, signals, sparsity, ridge in cases:
+        plain, mixed = omp(D, signals, sparsity), omp(D, signals @ W, sparsity)
+        assert plain.ridge_regularized == mixed.ridge_regularized == ridge
+        assert mixed.support == plain.support
+        scale = 1e-10 * np.linalg.norm(signals)
+        assert_allclose(mixed.residual_history, plain.residual_history, rtol=0, atol=scale)
+        assert mixed.coefficients.shape == (sparsity, num_signals)
+        tol = 1e-9 * np.abs(plain.coefficients).max()
+        assert_allclose(mixed.coefficients, plain.coefficients @ W, rtol=0, atol=tol)
 
 
 @given(
