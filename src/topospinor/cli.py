@@ -25,6 +25,7 @@ from .experiments import (
     run_spectra,
     run_synth,
 )
+from .synth import SIGNAL_CLASSES
 
 __all__ = ["main", "build_parser"]
 
@@ -59,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", dest="graph_path", help="edge-list file (otherwise a random graph)")
     p.add_argument("--num-nodes", type=int)
     p.add_argument("--num-edges", type=int)
-    p.add_argument("--signal-class", choices=("fully_coupled", "fully_decoupled", "partially_coupled", "mixture_of_dirac"))
+    p.add_argument("--signal-class", choices=SIGNAL_CLASSES)
     p.add_argument("--eta0", type=int, help="support size of the generated batch")
     p.add_argument("--num-signals", type=int)
     p.add_argument("--coeff-std", type=float)
@@ -80,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("sparsity-sweep", help="reconstruction error vs sparsity for all dictionaries")
     _add_common(p)
-    p.add_argument("--signal-class", choices=("fully_coupled", "fully_decoupled", "partially_coupled", "mixture_of_dirac"))
+    p.add_argument("--signal-class", choices=SIGNAL_CLASSES)
     p.add_argument("--num-nodes", type=int)
     p.add_argument("--num-edges", type=int)
     p.add_argument("--eta0", type=int)
@@ -101,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num-nodes", type=int)
     p.add_argument("--num-edges", type=int)
     p.add_argument("--num-signals", type=int)
-    p.add_argument("--signal-class", choices=("fully_coupled", "fully_decoupled", "partially_coupled", "mixture_of_dirac"))
+    p.add_argument("--signal-class", choices=SIGNAL_CLASSES)
     p.add_argument("--gen-eta0", type=int, help="support size of the synthetic surrogate")
     p.add_argument("--coeff-std", type=float)
     p.add_argument("--cauchy-scale", type=float)

@@ -18,8 +18,16 @@ frame Q = [(u; 0) | (u_H; 0) | (0; v_H) | (0; v)], the batch is projected
 once per fit to z = Q^T S, whose rows follow the basis columns
 [minus | node-harmonic | edge-harmonic | plus].  Q^T Psi(k) pairs row u_i
 only with row v_i, so Psi(k)^T S, the reconstruction Psi(k) Omega and the
-objective need no (V+E) x (V+E) product across the signals.  P, H and Psi
-stay dense; they carry no signal factor.
+objective need no (V+E) x (V+E) product across the signals.
+
+Psi, P and H are held in plane coordinates, as (2, 2r) arrays.  Coupled
+column j of each lies in its mode plane span{(u_i; 0), (0; v_i)}: row 0 is
+its coordinate along (u_i; 0), row 1 along (0; v_i), and the columns are
+[minus | plus].  The minus column of Psi is (k-, -1), the plus column
+(1, k+).  This is exact: from H = 0 the unit-column retraction and the dual
+step never leave the planes, and the k-step reads only these coordinates.
+The harmonic columns are left out, since there P equals Psi and H stays 0.
+The dense basis is built once, at the end, for the reconstruction.
 
 When T > V+E the batch is first written as S = L Q1^T, with L square and
 Q1^T Q1 = I, by one reduced QR of S^T, and the cycle runs on L in place of S.
@@ -133,10 +141,12 @@ class DdtlState:
     """Mutable ADMM iterate.
 
     ``z`` is the data in spectral coordinates (fixed for the fit; rows
-    [u^T S_V; u_H^T S_V; v_H^T S_E; v^T S_E]) and ``psi`` caches the
-    unnormalized basis at ``k``.  ``row_basis`` is Q1 of S = L Q1^T when the
-    batch has more signals than rows, and None otherwise; with it, ``z``,
-    ``omega``, ``x`` and ``m`` are those of L, each T-wide iterate times Q1.
+    [u^T S_V; u_H^T S_V; v_H^T S_E; v^T S_E]).  ``psi`` caches the
+    unnormalized basis at ``k``; it, ``p`` and ``h`` hold the (2, 2r) plane
+    coordinates of the coupled columns (see the module notes).  ``row_basis``
+    is Q1 of S = L Q1^T when the batch has more signals than rows, and None
+    otherwise; with it, ``z``, ``omega``, ``x`` and ``m`` are those of L, each
+    T-wide iterate times Q1.
     """
 
     z: np.ndarray
@@ -174,7 +184,9 @@ def _split_k(d: SpectralDecomposition, k: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _build_psi(d: SpectralDecomposition, k: np.ndarray) -> np.ndarray:
-    return unnormalized_basis_matrix(d, k[: d.rank], k[d.rank :])
+    """Plane coordinates of the coupled columns of Psi(k): minus (k-, -1), plus (1, k+)."""
+    ones = np.ones(d.rank)
+    return np.vstack([np.concatenate([k[: d.rank], ones]), np.concatenate([-ones, k[d.rank :]])])
 
 
 def _project(S: np.ndarray, d: SpectralDecomposition) -> np.ndarray:
@@ -233,13 +245,14 @@ def update_k(state: DdtlState, d: SpectralDecomposition, cfg: DdtlConfig) -> np.
     row v_i; its penalty direction (u_i; 0) or (0; v_i) is orthogonal to every
     other column's.  Each coordinate is therefore an independent scalar
     quadratic with curvature ||Omega_row||^2 + rho1/2 (at least rho1/2 > 0),
-    minimized by clipping its vertex to the box.
+    minimized by clipping its vertex to the box.  Its penalty term reads the
+    coordinate of P - H along that direction: row 0 of the minus columns,
+    row 1 of the plus columns.
     """
-    V = d.num_nodes
+    r = d.rank
     minus, _, plus = _blocks(d)
-    # Penalty linear terms b_i^T (p_i - h_i) per branch column.
-    c_minus = np.einsum("vi,vi->i", d.u, state.p[:V, minus] - state.h[:V, minus])
-    c_plus = np.einsum("ei,ei->i", d.v, state.p[V:, plus] - state.h[V:, plus])
+    ph = state.p - state.h
+    c_minus, c_plus = ph[0, :r], ph[1, r:]
     om, op = state.omega[minus], state.omega[plus]
     g_minus = np.einsum("it,it->i", state.z[minus] - op, om)
     g_plus = np.einsum("it,it->i", state.z[plus] + om, op)
@@ -315,6 +328,7 @@ def ddtl_fit(S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -> DdtlSo
 
     state = initialize_state(S, d, cfg)
     initial_objective = _objective(state, d)
+    p_norm = np.sqrt(d.dim)  # ||P||_F: n unit columns, the harmonic ones included
 
     stop_reason = "max_iter"
     for it in range(1, cfg.max_iter + 1):
@@ -328,9 +342,8 @@ def ddtl_fit(S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -> DdtlSo
 
         basis_gap = float(np.linalg.norm(state.psi - state.p))
         code_gap = float(np.linalg.norm(state.omega - state.x))
-        p_norm = float(np.linalg.norm(state.p))
         x_norm = float(np.linalg.norm(state.x))
-        rel_basis = basis_gap / p_norm if p_norm > 0 else basis_gap
+        rel_basis = basis_gap / p_norm
         rel_code = code_gap / x_norm if x_norm > 0 else code_gap
         state.history.append(IterationStats(it, _objective(state, d), basis_gap, code_gap))
         if rel_basis <= PRIMAL_TOL and rel_code <= PRIMAL_TOL:
@@ -349,8 +362,8 @@ def ddtl_fit(S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -> DdtlSo
         k_star=k_star,
         omega_star=omega,
         x_star=x,
-        s_hat=state.psi @ omega,
-        basis=build_mass_basis(d, k_star, normalized=True),
+        s_hat=unnormalized_basis_matrix(d, k_star.k_minus, k_star.k_plus) @ omega,
+        basis=build_mass_basis(d, k_star),
         report=report,
     )
 

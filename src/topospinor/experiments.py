@@ -302,18 +302,16 @@ def _nmse_at_levels(code: SparseCode, signal_energy: float, levels) -> dict[int,
     return {int(lv): float(history[lv - 1] ** 2 / signal_energy) for lv in levels}
 
 
-def sweep_dictionaries(d, solution: DdtlSolution | None) -> dict[str, np.ndarray]:
+def sweep_dictionaries(d, solution: DdtlSolution) -> dict[str, np.ndarray]:
     """The four unit-column dictionaries compared by the sweep."""
     phi, _ = dirac_eigenbasis(d)
     theta, _ = super_laplacian_eigenbasis(d)
-    dicts = {
+    return {
         "laplacian": theta,
         "dirac": phi,
         "frame": build_frame(phi, theta).matrix,
+        "ddtl": solution.basis.psi_bar,
     }
-    if solution is not None:
-        dicts["ddtl"] = solution.basis.psi_bar
-    return dicts
 
 
 def run_sparsity_sweep(cfg: SweepConfig) -> Path:

@@ -46,7 +46,6 @@ class SignalClassSpec:
     coeff_std: float = 1.0
     coupled_fraction: float = 0.5
     cauchy_scale: float | None = None
-    exclude_harmonics: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -129,16 +128,6 @@ def random_graph(num_nodes: int, num_edges: int, seed) -> OrientedGraph:
     return OrientedGraph(V, tuple(oriented))
 
 
-def _support_modes(d: SpectralDecomposition, support: np.ndarray, exclude_harmonics: bool) -> np.ndarray:
-    """Mode-pair index of each supported column (harmonic columns carry none)."""
-    r = d.rank
-    if exclude_harmonics:
-        return np.unique(support % r)
-    xi = d.xi0 + d.xi1
-    modes = [c if c < r else c - r - xi for c in support if c < r or c >= r + xi]
-    return np.unique(modes)
-
-
 def _mode_couplings(d: SpectralDecomposition, spec: SignalClassSpec, support: np.ndarray,
                     rng: np.random.Generator) -> np.ndarray:
     r = d.rank
@@ -148,7 +137,7 @@ def _mode_couplings(d: SpectralDecomposition, spec: SignalClassSpec, support: np
         return np.zeros(r)
     if spec.signal_class == "partially_coupled":
         k = np.zeros(r)
-        touched = _support_modes(d, support, spec.exclude_harmonics)
+        touched = np.unique(support % r)  # the mode of each supported column
         n_coupled = int(round(spec.coupled_fraction * touched.size))
         coupled = rng.permutation(touched)[:n_coupled]
         k[coupled] = 1.0
@@ -173,22 +162,14 @@ def gen_signals(
     if noise_std < 0:
         raise ValueError("noise_std must be nonnegative")
     rng = np.random.default_rng(spec.seed)
-    r = d.rank
-    if spec.exclude_harmonics:
-        available = 2 * r
-    else:
-        available = d.dim
+    available = 2 * d.rank
     if spec.eta0 > available:
         raise ValueError(f"eta0={spec.eta0} exceeds the {available} available columns")
 
     support = np.sort(rng.choice(available, size=spec.eta0, replace=False))
     k_modes = _mode_couplings(d, spec, support, rng)
-    basis = build_mass_basis(d, CouplingVector(k_modes, k_modes.copy()), normalized=True)
-
-    if spec.exclude_harmonics:
-        full_cols = nonharmonic_column_indices(d)[support]
-    else:
-        full_cols = support.copy()
+    basis = build_mass_basis(d, CouplingVector(k_modes, k_modes.copy()))
+    full_cols = nonharmonic_column_indices(d)[support]
     coeffs = rng.normal(0.0, spec.coeff_std, size=(spec.eta0, spec.num_signals))
     clean = basis.psi_bar[:, full_cols] @ coeffs
     S = clean if noise_std == 0 else clean + rng.normal(0.0, noise_std, size=clean.shape)

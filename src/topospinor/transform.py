@@ -3,7 +3,7 @@
 Each non-harmonic singular triplet (sigma_i, u_i, v_i) contributes a pair of
 basis columns whose node/edge mixing is controlled by a scalar coupling factor
 k: the "minus" column (k u_i; -v_i) and the "plus" column (u_i; k v_i), both
-optionally scaled to unit norm by 1/sqrt(1+k^2).  k = 1 reproduces the Dirac
+scaled to unit norm by 1/sqrt(1+k^2) in the basis.  k = 1 reproduces the Dirac
 eigenvectors, k = 0 the (sign-flipped) Laplacian ones, and intermediate values
 continuously trade node energy against edge energy per mode.  The coupling is
 the monotone reparameterization k = lambda / (sqrt(lambda^2 + m^2) + m) of a
@@ -139,7 +139,6 @@ class MassBasis:
 
     psi_bar: np.ndarray
     k: CouplingVector
-    normalized: bool
 
     @property
     def dim(self) -> int:
@@ -152,21 +151,20 @@ class MassBasis:
         return float(np.max(np.abs(g - np.eye(g.shape[0]))))
 
 
-def build_mass_basis(d: SpectralDecomposition, k: CouplingVector, normalized: bool = True) -> MassBasis:
-    """Build the coupling-parameterized basis for a spectral decomposition.
+def build_mass_basis(d: SpectralDecomposition, k: CouplingVector) -> MassBasis:
+    """Build the unit-column coupling-parameterized basis for a spectral decomposition.
 
-    With ``normalized`` the branch columns are scaled by 1/sqrt(1 + k^2) so
-    every column has unit norm; the basis is then orthonormal exactly when the
-    two branches share the same coupling per mode.
+    The branch columns are scaled by 1/sqrt(1 + k^2) so every column has unit
+    norm; the basis is then orthonormal exactly when the two branches share
+    the same coupling per mode.
     """
     if k.num_modes != d.rank:
         raise ValueError(f"coupling has {k.num_modes} modes but decomposition has rank {d.rank}")
     psi = unnormalized_basis_matrix(d, k.k_minus, k.k_plus)
-    if normalized:
-        r, xi = d.rank, d.xi0 + d.xi1
-        psi[:, :r] /= np.sqrt(1.0 + k.k_minus**2)
-        psi[:, r + xi :] /= np.sqrt(1.0 + k.k_plus**2)
-    return MassBasis(psi_bar=psi, k=k, normalized=normalized)
+    r, xi = d.rank, d.xi0 + d.xi1
+    psi[:, :r] /= np.sqrt(1.0 + k.k_minus**2)
+    psi[:, r + xi :] /= np.sqrt(1.0 + k.k_plus**2)
+    return MassBasis(psi_bar=psi, k=k)
 
 
 def _warn_if_not_orthonormal(basis: MassBasis) -> None:

@@ -31,6 +31,7 @@ from topospinor.transform import (
     build_mass_basis,
     forward_transform,
     inverse_transform,
+    nonharmonic_column_indices,
     unnormalized_basis_matrix,
 )
 
@@ -170,6 +171,14 @@ def test_criterion_2_limit_regimes():
             assert np.max(np.abs(back - s)) / np.max(np.abs(s)) < 1e-10
 
 
+def _plane_coordinates(d, M):
+    """Coordinates of M's coupled columns along (u_i; 0) (row 0) and (0; v_i) (row 1)."""
+    cols = nonharmonic_column_indices(d)
+    node = np.einsum("vj,vj->j", np.hstack([d.u, d.u]), M[: d.num_nodes, cols])
+    edge = np.einsum("ej,ej->j", np.hstack([d.v, d.v]), M[d.num_nodes :, cols])
+    return np.vstack([node, edge])
+
+
 def test_criterion_3_oracle_equivalence():
     with verdict(3, "closed-form updates match brute-force oracles"):
         rng = np.random.default_rng(77)
@@ -182,12 +191,12 @@ def test_criterion_3_oracle_equivalence():
         cfg = DdtlConfig(eta0=4)
         state = initialize_state(S, d, cfg)
         state.k = rng.uniform(-1, 1, 2 * d.rank)
-        state.psi = unnormalized_basis_matrix(d, state.k[: d.rank], state.k[d.rank:])
+        psi = unnormalized_basis_matrix(d, state.k[: d.rank], state.k[d.rank:])
         state.x = rng.normal(size=state.omega.shape)
         state.m = rng.normal(size=state.omega.shape)
         omega = update_omega(state, d, cfg)
-        rhs = state.psi.T @ S + cfg.rho2 * (state.x - state.m)
-        dense = np.linalg.solve(state.psi.T @ state.psi + cfg.rho2 * np.eye(12), rhs)
+        rhs = psi.T @ S + cfg.rho2 * (state.x - state.m)
+        dense = np.linalg.solve(psi.T @ psi + cfg.rho2 * np.eye(12), rhs)
         assert np.max(np.abs(omega - dense)) < 1e-10
 
         # (b) row threshold vs exhaustive subset search, N <= 8; exact match.
@@ -213,15 +222,18 @@ def test_criterion_3_oracle_equivalence():
         cfg1 = DdtlConfig(eta0=2, rho1=3.0)
         state1 = initialize_state(S1, d1, cfg1)
         state1.omega = rng.normal(size=(d1.dim, 1))
-        state1.p = rng.normal(size=(d1.dim, d1.dim))
-        state1.h = rng.normal(size=(d1.dim, d1.dim))
+        p1 = rng.normal(size=(d1.dim, d1.dim))
+        h1 = rng.normal(size=(d1.dim, d1.dim))
+        # The oracle sees the dense P and H; the state holds their plane
+        # coordinates, since the off-plane part does not move the minimizer.
+        state1.p, state1.h = _plane_coordinates(d1, p1), _plane_coordinates(d1, h1)
         solved = update_k(state1, d1, cfg1)
 
         def objective(k_stacked):
             psi = unnormalized_basis_matrix(d1, k_stacked[:1], k_stacked[1:])
             return float(
                 np.linalg.norm(S1 - psi @ state1.omega) ** 2
-                + 0.5 * cfg1.rho1 * np.linalg.norm(psi - state1.p + state1.h) ** 2
+                + 0.5 * cfg1.rho1 * np.linalg.norm(psi - p1 + h1) ** 2
             )
 
         for coord in range(2):

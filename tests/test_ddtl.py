@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import topospinor.ddtl as ddtl_module
+import topospinor.transform as transform_module
 from topospinor.ddtl import (
+    PRIMAL_TOL,
     DdtlConfig,
     NumericalDivergenceError,
     convergence_report,
@@ -26,17 +29,39 @@ def small_problem(num_nodes=5, num_edges=7, seed=0):
     return g, d
 
 
+def plane_coordinates(d, M):
+    """(2, 2r) coordinates of the coupled columns of a dense (V+E) x (V+E) matrix.
+
+    Row 0 is the coordinate of each minus/plus column along (u_i; 0), row 1
+    along (0; v_i); the off-plane part and the harmonic columns are dropped.
+    """
+    V = d.num_nodes
+    cols = nonharmonic_column_indices(d)
+    node = np.einsum("vj,vj->j", np.hstack([d.u, d.u]), M[:V, cols])
+    edge = np.einsum("ej,ej->j", np.hstack([d.v, d.v]), M[V:, cols])
+    return np.vstack([node, edge])
+
+
+def off_plane(d, M):
+    """Coupled columns of a dense matrix minus their projection onto the mode planes."""
+    cols = nonharmonic_column_indices(d)
+    c = plane_coordinates(d, M)
+    in_plane = np.vstack([np.hstack([d.u, d.u]) * c[0], np.hstack([d.v, d.v]) * c[1]])
+    return M[:, cols] - in_plane
+
+
 def manual_state(d, S, cfg, k=None, omega=None, p=None, h=None, x=None, m=None):
+    """A state with the given iterates; dense P and H enter as their plane coordinates."""
     state = initialize_state(S, d, cfg)
     if k is not None:
         state.k = np.asarray(k, dtype=float)
-        state.psi = unnormalized_basis_matrix(d, state.k[: d.rank], state.k[d.rank :])
+        state.psi = plane_coordinates(d, dense_psi(d, state.k))
     if omega is not None:
         state.omega = np.asarray(omega, dtype=float)
     if p is not None:
-        state.p = np.asarray(p, dtype=float)
+        state.p = plane_coordinates(d, np.asarray(p, dtype=float))
     if h is not None:
-        state.h = np.asarray(h, dtype=float)
+        state.h = plane_coordinates(d, np.asarray(h, dtype=float))
     if x is not None:
         state.x = np.asarray(x, dtype=float)
     if m is not None:
@@ -44,11 +69,11 @@ def manual_state(d, S, cfg, k=None, omega=None, p=None, h=None, x=None, m=None):
     return state
 
 
-def k_objective(d, S, state, cfg, k_stacked):
-    """Direct evaluation of the k-subproblem objective; oracle helper."""
+def k_objective(d, S, omega, p, h, cfg, k_stacked):
+    """Direct evaluation of the k-subproblem objective with dense P and H; oracle helper."""
     psi = unnormalized_basis_matrix(d, k_stacked[: d.rank], k_stacked[d.rank :])
-    data = np.linalg.norm(S - psi @ state.omega) ** 2
-    penalty = 0.5 * cfg.rho1 * np.linalg.norm(psi - state.p + state.h) ** 2
+    data = np.linalg.norm(S - psi @ omega) ** 2
+    penalty = 0.5 * cfg.rho1 * np.linalg.norm(psi - p + h) ** 2
     return data + penalty
 
 
@@ -101,8 +126,11 @@ def dense_update_omega(d, S, cfg, k, x, m):
     return omega
 
 
-def dense_fit(S, d, cfg):
-    """Dirac-initialized dense ADMM for cfg.max_iter iterations: (k, Omega, objective, basis gap, code gap)."""
+def dense_fit(S, d, cfg, iterates=None):
+    """Dirac-initialized dense ADMM for cfg.max_iter iterations: (k, Omega, objective, basis gap, code gap).
+
+    With a list ``iterates``, (Psi, P, H, Omega, X) of every iteration are appended to it.
+    """
     k = np.ones(2 * d.rank)
     psi = dense_psi(d, k)
     omega = psi.T @ S
@@ -116,6 +144,8 @@ def dense_fit(S, d, cfg):
         p = column_normalize(h + psi)
         x = row_hard_threshold(omega + m, cfg.eta0)
         h, m = h + (psi - p), m + (omega - x)
+        if iterates is not None:
+            iterates.append((psi, p, h, omega, x))
         curves[0].append(float(np.linalg.norm(S - psi @ omega) ** 2))
         curves[1].append(float(np.linalg.norm(psi - p)))
         curves[2].append(float(np.linalg.norm(omega - x)))
@@ -175,15 +205,12 @@ class TestUpdateK:
         rng = np.random.default_rng(9)
         S = rng.normal(size=(d.dim, 1))
         cfg = DdtlConfig(eta0=2, rho1=3.0, max_iter=1)
-        state = manual_state(
-            d,
-            S,
-            cfg,
-            k=rng.uniform(-0.5, 0.5, 2),
-            omega=rng.normal(size=(d.dim, 1)),
-            p=rng.normal(size=(d.dim, d.dim)),
-            h=rng.normal(size=(d.dim, d.dim)),
-        )
+        k = rng.uniform(-0.5, 0.5, 2)
+        omega = rng.normal(size=(d.dim, 1))
+        # The oracle sees the whole dense P and H, the state only their plane part.
+        p = rng.normal(size=(d.dim, d.dim))
+        h = rng.normal(size=(d.dim, d.dim))
+        state = manual_state(d, S, cfg, k=k, omega=omega, p=p, h=h)
         k_solved = update_k(state, d, cfg)
 
         for coord in range(2):
@@ -191,7 +218,7 @@ class TestUpdateK:
 
             def value(val, probe=probe, coord=coord):
                 probe[coord] = val
-                return k_objective(d, S, state, cfg, probe)
+                return k_objective(d, S, omega, p, h, cfg, probe)
 
             lo, hi = -cfg.c2, cfg.c1
             for _ in range(12):  # bracket the box minimizer to ~1e-6
@@ -231,7 +258,7 @@ class TestUpdateOmega:
         state.x = np.zeros_like(state.omega)
         state.m = np.zeros_like(state.omega)
         omega = update_omega(state, d, cfg)
-        assert np.max(np.abs(omega - state.psi.T @ S)) < 1e-9
+        assert np.max(np.abs(omega - dense_psi(d, state.k).T @ S)) < 1e-9
 
     def test_pair_block_matches_dense_solve(self):
         # 12-dimensional instance: V=5, E=7.
@@ -246,7 +273,7 @@ class TestUpdateOmega:
         state.m = rng.normal(size=state.omega.shape)
         omega = update_omega(state, d, cfg)
         # Oracle: dense linear solve of (Psi^T Psi + rho2 I) Omega = rhs.
-        psi = state.psi
+        psi = dense_psi(d, k)
         rhs = psi.T @ S + cfg.rho2 * (state.x - state.m)
         dense = np.linalg.solve(psi.T @ psi + cfg.rho2 * np.eye(12), rhs)
         assert np.max(np.abs(omega - dense)) < 1e-10
@@ -405,23 +432,102 @@ class TestSpectralCoordinates:
         assert_relative(sol.report.code_gap_curve, code_gap)
         assert_relative(sol.s_hat, dense_psi(d, k) @ omega)
 
+    def test_dense_oracle_keeps_p_and_h_in_the_mode_planes(self):
+        # The premise of the plane-coordinate state: every coupled column of
+        # the dense P and H stays in span{(u_i; 0), (0; v_i)}, and on the
+        # harmonic columns P equals Psi while H stays 0.
+        for graph in (random_graph(12, 24, 3), two_triangles()):
+            d = spectral_decompose(build_incidence(graph))
+            S = np.random.default_rng(graph.num_edges).normal(size=(d.dim, 40))
+            iterates = []
+            dense_fit(S, d, DdtlConfig(eta0=4, max_iter=30), iterates)
+            harm = np.setdiff1d(np.arange(d.dim), nonharmonic_column_indices(d))
+            assert harm.size > 0 and len(iterates) == 30
+            for psi, p, h, _, _ in iterates:
+                assert np.max(np.abs(off_plane(d, p))) <= 1e-12
+                assert np.max(np.abs(off_plane(d, h))) <= 1e-12
+                assert np.max(np.abs(p[:, harm] - psi[:, harm])) <= 1e-12
+                assert np.max(np.abs(h[:, harm])) <= 1e-12
+
+    def test_tolerance_stop_matches_dense_oracle(self):
+        # The stop rule on the plane-coordinate state, where ||P||_F is the
+        # constant sqrt(V+E), stops at the first iteration at which the dense
+        # run's relative gaps both fall below the tolerance.
+        d = spectral_decompose(build_incidence(random_graph(8, 12, 4)))
+        S, _ = gen_signals(d, SignalClassSpec("fully_decoupled", eta0=5, num_signals=30, seed=2))
+        sol = ddtl_fit(S, d, DdtlConfig(eta0=5, max_iter=500))
+        assert sol.report.stop_reason == "tolerance"
+        iterates = []
+        dense_fit(S, d, DdtlConfig(eta0=5, max_iter=sol.report.iterations), iterates)
+        rel = [
+            max(np.linalg.norm(psi - p) / np.linalg.norm(p), np.linalg.norm(omega - x) / np.linalg.norm(x))
+            for psi, p, _, omega, x in iterates
+        ]
+        assert rel[-1] <= PRIMAL_TOL < min(rel[:-1])
+
+    def test_state_holds_plane_coordinates_with_the_retraction_sign_invariant(self, monkeypatch):
+        # No state field is (V+E) x (V+E), and the column retraction never
+        # sees a zero column: H + Psi has edge coordinate <= -1 on every
+        # minus column and node coordinate >= 1 on every plus column.
+        d = spectral_decompose(build_incidence(random_graph(10, 18, 1)))
+        S, _ = gen_signals(d, SignalClassSpec("mixture_of_dirac", eta0=8, num_signals=60, seed=5))
+        r, seen = d.rank, []
+        update_p = ddtl_module.update_p
+
+        def checked_update_p(state):
+            assert state.psi.shape == state.p.shape == state.h.shape == (2, 2 * r)
+            w = state.h + state.psi
+            assert np.all(w[1, :r] <= -1.0) and np.all(w[0, r:] >= 1.0)
+            seen.append(state.k.copy())
+            return update_p(state)
+
+        monkeypatch.setattr(ddtl_module, "update_p", checked_update_p)
+        sol = ddtl_fit(S, d, DdtlConfig(eta0=8, max_iter=60))
+        assert len(seen) == sol.report.iterations == 60
+
+    def test_dense_basis_is_built_a_fixed_number_of_times(self, monkeypatch):
+        # The iterations build no (V+E) x (V+E) basis; only the end of the fit does.
+        g, d = small_problem()
+        S = np.random.default_rng(16).normal(size=(d.dim, 20))
+        calls = []
+
+        def counted(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module, name in (
+            (ddtl_module, "unnormalized_basis_matrix"),
+            (ddtl_module, "build_mass_basis"),
+            (transform_module, "unnormalized_basis_matrix"),
+        ):
+            counted(module, name)
+        builds = []
+        for max_iter in (2, 20):
+            calls.clear()
+            sol = ddtl_fit(S, d, DdtlConfig(eta0=4, max_iter=max_iter))
+            assert sol.report.iterations == max_iter
+            builds.append(len(calls))
+        assert builds[0] == builds[1] > 0
+
     def test_single_steps_match_dense_oracle(self):
         g, d = small_problem(num_nodes=6, num_edges=9, seed=4)
         rng = np.random.default_rng(21)
         S = rng.normal(size=(d.dim, 7))
         cfg = DdtlConfig(eta0=4, rho1=2.5, rho2=0.7, max_iter=1)
-        state = manual_state(
-            d,
-            S,
-            cfg,
-            k=rng.uniform(-1, 1, 2 * d.rank),
-            omega=rng.normal(size=(d.dim, 7)),
-            p=rng.normal(size=(d.dim, d.dim)),
-            h=rng.normal(size=(d.dim, d.dim)),
-            x=rng.normal(size=(d.dim, 7)),
-            m=rng.normal(size=(d.dim, 7)),
-        )
-        expected_k = dense_update_k(d, S, cfg, state.k, state.omega, state.p, state.h)
+        k = rng.uniform(-1, 1, 2 * d.rank)
+        omega = rng.normal(size=(d.dim, 7))
+        p = rng.normal(size=(d.dim, d.dim))
+        h = rng.normal(size=(d.dim, d.dim))
+        x = rng.normal(size=(d.dim, 7))
+        m = rng.normal(size=(d.dim, 7))
+        state = manual_state(d, S, cfg, k=k, omega=omega, p=p, h=h, x=x, m=m)
+        # The oracle steps take the dense P and H, off-plane parts included.
+        expected_k = dense_update_k(d, S, cfg, state.k, state.omega, p, h)
         assert_relative(update_k(state, d, cfg), expected_k)
         expected_omega = dense_update_omega(d, S, cfg, state.k, state.x, state.m)
         assert_relative(update_omega(state, d, cfg), expected_omega)
