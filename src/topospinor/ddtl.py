@@ -51,12 +51,7 @@ import numpy as np
 
 from .sparse import column_normalize, row_hard_threshold
 from .topology import SpectralDecomposition
-from .transform import (
-    CouplingVector,
-    MassBasis,
-    build_mass_basis,
-    unnormalized_basis_matrix,
-)
+from .transform import CouplingVector, MassBasis, build_mass_basis
 
 __all__ = [
     "DdtlConfig",
@@ -358,12 +353,18 @@ def ddtl_fit(S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -> DdtlSo
         kept = np.flatnonzero(np.any(x != 0.0, axis=1))
         x = np.zeros_like(omega)
         x[kept] = state.x[kept] @ state.row_basis.T
+    # Psi(k) is the normalized basis with its coupled columns scaled back by sqrt(1 + k^2).
+    basis = build_mass_basis(d, k_star)
+    minus, _, plus = _blocks(d)
+    scale = np.ones(d.dim)
+    scale[minus] = np.sqrt(1.0 + k_star.k_minus**2)
+    scale[plus] = np.sqrt(1.0 + k_star.k_plus**2)
     return DdtlSolution(
         k_star=k_star,
         omega_star=omega,
         x_star=x,
-        s_hat=unnormalized_basis_matrix(d, k_star.k_minus, k_star.k_plus) @ omega,
-        basis=build_mass_basis(d, k_star),
+        s_hat=basis.psi_bar @ (scale[:, None] * omega),
+        basis=basis,
         report=report,
     )
 

@@ -2,9 +2,17 @@
 
 ``omp`` implements joint orthogonal matching pursuit (one support shared by
 all signal columns) by progressive orthogonalization of the selected atoms,
-on the square triangular factor of a batch with more signals than rows, with
-the coefficients solved once at the end.  ``row_hard_threshold`` and
-``column_normalize`` are the Euclidean
+on the square triangular factor of a batch with more signals than rows
+(``square_factor``), with the coefficients solved once at the end.
+
+``row_energy_curve`` is the same pursuit for a square orthonormal
+dictionary, where it reduces to sorting the rows of D^T S by energy
+(Tropp, Gilbert & Strauss, 2006).  Its precision rule: the residual energy
+at a level is the sum of the energies of the unselected rows, added smallest
+first, never ||S||^2 minus the captured energy, so an exact representation
+reports a residual near 1e-30 rather than a cancellation error near 1e-16.
+
+``row_hard_threshold`` and ``column_normalize`` are the Euclidean
 projections onto row-sparse matrices and onto the unit-column (oblique)
 manifold, respectively.
 """
@@ -20,12 +28,15 @@ __all__ = [
     "SparseCode",
     "DegenerateRetractionWarning",
     "omp",
+    "row_energy_curve",
+    "square_factor",
     "nmse",
     "row_hard_threshold",
     "column_normalize",
 ]
 
 _UNIT_NORM_TOL = 1e-6
+_ORTHONORMALITY_TOL = 1e-8
 _RIDGE = 1e-12
 
 
@@ -120,7 +131,7 @@ def omp(dictionary: np.ndarray, signals: np.ndarray, sparsity: int) -> SparseCod
     support: list[int] = []
     rank = 0
     taken = np.zeros(num_atoms, dtype=bool)
-    residual = np.linalg.qr(signals.T, mode="r").T if signals.shape[1] > n else signals.copy()
+    residual = square_factor(signals).copy(order="K")
     corr = dictionary.T @ residual
     history: list[float] = []
     for _ in range(sparsity):
@@ -160,6 +171,80 @@ def omp(dictionary: np.ndarray, signals: np.ndarray, sparsity: int) -> SparseCod
         residual_history=tuple(history),
         ridge_regularized=ridge_used,
     )
+
+
+def square_factor(signals: np.ndarray) -> np.ndarray:
+    """The n x n factor L of S = L Q1^T (Q1^T Q1 = I) when S has more columns than rows, else S.
+
+    L is the transposed R of one reduced QR of S^T, so it is lower
+    triangular.  Anything computed from S by left multiplications and sums
+    over its columns of products of its rows (row energies, Gram matrices,
+    residual norms) is the same computed from L.
+    """
+    return np.linalg.qr(signals.T, mode="r").T if signals.shape[1] > signals.shape[0] else signals
+
+
+def row_energy_curve(
+    dictionary: np.ndarray, signals: np.ndarray, levels
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """Joint sparse coding in a square orthonormal dictionary, by row energies.
+
+    For orthonormal D the joint OMP support after j steps is the j rows of
+    D^T S with the largest energies (summed over the signals), and the
+    residual is the part of S on the other rows.  Exact energy ties go to
+    the lowest atom index, as in ``omp``.
+
+    Precision rule: the residual energy at a level is the sum of the
+    energies of the unselected rows, added smallest first.  It is never
+    ||S||^2 minus the captured energy, which would leave a cancellation
+    error near 1e-16 ||S||^2 where the representation is exact.
+
+    Parameters
+    ----------
+    dictionary : ndarray, shape (n, n)
+        Orthonormal atoms in columns: ``D^T D`` within 1e-8 of the identity.
+    signals : ndarray, shape (n, T) or (n,)
+        Signals to code (a single vector is treated as T = 1).
+    levels : iterable of int
+        Sparsity levels, each in [1, n].
+
+    Returns
+    -------
+    support : tuple of int
+        Atom indices in selection order, up to the largest level.
+    residual : ndarray, shape (len(levels),)
+        Squared Frobenius norm of the residual at each level.
+
+    Raises
+    ------
+    ValueError
+        On a dictionary that is not square and orthonormal, a shape
+        mismatch, or a level outside [1, n].
+    """
+    dictionary = np.asarray(dictionary, dtype=float)
+    signals = np.asarray(signals, dtype=float)
+    if signals.ndim == 1:
+        signals = signals[:, None]
+    if dictionary.ndim != 2 or dictionary.shape[0] != dictionary.shape[1]:
+        raise ValueError(f"dictionary must be square, got shape {dictionary.shape}")
+    n = dictionary.shape[0]
+    if signals.shape[0] != n:
+        raise ValueError(f"dictionary {dictionary.shape} and signals {signals.shape} have incompatible shapes")
+    deviation = float(np.max(np.abs(dictionary.T @ dictionary - np.eye(n)))) if n else 0.0
+    if deviation > _ORTHONORMALITY_TOL:
+        raise ValueError(f"dictionary must be orthonormal (Gram deviation {deviation:.3e})")
+    levels = [int(lv) for lv in levels]
+    bad = [lv for lv in levels if not 1 <= lv <= n]
+    if bad:
+        raise ValueError(f"levels must lie in [1, {n}], got {bad}")
+
+    coeffs = dictionary.T @ signals
+    energies = np.einsum("nt,nt->n", coeffs, coeffs)
+    order = np.argsort(-energies, kind="stable")  # ties resolve to the lowest index
+    # tail[j] is the energy of the rows order[j:], accumulated from the smallest.
+    tail = np.append(np.cumsum(energies[order[::-1]])[::-1], 0.0)
+    support = tuple(int(i) for i in order[: max(levels, default=0)])
+    return support, tail[levels]
 
 
 def nmse(S: np.ndarray, S_hat: np.ndarray) -> float:

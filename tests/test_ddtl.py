@@ -486,19 +486,21 @@ class TestSpectralCoordinates:
         assert len(seen) == sol.report.iterations == 60
 
     def test_dense_basis_is_built_a_fixed_number_of_times(self, monkeypatch):
-        # The iterations build no (V+E) x (V+E) basis; only the end of the fit does.
+        # The iterations build no (V+E) x (V+E) basis; the end of the fit
+        # builds the normalized one once and takes s_hat from it.
         g, d = small_problem()
         S = np.random.default_rng(16).normal(size=(d.dim, 20))
         calls = []
 
         def counted(module, name):
-            inner = getattr(module, name)
+            inner = getattr(transform_module, name)
 
             def wrapper(*args, **kwargs):
                 calls.append(name)
                 return inner(*args, **kwargs)
 
-            monkeypatch.setattr(module, name, wrapper)
+            # raising=False: a direct call from ddtl is counted too.
+            monkeypatch.setattr(module, name, wrapper, raising=False)
 
         for module, name in (
             (ddtl_module, "unnormalized_basis_matrix"),
@@ -506,13 +508,11 @@ class TestSpectralCoordinates:
             (transform_module, "unnormalized_basis_matrix"),
         ):
             counted(module, name)
-        builds = []
         for max_iter in (2, 20):
             calls.clear()
             sol = ddtl_fit(S, d, DdtlConfig(eta0=4, max_iter=max_iter))
             assert sol.report.iterations == max_iter
-            builds.append(len(calls))
-        assert builds[0] == builds[1] > 0
+            assert calls == ["build_mass_basis", "unnormalized_basis_matrix"]
 
     def test_single_steps_match_dense_oracle(self):
         g, d = small_problem(num_nodes=6, num_edges=9, seed=4)

@@ -1,14 +1,20 @@
 import numpy as np
+import pytest
 
+from topospinor.ddtl import DdtlConfig, ddtl_fit
 from topospinor.experiments import (
     DenoiseConfig,
     SweepConfig,
+    _learner_tally,
+    _signal_spec,
     run_denoise,
     run_sparsity_sweep,
     sub_seed,
+    sweep_dictionaries,
 )
 from topospinor.io import load_results
-from topospinor.synth import random_graph
+from topospinor.sparse import omp
+from topospinor.synth import SIGNAL_CLASSES, gen_signals, random_graph
 from topospinor.topology import build_incidence, spectral_decompose
 
 
@@ -67,6 +73,74 @@ class TestSweepPipeline:
         _, ta = load_results(a)
         _, tb = load_results(b)
         assert ta["results"].rows != tb["results"].rows
+
+
+def all_omp_sweep(cfg: SweepConfig):
+    """Oracle: the sweep with the learner and one joint OMP per dictionary, all on S itself.
+
+    Returns the NMSE per (method, sparsity, realization) and the learner tally.
+    """
+    nmse, reports = {}, []
+    for real in range(cfg.realizations):
+        graph = random_graph(cfg.num_nodes, cfg.num_edges, sub_seed(cfg.seed, real, "graph"))
+        d = spectral_decompose(build_incidence(graph))
+        S, _ = gen_signals(d, _signal_spec(cfg, cfg.eta0, sub_seed(cfg.seed, real, "signals")))
+        energy = np.linalg.norm(S) ** 2
+        solution = ddtl_fit(S, d, DdtlConfig(eta0=cfg.eta0, max_iter=cfg.ddtl_max_iter))
+        reports.append(solution.report)
+        for method, dictionary in sweep_dictionaries(d, solution).items():
+            history = omp(dictionary, S, max(cfg.sparsity_grid)).residual_history
+            for level in cfg.sparsity_grid:
+                nmse[method, level, real] = history[level - 1] ** 2 / energy
+    return nmse, _learner_tally(reports)
+
+
+@pytest.mark.parametrize("signal_class", SIGNAL_CLASSES)
+def test_sweep_matches_all_omp_oracle(tmp_path, signal_class):
+    # T = 40 > V + E = 28, so the sweep codes the square factor of the batch.
+    cfg = SweepConfig(out=str(tmp_path / "run"), signal_class=signal_class, num_nodes=10, num_edges=18,
+                      eta0=6, num_signals=40, realizations=2, sparsity_grid=(2, 4, 6, 8, 12, 20, 28),
+                      ddtl_max_iter=20, seed=5)
+    meta, tables = load_results(run_sparsity_sweep(cfg))
+    expected, tally = all_omp_sweep(cfg)
+    assert meta["learner"] == tally
+    got = {(m, int(lv), int(real)): float(v) for m, lv, real, v in tables["results"].rows}
+    assert got.keys() == expected.keys()
+    for key, value in expected.items():
+        if value > 1e-20:
+            assert abs(got[key] - value) <= 1e-10 * value, key
+        else:
+            assert got[key] <= 1e-20, key
+
+
+class TestDominance:
+    @staticmethod
+    def recount(tables, eta0):
+        curves = {}
+        for method, level, real, value in tables["results"].rows:
+            curves.setdefault(int(real), {}).setdefault(method, {})[int(level)] = float(value)
+        bases = sum(
+            all(c["ddtl"][lv] <= min(c["dirac"][lv], c["laplacian"][lv]) + 1e-12 for lv in c["ddtl"])
+            for c in curves.values()
+        )
+        at_eta0 = all(eta0 in c["ddtl"] for c in curves.values())
+        frame = sum(c["ddtl"][eta0] <= c["frame"][eta0] + 1e-12 for c in curves.values()) if at_eta0 else None
+        return {"realizations": len(curves), "ddtl_le_bases_every_level": bases,
+                "ddtl_le_frame_at_eta0": frame}
+
+    @pytest.mark.parametrize(
+        "signal_class, grid", [("partially_coupled", (2, 4, 6, 8, 20)), ("mixture_of_dirac", (2, 5, 8, 20))]
+    )
+    def test_run_json_counts_match_results(self, tmp_path, signal_class, grid):
+        # eta0 = 4 is a level of the first grid only, so the second run's frame count is null.
+        # Level 20 = V + E, where the Dirac and Laplacian NMSE is exactly 0 and the learned
+        # basis's is round-off, needs the slack.  At this seed the first run has one realization
+        # below min(dirac, laplacian) and one only below max(dirac, laplacian).
+        cfg = SweepConfig(out=str(tmp_path / "run"), signal_class=signal_class, num_nodes=8, num_edges=12,
+                          eta0=4, num_signals=30, realizations=2, sparsity_grid=grid, ddtl_max_iter=10, seed=0)
+        meta, tables = load_results(run_sparsity_sweep(cfg))
+        assert meta["dominance"] == self.recount(tables, cfg.eta0)
+        assert (meta["dominance"]["ddtl_le_frame_at_eta0"] is None) == (cfg.eta0 not in grid)
 
 
 class TestLearnerTally:

@@ -13,9 +13,11 @@ from topospinor.sparse import (
     column_normalize,
     nmse,
     omp,
+    row_energy_curve,
     row_hard_threshold,
+    square_factor,
 )
-from topospinor.synth import random_graph
+from topospinor.synth import SIGNAL_CLASSES, SignalClassSpec, gen_signals, random_graph
 from topospinor.topology import (
     build_incidence,
     dirac_eigenbasis,
@@ -287,6 +289,97 @@ def test_exact_tie_selects_lower_index_first(tied, rest, rows, flip):
     S[rows[1]] = -tied if flip else tied
     code = omp(np.eye(6), S, sparsity=2)
     assert code.support == tuple(sorted(rows))
+
+
+def _orthonormal_cases():
+    rng = np.random.default_rng(2026)
+    for trial in range(2):
+        yield f"random-{trial}", _random_orthogonal(rng, 12), rng.normal(size=(12, 5))
+    yield "random-wide", _random_orthogonal(rng, 12), rng.normal(size=(12, 40))
+    d = spectral_decompose(build_incidence(random_graph(8, 14, 3)))
+    phi, _ = dirac_eigenbasis(d)
+    theta, _ = super_laplacian_eigenbasis(d)
+    for i, signal_class in enumerate(SIGNAL_CLASSES):
+        S, _ = gen_signals(d, SignalClassSpec(signal_class, eta0=6, num_signals=30, seed=40 + i))
+        yield f"dirac-{signal_class}", phi, S
+        yield f"laplacian-{signal_class}", theta, S
+
+
+@pytest.mark.parametrize(
+    "dictionary, signals",
+    [pytest.param(D, S, id=name) for name, D, S in _orthonormal_cases()],
+)
+def test_row_energy_curve_matches_omp(dictionary, signals):
+    n = dictionary.shape[0]
+    support, residual = row_energy_curve(dictionary, signals, range(1, n + 1))
+    code = omp(dictionary, signals, n)
+    ambiguous = lstsq_pursuit(dictionary, signals, n)[4]
+    differs = [j for j, (a, b) in enumerate(zip(support, code.support)) if a != b]
+    if differs:
+        assert ambiguous[differs[0]], f"supports part at step {differs[0]} without a tie or round-off residual"
+    energy = np.linalg.norm(signals) ** 2
+    history = np.asarray(code.residual_history)
+    assert_allclose(residual / energy, history**2 / energy, rtol=0, atol=1e-12)
+
+
+def test_row_energy_curve_keeps_exact_residuals_at_round_off():
+    # Summing the unselected energies keeps about 1e-30; ||S||^2 minus the
+    # captured energy would leave a cancellation error near +-1e-16, or 0.
+    d = spectral_decompose(build_incidence(random_graph(40, 80, 11)))
+    phi, _ = dirac_eigenbasis(d)
+    S, _ = gen_signals(d, SignalClassSpec("fully_coupled", eta0=35, num_signals=600, seed=12))
+    energy = np.linalg.norm(S) ** 2
+    for batch in (S, square_factor(S)):
+        _, residual = row_energy_curve(phi, batch, [34, 35])
+        assert residual[0] > 1e-6 * energy
+        assert 0.0 < residual[1] <= 1e-25 * energy
+
+
+class TestRowEnergyCurveRejects:
+    def test_non_orthonormal(self, rng):
+        D = _unit_columns(rng, 6, 6)
+        with pytest.raises(ValueError, match="orthonormal"):
+            row_energy_curve(D, rng.normal(size=(6, 3)), [2])
+
+    def test_orthogonal_but_not_unit(self, rng):
+        D = _random_orthogonal(rng, 6)
+        D[:, 2] *= 1 + 1e-6
+        with pytest.raises(ValueError, match="orthonormal"):
+            row_energy_curve(D, rng.normal(size=(6, 3)), [2])
+
+    def test_non_square(self, rng):
+        D = _random_orthogonal(rng, 6)[:, :5]
+        with pytest.raises(ValueError, match="square"):
+            row_energy_curve(D, rng.normal(size=(6, 3)), [2])
+
+    @pytest.mark.parametrize("level", [0, 7])
+    def test_level_out_of_range(self, rng, level):
+        with pytest.raises(ValueError, match="levels"):
+            row_energy_curve(np.eye(6), rng.normal(size=(6, 3)), [3, level])
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=2, max_value=8),
+    num_signals=st.integers(min_value=1, max_value=4),
+    flip=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_row_energy_curve_never_rises_and_ties_select_the_lower_index(seed, n, num_signals, flip, data):
+    rng = np.random.default_rng(seed)
+    levels = list(range(1, n + 1))
+    support, residual = row_energy_curve(_random_orthogonal(rng, n), rng.normal(size=(n, num_signals)), levels)
+    assert sorted(support) == list(range(n))
+    assert np.all(residual >= 0) and np.all(residual[1:] <= residual[:-1]) and residual[-1] == 0.0
+    # Two rows of equal energy above every other row; D = I makes D^T S exact.
+    rows = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+    S = rng.uniform(-0.5, 0.5, size=(n, num_signals))
+    tied = rng.uniform(1, 10, size=num_signals)
+    S[rows[0]] = -tied if flip else tied
+    S[rows[1]] = tied
+    support, _ = row_energy_curve(np.eye(n), S, [1, 2])
+    assert support == tuple(rows)
 
 
 class TestNmse:
