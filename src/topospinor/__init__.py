@@ -15,7 +15,7 @@ from .ddtl import (
     convergence_report,
     ddtl_fit,
 )
-from .frames import DiracLaplacianFrame, build_frame, frame_analysis, frame_synthesis
+from .frames import DiracLaplacianFrame, build_frame
 from .io import (
     EdgeListParseError,
     ResultTable,
@@ -25,7 +25,6 @@ from .io import (
     load_time_series,
     save_edge_list,
     save_results,
-    save_time_series,
 )
 from .sparse import SparseCode, column_normalize, nmse, omp, row_hard_threshold
 from .synth import GroundTruth, SignalClassSpec, add_awgn, gen_signals, random_graph
@@ -36,10 +35,6 @@ from .topology import (
     build_incidence,
     dirac_eigenbasis,
     dirac_operator,
-    divergence,
-    gradient,
-    graph_laplacian,
-    hodge_laplacian_1,
     spectral_decompose,
     super_laplacian,
     super_laplacian_eigenbasis,

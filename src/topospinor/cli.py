@@ -63,9 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signal-class", choices=SIGNAL_CLASSES)
     p.add_argument("--eta0", type=int, help="support size of the generated batch")
     p.add_argument("--num-signals", type=int)
-    p.add_argument("--coeff-std", type=float)
-    p.add_argument("--coupled-fraction", type=float)
-    p.add_argument("--cauchy-scale", type=float)
     p.add_argument("--noise-std", type=float)
     p.set_defaults(config_cls=SynthConfig, runner=run_synth)
 
@@ -86,9 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num-edges", type=int)
     p.add_argument("--eta0", type=int)
     p.add_argument("--num-signals", type=int)
-    p.add_argument("--coeff-std", type=float)
-    p.add_argument("--coupled-fraction", type=float)
-    p.add_argument("--cauchy-scale", type=float)
     p.add_argument("--realizations", type=int)
     p.add_argument("--sparsity-grid", type=_int_grid, help="comma-separated sparsity levels")
     p.add_argument("--ddtl-max-iter", type=int)
@@ -104,8 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num-signals", type=int)
     p.add_argument("--signal-class", choices=SIGNAL_CLASSES)
     p.add_argument("--gen-eta0", type=int, help="support size of the synthetic surrogate")
-    p.add_argument("--coeff-std", type=float)
-    p.add_argument("--cauchy-scale", type=float)
     p.add_argument("--snr-grid", type=_float_grid, help="comma-separated SNR levels in dB")
     p.add_argument("--bandwidth-grid", type=_int_grid, help="comma-separated bandwidths")
     p.add_argument("--realizations", type=int)

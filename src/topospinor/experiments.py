@@ -150,31 +150,21 @@ class SynthConfig:
     signal_class: str = "fully_coupled"
     eta0: int = 35
     num_signals: int = 600
-    coeff_std: float = 1.0
-    coupled_fraction: float = 0.5
-    cauchy_scale: float | None = None
     noise_std: float = 0.0
     graph_path: str | None = None
     seed: int = 0
 
 
-def _signal_spec(cfg, eta0: int, seed: int) -> SignalClassSpec:
-    return SignalClassSpec(
-        signal_class=cfg.signal_class,
-        eta0=eta0,
-        num_signals=cfg.num_signals,
-        coeff_std=cfg.coeff_std,
-        coupled_fraction=cfg.coupled_fraction,
-        cauchy_scale=cfg.cauchy_scale,
-        seed=seed,
-    )
-
-
 def run_synth(cfg: SynthConfig) -> Path:
-    """Generate one dataset (graph + node/edge series + ground truth) on disk."""
+    """Generate one dataset (graph + node/edge series + ground truth) on disk.
+
+    The generator's constants are fixed: unit-variance coefficients, half of
+    the touched mode pairs coupled in the partially coupled class, and the
+    mixture's Cauchy scale gamma at the median singular value.
+    """
     graph = _load_graph(cfg.graph_path, cfg.num_nodes, cfg.num_edges, sub_seed(cfg.seed, 0, "graph"))
     d = spectral_decompose(build_incidence(graph))
-    spec = _signal_spec(cfg, cfg.eta0, sub_seed(cfg.seed, 0, "signals"))
+    spec = SignalClassSpec(cfg.signal_class, cfg.eta0, cfg.num_signals, sub_seed(cfg.seed, 0, "signals"))
     S, truth = gen_signals(d, spec, noise_std=cfg.noise_std)
 
     out = Path(cfg.out)
@@ -287,9 +277,6 @@ class SweepConfig:
     num_edges: int = 80
     eta0: int = 35
     num_signals: int = 600
-    coeff_std: float = 1.0
-    coupled_fraction: float = 0.5
-    cauchy_scale: float | None = None
     realizations: int = 10
     sparsity_grid: tuple[int, ...] = (5, 10, 15, 20, 25, 30, 35, 40, 45, 50, 55, 60, 65, 70, 75, 80)
     ddtl_max_iter: int = 150
@@ -358,7 +345,7 @@ def run_sparsity_sweep(cfg: SweepConfig) -> Path:
     for real in range(cfg.realizations):
         graph = random_graph(cfg.num_nodes, cfg.num_edges, sub_seed(cfg.seed, real, "graph"))
         d = spectral_decompose(build_incidence(graph))
-        spec = _signal_spec(cfg, cfg.eta0, sub_seed(cfg.seed, real, "signals"))
+        spec = SignalClassSpec(cfg.signal_class, cfg.eta0, cfg.num_signals, sub_seed(cfg.seed, real, "signals"))
         S, _ = gen_signals(d, spec)
         energy = float(np.linalg.norm(S) ** 2)
         factor = square_factor(S)
@@ -408,9 +395,6 @@ class DenoiseConfig:
     num_signals: int = 240
     signal_class: str = "mixture_of_dirac"
     gen_eta0: int = 30
-    coeff_std: float = 1.0
-    coupled_fraction: float = 0.5
-    cauchy_scale: float | None = None
     snr_grid: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0)
     bandwidth_grid: tuple[int, ...] = (10, 30, 50)
     realizations: int = 10
@@ -443,7 +427,8 @@ def run_denoise(cfg: DenoiseConfig) -> Path:
     graph, clean = measured or (random_graph(cfg.num_nodes, cfg.num_edges, sub_seed(cfg.seed, 0, "graph")), None)
     d = spectral_decompose(build_incidence(graph))
     if clean is None:
-        clean, _ = gen_signals(d, _signal_spec(cfg, cfg.gen_eta0, sub_seed(cfg.seed, 0, "signals")))
+        spec = SignalClassSpec(cfg.signal_class, cfg.gen_eta0, cfg.num_signals, sub_seed(cfg.seed, 0, "signals"))
+        clean, _ = gen_signals(d, spec)
     phi, _ = dirac_eigenbasis(d)
     theta, _ = super_laplacian_eigenbasis(d)
 

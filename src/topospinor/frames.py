@@ -1,8 +1,7 @@
 """Overcomplete frame obtained by concatenating the Dirac and Laplacian eigenbases.
 
 Stacking two orthonormal bases side by side gives a tight frame with frame
-bound 2: F F^T = 2 I, so analysis followed by synthesis (which carries the
-1/2 factor) reproduces any input exactly.
+bound 2: F F^T = 2 I, so F (F^T s) / 2 reproduces any input s exactly.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DiracLaplacianFrame", "build_frame", "frame_analysis", "frame_synthesis"]
+__all__ = ["DiracLaplacianFrame", "build_frame"]
 
 _ORTHONORMALITY_TOL = 1e-8
 
@@ -21,15 +20,6 @@ class DiracLaplacianFrame:
     """Tight frame matrix of shape (V+E) x 2(V+E) with frame bound 2."""
 
     matrix: np.ndarray
-    frame_bound: float = 2.0
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def num_atoms(self) -> int:
-        return self.matrix.shape[1]
 
 
 def _orthonormality_defect(basis: np.ndarray) -> float:
@@ -51,21 +41,3 @@ def build_frame(phi: np.ndarray, theta: np.ndarray) -> DiracLaplacianFrame:
         if defect > _ORTHONORMALITY_TOL:
             raise ValueError(f"{name} basis is not orthonormal (max Gram deviation {defect:.3e})")
     return DiracLaplacianFrame(np.hstack([phi, theta]))
-
-
-def frame_analysis(frame: DiracLaplacianFrame, s: np.ndarray) -> np.ndarray:
-    """Coefficients F^T s; accepts a single vector or a (V+E) x T batch."""
-    s = np.asarray(s, dtype=float)
-    if s.shape[0] != frame.dim:
-        raise ValueError(f"signal has leading dimension {s.shape[0]}, expected {frame.dim}")
-    return frame.matrix.T @ s
-
-
-def frame_synthesis(frame: DiracLaplacianFrame, coefficients: np.ndarray) -> np.ndarray:
-    """Reconstruction (1/A) F c with the tight-frame bound A = 2."""
-    coefficients = np.asarray(coefficients, dtype=float)
-    if coefficients.shape[0] != frame.num_atoms:
-        raise ValueError(
-            f"coefficients have leading dimension {coefficients.shape[0]}, expected {frame.num_atoms}"
-        )
-    return (frame.matrix @ coefficients) / frame.frame_bound

@@ -51,7 +51,6 @@ __all__ = [
     "load_edge_list",
     "save_edge_list",
     "load_time_series",
-    "save_time_series",
     "save_results",
     "load_results",
     "format_float",
@@ -217,11 +216,6 @@ def load_time_series(graph: OrientedGraph, node_csv_path, edge_csv_path) -> Time
     node_series, node_labels = read_matrix_csv(node_csv_path, graph.num_nodes, "node series")
     edge_series, edge_labels = read_matrix_csv(edge_csv_path, graph.num_edges, "edge series")
     return TimeSeriesDataset(graph, node_series, edge_series, node_labels, edge_labels)
-
-
-def save_time_series(dataset: TimeSeriesDataset, node_csv_path, edge_csv_path) -> None:
-    write_matrix_csv(node_csv_path, dataset.node_series, dataset.node_labels)
-    write_matrix_csv(edge_csv_path, dataset.edge_series, dataset.edge_labels)
 
 
 def write_matrix_csv(path, matrix: np.ndarray, header: tuple[str, ...] | None = None) -> None:

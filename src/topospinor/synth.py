@@ -4,9 +4,10 @@ Signal batches follow the generative model: pick a shared support of
 non-harmonic basis columns, draw Gaussian coefficients, synthesize through the
 unit-norm coupling basis at a class-specific coupling profile, and optionally
 add white Gaussian noise.  The four classes differ only in the per-mode
-coupling: all-ones (fully coupled), all-zeros (fully decoupled), a coupled /
-decoupled split over the touched mode pairs (partially coupled), or a
-Cauchy-profile decay in frequency (mixture of couplings).
+coupling: all-ones (fully coupled), all-zeros (fully decoupled), half of the
+touched mode pairs (rounded) coupled and the rest decoupled (partially
+coupled), or a Cauchy-profile decay in frequency at scale gamma = the median
+singular value (mixture of couplings).  Coefficients have unit variance.
 """
 
 from __future__ import annotations
@@ -33,19 +34,11 @@ SIGNAL_CLASSES = ("fully_coupled", "fully_decoupled", "partially_coupled", "mixt
 
 @dataclass(frozen=True)
 class SignalClassSpec:
-    """Parameters of one synthetic signal batch.
-
-    ``coupled_fraction`` only matters for the partially coupled class and
-    ``cauchy_scale`` (gamma) only for the mixture class; ``cauchy_scale=None``
-    defaults to the median positive frequency of the graph at generation time.
-    """
+    """Parameters of one synthetic signal batch."""
 
     signal_class: str
     eta0: int
     num_signals: int
-    coeff_std: float = 1.0
-    coupled_fraction: float = 0.5
-    cauchy_scale: float | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -53,12 +46,6 @@ class SignalClassSpec:
             raise ValueError(f"signal_class must be one of {SIGNAL_CLASSES}, got {self.signal_class!r}")
         if self.eta0 < 1 or self.num_signals < 1:
             raise ValueError("eta0 and num_signals must be positive")
-        if self.coeff_std <= 0:
-            raise ValueError("coeff_std must be positive")
-        if not (0.0 <= self.coupled_fraction <= 1.0):
-            raise ValueError("coupled_fraction must lie in [0, 1]")
-        if self.cauchy_scale is not None and self.cauchy_scale <= 0:
-            raise ValueError("cauchy_scale must be positive")
 
 
 @dataclass(frozen=True)
@@ -138,11 +125,11 @@ def _mode_couplings(d: SpectralDecomposition, spec: SignalClassSpec, support: np
     if spec.signal_class == "partially_coupled":
         k = np.zeros(r)
         touched = np.unique(support % r)  # the mode of each supported column
-        n_coupled = int(round(spec.coupled_fraction * touched.size))
+        n_coupled = int(round(0.5 * touched.size))
         coupled = rng.permutation(touched)[:n_coupled]
         k[coupled] = 1.0
         return k
-    gamma = spec.cauchy_scale if spec.cauchy_scale is not None else float(np.median(d.sigma))
+    gamma = float(np.median(d.sigma))
     return 1.0 / (1.0 + (d.sigma / gamma) ** 2)
 
 
@@ -155,9 +142,9 @@ def gen_signals(
 
     One support of size eta0 is drawn uniformly over the 2r non-harmonic
     column indices and shared by all T signals; coefficients are i.i.d.
-    Gaussian with standard deviation ``coeff_std``.  The synthesis basis is
-    the unit-norm coupling basis at the class coupling profile (shared per
-    mode pair, so it is orthonormal).
+    standard Gaussian.  The synthesis basis is the unit-norm coupling basis
+    at the class coupling profile (shared per mode pair, so it is
+    orthonormal).
     """
     if noise_std < 0:
         raise ValueError("noise_std must be nonnegative")
@@ -170,7 +157,7 @@ def gen_signals(
     k_modes = _mode_couplings(d, spec, support, rng)
     basis = build_mass_basis(d, CouplingVector(k_modes, k_modes.copy()))
     full_cols = nonharmonic_column_indices(d)[support]
-    coeffs = rng.normal(0.0, spec.coeff_std, size=(spec.eta0, spec.num_signals))
+    coeffs = rng.normal(size=(spec.eta0, spec.num_signals))
     clean = basis.psi_bar[:, full_cols] @ coeffs
     S = clean if noise_std == 0 else clean + rng.normal(0.0, noise_std, size=clean.shape)
     truth = GroundTruth(

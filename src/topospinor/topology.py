@@ -1,4 +1,4 @@
-"""Oriented graphs, incidence operators, Laplacians and the network Dirac operator.
+"""Oriented graphs, the incidence matrix, the network Dirac operator and its square.
 
 Signals live on nodes (length V), on edges (length E), or jointly as a
 "topological spinor": the stacked vector (node block first, edge block second)
@@ -9,7 +9,7 @@ are small (V + E up to a few thousand).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,10 +18,6 @@ __all__ = [
     "OrientedGraph",
     "SpectralDecomposition",
     "build_incidence",
-    "gradient",
-    "divergence",
-    "graph_laplacian",
-    "hodge_laplacian_1",
     "dirac_operator",
     "super_laplacian",
     "spectral_decompose",
@@ -102,35 +98,6 @@ def build_incidence(g: OrientedGraph) -> np.ndarray:
     return B
 
 
-def _check_len(name: str, x: np.ndarray, n: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != n:
-        raise ValueError(f"{name} has length {x.shape[0]}, expected {n}")
-    return x
-
-
-def gradient(B: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """Edge-wise difference of a node signal: (head value) - (tail value), i.e. B^T x0."""
-    x0 = _check_len("node signal", x0, B.shape[0])
-    return B.T @ x0
-
-
-def divergence(B: np.ndarray, x1: np.ndarray) -> np.ndarray:
-    """Node-wise signed in/out flow balance of an edge signal, i.e. B x1."""
-    x1 = _check_len("edge signal", x1, B.shape[1])
-    return B @ x1
-
-
-def graph_laplacian(B: np.ndarray) -> np.ndarray:
-    """Node Laplacian B B^T (divergence of the gradient)."""
-    return B @ B.T
-
-
-def hodge_laplacian_1(B: np.ndarray) -> np.ndarray:
-    """Edge Laplacian B^T B (gradient of the divergence)."""
-    return B.T @ B
-
-
 def dirac_operator(B: np.ndarray) -> np.ndarray:
     """(V+E) x (V+E) block operator [[0, B], [B^T, 0]] acting on spinors."""
     V, E = B.shape
@@ -138,10 +105,10 @@ def dirac_operator(B: np.ndarray) -> np.ndarray:
 
 
 def super_laplacian(B: np.ndarray) -> np.ndarray:
-    """Block-diagonal (BB^T, B^T B): the square of the Dirac operator."""
+    """Block-diagonal (BB^T, B^T B), node then edge Laplacian: the square of the Dirac operator."""
     V, E = B.shape
-    top = np.hstack([graph_laplacian(B), np.zeros((V, E))])
-    bottom = np.hstack([np.zeros((E, V)), hodge_laplacian_1(B)])
+    top = np.hstack([B @ B.T, np.zeros((V, E))])
+    bottom = np.hstack([np.zeros((E, V)), B.T @ B])
     return np.vstack([top, bottom])
 
 
@@ -150,7 +117,7 @@ class SpectralDecomposition:
     """SVD of the incidence matrix split into non-harmonic and harmonic parts.
 
     ``u`` / ``v`` hold the left/right singular vectors with singular value
-    above ``zero_tol`` (columns ordered by descending sigma); ``u_harmonic``
+    above 1e-8 sigma_max (columns ordered by descending sigma); ``u_harmonic``
     spans ker(B^T) (one vector per connected component) and ``v_harmonic``
     spans ker(B) (the cycle space).
     """
@@ -162,7 +129,6 @@ class SpectralDecomposition:
     sigma: np.ndarray
     u_harmonic: np.ndarray
     v_harmonic: np.ndarray
-    zero_tol: float = field(default=1e-8)
 
     @property
     def rank(self) -> int:
@@ -193,32 +159,27 @@ def _fix_signs(cols: np.ndarray, companion: np.ndarray | None = None) -> None:
                 companion[:, i] *= -1.0
 
 
-def spectral_decompose(B: np.ndarray, zero_tol: float | None = None) -> SpectralDecomposition:
+def spectral_decompose(B: np.ndarray) -> SpectralDecomposition:
     """Split the SVD of B into singular triplets and harmonic null spaces.
 
     Parameters
     ----------
     B : ndarray, shape (V, E)
-        Incidence matrix (any real matrix is accepted).
-    zero_tol : float, optional
-        Threshold below which a singular value counts as zero.  Defaults to
-        1e-8 times the largest singular value.
+        Incidence matrix (any real matrix is accepted).  The rank cutoff is
+        fixed: a singular value counts as zero unless it is above 1e-8 times
+        the largest one.
 
     Raises
     ------
     ValueError
-        If B contains non-finite entries or zero_tol is not positive.
+        If B contains non-finite entries.
     """
     B = np.asarray(B, dtype=float)
     if not np.all(np.isfinite(B)):
         raise ValueError("incidence matrix contains non-finite entries")
     V, E = B.shape
     U, s, Vt = np.linalg.svd(B, full_matrices=True)
-    if zero_tol is None:
-        zero_tol = 1e-8 * (s[0] if s.size else 1.0)
-    if zero_tol <= 0:
-        raise ValueError(f"zero_tol must be positive, got {zero_tol}")
-    r = int(np.sum(s > zero_tol))
+    r = int(np.sum(s > 1e-8 * (s[0] if s.size else 1.0)))
 
     u = U[:, :r].copy()
     vmat = Vt[:r, :].T.copy()
@@ -236,7 +197,6 @@ def spectral_decompose(B: np.ndarray, zero_tol: float | None = None) -> Spectral
         sigma=s[:r].copy(),
         u_harmonic=u_harm,
         v_harmonic=v_harm,
-        zero_tol=float(zero_tol),
     )
 
 

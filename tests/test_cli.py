@@ -30,6 +30,19 @@ REMOVED_LEARNER_CASES = [
     for key in REMOVED_LEARNER_OPTIONS
     for command in ("ddtl-fit", "sparsity-sweep", "denoise")
 ]
+# Signal-generator options deleted from every pipeline that generates data.
+REMOVED_DATA_OPTIONS = {
+    "coeff_std": ("--coeff-std", 2.0),
+    "coupled_fraction": ("--coupled-fraction", 0.25),
+    "cauchy_scale": ("--cauchy-scale", 1.0),
+}
+REMOVED_DATA_CASES = [
+    pytest.param(command, key, id=f"{command}-{key}")
+    for key in REMOVED_DATA_OPTIONS
+    for command in ("synth", "sparsity-sweep", "denoise")
+]
+REMOVED_OPTIONS = {**REMOVED_LEARNER_OPTIONS, **REMOVED_DATA_OPTIONS}
+REMOVED_CASES = REMOVED_LEARNER_CASES + REMOVED_DATA_CASES
 
 
 def write_p3(tmp_path):
@@ -277,26 +290,27 @@ class TestFailureModes:
         err = json.loads(capsys.readouterr().err.strip())
         assert "bogus" in err["message"]
 
-    @pytest.mark.parametrize("command, key", REMOVED_LEARNER_CASES)
+    @pytest.mark.parametrize("command, key", REMOVED_CASES)
     def test_removed_omega_update_mode_key(self, tmp_path, capsys, command, key):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({key: REMOVED_LEARNER_OPTIONS[key][1]}))
+        cfg.write_text(json.dumps({key: REMOVED_OPTIONS[key][1]}))
         code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ValueError"
         assert "unknown config keys" in err["message"] and repr(key) in err["message"]
 
-    @pytest.mark.parametrize("command, key", REMOVED_LEARNER_CASES)
+    @pytest.mark.parametrize("command, key", REMOVED_CASES)
     def test_removed_omega_update_mode_flag(self, tmp_path, command, key):
-        flag, value = REMOVED_LEARNER_OPTIONS[key]
+        flag, value = REMOVED_OPTIONS[key]
         with pytest.raises(SystemExit) as exc:
             main([command, flag, str(value), "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
 
     def test_every_flag_sets_a_config_field(self):
         # Flags are copied onto the config by field name, so a flag without a
-        # field would be accepted and silently ignored.
+        # field would be accepted and silently ignored; a field without a flag
+        # is a setting that only a config file can reach.
         parser = build_parser()
         (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         assert set(commands.choices) == {"spectra", "synth", "ddtl-fit", "sparsity-sweep", "denoise"}
@@ -304,3 +318,4 @@ class TestFailureModes:
             fields = {f.name for f in dataclasses.fields(sub.get_default("config_cls"))}
             dests = {action.dest for action in sub._actions} - {"help", "config"}
             assert dests <= fields, f"{name}: flags without a config field: {sorted(dests - fields)}"
+            assert fields <= dests, f"{name}: config fields without a flag: {sorted(fields - dests)}"

@@ -6,7 +6,6 @@ from topospinor.experiments import (
     DenoiseConfig,
     SweepConfig,
     _learner_tally,
-    _signal_spec,
     run_denoise,
     run_sparsity_sweep,
     sub_seed,
@@ -14,7 +13,7 @@ from topospinor.experiments import (
 )
 from topospinor.io import load_results
 from topospinor.sparse import omp
-from topospinor.synth import SIGNAL_CLASSES, gen_signals, random_graph
+from topospinor.synth import SIGNAL_CLASSES, SignalClassSpec, gen_signals, random_graph
 from topospinor.topology import build_incidence, spectral_decompose
 
 
@@ -84,7 +83,8 @@ def all_omp_sweep(cfg: SweepConfig):
     for real in range(cfg.realizations):
         graph = random_graph(cfg.num_nodes, cfg.num_edges, sub_seed(cfg.seed, real, "graph"))
         d = spectral_decompose(build_incidence(graph))
-        S, _ = gen_signals(d, _signal_spec(cfg, cfg.eta0, sub_seed(cfg.seed, real, "signals")))
+        spec = SignalClassSpec(cfg.signal_class, cfg.eta0, cfg.num_signals, sub_seed(cfg.seed, real, "signals"))
+        S, _ = gen_signals(d, spec)
         energy = np.linalg.norm(S) ** 2
         solution = ddtl_fit(S, d, DdtlConfig(eta0=cfg.eta0, max_iter=cfg.ddtl_max_iter))
         reports.append(solution.report)

@@ -20,7 +20,6 @@ from topospinor.io import (
     read_matrix_csv,
     save_edge_list,
     save_results,
-    save_time_series,
     write_matrix_csv,
 )
 from topospinor.synth import random_graph
@@ -85,7 +84,8 @@ class TestTimeSeries:
         labels_n = tuple(f"n{i}" for i in range(graph.num_nodes)) if header else None
         labels_e = tuple(f"e{i}" for i in range(graph.num_edges)) if header else None
         ds = TimeSeriesDataset(graph, node, edge, labels_n, labels_e)
-        save_time_series(ds, tmp_path / "node.csv", tmp_path / "edge.csv")
+        write_matrix_csv(tmp_path / "node.csv", node, labels_n)
+        write_matrix_csv(tmp_path / "edge.csv", edge, labels_e)
         return ds
 
     def test_load_wdn_shape(self, tmp_path):
@@ -155,7 +155,8 @@ class TestTimeSeries:
     def test_right_width_header_round_trips(self, tmp_path):
         g = OrientedGraph(3, ((0, 1), (1, 2)))
         ds = TimeSeriesDataset(g, np.arange(6.0).reshape(2, 3), np.ones((2, 2)), ("a", "b", "c"), ("e0", "e1"))
-        save_time_series(ds, tmp_path / "node.csv", tmp_path / "edge.csv")
+        write_matrix_csv(tmp_path / "node.csv", ds.node_series, ds.node_labels)
+        write_matrix_csv(tmp_path / "edge.csv", ds.edge_series, ds.edge_labels)
         loaded = load_time_series(g, tmp_path / "node.csv", tmp_path / "edge.csv")
         assert loaded.node_labels == ("a", "b", "c") and loaded.edge_labels == ("e0", "e1")
         assert np.array_equal(loaded.node_series, ds.node_series)

@@ -82,7 +82,7 @@ class TestGenSignals:
         assert_allclose(truth.k_modes, 0.0)
 
     def test_partially_coupled_partition(self):
-        d, S, truth = small_batch_setup("partially_coupled", coupled_fraction=0.5)
+        d, S, truth = small_batch_setup("partially_coupled")
         assert set(np.unique(truth.k_modes)) <= {0.0, 1.0}
         touched = np.unique(truth.support % d.rank)
         coupled = int(truth.k_modes[touched].sum())
@@ -95,9 +95,9 @@ class TestGenSignals:
         assert np.all(np.diff(truth.k_modes) >= -1e-15)
         assert np.all((truth.k_modes > 0) & (truth.k_modes <= 1))
 
-    def test_mixture_large_scale_approaches_fully_coupled(self):
-        d, S, truth = small_batch_setup("mixture_of_dirac", cauchy_scale=1e9)
-        assert np.max(np.abs(truth.k_modes - 1.0)) < 1e-12
+    def test_mixture_scale_is_median_sigma(self):
+        d, S, truth = small_batch_setup("mixture_of_dirac")
+        assert_allclose(truth.k_modes, 1.0 / (1.0 + (d.sigma / np.median(d.sigma)) ** 2), rtol=1e-15)
 
     def test_coupled_expansion_occupies_double_bandwidth(self):
         # Each coupled atom splits into one node mode and one edge mode, so a
@@ -115,6 +115,11 @@ class TestGenSignals:
         basis = build_mass_basis(d, CouplingVector(truth.k_modes, truth.k_modes.copy()))
         code = omp(basis.psi_bar, S, sparsity=truth.support.size)
         assert nmse(S, code.reconstruct(basis.psi_bar)) < 1e-10
+
+    def test_coefficients_have_unit_variance(self):
+        _, _, truth = small_batch_setup("fully_coupled", num_signals=2000)
+        assert abs(truth.coefficients.std() - 1.0) < 0.05
+        assert abs(truth.coefficients.mean()) < 0.05
 
     def test_reproducible(self):
         _, s1, t1 = small_batch_setup("mixture_of_dirac", seed=7)

@@ -9,11 +9,7 @@ from topospinor.topology import (
     build_incidence,
     dirac_eigenbasis,
     dirac_operator,
-    divergence,
-    gradient,
-    graph_laplacian,
     harmonic_columns,
-    hodge_laplacian_1,
     spectral_decompose,
     super_laplacian,
     super_laplacian_eigenbasis,
@@ -84,54 +80,57 @@ class TestIncidence:
 
 class TestGradientDivergence:
     def test_gradient_path(self, p3):
-        assert_allclose(gradient(build_incidence(p3), [1.0, 2.0, 3.0]), [1.0, 1.0])
+        assert_allclose(build_incidence(p3).T @ [1.0, 2.0, 3.0], [1.0, 1.0])
 
     def test_gradient_triangle(self, triangle):
-        assert_allclose(gradient(build_incidence(triangle), [1.0, 0.0, 0.0]), [-1.0, 0.0, 1.0])
+        assert_allclose(build_incidence(triangle).T @ [1.0, 0.0, 0.0], [-1.0, 0.0, 1.0])
 
     @given(connected_graphs())
     def test_gradient_of_constant_is_zero(self, g):
         B = build_incidence(g)
-        assert_allclose(gradient(B, np.full(g.num_nodes, 3.7)), 0.0, atol=1e-12)
+        assert_allclose(B.T @ np.full(g.num_nodes, 3.7), 0.0, atol=1e-12)
 
     def test_divergence_path(self, p3):
-        assert_allclose(divergence(build_incidence(p3), [1.0, 1.0]), [-1.0, 0.0, 1.0])
+        assert_allclose(build_incidence(p3) @ [1.0, 1.0], [-1.0, 0.0, 1.0])
 
     def test_divergence_cycle_flow(self, triangle):
-        assert_allclose(divergence(build_incidence(triangle), [1.0, 1.0, 1.0]), [0.0, 0.0, 0.0])
+        assert_allclose(build_incidence(triangle) @ [1.0, 1.0, 1.0], [0.0, 0.0, 0.0])
 
     def test_divergence_single_edge(self):
         B = build_incidence(OrientedGraph(2, ((0, 1),)))
-        assert_allclose(divergence(B, [1.0]), [-1.0, 1.0])
+        assert_allclose(B @ [1.0], [-1.0, 1.0])
 
     def test_dimension_mismatch(self, p3):
         B = build_incidence(p3)
         with pytest.raises(ValueError):
-            gradient(B, [1.0, 2.0])
+            B.T @ np.array([1.0, 2.0])
         with pytest.raises(ValueError):
-            divergence(B, [1.0, 2.0, 3.0])
+            B @ np.array([1.0, 2.0, 3.0])
 
 
 class TestLaplacians:
     def test_path_graph_laplacian(self, p3):
-        L0 = graph_laplacian(build_incidence(p3))
+        B = build_incidence(p3)
+        L0 = B @ B.T
         assert_allclose(L0, [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
 
     def test_path_laplacian_eigenvalues(self, p3):
         # Oracle: dense eigensolve of the explicit 3x3 matrix.
-        evals = np.linalg.eigvalsh(graph_laplacian(build_incidence(p3)))
+        B = build_incidence(p3)
+        evals = np.linalg.eigvalsh(B @ B.T)
         assert_allclose(np.sort(evals), [0.0, 1.0, 3.0], atol=1e-12)
 
     def test_triangle_edge_laplacian_eigenvalues(self, triangle):
-        L1 = hodge_laplacian_1(build_incidence(triangle))
+        B = build_incidence(triangle)
+        L1 = B.T @ B
         assert_allclose(np.diag(L1), 2.0)
         assert_allclose(np.sort(np.linalg.eigvalsh(L1)), [0.0, 3.0, 3.0], atol=1e-12)
 
     @given(connected_graphs())
     def test_laplacians_are_psd(self, g):
         B = build_incidence(g)
-        assert np.min(np.linalg.eigvalsh(graph_laplacian(B))) > -1e-10
-        assert np.min(np.linalg.eigvalsh(hodge_laplacian_1(B))) > -1e-10
+        assert np.min(np.linalg.eigvalsh(B @ B.T)) > -1e-10
+        assert np.min(np.linalg.eigvalsh(B.T @ B)) > -1e-10
 
 
 class TestSpectralDecompose:
@@ -173,7 +172,7 @@ class TestSpectralDecompose:
             assert np.max(np.abs(B.T @ d.u_harmonic)) < 1e-10
         if d.xi1:
             assert np.max(np.abs(B @ d.v_harmonic)) < 1e-10
-        assert np.all(d.sigma > d.zero_tol)
+        assert np.all(d.sigma > 1e-8 * np.linalg.norm(B, 2))
 
     def test_sign_convention_is_deterministic(self, p3):
         B = build_incidence(p3)
@@ -186,6 +185,13 @@ class TestSpectralDecompose:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             spectral_decompose(np.array([[np.nan, 1.0]]))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6, 1e-6])
+    def test_rank_cutoff_is_1e8_below_the_largest_singular_value(self, scale):
+        # Any real matrix is accepted: singular values 1, 2e-8 and 5e-9 (times
+        # the scale) straddle the fixed cutoff 1e-8 sigma_max.
+        d = spectral_decompose(scale * np.diag([1.0, 2e-8, 5e-9]))
+        assert d.rank == 2 and d.xi0 == d.xi1 == 1
 
 
 class TestHarmonicColumns:
