@@ -39,12 +39,29 @@ T-wide iterate is the compressed one times Q1^T.  The fit maps the codes
 back once at the end.  After that one O((V+E)^2 T) QR, the signal-side work
 of an iteration costs O((V+E) min(V+E, T)) rather than O((V+E) T).
 
+An iteration reads and writes the n x T' iterates (n = V+E, T' = min(n, T))
+through their row blocks [minus | harmonic | plus], never stacking them
+anew.  What is left per iteration over those arrays: the k-step's four
+row-wise sums over the coupled rows; the code step's right-hand side
+Psi(k)^T z + rho2 (X - M) and its per-mode 2x2 solve, written back into that
+right-hand side; the hard threshold's input Omega + M, its row norms and its
+copy of the kept rows; the dual step's M + (Omega - X); the residual
+Omega - X of the code gap; the objective's residual; and one sum of squares
+each for the code gap, ||X||, ||M|| and the objective.  Everything else is
+on the (2, 2r) plane arrays or on length-r vectors.  Finiteness costs one
+scalar test: the sum of ||Psi - P||^2, ||Omega - X||^2 and ||X||^2, which
+the gaps need anyway, and ||k||^2, ||H||^2 and ||M||^2 is finite when every
+iterate is.  Only when it is not are the six iterates scanned one by one, to
+name the first non-finite one; a finite iterate whose squared norm
+overflows does not raise.
+
 Every fit starts from the Dirac coupling k = 1 (clipped to the box) and stops
 once both relative primal gaps fall below ``PRIMAL_TOL``, or at ``max_iter``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,20 +185,19 @@ class DdtlSolution:
     report: ConvergenceReport
 
 
-def _blocks(d: SpectralDecomposition) -> tuple[slice, slice, slice]:
-    """Row (and basis-column) slices of the minus, harmonic and plus blocks."""
-    n, r = d.dim, d.rank
-    return slice(0, r), slice(r, n - r), slice(n - r, n)
-
-
-def _split_k(d: SpectralDecomposition, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return k[: d.rank, None], k[d.rank :, None]
+def _sumsq(a: np.ndarray) -> float:
+    """||a||_F^2 as one dot product of the ravelled array (the square of np.linalg.norm)."""
+    v = a.ravel()
+    return float(v.dot(v))
 
 
 def _build_psi(d: SpectralDecomposition, k: np.ndarray) -> np.ndarray:
     """Plane coordinates of the coupled columns of Psi(k): minus (k-, -1), plus (1, k+)."""
-    ones = np.ones(d.rank)
-    return np.vstack([np.concatenate([k[: d.rank], ones]), np.concatenate([-ones, k[d.rank :]])])
+    r = d.rank
+    psi = np.ones((2, 2 * r))
+    psi[1, :r] = -1.0
+    psi[0, :r], psi[1, r:] = k[:r], k[r:]
+    return psi
 
 
 def _project(S: np.ndarray, d: SpectralDecomposition) -> np.ndarray:
@@ -191,19 +207,26 @@ def _project(S: np.ndarray, d: SpectralDecomposition) -> np.ndarray:
 
 
 def _analysis(z: np.ndarray, k: np.ndarray, d: SpectralDecomposition) -> np.ndarray:
-    """Psi(k)^T S, from the projected data z."""
-    minus, harm, plus = _blocks(d)
-    km, kp = _split_k(d, k)
-    return np.vstack([km * z[minus] - z[plus], z[harm], z[minus] + kp * z[plus]])
+    """Psi(k)^T S, from the projected data z: rows k- z_minus - z_plus, z_harm, z_minus + k+ z_plus."""
+    n, r = z.shape[0], d.rank
+    out = z.copy()
+    out[:r] *= k[:r, None]
+    out[:r] -= z[n - r :]
+    out[n - r :] *= k[r:, None]
+    out[n - r :] += z[:r]
+    return out
 
 
 def _objective(state: DdtlState, d: SpectralDecomposition) -> float:
     """||S - Psi(k) Omega||_F^2, evaluated as ||z - Q^T Psi(k) Omega||_F^2."""
-    minus, harm, plus = _blocks(d)
-    km, kp = _split_k(d, state.k)
-    om, op = state.omega[minus], state.omega[plus]
-    model = np.vstack([km * om + op, state.omega[harm], kp * op - om])
-    return float(np.linalg.norm(state.z - model) ** 2)
+    omega, k = state.omega, state.k
+    n, r = omega.shape[0], d.rank
+    om, op = omega[:r], omega[n - r :]
+    res = state.z.copy()
+    res[:r] -= k[:r, None] * om + op
+    res[r : n - r] -= omega[r : n - r]
+    res[n - r :] -= k[r:, None] * op - om
+    return _sumsq(res)
 
 
 def initialize_state(S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -> DdtlState:
@@ -244,39 +267,43 @@ def update_k(state: DdtlState, d: SpectralDecomposition, cfg: DdtlConfig) -> np.
     coordinate of P - H along that direction: row 0 of the minus columns,
     row 1 of the plus columns.
     """
-    r = d.rank
-    minus, _, plus = _blocks(d)
-    ph = state.p - state.h
-    c_minus, c_plus = ph[0, :r], ph[1, r:]
-    om, op = state.omega[minus], state.omega[plus]
-    g_minus = np.einsum("it,it->i", state.z[minus] - op, om)
-    g_plus = np.einsum("it,it->i", state.z[plus] + om, op)
-    w2 = np.einsum("it,it->i", state.omega, state.omega)
+    z, omega = state.z, state.omega
+    n, r = z.shape[0], d.rank
+    om, op = omega[:r], omega[n - r :]
     half_rho1 = 0.5 * cfg.rho1
-    g = np.concatenate([g_minus, g_plus]) + half_rho1 * np.concatenate([c_minus, c_plus])
-    return np.clip(g / (np.concatenate([w2[minus], w2[plus]]) + half_rho1), -cfg.c2, cfg.c1)
+    g, w2 = np.empty(2 * r), np.empty(2 * r)
+    np.einsum("it,it->i", z[:r] - op, om, out=g[:r])
+    np.einsum("it,it->i", z[n - r :] + om, op, out=g[r:])
+    np.einsum("it,it->i", om, om, out=w2[:r])
+    np.einsum("it,it->i", op, op, out=w2[r:])
+    penalty = half_rho1 * (state.p - state.h)
+    g[:r] += penalty[0, :r]
+    g[r:] += penalty[1, r:]
+    w2 += half_rho1
+    return np.clip(g / w2, -cfg.c2, cfg.c1)
 
 
 def update_omega(state: DdtlState, d: SpectralDecomposition, cfg: DdtlConfig) -> np.ndarray:
     """Solve the ridge-regularized code subproblem at the current basis.
 
     The Gram of Psi(k) is block-diagonal with one 2x2 block per branch pair
-    and ones on harmonic rows, so the solve is exact per mode.
+    and ones on harmonic rows, so the solve is exact per mode.  The right-hand
+    side Psi(k)^T S + rho2 (X - M) is formed in one buffer and solved into it.
     """
-    rho2 = cfg.rho2
-    minus, harm, plus = _blocks(d)
-    rhs = _analysis(state.z, state.k, d) + rho2 * (state.x - state.m)
-    km, kp = _split_k(d, state.k)
-
-    omega = np.empty_like(rhs)
-    omega[harm] = rhs[harm] / (1.0 + rho2)
-    a = 1.0 + km**2 + rho2
-    c = 1.0 + kp**2 + rho2
-    b = km - kp
-    det = a * c - b**2  # positive for rho2 > 0 since (1 + km kp)^2 >= 0
-    rhs_m, rhs_p = rhs[minus], rhs[plus]
-    omega[minus] = (c * rhs_m - b * rhs_p) / det
-    omega[plus] = (a * rhs_p - b * rhs_m) / det
+    rho2, k = cfg.rho2, state.k
+    n, r = state.z.shape[0], d.rank
+    omega = _analysis(state.z, k, d)
+    ridge = state.x - state.m
+    ridge *= rho2
+    omega += ridge
+    omega[r : n - r] /= 1.0 + rho2
+    # Per-mode 2x2 blocks [[a, b], [b, c]] on length-r vectors: a, c = 1 + k^2 + rho2, b = k- - k+.
+    diag = 1.0 + k * k + rho2
+    a, c = diag[:r, None], diag[r:, None]
+    b = k[:r, None] - k[r:, None]
+    det = a * c - b * b  # positive for rho2 > 0 since (1 + km kp)^2 >= 0
+    rhs_m, rhs_p = omega[:r], omega[n - r :]
+    omega[:r], omega[n - r :] = (c * rhs_m - b * rhs_p) / det, (a * rhs_p - b * rhs_m) / det
     return omega
 
 
@@ -323,7 +350,7 @@ def ddtl_fit(S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -> DdtlSo
 
     state = initialize_state(S, d, cfg)
     initial_objective = _objective(state, d)
-    p_norm = np.sqrt(d.dim)  # ||P||_F: n unit columns, the harmonic ones included
+    p_norm = math.sqrt(d.dim)  # ||P||_F: n unit columns, the harmonic ones included
 
     stop_reason = "max_iter"
     for it in range(1, cfg.max_iter + 1):
@@ -333,11 +360,14 @@ def ddtl_fit(S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -> DdtlSo
         state.p = update_p(state)
         state.x = update_x(state, cfg)
         state.h, state.m = update_duals(state)
-        _check_finite(it, k=state.k, omega=state.omega, p=state.p, x=state.x, h=state.h, m=state.m)
 
-        basis_gap = float(np.linalg.norm(state.psi - state.p))
-        code_gap = float(np.linalg.norm(state.omega - state.x))
-        x_norm = float(np.linalg.norm(state.x))
+        basis_sq = _sumsq(state.psi - state.p)
+        code_sq = _sumsq(state.omega - state.x)
+        x_sq = _sumsq(state.x)
+        if not math.isfinite(basis_sq + code_sq + x_sq + _sumsq(state.k) + _sumsq(state.h) + _sumsq(state.m)):
+            _check_finite(it, k=state.k, omega=state.omega, p=state.p, x=state.x, h=state.h, m=state.m)
+
+        basis_gap, code_gap, x_norm = math.sqrt(basis_sq), math.sqrt(code_sq), math.sqrt(x_sq)
         rel_basis = basis_gap / p_norm
         rel_code = code_gap / x_norm if x_norm > 0 else code_gap
         state.history.append(IterationStats(it, _objective(state, d), basis_gap, code_gap))
@@ -355,15 +385,14 @@ def ddtl_fit(S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -> DdtlSo
         x[kept] = state.x[kept] @ state.row_basis.T
     # Psi(k) is the normalized basis with its coupled columns scaled back by sqrt(1 + k^2).
     basis = build_mass_basis(d, k_star)
-    minus, _, plus = _blocks(d)
-    scale = np.ones(d.dim)
-    scale[minus] = np.sqrt(1.0 + k_star.k_minus**2)
-    scale[plus] = np.sqrt(1.0 + k_star.k_plus**2)
+    scale, r = np.ones(d.dim), d.rank
+    scale[:r] = np.sqrt(1.0 + k_star.k_minus**2)
+    scale[d.dim - r :] = np.sqrt(1.0 + k_star.k_plus**2)
     return DdtlSolution(
         k_star=k_star,
         omega_star=omega,
         x_star=x,
-        s_hat=basis.psi_bar @ (scale[:, None] * omega),
+        s_hat=(basis.psi_bar * scale) @ omega,
         basis=basis,
         report=report,
     )

@@ -408,9 +408,10 @@ class DenoiseConfig:
             raise ValueError("realizations must be positive")
 
 
-def _truncation_reconstruction(basis: np.ndarray, noisy: np.ndarray, bandwidth: int) -> np.ndarray:
+def _truncation_nmse(clean: np.ndarray, noisy: np.ndarray, basis: np.ndarray, bandwidths) -> dict:
+    """NMSE of hard spectral truncation per bandwidth: the coefficients once, thresholded per bandwidth."""
     coeffs = basis.T @ noisy
-    return basis @ row_hard_threshold(coeffs, bandwidth)
+    return {bw: nmse(clean, basis @ row_hard_threshold(coeffs, int(bw))) for bw in bandwidths}
 
 
 def run_denoise(cfg: DenoiseConfig) -> Path:
@@ -438,28 +439,16 @@ def run_denoise(cfg: DenoiseConfig) -> Path:
         for snr in cfg.snr_grid:
             noisy = add_awgn(clean, snr, sub_seed(cfg.seed, real, f"awgn@{snr:g}"))
             rows.append(("noisy_input", float(snr), None, real, nmse(clean, noisy)))
+            truncation = {
+                method: _truncation_nmse(clean, noisy, basis, cfg.bandwidth_grid)
+                for method, basis in (("dirac_truncation", phi), ("laplacian_truncation", theta))
+            }
             for bandwidth in cfg.bandwidth_grid:
                 solution = ddtl_fit(noisy, d, DdtlConfig(eta0=int(bandwidth), max_iter=cfg.ddtl_max_iter))
                 reports.append(solution.report)
                 rows.append(("ddtl", float(snr), int(bandwidth), real, nmse(clean, solution.s_hat)))
-                rows.append(
-                    (
-                        "dirac_truncation",
-                        float(snr),
-                        int(bandwidth),
-                        real,
-                        nmse(clean, _truncation_reconstruction(phi, noisy, int(bandwidth))),
-                    )
-                )
-                rows.append(
-                    (
-                        "laplacian_truncation",
-                        float(snr),
-                        int(bandwidth),
-                        real,
-                        nmse(clean, _truncation_reconstruction(theta, noisy, int(bandwidth))),
-                    )
-                )
+                for method, curve in truncation.items():
+                    rows.append((method, float(snr), int(bandwidth), real, curve[bandwidth]))
 
     table = tsio.ResultTable(
         name="results",

@@ -269,7 +269,7 @@ def row_hard_threshold(M: np.ndarray, eta0: int) -> np.ndarray:
     num_rows = M.shape[0]
     if not (0 < eta0 <= num_rows):
         raise ValueError(f"eta0 must lie in [1, {num_rows}], got {eta0}")
-    norms = np.linalg.norm(M, axis=1)
+    norms = np.sqrt(np.add.reduce(M * M, axis=1))  # np.linalg.norm(M, axis=1), without its overhead
     keep = np.argsort(-norms, kind="stable")[:eta0]
     if np.count_nonzero(norms) < eta0:
         warnings.warn(
@@ -278,7 +278,7 @@ def row_hard_threshold(M: np.ndarray, eta0: int) -> np.ndarray:
             DegenerateRetractionWarning,
             stacklevel=2,
         )
-    out = np.zeros_like(M)
+    out = np.zeros(M.shape)
     out[keep] = M[keep]
     return out
 
@@ -290,16 +290,16 @@ def column_normalize(P: np.ndarray) -> np.ndarray:
     canonical basis vector e_j and a DegenerateRetractionWarning is issued.
     """
     P = np.asarray(P, dtype=float)
-    norms = np.linalg.norm(P, axis=0)
+    norms = np.sqrt(np.add.reduce(P * P, axis=0))  # np.linalg.norm(P, axis=0), without its overhead
+    if norms.all():
+        return P / norms
     zero_cols = np.flatnonzero(norms == 0.0)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    out = P / safe
-    if zero_cols.size:
-        warnings.warn(
-            f"zero columns at indices {zero_cols.tolist()} replaced by canonical basis vectors",
-            DegenerateRetractionWarning,
-            stacklevel=2,
-        )
-        for j in zero_cols:
-            out[j % P.shape[0], j] = 1.0
+    out = P / np.where(norms == 0.0, 1.0, norms)
+    warnings.warn(
+        f"zero columns at indices {zero_cols.tolist()} replaced by canonical basis vectors",
+        DegenerateRetractionWarning,
+        stacklevel=2,
+    )
+    for j in zero_cols:
+        out[j % P.shape[0], j] = 1.0
     return out

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -17,7 +19,7 @@ from topospinor.ddtl import (
     update_p,
     update_x,
 )
-from topospinor.sparse import column_normalize, nmse, row_hard_threshold
+from topospinor.sparse import DegenerateRetractionWarning, column_normalize, nmse, row_hard_threshold
 from topospinor.synth import SignalClassSpec, gen_signals, random_graph
 from topospinor.topology import OrientedGraph, build_incidence, spectral_decompose
 from topospinor.transform import nonharmonic_column_indices, unnormalized_basis_matrix
@@ -381,6 +383,97 @@ class TestDdtlFit:
         err = NumericalDivergenceError(17, "omega")
         assert err.iteration == 17 and err.variable == "omega"
         assert "iteration 17" in str(err) and "omega" in str(err)
+
+
+def _poison_after_duals(monkeypatch, at, poison):
+    """Make ``ddtl_fit``'s dual step write ``poison[name]`` into entry 0 of each named iterate at iteration ``at``."""
+    inner = ddtl_module.update_duals
+
+    def poisoned(state):
+        h, m = inner(state)
+        if len(state.history) + 1 == at:
+            iterates = {"k": state.k, "omega": state.omega, "p": state.p, "x": state.x, "h": h, "m": m}
+            for name, value in poison.items():
+                iterates[name].flat[0] = value
+        return h, m
+
+    monkeypatch.setattr(ddtl_module, "update_duals", poisoned)
+
+
+class TestDivergence:
+    VARIABLES = ("k", "omega", "p", "x", "h", "m")
+
+    @staticmethod
+    def _fit(max_iter=8):
+        g, d = small_problem()
+        S = np.random.default_rng(17).normal(size=(d.dim, 3 * d.dim))
+        return ddtl_fit(S, d, DdtlConfig(eta0=4, max_iter=max_iter))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("variable", VARIABLES)
+    def test_non_finite_iterate_names_iteration_and_variable(self, monkeypatch, variable, value):
+        _poison_after_duals(monkeypatch, 3, {variable: value})
+        with pytest.raises(NumericalDivergenceError) as info:
+            self._fit()
+        assert (info.value.iteration, info.value.variable) == (3, variable)
+
+    @pytest.mark.parametrize("first, later", list(itertools.combinations(VARIABLES, 2)))
+    def test_first_non_finite_variable_in_step_order_is_named(self, monkeypatch, first, later):
+        _poison_after_duals(monkeypatch, 2, {later: np.inf, first: np.nan})
+        with pytest.raises(NumericalDivergenceError) as info:
+            self._fit()
+        assert (info.value.iteration, info.value.variable) == (2, first)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_finite_iterate_whose_squared_norm_overflows_does_not_raise(self, monkeypatch):
+        # ||m||^2 overflows to inf on the last iteration, but every entry is finite.
+        _poison_after_duals(monkeypatch, 8, {"m": 1e200})
+        sol = self._fit(max_iter=8)
+        assert sol.report.stop_reason == "max_iter" and sol.report.iterations == 8
+        assert np.all(np.isfinite(sol.omega_star)) and np.all(np.isfinite(sol.k_star.stacked()))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_huge_batch_diverges_at_the_first_k_step(self):
+        # Products of 1e160-sized codes overflow in the k-step's sums.
+        g, d = small_problem()
+        S = 1e160 * np.random.default_rng(18).normal(size=(d.dim, 3 * d.dim))
+        with pytest.raises(NumericalDivergenceError) as info:
+            ddtl_fit(S, d, DdtlConfig(eta0=4, max_iter=8))
+        assert (info.value.iteration, info.value.variable) == (1, "k")
+
+
+class TestEdgeInputs:
+    """Degenerate batches and eta0 at the ends of its range, at V=12, E=24, T=50."""
+
+    @staticmethod
+    def _problem():
+        d = spectral_decompose(build_incidence(random_graph(12, 24, 0)))
+        return d, np.random.default_rng(0).normal(size=(d.dim, 50))
+
+    def test_zero_batch_stops_on_tolerance_with_zero_objective(self):
+        d, S = self._problem()
+        with pytest.warns(DegenerateRetractionWarning) as record:
+            sol = ddtl_fit(np.zeros_like(S), d, DdtlConfig(eta0=8, max_iter=60))
+        # One warning per retraction onto the row-sparse set: the start and each iteration.
+        assert len(record) == 1 + sol.report.iterations
+        assert sol.report.stop_reason == "tolerance" and sol.report.iterations == 22
+        assert sol.report.initial_objective == sol.report.final_objective == 0.0
+        assert not np.any(sol.omega_star) and not np.any(sol.s_hat)
+
+    def test_eta0_one_runs_to_max_iter_with_one_kept_row(self):
+        d, S = self._problem()
+        sol = ddtl_fit(S, d, DdtlConfig(eta0=1, max_iter=60))
+        assert sol.report.stop_reason == "max_iter" and sol.report.iterations == 60
+        assert np.count_nonzero(np.any(sol.x_star != 0.0, axis=1)) == 1
+        assert np.all(np.isfinite(sol.report.objective_curve))
+
+    def test_eta0_full_runs_to_max_iter_with_an_inactive_code_split(self):
+        # Keeping every row makes X = Omega + M with M = 0 throughout, so the code gap is exactly 0.
+        d, S = self._problem()
+        sol = ddtl_fit(S, d, DdtlConfig(eta0=d.dim, max_iter=60))
+        assert sol.report.stop_reason == "max_iter" and sol.report.iterations == 60
+        assert max(sol.report.code_gap_curve) == 0.0
+        assert np.array_equal(sol.x_star, sol.omega_star)
 
 
 class TestSpectralCoordinates:
