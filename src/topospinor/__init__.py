@@ -12,7 +12,6 @@ from .ddtl import (
     DdtlSolution,
     DdtlState,
     NumericalDivergenceError,
-    convergence_report,
     ddtl_fit,
 )
 from .frames import DiracLaplacianFrame, build_frame
@@ -41,12 +40,8 @@ from .topology import (
 )
 from .transform import (
     CouplingVector,
-    MassBasis,
-    NonOrthonormalBasisWarning,
     build_mass_basis,
     coupling_to_mass,
-    forward_transform,
-    inverse_transform,
     mass_to_coupling,
 )
 

@@ -63,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signal-class", choices=SIGNAL_CLASSES)
     p.add_argument("--eta0", type=int, help="support size of the generated batch")
     p.add_argument("--num-signals", type=int)
-    p.add_argument("--noise-std", type=float)
     p.set_defaults(config_cls=SynthConfig, runner=run_synth)
 
     p = commands.add_parser("ddtl-fit", help="fit the coupling transform to a dataset")

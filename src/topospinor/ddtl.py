@@ -4,7 +4,7 @@ Jointly estimates per-mode node-edge coupling factors k and spectral codes
 Omega so that the coupling basis reproduces a batch of spinor signals,
 
     minimize ||S - Psi(k) Omega||_F^2
-    subject to  -c2 <= k <= c1,  X row-sparse (eta0 rows),  P unit columns,
+    subject to  -1 <= k <= 1,  X row-sparse (eta0 rows),  P unit columns,
                 P = Psi(k),  X = Omega,
 
 where Psi(k) is the *unnormalized* coupling basis (branch columns are affine
@@ -55,26 +55,26 @@ iterate is.  Only when it is not are the six iterates scanned one by one, to
 name the first non-finite one; a finite iterate whose squared norm
 overflows does not raise.
 
-Every fit starts from the Dirac coupling k = 1 (clipped to the box) and stops
-once both relative primal gaps fall below ``PRIMAL_TOL``, or at ``max_iter``.
+Every fit starts from the Dirac coupling k = 1 and stops once both relative
+primal gaps fall below ``PRIMAL_TOL``, or at ``max_iter``.  The report keeps
+the objective and both splitting gaps of every iteration.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .sparse import column_normalize, row_hard_threshold
 from .topology import SpectralDecomposition
-from .transform import CouplingVector, MassBasis, build_mass_basis
+from .transform import CouplingVector, build_mass_basis
 
 __all__ = [
     "DdtlConfig",
     "DdtlState",
     "DdtlSolution",
-    "IterationStats",
     "ConvergenceReport",
     "NumericalDivergenceError",
     "ddtl_fit",
@@ -84,7 +84,6 @@ __all__ = [
     "update_p",
     "update_x",
     "update_duals",
-    "convergence_report",
 ]
 
 PRIMAL_TOL = 1e-4
@@ -104,37 +103,25 @@ class DdtlConfig:
     """Hyperparameters of the ADMM solver.
 
     eta0 is the target number of nonzero coefficient rows (the bandwidth) and
-    max_iter the iteration budget: the two values the studies set.  c1/c2
-    bound the coupling box [-c2, c1] and rho1/rho2 are the penalty weights of
-    the basis and code splittings; no pipeline exposes them, and they stay
-    here so the ADMM steps can be checked away from their defaults.  The
-    start, the stopping tolerance and the closed-form steps have no settings.
+    max_iter the iteration budget: the two values the studies set.
+    rho1/rho2 are the penalty weights of the basis and code splittings; no
+    pipeline exposes them, and they stay here so the ADMM steps can be
+    checked away from their defaults.  The coupling box [-1, 1], the start,
+    the stopping tolerance and the closed-form steps have no settings.
     """
 
     eta0: int
-    c1: float = 1.0
-    c2: float = 1.0
     rho1: float = 10.0
     rho2: float = 10.0
     max_iter: int = 500
 
     def __post_init__(self):
-        if not (0.0 <= self.c1 <= 1.0 and 0.0 <= self.c2 <= 1.0):
-            raise ValueError(f"box bounds must lie in [0, 1], got c1={self.c1}, c2={self.c2}")
         if self.rho1 <= 0 or self.rho2 <= 0:
             raise ValueError("penalty parameters rho1, rho2 must be positive")
         if self.eta0 < 1:
             raise ValueError(f"eta0 must be positive, got {self.eta0}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be positive, got {self.max_iter}")
-
-
-@dataclass(frozen=True)
-class IterationStats:
-    iteration: int
-    objective: float
-    basis_gap: float
-    code_gap: float
 
 
 @dataclass(frozen=True)
@@ -170,18 +157,17 @@ class DdtlState:
     m: np.ndarray
     psi: np.ndarray
     row_basis: np.ndarray | None = None
-    history: list[IterationStats] = field(default_factory=list)
 
 
 @dataclass
 class DdtlSolution:
-    """Final iterate plus the normalized dictionary built at the learned coupling."""
+    """Final iterate plus the unit-column basis (V+E) x (V+E) built at the learned coupling."""
 
     k_star: CouplingVector
     omega_star: np.ndarray
     x_star: np.ndarray
     s_hat: np.ndarray
-    basis: MassBasis
+    basis: np.ndarray
     report: ConvergenceReport
 
 
@@ -230,11 +216,11 @@ def _objective(state: DdtlState, d: SpectralDecomposition) -> float:
 
 
 def initialize_state(S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -> DdtlState:
-    """Project the data and build the starting iterate at the Dirac coupling k = 1, clipped to the box.
+    """Project the data and build the starting iterate at the Dirac coupling k = 1.
 
     With more signals than rows the data are compressed first: S = L Q1^T.
     """
-    k = np.clip(np.ones(2 * d.rank), -cfg.c2, cfg.c1)
+    k = np.ones(2 * d.rank)
     row_basis = None
     if S.shape[1] > d.dim:
         row_basis, r_factor = np.linalg.qr(S.T)
@@ -280,7 +266,7 @@ def update_k(state: DdtlState, d: SpectralDecomposition, cfg: DdtlConfig) -> np.
     g[:r] += penalty[0, :r]
     g[r:] += penalty[1, r:]
     w2 += half_rho1
-    return np.clip(g / w2, -cfg.c2, cfg.c1)
+    return np.clip(g / w2, -1.0, 1.0)
 
 
 def update_omega(state: DdtlState, d: SpectralDecomposition, cfg: DdtlConfig) -> np.ndarray:
@@ -334,7 +320,7 @@ def ddtl_fit(S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -> DdtlSo
     """Run the ADMM cycle until both relative primal gaps fall below ``PRIMAL_TOL``.
 
     The coupling applies only to the 2r non-harmonic columns; harmonic columns
-    of the basis are fixed.  Stops at ``cfg.max_iter`` otherwise.  History
+    of the basis are fixed.  Stops at ``cfg.max_iter`` otherwise.  The report
     records, per iteration, the data objective and both splitting gaps.  A
     wide batch is fitted on its square factor (see the module notes) and its
     codes are mapped back to T columns once, the row-sparse X by its kept
@@ -353,6 +339,7 @@ def ddtl_fit(S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -> DdtlSo
     p_norm = math.sqrt(d.dim)  # ||P||_F: n unit columns, the harmonic ones included
 
     stop_reason = "max_iter"
+    objectives, basis_gaps, code_gaps = [], [], []
     for it in range(1, cfg.max_iter + 1):
         state.k = update_k(state, d, cfg)
         state.psi = _build_psi(d, state.k)
@@ -370,13 +357,19 @@ def ddtl_fit(S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -> DdtlSo
         basis_gap, code_gap, x_norm = math.sqrt(basis_sq), math.sqrt(code_sq), math.sqrt(x_sq)
         rel_basis = basis_gap / p_norm
         rel_code = code_gap / x_norm if x_norm > 0 else code_gap
-        state.history.append(IterationStats(it, _objective(state, d), basis_gap, code_gap))
+        objectives.append(_objective(state, d))
+        basis_gaps.append(basis_gap)
+        code_gaps.append(code_gap)
         if rel_basis <= PRIMAL_TOL and rel_code <= PRIMAL_TOL:
             stop_reason = "tolerance"
             break
 
-    report = convergence_report(state.history, initial_objective=initial_objective, stop_reason=stop_reason)
-    k_star = CouplingVector.from_stacked(state.k, c1=cfg.c1, c2=cfg.c2)
+    report = ConvergenceReport(
+        stop_reason=stop_reason, iterations=len(objectives), initial_objective=initial_objective,
+        final_objective=objectives[-1], objective_curve=tuple(objectives),
+        basis_gap_curve=tuple(basis_gaps), code_gap_curve=tuple(code_gaps),
+    )
+    k_star = CouplingVector.from_stacked(state.k)
     omega, x = state.omega, state.x
     if state.row_basis is not None:
         omega = omega @ state.row_basis.T
@@ -392,34 +385,8 @@ def ddtl_fit(S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -> DdtlSo
         k_star=k_star,
         omega_star=omega,
         x_star=x,
-        s_hat=(basis.psi_bar * scale) @ omega,
+        s_hat=(basis * scale) @ omega,
         basis=basis,
         report=report,
     )
 
-
-def convergence_report(
-    history: list[IterationStats],
-    initial_objective: float = float("nan"),
-    stop_reason: str | None = None,
-) -> ConvergenceReport:
-    """Summarize a run: residual/objective curves, iteration count, stop reason."""
-    if not history:
-        return ConvergenceReport(
-            stop_reason=stop_reason or "max_iter",
-            iterations=0,
-            initial_objective=initial_objective,
-            final_objective=initial_objective,
-            objective_curve=(),
-            basis_gap_curve=(),
-            code_gap_curve=(),
-        )
-    return ConvergenceReport(
-        stop_reason=stop_reason or "unknown",
-        iterations=history[-1].iteration,
-        initial_objective=initial_objective,
-        final_objective=history[-1].objective,
-        objective_curve=tuple(rec.objective for rec in history),
-        basis_gap_curve=tuple(rec.basis_gap for rec in history),
-        code_gap_curve=tuple(rec.code_gap for rec in history),
-    )

@@ -150,7 +150,6 @@ class SynthConfig:
     signal_class: str = "fully_coupled"
     eta0: int = 35
     num_signals: int = 600
-    noise_std: float = 0.0
     graph_path: str | None = None
     seed: int = 0
 
@@ -165,7 +164,7 @@ def run_synth(cfg: SynthConfig) -> Path:
     graph = _load_graph(cfg.graph_path, cfg.num_nodes, cfg.num_edges, sub_seed(cfg.seed, 0, "graph"))
     d = spectral_decompose(build_incidence(graph))
     spec = SignalClassSpec(cfg.signal_class, cfg.eta0, cfg.num_signals, sub_seed(cfg.seed, 0, "signals"))
-    S, truth = gen_signals(d, spec, noise_std=cfg.noise_std)
+    S, truth = gen_signals(d, spec)
 
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -173,9 +172,6 @@ def run_synth(cfg: SynthConfig) -> Path:
     V = graph.num_nodes
     tsio.write_matrix_csv(out / "node_series.csv", S[:V].T)
     tsio.write_matrix_csv(out / "edge_series.csv", S[V:].T)
-    if cfg.noise_std > 0:
-        tsio.write_matrix_csv(out / "clean_node_series.csv", truth.clean[:V].T)
-        tsio.write_matrix_csv(out / "clean_edge_series.csv", truth.clean[V:].T)
     tsio.write_matrix_csv(out / "coefficients.csv", truth.coefficients)
     metadata = {
         "command": "synth",
@@ -187,7 +183,6 @@ def run_synth(cfg: SynthConfig) -> Path:
             "support": [int(i) for i in truth.support],
             "support_columns": [int(i) for i in truth.support_columns],
             "k_modes": [float(k) for k in truth.k_modes],
-            "noise_std": truth.noise_std,
         },
     }
     (out / "run.json").write_text(json.dumps(metadata, indent=2, sort_keys=True) + "\n")
@@ -302,7 +297,7 @@ def sweep_dictionaries(d, solution: DdtlSolution) -> dict[str, np.ndarray]:
         "laplacian": theta,
         "dirac": phi,
         "frame": build_frame(phi, theta).matrix,
-        "ddtl": solution.basis.psi_bar,
+        "ddtl": solution.basis,
     }
 
 

@@ -8,12 +8,13 @@ Edge list format
 Time series
     One CSV per domain.  Each row is a time step; the node file has V numeric
     columns and the edge file E, in node/edge index order.  An optional header
-    row is detected by a non-numeric first cell and kept as labels.
+    row, detected by a non-numeric first cell, is checked for its width and
+    skipped; no file is written with one.
 
 Matrix CSV dialect (``write_matrix_csv`` / ``read_matrix_csv``)
     Written: comma-separated, ``\r\n`` row ends, every value with 17
     significant digits (``nan``, ``inf`` and ``-inf`` for the non-finite
-    ones), and the optional header row quoted by csv rules.
+    ones), and no header row.
     Read: any of ``\n``, ``\r\n`` or ``\r`` row ends; rows whose cells are
     all blank are skipped; cells may be padded with whitespace and
     csv-quoted, but a quoted cell may not span rows.  An empty file, a header
@@ -21,7 +22,6 @@ Matrix CSV dialect (``write_matrix_csv`` / ``read_matrix_csv``)
     non-numeric cell are rejected with a ValueError that names the row,
     counted among the non-blank rows.  Numbers are read as numpy reads them,
     so a spelling only Python's ``float`` accepts (``1_000``) is rejected.
-    A header whose width is not the column count is refused on writing too.
 
 Results
     ``save_results`` writes a run directory containing ``run.json`` (metadata:
@@ -75,8 +75,6 @@ class TimeSeriesDataset:
     graph: OrientedGraph
     node_series: np.ndarray  # (T, V)
     edge_series: np.ndarray  # (T, E)
-    node_labels: tuple[str, ...] | None = None
-    edge_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         ns = np.asarray(self.node_series, dtype=float)
@@ -87,9 +85,6 @@ class TimeSeriesDataset:
             raise ValueError(f"edge series has {es.shape[1]} columns, graph has {self.graph.num_edges} edges")
         if ns.shape[0] != es.shape[0]:
             raise ValueError(f"node series has {ns.shape[0]} steps but edge series has {es.shape[0]}")
-        for what, labels, count in (("node", self.node_labels, ns.shape[1]), ("edge", self.edge_labels, es.shape[1])):
-            if labels is not None and len(labels) != count:
-                raise ValueError(f"{len(labels)} {what} labels for {count} {what} series columns")
         object.__setattr__(self, "node_series", ns)
         object.__setattr__(self, "edge_series", es)
 
@@ -154,14 +149,14 @@ def format_float(x: float) -> str:
     return FLOAT_FORMAT % float(x)
 
 
-def read_matrix_csv(path, expected_cols: int, what: str = "matrix") -> tuple[np.ndarray, tuple[str, ...] | None]:
-    """``(rows, header labels or None)`` of a numeric CSV; ValueError on an empty, ragged or non-numeric file.
+def read_matrix_csv(path, expected_cols: int, what: str = "matrix") -> np.ndarray:
+    """The rows of a numeric CSV; ValueError on an empty, ragged or non-numeric file.
 
-    Each row is checked (blank rows skipped, header detected, column count),
-    then the checked body is parsed in one ``np.loadtxt`` call.
+    Each row is checked (blank rows skipped, a header checked for its width and
+    skipped, column count), then the checked body is parsed in one ``np.loadtxt`` call.
     """
     path = Path(path)
-    labels: tuple[str, ...] | None = None
+    first_data_row = 1  # among the non-blank rows; 2 after a header
     body: list[str] = []
     row_no = 0  # 1-based among the non-blank rows, header included
     with path.open(newline="") as fh:
@@ -175,14 +170,14 @@ def read_matrix_csv(path, expected_cols: int, what: str = "matrix") -> tuple[np.
                 try:
                     float(cells[0])
                 except ValueError:
-                    labels = tuple(cell.strip() for cell in cells)
-                    if len(labels) != expected_cols:
+                    if len(cells) != expected_cols:
                         raise ValueError(
-                            f"{path}: header row has {len(labels)} cells, expected {expected_cols} ({what})"
+                            f"{path}: header row has {len(cells)} cells, expected {expected_cols} ({what})"
                         ) from None
+                    first_data_row = 2
                     continue
             if len(cells) != expected_cols:
-                _raise_non_numeric(path, body, first_row_no=1 if labels is None else 2)
+                _raise_non_numeric(path, body, first_data_row)
                 raise ValueError(f"{path}: row {row_no} has {len(cells)} columns, expected {expected_cols} ({what})")
             body.append(line)
     if row_no == 0:
@@ -192,10 +187,10 @@ def read_matrix_csv(path, expected_cols: int, what: str = "matrix") -> tuple[np.
     try:
         data = np.loadtxt(body, delimiter=",", quotechar='"', comments=None, ndmin=2)
     except ValueError as exc:
-        _raise_non_numeric(path, body, first_row_no=1 if labels is None else 2)
+        _raise_non_numeric(path, body, first_data_row)
         # Every cell reads as a Python float but not as a numpy one (e.g. "1_000").
         raise ValueError(f"{path}: {exc}") from None
-    return data, labels
+    return data
 
 
 def _csv_cells(line: str) -> list[str]:
@@ -213,22 +208,18 @@ def _raise_non_numeric(path, lines: list[str], first_row_no: int) -> None:
 
 def load_time_series(graph: OrientedGraph, node_csv_path, edge_csv_path) -> TimeSeriesDataset:
     """Load matching node/edge CSVs (one row per time step) for a graph."""
-    node_series, node_labels = read_matrix_csv(node_csv_path, graph.num_nodes, "node series")
-    edge_series, edge_labels = read_matrix_csv(edge_csv_path, graph.num_edges, "edge series")
-    return TimeSeriesDataset(graph, node_series, edge_series, node_labels, edge_labels)
+    node_series = read_matrix_csv(node_csv_path, graph.num_nodes, "node series")
+    edge_series = read_matrix_csv(edge_csv_path, graph.num_edges, "edge series")
+    return TimeSeriesDataset(graph, node_series, edge_series)
 
 
-def write_matrix_csv(path, matrix: np.ndarray, header: tuple[str, ...] | None = None) -> None:
-    """One CSV row per matrix row, every value with ``FLOAT_FORMAT``; the header is quoted by csv rules."""
+def write_matrix_csv(path, matrix: np.ndarray) -> None:
+    """One CSV row per matrix row, every value with ``FLOAT_FORMAT``, and no header row."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
         raise ValueError(f"write_matrix_csv needs a 2-D matrix, got shape {matrix.shape}")
-    if header is not None and len(header) != matrix.shape[1]:
-        raise ValueError(f"header has {len(header)} cells for {matrix.shape[1]} columns")
     row_format = ",".join([FLOAT_FORMAT] * matrix.shape[1]) + "\r\n"
     with Path(path).open("w", newline="") as fh:
-        if header is not None:
-            csv.writer(fh).writerow(header)
         for row in matrix:
             fh.write(row_format % tuple(row.tolist()))
 

@@ -1,13 +1,14 @@
 """Random connected graphs, synthetic spinor signal classes, and noise injection.
 
 Signal batches follow the generative model: pick a shared support of
-non-harmonic basis columns, draw Gaussian coefficients, synthesize through the
-unit-norm coupling basis at a class-specific coupling profile, and optionally
-add white Gaussian noise.  The four classes differ only in the per-mode
-coupling: all-ones (fully coupled), all-zeros (fully decoupled), half of the
-touched mode pairs (rounded) coupled and the rest decoupled (partially
-coupled), or a Cauchy-profile decay in frequency at scale gamma = the median
-singular value (mixture of couplings).  Coefficients have unit variance.
+non-harmonic basis columns, draw Gaussian coefficients and synthesize through
+the unit-norm coupling basis at a class-specific coupling profile.  The four
+classes differ only in the per-mode coupling: all-ones (fully coupled),
+all-zeros (fully decoupled), half of the touched mode pairs (rounded) coupled
+and the rest decoupled (partially coupled), or a Cauchy-profile decay in
+frequency at scale gamma = the median singular value (mixture of couplings).
+Coefficients have unit variance.  The batches are noiseless: ``add_awgn`` is
+the one source of noise, at a target SNR.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ class GroundTruth:
     coefficients: np.ndarray       # (eta0, T)
     k_modes: np.ndarray            # shared per-pair coupling, length r
     clean: np.ndarray              # (V+E, T) noiseless signals
-    noise_std: float
     signal_class: str
 
 
@@ -133,11 +133,7 @@ def _mode_couplings(d: SpectralDecomposition, spec: SignalClassSpec, support: np
     return 1.0 / (1.0 + (d.sigma / gamma) ** 2)
 
 
-def gen_signals(
-    d: SpectralDecomposition,
-    spec: SignalClassSpec,
-    noise_std: float = 0.0,
-) -> tuple[np.ndarray, GroundTruth]:
+def gen_signals(d: SpectralDecomposition, spec: SignalClassSpec) -> tuple[np.ndarray, GroundTruth]:
     """Draw a signal batch (V+E) x T for one class and its ground-truth record.
 
     One support of size eta0 is drawn uniformly over the 2r non-harmonic
@@ -146,8 +142,6 @@ def gen_signals(
     at the class coupling profile (shared per mode pair, so it is
     orthonormal).
     """
-    if noise_std < 0:
-        raise ValueError("noise_std must be nonnegative")
     rng = np.random.default_rng(spec.seed)
     available = 2 * d.rank
     if spec.eta0 > available:
@@ -158,18 +152,16 @@ def gen_signals(
     basis = build_mass_basis(d, CouplingVector(k_modes, k_modes.copy()))
     full_cols = nonharmonic_column_indices(d)[support]
     coeffs = rng.normal(size=(spec.eta0, spec.num_signals))
-    clean = basis.psi_bar[:, full_cols] @ coeffs
-    S = clean if noise_std == 0 else clean + rng.normal(0.0, noise_std, size=clean.shape)
+    clean = basis[:, full_cols] @ coeffs
     truth = GroundTruth(
         support=support,
         support_columns=full_cols,
         coefficients=coeffs,
         k_modes=k_modes,
         clean=clean,
-        noise_std=float(noise_std),
         signal_class=spec.signal_class,
     )
-    return S, truth
+    return clean, truth
 
 
 def add_awgn(S: np.ndarray, snr_db: float, seed) -> np.ndarray:

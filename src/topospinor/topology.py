@@ -248,7 +248,7 @@ def super_laplacian_eigenbasis(d: SpectralDecomposition) -> tuple[np.ndarray, np
 
 
 def decomposition_residuals(d: SpectralDecomposition, B: np.ndarray) -> dict[str, float]:
-    """Max-abs residuals of the structural identities; used for diagnostics."""
+    """Max-abs residuals of the structural identities (0 for an empty one, as with no edges); for diagnostics."""
     phi, gamma = dirac_eigenbasis(d)
     theta, lam = super_laplacian_eigenbasis(d)
     D = dirac_operator(B)
@@ -256,7 +256,7 @@ def decomposition_residuals(d: SpectralDecomposition, B: np.ndarray) -> dict[str
     n = d.dim
     eye = np.eye(n)
     return {
-        "svd_roundtrip": float(np.max(np.abs(B - d.u @ np.diag(d.sigma) @ d.v.T))),
+        "svd_roundtrip": float(np.max(np.abs(B - d.u @ np.diag(d.sigma) @ d.v.T), initial=0.0)),
         "dirac_squared_vs_super_laplacian": float(np.max(np.abs(D @ D - LG))),
         "dirac_orthonormality": float(np.max(np.abs(phi @ phi.T - eye))),
         "super_laplacian_orthonormality": float(np.max(np.abs(theta @ theta.T - eye))),

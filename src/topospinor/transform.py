@@ -13,9 +13,7 @@ identical for every k.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -23,21 +21,11 @@ from .topology import SpectralDecomposition, harmonic_columns
 
 __all__ = [
     "CouplingVector",
-    "MassBasis",
-    "NonOrthonormalBasisWarning",
     "mass_to_coupling",
     "coupling_to_mass",
     "unnormalized_basis_matrix",
     "build_mass_basis",
-    "forward_transform",
-    "inverse_transform",
 ]
-
-_GRAM_WARN_TOL = 1e-6
-
-
-class NonOrthonormalBasisWarning(UserWarning):
-    """Forward/inverse transform used with a basis whose Gram deviates from I."""
 
 
 def mass_to_coupling(lam, m):
@@ -70,24 +58,19 @@ def coupling_to_mass(lam, k):
 
 @dataclass(frozen=True)
 class CouplingVector:
-    """Per-mode coupling factors for both branches, box-constrained to [-c2, c1]."""
+    """Per-mode coupling factors for both branches, each in the box [-1, 1]."""
 
     k_minus: np.ndarray
     k_plus: np.ndarray
-    c1: float = 1.0
-    c2: float = 1.0
 
     def __post_init__(self):
         km = np.atleast_1d(np.asarray(self.k_minus, dtype=float))
         kp = np.atleast_1d(np.asarray(self.k_plus, dtype=float))
         if km.shape != kp.shape or km.ndim != 1:
             raise ValueError(f"branch couplings must be 1-D of equal length, got {km.shape}, {kp.shape}")
-        if not (0.0 <= self.c1 <= 1.0 and 0.0 <= self.c2 <= 1.0):
-            raise ValueError(f"box bounds must lie in [0, 1], got c1={self.c1}, c2={self.c2}")
-        slack = 1e-12
         for name, arr in (("k_minus", km), ("k_plus", kp)):
-            if np.any(arr > self.c1 + slack) or np.any(arr < -self.c2 - slack):
-                raise ValueError(f"{name} violates the box [-{self.c2}, {self.c1}]")
+            if np.any(np.abs(arr) > 1.0 + 1e-12):
+                raise ValueError(f"{name} violates the box [-1, 1]")
         object.__setattr__(self, "k_minus", km)
         object.__setattr__(self, "k_plus", kp)
 
@@ -96,18 +79,13 @@ class CouplingVector:
         return self.k_minus.shape[0]
 
     @classmethod
-    def shared(cls, value: float, num_modes: int, c1: float = 1.0, c2: float = 1.0) -> "CouplingVector":
-        k = np.full(num_modes, float(value))
-        return cls(k, k.copy(), c1, c2)
-
-    @classmethod
-    def from_stacked(cls, stacked: np.ndarray, c1: float = 1.0, c2: float = 1.0) -> "CouplingVector":
+    def from_stacked(cls, stacked: np.ndarray) -> "CouplingVector":
         """Split a length-2r vector (minus block first) into the two branches."""
         stacked = np.asarray(stacked, dtype=float)
         if stacked.ndim != 1 or stacked.shape[0] % 2 != 0:
             raise ValueError(f"stacked coupling must be 1-D of even length, got shape {stacked.shape}")
         r = stacked.shape[0] // 2
-        return cls(stacked[:r].copy(), stacked[r:].copy(), c1, c2)
+        return cls(stacked[:r].copy(), stacked[r:].copy())
 
     def stacked(self) -> np.ndarray:
         return np.concatenate([self.k_minus, self.k_plus])
@@ -133,26 +111,8 @@ def unnormalized_basis_matrix(d: SpectralDecomposition, k_minus: np.ndarray, k_p
     return psi
 
 
-@dataclass
-class MassBasis:
-    """Coupling-parameterized dictionary with column order [minus | harmonic | plus]."""
-
-    psi_bar: np.ndarray
-    k: CouplingVector
-
-    @property
-    def dim(self) -> int:
-        return self.psi_bar.shape[0]
-
-    @cached_property
-    def gram_deviation(self) -> float:
-        """Max-abs deviation of psi_bar^T psi_bar from the identity."""
-        g = self.psi_bar.T @ self.psi_bar
-        return float(np.max(np.abs(g - np.eye(g.shape[0]))))
-
-
-def build_mass_basis(d: SpectralDecomposition, k: CouplingVector) -> MassBasis:
-    """Build the unit-column coupling-parameterized basis for a spectral decomposition.
+def build_mass_basis(d: SpectralDecomposition, k: CouplingVector) -> np.ndarray:
+    """The unit-column coupling-parameterized basis, columns [minus | harmonic | plus].
 
     The branch columns are scaled by 1/sqrt(1 + k^2) so every column has unit
     norm; the basis is then orthonormal exactly when the two branches share
@@ -164,32 +124,4 @@ def build_mass_basis(d: SpectralDecomposition, k: CouplingVector) -> MassBasis:
     r, xi = d.rank, d.xi0 + d.xi1
     psi[:, :r] /= np.sqrt(1.0 + k.k_minus**2)
     psi[:, r + xi :] /= np.sqrt(1.0 + k.k_plus**2)
-    return MassBasis(psi_bar=psi, k=k)
-
-
-def _warn_if_not_orthonormal(basis: MassBasis) -> None:
-    if basis.gram_deviation > _GRAM_WARN_TOL:
-        warnings.warn(
-            f"basis Gram deviates from identity by {basis.gram_deviation:.3e}; "
-            "forward/inverse transforms are not mutually inverse",
-            NonOrthonormalBasisWarning,
-            stacklevel=3,
-        )
-
-
-def forward_transform(basis: MassBasis, s: np.ndarray) -> np.ndarray:
-    """Spectral coefficients psi_bar^T s (vector or batch)."""
-    s = np.asarray(s, dtype=float)
-    if s.shape[0] != basis.dim:
-        raise ValueError(f"signal has leading dimension {s.shape[0]}, expected {basis.dim}")
-    _warn_if_not_orthonormal(basis)
-    return basis.psi_bar.T @ s
-
-
-def inverse_transform(basis: MassBasis, s_hat: np.ndarray) -> np.ndarray:
-    """Signal psi_bar @ s_hat; inverts forward_transform only for shared couplings."""
-    s_hat = np.asarray(s_hat, dtype=float)
-    if s_hat.shape[0] != basis.dim:
-        raise ValueError(f"coefficients have leading dimension {s_hat.shape[0]}, expected {basis.dim}")
-    _warn_if_not_orthonormal(basis)
-    return basis.psi_bar @ s_hat
+    return psi

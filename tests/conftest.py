@@ -3,7 +3,8 @@ import pytest
 from hypothesis import strategies as st
 
 from topospinor.synth import random_graph
-from topospinor.topology import OrientedGraph
+from topospinor.topology import OrientedGraph, SpectralDecomposition
+from topospinor.transform import CouplingVector, build_mass_basis
 
 
 @pytest.fixture
@@ -31,3 +32,9 @@ def connected_graphs(draw, max_nodes: int = 12) -> OrientedGraph:
     extra = draw(st.integers(min_value=0, max_value=min(max_extra, 2 * v)))
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
     return random_graph(v, v - 1 + extra, seed)
+
+
+def shared_basis(d: SpectralDecomposition, value: float) -> np.ndarray:
+    """The unit-column basis with both branches of every mode at the coupling ``value``."""
+    k = np.full(d.rank, float(value))
+    return build_mass_basis(d, CouplingVector(k, k.copy()))

@@ -26,14 +26,9 @@ from topospinor.topology import (
     super_laplacian,
     super_laplacian_eigenbasis,
 )
-from topospinor.transform import (
-    CouplingVector,
-    build_mass_basis,
-    forward_transform,
-    inverse_transform,
-    nonharmonic_column_indices,
-    unnormalized_basis_matrix,
-)
+from topospinor.transform import nonharmonic_column_indices, unnormalized_basis_matrix
+
+from conftest import shared_basis
 
 
 @contextmanager
@@ -74,7 +69,7 @@ def class4_runs():
             "dirac": phi,
             "laplacian": theta,
             "frame": build_frame(phi, theta).matrix,
-            "ddtl": solution.basis.psi_bar,
+            "ddtl": solution.basis,
         }
         at35 = {
             name: omp(D, S, sparsity=35).residual_norm ** 2 / energy
@@ -150,7 +145,7 @@ def test_criterion_1_structural_identities():
 
 
 def test_criterion_2_limit_regimes():
-    with verdict(2, "coupling limits match Dirac/Laplacian projectors; shared-k round trip"):
+    with verdict(2, "coupling limits match Dirac/Laplacian projectors; shared-k basis orthonormal"):
         rng = np.random.default_rng(66)
         for seed in (0, 1, 2):
             g = random_graph(12, 20, seed)
@@ -158,16 +153,17 @@ def test_criterion_2_limit_regimes():
             phi, _ = dirac_eigenbasis(d)
             theta, _ = super_laplacian_eigenbasis(d)
             for value, reference in ((1.0, phi), (0.0, theta)):
-                basis = build_mass_basis(d, CouplingVector.shared(value, d.rank))
-                for col in basis.psi_bar.T:
+                basis = shared_basis(d, value)
+                for col in basis.T:
                     proj = np.outer(col, col)
                     match = min(
                         np.max(np.abs(proj - np.outer(ref, ref))) for ref in reference.T
                     )
                     assert match < 1e-8
-            shared = build_mass_basis(d, CouplingVector.shared(0.42, d.rank))
+            shared = shared_basis(d, 0.42)
+            assert np.max(np.abs(shared.T @ shared - np.eye(g.dim))) < 1e-12
             s = rng.normal(size=(g.dim, 8))
-            back = inverse_transform(shared, forward_transform(shared, s))
+            back = shared @ (shared.T @ s)
             assert np.max(np.abs(back - s)) / np.max(np.abs(s)) < 1e-10
 
 
@@ -243,14 +239,14 @@ def test_criterion_3_oracle_equivalence():
                 probe[coord] = v
                 return objective(probe)
 
-            lo, hi = -cfg1.c2, cfg1.c1
+            lo, hi = -1.0, 1.0
             for _ in range(12):
                 grid = np.linspace(lo, hi, 33)
                 best_idx = int(np.argmin([value(x) for x in grid]))
                 lo, hi = grid[max(best_idx - 1, 0)], grid[min(best_idx + 1, 32)]
-            samples = np.linspace(-cfg1.c2, cfg1.c1, 25)
+            samples = np.linspace(-1.0, 1.0, 25)
             quad = np.polyfit(samples, [value(x) for x in samples], 2)
-            oracle = float(np.clip(-quad[1] / (2 * quad[0]), -cfg1.c2, cfg1.c1))
+            oracle = float(np.clip(-quad[1] / (2 * quad[0]), -1.0, 1.0))
             assert abs(oracle - 0.5 * (lo + hi)) < 1e-5
             assert abs(oracle - solved[coord]) < 1e-10
 

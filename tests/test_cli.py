@@ -35,6 +35,7 @@ REMOVED_DATA_OPTIONS = {
     "coeff_std": ("--coeff-std", 2.0),
     "coupled_fraction": ("--coupled-fraction", 0.25),
     "cauchy_scale": ("--cauchy-scale", 1.0),
+    "noise_std": ("--noise-std", 0.1),
 }
 REMOVED_DATA_CASES = [
     pytest.param(command, key, id=f"{command}-{key}")
@@ -90,6 +91,18 @@ class TestSpectraCommand:
         meta, _ = load_results(out)
         assert meta["xi1"] == 1
 
+    def test_graph_without_edges(self, tmp_path):
+        # Three isolated nodes: B is 3 x 0, so the SVD round trip's residual is empty and reads 0.
+        graph = tmp_path / "nodes.txt"
+        graph.write_text("3\n")
+        out = tmp_path / "out"
+        assert main(["spectra", "--graph", str(graph), "--out", str(out)]) == 0
+        meta, tables = load_results(out)
+        assert meta["rank"] == 0 and meta["xi0"] == 3 and meta["xi1"] == 0
+        assert meta["sigma"] == [] and tables["spectrum"].rows == ()
+        assert len(meta["residuals"]) == 6
+        assert all(v == 0.0 for v in meta["residuals"].values())
+
     def test_random_graph_spectra(self, tmp_path):
         out = tmp_path / "out"
         code = main(["spectra", "--num-nodes", "8", "--num-edges", "12", "--seed", "3",
@@ -127,13 +140,13 @@ class TestSynthCommand:
             (tmp_path / run).mkdir()
             monkeypatch.chdir(tmp_path / run)
             assert main(["synth", "--num-nodes", "7", "--num-edges", "10", "--eta0", "4", "--num-signals", "9",
-                         "--noise-std", "0.1", "--seed", "9", "--out", "data"]) == 0
+                         "--seed", "9", "--out", "data"]) == 0
             assert main(["ddtl-fit", "--dataset", "data", "--eta0", "4", "--max-iter", "12", "--seed", "9",
                          "--out", "fit"]) == 0
         written = {run: _files(tmp_path / run) for run in ("a", "b")}
         assert set(written["a"]) == {
-            "data/graph.txt", "data/node_series.csv", "data/edge_series.csv", "data/clean_node_series.csv",
-            "data/clean_edge_series.csv", "data/coefficients.csv", "data/run.json",
+            "data/graph.txt", "data/node_series.csv", "data/edge_series.csv", "data/coefficients.csv",
+            "data/run.json",
             "fit/graph.txt", "fit/omega_star.csv", "fit/history.csv", "fit/run.json",
         }
         assert written["a"] == written["b"]
@@ -159,7 +172,7 @@ class TestFitCommand:
         # Recompute the reconstruction from the saved pieces.
         ds = load_time_series(graph, data / "node_series.csv", data / "edge_series.csv")
         S = ds.spinor_matrix()
-        omega, _ = read_matrix_csv(out / "omega_star.csv", S.shape[1])
+        omega = read_matrix_csv(out / "omega_star.csv", S.shape[1])
         psi = unnormalized_basis_matrix(d, k_star[: d.rank], k_star[d.rank:])
         assert abs(nmse(S, psi @ omega) - meta["reconstruction_nmse"]) < 1e-12
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -10,7 +11,6 @@ from topospinor.ddtl import (
     PRIMAL_TOL,
     DdtlConfig,
     NumericalDivergenceError,
-    convergence_report,
     ddtl_fit,
     initialize_state,
     update_duals,
@@ -71,6 +71,25 @@ def manual_state(d, S, cfg, k=None, omega=None, p=None, h=None, x=None, m=None):
     return state
 
 
+def k_subproblem(state, d, cfg, k):
+    """The k-step's objective at k, from the state's spectral data and plane coordinates (up to a constant)."""
+    data = ddtl_module._objective(dataclasses.replace(state, k=k), d)
+    return data + 0.5 * cfg.rho1 * np.sum((ddtl_module._build_psi(d, k) - state.p + state.h) ** 2)
+
+
+def unclipped_vertices(state, d, cfg, k):
+    """Per coordinate, the vertex of the k-step's objective along it at k; the objective is quadratic in each."""
+    vertices = np.empty(k.size)
+    for coord in range(k.size):
+        f = []
+        for t in (-1.0, 0.0, 1.0):
+            probe = k.copy()
+            probe[coord] = t
+            f.append(k_subproblem(state, d, cfg, probe))
+        vertices[coord] = (f[0] - f[2]) / (2.0 * (f[0] + f[2] - 2.0 * f[1]))
+    return vertices
+
+
 def k_objective(d, S, omega, p, h, cfg, k_stacked):
     """Direct evaluation of the k-subproblem objective with dense P and H; oracle helper."""
     psi = unnormalized_basis_matrix(d, k_stacked[: d.rank], k_stacked[d.rank :])
@@ -105,7 +124,7 @@ def dense_update_k(d, S, cfg, k, omega, p, h):
                 np.einsum("it,it->i", d.v.T @ residual[V:], rows[r:]),
             ]
         )
-        new_k = np.clip((g + k * w2 + 0.5 * cfg.rho1 * c_lin) / (w2 + 0.5 * cfg.rho1), -cfg.c2, cfg.c1)
+        new_k = np.clip((g + k * w2 + 0.5 * cfg.rho1 * c_lin) / (w2 + 0.5 * cfg.rho1), -1.0, 1.0)
         change = float(np.max(np.abs(new_k - k))) if k.size else 0.0
         k = new_k
         if change < 1e-10:
@@ -186,7 +205,7 @@ class TestUpdateK:
         assert_allclose(k, k0, atol=1e-12)
 
     def test_box_clipping(self):
-        # Target coupling 1.7 sits outside the box; minimizer clips to c1 = 1.
+        # Target coupling 1.7 sits outside the box; minimizer clips to 1.
         g, d = small_problem()
         k0 = np.full(2 * d.rank, 1.7)
         target = unnormalized_basis_matrix(d, k0[: d.rank], k0[d.rank :])
@@ -215,6 +234,7 @@ class TestUpdateK:
         state = manual_state(d, S, cfg, k=k, omega=omega, p=p, h=h)
         k_solved = update_k(state, d, cfg)
 
+        unclipped = []
         for coord in range(2):
             probe = k_solved.copy()
 
@@ -222,7 +242,7 @@ class TestUpdateK:
                 probe[coord] = val
                 return k_objective(d, S, omega, p, h, cfg, probe)
 
-            lo, hi = -cfg.c2, cfg.c1
+            lo, hi = -1.0, 1.0
             for _ in range(12):  # bracket the box minimizer to ~1e-6
                 grid = np.linspace(lo, hi, 33)
                 best = int(np.argmin([value(v) for v in grid]))
@@ -232,20 +252,28 @@ class TestUpdateK:
 
             # Dense quadratic fit: exact for a quadratic objective.  The box
             # minimizer is the vertex projected onto the interval.
-            samples = np.linspace(-cfg.c2, cfg.c1, 25)
+            samples = np.linspace(-1.0, 1.0, 25)
             coeffs = np.polyfit(samples, [value(v) for v in samples], 2)
-            vertex = float(np.clip(-coeffs[1] / (2.0 * coeffs[0]), -cfg.c2, cfg.c1))
+            unclipped.append(-coeffs[1] / (2.0 * coeffs[0]))
+            vertex = float(np.clip(unclipped[-1], -1.0, 1.0))
             assert abs(vertex - bracketed) < 1e-5  # both oracles agree
             assert abs(vertex - k_solved[coord]) < 1e-10
+        assert max(abs(v) for v in unclipped) > 1.0  # the vertex of one coordinate is clipped
 
     def test_result_always_inside_box(self):
+        # A P far from unit columns puts the unclipped vertex of coordinates
+        # on both sides outside [-1, 1]; each coordinate is its vertex clipped.
         g, d = small_problem()
         rng = np.random.default_rng(4)
         S = rng.normal(size=(d.dim, 6))
-        cfg = DdtlConfig(eta0=4, c1=0.6, c2=0.3, max_iter=1)
-        state = initialize_state(S, d, cfg)
+        cfg = DdtlConfig(eta0=4, max_iter=1)
+        p = 4.0 * rng.normal(size=(d.dim, d.dim))
+        state = manual_state(d, S, cfg, omega=rng.normal(size=(d.dim, 6)), p=p, h=np.zeros_like(p))
         k = update_k(state, d, cfg)
-        assert np.all(k <= 0.6 + 1e-15) and np.all(k >= -0.3 - 1e-15)
+        vertices = unclipped_vertices(state, d, cfg, k)
+        assert np.any(vertices > 1.0) and np.any(vertices < -1.0)
+        assert np.all(np.abs(k) <= 1.0)
+        assert_allclose(k, np.clip(vertices, -1.0, 1.0), atol=1e-10)
 
 
 class TestUpdateOmega:
@@ -341,20 +369,33 @@ class TestDdtlFit:
 
     def test_default_hyperparameters(self):
         cfg = DdtlConfig(eta0=35)
-        assert cfg.c1 == cfg.c2 == 1.0
         assert cfg.rho1 == cfg.rho2 == 10.0
 
-    def test_iterates_satisfy_constraints(self):
+    def test_iterates_satisfy_constraints(self, monkeypatch):
+        # Data synthesized at couplings +-1.7, outside the box: during the fit
+        # the unclipped vertex leaves [-1, 1] on both sides, and every k-step
+        # returns the clipped vertex.
         g, d = small_problem()
-        rng = np.random.default_rng(8)
-        S = rng.normal(size=(d.dim, 10))
-        cfg = DdtlConfig(eta0=4, c1=0.9, c2=0.5, max_iter=7)
+        rng = np.random.default_rng(0)
+        k0 = np.where(rng.random(2 * d.rank) < 0.5, -1.7, 1.7)
+        S = unnormalized_basis_matrix(d, k0[: d.rank], k0[d.rank :]) @ rng.normal(size=(d.dim, 10))
+        cfg = DdtlConfig(eta0=4, rho1=1.0, rho2=1.0, max_iter=7)
+        inner, vertices = ddtl_module.update_k, []
+
+        def recorded(state, d, cfg):
+            k = inner(state, d, cfg)
+            vertices.append(unclipped_vertices(state, d, cfg, k))
+            assert_allclose(k, np.clip(vertices[-1], -1.0, 1.0), atol=1e-10)
+            return k
+
+        monkeypatch.setattr(ddtl_module, "update_k", recorded)
         sol = ddtl_fit(S, d, cfg)
-        k = sol.k_star.stacked()
-        assert np.all(k <= 0.9 + 1e-12) and np.all(k >= -0.5 - 1e-12)
+        assert len(vertices) == 7
+        assert np.any(np.array(vertices) > 1.0) and np.any(np.array(vertices) < -1.0)
+        assert np.all(np.abs(sol.k_star.stacked()) <= 1.0)
         row_norms = np.linalg.norm(sol.x_star, axis=1)
         assert np.count_nonzero(row_norms) <= 4
-        assert_allclose(np.linalg.norm(sol.basis.psi_bar, axis=0), 1.0, atol=1e-12)
+        assert_allclose(np.linalg.norm(sol.basis, axis=0), 1.0, atol=1e-12)
 
     def test_final_objective_not_worse_than_initial(self):
         g, d = small_problem(num_nodes=8, num_edges=14, seed=3)
@@ -387,11 +428,12 @@ class TestDdtlFit:
 
 def _poison_after_duals(monkeypatch, at, poison):
     """Make ``ddtl_fit``'s dual step write ``poison[name]`` into entry 0 of each named iterate at iteration ``at``."""
-    inner = ddtl_module.update_duals
+    inner, calls = ddtl_module.update_duals, []
 
     def poisoned(state):
         h, m = inner(state)
-        if len(state.history) + 1 == at:
+        calls.append(None)
+        if len(calls) == at:
             iterates = {"k": state.k, "omega": state.omega, "p": state.p, "x": state.x, "h": h, "m": m}
             for name, value in poison.items():
                 iterates[name].flat[0] = value
@@ -687,8 +729,3 @@ class TestConvergenceReport:
         S = np.random.default_rng(15).normal(size=(d.dim, 5))
         sol = ddtl_fit(S, d, DdtlConfig(eta0=3, max_iter=6))
         assert len(sol.report.objective_curve) == sol.report.iterations == 6
-
-    def test_empty_history(self):
-        rep = convergence_report([], initial_objective=2.5)
-        assert rep.iterations == 0
-        assert rep.final_objective == 2.5

@@ -78,15 +78,17 @@ class TestEdgeList:
 
 class TestTimeSeries:
     def make_files(self, tmp_path, graph, steps=240, header=False):
+        """Write node and edge CSVs; with ``header``, as the csv module writes them under a label row."""
         rng = np.random.default_rng(0)
         node = rng.normal(size=(steps, graph.num_nodes))
         edge = rng.normal(size=(steps, graph.num_edges))
-        labels_n = tuple(f"n{i}" for i in range(graph.num_nodes)) if header else None
-        labels_e = tuple(f"e{i}" for i in range(graph.num_edges)) if header else None
-        ds = TimeSeriesDataset(graph, node, edge, labels_n, labels_e)
-        write_matrix_csv(tmp_path / "node.csv", node, labels_n)
-        write_matrix_csv(tmp_path / "edge.csv", edge, labels_e)
-        return ds
+        if header:
+            oracle_write(tmp_path / "node.csv", node, tuple(f"n{i}" for i in range(graph.num_nodes)))
+            oracle_write(tmp_path / "edge.csv", edge, tuple(f"e{i}" for i in range(graph.num_edges)))
+        else:
+            write_matrix_csv(tmp_path / "node.csv", node)
+            write_matrix_csv(tmp_path / "edge.csv", edge)
+        return TimeSeriesDataset(graph, node, edge)
 
     def test_load_wdn_shape(self, tmp_path):
         g = random_graph(22, 41, 7)
@@ -98,10 +100,11 @@ class TestTimeSeries:
 
     def test_header_detected(self, tmp_path):
         g = random_graph(5, 7, 1)
-        self.make_files(tmp_path, g, steps=12, header=True)
+        ds = self.make_files(tmp_path, g, steps=12, header=True)
         loaded = load_time_series(g, tmp_path / "node.csv", tmp_path / "edge.csv")
         assert loaded.num_steps == 12
-        assert loaded.node_labels == tuple(f"n{i}" for i in range(5))
+        assert np.array_equal(loaded.node_series, ds.node_series)
+        assert np.array_equal(loaded.edge_series, ds.edge_series)
 
     def test_column_mismatch(self, tmp_path):
         g = random_graph(5, 7, 1)
@@ -131,36 +134,26 @@ class TestTimeSeries:
         with pytest.raises(ValueError, match="steps"):
             load_time_series(g, tmp_path / "node.csv", tmp_path / "edge.csv")
 
-    def test_label_counts_checked(self):
-        g = OrientedGraph(3, ((0, 1), (1, 2)))
-        node, edge = np.zeros((2, 3)), np.zeros((2, 2))
-        with pytest.raises(ValueError, match="1 node labels for 3"):
-            TimeSeriesDataset(g, node, edge, ("only_one",), ("e0", "e1"))
-        with pytest.raises(ValueError, match="4 edge labels for 2"):
-            TimeSeriesDataset(g, node, edge, ("n0", "n1", "n2"), ("e0", "e1", "e2", "e3"))
-
     def test_wrong_width_header_rejected_on_save_and_load(self, tmp_path):
-        # A header one cell wide over three node columns: neither side of the
-        # save/load pair may accept it.
+        # The writer takes no header at all; on reading, a header one cell wide
+        # over three node columns is refused, not skipped.
         g = OrientedGraph(3, ((0, 1), (1, 2)))
-        node = np.arange(6.0).reshape(2, 3)
-        with pytest.raises(ValueError, match="header has 1 cells for 3 columns"):
-            write_matrix_csv(tmp_path / "node.csv", node, ("only_one",))
+        with pytest.raises(TypeError):
+            write_matrix_csv(tmp_path / "node.csv", np.arange(6.0).reshape(2, 3), ("only_one",))
         assert not (tmp_path / "node.csv").exists()
-        oracle_write(tmp_path / "node.csv", node, ("only_one",))
-        write_matrix_csv(tmp_path / "edge.csv", np.ones((2, 2)), ("e0", "e1"))
+        oracle_write(tmp_path / "node.csv", np.arange(6.0).reshape(2, 3), ("only_one",))
+        oracle_write(tmp_path / "edge.csv", np.ones((2, 2)), ("e0", "e1"))
         with pytest.raises(ValueError, match="header row has 1 cells, expected 3 \\(node series\\)"):
             load_time_series(g, tmp_path / "node.csv", tmp_path / "edge.csv")
 
     def test_right_width_header_round_trips(self, tmp_path):
         g = OrientedGraph(3, ((0, 1), (1, 2)))
-        ds = TimeSeriesDataset(g, np.arange(6.0).reshape(2, 3), np.ones((2, 2)), ("a", "b", "c"), ("e0", "e1"))
-        write_matrix_csv(tmp_path / "node.csv", ds.node_series, ds.node_labels)
-        write_matrix_csv(tmp_path / "edge.csv", ds.edge_series, ds.edge_labels)
+        node, edge = np.arange(6.0).reshape(2, 3), np.ones((2, 2))
+        oracle_write(tmp_path / "node.csv", node, ("a", "b", "c"))
+        oracle_write(tmp_path / "edge.csv", edge, ("e0", "e1"))
         loaded = load_time_series(g, tmp_path / "node.csv", tmp_path / "edge.csv")
-        assert loaded.node_labels == ("a", "b", "c") and loaded.edge_labels == ("e0", "e1")
-        assert np.array_equal(loaded.node_series, ds.node_series)
-        assert np.array_equal(loaded.edge_series, ds.edge_series)
+        assert np.array_equal(loaded.node_series, node)
+        assert np.array_equal(loaded.edge_series, edge)
 
     def test_spinor_matrix_stacking(self, tmp_path):
         g = OrientedGraph(3, ((0, 1), (1, 2)))
@@ -214,7 +207,7 @@ class TestResults:
     def test_matrix_csv_full_precision(self, tmp_path):
         M = np.random.default_rng(3).normal(size=(4, 5)) * 1e-13
         write_matrix_csv(tmp_path / "m.csv", M)
-        assert np.array_equal(read_matrix_csv(tmp_path / "m.csv", 5)[0], M)
+        assert np.array_equal(read_matrix_csv(tmp_path / "m.csv", 5), M)
 
     def test_matrix_csv_empty_file_raises(self, tmp_path):
         (tmp_path / "m.csv").write_text("")
@@ -243,13 +236,13 @@ def oracle_read(path, expected_cols, what="matrix"):
         rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
     if not rows:
         raise ValueError(f"{path}: empty {what} file")
-    labels, start = None, 0
+    start = 0
     try:
         float(rows[0][0])
     except ValueError:
-        labels, start = tuple(cell.strip() for cell in rows[0]), 1
-        if len(labels) != expected_cols:
-            raise ValueError(f"{path}: header row has {len(labels)} cells, expected {expected_cols} ({what})")
+        start = 1
+        if len(rows[0]) != expected_cols:
+            raise ValueError(f"{path}: header row has {len(rows[0])} cells, expected {expected_cols} ({what})")
     data = []
     for idx, row in enumerate(rows[start:], start=start + 1):
         if len(row) != expected_cols:
@@ -260,7 +253,7 @@ def oracle_read(path, expected_cols, what="matrix"):
             raise ValueError(f"{path}: row {idx} has a non-numeric cell: {exc}") from None
     if not data:
         raise ValueError(f"{path}: no data rows in {what} file")
-    return np.asarray(data), labels
+    return np.asarray(data)
 
 
 SPECIAL_VALUES = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e308, -1.7976931348623157e308,
@@ -268,9 +261,9 @@ SPECIAL_VALUES = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e308, -1
 
 
 class TestMatrixCsvWriter:
-    def assert_matches_oracle(self, tmp_path, matrix, header=None):
-        write_matrix_csv(tmp_path / "new.csv", matrix, header)
-        oracle_write(tmp_path / "old.csv", matrix, header)
+    def assert_matches_oracle(self, tmp_path, matrix):
+        write_matrix_csv(tmp_path / "new.csv", matrix)
+        oracle_write(tmp_path / "old.csv", matrix)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_random_normals(self, tmp_path):
@@ -291,17 +284,15 @@ class TestMatrixCsvWriter:
 
     def test_zero_rows(self, tmp_path):
         self.assert_matches_oracle(tmp_path, np.empty((0, 4)))
-        self.assert_matches_oracle(tmp_path, np.empty((0, 4)), ("a", "b", "c", "d"))
-        assert (tmp_path / "new.csv").read_bytes() == b"a,b,c,d\r\n"
+        assert (tmp_path / "new.csv").read_bytes() == b""
 
     def test_header_needing_quotes(self, tmp_path):
+        # The writer writes no header; one quoted by csv rules is skipped on reading.
         header = ("plain", "with,comma", 'with "quote"', " padded ")
-        self.assert_matches_oracle(tmp_path, np.ones((2, 4)), header)
+        oracle_write(tmp_path / "new.csv", np.ones((2, 4)), header)
         first = (tmp_path / "new.csv").read_bytes().split(b"\r\n")[0]
         assert first == b'plain,"with,comma","with ""quote""", padded '
-        M, labels = read_matrix_csv(tmp_path / "new.csv", 4)
-        assert labels == ("plain", "with,comma", 'with "quote"', "padded")
-        assert np.array_equal(M, np.ones((2, 4)))
+        assert np.array_equal(read_matrix_csv(tmp_path / "new.csv", 4), np.ones((2, 4)))
 
     @pytest.mark.parametrize("shape", [(), (5,), (2, 3, 4)])
     def test_non_2d_input_rejected(self, tmp_path, shape):
@@ -316,8 +307,7 @@ class TestMatrixCsvWriter:
         write_matrix_csv(path, M)
         oracle_write(path.with_name("old.csv"), M)
         assert path.read_bytes() == path.with_name("old.csv").read_bytes()
-        loaded, labels = read_matrix_csv(path, M.shape[1])
-        assert labels is None
+        loaded = read_matrix_csv(path, M.shape[1])
         assert loaded.shape == M.shape
         assert np.array_equal(loaded, M, equal_nan=True)
         # -0.0 keeps its sign; a nan is written as plain "nan", whatever its sign.
@@ -372,12 +362,17 @@ class TestMatrixCsvReader:
         text, cols = READER_CASES[name]
         path = tmp_path / "m.csv"
         path.write_bytes(text.encode())
-        expected, expected_labels = oracle_read(path, cols)
-        got, labels = read_matrix_csv(path, cols)
+        expected = oracle_read(path, cols)
+        got = read_matrix_csv(path, cols)
         assert got.dtype == np.float64 and got.shape == expected.shape
         assert np.array_equal(got, expected, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(expected))
-        assert labels == expected_labels
+
+    @pytest.mark.parametrize("name", ["header", "quoted_header", "header_after_blank_rows"])
+    def test_header_row_is_skipped(self, tmp_path, name):
+        text, cols = READER_CASES[name]
+        (tmp_path / "m.csv").write_bytes(text.encode())
+        assert np.array_equal(read_matrix_csv(tmp_path / "m.csv", cols), [[1.0, 2.0, 3.0]])
 
     @pytest.mark.parametrize("name", REJECTED_CASES)
     def test_same_error_as_oracle(self, tmp_path, name):
@@ -400,11 +395,9 @@ class TestMatrixCsvReader:
 
     def test_round_trip_with_header(self, tmp_path):
         M = np.random.default_rng(8).normal(size=(9, 4))
-        write_matrix_csv(tmp_path / "m.csv", M, ("n0", "n1", "n2", "n3"))
-        got, labels = read_matrix_csv(tmp_path / "m.csv", 4)
-        expected, expected_labels = oracle_read(tmp_path / "m.csv", 4)
-        assert np.array_equal(got, M) and np.array_equal(expected, M)
-        assert labels == expected_labels == ("n0", "n1", "n2", "n3")
+        oracle_write(tmp_path / "m.csv", M, ("n0", "n1", "n2", "n3"))
+        got = read_matrix_csv(tmp_path / "m.csv", 4)
+        assert np.array_equal(got, M) and np.array_equal(oracle_read(tmp_path / "m.csv", 4), M)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -425,14 +418,14 @@ class TestMatrixCsvReader:
 
         def outcome(read):
             try:
-                M, labels = read(path, cols)
+                M = read(path, cols)
             except ValueError as exc:
                 return str(exc)
-            return M.shape, M.tobytes(), labels
+            return M.shape, M.tobytes()
 
         expected, got = outcome(oracle_read), outcome(read_matrix_csv)
         if isinstance(expected, str) or isinstance(got, str):
             assert got == expected
         else:
-            assert got[0] == expected[0] and got[2] == expected[2]
+            assert got[0] == expected[0]
             assert np.array_equal(np.frombuffer(got[1]), np.frombuffer(expected[1]), equal_nan=True)

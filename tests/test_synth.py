@@ -113,8 +113,8 @@ class TestGenSignals:
     def test_joint_omp_over_generating_dictionary_is_exact(self):
         d, S, truth = small_batch_setup("mixture_of_dirac", seed=4)
         basis = build_mass_basis(d, CouplingVector(truth.k_modes, truth.k_modes.copy()))
-        code = omp(basis.psi_bar, S, sparsity=truth.support.size)
-        assert nmse(S, code.reconstruct(basis.psi_bar)) < 1e-10
+        code = omp(basis, S, sparsity=truth.support.size)
+        assert nmse(S, code.reconstruct(basis)) < 1e-10
 
     def test_coefficients_have_unit_variance(self):
         _, _, truth = small_batch_setup("fully_coupled", num_signals=2000)
@@ -127,14 +127,12 @@ class TestGenSignals:
         assert np.array_equal(s1, s2)
         assert np.array_equal(t1.support, t2.support)
 
-    def test_noise_recorded(self):
-        d, S, truth = small_batch_setup("fully_coupled")
-        g = random_graph(12, 22, 3)
-        d2 = spectral_decompose(build_incidence(g))
-        spec = SignalClassSpec("fully_coupled", eta0=8, num_signals=50, seed=0)
-        noisy, truth2 = gen_signals(d2, spec, noise_std=0.5)
-        assert truth2.noise_std == 0.5
-        assert not np.array_equal(noisy, truth2.clean)
+    def test_batch_is_noiseless(self):
+        # The generator adds no noise: the batch is the synthesis of the coefficients on the support.
+        d, S, truth = small_batch_setup("partially_coupled", seed=2)
+        basis = build_mass_basis(d, CouplingVector(truth.k_modes, truth.k_modes.copy()))
+        assert S is truth.clean
+        assert np.array_equal(S, basis[:, truth.support_columns] @ truth.coefficients)
 
     def test_eta0_too_large(self):
         g = random_graph(5, 6, 0)

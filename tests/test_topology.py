@@ -7,6 +7,7 @@ from topospinor.topology import (
     GraphError,
     OrientedGraph,
     build_incidence,
+    decomposition_residuals,
     dirac_eigenbasis,
     dirac_operator,
     harmonic_columns,
@@ -15,7 +16,7 @@ from topospinor.topology import (
     super_laplacian_eigenbasis,
 )
 
-from conftest import connected_graphs
+from conftest import connected_graphs, shared_basis
 
 SQRT3 = np.sqrt(3.0)
 
@@ -192,6 +193,33 @@ class TestSpectralDecompose:
         # the scale) straddle the fixed cutoff 1e-8 sigma_max.
         d = spectral_decompose(scale * np.diag([1.0, 2e-8, 5e-9]))
         assert d.rank == 2 and d.xi0 == d.xi1 == 1
+
+
+# Graphs with known invariants: name -> (graph, sigma in decreasing order or None, xi1).
+STRUCTURED_GRAPHS = {
+    # Star K_{1,4}: Laplacian eigenvalues 5, 1, 1, 1, 0, so sigma = sqrt(5) once and 1 three times.
+    "star_k14": (OrientedGraph(5, ((0, 1), (0, 2), (0, 3), (0, 4))), [np.sqrt(5.0), 1.0, 1.0, 1.0], 0),
+    # Complete graph K_5: Laplacian eigenvalues 5 (four times) and 0.
+    "complete_k5": (OrientedGraph(5, tuple((a, b) for a in range(5) for b in range(a + 1, 5))), [np.sqrt(5.0)] * 4, 6),
+    # A tree that is not a path: nodes 1 and 3 have degree 3.
+    "branching_tree": (OrientedGraph(6, ((0, 1), (1, 2), (1, 3), (3, 4), (3, 5))), None, 0),
+    "single_edge": (OrientedGraph(2, ((0, 1),)), [np.sqrt(2.0)], 0),
+}
+
+
+@pytest.mark.parametrize("name", STRUCTURED_GRAPHS)
+def test_structured_graph_decomposition(name):
+    g, sigma, xi1 = STRUCTURED_GRAPHS[name]
+    B = build_incidence(g)
+    d = spectral_decompose(B)
+    residuals = decomposition_residuals(d, B)
+    assert max(residuals.values()) <= 1e-12, residuals
+    assert d.xi0 == count_components(g)
+    assert d.xi1 == xi1 == g.num_edges - g.num_nodes + d.xi0
+    if sigma is not None:
+        assert_allclose(d.sigma, sigma, atol=1e-12)
+    basis = shared_basis(d, 0.37)
+    assert np.max(np.abs(basis.T @ basis - np.eye(g.dim))) <= 1e-12
 
 
 class TestHarmonicColumns:

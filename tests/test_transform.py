@@ -12,17 +12,14 @@ from topospinor.topology import (
 )
 from topospinor.transform import (
     CouplingVector,
-    NonOrthonormalBasisWarning,
     build_mass_basis,
     coupling_to_mass,
-    forward_transform,
-    inverse_transform,
     mass_to_coupling,
     nonharmonic_column_indices,
     unnormalized_basis_matrix,
 )
 
-from conftest import connected_graphs
+from conftest import connected_graphs, shared_basis
 
 SQRT3 = np.sqrt(3.0)
 
@@ -96,23 +93,23 @@ def decomposition_for(graph):
 class TestMassBasisLimits:
     def test_unit_coupling_matches_dirac(self, p3):
         d = decomposition_for(p3)
-        basis = build_mass_basis(d, CouplingVector.shared(1.0, d.rank))
+        basis = shared_basis(d, 1.0)
         phi, _ = dirac_eigenbasis(d)
         cols = nonharmonic_column_indices(d)
         # Non-harmonic columns occupy identical index positions in both layouts.
-        assert np.max(np.abs(basis.psi_bar[:, cols] - phi[:, cols])) < 1e-12
+        assert np.max(np.abs(basis[:, cols] - phi[:, cols])) < 1e-12
 
     def test_zero_coupling_matches_laplacian_up_to_sign(self, p3):
         d = decomposition_for(p3)
-        basis = build_mass_basis(d, CouplingVector.shared(0.0, d.rank))
+        basis = shared_basis(d, 0.0)
         r = d.rank
         theta, _ = super_laplacian_eigenbasis(d)
         # Minus columns are (0; -v); plus columns are (u; 0).
         edge_modes = theta[:, d.xi0 + d.xi1 + r :]
         node_modes = theta[:, d.xi0 + d.xi1 : d.xi0 + d.xi1 + r]
-        assert np.max(np.abs(basis.psi_bar[:, :r] + edge_modes)) < 1e-12
+        assert np.max(np.abs(basis[:, :r] + edge_modes)) < 1e-12
         plus0 = r + d.xi0 + d.xi1
-        assert np.max(np.abs(basis.psi_bar[:, plus0:] - node_modes)) < 1e-12
+        assert np.max(np.abs(basis[:, plus0:] - node_modes)) < 1e-12
 
     @given(connected_graphs())
     @settings(max_examples=25)
@@ -121,9 +118,9 @@ class TestMassBasisLimits:
         phi, _ = dirac_eigenbasis(d)
         theta, _ = super_laplacian_eigenbasis(d)
         for value, reference in ((1.0, phi), (0.0, theta)):
-            basis = build_mass_basis(d, CouplingVector.shared(value, d.rank))
+            basis = shared_basis(d, value)
             # Column-by-column projector comparison avoids sign/order choices.
-            proj_basis = [np.outer(c, c) for c in basis.psi_bar.T]
+            proj_basis = [np.outer(c, c) for c in basis.T]
             matched = 0
             for pb in proj_basis:
                 matched += any(np.max(np.abs(pb - np.outer(c, c))) < 1e-8 for c in reference.T)
@@ -139,7 +136,7 @@ class TestMassBasisLimits:
         for _ in range(3):
             k = rand.uniform(-1.0, 1.0, size=d.rank)
             basis = build_mass_basis(d, CouplingVector(k, rand.uniform(-1, 1, d.rank)))
-            block = basis.psi_bar[:, harm]
+            block = basis[:, harm]
             if reference is None:
                 reference = block
             assert_allclose(block, reference, atol=0)
@@ -148,8 +145,8 @@ class TestMassBasisLimits:
 class TestMassBasisStructure:
     def test_shared_coupling_is_orthonormal(self, p3):
         d = decomposition_for(p3)
-        basis = build_mass_basis(d, CouplingVector.shared(0.5, d.rank))
-        gram = basis.psi_bar.T @ basis.psi_bar
+        basis = shared_basis(d, 0.5)
+        gram = basis.T @ basis
         assert np.max(np.abs(gram - np.eye(p3.dim))) < 1e-10
 
     @given(connected_graphs())
@@ -160,7 +157,7 @@ class TestMassBasisStructure:
         km = rand.uniform(-1, 1, d.rank)
         kp = rand.uniform(-1, 1, d.rank)
         basis = build_mass_basis(d, CouplingVector(km, kp))
-        gram = basis.psi_bar.T @ basis.psi_bar
+        gram = basis.T @ basis
         r, xi = d.rank, d.xi0 + d.xi1
         off = gram - np.eye(g.dim)
         for i in range(r):
@@ -174,7 +171,7 @@ class TestMassBasisStructure:
         km = np.array([0.0, 0.5])
         kp = np.array([1.0, 0.5])
         basis = build_mass_basis(d, CouplingVector(km, kp))
-        gram = basis.psi_bar.T @ basis.psi_bar
+        gram = basis.T @ basis
         r, xi = d.rank, d.xi0 + d.xi1
         zeta_m = 1.0 / np.sqrt(1.0 + km[0] ** 2)
         zeta_p = 1.0 / np.sqrt(1.0 + kp[0] ** 2)
@@ -184,8 +181,9 @@ class TestMassBasisStructure:
 
     def test_length_mismatch(self, p3):
         d = decomposition_for(p3)
+        k = np.full(d.rank + 1, 0.5)
         with pytest.raises(ValueError):
-            build_mass_basis(d, CouplingVector.shared(0.5, d.rank + 1))
+            build_mass_basis(d, CouplingVector(k, k))
 
     def test_unnormalized_columns(self, p3):
         d = decomposition_for(p3)
@@ -225,43 +223,25 @@ class TestMassBasisStructure:
 
 class TestTransforms:
     def test_shared_coupling_round_trip(self, p3, rng):
+        # Analysis by the transpose, then synthesis, gives back any batch.
         d = decomposition_for(p3)
-        basis = build_mass_basis(d, CouplingVector.shared(0.37, d.rank))
+        basis = shared_basis(d, 0.37)
+        assert np.max(np.abs(basis.T @ basis - np.eye(p3.dim))) < 1e-12
         s = rng.normal(size=(p3.dim, 4))
-        back = inverse_transform(basis, forward_transform(basis, s))
+        back = basis @ (basis.T @ s)
         assert np.max(np.abs(back - s)) / np.max(np.abs(s)) < 1e-10
 
     def test_harmonic_column_maps_to_unit_vector(self, triangle):
         d = decomposition_for(triangle)
-        basis = build_mass_basis(d, CouplingVector.shared(0.8, d.rank))
+        basis = shared_basis(d, 0.8)
         j = d.rank  # first harmonic column
-        coeffs = forward_transform(basis, basis.psi_bar[:, j])
+        coeffs = basis.T @ basis[:, j]
         expected = np.zeros(triangle.dim)
         expected[j] = 1.0
         assert_allclose(coeffs, expected, atol=1e-12)
 
-    def test_mismatched_branches_raise_warning(self, p3, rng):
-        d = decomposition_for(p3)
-        km = np.array([0.0, 0.5])
-        kp = np.array([1.0, 0.5])
-        basis = build_mass_basis(d, CouplingVector(km, kp))
-        s = rng.normal(size=p3.dim)
-        with pytest.warns(NonOrthonormalBasisWarning):
-            forward_transform(basis, s)
-
-    def test_shared_coupling_no_warning(self, p3, rng):
-        import warnings
-
-        d = decomposition_for(p3)
-        basis = build_mass_basis(d, CouplingVector.shared(0.5, d.rank))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", NonOrthonormalBasisWarning)
-            forward_transform(basis, rng.normal(size=p3.dim))
-
     def test_dimension_mismatch(self, p3):
+        # Branches of unequal length are refused before any basis is built.
         d = decomposition_for(p3)
-        basis = build_mass_basis(d, CouplingVector.shared(0.5, d.rank))
-        with pytest.raises(ValueError):
-            forward_transform(basis, np.zeros(4))
-        with pytest.raises(ValueError):
-            inverse_transform(basis, np.zeros(4))
+        with pytest.raises(ValueError, match="equal length"):
+            CouplingVector(np.full(d.rank, 0.5), np.full(d.rank + 1, 0.5))
