@@ -18,10 +18,11 @@ from .frames import DiracLaplacianFrame, build_frame
 from .io import (
     EdgeListParseError,
     ResultTable,
-    TimeSeriesDataset,
+    load_dataset,
     load_edge_list,
     load_results,
     load_time_series,
+    save_dataset,
     save_edge_list,
     save_results,
 )

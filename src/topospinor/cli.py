@@ -67,10 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("ddtl-fit", help="fit the coupling transform to a dataset")
     _add_common(p)
-    p.add_argument("--dataset", dest="dataset_dir", help="directory written by the synth command")
-    p.add_argument("--graph", dest="graph_path", help="edge-list file")
-    p.add_argument("--node-csv", help="node time-series CSV")
-    p.add_argument("--edge-csv", help="edge time-series CSV")
+    p.add_argument("--dataset", dest="dataset_dir", help="dataset directory, as the synth command writes it")
     p.add_argument("--eta0", type=int, help="bandwidth (row-sparsity) of the codes")
     p.add_argument("--max-iter", type=int)
     p.set_defaults(config_cls=FitConfig, runner=run_ddtl_fit)
@@ -89,9 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("denoise", help="denoising sweep over SNR and bandwidth")
     _add_common(p)
-    p.add_argument("--graph", dest="graph_path", help="edge-list file")
-    p.add_argument("--node-csv", help="node time-series CSV")
-    p.add_argument("--edge-csv", help="edge time-series CSV")
+    p.add_argument("--dataset", dest="dataset_dir", help="dataset directory (otherwise the synthetic surrogate)")
     p.add_argument("--num-nodes", type=int)
     p.add_argument("--num-edges", type=int)
     p.add_argument("--num-signals", type=int)

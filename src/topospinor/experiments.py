@@ -13,7 +13,6 @@ Result rows are merged in realization order; output formats live in
 
 from __future__ import annotations
 
-import json
 import zlib
 from collections import Counter
 from dataclasses import asdict, dataclass
@@ -85,20 +84,6 @@ def _load_graph(graph_path: str | None, num_nodes: int, num_edges: int, seed: in
     return random_graph(num_nodes, num_edges, seed)
 
 
-def _load_measured(graph_path, node_csv, edge_csv) -> tuple[OrientedGraph, np.ndarray] | None:
-    """The graph and (V+E) x T spinor matrix named by three paths; None when no path is given.
-
-    A partial set raises ValueError rather than falling back to anything.
-    """
-    paths = (graph_path, node_csv, edge_csv)
-    if not any(paths):
-        return None
-    if not all(paths):
-        raise ValueError("graph_path, node_csv and edge_csv must be given together")
-    graph = tsio.load_edge_list(graph_path)
-    return graph, tsio.load_time_series(graph, node_csv, edge_csv).spinor_matrix()
-
-
 # ---------------------------------------------------------------------------
 # spectra
 
@@ -166,18 +151,12 @@ def run_synth(cfg: SynthConfig) -> Path:
     spec = SignalClassSpec(cfg.signal_class, cfg.eta0, cfg.num_signals, sub_seed(cfg.seed, 0, "signals"))
     S, truth = gen_signals(d, spec)
 
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    tsio.save_edge_list(out / "graph.txt", graph)
-    V = graph.num_nodes
-    tsio.write_matrix_csv(out / "node_series.csv", S[:V].T)
-    tsio.write_matrix_csv(out / "edge_series.csv", S[V:].T)
+    out = tsio.save_dataset(cfg.out, graph, S)
     tsio.write_matrix_csv(out / "coefficients.csv", truth.coefficients)
     metadata = {
         "command": "synth",
         "config": _config_metadata(cfg),
         "graph": {"num_nodes": graph.num_nodes, "num_edges": graph.num_edges},
-        "tables": [],
         "truth": {
             "signal_class": truth.signal_class,
             "support": [int(i) for i in truth.support],
@@ -185,8 +164,7 @@ def run_synth(cfg: SynthConfig) -> Path:
             "k_modes": [float(k) for k in truth.k_modes],
         },
     }
-    (out / "run.json").write_text(json.dumps(metadata, indent=2, sort_keys=True) + "\n")
-    return out
+    return tsio.save_results(out, [], metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -195,37 +173,25 @@ def run_synth(cfg: SynthConfig) -> Path:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """A dataset (a synth directory or a graph and two CSVs, not both) and the learner's bandwidth and budget.
+    """A dataset directory (the layout ``synth`` writes; required) and the learner's bandwidth and budget.
 
     The fit draws no random numbers: ``seed`` is only recorded in run.json.
     """
 
     out: str
     dataset_dir: str | None = None
-    graph_path: str | None = None
-    node_csv: str | None = None
-    edge_csv: str | None = None
     eta0: int = 35
     max_iter: int = 500
     seed: int = 0
 
-
-def _load_dataset(cfg: FitConfig) -> tuple[OrientedGraph, np.ndarray]:
-    if cfg.dataset_dir:
-        if cfg.graph_path or cfg.node_csv or cfg.edge_csv:
-            raise ValueError("give either dataset_dir or graph_path + node_csv + edge_csv, not both")
-        base = Path(cfg.dataset_dir)
-        measured = _load_measured(base / "graph.txt", base / "node_series.csv", base / "edge_series.csv")
-    else:
-        measured = _load_measured(cfg.graph_path, cfg.node_csv, cfg.edge_csv)
-    if measured is None:
-        raise ValueError("provide either dataset_dir or graph_path + node_csv + edge_csv")
-    return measured
+    def __post_init__(self):
+        if not self.dataset_dir:
+            raise ValueError("a dataset directory is required (--dataset or config key 'dataset_dir')")
 
 
 def run_ddtl_fit(cfg: FitConfig) -> Path:
     """Fit the coupling transform to a dataset and store (k*, Omega*, diagnostics)."""
-    graph, S = _load_dataset(cfg)
+    graph, S = tsio.load_dataset(cfg.dataset_dir)
     d = spectral_decompose(build_incidence(graph))
     solution = ddtl_fit(S, d, DdtlConfig(eta0=cfg.eta0, max_iter=cfg.max_iter))
     report = solution.report
@@ -382,9 +348,7 @@ def run_sparsity_sweep(cfg: SweepConfig) -> Path:
 @dataclass(frozen=True)
 class DenoiseConfig:
     out: str
-    graph_path: str | None = None
-    node_csv: str | None = None
-    edge_csv: str | None = None
+    dataset_dir: str | None = None
     num_nodes: int = 22
     num_edges: int = 41
     num_signals: int = 240
@@ -401,6 +365,13 @@ class DenoiseConfig:
             raise ValueError("snr_grid and bandwidth_grid must be non-empty")
         if self.realizations < 1:
             raise ValueError("realizations must be positive")
+        if len({_noise_tag(snr) for snr in self.snr_grid}) != len(self.snr_grid):
+            raise ValueError(f"snr_grid values that print alike with %g would share one noise draw: {self.snr_grid}")
+
+
+def _noise_tag(snr: float) -> str:
+    """Sub-seed tag of the noise at one SNR level; equal tags mean one shared noise draw."""
+    return f"awgn@{snr:g}"
 
 
 def _truncation_nmse(clean: np.ndarray, noisy: np.ndarray, basis: np.ndarray, bandwidths) -> dict:
@@ -412,15 +383,17 @@ def _truncation_nmse(clean: np.ndarray, noisy: np.ndarray, basis: np.ndarray, ba
 def run_denoise(cfg: DenoiseConfig) -> Path:
     """Denoising sweep: learned-transform filtering versus fixed-basis truncation.
 
-    Clean data comes either from a graph and node/edge CSV files (all three
-    paths given) or, when none is given, from a synthetic surrogate batch.
+    Clean data is read from ``dataset_dir`` when it is given (the surrogate
+    settings are then ignored) and is otherwise a synthetic surrogate batch.
     For each SNR and noise realization the noisy input error is recorded,
     then per bandwidth the transform is learned on the noisy data and the
     filtered reconstruction compared against the clean signals, alongside
     hard spectral truncation in the Dirac and Laplacian bases.
     """
-    measured = _load_measured(cfg.graph_path, cfg.node_csv, cfg.edge_csv)
-    graph, clean = measured or (random_graph(cfg.num_nodes, cfg.num_edges, sub_seed(cfg.seed, 0, "graph")), None)
+    if cfg.dataset_dir:
+        graph, clean = tsio.load_dataset(cfg.dataset_dir)
+    else:
+        graph, clean = random_graph(cfg.num_nodes, cfg.num_edges, sub_seed(cfg.seed, 0, "graph")), None
     d = spectral_decompose(build_incidence(graph))
     if clean is None:
         spec = SignalClassSpec(cfg.signal_class, cfg.gen_eta0, cfg.num_signals, sub_seed(cfg.seed, 0, "signals"))
@@ -432,7 +405,7 @@ def run_denoise(cfg: DenoiseConfig) -> Path:
     reports = []
     for real in range(cfg.realizations):
         for snr in cfg.snr_grid:
-            noisy = add_awgn(clean, snr, sub_seed(cfg.seed, real, f"awgn@{snr:g}"))
+            noisy = add_awgn(clean, snr, sub_seed(cfg.seed, real, _noise_tag(snr)))
             rows.append(("noisy_input", float(snr), None, real, nmse(clean, noisy)))
             truncation = {
                 method: _truncation_nmse(clean, noisy, basis, cfg.bandwidth_grid)

@@ -1,15 +1,15 @@
-r"""File formats: edge lists, node/edge time-series CSVs, and result tables.
+r"""File formats: edge lists, dataset directories, matrix CSVs, and result tables.
 
 Edge list format
     line 1:            V (node count)
     lines 2..E+1:      "tail head", whitespace separated, 0-indexed;
                        the line order defines the edge indexing.
 
-Time series
-    One CSV per domain.  Each row is a time step; the node file has V numeric
-    columns and the edge file E, in node/edge index order.  An optional header
-    row, detected by a non-numeric first cell, is checked for its width and
-    skipped; no file is written with one.
+Dataset directory (``save_dataset`` / ``load_dataset``)
+    ``graph.txt`` (an edge list), ``node_series.csv`` and ``edge_series.csv``:
+    one row per time step, the same count in both, and V or E numeric columns
+    in index order.  An optional header row, detected by a non-numeric first
+    cell, is checked for its width and skipped; no file is written with one.
 
 Matrix CSV dialect (``write_matrix_csv`` / ``read_matrix_csv``)
     Written: comma-separated, ``\r\n`` row ends, every value with 17
@@ -46,11 +46,12 @@ from .topology import GraphError, OrientedGraph
 
 __all__ = [
     "EdgeListParseError",
-    "TimeSeriesDataset",
     "ResultTable",
     "load_edge_list",
     "save_edge_list",
     "load_time_series",
+    "save_dataset",
+    "load_dataset",
     "save_results",
     "load_results",
     "format_float",
@@ -66,35 +67,6 @@ class EdgeListParseError(ValueError):
         self.path = str(path)
         self.line_number = line_number
         super().__init__(f"{path}:{line_number}: {message}")
-
-
-@dataclass(frozen=True)
-class TimeSeriesDataset:
-    """Node and edge measurements over T time steps on a fixed graph."""
-
-    graph: OrientedGraph
-    node_series: np.ndarray  # (T, V)
-    edge_series: np.ndarray  # (T, E)
-
-    def __post_init__(self):
-        ns = np.asarray(self.node_series, dtype=float)
-        es = np.asarray(self.edge_series, dtype=float)
-        if ns.shape[1] != self.graph.num_nodes:
-            raise ValueError(f"node series has {ns.shape[1]} columns, graph has {self.graph.num_nodes} nodes")
-        if es.shape[1] != self.graph.num_edges:
-            raise ValueError(f"edge series has {es.shape[1]} columns, graph has {self.graph.num_edges} edges")
-        if ns.shape[0] != es.shape[0]:
-            raise ValueError(f"node series has {ns.shape[0]} steps but edge series has {es.shape[0]}")
-        object.__setattr__(self, "node_series", ns)
-        object.__setattr__(self, "edge_series", es)
-
-    @property
-    def num_steps(self) -> int:
-        return self.node_series.shape[0]
-
-    def spinor_matrix(self) -> np.ndarray:
-        """(V+E) x T matrix with the node block on top."""
-        return np.vstack([self.node_series.T, self.edge_series.T])
 
 
 def load_edge_list(path) -> OrientedGraph:
@@ -206,11 +178,30 @@ def _raise_non_numeric(path, lines: list[str], first_row_no: int) -> None:
             raise ValueError(f"{path}: row {row_no} has a non-numeric cell: {exc}") from None
 
 
-def load_time_series(graph: OrientedGraph, node_csv_path, edge_csv_path) -> TimeSeriesDataset:
-    """Load matching node/edge CSVs (one row per time step) for a graph."""
+def load_time_series(graph: OrientedGraph, node_csv_path, edge_csv_path) -> np.ndarray:
+    """The (V+E) x T spinor matrix of matching node/edge CSVs (one row per time step), node block on top."""
     node_series = read_matrix_csv(node_csv_path, graph.num_nodes, "node series")
     edge_series = read_matrix_csv(edge_csv_path, graph.num_edges, "edge series")
-    return TimeSeriesDataset(graph, node_series, edge_series)
+    if node_series.shape[0] != edge_series.shape[0]:
+        raise ValueError(f"node series has {node_series.shape[0]} steps but edge series has {edge_series.shape[0]}")
+    return np.vstack([node_series.T, edge_series.T])
+
+
+def save_dataset(path, graph: OrientedGraph, S: np.ndarray) -> Path:
+    """Write a dataset directory: the graph and the node and edge blocks of the (V+E) x T matrix ``S``."""
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    save_edge_list(out / "graph.txt", graph)
+    write_matrix_csv(out / "node_series.csv", S[: graph.num_nodes].T)
+    write_matrix_csv(out / "edge_series.csv", S[graph.num_nodes :].T)
+    return out
+
+
+def load_dataset(path) -> tuple[OrientedGraph, np.ndarray]:
+    """The graph and (V+E) x T spinor matrix of a dataset directory."""
+    base = Path(path)
+    graph = load_edge_list(base / "graph.txt")
+    return graph, load_time_series(graph, base / "node_series.csv", base / "edge_series.csv")
 
 
 def write_matrix_csv(path, matrix: np.ndarray) -> None:

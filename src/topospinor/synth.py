@@ -57,7 +57,6 @@ class GroundTruth:
     support_columns: np.ndarray    # same support as full-basis column indices
     coefficients: np.ndarray       # (eta0, T)
     k_modes: np.ndarray            # shared per-pair coupling, length r
-    clean: np.ndarray              # (V+E, T) noiseless signals
     signal_class: str
 
 
@@ -152,16 +151,14 @@ def gen_signals(d: SpectralDecomposition, spec: SignalClassSpec) -> tuple[np.nda
     basis = build_mass_basis(d, CouplingVector(k_modes, k_modes.copy()))
     full_cols = nonharmonic_column_indices(d)[support]
     coeffs = rng.normal(size=(spec.eta0, spec.num_signals))
-    clean = basis[:, full_cols] @ coeffs
     truth = GroundTruth(
         support=support,
         support_columns=full_cols,
         coefficients=coeffs,
         k_modes=k_modes,
-        clean=clean,
         signal_class=spec.signal_class,
     )
-    return clean, truth
+    return basis[:, full_cols] @ coeffs, truth
 
 
 def add_awgn(S: np.ndarray, snr_db: float, seed) -> np.ndarray:

@@ -7,7 +7,7 @@ import pytest
 
 from topospinor.cli import build_parser, main
 from topospinor.experiments import sub_seed
-from topospinor.io import load_edge_list, load_results, load_time_series, read_matrix_csv
+from topospinor.io import load_dataset, load_edge_list, load_results, read_matrix_csv
 from topospinor.sparse import nmse
 from topospinor.topology import build_incidence, spectral_decompose
 from topospinor.transform import unnormalized_basis_matrix
@@ -42,8 +42,19 @@ REMOVED_DATA_CASES = [
     for key in REMOVED_DATA_OPTIONS
     for command in ("synth", "sparsity-sweep", "denoise")
 ]
-REMOVED_OPTIONS = {**REMOVED_LEARNER_OPTIONS, **REMOVED_DATA_OPTIONS}
-REMOVED_CASES = REMOVED_LEARNER_CASES + REMOVED_DATA_CASES
+# The three-path data input, deleted in favour of one dataset directory (--dataset).
+REMOVED_INPUT_OPTIONS = {
+    "graph_path": ("--graph", "graph.txt"),
+    "node_csv": ("--node-csv", "node_series.csv"),
+    "edge_csv": ("--edge-csv", "edge_series.csv"),
+}
+REMOVED_INPUT_CASES = [
+    pytest.param(command, key, id=f"{command}-{key}")
+    for key in REMOVED_INPUT_OPTIONS
+    for command in ("ddtl-fit", "denoise")
+]
+REMOVED_OPTIONS = {**REMOVED_LEARNER_OPTIONS, **REMOVED_DATA_OPTIONS, **REMOVED_INPUT_OPTIONS}
+REMOVED_CASES = REMOVED_LEARNER_CASES + REMOVED_DATA_CASES + REMOVED_INPUT_CASES
 
 
 def write_p3(tmp_path):
@@ -120,9 +131,8 @@ class TestSynthCommand:
             "--eta0", "5", "--num-signals", "20", "--seed", "1", "--out", str(out),
         ])
         assert code == 0
-        graph = load_edge_list(out / "graph.txt")
-        ds = load_time_series(graph, out / "node_series.csv", out / "edge_series.csv")
-        assert ds.num_steps == 20
+        graph, S = load_dataset(out)
+        assert S.shape == (graph.num_nodes + graph.num_edges, 20)
         truth = json.loads((out / "run.json").read_text())["truth"]
         assert len(truth["support"]) == 5
 
@@ -170,26 +180,10 @@ class TestFitCommand:
         assert k_star.shape == (2 * d.rank,)
 
         # Recompute the reconstruction from the saved pieces.
-        ds = load_time_series(graph, data / "node_series.csv", data / "edge_series.csv")
-        S = ds.spinor_matrix()
+        _, S = load_dataset(data)
         omega = read_matrix_csv(out / "omega_star.csv", S.shape[1])
         psi = unnormalized_basis_matrix(d, k_star[: d.rank], k_star[d.rank:])
         assert abs(nmse(S, psi @ omega) - meta["reconstruction_nmse"]) < 1e-12
-
-    def test_dataset_and_graph_are_exclusive(self, tmp_path, capsys):
-        # A dataset directory plus explicit files must not fit one and record the other.
-        data = tmp_path / "data"
-        main(["synth", "--num-nodes", "8", "--num-edges", "12", "--eta0", "4",
-              "--num-signals", "10", "--seed", "2", "--out", str(data)])
-        for extra in (["--graph", str(write_triangle(tmp_path))],
-                      ["--node-csv", str(data / "node_series.csv")],
-                      ["--edge-csv", str(data / "edge_series.csv")]):
-            code = main(["ddtl-fit", "--dataset", str(data), *extra, "--max-iter", "5",
-                         "--out", str(tmp_path / "fit")])
-            assert code == 1
-            err = json.loads(capsys.readouterr().err.strip())
-            assert err["error"] == "ValueError" and "not both" in err["message"]
-            assert not (tmp_path / "fit").exists()
 
     def test_requires_input(self, tmp_path, capsys):
         code = main(["ddtl-fit", "--eta0", "4", "--out", str(tmp_path / "fit")])
@@ -257,12 +251,14 @@ class TestDenoiseCommand:
         err = json.loads(capsys.readouterr().err.strip())
         assert set(err) == {"error", "message"}
 
-    def test_graph_without_series_is_rejected(self, tmp_path, capsys):
-        # A partial measured-data set must not fall back to the synthetic surrogate.
-        code = main(["denoise", "--graph", str(write_triangle(tmp_path)), "--out", str(tmp_path / "x")])
+    def test_snr_levels_that_share_a_noise_seed_are_rejected(self, tmp_path, capsys):
+        # The noise sub-seed is tagged with the SNR printed by %g, so 10 and
+        # 10.0000001 would draw the same noise.
+        assert sub_seed(0, 0, "awgn@10") == sub_seed(0, 0, f"awgn@{10.0000001:g}")
+        code = main(["denoise", "--snr-grid", "0,10,10.0000001", "--out", str(tmp_path / "x")])
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == "ValueError"
+        assert err["error"] == "ValueError" and "noise" in err["message"]
         assert not (tmp_path / "x").exists()
 
     def test_measured_data_run(self, tmp_path):
@@ -271,8 +267,7 @@ class TestDenoiseCommand:
               "--num-signals", "20", "--seed", "3", "--out", str(data)])
         out = tmp_path / "denoise"
         code = main([
-            "denoise", "--graph", str(data / "graph.txt"), "--node-csv", str(data / "node_series.csv"),
-            "--edge-csv", str(data / "edge_series.csv"), "--snr-grid", "10", "--bandwidth-grid", "4",
+            "denoise", "--dataset", str(data), "--snr-grid", "10", "--bandwidth-grid", "4",
             "--realizations", "1", "--ddtl-max-iter", "5", "--out", str(out),
         ])
         assert code == 0
@@ -294,6 +289,23 @@ class TestFailureModes:
         assert code != 0
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "EdgeListParseError"
+
+    def test_bad_dataset_is_rejected(self, tmp_path, capsys):
+        # Both commands read only a dataset directory; a broken or missing one fails before any output.
+        data = tmp_path / "data"
+        main(["synth", "--num-nodes", "6", "--num-edges", "9", "--eta0", "4", "--num-signals", "8",
+              "--seed", "2", "--out", str(data)])
+        edge_rows = (data / "edge_series.csv").read_text().splitlines(keepends=True)
+        (data / "edge_series.csv").write_text("".join(edge_rows[:-1]))
+        capsys.readouterr()
+        cases = (("denoise", data, "ValueError", "8 steps but edge series has 7"),
+                 ("ddtl-fit", tmp_path / "missing", "FileNotFoundError", "graph.txt"))
+        for command, dataset, error, message in cases:
+            out = tmp_path / command
+            assert main([command, "--dataset", str(dataset), "--out", str(out)]) == 1
+            err = json.loads(capsys.readouterr().err.strip())
+            assert err["error"] == error and message in err["message"]
+            assert not out.exists()
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -12,12 +12,13 @@ from numpy.testing import assert_allclose
 from topospinor.io import (
     EdgeListParseError,
     ResultTable,
-    TimeSeriesDataset,
+    load_dataset,
     load_edge_list,
     load_results,
     format_float,
     load_time_series,
     read_matrix_csv,
+    save_dataset,
     save_edge_list,
     save_results,
     write_matrix_csv,
@@ -78,7 +79,10 @@ class TestEdgeList:
 
 class TestTimeSeries:
     def make_files(self, tmp_path, graph, steps=240, header=False):
-        """Write node and edge CSVs; with ``header``, as the csv module writes them under a label row."""
+        """Write node and edge CSVs and return the spinor matrix they hold.
+
+        With ``header``, the files are written as the csv module writes them under a label row.
+        """
         rng = np.random.default_rng(0)
         node = rng.normal(size=(steps, graph.num_nodes))
         edge = rng.normal(size=(steps, graph.num_edges))
@@ -88,23 +92,20 @@ class TestTimeSeries:
         else:
             write_matrix_csv(tmp_path / "node.csv", node)
             write_matrix_csv(tmp_path / "edge.csv", edge)
-        return TimeSeriesDataset(graph, node, edge)
+        return np.vstack([node.T, edge.T])
 
     def test_load_wdn_shape(self, tmp_path):
         g = random_graph(22, 41, 7)
-        ds = self.make_files(tmp_path, g, steps=240)
+        S = self.make_files(tmp_path, g, steps=240)
         loaded = load_time_series(g, tmp_path / "node.csv", tmp_path / "edge.csv")
-        assert loaded.num_steps == 240
-        assert_allclose(loaded.node_series, ds.node_series)
-        assert_allclose(loaded.edge_series, ds.edge_series)
+        assert loaded.shape == (22 + 41, 240)
+        assert_allclose(loaded, S)
 
     def test_header_detected(self, tmp_path):
         g = random_graph(5, 7, 1)
-        ds = self.make_files(tmp_path, g, steps=12, header=True)
+        S = self.make_files(tmp_path, g, steps=12, header=True)
         loaded = load_time_series(g, tmp_path / "node.csv", tmp_path / "edge.csv")
-        assert loaded.num_steps == 12
-        assert np.array_equal(loaded.node_series, ds.node_series)
-        assert np.array_equal(loaded.edge_series, ds.edge_series)
+        assert np.array_equal(loaded, S)
 
     def test_column_mismatch(self, tmp_path):
         g = random_graph(5, 7, 1)
@@ -131,7 +132,7 @@ class TestTimeSeries:
         g = OrientedGraph(3, ((0, 1), (1, 2)))
         (tmp_path / "node.csv").write_text("1,2,3\n")
         (tmp_path / "edge.csv").write_text("1,2\n3,4\n")
-        with pytest.raises(ValueError, match="steps"):
+        with pytest.raises(ValueError, match="node series has 1 steps but edge series has 2"):
             load_time_series(g, tmp_path / "node.csv", tmp_path / "edge.csv")
 
     def test_wrong_width_header_rejected_on_save_and_load(self, tmp_path):
@@ -152,16 +153,25 @@ class TestTimeSeries:
         oracle_write(tmp_path / "node.csv", node, ("a", "b", "c"))
         oracle_write(tmp_path / "edge.csv", edge, ("e0", "e1"))
         loaded = load_time_series(g, tmp_path / "node.csv", tmp_path / "edge.csv")
-        assert np.array_equal(loaded.node_series, node)
-        assert np.array_equal(loaded.edge_series, edge)
+        assert np.array_equal(loaded, np.vstack([node.T, edge.T]))
 
     def test_spinor_matrix_stacking(self, tmp_path):
         g = OrientedGraph(3, ((0, 1), (1, 2)))
-        ds = TimeSeriesDataset(g, np.arange(6).reshape(2, 3), np.arange(4).reshape(2, 2))
-        S = ds.spinor_matrix()
+        write_matrix_csv(tmp_path / "node.csv", np.arange(6).reshape(2, 3))
+        write_matrix_csv(tmp_path / "edge.csv", np.arange(4).reshape(2, 2))
+        S = load_time_series(g, tmp_path / "node.csv", tmp_path / "edge.csv")
         assert S.shape == (5, 2)
         assert_allclose(S[:3, 0], [0, 1, 2])  # node block first
         assert_allclose(S[3:, 0], [0, 1])
+
+    def test_dataset_directory_round_trip(self, tmp_path):
+        g = random_graph(6, 9, 3)
+        S = np.random.default_rng(3).normal(size=(6 + 9, 11))
+        out = save_dataset(tmp_path / "data", g, S)
+        assert sorted(f.name for f in out.iterdir()) == ["edge_series.csv", "graph.txt", "node_series.csv"]
+        graph, loaded = load_dataset(out)
+        assert graph.num_nodes == 6 and graph.edges == g.edges
+        assert np.array_equal(loaded, S)
 
 
 class TestResults:
