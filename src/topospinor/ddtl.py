@@ -15,10 +15,11 @@ k -> Omega -> P -> X -> H -> M per iteration.
 
 The data enter the cycle only in spectral coordinates.  With the orthonormal
 frame Q = [(u; 0) | (u_H; 0) | (0; v_H) | (0; v)], the batch is projected
-once per fit to z = Q^T S, whose rows follow the basis columns
-[minus | node-harmonic | edge-harmonic | plus].  Q^T Psi(k) pairs row u_i
-only with row v_i, so Psi(k)^T S, the reconstruction Psi(k) Omega and the
-objective need no (V+E) x (V+E) product across the signals.
+once per fit to z = Q^T S (``topology.project``), whose rows follow the
+basis columns [minus | node-harmonic | edge-harmonic | plus].  Q^T Psi(k)
+pairs row u_i only with row v_i, so Psi(k)^T S, the reconstruction
+Psi(k) Omega and the objective need no (V+E) x (V+E) product across the
+signals.
 
 Psi, P and H are held in plane coordinates, as (2, 2r) arrays.  Coupled
 column j of each lies in its mode plane span{(u_i; 0), (0; v_i)}: row 0 is
@@ -68,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sparse import column_normalize, row_hard_threshold
-from .topology import SpectralDecomposition
+from .topology import SpectralDecomposition, project
 from .transform import CouplingVector, build_mass_basis
 
 __all__ = [
@@ -186,12 +187,6 @@ def _build_psi(d: SpectralDecomposition, k: np.ndarray) -> np.ndarray:
     return psi
 
 
-def _project(S: np.ndarray, d: SpectralDecomposition) -> np.ndarray:
-    """Q^T S with rows [u^T S_V; u_H^T S_V; v_H^T S_E; v^T S_E]."""
-    s_node, s_edge = S[: d.num_nodes], S[d.num_nodes :]
-    return np.vstack([d.u.T @ s_node, d.u_harmonic.T @ s_node, d.v_harmonic.T @ s_edge, d.v.T @ s_edge])
-
-
 def _analysis(z: np.ndarray, k: np.ndarray, d: SpectralDecomposition) -> np.ndarray:
     """Psi(k)^T S, from the projected data z: rows k- z_minus - z_plus, z_harm, z_minus + k+ z_plus."""
     n, r = z.shape[0], d.rank
@@ -225,7 +220,7 @@ def initialize_state(S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -
     if S.shape[1] > d.dim:
         row_basis, r_factor = np.linalg.qr(S.T)
         S = r_factor.T
-    z = _project(S, d)
+    z = project(S, d)
     psi = _build_psi(d, k)
     omega = _analysis(z, k, d)
     return DdtlState(

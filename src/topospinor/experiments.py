@@ -23,16 +23,19 @@ import numpy as np
 from . import io as tsio
 from .ddtl import ConvergenceReport, DdtlConfig, DdtlSolution, ddtl_fit
 from .frames import build_frame
-from .sparse import SparseCode, nmse, omp, row_energy_curve, row_hard_threshold, square_factor
+from .sparse import nmse, plane_pursuit_curve, row_hard_threshold, square_factor
+from .sparse import omp  # noqa: F401  unused; perfbench pins this binding (ROADMAP item 0)
 from .synth import SignalClassSpec, add_awgn, gen_signals, random_graph
 from .topology import (
     OrientedGraph,
     build_incidence,
     decomposition_residuals,
     dirac_eigenbasis,
+    project,
     spectral_decompose,
     super_laplacian_eigenbasis,
 )
+from .transform import CouplingVector
 
 __all__ = [
     "sub_seed",
@@ -49,9 +52,6 @@ __all__ = [
 ]
 
 SWEEP_METHODS = ("laplacian", "dirac", "frame", "ddtl")
-# The orthonormal sweep dictionaries, coded by row energies rather than by a pursuit.
-# The learned basis is not among them: its two branches carry separate couplings.
-ROW_ENERGY_METHODS = ("laplacian", "dirac")
 # Slack of the dominance counts in run.json, in NMSE.
 DOMINANCE_SLACK = 1e-12
 
@@ -246,25 +246,36 @@ class SweepConfig:
     def __post_init__(self):
         if not self.sparsity_grid:
             raise ValueError("sparsity_grid must be non-empty")
+        n = self.num_nodes + self.num_edges
+        if not all(1 <= lv <= n for lv in self.sparsity_grid):
+            raise ValueError(f"sparsity_grid levels must lie in [1, V + E = {n}], got {self.sparsity_grid}")
         if self.realizations < 1:
             raise ValueError("realizations must be positive")
 
 
-def _nmse_at_levels(code: SparseCode, signal_energy: float, levels) -> dict[int, float]:
-    history = np.asarray(code.residual_history)
-    return {int(lv): float(history[lv - 1] ** 2 / signal_energy) for lv in levels}
-
-
+# No study path calls sweep_dictionaries; the tests' dense oracle and perfbench do (ROADMAP item 0).
 def sweep_dictionaries(d, solution: DdtlSolution) -> dict[str, np.ndarray]:
-    """The four unit-column dictionaries compared by the sweep."""
-    phi, _ = dirac_eigenbasis(d)
-    theta, _ = super_laplacian_eigenbasis(d)
-    return {
-        "laplacian": theta,
-        "dirac": phi,
-        "frame": build_frame(phi, theta).matrix,
-        "ddtl": solution.basis,
-    }
+    """The four dense unit-column dictionaries that ``_plane_dictionaries`` describes per mode plane."""
+    phi, theta = dirac_eigenbasis(d)[0], super_laplacian_eigenbasis(d)[0]
+    return {"laplacian": theta, "dirac": phi, "frame": build_frame(phi, theta).matrix, "ddtl": solution.basis}
+
+
+def _plane_dictionaries(d, k: CouplingVector) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The four sweep dictionaries as ``plane_pursuit_curve`` takes them: atoms, atom indices, harmonic indices.
+
+    The dense column indices are those of ``super_laplacian_eigenbasis``,
+    ``dirac_eigenbasis``, the frame [Dirac | Laplacian] and ``build_mass_basis``.
+    """
+    r, xi0, xi1, n = d.rank, d.xi0, d.xi1, d.dim
+    xi, i, h = xi0 + xi1, np.arange(r), np.arange(xi0 + xi1)
+    c = 1.0 / np.sqrt(2.0)  # as in dirac_eigenbasis
+    laplacian = (np.array([[[1.0, 0.0]], [[0.0, 1.0]]]), np.array([xi + i, xi + r + i]), h)
+    dirac = (np.array([[[c, -c]], [[c, c]]]), np.array([i, r + xi + i]), np.where(h < xi0, r + xi1 + h, r + h - xi0))
+    frame = (np.concatenate([dirac[0], laplacian[0]]), np.concatenate([dirac[1], laplacian[1] + n]), dirac[2])
+    minus = np.stack([k.k_minus, -np.ones(r)], axis=1) / np.sqrt(1.0 + k.k_minus**2)[:, None]
+    plus = np.stack([np.ones(r), k.k_plus], axis=1) / np.sqrt(1.0 + k.k_plus**2)[:, None]
+    ddtl = (np.stack([minus, plus]), np.array([i, r + xi + i]), r + h)
+    return {"laplacian": laplacian, "dirac": dirac, "frame": frame, "ddtl": ddtl}
 
 
 def _dominance(curves: list[dict[str, dict[int, float]]], eta0: int) -> dict:
@@ -292,17 +303,16 @@ def run_sparsity_sweep(cfg: SweepConfig) -> Path:
 
     Per realization: draw a graph and a signal batch and factor a wide batch
     once, S = L Q1^T (``square_factor``).  Learn the coupling transform on
-    L, then code L in each dictionary up to the largest grid level: by row
-    energies in the orthonormal Laplacian and Dirac bases, by one joint
-    pursuit in the frame and the learned basis, reading intermediate levels
-    off its residual history.  This is exact, since the sweep reads only
-    residual norms and the learned basis, and neither sees Q1^T.
+    L, project L once (``topology.project``) and read every dictionary's
+    joint OMP curve off that projection, one mode plane at a time
+    (``plane_pursuit_curve``): each atom of the four dictionaries lies in one
+    mode plane or on one harmonic row.  This is exact, since the sweep reads
+    only residual norms and the learned couplings, and neither sees Q1^T.
     """
     rows = []
     reports = []
     curves = []
     graph_summary = None
-    max_level = max(cfg.sparsity_grid)
     for real in range(cfg.realizations):
         graph = random_graph(cfg.num_nodes, cfg.num_edges, sub_seed(cfg.seed, real, "graph"))
         d = spectral_decompose(build_incidence(graph))
@@ -312,14 +322,11 @@ def run_sparsity_sweep(cfg: SweepConfig) -> Path:
         factor = square_factor(S)
         solution = ddtl_fit(factor, d, DdtlConfig(eta0=cfg.eta0, max_iter=cfg.ddtl_max_iter))
         reports.append(solution.report)
+        z = project(factor, d)
         curve = {}
-        for method, dictionary in sweep_dictionaries(d, solution).items():
-            if method in ROW_ENERGY_METHODS:
-                _, residual = row_energy_curve(dictionary, factor, cfg.sparsity_grid)
-                curve[method] = {int(lv): float(e / energy) for lv, e in zip(cfg.sparsity_grid, residual)}
-            else:
-                code = omp(dictionary, factor, sparsity=max_level)
-                curve[method] = _nmse_at_levels(code, energy, cfg.sparsity_grid)
+        for method, (atoms, atom_index, harmonic_index) in _plane_dictionaries(d, solution.k_star).items():
+            _, residual = plane_pursuit_curve(z, d.rank, atoms, atom_index, harmonic_index, cfg.sparsity_grid)
+            curve[method] = {int(lv): float(e / energy) for lv, e in zip(cfg.sparsity_grid, residual)}
             rows.extend((method, level, real, value) for level, value in curve[method].items())
         curves.append(curve)
         if graph_summary is None:

@@ -22,10 +22,7 @@ class DiracLaplacianFrame:
     matrix: np.ndarray
 
 
-def _orthonormality_defect(basis: np.ndarray) -> float:
-    return float(np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1]))))
-
-
+# No study path calls build_frame; the tests' dense oracle and perfbench do (ROADMAP item 0).
 def build_frame(phi: np.ndarray, theta: np.ndarray) -> DiracLaplacianFrame:
     """Concatenate two orthonormal bases of the same space into a tight frame.
 
@@ -37,7 +34,7 @@ def build_frame(phi: np.ndarray, theta: np.ndarray) -> DiracLaplacianFrame:
     if phi.shape != theta.shape or phi.shape[0] != phi.shape[1]:
         raise ValueError(f"expected two square bases of equal shape, got {phi.shape} and {theta.shape}")
     for name, basis in (("first", phi), ("second", theta)):
-        defect = _orthonormality_defect(basis)
+        defect = float(np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1]))))
         if defect > _ORTHONORMALITY_TOL:
             raise ValueError(f"{name} basis is not orthonormal (max Gram deviation {defect:.3e})")
     return DiracLaplacianFrame(np.hstack([phi, theta]))

@@ -5,12 +5,11 @@ all signal columns) by progressive orthogonalization of the selected atoms,
 on the square triangular factor of a batch with more signals than rows
 (``square_factor``), with the coefficients solved once at the end.
 
-``row_energy_curve`` is the same pursuit for a square orthonormal
-dictionary, where it reduces to sorting the rows of D^T S by energy
-(Tropp, Gilbert & Strauss, 2006).  Its precision rule: the residual energy
-at a level is the sum of the energies of the unselected rows, added smallest
-first, never ||S||^2 minus the captured energy, so an exact representation
-reports a residual near 1e-30 rather than a cancellation error near 1e-16.
+``plane_pursuit_curve`` is the same pursuit for a dictionary whose atoms
+each lie in one mode plane span{(u_i; 0), (0; v_i)} or on one harmonic
+coefficient, as every sweep dictionary's do.  It works on the projected
+signals one 2-D plane at a time, with the selection rule of Tropp, Gilbert
+& Strauss (2006) and no n-dimensional Gram-Schmidt.
 
 ``row_hard_threshold`` and ``column_normalize`` are the Euclidean
 projections onto row-sparse matrices and onto the unit-column (oblique)
@@ -28,7 +27,7 @@ __all__ = [
     "SparseCode",
     "DegenerateRetractionWarning",
     "omp",
-    "row_energy_curve",
+    "plane_pursuit_curve",
     "square_factor",
     "nmse",
     "row_hard_threshold",
@@ -36,7 +35,6 @@ __all__ = [
 ]
 
 _UNIT_NORM_TOL = 1e-6
-_ORTHONORMALITY_TOL = 1e-8
 _RIDGE = 1e-12
 
 
@@ -65,6 +63,7 @@ class SparseCode:
         return dictionary[:, list(self.support)] @ self.coefficients
 
 
+# No study path calls omp; the tests' dense oracle and perfbench do (ROADMAP item 0).
 def omp(dictionary: np.ndarray, signals: np.ndarray, sparsity: int) -> SparseCode:
     """Joint orthogonal matching pursuit against a unit-column dictionary.
 
@@ -76,13 +75,9 @@ def omp(dictionary: np.ndarray, signals: np.ndarray, sparsity: int) -> SparseCod
     and the correlations are updated by the new direction alone.  The
     least-squares coefficients are solved once, after the last step.
 
-    When T > n the loop runs on the n x n triangular factor L of one reduced
-    QR, S = L Q1^T with Q1^T Q1 = I.  This is exact: every step is a left
-    multiplication of the residual or a sum over T of products of its rows
-    (the scores, the residual norms), and both are unchanged by the right
-    factor Q1^T, so the supports and residual norms are those of S itself.
-    A step then costs O((N + n) min(n, T) + N n) rather than a fresh
-    least-squares fit.
+    When T > n the loop runs on the n x n factor L of ``square_factor``.
+    This is exact, since every step is a left multiplication of the residual
+    or a sum over T of products of its rows (the scores, the residual norms).
 
     Rank rule: an atom whose orthogonalized part has norm at most
     ``eps * max(n, sparsity)`` (the default ``lstsq`` cutoff) is kept in the
@@ -90,20 +85,10 @@ def omp(dictionary: np.ndarray, signals: np.ndarray, sparsity: int) -> SparseCod
     coefficients then come from a ridge solve (ridge 1e-12) on the whole
     support, and the result is flagged ``ridge_regularized``.
 
-    Parameters
-    ----------
-    dictionary : ndarray, shape (n, N)
-        Atoms in columns; column norms must equal 1 within 1e-6.
-    signals : ndarray, shape (n, T) or (n,)
-        Signals to code (a single vector is treated as T = 1).
-    sparsity : int
-        Number of atoms to select.
-
-    Raises
-    ------
-    ValueError
-        On non-normalized dictionaries, sparsity out of range, or shape
-        mismatch.  Rank-deficient supports do not raise (see the rank rule).
+    ``dictionary`` (n, N) must have unit columns within 1e-6, and ``signals``
+    is (n, T), or (n,) for T = 1.  Raises ValueError on a non-normalized
+    dictionary, a sparsity outside [1, N] or a shape mismatch; a
+    rank-deficient support does not raise (see the rank rule).
     """
     dictionary = np.asarray(dictionary, dtype=float)
     signals = np.asarray(signals, dtype=float)
@@ -184,67 +169,76 @@ def square_factor(signals: np.ndarray) -> np.ndarray:
     return np.linalg.qr(signals.T, mode="r").T if signals.shape[1] > signals.shape[0] else signals
 
 
-def row_energy_curve(
-    dictionary: np.ndarray, signals: np.ndarray, levels
-) -> tuple[tuple[int, ...], np.ndarray]:
-    """Joint sparse coding in a square orthonormal dictionary, by row energies.
+def plane_pursuit_curve(z, rank, atoms, atom_index, harmonic_index, levels) -> tuple[tuple[int, ...], np.ndarray]:
+    """Joint OMP's support and residual energies for a dictionary of mode-plane and harmonic atoms.
 
-    For orthonormal D the joint OMP support after j steps is the j rows of
-    D^T S with the largest energies (summed over the signals), and the
-    residual is the part of S on the other rows.  Exact energy ties go to
-    the lowest atom index, as in ``omp``.
+    ``z`` is the projected batch (``topology.project``), n x T or n: plane i
+    is rows i and n - rank + i, the rows between are harmonic.  ``atoms``
+    (A, rank, 2), or (A, 1, 2) if shared, are each plane's unit atoms in plane
+    coordinates, ``atom_index`` (A, rank) their dense column indices, and
+    ``harmonic_index`` the lowest dense index of each harmonic row's atom
+    (copies add nothing).  Returns the dense indices in pick order up to the
+    largest level and the squared residual norm at each level in [1, n].
 
-    Precision rule: the residual energy at a level is the sum of the
-    energies of the unselected rows, added smallest first.  It is never
-    ||S||^2 minus the captured energy, which would leave a cancellation
-    error near 1e-16 ||S||^2 where the representation is exact.
+    The planes are mutually orthogonal, so OMP's residual splits by plane,
+    and each plane is a chain of two events.  First its best atom a: key and
+    gain s1 = max_a ||a^T z_i||^2.  Then the rest of the plane, along a's
+    orthogonal partner q: gain rem = ||q^T z_i||^2, key
+    min(s1, max_b (b.q)^2 rem), as OMP takes it at once if it outscores s1.
+    A harmonic row's key and gain are its energy.  A stable sort of the keys
+    is OMP's pick order, exact ties going to the lowest dense index.  If a
+    plane's atoms are parallel (OMP's rank rule), its second event gains
+    nothing and rem stays in every residual.
 
-    Parameters
-    ----------
-    dictionary : ndarray, shape (n, n)
-        Orthonormal atoms in columns: ``D^T D`` within 1e-8 of the identity.
-    signals : ndarray, shape (n, T) or (n,)
-        Signals to code (a single vector is treated as T = 1).
-    levels : iterable of int
-        Sparsity levels, each in [1, n].
-
-    Returns
-    -------
-    support : tuple of int
-        Atom indices in selection order, up to the largest level.
-    residual : ndarray, shape (len(levels),)
-        Squared Frobenius norm of the residual at each level.
-
-    Raises
-    ------
-    ValueError
-        On a dictionary that is not square and orthonormal, a shape
-        mismatch, or a level outside [1, n].
+    Precision rule: every energy is a sum of squares of rotated rows, and a
+    level's residual sums the gains not yet picked, smallest first; never
+    ||S||^2 minus the captured energy, a cancellation error near 1e-16 ||S||^2.
     """
-    dictionary = np.asarray(dictionary, dtype=float)
-    signals = np.asarray(signals, dtype=float)
-    if signals.ndim == 1:
-        signals = signals[:, None]
-    if dictionary.ndim != 2 or dictionary.shape[0] != dictionary.shape[1]:
-        raise ValueError(f"dictionary must be square, got shape {dictionary.shape}")
-    n = dictionary.shape[0]
-    if signals.shape[0] != n:
-        raise ValueError(f"dictionary {dictionary.shape} and signals {signals.shape} have incompatible shapes")
-    deviation = float(np.max(np.abs(dictionary.T @ dictionary - np.eye(n)))) if n else 0.0
-    if deviation > _ORTHONORMALITY_TOL:
-        raise ValueError(f"dictionary must be orthonormal (Gram deviation {deviation:.3e})")
+    z = np.asarray(z, dtype=float).reshape(len(z), -1)
+    n, r = z.shape[0], int(rank)
+    atoms, atom_index = np.asarray(atoms, dtype=float), np.asarray(atom_index)
+    harmonic_index = np.asarray(harmonic_index)
+    planes_ok = atoms.ndim == 3 and atoms.shape[1:] in ((1, 2), (r, 2)) and atom_index.shape == (len(atoms), r)
+    if not planes_ok or harmonic_index.shape != (n - 2 * r,):
+        raise ValueError(f"shapes do not match: z {z.shape}, rank {r}, atoms {atoms.shape}, "
+                         f"atom_index {atom_index.shape}, harmonic_index {harmonic_index.shape}")
+    atoms = np.broadcast_to(atoms, (atoms.shape[0], r, 2))
+    worst = float(np.max(np.abs(np.hypot(atoms[..., 0], atoms[..., 1]) - 1.0), initial=0.0))
+    if worst > _UNIT_NORM_TOL:
+        raise ValueError(f"atoms must have unit norm (max deviation {worst:.3e})")
     levels = [int(lv) for lv in levels]
-    bad = [lv for lv in levels if not 1 <= lv <= n]
-    if bad:
-        raise ValueError(f"levels must lie in [1, {n}], got {bad}")
+    if not all(1 <= lv <= n for lv in levels):
+        raise ValueError(f"levels must lie in [1, {n}], got {levels}")
 
-    coeffs = dictionary.T @ signals
-    energies = np.einsum("nt,nt->n", coeffs, coeffs)
-    order = np.argsort(-energies, kind="stable")  # ties resolve to the lowest index
-    # tail[j] is the energy of the rows order[j:], accumulated from the smallest.
-    tail = np.append(np.cumsum(energies[order[::-1]])[::-1], 0.0)
-    support = tuple(int(i) for i in order[: max(levels, default=0)])
-    return support, tail[levels]
+    z_u, z_v, z_h, planes = z[:r], z[n - r :], z[r : n - r], np.arange(r)
+
+    def energy(c):  # ||c_u z_u + c_v z_v||^2 per plane, for c of shape (..., r, 2)
+        rows = c[..., 0, None] * z_u + c[..., 1, None] * z_v
+        return np.einsum("...t,...t->...", rows, rows)
+
+    def best(scores):  # per plane, the atom of largest score, ties to the lowest dense index
+        return np.argmin(np.where(scores == scores.max(axis=0), atom_index, np.iinfo(int).max), axis=0)
+
+    first = best(energy(atoms))
+    a = atoms[first, planes]
+    q = np.stack([-a[:, 1], a[:, 0]], axis=1)
+    s1, rem = energy(a), energy(q)
+    cos2 = np.einsum("apc,pc->ap", atoms, q) ** 2
+    cos2[first, planes] = -1.0
+    second = best(cos2)
+    cos2 = cos2[second, planes]
+    parallel = cos2 <= (np.finfo(float).eps * n) ** 2
+    key2 = np.where(parallel, 0.0, cos2 * rem)
+    idx_a, idx_b = atom_index[first, planes], atom_index[second, planes]
+    # A second event that ties s1 comes after every tie below both its atoms; one above s1, at once.
+    tie2 = np.where(key2 < s1, idx_b, np.where(key2 == s1, np.maximum(idx_a, idx_b), idx_a))
+    keys = np.concatenate([s1, np.minimum(key2, s1), np.einsum("ht,ht->h", z_h, z_h)])
+    gains = np.concatenate([s1, np.where(parallel, 0.0, rem), keys[2 * r :]])
+    order = np.lexsort((np.repeat([0, 1, 0], [r, r, n - 2 * r]), np.concatenate([idx_a, tie2, harmonic_index]), -keys))
+    # tail[j] is the energy of the events order[j:], accumulated from the smallest.
+    tail = np.append(np.cumsum(gains[order[::-1]])[::-1], 0.0) + float(np.sum(rem[parallel]))
+    picks = np.concatenate([idx_a, idx_b, harmonic_index])[order]
+    return tuple(int(i) for i in picks[: max(levels, default=0)]), tail[levels]
 
 
 def nmse(S: np.ndarray, S_hat: np.ndarray) -> float:

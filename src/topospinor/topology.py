@@ -24,6 +24,7 @@ __all__ = [
     "harmonic_columns",
     "dirac_eigenbasis",
     "super_laplacian_eigenbasis",
+    "project",
     "decomposition_residuals",
 ]
 
@@ -245,6 +246,12 @@ def super_laplacian_eigenbasis(d: SpectralDecomposition) -> tuple[np.ndarray, np
     theta = np.hstack([node_harm, edge_harm, node_modes, edge_modes])
     lam = np.concatenate([np.zeros(d.xi0 + d.xi1), d.sigma**2, d.sigma**2])
     return theta, lam
+
+
+def project(S: np.ndarray, d: SpectralDecomposition) -> np.ndarray:
+    """Q^T S, Q = [(u; 0) | (u_H; 0) | (0; v_H) | (0; v)] orthonormal: mode plane i is rows i and n - rank + i."""
+    s_node, s_edge = S[: d.num_nodes], S[d.num_nodes :]
+    return np.vstack([d.u.T @ s_node, d.u_harmonic.T @ s_node, d.v_harmonic.T @ s_edge, d.v.T @ s_edge])
 
 
 def decomposition_residuals(d: SpectralDecomposition, B: np.ndarray) -> dict[str, float]:

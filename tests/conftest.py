@@ -38,3 +38,15 @@ def shared_basis(d: SpectralDecomposition, value: float) -> np.ndarray:
     """The unit-column basis with both branches of every mode at the coupling ``value``."""
     k = np.full(d.rank, float(value))
     return build_mass_basis(d, CouplingVector(k, k.copy()))
+
+
+# Graphs with known invariants: name -> (graph, sigma in decreasing order or None, xi1).
+STRUCTURED_GRAPHS = {
+    # Star K_{1,4}: Laplacian eigenvalues 5, 1, 1, 1, 0, so sigma = sqrt(5) once and 1 three times.
+    "star_k14": (OrientedGraph(5, ((0, 1), (0, 2), (0, 3), (0, 4))), [np.sqrt(5.0), 1.0, 1.0, 1.0], 0),
+    # Complete graph K_5: Laplacian eigenvalues 5 (four times) and 0.
+    "complete_k5": (OrientedGraph(5, tuple((a, b) for a in range(5) for b in range(a + 1, 5))), [np.sqrt(5.0)] * 4, 6),
+    # A tree that is not a path: nodes 1 and 3 have degree 3.
+    "branching_tree": (OrientedGraph(6, ((0, 1), (1, 2), (1, 3), (3, 4), (3, 5))), None, 0),
+    "single_edge": (OrientedGraph(2, ((0, 1),)), [np.sqrt(2.0)], 0),
+}

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from topospinor import experiments
 from topospinor.cli import build_parser, main
 from topospinor.experiments import sub_seed
 from topospinor.io import load_dataset, load_edge_list, load_results, read_matrix_csv
@@ -225,6 +226,20 @@ class TestSweepCommand:
         main(["sparsity-sweep", "--config", str(cfg_file2), "--out", str(tmp_path / "b")])
         assert (tmp_path / "a" / "results.csv").read_bytes() == (tmp_path / "b" / "results.csv").read_bytes()
         assert (tmp_path / "a" / "run.json").read_bytes() == (tmp_path / "b" / "run.json").read_bytes()
+
+    @pytest.mark.parametrize("grid", ["0,3", "3,30"])
+    def test_grid_outside_one_to_v_plus_e_is_refused_before_any_fit(self, tmp_path, capsys, monkeypatch, grid):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the learner ran before the grid was checked")
+
+        monkeypatch.setattr(experiments, "ddtl_fit", no_fit)
+        out = tmp_path / "sweep"
+        code = main(["sparsity-sweep", "--num-nodes", "8", "--num-edges", "12", "--sparsity-grid", grid,
+                     "--out", str(out)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError" and "[1, V + E = 20]" in err["message"]
+        assert not out.exists()
 
 
 class TestDenoiseCommand:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from topospinor import experiments, frames, sparse, topology
 from topospinor.ddtl import DdtlConfig, ddtl_fit
 from topospinor.experiments import (
     DenoiseConfig,
@@ -111,6 +112,22 @@ def test_sweep_matches_all_omp_oracle(tmp_path, signal_class):
             assert abs(got[key] - value) <= 1e-10 * value, key
         else:
             assert got[key] <= 1e-20, key
+
+
+def test_sweep_needs_no_dense_dictionary_and_no_pursuit(tmp_path, monkeypatch):
+    # Every curve comes from the projected batch, one mode plane at a time.
+    def dense(*args, **kwargs):
+        raise AssertionError("the sweep built a dense dictionary or ran the dense pursuit")
+
+    for module, name in ((sparse, "omp"), (experiments, "omp"), (experiments, "sweep_dictionaries"),
+                         (frames, "build_frame"), (experiments, "build_frame"),
+                         (topology, "dirac_eigenbasis"), (experiments, "dirac_eigenbasis"),
+                         (topology, "super_laplacian_eigenbasis"), (experiments, "super_laplacian_eigenbasis")):
+        monkeypatch.setattr(module, name, dense)
+    cfg = SweepConfig(out=str(tmp_path / "run"), num_nodes=8, num_edges=12, eta0=4, num_signals=30,
+                      realizations=2, sparsity_grid=(2, 4, 20), ddtl_max_iter=5, seed=3)
+    _, tables = load_results(run_sparsity_sweep(cfg))
+    assert len(tables["results"].rows) == 4 * 3 * 2
 
 
 class TestDominance:

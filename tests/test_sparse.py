@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,23 +8,28 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
+from conftest import STRUCTURED_GRAPHS
+from topospinor.experiments import SWEEP_METHODS, _plane_dictionaries, sweep_dictionaries
 from topospinor.frames import build_frame
 from topospinor.sparse import (
     DegenerateRetractionWarning,
     column_normalize,
     nmse,
     omp,
-    row_energy_curve,
+    plane_pursuit_curve,
     row_hard_threshold,
     square_factor,
 )
-from topospinor.synth import SIGNAL_CLASSES, SignalClassSpec, gen_signals, random_graph
+from topospinor.synth import SIGNAL_CLASSES, SignalClassSpec, add_awgn, gen_signals, random_graph
 from topospinor.topology import (
+    OrientedGraph,
     build_incidence,
     dirac_eigenbasis,
+    project,
     spectral_decompose,
     super_laplacian_eigenbasis,
 )
+from topospinor.transform import CouplingVector, build_mass_basis
 
 
 def brute_force_row_projection(M: np.ndarray, eta0: int) -> np.ndarray:
@@ -291,29 +297,81 @@ def test_exact_tie_selects_lower_index_first(tied, rest, rows, flip):
     assert code.support == tuple(sorted(rows))
 
 
-def _orthonormal_cases():
+# A triangle and a path: two node harmonics, each twice in the frame, and one cycle.
+TWO_COMPONENTS = OrientedGraph(6, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5)))
+
+
+def _sweep_dictionaries_at(d, k):
+    """The four sweep dictionaries at coupling k: dense (the oracle's input) and per mode plane."""
+    dense = sweep_dictionaries(d, SimpleNamespace(basis=build_mass_basis(d, k)))
+    return dense, _plane_dictionaries(d, k)
+
+
+def _random_coupling(rng, r, parallel=False):
+    """Couplings in the box; with ``parallel``, plane 0 at k- = 1, k+ = -1 and plane 1 at k- = -1, k+ = 1."""
+    k_minus, k_plus = rng.uniform(-1, 1, r), rng.uniform(-1, 1, r)
+    if parallel:
+        k_minus[:2], k_plus[:2] = [1.0, -1.0][:r], [-1.0, 1.0][:r]
+    return CouplingVector(k_minus, k_plus)
+
+
+def _plane_coordinate_dictionary(n, r, atoms, atom_index, harmonic_index):
+    """The dense dictionary of a per-plane description when Q = I: plane i is coordinates i and n - r + i."""
+    atoms = np.broadcast_to(atoms, (len(atoms), r, 2))
+    D = np.zeros((n, atom_index.size + len(harmonic_index)))
+    for a in range(len(atoms)):
+        D[np.arange(r), atom_index[a]] = atoms[a, :, 0]
+        D[n - r + np.arange(r), atom_index[a]] = atoms[a, :, 1]
+    D[r + np.arange(n - 2 * r), harmonic_index] = 1.0
+    return D
+
+
+@pytest.mark.parametrize("name", ["star_k14", "complete_k5", "two_components"])
+def test_plane_dictionaries_name_the_dense_columns(name):
+    # Every described atom is its dense column, and a harmonic row names its lowest copy.
+    g = TWO_COMPONENTS if name == "two_components" else STRUCTURED_GRAPHS[name][0]
+    d = spectral_decompose(build_incidence(g))
+    n, r = d.dim, d.rank
+    q = np.zeros((n, n))  # the columns of Q, in the row order of project
+    q[: d.num_nodes, : r + d.xi0] = np.hstack([d.u, d.u_harmonic])
+    q[d.num_nodes :, r + d.xi0 :] = np.hstack([d.v_harmonic, d.v])
+    dense, planes = _sweep_dictionaries_at(d, _random_coupling(np.random.default_rng(3), r, parallel=True))
+    for method, (atoms, atom_index, harmonic_index) in planes.items():
+        atoms = np.broadcast_to(atoms, (len(atoms), r, 2))
+        for a in range(len(atoms)):
+            expected = q[:, :r] * atoms[a, :, 0] + q[:, n - r :] * atoms[a, :, 1]
+            assert_allclose(dense[method][:, atom_index[a]], expected, rtol=0, atol=1e-15, err_msg=method)
+        for h, column in enumerate(harmonic_index):
+            copies = np.flatnonzero(np.all(dense[method] == q[:, [r + h]], axis=0))
+            assert column == copies[0] and len(copies) == (2 if method == "frame" else 1), method
+        described = set(atom_index.ravel()) | set(harmonic_index)
+        copies_left_out = len(harmonic_index) if method == "frame" else 0
+        assert len(described) + copies_left_out == dense[method].shape[1], method
+
+
+def _curve_cases():
     rng = np.random.default_rng(2026)
-    for trial in range(2):
-        yield f"random-{trial}", _random_orthogonal(rng, 12), rng.normal(size=(12, 5))
-    yield "random-wide", _random_orthogonal(rng, 12), rng.normal(size=(12, 40))
     d = spectral_decompose(build_incidence(random_graph(8, 14, 3)))
-    phi, _ = dirac_eigenbasis(d)
-    theta, _ = super_laplacian_eigenbasis(d)
+    for trial in range(2):
+        yield f"random-{trial}", "ddtl", d, rng.normal(size=(d.dim, 5)), _random_coupling(rng, d.rank)
+    yield "random-wide", "ddtl", d, rng.normal(size=(d.dim, 40)), _random_coupling(rng, d.rank)
     for i, signal_class in enumerate(SIGNAL_CLASSES):
         S, _ = gen_signals(d, SignalClassSpec(signal_class, eta0=6, num_signals=30, seed=40 + i))
-        yield f"dirac-{signal_class}", phi, S
-        yield f"laplacian-{signal_class}", theta, S
+        for method in SWEEP_METHODS:
+            yield f"{method}-{signal_class}", method, d, S, _random_coupling(rng, d.rank)
 
 
 @pytest.mark.parametrize(
-    "dictionary, signals",
-    [pytest.param(D, S, id=name) for name, D, S in _orthonormal_cases()],
+    "method, d, signals, k",
+    [pytest.param(m, d, S, k, id=name) for name, m, d, S, k in _curve_cases()],
 )
-def test_row_energy_curve_matches_omp(dictionary, signals):
-    n = dictionary.shape[0]
-    support, residual = row_energy_curve(dictionary, signals, range(1, n + 1))
-    code = omp(dictionary, signals, n)
-    ambiguous = lstsq_pursuit(dictionary, signals, n)[4]
+def test_row_energy_curve_matches_omp(method, d, signals, k):
+    # The per-plane curve against the dense pursuit: same picks until a tie or round-off, same residuals.
+    n = d.dim
+    dense, planes = _sweep_dictionaries_at(d, k)
+    support, residual = plane_pursuit_curve(project(signals, d), d.rank, *planes[method], range(1, n + 1))
+    code = omp(dense[method], signals, n)
+    ambiguous = lstsq_pursuit(dense[method], signals, n)[4]
     differs = [j for j, (a, b) in enumerate(zip(support, code.support)) if a != b]
     if differs:
         assert ambiguous[differs[0]], f"supports part at step {differs[0]} without a tie or round-off residual"
@@ -323,39 +381,50 @@ def test_row_energy_curve_matches_omp(dictionary, signals):
 
 
 def test_row_energy_curve_keeps_exact_residuals_at_round_off():
-    # Summing the unselected energies keeps about 1e-30; ||S||^2 minus the
-    # captured energy would leave a cancellation error near +-1e-16, or 0.
+    # Summing sums of squares of rotated rows keeps about 1e-30; ||S||^2 minus the
+    # captured energy, or a plane's energy minus s1, would leave a cancellation error near +-1e-16, or 0.
     d = spectral_decompose(build_incidence(random_graph(40, 80, 11)))
-    phi, _ = dirac_eigenbasis(d)
     S, _ = gen_signals(d, SignalClassSpec("fully_coupled", eta0=35, num_signals=600, seed=12))
     energy = np.linalg.norm(S) ** 2
+    planes = _plane_dictionaries(d, CouplingVector(np.ones(d.rank), np.ones(d.rank)))
     for batch in (S, square_factor(S)):
-        _, residual = row_energy_curve(phi, batch, [34, 35])
-        assert residual[0] > 1e-6 * energy
-        assert 0.0 < residual[1] <= 1e-25 * energy
+        for method in ("dirac", "frame", "ddtl"):
+            _, residual = plane_pursuit_curve(project(batch, d), d.rank, *planes[method], [34, 35])
+            assert residual[0] > 1e-6 * energy, method
+            assert 0.0 < residual[1] <= 1e-28 * energy, method
 
 
 class TestRowEnergyCurveRejects:
+    # Two mode planes and two harmonic rows: z has rows [u0, u1, h0, h1, v0, v1].
+    ATOMS = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
+    INDEX = np.array([[2, 3], [4, 5]])
+    HARMONIC = np.array([0, 1])
+
     def test_non_orthonormal(self, rng):
-        D = _unit_columns(rng, 6, 6)
-        with pytest.raises(ValueError, match="orthonormal"):
-            row_energy_curve(D, rng.normal(size=(6, 3)), [2])
+        with pytest.raises(ValueError, match="unit norm"):
+            plane_pursuit_curve(rng.normal(size=(6, 3)), 2, self.ATOMS + 0.5, self.INDEX, self.HARMONIC, [2])
 
     def test_orthogonal_but_not_unit(self, rng):
-        D = _random_orthogonal(rng, 6)
-        D[:, 2] *= 1 + 1e-6
-        with pytest.raises(ValueError, match="orthonormal"):
-            row_energy_curve(D, rng.normal(size=(6, 3)), [2])
+        atoms = self.ATOMS.copy()
+        atoms[1] *= 1 + 1e-5
+        with pytest.raises(ValueError, match="unit norm"):
+            plane_pursuit_curve(rng.normal(size=(6, 3)), 2, atoms, self.INDEX, self.HARMONIC, [2])
 
     def test_non_square(self, rng):
-        D = _random_orthogonal(rng, 6)[:, :5]
-        with pytest.raises(ValueError, match="square"):
-            row_energy_curve(D, rng.normal(size=(6, 3)), [2])
+        with pytest.raises(ValueError, match="shapes"):
+            plane_pursuit_curve(rng.normal(size=(7, 3)), 2, self.ATOMS, self.INDEX, self.HARMONIC, [2])
+        with pytest.raises(ValueError, match="shapes"):
+            plane_pursuit_curve(rng.normal(size=(6, 3)), 2, self.ATOMS, self.INDEX[:, :1], self.HARMONIC, [2])
 
     @pytest.mark.parametrize("level", [0, 7])
     def test_level_out_of_range(self, rng, level):
         with pytest.raises(ValueError, match="levels"):
-            row_energy_curve(np.eye(6), rng.normal(size=(6, 3)), [3, level])
+            plane_pursuit_curve(rng.normal(size=(6, 3)), 2, self.ATOMS, self.INDEX, self.HARMONIC, [3, level])
+
+
+def _layout(n, r, xi0):
+    """The sizes that ``_plane_dictionaries`` reads from a decomposition."""
+    return SimpleNamespace(rank=r, xi0=xi0, xi1=n - 2 * r - xi0, dim=n)
 
 
 @given(
@@ -368,18 +437,93 @@ class TestRowEnergyCurveRejects:
 @settings(max_examples=80, deadline=None)
 def test_row_energy_curve_never_rises_and_ties_select_the_lower_index(seed, n, num_signals, flip, data):
     rng = np.random.default_rng(seed)
-    levels = list(range(1, n + 1))
-    support, residual = row_energy_curve(_random_orthogonal(rng, n), rng.normal(size=(n, num_signals)), levels)
-    assert sorted(support) == list(range(n))
-    assert np.all(residual >= 0) and np.all(residual[1:] <= residual[:-1]) and residual[-1] == 0.0
-    # Two rows of equal energy above every other row; D = I makes D^T S exact.
+    r = data.draw(st.integers(0, n // 2))
+    xi0 = data.draw(st.integers(0, n - 2 * r))
+    parallel = data.draw(st.booleans())
+    layout, levels = _layout(n, r, xi0), list(range(1, n + 1))
+    z = rng.normal(size=(n, num_signals))
+    for method, planes in _plane_dictionaries(layout, _random_coupling(rng, r, parallel)).items():
+        support, residual = plane_pursuit_curve(z, r, *planes, levels)
+        assert len(set(support)) == n, method
+        if method != "frame":  # the square dictionaries: every atom, once
+            assert sorted(support) == list(range(n)), method
+        assert np.all(residual >= 0) and np.all(residual[1:] <= residual[:-1]), method
+        # Only parallel atoms leave a residual once every atom is in.
+        assert (residual[-1] > 0) == (method == "ddtl" and parallel and r > 0), method
+    # Two rows of equal energy above every other row.  With the Laplacian atoms, and the
+    # learned ones at k = 0, a row's energy is computed exactly, so the tie is exact.
     rows = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
     S = rng.uniform(-0.5, 0.5, size=(n, num_signals))
     tied = rng.uniform(1, 10, size=num_signals)
     S[rows[0]] = -tied if flip else tied
     S[rows[1]] = tied
-    support, _ = row_energy_curve(np.eye(n), S, [1, 2])
-    assert support == tuple(rows)
+    zero = CouplingVector(np.zeros(r), np.zeros(r))
+    for method in ("laplacian", "ddtl"):
+        planes = _plane_dictionaries(layout, zero)[method]
+        dense = _plane_coordinate_dictionary(n, r, *planes)
+        column = {int(np.flatnonzero(np.abs(dense[row]) == 1.0)[0]) for row in rows}
+        support, _ = plane_pursuit_curve(S, r, *planes, [1, 2])
+        assert support == tuple(sorted(column)), method
+
+
+def test_second_event_that_outscores_the_first_follows_it_at_once():
+    # Plane 0 holds the learned atoms at k- = -1, k+ = 0: minus (-1, -1)/sqrt(2) and plus (1, 0).
+    # Its data (-1, 2) give s1 = 1 (plus) and rem = 4 along (0, 1), where minus scores 2 > s1.
+    # A harmonic row of energy 0.81 and plane 1, of energy 0.25, compete with both events.
+    layout = _layout(5, 2, 1)
+    planes = _plane_dictionaries(layout, CouplingVector([-1.0, 0.3], [0.0, 0.3]))["ddtl"]
+    z = np.array([-1.0, 0.3, 0.9, 2.0, 0.4])  # rows [u0, u1, h0, v0, v1]
+    support, residual = plane_pursuit_curve(z, 2, *planes, range(1, 6))
+    code = omp(_plane_coordinate_dictionary(5, 2, *planes), z, 5)
+    assert support[:3] == code.support[:3] == (3, 0, 2)  # plus 0, minus 0, the harmonic row
+    assert_allclose(residual[:3], [5.06, 1.06, 0.25], rtol=1e-14)
+    assert_allclose(residual, np.asarray(code.residual_history) ** 2, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("k_minus, k_plus", [(1.0, -1.0), (-1.0, 1.0)])
+def test_parallel_atoms_leave_their_plane_s_remainder(k_minus, k_plus):
+    # Both learned atoms of plane 0 lie on one line, so OMP's rank rule keeps the part of the
+    # plane off that line in every residual, after the second atom of the plane too.
+    layout = _layout(5, 2, 1)
+    planes = _plane_dictionaries(layout, CouplingVector([k_minus, 0.4], [k_plus, -0.2]))["ddtl"]
+    z = np.array([[1.0, -0.5], [0.2, 0.1], [0.3, -0.7], [0.6, 0.8], [-0.4, 0.2]])
+    support, residual = plane_pursuit_curve(z, 2, *planes, range(1, 6))
+    code = omp(_plane_coordinate_dictionary(5, 2, *planes), z, 5)
+    assert code.ridge_regularized and sorted(support) == sorted(code.support) == list(range(5))
+    line = np.array([k_minus, -1.0]) / np.sqrt(2.0)  # the minus atom
+    off_line = np.array([line[1], -line[0]])
+    remainder = np.sum((off_line[0] * z[0] + off_line[1] * z[3]) ** 2)
+    assert residual[-1] == pytest.approx(remainder, rel=1e-14) and remainder > 0.1
+    assert_allclose(residual, np.asarray(code.residual_history) ** 2, rtol=0, atol=1e-14)
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(77)
+    d = spectral_decompose(build_incidence(random_graph(10, 18, 5)))
+    for i, signal_class in enumerate(SIGNAL_CLASSES):
+        S, _ = gen_signals(d, SignalClassSpec(signal_class, eta0=6, num_signals=40, seed=60 + i))
+        yield f"{signal_class}-noiseless", d, S
+        yield f"{signal_class}-10dB", d, add_awgn(S, 10.0, 70 + i)
+    yield "gaussian", d, rng.normal(size=(d.dim, 6))
+    yield "gaussian-wide", d, rng.normal(size=(d.dim, 60))
+    yield "single-signal", d, rng.normal(size=(d.dim, 1))
+    graphs = {name: g for name, (g, *_) in STRUCTURED_GRAPHS.items()}
+    graphs["two_components"] = TWO_COMPONENTS
+    for name, g in graphs.items():
+        dg = spectral_decompose(build_incidence(g))
+        yield name, dg, rng.normal(size=(dg.dim, 9))
+
+
+@pytest.mark.parametrize("d, signals", [pytest.param(d, S, id=name) for name, d, S in _oracle_cases()])
+@pytest.mark.parametrize("parallel", [False, True], ids=["random-k", "parallel-k"])
+def test_plane_pursuit_curve_matches_dense_omp_at_every_level(d, signals, parallel):
+    n, energy = d.dim, np.linalg.norm(signals) ** 2
+    k = _random_coupling(np.random.default_rng(n), d.rank, parallel)
+    dense, planes = _sweep_dictionaries_at(d, k)
+    for method in SWEEP_METHODS:
+        _, residual = plane_pursuit_curve(project(signals, d), d.rank, *planes[method], range(1, n + 1))
+        history = np.asarray(omp(dense[method], signals, n).residual_history)
+        assert_allclose(residual / energy, history**2 / energy, rtol=0, atol=1e-12, err_msg=method)
 
 
 class TestNmse:
