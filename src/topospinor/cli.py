@@ -1,9 +1,12 @@
 """Command-line entry point: spectra, synth, ddtl-fit, sparsity-sweep, denoise.
 
-Each subcommand reads an optional JSON config file (keys matching the config
-dataclass fields) and applies explicit command-line flags on top.  Exit code
-is 0 on success; failures print one machine-readable JSON line to stderr and
-exit nonzero.
+Each subcommand's flags are its config dataclass's fields: --<field name with
+dashes>, parsed by the field's annotation (a tuple grid as a comma-separated
+list), with the help text, the choices and the two renamed flags (--dataset,
+--graph) taken from the field's metadata.  An optional JSON config file
+(--config, keys matching the fields) is read first and explicit flags apply
+on top.  Exit code is 0 on success; failures print one machine-readable JSON
+line to stderr and exit nonzero.
 """
 
 from __future__ import annotations
@@ -25,9 +28,17 @@ from .experiments import (
     run_spectra,
     run_synth,
 )
-from .synth import SIGNAL_CLASSES
 
 __all__ = ["main", "build_parser"]
+
+# Subcommand -> (config dataclass, runner, help line).
+COMMANDS = {
+    "spectra": (SpectraConfig, run_spectra, "dump singular spectrum and structural residuals"),
+    "synth": (SynthConfig, run_synth, "generate a synthetic dataset"),
+    "ddtl-fit": (FitConfig, run_ddtl_fit, "fit the coupling transform to a dataset"),
+    "sparsity-sweep": (SweepConfig, run_sparsity_sweep, "reconstruction error vs sparsity for all dictionaries"),
+    "denoise": (DenoiseConfig, run_denoise, "denoising sweep over SNR and bandwidth"),
+}
 
 
 def _int_grid(text: str) -> tuple[int, ...]:
@@ -38,89 +49,43 @@ def _float_grid(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(",") if x.strip())
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON file with config-field overrides")
-    sub.add_argument("--out", help="output directory")
-    sub.add_argument("--seed", type=int, help="master seed")
+# A flag's value parser, by its field's annotation (a string: experiments uses postponed annotations).
+PARSERS = {"int": int, "str": str, "str | None": str, "tuple[int, ...]": _int_grid, "tuple[float, ...]": _float_grid}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="topospinor", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p = commands.add_parser("spectra", help="dump singular spectrum and structural residuals")
-    _add_common(p)
-    p.add_argument("--graph", dest="graph_path", help="edge-list file (otherwise a random graph)")
-    p.add_argument("--num-nodes", type=int)
-    p.add_argument("--num-edges", type=int)
-    p.set_defaults(config_cls=SpectraConfig, runner=run_spectra)
-
-    p = commands.add_parser("synth", help="generate a synthetic dataset")
-    _add_common(p)
-    p.add_argument("--graph", dest="graph_path", help="edge-list file (otherwise a random graph)")
-    p.add_argument("--num-nodes", type=int)
-    p.add_argument("--num-edges", type=int)
-    p.add_argument("--signal-class", choices=SIGNAL_CLASSES)
-    p.add_argument("--eta0", type=int, help="support size of the generated batch")
-    p.add_argument("--num-signals", type=int)
-    p.set_defaults(config_cls=SynthConfig, runner=run_synth)
-
-    p = commands.add_parser("ddtl-fit", help="fit the coupling transform to a dataset")
-    _add_common(p)
-    p.add_argument("--dataset", dest="dataset_dir", help="dataset directory, as the synth command writes it")
-    p.add_argument("--eta0", type=int, help="bandwidth (row-sparsity) of the codes")
-    p.add_argument("--max-iter", type=int)
-    p.set_defaults(config_cls=FitConfig, runner=run_ddtl_fit)
-
-    p = commands.add_parser("sparsity-sweep", help="reconstruction error vs sparsity for all dictionaries")
-    _add_common(p)
-    p.add_argument("--signal-class", choices=SIGNAL_CLASSES)
-    p.add_argument("--num-nodes", type=int)
-    p.add_argument("--num-edges", type=int)
-    p.add_argument("--eta0", type=int)
-    p.add_argument("--num-signals", type=int)
-    p.add_argument("--realizations", type=int)
-    p.add_argument("--sparsity-grid", type=_int_grid, help="comma-separated sparsity levels")
-    p.add_argument("--ddtl-max-iter", type=int)
-    p.set_defaults(config_cls=SweepConfig, runner=run_sparsity_sweep)
-
-    p = commands.add_parser("denoise", help="denoising sweep over SNR and bandwidth")
-    _add_common(p)
-    p.add_argument("--dataset", dest="dataset_dir", help="dataset directory (otherwise the synthetic surrogate)")
-    p.add_argument("--num-nodes", type=int)
-    p.add_argument("--num-edges", type=int)
-    p.add_argument("--num-signals", type=int)
-    p.add_argument("--signal-class", choices=SIGNAL_CLASSES)
-    p.add_argument("--gen-eta0", type=int, help="support size of the synthetic surrogate")
-    p.add_argument("--snr-grid", type=_float_grid, help="comma-separated SNR levels in dB")
-    p.add_argument("--bandwidth-grid", type=_int_grid, help="comma-separated bandwidths")
-    p.add_argument("--realizations", type=int)
-    p.add_argument("--ddtl-max-iter", type=int)
-    p.set_defaults(config_cls=DenoiseConfig, runner=run_denoise)
-
+    for command, (cls, runner, help_line) in COMMANDS.items():
+        p = commands.add_parser(command, help=help_line)
+        p.add_argument("--config", help="JSON file with config-field overrides")
+        for f in dataclasses.fields(cls):
+            flag = f.metadata.get("flag", "--" + f.name.replace("_", "-"))
+            p.add_argument(
+                flag, dest=f.name, type=PARSERS[f.type], choices=f.metadata.get("choices"), help=f.metadata.get("help")
+            )
+        p.set_defaults(config_cls=cls, runner=runner)
     return parser
 
 
 def _build_config(args: argparse.Namespace):
     cls = args.config_cls
-    field_names = {f.name for f in dataclasses.fields(cls)}
+    fields = dataclasses.fields(cls)
     values: dict = {}
     if args.config:
         with open(args.config) as fh:
             file_values = json.load(fh)
-        unknown = set(file_values) - field_names
+        unknown = set(file_values) - {f.name for f in fields}
         if unknown:
             raise ValueError(f"unknown config keys for {cls.__name__}: {sorted(unknown)}")
         values.update(file_values)
-    for name in field_names:
-        flag_value = getattr(args, name, None)
-        if flag_value is not None:
-            values[name] = flag_value
-    # Grids arrive as lists from JSON; normalize to tuples for the frozen configs.
-    for key in ("sparsity_grid", "snr_grid", "bandwidth_grid"):
-        if key in values and values[key] is not None:
-            values[key] = tuple(values[key])
-    if "out" not in values or values["out"] is None:
+    for f in fields:
+        if getattr(args, f.name) is not None:
+            values[f.name] = getattr(args, f.name)
+        # JSON gives a grid as a list; the frozen configs hold tuples.
+        if f.type.startswith("tuple[") and values.get(f.name) is not None:
+            values[f.name] = tuple(values[f.name])
+    if values.get("out") is None:
         raise ValueError("an output directory is required (--out or config key 'out')")
     return cls(**values)
 

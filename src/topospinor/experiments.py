@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import zlib
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from .ddtl import ConvergenceReport, DdtlConfig, DdtlSolution, ddtl_fit
 from .frames import build_frame
 from .sparse import nmse, plane_pursuit_curve, row_hard_threshold, square_factor
 from .sparse import omp  # noqa: F401  unused; perfbench pins this binding (ROADMAP item 0)
-from .synth import SignalClassSpec, add_awgn, gen_signals, random_graph
+from .synth import SIGNAL_CLASSES, SignalClassSpec, add_awgn, gen_signals, random_graph
 from .topology import (
     OrientedGraph,
     build_incidence,
@@ -54,6 +54,8 @@ __all__ = [
 SWEEP_METHODS = ("laplacian", "dirac", "frame", "ddtl")
 # Slack of the dominance counts in run.json, in NMSE.
 DOMINANCE_SLACK = 1e-12
+# Field metadata name the CLI flag (``flag``, else ``--<field-name>``), its ``choices`` and its ``help`` (see cli).
+_GRAPH_FLAG = {"flag": "--graph", "help": "edge-list file (otherwise a random graph)"}
 
 
 def sub_seed(master_seed: int, realization: int, tag: str) -> int:
@@ -63,10 +65,17 @@ def sub_seed(master_seed: int, realization: int, tag: str) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _config_metadata(cfg) -> dict:
-    meta = asdict(cfg)
-    meta.pop("out", None)
-    return meta
+def _run_header(command: str, cfg, graph: OrientedGraph) -> dict:
+    """The run.json keys of every command: its name, its config without ``out`` and the graph's size."""
+    config = asdict(cfg)
+    config.pop("out")
+    return {"command": command, "config": config, "graph": {"num_nodes": graph.num_nodes, "num_edges": graph.num_edges}}
+
+
+def _check_levels(name: str, levels: tuple[int, ...], n: int) -> None:
+    """Refuse a grid of sparsity levels or bandwidths outside [1, n], n = V + E."""
+    if not all(1 <= lv <= n for lv in levels):
+        raise ValueError(f"{name} levels must lie in [1, V + E = {n}], got {levels}")
 
 
 def _learner_tally(reports: list[ConvergenceReport]) -> dict:
@@ -90,11 +99,11 @@ def _load_graph(graph_path: str | None, num_nodes: int, num_edges: int, seed: in
 
 @dataclass(frozen=True)
 class SpectraConfig:
-    out: str
-    graph_path: str | None = None
+    out: str = field(metadata={"help": "output directory"})
+    graph_path: str | None = field(default=None, metadata=_GRAPH_FLAG)
     num_nodes: int = 40
     num_edges: int = 80
-    seed: int = 0
+    seed: int = field(default=0, metadata={"help": "master seed"})
 
 
 def run_spectra(cfg: SpectraConfig) -> Path:
@@ -109,9 +118,7 @@ def run_spectra(cfg: SpectraConfig) -> Path:
         rows=tuple((i, float(s)) for i, s in enumerate(d.sigma)),
     )
     metadata = {
-        "command": "spectra",
-        "config": _config_metadata(cfg),
-        "graph": {"num_nodes": graph.num_nodes, "num_edges": graph.num_edges},
+        **_run_header("spectra", cfg, graph),
         "sigma": [float(s) for s in d.sigma],
         "xi0": d.xi0,
         "xi1": d.xi1,
@@ -129,14 +136,14 @@ def run_spectra(cfg: SpectraConfig) -> Path:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    out: str
+    out: str = field(metadata={"help": "output directory"})
     num_nodes: int = 40
     num_edges: int = 80
-    signal_class: str = "fully_coupled"
-    eta0: int = 35
+    signal_class: str = field(default="fully_coupled", metadata={"choices": SIGNAL_CLASSES})
+    eta0: int = field(default=35, metadata={"help": "support size of the generated batch"})
     num_signals: int = 600
-    graph_path: str | None = None
-    seed: int = 0
+    graph_path: str | None = field(default=None, metadata=_GRAPH_FLAG)
+    seed: int = field(default=0, metadata={"help": "master seed"})
 
 
 def run_synth(cfg: SynthConfig) -> Path:
@@ -154,9 +161,7 @@ def run_synth(cfg: SynthConfig) -> Path:
     out = tsio.save_dataset(cfg.out, graph, S)
     tsio.write_matrix_csv(out / "coefficients.csv", truth.coefficients)
     metadata = {
-        "command": "synth",
-        "config": _config_metadata(cfg),
-        "graph": {"num_nodes": graph.num_nodes, "num_edges": graph.num_edges},
+        **_run_header("synth", cfg, graph),
         "truth": {
             "signal_class": truth.signal_class,
             "support": [int(i) for i in truth.support],
@@ -178,11 +183,13 @@ class FitConfig:
     The fit draws no random numbers: ``seed`` is only recorded in run.json.
     """
 
-    out: str
-    dataset_dir: str | None = None
-    eta0: int = 35
+    out: str = field(metadata={"help": "output directory"})
+    dataset_dir: str | None = field(
+        default=None, metadata={"flag": "--dataset", "help": "dataset directory, as the synth command writes it"}
+    )
+    eta0: int = field(default=35, metadata={"help": "bandwidth (row-sparsity) of the codes"})
     max_iter: int = 500
-    seed: int = 0
+    seed: int = field(default=0, metadata={"help": "master seed"})
 
     def __post_init__(self):
         if not self.dataset_dir:
@@ -201,10 +208,7 @@ def run_ddtl_fit(cfg: FitConfig) -> Path:
     tsio.save_edge_list(out / "graph.txt", graph)
     tsio.write_matrix_csv(out / "omega_star.csv", solution.omega_star)
     metadata = {
-        "command": "ddtl-fit",
-        "config": _config_metadata(cfg),
-        "graph": {"num_nodes": graph.num_nodes, "num_edges": graph.num_edges},
-        "tables": ["history"],
+        **_run_header("ddtl-fit", cfg, graph),
         "k_star": [float(k) for k in solution.k_star.stacked()],
         "reconstruction_nmse": nmse(S, solution.s_hat),
         "stop_reason": report.stop_reason,
@@ -232,23 +236,24 @@ def run_ddtl_fit(cfg: FitConfig) -> Path:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    out: str
-    signal_class: str = "fully_coupled"
+    out: str = field(metadata={"help": "output directory"})
+    signal_class: str = field(default="fully_coupled", metadata={"choices": SIGNAL_CLASSES})
     num_nodes: int = 40
     num_edges: int = 80
     eta0: int = 35
     num_signals: int = 600
     realizations: int = 10
-    sparsity_grid: tuple[int, ...] = (5, 10, 15, 20, 25, 30, 35, 40, 45, 50, 55, 60, 65, 70, 75, 80)
+    sparsity_grid: tuple[int, ...] = field(
+        default=(5, 10, 15, 20, 25, 30, 35, 40, 45, 50, 55, 60, 65, 70, 75, 80),
+        metadata={"help": "comma-separated sparsity levels"},
+    )
     ddtl_max_iter: int = 150
-    seed: int = 0
+    seed: int = field(default=0, metadata={"help": "master seed"})
 
     def __post_init__(self):
         if not self.sparsity_grid:
             raise ValueError("sparsity_grid must be non-empty")
-        n = self.num_nodes + self.num_edges
-        if not all(1 <= lv <= n for lv in self.sparsity_grid):
-            raise ValueError(f"sparsity_grid levels must lie in [1, V + E = {n}], got {self.sparsity_grid}")
+        _check_levels("sparsity_grid", self.sparsity_grid, self.num_nodes + self.num_edges)
         if self.realizations < 1:
             raise ValueError("realizations must be positive")
 
@@ -312,7 +317,6 @@ def run_sparsity_sweep(cfg: SweepConfig) -> Path:
     rows = []
     reports = []
     curves = []
-    graph_summary = None
     for real in range(cfg.realizations):
         graph = random_graph(cfg.num_nodes, cfg.num_edges, sub_seed(cfg.seed, real, "graph"))
         d = spectral_decompose(build_incidence(graph))
@@ -329,8 +333,6 @@ def run_sparsity_sweep(cfg: SweepConfig) -> Path:
             curve[method] = {int(lv): float(e / energy) for lv, e in zip(cfg.sparsity_grid, residual)}
             rows.extend((method, level, real, value) for level, value in curve[method].items())
         curves.append(curve)
-        if graph_summary is None:
-            graph_summary = {"num_nodes": graph.num_nodes, "num_edges": graph.num_edges}
 
     table = tsio.ResultTable(
         name="results",
@@ -338,9 +340,7 @@ def run_sparsity_sweep(cfg: SweepConfig) -> Path:
         rows=tuple(rows),
     )
     metadata = {
-        "command": "sparsity-sweep",
-        "config": _config_metadata(cfg),
-        "graph": graph_summary,
+        **_run_header("sparsity-sweep", cfg, graph),  # random_graph gives every realization V and E exactly
         "learner": _learner_tally(reports),
         "dominance": _dominance(curves, cfg.eta0),
         "seed_rule": "sub_seed = SeedSequence([master, realization, crc32(tag)]) first word",
@@ -354,18 +354,22 @@ def run_sparsity_sweep(cfg: SweepConfig) -> Path:
 
 @dataclass(frozen=True)
 class DenoiseConfig:
-    out: str
-    dataset_dir: str | None = None
+    out: str = field(metadata={"help": "output directory"})
+    dataset_dir: str | None = field(
+        default=None, metadata={"flag": "--dataset", "help": "dataset directory (otherwise the synthetic surrogate)"}
+    )
     num_nodes: int = 22
     num_edges: int = 41
     num_signals: int = 240
-    signal_class: str = "mixture_of_dirac"
-    gen_eta0: int = 30
-    snr_grid: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0)
-    bandwidth_grid: tuple[int, ...] = (10, 30, 50)
+    signal_class: str = field(default="mixture_of_dirac", metadata={"choices": SIGNAL_CLASSES})
+    gen_eta0: int = field(default=30, metadata={"help": "support size of the synthetic surrogate"})
+    snr_grid: tuple[float, ...] = field(
+        default=(0.0, 5.0, 10.0, 15.0, 20.0), metadata={"help": "comma-separated SNR levels in dB"}
+    )
+    bandwidth_grid: tuple[int, ...] = field(default=(10, 30, 50), metadata={"help": "comma-separated bandwidths"})
     realizations: int = 10
     ddtl_max_iter: int = 150
-    seed: int = 0
+    seed: int = field(default=0, metadata={"help": "master seed"})
 
     def __post_init__(self):
         if not self.snr_grid or not self.bandwidth_grid:
@@ -402,6 +406,7 @@ def run_denoise(cfg: DenoiseConfig) -> Path:
     else:
         graph, clean = random_graph(cfg.num_nodes, cfg.num_edges, sub_seed(cfg.seed, 0, "graph")), None
     d = spectral_decompose(build_incidence(graph))
+    _check_levels("bandwidth_grid", cfg.bandwidth_grid, d.dim)
     if clean is None:
         spec = SignalClassSpec(cfg.signal_class, cfg.gen_eta0, cfg.num_signals, sub_seed(cfg.seed, 0, "signals"))
         clean, _ = gen_signals(d, spec)
@@ -431,9 +436,7 @@ def run_denoise(cfg: DenoiseConfig) -> Path:
         rows=tuple(rows),
     )
     metadata = {
-        "command": "denoise",
-        "config": _config_metadata(cfg),
-        "graph": {"num_nodes": graph.num_nodes, "num_edges": graph.num_edges},
+        **_run_header("denoise", cfg, graph),
         "learner": _learner_tally(reports),
         "seed_rule": "sub_seed = SeedSequence([master, realization, crc32(tag)]) first word",
     }

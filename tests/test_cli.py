@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from topospinor import experiments
-from topospinor.cli import build_parser, main
+from topospinor.cli import COMMANDS, _build_config, build_parser, main
 from topospinor.experiments import sub_seed
 from topospinor.io import load_dataset, load_edge_list, load_results, read_matrix_csv
 from topospinor.sparse import nmse
@@ -56,6 +56,11 @@ REMOVED_INPUT_CASES = [
 ]
 REMOVED_OPTIONS = {**REMOVED_LEARNER_OPTIONS, **REMOVED_DATA_OPTIONS, **REMOVED_INPUT_OPTIONS}
 REMOVED_CASES = REMOVED_LEARNER_CASES + REMOVED_DATA_CASES + REMOVED_INPUT_CASES
+FIELD_CASES = [
+    pytest.param(command, f.name, id=f"{command}-{f.name}")
+    for command, (cls, _, _) in COMMANDS.items()
+    for f in dataclasses.fields(cls)
+]
 
 
 def write_p3(tmp_path):
@@ -276,6 +281,28 @@ class TestDenoiseCommand:
         assert err["error"] == "ValueError" and "noise" in err["message"]
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("source, grid", [("surrogate", "0,3"), ("surrogate", "3,15"), ("dataset", "3,15")])
+    def test_bandwidths_outside_one_to_v_plus_e_are_refused_before_any_draw(
+        self, tmp_path, capsys, monkeypatch, source, grid
+    ):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("signals were drawn or fitted before the bandwidths were checked")
+
+        clean = ["--num-nodes", "6", "--num-edges", "8"]
+        if source == "dataset":
+            data = tmp_path / "data"
+            assert main(["synth", *clean, "--eta0", "4", "--num-signals", "8", "--out", str(data)]) == 0
+            clean = ["--dataset", str(data)]
+        capsys.readouterr()
+        for name in ("ddtl_fit", "gen_signals", "add_awgn"):
+            monkeypatch.setattr(experiments, name, no_draw)
+        out = tmp_path / "denoise"
+        assert main(["denoise", *clean, "--bandwidth-grid", grid, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError"
+        assert "bandwidth_grid" in err["message"] and "[1, V + E = 14]" in err["message"]
+        assert not out.exists()
+
     def test_measured_data_run(self, tmp_path):
         data = tmp_path / "data"
         main(["synth", "--num-nodes", "8", "--num-edges", "12", "--eta0", "5",
@@ -359,3 +386,27 @@ class TestFailureModes:
             dests = {action.dest for action in sub._actions} - {"help", "config"}
             assert dests <= fields, f"{name}: flags without a config field: {sorted(dests - fields)}"
             assert fields <= dests, f"{name}: config fields without a flag: {sorted(fields - dests)}"
+
+    @pytest.mark.parametrize("command, name", FIELD_CASES)
+    def test_every_field_round_trips_through_its_flag_and_config_key(self, tmp_path, command, name):
+        # The field's default, written as flag text (grids as comma lists) or as
+        # JSON (grids as lists), builds the default config with tuple grids; a
+        # field defaulting to None takes a path instead.
+        parser = build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        sub = commands.choices[command]
+        values = {"out": "o", "dataset_dir": "data"} if command == "ddtl-fit" else {"out": "o"}
+        default = sub.get_default("config_cls")(**values)
+        values[name] = getattr(default, name) if getattr(default, name) is not None else "some/path"
+        expected = dataclasses.replace(default, **{name: values[name]})
+
+        flags = {action.dest: action.option_strings[0] for action in sub._actions}
+        argv = [command]
+        for key, value in values.items():
+            argv += [flags[key], ",".join(map(str, value)) if isinstance(value, tuple) else str(value)]
+        assert _build_config(parser.parse_args(argv)) == expected
+
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(values))
+        from_file = _build_config(parser.parse_args([command, "--config", str(cfg_file)]))
+        assert from_file == expected and type(getattr(from_file, name)) is type(values[name])
