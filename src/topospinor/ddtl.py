@@ -30,17 +30,19 @@ step never leave the planes, and the k-step reads only these coordinates.
 The harmonic columns are left out, since there P equals Psi and H stays 0.
 The dense basis is built once, at the end, for the reconstruction.
 
-When T > V+E the batch is first written as S = L Q1^T, with L square and
-Q1^T Q1 = I, by one reduced QR of S^T, and the cycle runs on L in place of S.
-This is exact.  Every step is a left multiplication of the codes (the
-projection, the analysis, the 2x2 code solve), a row mask chosen from row
-norms (the hard threshold), or a sum over the signals of products of rows
-(the k-step, the gaps, the objective); none of them changes when every
-T-wide iterate is the compressed one times Q1^T.  The fit maps the codes
-back once at the end.  After that one O((V+E)^2 T) QR, the signal-side work
-of an iteration costs O((V+E) min(V+E, T)) rather than O((V+E) T).
+When T > V+E the batch is first written as S = L W^T, with W^T W = I and L
+(V+E) x rho, rho the numerical rank of S (``sparse.rank_factor``), and the
+cycle runs on L in place of S.  This is exact up to what the factor drops,
+which is round-off of S.  Every step is a left multiplication of the codes
+(the projection, the analysis, the 2x2 code solve), a row mask chosen from
+row norms (the hard threshold), or a sum over the signals of products of
+rows (the k-step, the gaps, the objective); none of them sees W, so none
+changes when every T-wide iterate is the compressed one times W^T.  The fit
+maps the codes back once at the end.  After the O((V+E)^2 T) factor, the
+signal-side work of an iteration costs O((V+E) rho) rather than O((V+E) T):
+a noiseless batch on eta0 atoms has rho = eta0, and a noisy one rho = V+E.
 
-An iteration reads and writes the n x T' iterates (n = V+E, T' = min(n, T))
+An iteration reads and writes the n x T' iterates (n = V+E, T' <= min(n, T))
 through their row blocks [minus | harmonic | plus], never stacking them
 anew.  What is left per iteration over those arrays: the k-step's four
 row-wise sums over the coupled rows; the code step's right-hand side
@@ -68,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import column_normalize, row_hard_threshold
+from .sparse import column_normalize, rank_factor, row_hard_threshold
 from .topology import SpectralDecomposition, project
 from .transform import CouplingVector, build_mass_basis
 
@@ -144,9 +146,9 @@ class DdtlState:
     [u^T S_V; u_H^T S_V; v_H^T S_E; v^T S_E]).  ``psi`` caches the
     unnormalized basis at ``k``; it, ``p`` and ``h`` hold the (2, 2r) plane
     coordinates of the coupled columns (see the module notes).  ``row_basis``
-    is Q1 of S = L Q1^T when the batch has more signals than rows, and None
-    otherwise; with it, ``z``, ``omega``, ``x`` and ``m`` are those of L, each
-    T-wide iterate times Q1.
+    is W (T x rho) of the rank factor S = L W^T when the batch has more
+    signals than rows, and None otherwise; with it, ``z``, ``omega``, ``x``
+    and ``m`` are those of L, rho columns wide, each T-wide iterate times W.
     """
 
     z: np.ndarray
@@ -213,13 +215,11 @@ def _objective(state: DdtlState, d: SpectralDecomposition) -> float:
 def initialize_state(S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -> DdtlState:
     """Project the data and build the starting iterate at the Dirac coupling k = 1.
 
-    With more signals than rows the data are compressed first: S = L Q1^T.
+    With more signals than rows the data are compressed first to their rank
+    factor S = L W^T (``sparse.rank_factor``), so the iterates have rho columns.
     """
     k = np.ones(2 * d.rank)
-    row_basis = None
-    if S.shape[1] > d.dim:
-        row_basis, r_factor = np.linalg.qr(S.T)
-        S = r_factor.T
+    S, row_basis = rank_factor(S)
     z = project(S, d)
     psi = _build_psi(d, k)
     omega = _analysis(z, k, d)
@@ -317,7 +317,7 @@ def ddtl_fit(S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -> DdtlSo
     The coupling applies only to the 2r non-harmonic columns; harmonic columns
     of the basis are fixed.  Stops at ``cfg.max_iter`` otherwise.  The report
     records, per iteration, the data objective and both splitting gaps.  A
-    wide batch is fitted on its square factor (see the module notes) and its
+    wide batch is fitted on its rank factor (see the module notes) and its
     codes are mapped back to T columns once, the row-sparse X by its kept
     rows only.
     """

@@ -23,7 +23,7 @@ import numpy as np
 from . import io as tsio
 from .ddtl import ConvergenceReport, DdtlConfig, DdtlSolution, ddtl_fit
 from .frames import build_frame
-from .sparse import nmse, plane_pursuit_curve, row_hard_threshold, square_factor
+from .sparse import nmse, plane_pursuit_curve, rank_factor, row_hard_threshold
 from .sparse import omp  # noqa: F401  unused; perfbench pins this binding (ROADMAP item 0)
 from .synth import SIGNAL_CLASSES, SignalClassSpec, add_awgn, gen_signals, random_graph
 from .topology import (
@@ -307,12 +307,15 @@ def run_sparsity_sweep(cfg: SweepConfig) -> Path:
     """Reconstruction error versus sparsity for the four dictionaries.
 
     Per realization: draw a graph and a signal batch and factor a wide batch
-    once, S = L Q1^T (``square_factor``).  Learn the coupling transform on
-    L, project L once (``topology.project``) and read every dictionary's
-    joint OMP curve off that projection, one mode plane at a time
-    (``plane_pursuit_curve``): each atom of the four dictionaries lies in one
-    mode plane or on one harmonic row.  This is exact, since the sweep reads
-    only residual norms and the learned couplings, and neither sees Q1^T.
+    once, S = L W^T (``rank_factor``; W is never formed).  The batch codes
+    T signals on one support of eta0 atoms, so L has rho = eta0 columns, not
+    V + E.  Learn the coupling transform on L, project L once
+    (``topology.project``) and read every dictionary's joint OMP curve off
+    that projection, one mode plane at a time (``plane_pursuit_curve``):
+    each atom of the four dictionaries lies in one mode plane or on one
+    harmonic row.  This is exact up to the round-off the factor drops, since
+    the sweep reads only residual norms and the learned couplings, and
+    neither sees W.
     """
     rows = []
     reports = []
@@ -323,7 +326,7 @@ def run_sparsity_sweep(cfg: SweepConfig) -> Path:
         spec = SignalClassSpec(cfg.signal_class, cfg.eta0, cfg.num_signals, sub_seed(cfg.seed, real, "signals"))
         S, _ = gen_signals(d, spec)
         energy = float(np.linalg.norm(S) ** 2)
-        factor = square_factor(S)
+        factor, _ = rank_factor(S, row_basis=False)
         solution = ddtl_fit(factor, d, DdtlConfig(eta0=cfg.eta0, max_iter=cfg.ddtl_max_iter))
         reports.append(solution.report)
         z = project(factor, d)
@@ -399,7 +402,9 @@ def run_denoise(cfg: DenoiseConfig) -> Path:
     For each SNR and noise realization the noisy input error is recorded,
     then per bandwidth the transform is learned on the noisy data and the
     filtered reconstruction compared against the clean signals, alongside
-    hard spectral truncation in the Dirac and Laplacian bases.
+    hard spectral truncation in the Dirac and Laplacian bases.  A wide noisy
+    batch is factored once, S = L W^T (``rank_factor``), every bandwidth's
+    fit runs on L, and its reconstruction is mapped back by W^T.
     """
     if cfg.dataset_dir:
         graph, clean = tsio.load_dataset(cfg.dataset_dir)
@@ -418,15 +423,17 @@ def run_denoise(cfg: DenoiseConfig) -> Path:
     for real in range(cfg.realizations):
         for snr in cfg.snr_grid:
             noisy = add_awgn(clean, snr, sub_seed(cfg.seed, real, _noise_tag(snr)))
+            factor, row_basis = rank_factor(noisy)
             rows.append(("noisy_input", float(snr), None, real, nmse(clean, noisy)))
             truncation = {
                 method: _truncation_nmse(clean, noisy, basis, cfg.bandwidth_grid)
                 for method, basis in (("dirac_truncation", phi), ("laplacian_truncation", theta))
             }
             for bandwidth in cfg.bandwidth_grid:
-                solution = ddtl_fit(noisy, d, DdtlConfig(eta0=int(bandwidth), max_iter=cfg.ddtl_max_iter))
+                solution = ddtl_fit(factor, d, DdtlConfig(eta0=int(bandwidth), max_iter=cfg.ddtl_max_iter))
                 reports.append(solution.report)
-                rows.append(("ddtl", float(snr), int(bandwidth), real, nmse(clean, solution.s_hat)))
+                s_hat = solution.s_hat if row_basis is None else solution.s_hat @ row_basis.T
+                rows.append(("ddtl", float(snr), int(bandwidth), real, nmse(clean, s_hat)))
                 for method, curve in truncation.items():
                     rows.append((method, float(snr), int(bandwidth), real, curve[bandwidth]))
 

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from topospinor.ddtl import (
     update_x,
 )
 from topospinor.sparse import DegenerateRetractionWarning, column_normalize, nmse, row_hard_threshold
-from topospinor.synth import SignalClassSpec, gen_signals, random_graph
-from topospinor.topology import OrientedGraph, build_incidence, spectral_decompose
+from topospinor.synth import SIGNAL_CLASSES, SignalClassSpec, gen_signals, random_graph
+from topospinor.topology import OrientedGraph, build_incidence, project, spectral_decompose
 from topospinor.transform import nonharmonic_column_indices, unnormalized_basis_matrix
 
 
@@ -502,6 +503,34 @@ class TestEdgeInputs:
         assert sol.report.initial_objective == sol.report.final_objective == 0.0
         assert not np.any(sol.omega_star) and not np.any(sol.s_hat)
 
+    @pytest.mark.parametrize("case", ["rank-1", "harmonic", "T=1", "T=n"])
+    def test_degenerate_batch_fits_as_its_square_factor_does(self, case):
+        # The rank factor keeps 1 column of a rank-1 batch and xi0 + xi1 of a harmonic one; a
+        # batch no wider than tall is fitted as it is.  None of them warns where the square factor does not.
+        d, S = self._problem()
+        rng = np.random.default_rng(1)
+        batch, columns = {
+            "rank-1": (np.outer(S[:, 0], rng.normal(size=50)), 1),
+            "harmonic": (np.vstack([d.u_harmonic @ rng.normal(size=(d.xi0, 50)),
+                                    d.v_harmonic @ rng.normal(size=(d.xi1, 50))]), d.xi0 + d.xi1),
+            "T=1": (S[:, :1], 1),
+            "T=n": (S[:, : d.dim], d.dim),
+        }[case]
+        cfg = DdtlConfig(eta0=8, max_iter=60)
+        assert initialize_state(batch, d, cfg).z.shape == (d.dim, columns)
+        q, r = np.linalg.qr(batch.T)
+        fits = []
+        for fitted in (batch, r.T):
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                fits.append((ddtl_fit(fitted, d, cfg), [w.category for w in record]))
+        (sol, warned), (square, square_warned) = fits
+        assert warned == square_warned
+        assert sol.omega_star.shape == sol.s_hat.shape == batch.shape
+        assert all(np.all(np.isfinite(a)) for a in (sol.k_star.stacked(), sol.omega_star, sol.s_hat))
+        assert (sol.report.stop_reason, sol.report.iterations) == (square.report.stop_reason, square.report.iterations)
+        assert nmse(square.s_hat @ q.T, sol.s_hat) <= 1e-12
+
     def test_eta0_one_runs_to_max_iter_with_one_kept_row(self):
         d, S = self._problem()
         sol = ddtl_fit(S, d, DdtlConfig(eta0=1, max_iter=60))
@@ -542,7 +571,7 @@ class TestSpectralCoordinates:
         assert initialize_state(S, d, DdtlConfig(eta0=6)).row_basis is None
         self._check(S, d, DdtlConfig(eta0=6, max_iter=30))
 
-    def test_wide_batch_is_compressed_to_a_square_factor(self):
+    def test_wide_batch_is_compressed_to_its_rank_factor(self):
         g, d = small_problem()
         S = np.random.default_rng(6).normal(size=(d.dim, 3 * d.dim))
         state = initialize_state(S, d, DdtlConfig(eta0=4))
@@ -554,6 +583,33 @@ class TestSpectralCoordinates:
         narrow = initialize_state(S[:, : d.dim], d, DdtlConfig(eta0=4))
         assert narrow.row_basis is None and narrow.z.shape == (d.dim, d.dim)
         assert_allclose(square[:, : d.dim], narrow.z, atol=1e-12 * np.abs(narrow.z).max())
+        # A batch of rank 3 keeps 3 columns, and z W^T is still the projection of S.
+        low = S[:, :3] @ np.random.default_rng(7).normal(size=(3, 3 * d.dim))
+        state = initialize_state(low, d, DdtlConfig(eta0=4))
+        assert state.row_basis.shape == (3 * d.dim, 3)
+        assert state.z.shape == state.omega.shape == state.x.shape == state.m.shape == (d.dim, 3)
+        assert_allclose(state.z @ state.row_basis.T, project(low, d), atol=1e-12 * np.abs(project(low, d)).max())
+
+    @pytest.mark.parametrize(
+        "graph_seed, signal_class",
+        [(31, signal_class) for signal_class in SIGNAL_CLASSES]
+        + [pytest.param(33, "fully_decoupled", marks=pytest.mark.xfail(strict=True, reason=(
+            "at the Dirac start a decoupled coefficient gives its plane's minus and plus rows equal norms; "
+            "eta0 = 35 splits such a pair at the hard threshold's cutoff, and round-off picks the row")))],
+    )
+    def test_fit_on_the_rank_factor_matches_the_fit_on_the_square_factor(self, graph_seed, signal_class):
+        # The square factor R^T of S^T = Q R is what the learner ran on before the rank rule:
+        # T = n, so ddtl_fit takes it as it is.  A noiseless batch of 35 atoms has rank 35.
+        d = spectral_decompose(build_incidence(random_graph(40, 80, graph_seed)))
+        S, _ = gen_signals(d, SignalClassSpec(signal_class, eta0=35, num_signals=600, seed=graph_seed + 1))
+        cfg = DdtlConfig(eta0=35, max_iter=30)
+        assert initialize_state(S, d, cfg).z.shape == (d.dim, 35)
+        q, r = np.linalg.qr(S.T)
+        square, rank = ddtl_fit(r.T, d, cfg), ddtl_fit(S, d, cfg)
+        assert rank.report.stop_reason == square.report.stop_reason
+        assert rank.report.iterations == square.report.iterations
+        assert np.max(np.abs(rank.k_star.stacked() - square.k_star.stacked())) <= 1e-10
+        assert nmse(square.s_hat @ q.T, rank.s_hat) <= 1e-12
 
     @staticmethod
     def _check(S, d, cfg):

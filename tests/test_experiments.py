@@ -14,7 +14,7 @@ from topospinor.experiments import (
 )
 from topospinor.io import load_results
 from topospinor.sparse import omp
-from topospinor.synth import SIGNAL_CLASSES, SignalClassSpec, gen_signals, random_graph
+from topospinor.synth import SIGNAL_CLASSES, SignalClassSpec, add_awgn, gen_signals, random_graph
 from topospinor.topology import build_incidence, spectral_decompose
 
 
@@ -98,7 +98,7 @@ def all_omp_sweep(cfg: SweepConfig):
 
 @pytest.mark.parametrize("signal_class", SIGNAL_CLASSES)
 def test_sweep_matches_all_omp_oracle(tmp_path, signal_class):
-    # T = 40 > V + E = 28, so the sweep codes the square factor of the batch.
+    # T = 40 > V + E = 28, so the sweep codes the rank factor of the batch.
     cfg = SweepConfig(out=str(tmp_path / "run"), signal_class=signal_class, num_nodes=10, num_edges=18,
                       eta0=6, num_signals=40, realizations=2, sparsity_grid=(2, 4, 6, 8, 12, 20, 28),
                       ddtl_max_iter=20, seed=5)
@@ -128,6 +128,26 @@ def test_sweep_needs_no_dense_dictionary_and_no_pursuit(tmp_path, monkeypatch):
                       realizations=2, sparsity_grid=(2, 4, 20), ddtl_max_iter=5, seed=3)
     _, tables = load_results(run_sparsity_sweep(cfg))
     assert len(tables["results"].rows) == 4 * 3 * 2
+
+
+def test_sweep_codes_the_batch_at_its_rank(tmp_path, monkeypatch):
+    # A noiseless study batch of T = 600 signals on eta0 = 35 atoms has rank 35, so the learner and
+    # the projection each get 35 columns, not n = V + E = 120.
+    widths = []
+
+    def spy(fn):
+        def wrapper(signals, *args, **kwargs):
+            widths.append((fn.__name__, signals.shape[1]))
+            return fn(signals, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(experiments, "ddtl_fit", spy(experiments.ddtl_fit))
+    monkeypatch.setattr(experiments, "project", spy(experiments.project))
+    for signal_class in SIGNAL_CLASSES:
+        widths.clear()
+        run_sparsity_sweep(SweepConfig(out=str(tmp_path / signal_class), signal_class=signal_class, realizations=1))
+        assert widths == [("ddtl_fit", 35), ("project", 35)], signal_class
 
 
 class TestDominance:
@@ -181,6 +201,28 @@ class TestLearnerTally:
                             snr_grid=(0.0, 10.0), bandwidth_grid=(3, 5), realizations=2, ddtl_max_iter=4, seed=3)
         meta, _ = load_results(run_denoise(cfg))
         self.check(meta, fits=2 * 2 * 2, max_iter=4)
+
+
+def test_denoise_factors_each_noisy_batch_once(tmp_path, monkeypatch):
+    # One factor per SNR and realization serves every bandwidth, and each ddtl row is the NMSE of a
+    # fit on the noisy batch itself: T = 40 > V + E = 15, so the factor is W-mixed and mapped back.
+    cfg = DenoiseConfig(out=str(tmp_path / "run"), num_nodes=6, num_edges=9, num_signals=40, gen_eta0=5,
+                        snr_grid=(0.0, 10.0), bandwidth_grid=(3, 8), realizations=2, ddtl_max_iter=20, seed=4)
+    factored = []
+    rank_factor = experiments.rank_factor
+    monkeypatch.setattr(experiments, "rank_factor", lambda S: factored.append(S) or rank_factor(S))
+    _, tables = load_results(run_denoise(cfg))
+    assert len(factored) == 2 * 2
+
+    d = spectral_decompose(build_incidence(random_graph(6, 9, sub_seed(cfg.seed, 0, "graph"))))
+    spec = SignalClassSpec(cfg.signal_class, cfg.gen_eta0, cfg.num_signals, sub_seed(cfg.seed, 0, "signals"))
+    clean, _ = gen_signals(d, spec)
+    ddtl_rows = [row for row in tables["results"].rows if row[0] == "ddtl"]
+    assert len(ddtl_rows) == 2 * 2 * 2
+    for _, snr, bandwidth, real, value in ddtl_rows:
+        noisy = add_awgn(clean, snr, sub_seed(cfg.seed, real, f"awgn@{snr:g}"))
+        fit = ddtl_fit(noisy, d, DdtlConfig(eta0=int(bandwidth), max_iter=cfg.ddtl_max_iter))
+        assert abs(value - sparse.nmse(clean, fit.s_hat)) <= 1e-12 * value
 
 
 def test_sub_seed_matches_documented_rule():

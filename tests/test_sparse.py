@@ -17,8 +17,8 @@ from topospinor.sparse import (
     nmse,
     omp,
     plane_pursuit_curve,
+    rank_factor,
     row_hard_threshold,
-    square_factor,
 )
 from topospinor.synth import SIGNAL_CLASSES, SignalClassSpec, add_awgn, gen_signals, random_graph
 from topospinor.topology import (
@@ -170,7 +170,7 @@ def _pursuit_cases():
         yield f"frame-dense-{seed}", F, S, F.shape[0] + 4
         F, S = _frame_case(seed, sparse_signal=True)
         yield f"frame-sparse-{seed}", F, S, 12
-    # More signals than rows: the pursuit runs on the triangular factor of the batch.
+    # More signals than rows: the pursuit runs on the rank factor of the batch.
     rng = np.random.default_rng(2025)
     q, _ = np.linalg.qr(rng.normal(size=(12, 12)))
     yield "wide-orthonormal", q, rng.normal(size=(12, 40)), 12
@@ -238,7 +238,7 @@ def _random_orthogonal(rng, size):
 @pytest.mark.parametrize("num_signals", [5, 60])
 def test_omp_is_equivariant_under_orthogonal_mixing_of_signals(num_signals):
     # omp(D, S W) equals omp(D, S) with its coefficients times W, for any
-    # orthogonal W: with T > n both runs go through the triangular factor of
+    # orthogonal W: with T > n both runs go through the rank factor of
     # their own batch, and the coefficients must come back T wide.
     rng = np.random.default_rng(num_signals)
     F, S = _frame_case(1, sparse_signal=False, num_signals=num_signals)
@@ -387,11 +387,66 @@ def test_row_energy_curve_keeps_exact_residuals_at_round_off():
     S, _ = gen_signals(d, SignalClassSpec("fully_coupled", eta0=35, num_signals=600, seed=12))
     energy = np.linalg.norm(S) ** 2
     planes = _plane_dictionaries(d, CouplingVector(np.ones(d.rank), np.ones(d.rank)))
-    for batch in (S, square_factor(S)):
+    for batch in (S, rank_factor(S, row_basis=False)[0]):
         for method in ("dirac", "frame", "ddtl"):
             _, residual = plane_pursuit_curve(project(batch, d), d.rank, *planes[method], [34, 35])
             assert residual[0] > 1e-6 * energy, method
             assert 0.0 < residual[1] <= 1e-28 * energy, method
+
+
+class TestRankFactor:
+    @pytest.mark.parametrize("num_nodes, num_edges", [(40, 80), (160, 320)])
+    def test_noiseless_classes_keep_the_support_size_columns(self, num_nodes, num_edges):
+        # A noiseless batch codes T = 600 signals on one support of 35 atoms: rank 35, not n.
+        d = spectral_decompose(build_incidence(random_graph(num_nodes, num_edges, 21)))
+        for signal_class in SIGNAL_CLASSES:
+            S, _ = gen_signals(d, SignalClassSpec(signal_class, eta0=35, num_signals=600, seed=22))
+            L, W = rank_factor(S)
+            assert L.shape == (d.dim, 35) and W.shape == (600, 35), signal_class
+            assert np.linalg.norm(S - L @ W.T) <= 1e-13 * np.linalg.norm(S), signal_class
+            assert np.max(np.abs(W.T @ W - np.eye(35))) <= 1e-13, signal_class
+            assert np.array_equal(rank_factor(S, row_basis=False)[0], L), signal_class
+
+    def test_ill_conditioned_batch_keeps_every_direction_above_the_cutoff(self):
+        # Singular values from 1 down to 1e-11 all pass the rank cutoff.  Re-orthogonalizing each
+        # pivot keeps the dropped part at rounding; without it the dropped part is 6e-15 ||S||.
+        rng = np.random.default_rng(26)
+        left, _ = np.linalg.qr(rng.normal(size=(60, 20)))
+        right, _ = np.linalg.qr(rng.normal(size=(200, 20)))
+        S = (left * np.logspace(0, -11, 20)) @ right.T
+        L, W = rank_factor(S)
+        assert L.shape == (60, 20) and W.shape == (200, 20)
+        assert np.linalg.norm(S - L @ W.T) <= 2e-15 * np.linalg.norm(S)
+
+    def test_full_rank_batch_is_factored_by_its_qr(self):
+        S = np.random.default_rng(23).normal(size=(30, 90))
+        q, r = np.linalg.qr(S.T)
+        L, W = rank_factor(S)
+        assert np.array_equal(L, r.T) and np.array_equal(W, q)
+        L, W = rank_factor(S, row_basis=False)
+        assert np.array_equal(L, r.T) and W is None
+
+    @pytest.mark.parametrize("width", [1, 36], ids=["T=1", "T=n"])
+    def test_batch_no_wider_than_tall_is_kept(self, width):
+        S = np.random.default_rng(24).normal(size=(36, width))
+        L, W = rank_factor(S)
+        assert L is S and W is None
+
+    def test_degenerate_wide_batches(self):
+        d = spectral_decompose(build_incidence(random_graph(12, 24, 0)))
+        rng = np.random.default_rng(25)
+        harmonic = np.vstack([d.u_harmonic @ rng.normal(size=(d.xi0, 50)), d.v_harmonic @ rng.normal(size=(d.xi1, 50))])
+        cases = {
+            "zero": (np.zeros((d.dim, 50)), 1),
+            "rank-1": (np.outer(rng.normal(size=d.dim), rng.normal(size=50)), 1),
+            "harmonic": (harmonic, d.xi0 + d.xi1),
+        }
+        for name, (S, rank) in cases.items():
+            L, W = rank_factor(S)
+            assert L.shape == (d.dim, rank) and W.shape == (50, rank), name
+            assert np.all(np.isfinite(L)) and np.max(np.abs(W.T @ W - np.eye(rank))) <= 1e-13, name
+            assert np.linalg.norm(S - L @ W.T) <= 1e-13 * np.linalg.norm(S), name
+        assert not np.any(rank_factor(cases["zero"][0])[0])
 
 
 class TestRowEnergyCurveRejects:
