@@ -30,22 +30,22 @@ step never leave the planes, and the k-step reads only these coordinates.
 The harmonic columns are left out, since there P equals Psi and H stays 0.
 The dense basis is built once, at the end, for the reconstruction.
 
-When T > V+E the batch is first written as S = L W^T, with W^T W = I and L
-(V+E) x rho, rho the numerical rank of S (``sparse.rank_factor``), and the
-cycle runs on L in place of S.  This is exact up to what the factor drops,
-which is round-off of S.  Every step is a left multiplication of the codes
-(the projection, the analysis, the 2x2 code solve), a row mask chosen from
-row norms (the hard threshold), or a sum over the signals of products of
-rows (the k-step, the gaps, the objective); none of them sees W, so none
-changes when every T-wide iterate is the compressed one times W^T.  The fit
-maps the codes back once at the end.  After the O((V+E)^2 T) factor, the
-signal-side work of an iteration costs O((V+E) rho) rather than O((V+E) T):
-a noiseless batch on eta0 atoms has rho = eta0, and a noisy one rho = V+E.
+The cycle runs on two columns.  Every step reads z only through rotations
+within one mode plane (the analysis, the reconstruction, the 2x2 code
+solve), row norms (the hard threshold) and within-plane sums over the
+signals of products of rows (the k-step, the gaps, the objective), none of
+which changes when plane i's block z_i (2 x T) becomes z_i Q for an
+orthogonal Q.  So the fit runs on ``topology.reduce_planes``, each z_i
+replaced by its 2 x 2 QR triangle, and maps the codes back through the Q_i
+once at the end (``topology.lift_planes``), never through R_i^-1, singular
+on every plane a noiseless batch leaves empty.  After the O((V^2 + E^2) T)
+reduction an iteration costs O(V+E).  The hard threshold's ties (ROADMAP
+item 6) stay: rounding decides which row of a tied pair is kept.
 
-An iteration reads and writes the n x T' iterates (n = V+E, T' <= min(n, T))
-through their row blocks [minus | harmonic | plus], never stacking them
-anew.  What is left per iteration over those arrays: the k-step's four
-row-wise sums over the coupled rows; the code step's right-hand side
+An iteration reads and writes the n x 2 iterates (n = V+E) through their
+row blocks [minus | harmonic | plus], never stacking them anew.  What is
+left per iteration over those arrays: the k-step's four row-wise sums over
+the coupled rows; the code step's right-hand side
 Psi(k)^T z + rho2 (X - M) and its per-mode 2x2 solve, written back into that
 right-hand side; the hard threshold's input Omega + M, its row norms and its
 copy of the kept rows; the dual step's M + (Omega - X); the residual
@@ -70,8 +70,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import column_normalize, rank_factor, row_hard_threshold
-from .topology import SpectralDecomposition, project
+from .sparse import column_normalize, row_hard_threshold
+from .topology import SpectralDecomposition, lift_planes, reduce_planes
 from .transform import CouplingVector, build_mass_basis
 
 __all__ = [
@@ -143,12 +143,11 @@ class DdtlState:
     """Mutable ADMM iterate.
 
     ``z`` is the data in spectral coordinates (fixed for the fit; rows
-    [u^T S_V; u_H^T S_V; v_H^T S_E; v^T S_E]).  ``psi`` caches the
-    unnormalized basis at ``k``; it, ``p`` and ``h`` hold the (2, 2r) plane
-    coordinates of the coupled columns (see the module notes).  ``row_basis``
-    is W (T x rho) of the rank factor S = L W^T when the batch has more
-    signals than rows, and None otherwise; with it, ``z``, ``omega``, ``x``
-    and ``m`` are those of L, rho columns wide, each T-wide iterate times W.
+    [u^T S_V; u_H^T S_V; v_H^T S_E; v^T S_E]), each mode plane reduced to its
+    2 x 2 triangle, min(T, 2) columns as are ``omega``, ``x`` and ``m``; the
+    per-plane Q_i in ``plane_basis`` lift them to T columns (see the module
+    notes).  ``psi`` caches the unnormalized basis at ``k``; it, ``p`` and
+    ``h`` hold the (2, 2r) plane coordinates of the coupled columns.
     """
 
     z: np.ndarray
@@ -159,7 +158,7 @@ class DdtlState:
     h: np.ndarray
     m: np.ndarray
     psi: np.ndarray
-    row_basis: np.ndarray | None = None
+    plane_basis: tuple
 
 
 @dataclass
@@ -213,14 +212,9 @@ def _objective(state: DdtlState, d: SpectralDecomposition) -> float:
 
 
 def initialize_state(S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -> DdtlState:
-    """Project the data and build the starting iterate at the Dirac coupling k = 1.
-
-    With more signals than rows the data are compressed first to their rank
-    factor S = L W^T (``sparse.rank_factor``), so the iterates have rho columns.
-    """
+    """Project the data, reduce each mode plane to its triangle and start at the Dirac coupling k = 1."""
     k = np.ones(2 * d.rank)
-    S, row_basis = rank_factor(S)
-    z = project(S, d)
+    z, plane_basis = reduce_planes(S, d)
     psi = _build_psi(d, k)
     omega = _analysis(z, k, d)
     return DdtlState(
@@ -232,7 +226,7 @@ def initialize_state(S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -
         h=np.zeros_like(psi),
         m=np.zeros_like(omega),
         psi=psi,
-        row_basis=row_basis,
+        plane_basis=plane_basis,
     )
 
 
@@ -316,10 +310,9 @@ def ddtl_fit(S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -> DdtlSo
 
     The coupling applies only to the 2r non-harmonic columns; harmonic columns
     of the basis are fixed.  Stops at ``cfg.max_iter`` otherwise.  The report
-    records, per iteration, the data objective and both splitting gaps.  A
-    wide batch is fitted on its rank factor (see the module notes) and its
-    codes are mapped back to T columns once, the row-sparse X by its kept
-    rows only.
+    records, per iteration, the data objective and both splitting gaps.  The
+    fit runs on the plane-reduced batch (see the module notes) and its codes
+    are mapped back to T columns once, a dropped row of X to exact zeros.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != d.dim:
@@ -365,12 +358,8 @@ def ddtl_fit(S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -> DdtlSo
         basis_gap_curve=tuple(basis_gaps), code_gap_curve=tuple(code_gaps),
     )
     k_star = CouplingVector.from_stacked(state.k)
-    omega, x = state.omega, state.x
-    if state.row_basis is not None:
-        omega = omega @ state.row_basis.T
-        kept = np.flatnonzero(np.any(x != 0.0, axis=1))
-        x = np.zeros_like(omega)
-        x[kept] = state.x[kept] @ state.row_basis.T
+    omega, x = (lift_planes(a, state.plane_basis) for a in (state.omega, state.x))
+    del state  # the per-plane bases go before the dense basis and s_hat are built
     # Psi(k) is the normalized basis with its coupled columns scaled back by sqrt(1 + k^2).
     basis = build_mass_basis(d, k_star)
     scale, r = np.ones(d.dim), d.rank

@@ -23,7 +23,7 @@ import numpy as np
 from . import io as tsio
 from .ddtl import ConvergenceReport, DdtlConfig, DdtlSolution, ddtl_fit
 from .frames import build_frame
-from .sparse import nmse, plane_pursuit_curve, rank_factor, row_hard_threshold
+from .sparse import nmse, plane_pursuit_curve, row_hard_threshold
 from .sparse import omp  # noqa: F401  unused; perfbench pins this binding (ROADMAP item 0)
 from .synth import SIGNAL_CLASSES, SignalClassSpec, add_awgn, gen_signals, random_graph
 from .topology import (
@@ -31,9 +31,12 @@ from .topology import (
     build_incidence,
     decomposition_residuals,
     dirac_eigenbasis,
+    lift_planes,
     project,
+    reduce_planes,
     spectral_decompose,
     super_laplacian_eigenbasis,
+    unproject,
 )
 from .transform import CouplingVector
 
@@ -306,16 +309,15 @@ def _dominance(curves: list[dict[str, dict[int, float]]], eta0: int) -> dict:
 def run_sparsity_sweep(cfg: SweepConfig) -> Path:
     """Reconstruction error versus sparsity for the four dictionaries.
 
-    Per realization: draw a graph and a signal batch and factor a wide batch
-    once, S = L W^T (``rank_factor``; W is never formed).  The batch codes
-    T signals on one support of eta0 atoms, so L has rho = eta0 columns, not
-    V + E.  Learn the coupling transform on L, project L once
-    (``topology.project``) and read every dictionary's joint OMP curve off
-    that projection, one mode plane at a time (``plane_pursuit_curve``):
+    Per realization: draw a graph and a signal batch and reduce its
+    projection once, each mode plane's 2 x T block to its 2 x 2 QR triangle
+    (``topology.reduce_planes``, R only: the per-plane bases are never
+    formed).  Learn the coupling transform on the two reduced columns, in
+    signal coordinates, and read every dictionary's joint OMP curve off the
+    reduced projection, one mode plane at a time (``plane_pursuit_curve``):
     each atom of the four dictionaries lies in one mode plane or on one
-    harmonic row.  This is exact up to the round-off the factor drops, since
-    the sweep reads only residual norms and the learned couplings, and
-    neither sees W.
+    harmonic row.  Both read the batch only through within-plane rotations,
+    row energies and within-plane sums of products, which the reduction keeps.
     """
     rows = []
     reports = []
@@ -326,10 +328,9 @@ def run_sparsity_sweep(cfg: SweepConfig) -> Path:
         spec = SignalClassSpec(cfg.signal_class, cfg.eta0, cfg.num_signals, sub_seed(cfg.seed, real, "signals"))
         S, _ = gen_signals(d, spec)
         energy = float(np.linalg.norm(S) ** 2)
-        factor, _ = rank_factor(S, row_basis=False)
-        solution = ddtl_fit(factor, d, DdtlConfig(eta0=cfg.eta0, max_iter=cfg.ddtl_max_iter))
+        z, _ = reduce_planes(S, d, basis=False)
+        solution = ddtl_fit(unproject(z, d), d, DdtlConfig(eta0=cfg.eta0, max_iter=cfg.ddtl_max_iter))
         reports.append(solution.report)
-        z = project(factor, d)
         curve = {}
         for method, (atoms, atom_index, harmonic_index) in _plane_dictionaries(d, solution.k_star).items():
             _, residual = plane_pursuit_curve(z, d.rank, atoms, atom_index, harmonic_index, cfg.sparsity_grid)
@@ -402,9 +403,10 @@ def run_denoise(cfg: DenoiseConfig) -> Path:
     For each SNR and noise realization the noisy input error is recorded,
     then per bandwidth the transform is learned on the noisy data and the
     filtered reconstruction compared against the clean signals, alongside
-    hard spectral truncation in the Dirac and Laplacian bases.  A wide noisy
-    batch is factored once, S = L W^T (``rank_factor``), every bandwidth's
-    fit runs on L, and its reconstruction is mapped back by W^T.
+    hard spectral truncation in the Dirac and Laplacian bases.  Each noisy
+    batch is reduced once (``topology.reduce_planes``), every bandwidth is
+    fitted on its two columns, and each reconstruction is lifted back to T
+    signals through the per-plane bases (``topology.lift_planes``).
     """
     if cfg.dataset_dir:
         graph, clean = tsio.load_dataset(cfg.dataset_dir)
@@ -423,16 +425,17 @@ def run_denoise(cfg: DenoiseConfig) -> Path:
     for real in range(cfg.realizations):
         for snr in cfg.snr_grid:
             noisy = add_awgn(clean, snr, sub_seed(cfg.seed, real, _noise_tag(snr)))
-            factor, row_basis = rank_factor(noisy)
+            z, plane_basis = reduce_planes(noisy, d)
+            reduced = unproject(z, d)
             rows.append(("noisy_input", float(snr), None, real, nmse(clean, noisy)))
             truncation = {
                 method: _truncation_nmse(clean, noisy, basis, cfg.bandwidth_grid)
                 for method, basis in (("dirac_truncation", phi), ("laplacian_truncation", theta))
             }
             for bandwidth in cfg.bandwidth_grid:
-                solution = ddtl_fit(factor, d, DdtlConfig(eta0=int(bandwidth), max_iter=cfg.ddtl_max_iter))
+                solution = ddtl_fit(reduced, d, DdtlConfig(eta0=int(bandwidth), max_iter=cfg.ddtl_max_iter))
                 reports.append(solution.report)
-                s_hat = solution.s_hat if row_basis is None else solution.s_hat @ row_basis.T
+                s_hat = unproject(lift_planes(project(solution.s_hat, d), plane_basis), d)
                 rows.append(("ddtl", float(snr), int(bandwidth), real, nmse(clean, s_hat)))
                 for method, curve in truncation.items():
                     rows.append((method, float(snr), int(bandwidth), real, curve[bandwidth]))

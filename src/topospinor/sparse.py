@@ -2,8 +2,8 @@
 
 ``omp`` implements joint orthogonal matching pursuit (one support shared by
 all signal columns) by progressive orthogonalization of the selected atoms,
-on the n x rho factor of a batch with more signals than rows (``rank_factor``,
-rho its numerical rank), with the coefficients solved once at the end.
+on the n x n triangular factor of a batch with more signals than rows, with
+the coefficients solved once at the end.
 
 ``plane_pursuit_curve`` is the same pursuit for a dictionary whose atoms
 each lie in one mode plane span{(u_i; 0), (0; v_i)} or on one harmonic
@@ -28,7 +28,6 @@ __all__ = [
     "DegenerateRetractionWarning",
     "omp",
     "plane_pursuit_curve",
-    "rank_factor",
     "nmse",
     "row_hard_threshold",
     "column_normalize",
@@ -75,10 +74,10 @@ def omp(dictionary: np.ndarray, signals: np.ndarray, sparsity: int) -> SparseCod
     and the correlations are updated by the new direction alone.  The
     least-squares coefficients are solved once, after the last step.
 
-    When T > n the loop runs on the n x rho factor L of ``rank_factor``.
-    This is exact up to the round-off that factor drops, since every step is
-    a left multiplication of the residual or a sum over T of products of its
-    rows (the scores, the residual norms).
+    When T > n the loop runs on the n x n factor L = R^T of one R-only QR
+    S^T = Q R, so S = L Q^T with Q^T Q = I.  This is exact, since every step
+    is a left multiplication of the residual or a sum over T of products of
+    its rows (the scores, the residual norms).
 
     Rank rule: an atom whose orthogonalized part has norm at most
     ``eps * max(n, sparsity)`` (the default ``lstsq`` cutoff) is kept in the
@@ -117,7 +116,7 @@ def omp(dictionary: np.ndarray, signals: np.ndarray, sparsity: int) -> SparseCod
     support: list[int] = []
     rank = 0
     taken = np.zeros(num_atoms, dtype=bool)
-    residual = rank_factor(signals, row_basis=False)[0].copy(order="K")
+    residual = (np.linalg.qr(signals.T, mode="r").T if signals.shape[1] > n else signals).copy(order="K")
     corr = dictionary.T @ residual
     history: list[float] = []
     for _ in range(sparsity):
@@ -157,50 +156,6 @@ def omp(dictionary: np.ndarray, signals: np.ndarray, sparsity: int) -> SparseCod
         residual_history=tuple(history),
         ridge_regularized=ridge_used,
     )
-
-
-def rank_factor(signals: np.ndarray, row_basis: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """S = L W^T with W^T W = I and L n x rho, rho the numerical rank, for S with more columns than rows.
-
-    Returns (L, W), with W None when ``row_basis`` is false; a batch with no
-    more columns than rows is returned as (S, None).  One reduced QR writes
-    S^T = Q R.  Rank rule: rho counts the singular values of R above
-    sigma_1 * max(n, T) * eps (``numpy.linalg.matrix_rank``'s default), and
-    is at least 1.  At full rank, L = R^T and W = Q exactly.  Below it, U
-    (n x rho) holds rho steps of column-pivoted Gram-Schmidt on R^T, an
-    orthonormal basis of the range of S, and with R U = Q2 R2, L = U R2^T and
-    W = Q Q2; what is dropped is (I - U U^T) S, round-off of S.  A zero batch
-    gives L = 0, n x 1.
-
-    Anything computed from S by left multiplications, row masks chosen by row
-    norms and sums over its columns of products of its rows (row energies,
-    Gram matrices, residual norms) is the same computed from L.  Beyond the
-    O(n^2 T) QR and the singular values, the factor costs O(n^2 rho), and
-    work on L costs O(n rho) per pass in place of O(n T).
-    """
-    n, T = signals.shape
-    if T <= n:
-        return signals, None
-
-    def qr(a):  # Q only when W is asked for: the R-only QR costs half as much
-        return np.linalg.qr(a) if row_basis else (None, np.linalg.qr(a, mode="r"))
-
-    q, r = qr(signals.T)
-    sigma = np.linalg.svd(r, compute_uv=False)
-    rank = max(1, int(np.count_nonzero(sigma > sigma[0] * max(n, T) * np.finfo(float).eps)))
-    if rank == n:
-        return r.T, q
-    if sigma[0] == 0.0:
-        return np.zeros((n, 1)), None if q is None else q[:, :1]
-    residual = r.T.copy()
-    u = np.zeros((n, rank))
-    for j in range(rank):
-        col = residual[:, np.argmax(np.einsum("ij,ij->j", residual, residual))].copy()
-        col -= u[:, :j] @ (u[:, :j].T @ col)  # re-orthogonalization
-        u[:, j] = col / np.linalg.norm(col)
-        residual -= np.outer(u[:, j], u[:, j] @ residual)
-    q2, r2 = qr(r @ u)
-    return u @ r2.T, None if q is None else q @ q2
 
 
 def plane_pursuit_curve(z, rank, atoms, atom_index, harmonic_index, levels) -> tuple[tuple[int, ...], np.ndarray]:

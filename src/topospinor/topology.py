@@ -25,6 +25,9 @@ __all__ = [
     "dirac_eigenbasis",
     "super_laplacian_eigenbasis",
     "project",
+    "unproject",
+    "reduce_planes",
+    "lift_planes",
     "decomposition_residuals",
 ]
 
@@ -252,6 +255,54 @@ def project(S: np.ndarray, d: SpectralDecomposition) -> np.ndarray:
     """Q^T S, Q = [(u; 0) | (u_H; 0) | (0; v_H) | (0; v)] orthonormal: mode plane i is rows i and n - rank + i."""
     s_node, s_edge = S[: d.num_nodes], S[d.num_nodes :]
     return np.vstack([d.u.T @ s_node, d.u_harmonic.T @ s_node, d.v_harmonic.T @ s_edge, d.v.T @ s_edge])
+
+
+def unproject(z: np.ndarray, d: SpectralDecomposition) -> np.ndarray:
+    """Q z, the inverse of ``project``: the signals whose spectral coordinates are z."""
+    n, r, xi0 = d.dim, d.rank, d.xi0
+    node = d.u @ z[:r] + d.u_harmonic @ z[r : r + xi0]
+    edge = d.v_harmonic @ z[r + xi0 : n - r] + d.v @ z[n - r :]
+    return np.vstack([node, edge])
+
+
+def reduce_planes(S: np.ndarray, d: SpectralDecomposition, basis: bool = True) -> tuple[np.ndarray, tuple | None]:
+    """``project(S, d)`` with every mode plane's 2 x T block replaced by its 2 x 2 QR triangle: (z2, the bases).
+
+    Plane i of the projection z is rows i and n - rank + i.  One batched QR
+    writes z_i^T = Q_i R_i; z2 (n x min(T, 2)) holds R_i[:, 0] in row i,
+    R_i[:, 1] in row n - rank + i and each harmonic row's norm in column 0.
+    Rotations within a plane, row energies and within-plane sums over the
+    signals of products of rows read the same on z2 as on z, since none
+    changes when z_i becomes z_i Q for an orthogonal Q.  With ``basis``, the
+    Q_i and the harmonic rows over their norms (0 for a zero row) are kept
+    for ``lift_planes``; without it the QR is R-only.  z is never formed.
+    """
+    s_node, s_edge = S[: d.num_nodes], S[d.num_nodes :]
+    n, r, T = d.dim, d.rank, S.shape[1]
+    harmonic = np.vstack([d.u_harmonic.T @ s_node, d.v_harmonic.T @ s_edge])
+    norms = np.sqrt(np.einsum("ht,ht->h", harmonic, harmonic))
+    unit = harmonic / np.where(norms == 0.0, 1.0, norms)[:, None] if basis else None
+    del harmonic  # so that the peak is S, the blocks and the QR's copy of them
+    planes = np.empty((r, 2, T))  # z_i, filled in place; the QR takes its transpose
+    np.matmul(d.u.T, s_node, out=planes[:, 0])
+    np.matmul(d.v.T, s_edge, out=planes[:, 1])
+    blocks = planes.transpose(0, 2, 1)
+    q, tri = np.linalg.qr(blocks) if basis else (None, np.linalg.qr(blocks, mode="r"))
+    z2 = np.zeros((n, min(T, 2)))
+    z2[:r], z2[r : n - r, :1], z2[n - r :] = tri[..., 0], norms[:, None], tri[..., 1]
+    return z2, (q, unit) if basis else None
+
+
+def lift_planes(x2: np.ndarray, bases: tuple) -> np.ndarray:
+    """Each row of x2 times its basis from ``reduce_planes``, transposed: n x T, and z for x2 = z2.
+
+    Whatever is computed from z2 by maps within each plane and within each
+    harmonic row lifts to the same computed from z.
+    """
+    q, unit = bases
+    n, r = len(x2), q.shape[0]
+    minus, plus = np.einsum("iw,itw->it", x2[:r], q), np.einsum("iw,itw->it", x2[n - r :], q)
+    return np.concatenate([minus, x2[r : n - r, :1] * unit, plus])
 
 
 def decomposition_residuals(d: SpectralDecomposition, B: np.ndarray) -> dict[str, float]:

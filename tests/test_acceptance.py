@@ -25,6 +25,7 @@ from topospinor.topology import (
     spectral_decompose,
     super_laplacian,
     super_laplacian_eigenbasis,
+    unproject,
 )
 from topospinor.transform import nonharmonic_column_indices, unnormalized_basis_matrix
 
@@ -191,7 +192,8 @@ def test_criterion_3_oracle_equivalence():
         state.x = rng.normal(size=state.omega.shape)
         state.m = rng.normal(size=state.omega.shape)
         omega = update_omega(state, d, cfg)
-        rhs = psi.T @ S + cfg.rho2 * (state.x - state.m)
+        # The state holds the plane reduction of S, two columns; unproject gives it in signal coordinates.
+        rhs = psi.T @ unproject(state.z, d) + cfg.rho2 * (state.x - state.m)
         dense = np.linalg.solve(psi.T @ psi + cfg.rho2 * np.eye(12), rhs)
         assert np.max(np.abs(omega - dense)) < 1e-10
 

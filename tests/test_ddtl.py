@@ -22,7 +22,7 @@ from topospinor.ddtl import (
 )
 from topospinor.sparse import DegenerateRetractionWarning, column_normalize, nmse, row_hard_threshold
 from topospinor.synth import SIGNAL_CLASSES, SignalClassSpec, gen_signals, random_graph
-from topospinor.topology import OrientedGraph, build_incidence, project, spectral_decompose
+from topospinor.topology import OrientedGraph, build_incidence, lift_planes, project, spectral_decompose
 from topospinor.transform import nonharmonic_column_indices, unnormalized_basis_matrix
 
 
@@ -54,8 +54,14 @@ def off_plane(d, M):
 
 
 def manual_state(d, S, cfg, k=None, omega=None, p=None, h=None, x=None, m=None):
-    """A state with the given iterates; dense P and H enter as their plane coordinates."""
+    """A state with the given iterates; dense P and H enter as their plane coordinates.
+
+    Its data and codes are lifted back to T columns, so that T-wide codes can be set; a fit runs
+    the same steps on the plane-reduced ones, two columns wide.
+    """
     state = initialize_state(S, d, cfg)
+    lifted = (lift_planes(a, state.plane_basis) for a in (state.z, state.omega, state.x, state.m))
+    state.z, state.omega, state.x, state.m = lifted
     if k is not None:
         state.k = np.asarray(k, dtype=float)
         state.psi = plane_coordinates(d, dense_psi(d, state.k))
@@ -505,19 +511,19 @@ class TestEdgeInputs:
 
     @pytest.mark.parametrize("case", ["rank-1", "harmonic", "T=1", "T=n"])
     def test_degenerate_batch_fits_as_its_square_factor_does(self, case):
-        # The rank factor keeps 1 column of a rank-1 batch and xi0 + xi1 of a harmonic one; a
-        # batch no wider than tall is fitted as it is.  None of them warns where the square factor does not.
+        # Every batch is fitted on its plane reduction, min(T, 2) columns wide, and so is its
+        # square factor R^T (S^T = Q R).  None of them warns where the square factor does not.
         d, S = self._problem()
         rng = np.random.default_rng(1)
-        batch, columns = {
-            "rank-1": (np.outer(S[:, 0], rng.normal(size=50)), 1),
-            "harmonic": (np.vstack([d.u_harmonic @ rng.normal(size=(d.xi0, 50)),
-                                    d.v_harmonic @ rng.normal(size=(d.xi1, 50))]), d.xi0 + d.xi1),
-            "T=1": (S[:, :1], 1),
-            "T=n": (S[:, : d.dim], d.dim),
+        batch = {
+            "rank-1": np.outer(S[:, 0], rng.normal(size=50)),
+            "harmonic": np.vstack([d.u_harmonic @ rng.normal(size=(d.xi0, 50)),
+                                   d.v_harmonic @ rng.normal(size=(d.xi1, 50))]),
+            "T=1": S[:, :1],
+            "T=n": S[:, : d.dim],
         }[case]
         cfg = DdtlConfig(eta0=8, max_iter=60)
-        assert initialize_state(batch, d, cfg).z.shape == (d.dim, columns)
+        assert initialize_state(batch, d, cfg).z.shape == (d.dim, min(batch.shape[1], 2))
         q, r = np.linalg.qr(batch.T)
         fits = []
         for fitted in (batch, r.T):
@@ -565,51 +571,50 @@ class TestSpectralCoordinates:
         self._check(S, d, DdtlConfig(eta0=8, max_iter=30))
 
     def test_fit_matches_dense_oracle_with_fewer_signals_than_rows(self):
-        # T < V+E: the learner runs on the batch itself, not on a factor of it.
+        # T < V+E: the learner still runs on the two columns of the plane reduction.
         d = spectral_decompose(build_incidence(random_graph(12, 24, 3)))
         S = np.random.default_rng(5).normal(size=(d.dim, 20))
-        assert initialize_state(S, d, DdtlConfig(eta0=6)).row_basis is None
+        assert initialize_state(S, d, DdtlConfig(eta0=6)).z.shape == (d.dim, 2)
         self._check(S, d, DdtlConfig(eta0=6, max_iter=30))
 
-    def test_wide_batch_is_compressed_to_its_rank_factor(self):
+    @pytest.mark.parametrize("width", [1, 2, 3, 60], ids=["T=1", "T=2", "T=3", "T=60"])
+    def test_batch_is_reduced_to_two_columns(self, width):
+        # z is the plane reduction of Q^T S, and lifting it through the per-plane bases gives Q^T S back.
         g, d = small_problem()
-        S = np.random.default_rng(6).normal(size=(d.dim, 3 * d.dim))
+        S = np.random.default_rng(6).normal(size=(d.dim, width))
         state = initialize_state(S, d, DdtlConfig(eta0=4))
-        assert state.row_basis.shape == (3 * d.dim, d.dim)
-        assert_allclose(state.row_basis.T @ state.row_basis, np.eye(d.dim), atol=1e-13)
-        assert state.z.shape == state.omega.shape == state.x.shape == state.m.shape == (d.dim, d.dim)
-        # z is Q^T S with its signals mixed by Q1: z Q1^T is the projection of S.
-        square = state.z @ state.row_basis.T
-        narrow = initialize_state(S[:, : d.dim], d, DdtlConfig(eta0=4))
-        assert narrow.row_basis is None and narrow.z.shape == (d.dim, d.dim)
-        assert_allclose(square[:, : d.dim], narrow.z, atol=1e-12 * np.abs(narrow.z).max())
-        # A batch of rank 3 keeps 3 columns, and z W^T is still the projection of S.
-        low = S[:, :3] @ np.random.default_rng(7).normal(size=(3, 3 * d.dim))
-        state = initialize_state(low, d, DdtlConfig(eta0=4))
-        assert state.row_basis.shape == (3 * d.dim, 3)
-        assert state.z.shape == state.omega.shape == state.x.shape == state.m.shape == (d.dim, 3)
-        assert_allclose(state.z @ state.row_basis.T, project(low, d), atol=1e-12 * np.abs(project(low, d)).max())
+        assert state.z.shape == state.omega.shape == state.x.shape == state.m.shape == (d.dim, min(width, 2))
+        z = project(S, d)
+        assert_allclose(lift_planes(state.z, state.plane_basis), z, rtol=0, atol=1e-12 * np.abs(z).max())
 
-    @pytest.mark.parametrize(
-        "graph_seed, signal_class",
-        [(31, signal_class) for signal_class in SIGNAL_CLASSES]
-        + [pytest.param(33, "fully_decoupled", marks=pytest.mark.xfail(strict=True, reason=(
-            "at the Dirac start a decoupled coefficient gives its plane's minus and plus rows equal norms; "
-            "eta0 = 35 splits such a pair at the hard threshold's cutoff, and round-off picks the row")))],
-    )
-    def test_fit_on_the_rank_factor_matches_the_fit_on_the_square_factor(self, graph_seed, signal_class):
-        # The square factor R^T of S^T = Q R is what the learner ran on before the rank rule:
-        # T = n, so ddtl_fit takes it as it is.  A noiseless batch of 35 atoms has rank 35.
+    @pytest.mark.parametrize("graph_seed, signal_class", [(31, c) for c in SIGNAL_CLASSES] + [(33, "fully_decoupled")])
+    def test_fit_on_the_plane_reduction_matches_the_fit_on_the_square_factor(self, graph_seed, signal_class):
+        # The square factor R^T of S^T = Q R is what the learner ran on before any reduction:
+        # two exact factorizations of one batch, reduced to two columns each.
         d = spectral_decompose(build_incidence(random_graph(40, 80, graph_seed)))
         S, _ = gen_signals(d, SignalClassSpec(signal_class, eta0=35, num_signals=600, seed=graph_seed + 1))
         cfg = DdtlConfig(eta0=35, max_iter=30)
-        assert initialize_state(S, d, cfg).z.shape == (d.dim, 35)
         q, r = np.linalg.qr(S.T)
-        square, rank = ddtl_fit(r.T, d, cfg), ddtl_fit(S, d, cfg)
-        assert rank.report.stop_reason == square.report.stop_reason
-        assert rank.report.iterations == square.report.iterations
-        assert np.max(np.abs(rank.k_star.stacked() - square.k_star.stacked())) <= 1e-10
-        assert nmse(square.s_hat @ q.T, rank.s_hat) <= 1e-12
+        square, reduced = ddtl_fit(r.T, d, cfg), ddtl_fit(S, d, cfg)
+        assert reduced.report.stop_reason == square.report.stop_reason
+        assert reduced.report.iterations == square.report.iterations
+        assert np.max(np.abs(reduced.k_star.stacked() - square.k_star.stacked())) <= 1e-10
+        assert nmse(square.s_hat @ q.T, reduced.s_hat) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "graph_seed",
+        [31, 33, 35, pytest.param(37, marks=pytest.mark.xfail(strict=True, reason=(
+            "at the Dirac start a decoupled coefficient gives its plane's minus and plus rows equal norms; "
+            "eta0 = 35 splits such a pair at the hard threshold's cutoff, and round-off picks the row")))],
+    )
+    def test_decoupled_fit_is_invariant_under_orthogonal_mixing_of_signals(self, graph_seed):
+        # S O is S in another orthonormal frame of its T signals: the fit should learn the same k.
+        d = spectral_decompose(build_incidence(random_graph(40, 80, graph_seed)))
+        S, _ = gen_signals(d, SignalClassSpec("fully_decoupled", eta0=35, num_signals=600, seed=graph_seed + 1))
+        mixing, _ = np.linalg.qr(np.random.default_rng(graph_seed).normal(size=(600, 600)))
+        cfg = DdtlConfig(eta0=35, max_iter=30)
+        plain, mixed = ddtl_fit(S, d, cfg), ddtl_fit(S @ mixing, d, cfg)
+        assert np.max(np.abs(mixed.k_star.stacked() - plain.k_star.stacked())) <= 1e-10
 
     @staticmethod
     def _check(S, d, cfg):

@@ -131,8 +131,8 @@ def test_sweep_needs_no_dense_dictionary_and_no_pursuit(tmp_path, monkeypatch):
 
 
 def test_sweep_codes_the_batch_at_its_rank(tmp_path, monkeypatch):
-    # A noiseless study batch of T = 600 signals on eta0 = 35 atoms has rank 35, so the learner and
-    # the projection each get 35 columns, not n = V + E = 120.
+    # Each mode plane of the T = 600 signal batch is reduced to its 2 x 2 triangle, so the learner
+    # and every per-plane curve get 2 columns, not T.
     widths = []
 
     def spy(fn):
@@ -143,11 +143,11 @@ def test_sweep_codes_the_batch_at_its_rank(tmp_path, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(experiments, "ddtl_fit", spy(experiments.ddtl_fit))
-    monkeypatch.setattr(experiments, "project", spy(experiments.project))
+    monkeypatch.setattr(experiments, "plane_pursuit_curve", spy(experiments.plane_pursuit_curve))
     for signal_class in SIGNAL_CLASSES:
         widths.clear()
         run_sparsity_sweep(SweepConfig(out=str(tmp_path / signal_class), signal_class=signal_class, realizations=1))
-        assert widths == [("ddtl_fit", 35), ("project", 35)], signal_class
+        assert widths == [("ddtl_fit", 2)] + [("plane_pursuit_curve", 2)] * 4, signal_class
 
 
 class TestDominance:
@@ -204,15 +204,16 @@ class TestLearnerTally:
 
 
 def test_denoise_factors_each_noisy_batch_once(tmp_path, monkeypatch):
-    # One factor per SNR and realization serves every bandwidth, and each ddtl row is the NMSE of a
-    # fit on the noisy batch itself: T = 40 > V + E = 15, so the factor is W-mixed and mapped back.
+    # One plane reduction per SNR and realization serves every bandwidth, and each ddtl row is the
+    # NMSE of a fit on the noisy batch itself: the fits run on 2 columns and are lifted back to T = 40.
     cfg = DenoiseConfig(out=str(tmp_path / "run"), num_nodes=6, num_edges=9, num_signals=40, gen_eta0=5,
                         snr_grid=(0.0, 10.0), bandwidth_grid=(3, 8), realizations=2, ddtl_max_iter=20, seed=4)
-    factored = []
-    rank_factor = experiments.rank_factor
-    monkeypatch.setattr(experiments, "rank_factor", lambda S: factored.append(S) or rank_factor(S))
+    reduced, fitted = [], []
+    reduce_planes, fit = experiments.reduce_planes, experiments.ddtl_fit
+    monkeypatch.setattr(experiments, "reduce_planes", lambda S, d: reduced.append(S) or reduce_planes(S, d))
+    monkeypatch.setattr(experiments, "ddtl_fit", lambda S, d, c: fitted.append(S.shape[1]) or fit(S, d, c))
     _, tables = load_results(run_denoise(cfg))
-    assert len(factored) == 2 * 2
+    assert [S.shape[1] for S in reduced] == [40] * (2 * 2) and fitted == [2] * (2 * 2 * 2)
 
     d = spectral_decompose(build_incidence(random_graph(6, 9, sub_seed(cfg.seed, 0, "graph"))))
     spec = SignalClassSpec(cfg.signal_class, cfg.gen_eta0, cfg.num_signals, sub_seed(cfg.seed, 0, "signals"))

@@ -17,7 +17,6 @@ from topospinor.sparse import (
     nmse,
     omp,
     plane_pursuit_curve,
-    rank_factor,
     row_hard_threshold,
 )
 from topospinor.synth import SIGNAL_CLASSES, SignalClassSpec, add_awgn, gen_signals, random_graph
@@ -25,9 +24,12 @@ from topospinor.topology import (
     OrientedGraph,
     build_incidence,
     dirac_eigenbasis,
+    lift_planes,
     project,
+    reduce_planes,
     spectral_decompose,
     super_laplacian_eigenbasis,
+    unproject,
 )
 from topospinor.transform import CouplingVector, build_mass_basis
 
@@ -387,66 +389,77 @@ def test_row_energy_curve_keeps_exact_residuals_at_round_off():
     S, _ = gen_signals(d, SignalClassSpec("fully_coupled", eta0=35, num_signals=600, seed=12))
     energy = np.linalg.norm(S) ** 2
     planes = _plane_dictionaries(d, CouplingVector(np.ones(d.rank), np.ones(d.rank)))
-    for batch in (S, rank_factor(S, row_basis=False)[0]):
+    for z in (project(S, d), reduce_planes(S, d, basis=False)[0]):
         for method in ("dirac", "frame", "ddtl"):
-            _, residual = plane_pursuit_curve(project(batch, d), d.rank, *planes[method], [34, 35])
+            _, residual = plane_pursuit_curve(z, d.rank, *planes[method], [34, 35])
             assert residual[0] > 1e-6 * energy, method
             assert 0.0 < residual[1] <= 1e-28 * energy, method
 
 
-class TestRankFactor:
+def _plane_grams(z, rank):
+    """Each mode plane's 2 x 2 Gram z_i z_i^T, z_i its rows i and n - rank + i: (rank, 2, 2)."""
+    planes = np.stack([z[:rank], z[len(z) - rank :]], axis=1)
+    return planes @ planes.transpose(0, 2, 1)
+
+
+class TestReducePlanes:
+    @staticmethod
+    def check(S, d):
+        """The reduction keeps every plane's Gram and every harmonic norm, and its bases lift it back to z."""
+        z = project(S, d)
+        z2, bases = reduce_planes(S, d)
+        n, r, T = d.dim, d.rank, S.shape[1]
+        assert z2.shape == (n, min(T, 2))
+        gram, gram2 = _plane_grams(z, r), _plane_grams(z2, r)
+        assert np.all(np.abs(gram2 - gram).max(axis=(1, 2)) <= 1e-12 * np.trace(gram, axis1=1, axis2=2))
+        assert not np.any(z2[:r, 1:]) and not np.any(z2[r : n - r, 1:])  # R_i is upper triangular
+        assert_allclose(z2[r : n - r, 0], np.linalg.norm(z[r : n - r], axis=1), rtol=1e-14, atol=0)
+        q, unit = bases
+        assert q.shape == (r, T, min(T, 2)) and unit.shape == (n - 2 * r, T)
+        assert np.max(np.abs(q.transpose(0, 2, 1) @ q - np.eye(min(T, 2))), initial=0.0) <= 1e-13
+        assert np.max(np.abs(lift_planes(z2, bases) - z), initial=0.0) <= 1e-12 * np.abs(z).max(initial=0.0)
+        assert np.array_equal(reduce_planes(S, d, basis=False)[0], z2)
+        return z2
+
     @pytest.mark.parametrize("num_nodes, num_edges", [(40, 80), (160, 320)])
-    def test_noiseless_classes_keep_the_support_size_columns(self, num_nodes, num_edges):
-        # A noiseless batch codes T = 600 signals on one support of 35 atoms: rank 35, not n.
+    def test_noiseless_classes(self, num_nodes, num_edges):
+        # T = 600 signals on one support of 35 atoms leave most planes empty: their triangles are round-off.
         d = spectral_decompose(build_incidence(random_graph(num_nodes, num_edges, 21)))
         for signal_class in SIGNAL_CLASSES:
             S, _ = gen_signals(d, SignalClassSpec(signal_class, eta0=35, num_signals=600, seed=22))
-            L, W = rank_factor(S)
-            assert L.shape == (d.dim, 35) and W.shape == (600, 35), signal_class
-            assert np.linalg.norm(S - L @ W.T) <= 1e-13 * np.linalg.norm(S), signal_class
-            assert np.max(np.abs(W.T @ W - np.eye(35))) <= 1e-13, signal_class
-            assert np.array_equal(rank_factor(S, row_basis=False)[0], L), signal_class
+            self.check(S, d)
 
-    def test_ill_conditioned_batch_keeps_every_direction_above_the_cutoff(self):
-        # Singular values from 1 down to 1e-11 all pass the rank cutoff.  Re-orthogonalizing each
-        # pivot keeps the dropped part at rounding; without it the dropped part is 6e-15 ||S||.
-        rng = np.random.default_rng(26)
-        left, _ = np.linalg.qr(rng.normal(size=(60, 20)))
-        right, _ = np.linalg.qr(rng.normal(size=(200, 20)))
-        S = (left * np.logspace(0, -11, 20)) @ right.T
-        L, W = rank_factor(S)
-        assert L.shape == (60, 20) and W.shape == (200, 20)
-        assert np.linalg.norm(S - L @ W.T) <= 2e-15 * np.linalg.norm(S)
+    def test_gaussian_batch_on_a_disconnected_graph(self):
+        d = spectral_decompose(build_incidence(OrientedGraph(6, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)))))
+        assert d.xi0 == d.xi1 == 2
+        self.check(np.random.default_rng(23).normal(size=(d.dim, 90)), d)
 
-    def test_full_rank_batch_is_factored_by_its_qr(self):
-        S = np.random.default_rng(23).normal(size=(30, 90))
-        q, r = np.linalg.qr(S.T)
-        L, W = rank_factor(S)
-        assert np.array_equal(L, r.T) and np.array_equal(W, q)
-        L, W = rank_factor(S, row_basis=False)
-        assert np.array_equal(L, r.T) and W is None
-
-    @pytest.mark.parametrize("width", [1, 36], ids=["T=1", "T=n"])
-    def test_batch_no_wider_than_tall_is_kept(self, width):
-        S = np.random.default_rng(24).normal(size=(36, width))
-        L, W = rank_factor(S)
-        assert L is S and W is None
-
-    def test_degenerate_wide_batches(self):
+    @pytest.mark.parametrize("case", ["zero", "T=1", "rank-1", "harmonic", "T=n"])
+    def test_degenerate_batches(self, case):
         d = spectral_decompose(build_incidence(random_graph(12, 24, 0)))
         rng = np.random.default_rng(25)
-        harmonic = np.vstack([d.u_harmonic @ rng.normal(size=(d.xi0, 50)), d.v_harmonic @ rng.normal(size=(d.xi1, 50))])
-        cases = {
-            "zero": (np.zeros((d.dim, 50)), 1),
-            "rank-1": (np.outer(rng.normal(size=d.dim), rng.normal(size=50)), 1),
-            "harmonic": (harmonic, d.xi0 + d.xi1),
-        }
-        for name, (S, rank) in cases.items():
-            L, W = rank_factor(S)
-            assert L.shape == (d.dim, rank) and W.shape == (50, rank), name
-            assert np.all(np.isfinite(L)) and np.max(np.abs(W.T @ W - np.eye(rank))) <= 1e-13, name
-            assert np.linalg.norm(S - L @ W.T) <= 1e-13 * np.linalg.norm(S), name
-        assert not np.any(rank_factor(cases["zero"][0])[0])
+        S = {
+            "zero": np.zeros((d.dim, 50)),
+            "T=1": rng.normal(size=(d.dim, 1)),
+            "rank-1": np.outer(rng.normal(size=d.dim), rng.normal(size=50)),
+            "harmonic": np.vstack([d.u_harmonic @ rng.normal(size=(d.xi0, 50)),
+                                   d.v_harmonic @ rng.normal(size=(d.xi1, 50))]),
+            "T=n": rng.normal(size=(d.dim, d.dim)),
+        }[case]
+        z2 = self.check(S, d)
+        planes = np.vstack([z2[: d.rank], z2[d.dim - d.rank :]])
+        if case == "zero":
+            assert not np.any(z2)
+        if case == "harmonic":
+            assert np.abs(planes).max() <= 1e-14 * np.abs(z2).max()
+        if case == "rank-1":
+            # One direction per plane: R_i[1, 1] is round-off.
+            assert np.abs(z2[d.dim - d.rank :, 1]).max() <= 1e-14 * np.abs(z2).max()
+
+    def test_unproject_inverts_project(self):
+        d = spectral_decompose(build_incidence(random_graph(12, 24, 0)))
+        S = np.random.default_rng(26).normal(size=(d.dim, 7))
+        assert_allclose(unproject(project(S, d), d), S, rtol=0, atol=1e-13 * np.abs(S).max())
 
 
 class TestRowEnergyCurveRejects:
