@@ -13,6 +13,7 @@ from .ddtl import (
     DdtlState,
     NumericalDivergenceError,
     ddtl_fit,
+    ddtl_fit_many,
 )
 from .frames import DiracLaplacianFrame, build_frame
 from .io import (

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as tsio
-from .ddtl import ConvergenceReport, DdtlConfig, DdtlSolution, ddtl_fit
+from .ddtl import ConvergenceReport, DdtlConfig, DdtlSolution, ddtl_fit, ddtl_fit_many
 from .frames import build_frame
 from .sparse import nmse, plane_pursuit_curve, row_hard_threshold
 from .sparse import omp  # noqa: F401  unused; perfbench pins this binding (ROADMAP item 0)
@@ -404,9 +404,11 @@ def run_denoise(cfg: DenoiseConfig) -> Path:
     then per bandwidth the transform is learned on the noisy data and the
     filtered reconstruction compared against the clean signals, alongside
     hard spectral truncation in the Dirac and Laplacian bases.  Each noisy
-    batch is reduced once (``topology.reduce_planes``), every bandwidth is
-    fitted on its two columns, and each reconstruction is lifted back to T
-    signals through the per-plane bases (``topology.lift_planes``).
+    batch is reduced once (``topology.reduce_planes``), and every fit of a
+    realization, one per SNR and bandwidth, runs on its batch's two columns
+    in one ``ddtl_fit_many`` call, so that the per-iteration cost of the
+    learner is paid once for all of them.  Each reconstruction is lifted back
+    to T signals through the per-plane bases (``topology.lift_planes``).
     """
     if cfg.dataset_dir:
         graph, clean = tsio.load_dataset(cfg.dataset_dir)
@@ -419,21 +421,26 @@ def run_denoise(cfg: DenoiseConfig) -> Path:
         clean, _ = gen_signals(d, spec)
     phi, _ = dirac_eigenbasis(d)
     theta, _ = super_laplacian_eigenbasis(d)
+    configs = [DdtlConfig(eta0=int(bandwidth), max_iter=cfg.ddtl_max_iter) for bandwidth in cfg.bandwidth_grid]
 
     rows = []
     reports = []
     for real in range(cfg.realizations):
+        noisy_batches = []  # per SNR: its noisy-input NMSE, truncation curves, reduced batch and per-plane bases
         for snr in cfg.snr_grid:
             noisy = add_awgn(clean, snr, sub_seed(cfg.seed, real, _noise_tag(snr)))
             z, plane_basis = reduce_planes(noisy, d)
-            reduced = unproject(z, d)
-            rows.append(("noisy_input", float(snr), None, real, nmse(clean, noisy)))
             truncation = {
                 method: _truncation_nmse(clean, noisy, basis, cfg.bandwidth_grid)
                 for method, basis in (("dirac_truncation", phi), ("laplacian_truncation", theta))
             }
+            noisy_batches.append((nmse(clean, noisy), truncation, unproject(z, d), plane_basis))
+        fits = [reduced for _, _, reduced, _ in noisy_batches for _ in configs]
+        solutions = iter(ddtl_fit_many(fits, d, configs * len(noisy_batches)))
+        for snr, (noisy_nmse, truncation, _, plane_basis) in zip(cfg.snr_grid, noisy_batches):
+            rows.append(("noisy_input", float(snr), None, real, noisy_nmse))
             for bandwidth in cfg.bandwidth_grid:
-                solution = ddtl_fit(reduced, d, DdtlConfig(eta0=int(bandwidth), max_iter=cfg.ddtl_max_iter))
+                solution = next(solutions)
                 reports.append(solution.report)
                 s_hat = unproject(lift_planes(project(solution.s_hat, d), plane_basis), d)
                 rows.append(("ddtl", float(snr), int(bandwidth), real, nmse(clean, s_hat)))

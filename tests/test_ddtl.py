@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from topospinor.ddtl import (
     DdtlConfig,
     NumericalDivergenceError,
     ddtl_fit,
+    ddtl_fit_many,
     initialize_state,
     update_duals,
     update_k,
@@ -21,7 +23,7 @@ from topospinor.ddtl import (
     update_x,
 )
 from topospinor.sparse import DegenerateRetractionWarning, column_normalize, nmse, row_hard_threshold
-from topospinor.synth import SIGNAL_CLASSES, SignalClassSpec, gen_signals, random_graph
+from topospinor.synth import SIGNAL_CLASSES, SignalClassSpec, add_awgn, gen_signals, random_graph
 from topospinor.topology import OrientedGraph, build_incidence, lift_planes, project, spectral_decompose
 from topospinor.transform import nonharmonic_column_indices, unnormalized_basis_matrix
 
@@ -334,9 +336,10 @@ class TestAuxiliaryUpdates:
         sparse[[1, 4]] = rng.normal(size=(2, 3))
         state.omega = sparse
         state.m = np.zeros_like(sparse)
-        x = update_x(state, cfg)
+        x = update_x(state, cfg.eta0)
         assert_allclose(x, sparse)
-        _, m_new = update_duals(manual_state(d, S, cfg, omega=sparse, x=x, m=np.zeros_like(sparse)))
+        state = manual_state(d, S, cfg, omega=sparse, x=x, m=np.zeros_like(sparse))
+        _, m_new = update_duals(state, state.psi - state.p, state.omega - state.x)
         assert_allclose(m_new, 0.0)
 
     def test_dual_increment_is_exact(self):
@@ -346,7 +349,7 @@ class TestAuxiliaryUpdates:
         cfg = DdtlConfig(eta0=3, max_iter=1)
         state = initialize_state(S, d, cfg)
         state.h = rng.normal(size=state.h.shape)
-        h_new, _ = update_duals(state)
+        h_new, _ = update_duals(state, state.psi - state.p, state.omega - state.x)
         assert_allclose(h_new - state.h, state.psi - state.p, atol=1e-15)
 
 
@@ -437,8 +440,8 @@ def _poison_after_duals(monkeypatch, at, poison):
     """Make ``ddtl_fit``'s dual step write ``poison[name]`` into entry 0 of each named iterate at iteration ``at``."""
     inner, calls = ddtl_module.update_duals, []
 
-    def poisoned(state):
-        h, m = inner(state)
+    def poisoned(state, basis_res, code_res):
+        h, m = inner(state, basis_res, code_res)
         calls.append(None)
         if len(calls) == at:
             iterates = {"k": state.k, "omega": state.omega, "p": state.p, "x": state.x, "h": h, "m": m}
@@ -790,3 +793,105 @@ class TestConvergenceReport:
         S = np.random.default_rng(15).normal(size=(d.dim, 5))
         sol = ddtl_fit(S, d, DdtlConfig(eta0=3, max_iter=6))
         assert len(sol.report.objective_curve) == sol.report.iterations == 6
+
+
+def _assert_same_solution(many, lone):
+    assert many.report == lone.report
+    assert many.k_star.stacked().tobytes() == lone.k_star.stacked().tobytes()
+    for name in ("omega_star", "x_star", "s_hat", "basis"):
+        a, b = getattr(many, name), getattr(lone, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def _warned(fit):
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        result = fit()
+    return result, Counter((w.category, str(w.message)) for w in record)
+
+
+class TestFitMany:
+    """``ddtl_fit_many`` returns, fit by fit, what ``ddtl_fit`` returns for each batch alone, bit for bit."""
+
+    @staticmethod
+    def _check(batches, d, configs):
+        many, many_warned = _warned(lambda: ddtl_fit_many(batches, d, configs))
+        lone_warned = Counter()
+        assert len(many) == len(batches)
+        for S, cfg, sol in zip(batches, configs, many):
+            lone, warned = _warned(lambda: ddtl_fit(S, d, cfg))
+            lone_warned += warned
+            _assert_same_solution(sol, lone)
+        assert many_warned == lone_warned
+        return many
+
+    @staticmethod
+    def _problem():
+        d = spectral_decompose(build_incidence(random_graph(12, 24, 0)))
+        clean, _ = gen_signals(d, SignalClassSpec("mixture_of_dirac", eta0=10, num_signals=40, seed=1))
+        return d, clean
+
+    def test_mixed_eta0_on_noisy_batches(self):
+        d, clean = self._problem()
+        noisy = [add_awgn(clean, snr, seed) for seed, snr in enumerate((0.0, 10.0, 20.0))]
+        batches = [S for S in noisy for _ in range(3)]
+        configs = [DdtlConfig(eta0=eta0, max_iter=40) for _ in noisy for eta0 in (3, 10, 30)]
+        many = self._check(batches, d, configs)
+        assert {sol.report.stop_reason for sol in many} == {"max_iter"}
+
+    def test_a_fit_that_stops_on_tolerance_leaves_while_the_others_run_on(self):
+        # The zero batch stops at iteration 22 (see TestEdgeInputs) between two fits that run to max_iter,
+        # and warns at the start and at every iteration it runs, as alone.
+        d, S = TestEdgeInputs._problem()
+        batches = [S, np.zeros_like(S), S[:, :20]]
+        configs = [DdtlConfig(eta0=eta0, max_iter=60) for eta0 in (8, 8, 5)]
+        many = self._check(batches, d, configs)
+        reports = [sol.report for sol in many]
+        assert [(r.stop_reason, r.iterations) for r in reports] == [("max_iter", 60), ("tolerance", 22), ("max_iter", 60)]
+
+    def test_single_signal_batches(self):
+        d, clean = self._problem()
+        batches = [clean[:, t : t + 1] for t in (0, 7, 19)]
+        configs = [DdtlConfig(eta0=eta0, max_iter=30) for eta0 in (1, 5, 12)]
+        many = self._check(batches, d, configs)
+        assert all(sol.omega_star.shape == (d.dim, 1) for sol in many)
+
+    @pytest.mark.parametrize(
+        "batches, configs, message",
+        [
+            ([(40,), (40,)], [DdtlConfig(eta0=3)], "one config per batch"),
+            ([], [], "one config per batch"),
+            ([(40,), (40,)], [DdtlConfig(eta0=3), DdtlConfig(eta0=3, rho1=2.0)], "agree on rho1"),
+            ([(40,), (40,)], [DdtlConfig(eta0=3), DdtlConfig(eta0=3, rho2=2.0)], "agree on rho1"),
+            ([(40,), (40,)], [DdtlConfig(eta0=3), DdtlConfig(eta0=3, max_iter=9)], "agree on rho1"),
+            ([(40,), (1,)], [DdtlConfig(eta0=3), DdtlConfig(eta0=3)], "different widths"),
+            ([(40,), (40,)], [DdtlConfig(eta0=3), DdtlConfig(eta0=999)], "exceeds basis size"),
+        ],
+        ids=["count", "empty", "rho1", "rho2", "max_iter", "width", "eta0"],
+    )
+    def test_inputs_that_cannot_share_one_loop_are_refused(self, batches, configs, message):
+        d, clean = self._problem()
+        with pytest.raises(ValueError, match=message):
+            ddtl_fit_many([clean[:, : width] for (width,) in batches], d, configs)
+
+    @pytest.mark.parametrize("variable", TestDivergence.VARIABLES)
+    def test_non_finite_iterate_names_the_fit_iteration_and_variable(self, monkeypatch, variable):
+        # The zero batch (call index 0) leaves the stack at iteration 22, so at iteration 30 the
+        # call's fit 2 is the stack's second fit; the error names it by its call index.
+        d, S = TestEdgeInputs._problem()
+        inner, calls = ddtl_module.update_duals, []
+
+        def poisoned(state, basis_res, code_res):
+            h, m = inner(state, basis_res, code_res)
+            calls.append(None)
+            if len(calls) == 30:
+                iterates = {"k": state.k, "omega": state.omega, "p": state.p, "x": state.x, "h": h, "m": m}
+                iterates[variable][1].flat[0] = np.nan
+            return h, m
+
+        monkeypatch.setattr(ddtl_module, "update_duals", poisoned)
+        batches = [np.zeros_like(S), S, S[:, :20]]
+        with pytest.warns(DegenerateRetractionWarning), pytest.raises(NumericalDivergenceError) as info:
+            ddtl_fit_many(batches, d, [DdtlConfig(eta0=8, max_iter=60)] * 3)
+        assert (info.value.fit, info.value.iteration, info.value.variable) == (2, 30, variable)
+        assert "iteration 30 of fit 2" in str(info.value)

@@ -204,16 +204,23 @@ class TestLearnerTally:
 
 
 def test_denoise_factors_each_noisy_batch_once(tmp_path, monkeypatch):
-    # One plane reduction per SNR and realization serves every bandwidth, and each ddtl row is the
-    # NMSE of a fit on the noisy batch itself: the fits run on 2 columns and are lifted back to T = 40.
+    # One plane reduction per SNR and realization, and one ddtl_fit_many call per realization that fits
+    # every SNR and bandwidth on 2 columns; each ddtl row is the NMSE of a lone fit on the noisy batch
+    # itself, since the fits are lifted back to T = 40.
     cfg = DenoiseConfig(out=str(tmp_path / "run"), num_nodes=6, num_edges=9, num_signals=40, gen_eta0=5,
                         snr_grid=(0.0, 10.0), bandwidth_grid=(3, 8), realizations=2, ddtl_max_iter=20, seed=4)
-    reduced, fitted = [], []
-    reduce_planes, fit = experiments.reduce_planes, experiments.ddtl_fit
+    reduced, calls = [], []
+    reduce_planes, fit_many = experiments.reduce_planes, experiments.ddtl_fit_many
+
+    def spied_fit_many(batches, d, configs):
+        calls.append(([S.shape[1] for S in batches], [c.eta0 for c in configs]))
+        return fit_many(batches, d, configs)
+
     monkeypatch.setattr(experiments, "reduce_planes", lambda S, d: reduced.append(S) or reduce_planes(S, d))
-    monkeypatch.setattr(experiments, "ddtl_fit", lambda S, d, c: fitted.append(S.shape[1]) or fit(S, d, c))
+    monkeypatch.setattr(experiments, "ddtl_fit_many", spied_fit_many)
     _, tables = load_results(run_denoise(cfg))
-    assert [S.shape[1] for S in reduced] == [40] * (2 * 2) and fitted == [2] * (2 * 2 * 2)
+    assert [S.shape[1] for S in reduced] == [40] * (2 * 2)
+    assert calls == [([2] * (2 * 2), [3, 8, 3, 8])] * 2
 
     d = spectral_decompose(build_incidence(random_graph(6, 9, sub_seed(cfg.seed, 0, "graph"))))
     spec = SignalClassSpec(cfg.signal_class, cfg.gen_eta0, cfg.num_signals, sub_seed(cfg.seed, 0, "signals"))

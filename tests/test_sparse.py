@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -649,13 +650,50 @@ class TestRowHardThreshold:
     @settings(max_examples=60)
     def test_matches_brute_force_projection(self, M, eta0):
         expected = brute_force_row_projection(M, eta0)
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateRetractionWarning)
             out = row_hard_threshold(M, eta0)
         # Equal projection distance always; equal matrices rules out wrong subsets.
         assert np.linalg.norm(M - out) ** 2 == pytest.approx(np.linalg.norm(M - expected) ** 2, abs=1e-12)
+
+    def test_wide_matrix_keeps_the_first_rows_of_the_stable_order(self, rng):
+        # The fixed-basis truncations call it on n x T coefficients; the kept rows are copied exactly.
+        M = rng.normal(size=(30, 200))
+        M[[4, 9]] = 0.0
+        norms = np.sqrt(np.add.reduce(M * M, axis=1))
+        kept = np.argsort(-norms, kind="stable")[:12]
+        expected = np.zeros_like(M)
+        expected[kept] = M[kept]
+        assert row_hard_threshold(M, 12).tobytes() == expected.tobytes()
+
+    def test_stack_equals_its_slices(self, rng):
+        # One budget per slice.  Slice 1 has a norm tie across its cutoff, which the lower row wins;
+        # slices 2 and 3 have fewer nonzero rows than their budgets and warn once each.
+        M = rng.normal(size=(4, 7, 3))
+        M[1] = 0.0
+        M[1, [1, 3, 5]] = [[0.0, 2.0, 0.0], [0.0, 0.0, 3.0], [2.0, 0.0, 0.0]]
+        M[2, 2:] = 0.0
+        M[3] = 0.0
+        budgets = [2, 2, 4, 1]
+        with warnings.catch_warnings(record=True) as stacked_warnings:
+            warnings.simplefilter("always")
+            out = row_hard_threshold(M, np.array(budgets))
+        with warnings.catch_warnings(record=True) as slice_warnings:
+            warnings.simplefilter("always")
+            slices = [row_hard_threshold(M[b], budget) for b, budget in enumerate(budgets)]
+        assert out.tobytes() == np.stack(slices).tobytes()
+        assert np.flatnonzero(np.any(out[1] != 0.0, axis=1)).tolist() == [1, 3]
+        assert [w.category for w in stacked_warnings] == [DegenerateRetractionWarning] * 2
+        assert [str(w.message) for w in stacked_warnings] == [str(w.message) for w in slice_warnings]
+
+    def test_scalar_budget_applies_to_every_slice(self, rng):
+        M = rng.normal(size=(3, 6, 2))
+        assert row_hard_threshold(M, 4).tobytes() == np.stack([row_hard_threshold(s, 4) for s in M]).tobytes()
+
+    @pytest.mark.parametrize("budgets", [[2, 0, 3], [2, 7, 3]])
+    def test_stack_budget_out_of_range(self, rng, budgets):
+        with pytest.raises(ValueError, match="eta0 must lie in"):
+            row_hard_threshold(rng.normal(size=(3, 6, 2)), np.array(budgets))
 
 
 class TestColumnNormalize:
@@ -679,3 +717,19 @@ class TestColumnNormalize:
         M = rng.normal(size=(6, 4))
         once = column_normalize(M)
         assert_allclose(column_normalize(once), once, atol=1e-15)
+
+    def test_stack_equals_its_slices(self, rng):
+        # Slices 0 and 2 have zero columns and warn once each, naming their own columns.
+        P = rng.normal(size=(3, 4, 5))
+        P[0, :, 2] = 0.0
+        P[2][:, [0, 4]] = 0.0
+        with warnings.catch_warnings(record=True) as stacked_warnings:
+            warnings.simplefilter("always")
+            out = column_normalize(P)
+        with warnings.catch_warnings(record=True) as slice_warnings:
+            warnings.simplefilter("always")
+            slices = [column_normalize(s) for s in P]
+        assert out.tobytes() == np.stack(slices).tobytes()
+        assert_allclose(out[2][:, 4], [1.0, 0.0, 0.0, 0.0])  # e_j for column j = 4 of a 4-row slice: row 4 mod 4
+        assert [str(w.message) for w in stacked_warnings] == [str(w.message) for w in slice_warnings]
+        assert len(stacked_warnings) == 2
