@@ -22,6 +22,12 @@ Matrix CSV dialect (``write_matrix_csv`` / ``read_matrix_csv``)
     non-numeric cell are rejected with a ValueError that names the row,
     counted among the non-blank rows.  Numbers are read as numpy reads them,
     so a spelling only Python's ``float`` accepts (``1_000``) is rejected.
+    Both functions work on two cores: a matrix of two or more rows has its
+    first half formatted or parsed in the calling process and its second half
+    in one child made with ``os.fork`` (POSIX), which hands its part back
+    through an unnamed temporary file.  The bytes written, the values read and
+    every error message are the ones a single process gives, and there is
+    nothing to configure.
 
 Results
     ``save_results`` writes a run directory containing ``run.json`` (metadata:
@@ -37,6 +43,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import shutil
+import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -125,7 +135,8 @@ def read_matrix_csv(path, expected_cols: int, what: str = "matrix") -> np.ndarra
     """The rows of a numeric CSV; ValueError on an empty, ragged or non-numeric file.
 
     Each row is checked (blank rows skipped, a header checked for its width and
-    skipped, column count), then the checked body is parsed in one ``np.loadtxt`` call.
+    skipped, column count), then each half of the checked body is parsed in one
+    ``np.loadtxt`` call, the second in a forked child (``_split_rows``).
     """
     path = Path(path)
     first_data_row = 1  # among the non-blank rows; 2 after a header
@@ -156,13 +167,29 @@ def read_matrix_csv(path, expected_cols: int, what: str = "matrix") -> np.ndarra
         raise ValueError(f"{path}: empty {what} file")
     if not body:
         raise ValueError(f"{path}: no data rows in {what} file")
+
+    def parse(start: int, stop: int) -> np.ndarray:
+        return np.loadtxt(body[start:stop], delimiter=",", quotechar='"', comments=None, ndmin=2)
+
+    def send(start: int, stop: int, fh) -> None:
+        fh.write(parse(start, stop).data)
+
     try:
-        data = np.loadtxt(body, delimiter=",", quotechar='"', comments=None, ndmin=2)
+        with _split_rows(len(body), parse, send) as (mid, head, tail):
+            if mid == len(body):
+                return head
+            # Grow this process's half in place (a realloc), so no second copy of it is made;
+            # ``_split_rows`` still refers to it, hence refcheck=False.
+            head.resize((len(body), expected_cols), refcheck=False)
+            if tail is None or tail.readinto(head[mid:]) != head[mid:].nbytes:
+                # The child failed, most likely on a bad cell: parse every row here, so that an
+                # error names its row among all of them, as one parse does.
+                return parse(0, len(body))
+            return head
     except ValueError as exc:
         _raise_non_numeric(path, body, first_data_row)
         # Every cell reads as a Python float but not as a numpy one (e.g. "1_000").
         raise ValueError(f"{path}: {exc}") from None
-    return data
 
 
 def _csv_cells(line: str) -> list[str]:
@@ -210,9 +237,66 @@ def write_matrix_csv(path, matrix: np.ndarray) -> None:
     if matrix.ndim != 2:
         raise ValueError(f"write_matrix_csv needs a 2-D matrix, got shape {matrix.shape}")
     row_format = ",".join([FLOAT_FORMAT] * matrix.shape[1]) + "\r\n"
-    with Path(path).open("w", newline="") as fh:
-        for row in matrix:
+
+    def format_rows(start: int, stop: int, fh) -> None:
+        for row in matrix[start:stop]:
             fh.write(row_format % tuple(row.tolist()))
+
+    def send(start: int, stop: int, fh) -> None:
+        with open(fh.fileno(), "w", newline="", closefd=False) as text:
+            format_rows(start, stop, text)
+
+    path = Path(path)
+    with path.open("w", newline="") as out:
+        with _split_rows(len(matrix), lambda start, stop: format_rows(start, stop, out), send) as (mid, _, tail):
+            if mid == len(matrix):
+                return
+            if tail is None:
+                raise OSError(f"{path}: the child process formatting rows {mid + 1} to {len(matrix)} failed")
+            out.flush()
+            shutil.copyfileobj(tail, out.buffer)  # in chunks of shutil.COPY_BUFSIZE (64 KiB on POSIX)
+
+
+@contextmanager
+def _split_rows(num_rows: int, here, there):
+    """Run a row-wise job on the first half of ``num_rows`` rows here and on the second half in one forked child.
+
+    ``here(0, mid)`` runs in this process, with ``mid = ceil(num_rows / 2)``, while
+    ``there(mid, num_rows, fh)`` runs in the child and writes its result to ``fh``, an
+    unnamed temporary file.  Yields ``mid``, the result of ``here`` and ``fh`` rewound,
+    or None in place of ``fh`` if the child failed.  With fewer than two rows, or no
+    fork to be had, there is no child: ``here`` takes every row and ``mid == num_rows``.
+    The child leaves by ``os._exit``, so it flushes no buffer it shares with this
+    process (``sys.stdout``, an open output file), and this process always waits for it.
+    """
+    mid = (num_rows + 1) // 2
+    with tempfile.TemporaryFile() as fh:
+        pid = _fork() if mid < num_rows else None
+        if pid is None:
+            yield num_rows, here(0, num_rows), None
+            return
+        if pid == 0:
+            code = 1
+            try:
+                there(mid, num_rows, fh)
+                fh.flush()
+                code = 0
+            finally:
+                os._exit(code)
+        try:
+            result = here(0, mid)
+        finally:
+            _, status = os.waitpid(pid, 0)
+        fh.seek(0)
+        yield mid, result, fh if os.waitstatus_to_exitcode(status) == 0 else None
+
+
+def _fork() -> int | None:
+    """``os.fork()``, or None where there is none (not POSIX) or it fails (no process ids left, say)."""
+    try:
+        return os.fork()
+    except (AttributeError, OSError):
+        return None
 
 
 @dataclass(frozen=True)

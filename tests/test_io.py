@@ -1,5 +1,10 @@
+import builtins
 import csv
+import os
 import re
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
+import topospinor
 from topospinor.io import (
     EdgeListParseError,
     ResultTable,
@@ -25,6 +31,14 @@ from topospinor.io import (
 )
 from topospinor.synth import random_graph
 from topospinor.topology import OrientedGraph
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every test leaves no child process behind, the forked halves of the matrix CSV functions included."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestEdgeList:
@@ -270,11 +284,88 @@ SPECIAL_VALUES = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e308, -1
                   1.0, -3.0, 12345678.0, 2.0**53, 0.1, 1 / 3]
 
 
+def _special_values_in_second_half():
+    # Five rows: the child formats and parses rows 4 and 5, which hold every special value.
+    M = np.random.default_rng(11).normal(size=(5, len(SPECIAL_VALUES)))
+    M[3:] = [SPECIAL_VALUES, [-x for x in SPECIAL_VALUES]]
+    return M
+
+
+# Matrices whose rows are split between this process and a forked child (none below two rows).
+SPLIT_MATRICES = {
+    "rows_1": np.random.default_rng(1).normal(size=(1, 4)),
+    "rows_2": np.random.default_rng(2).normal(size=(2, 4)),
+    "rows_3": np.random.default_rng(3).normal(size=(3, 4)) * 1e-200,
+    "rows_7": np.random.default_rng(7).normal(size=(7, 1)),
+    "special_values_in_second_half": _special_values_in_second_half(),
+}
+
+
 class TestMatrixCsvWriter:
     def assert_matches_oracle(self, tmp_path, matrix):
         write_matrix_csv(tmp_path / "new.csv", matrix)
         oracle_write(tmp_path / "old.csv", matrix)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("name", SPLIT_MATRICES)
+    def test_split_rows_match_oracle(self, tmp_path, name):
+        M = SPLIT_MATRICES[name]
+        self.assert_matches_oracle(tmp_path, M)
+        got, expected = read_matrix_csv(tmp_path / "new.csv", M.shape[1]), oracle_read(tmp_path / "old.csv", M.shape[1])
+        assert got.shape == expected.shape == M.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_no_fork_below_two_rows(self, tmp_path, monkeypatch, rows):
+        def no_fork():
+            raise AssertionError("forked for fewer than two rows")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        M = np.arange(3.0 * rows).reshape(rows, 3)
+        self.assert_matches_oracle(tmp_path, M)
+        if rows:
+            assert read_matrix_csv(tmp_path / "new.csv", 3).tobytes() == M.tobytes()
+
+    def test_failed_fork_leaves_every_row_here(self, tmp_path, monkeypatch):
+        def no_process_ids():
+            raise BlockingIOError("Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_process_ids)
+        M = SPLIT_MATRICES["special_values_in_second_half"]
+        self.assert_matches_oracle(tmp_path, M)
+        got, expected = read_matrix_csv(tmp_path / "new.csv", M.shape[1]), oracle_read(tmp_path / "old.csv", M.shape[1])
+        assert got.tobytes() == expected.tobytes()
+
+    def test_buffered_stdout_appears_once(self, tmp_path):
+        # Text waiting in this process's stdout buffer when the child is forked must not be flushed by the child too.
+        script = (
+            "import sys, numpy as np\n"
+            "from topospinor.io import read_matrix_csv, write_matrix_csv\n"
+            "sys.stdout.write('before the write;')\n"
+            f"write_matrix_csv({str(tmp_path / 'm.csv')!r}, np.ones((6, 3)))\n"
+            f"read_matrix_csv({str(tmp_path / 'm.csv')!r}, 3)\n"
+        )
+        src = str(Path(topospinor.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe is then block-buffered
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+        assert done.stdout == "before the write;"
+
+    @pytest.mark.parametrize("how", ["raises", "killed"])
+    def test_failed_child_fails_the_write(self, tmp_path, monkeypatch, how):
+        # The child formats its half through ``open``; make that fail in any process but this one.
+        parent, real_open = os.getpid(), builtins.open
+
+        def open_here_only(*args, **kwargs):
+            if os.getpid() != parent:
+                if how == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise OSError("no open in the child")
+            return real_open(*args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", open_here_only)
+        with pytest.raises(OSError, match=re.escape(f"{tmp_path / 'm.csv'}: the child process formatting rows 4 to 6")):
+            write_matrix_csv(tmp_path / "m.csv", np.ones((6, 3)))
 
     def test_random_normals(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -360,6 +451,8 @@ REJECTED_CASES = {
     "non_numeric_before_ragged": ("1,2,3\n4,x,6\n7,8\n", 3, 2),
     "ragged_before_non_numeric": ("1,2,3\n4,5\n7,x,9\n", 3, 2),
     "non_numeric_last_row": ("1,2,3\n" * 5 + "4,5,?\n", 3, 6),
+    "non_numeric_in_second_half": ("1,2,3\n" * 3 + "4,x,6\n7,8,9\n7,y,9\n", 3, 4),
+    "non_numeric_in_second_half_before_ragged": ("1,2,3\n" * 3 + "4,5,x\n7,8\n", 3, 4),
     "wrong_width_file": ("1,2,3\n4,5,6\n", 2, 1),
     "header_too_narrow": ("a,b\n1,2,3\n", 3, None),
     "header_too_wide_after_blank_rows": ("\n,,\na,b,c,d\n1,2,3\n", 3, None),
@@ -397,11 +490,41 @@ class TestMatrixCsvReader:
         if row is not None:
             assert f"row {row} " in str(got.value)
 
-    def test_python_only_number_spelling_rejected(self, tmp_path):
-        # float("1_000") is 1000.0, but numpy's parser, which reads the body, rejects it.
-        (tmp_path / "m.csv").write_text("1,2\n1_000,2\n")
-        with pytest.raises(ValueError, match="1_000"):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("1,2\n1_000,2\n", id="two_rows"),
+            pytest.param("a,b\n" + "1,2\n" * 4 + "3,1_000\n4,5\n", id="second_half_after_header"),
+        ],
+    )
+    def test_python_only_number_spelling_rejected(self, tmp_path, text):
+        # float("1_000") is 1000.0, but numpy's parser, which reads the body, rejects it; the
+        # message names the row among all data rows, as one parse of them does, even when it
+        # lies in the half a forked child parses.
+        (tmp_path / "m.csv").write_text(text)
+        data_rows = [line for line in text.splitlines(keepends=True) if not line.startswith("a")]
+        with pytest.raises(ValueError) as one_parse:
+            np.loadtxt(data_rows, delimiter=",", quotechar='"', comments=None, ndmin=2)
+        with pytest.raises(ValueError, match="1_000") as got:
             read_matrix_csv(tmp_path / "m.csv", 2)
+        assert str(got.value) == f"{tmp_path / 'm.csv'}: {one_parse.value}"
+
+    @pytest.mark.parametrize("how", ["raises", "short"])
+    def test_failed_child_leaves_its_half_to_the_parent(self, tmp_path, monkeypatch, how):
+        # One matrix per case: a row left unread must not find the other case's values in reused memory.
+        M = np.random.default_rng(len(how)).normal(size=(7, 3))
+        write_matrix_csv(tmp_path / "m.csv", M)
+        parent, real_loadtxt = os.getpid(), np.loadtxt
+
+        def loadtxt_here_only(*args, **kwargs):
+            if os.getpid() != parent:
+                if how == "short":
+                    return real_loadtxt(*args, **kwargs)[:-1]  # the child succeeds but sends a row too few
+                raise ValueError("no parse in the child")
+            return real_loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt_here_only)
+        assert read_matrix_csv(tmp_path / "m.csv", 3).tobytes() == M.tobytes()
 
     def test_round_trip_with_header(self, tmp_path):
         M = np.random.default_rng(8).normal(size=(9, 4))
