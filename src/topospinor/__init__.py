@@ -2,8 +2,9 @@
 
 Spectral bases for topological spinors (stacked node+edge signals), the
 Dirac-Laplacian tight frame, a coupling-parameterized transform bridging the
-two, sparse coding utilities, and an ADMM solver (DDTL) that learns per-mode
-couplings and row-sparse codes from data.
+two, sparse coding utilities, the closed-form per-mode coupling that the
+studies learn, and an ADMM solver (DDTL) that learns couplings and row-sparse
+codes from data.
 """
 
 from .ddtl import (
@@ -13,7 +14,7 @@ from .ddtl import (
     DdtlState,
     NumericalDivergenceError,
     ddtl_fit,
-    ddtl_fit_many,
+    fit_coupling,
 )
 from .frames import DiracLaplacianFrame, build_frame
 from .io import (

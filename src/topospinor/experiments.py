@@ -1,7 +1,17 @@
 """Experiment pipelines behind the CLI: spectra dump, synthesis, fitting, sweeps.
 
-Every pipeline is deterministic given its master seed.  Sub-seeds are derived
-by the documented splitting rule
+The two studies (``run_sparsity_sweep`` and ``run_denoise``) learn the
+coupling in closed form (``ddtl.fit_coupling``), one angle per mode plane,
+and code or truncate in each dictionary one mode plane at a time, from the
+projected batch: no study builds a dense (V+E) x (V+E) basis or runs the
+ADMM, and neither has a learner setting (``ddtl_max_iter`` is gone).  The
+rule (each plane's principal axis, mod 90 degrees, clipped to the box
+k in [0, 1], ties to k = 1) is stated in :mod:`topospinor.ddtl`.
+``run_ddtl_fit`` runs the ADMM (``ddtl.ddtl_fit``) until ROADMAP item 0 lets
+it move to the closed form.
+
+Every pipeline is deterministic given its master seed, at a fixed BLAS
+thread count.  Sub-seeds are derived by the documented splitting rule
 
     sub_seed(master, realization, tag) =
         first word of SeedSequence([master, realization, crc32(tag)])
@@ -14,16 +24,15 @@ Result rows are merged in realization order; output formats live in
 from __future__ import annotations
 
 import zlib
-from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import io as tsio
-from .ddtl import ConvergenceReport, DdtlConfig, DdtlSolution, ddtl_fit, ddtl_fit_many
+from .ddtl import DdtlConfig, ddtl_fit, fit_coupling
 from .frames import build_frame
-from .sparse import nmse, plane_pursuit_curve, row_hard_threshold
+from .sparse import nmse, plane_pursuit_curve
 from .sparse import omp  # noqa: F401  unused; perfbench pins this binding (ROADMAP item 0)
 from .synth import SIGNAL_CLASSES, SignalClassSpec, add_awgn, gen_signals, random_graph
 from .topology import (
@@ -31,14 +40,12 @@ from .topology import (
     build_incidence,
     decomposition_residuals,
     dirac_eigenbasis,
-    lift_planes,
     project,
     reduce_planes,
     spectral_decompose,
     super_laplacian_eigenbasis,
-    unproject,
 )
-from .transform import CouplingVector
+from .transform import CouplingVector, build_mass_basis
 
 __all__ = [
     "sub_seed",
@@ -55,7 +62,7 @@ __all__ = [
 ]
 
 SWEEP_METHODS = ("laplacian", "dirac", "frame", "ddtl")
-# Slack of the dominance counts in run.json, in NMSE.
+# Slack of the dominance counts in run.json, in NMSE (relative to ||S||^2).
 DOMINANCE_SLACK = 1e-12
 # Field metadata name the CLI flag (``flag``, else ``--<field-name>``), its ``choices`` and its ``help`` (see cli).
 _GRAPH_FLAG = {"flag": "--graph", "help": "edge-list file (otherwise a random graph)"}
@@ -79,15 +86,6 @@ def _check_levels(name: str, levels: tuple[int, ...], n: int) -> None:
     """Refuse a grid of sparsity levels or bandwidths outside [1, n], n = V + E."""
     if not all(1 <= lv <= n for lv in levels):
         raise ValueError(f"{name} levels must lie in [1, V + E = {n}], got {levels}")
-
-
-def _learner_tally(reports: list[ConvergenceReport]) -> dict:
-    """How a study's learner fits ended: fit count, fits per stop reason, total iterations."""
-    return {
-        "fits": len(reports),
-        "stop_reasons": dict(Counter(r.stop_reason for r in reports)),
-        "iterations": sum(r.iterations for r in reports),
-    }
 
 
 def _load_graph(graph_path: str | None, num_nodes: int, num_edges: int, seed: int) -> OrientedGraph:
@@ -250,7 +248,6 @@ class SweepConfig:
         default=(5, 10, 15, 20, 25, 30, 35, 40, 45, 50, 55, 60, 65, 70, 75, 80),
         metadata={"help": "comma-separated sparsity levels"},
     )
-    ddtl_max_iter: int = 150
     seed: int = field(default=0, metadata={"help": "master seed"})
 
     def __post_init__(self):
@@ -262,10 +259,10 @@ class SweepConfig:
 
 
 # No study path calls sweep_dictionaries; the tests' dense oracle and perfbench do (ROADMAP item 0).
-def sweep_dictionaries(d, solution: DdtlSolution) -> dict[str, np.ndarray]:
+def sweep_dictionaries(d, k: CouplingVector) -> dict[str, np.ndarray]:
     """The four dense unit-column dictionaries that ``_plane_dictionaries`` describes per mode plane."""
     phi, theta = dirac_eigenbasis(d)[0], super_laplacian_eigenbasis(d)[0]
-    return {"laplacian": theta, "dirac": phi, "frame": build_frame(phi, theta).matrix, "ddtl": solution.basis}
+    return {"laplacian": theta, "dirac": phi, "frame": build_frame(phi, theta).matrix, "ddtl": build_mass_basis(d, k)}
 
 
 def _plane_dictionaries(d, k: CouplingVector) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -286,24 +283,18 @@ def _plane_dictionaries(d, k: CouplingVector) -> dict[str, tuple[np.ndarray, np.
     return {"laplacian": laplacian, "dirac": dirac, "frame": frame, "ddtl": ddtl}
 
 
-def _dominance(curves: list[dict[str, dict[int, float]]], eta0: int) -> dict:
-    """Counts of realizations where the learned basis is no worse than the fixed ones, in NMSE.
+def _dominance(curves: list[dict[str, dict[int, float]]]) -> dict:
+    """How many realizations have the learned curve at most min(dirac, laplacian, frame) at every grid level.
 
-    ``ddtl_le_bases_every_level`` counts realizations where ddtl is at most
-    min(dirac, laplacian) at every grid level; ``ddtl_le_frame_at_eta0``
-    those where it is at most frame at eta0, or is None when eta0 is not a
-    grid level.  Both allow ``DOMINANCE_SLACK``.  Recorded, not asserted.
+    Allows ``DOMINANCE_SLACK``.  It holds for every realization: the learned
+    basis captures, at each sparsity, at least what any support of the fixed
+    dictionaries does (ROADMAP item 4).  Recorded here, asserted by the tests.
     """
-
-    def le(a: float, b: float) -> bool:
-        return a <= b + DOMINANCE_SLACK
-
-    bases = sum(
-        all(le(c["ddtl"][lv], min(c["dirac"][lv], c["laplacian"][lv])) for lv in c["ddtl"]) for c in curves
+    fixed = ("dirac", "laplacian", "frame")
+    count = sum(
+        all(c["ddtl"][lv] <= min(c[m][lv] for m in fixed) + DOMINANCE_SLACK for lv in c["ddtl"]) for c in curves
     )
-    at_eta0 = eta0 in curves[0]["ddtl"]
-    frame = sum(le(c["ddtl"][eta0], c["frame"][eta0]) for c in curves) if at_eta0 else None
-    return {"realizations": len(curves), "ddtl_le_bases_every_level": bases, "ddtl_le_frame_at_eta0": frame}
+    return {"realizations": len(curves), "ddtl_le_fixed_every_level": count}
 
 
 def run_sparsity_sweep(cfg: SweepConfig) -> Path:
@@ -312,15 +303,15 @@ def run_sparsity_sweep(cfg: SweepConfig) -> Path:
     Per realization: draw a graph and a signal batch and reduce its
     projection once, each mode plane's 2 x T block to its 2 x 2 QR triangle
     (``topology.reduce_planes``, R only: the per-plane bases are never
-    formed).  Learn the coupling transform on the two reduced columns, in
-    signal coordinates, and read every dictionary's joint OMP curve off the
-    reduced projection, one mode plane at a time (``plane_pursuit_curve``):
-    each atom of the four dictionaries lies in one mode plane or on one
-    harmonic row.  Both read the batch only through within-plane rotations,
-    row energies and within-plane sums of products, which the reduction keeps.
+    formed).  Learn the coupling in closed form on the two reduced columns
+    (``ddtl.fit_coupling``), and read every dictionary's joint OMP curve off
+    the reduced projection, one mode plane at a time
+    (``plane_pursuit_curve``): each atom of the four dictionaries lies in one
+    mode plane or on one harmonic row.  Both read the batch only through
+    within-plane rotations, row energies and within-plane sums of products,
+    which the reduction keeps.
     """
     rows = []
-    reports = []
     curves = []
     for real in range(cfg.realizations):
         graph = random_graph(cfg.num_nodes, cfg.num_edges, sub_seed(cfg.seed, real, "graph"))
@@ -329,10 +320,9 @@ def run_sparsity_sweep(cfg: SweepConfig) -> Path:
         S, _ = gen_signals(d, spec)
         energy = float(np.linalg.norm(S) ** 2)
         z, _ = reduce_planes(S, d, basis=False)
-        solution = ddtl_fit(unproject(z, d), d, DdtlConfig(eta0=cfg.eta0, max_iter=cfg.ddtl_max_iter))
-        reports.append(solution.report)
+        k = fit_coupling(z, d.rank)
         curve = {}
-        for method, (atoms, atom_index, harmonic_index) in _plane_dictionaries(d, solution.k_star).items():
+        for method, (atoms, atom_index, harmonic_index) in _plane_dictionaries(d, CouplingVector(k, k)).items():
             _, residual = plane_pursuit_curve(z, d.rank, atoms, atom_index, harmonic_index, cfg.sparsity_grid)
             curve[method] = {int(lv): float(e / energy) for lv, e in zip(cfg.sparsity_grid, residual)}
             rows.extend((method, level, real, value) for level, value in curve[method].items())
@@ -343,10 +333,11 @@ def run_sparsity_sweep(cfg: SweepConfig) -> Path:
         columns=("method", "sparsity", "realization", "nmse"),
         rows=tuple(rows),
     )
+    fits = cfg.realizations
     metadata = {
         **_run_header("sparsity-sweep", cfg, graph),  # random_graph gives every realization V and E exactly
-        "learner": _learner_tally(reports),
-        "dominance": _dominance(curves, cfg.eta0),
+        "learner": {"fits": fits, "stop_reasons": {"exact": fits}, "iterations": 0},
+        "dominance": _dominance(curves),
         "seed_rule": "sub_seed = SeedSequence([master, realization, crc32(tag)]) first word",
     }
     return tsio.save_results(cfg.out, table, metadata)
@@ -372,7 +363,6 @@ class DenoiseConfig:
     )
     bandwidth_grid: tuple[int, ...] = field(default=(10, 30, 50), metadata={"help": "comma-separated bandwidths"})
     realizations: int = 10
-    ddtl_max_iter: int = 150
     seed: int = field(default=0, metadata={"help": "master seed"})
 
     def __post_init__(self):
@@ -389,26 +379,44 @@ def _noise_tag(snr: float) -> str:
     return f"awgn@{snr:g}"
 
 
-def _truncation_nmse(clean: np.ndarray, noisy: np.ndarray, basis: np.ndarray, bandwidths) -> dict:
-    """NMSE of hard spectral truncation per bandwidth: the coefficients once, thresholded per bandwidth."""
-    coeffs = basis.T @ noisy
-    return {bw: nmse(clean, basis @ row_hard_threshold(coeffs, int(bw))) for bw in bandwidths}
+def _truncation_nmse(clean_z, noisy_z, rank, dictionary, bandwidths, energy) -> dict:
+    """NMSE of hard truncation in an orthonormal plane dictionary, per bandwidth, from the projected batches.
+
+    ``clean_z`` and ``noisy_z`` are ``topology.project`` of the clean and the
+    noisy batch, and ``dictionary`` one of ``_plane_dictionaries`` (atoms,
+    atom indices, harmonic indices) whose atoms are orthonormal in each plane.
+    Both batches are rotated into the dictionary's rows; the noisy rows are
+    ordered by energy, ties to the lowest dense column index (a stable sort,
+    as in ``sparse.row_hard_threshold``), and the NMSE at bandwidth b is the
+    noise energy of the b kept rows plus the clean energy of the dropped
+    ones, over ``energy``.  Every energy is a sum of squares of rotated rows.
+    """
+    atoms, atom_index, harmonic_index = dictionary
+    n, r = len(clean_z), rank
+
+    def rotate(z):  # every atom's row, then the harmonic rows
+        return np.concatenate([a[:, :1] * z[:r] + a[:, 1:] * z[n - r :] for a in atoms] + [z[r : n - r]])
+
+    clean, noisy = rotate(clean_z), rotate(noisy_z)
+    error = noisy - clean
+    order = np.lexsort((np.concatenate([*atom_index, harmonic_index]), -np.einsum("jt,jt->j", noisy, noisy)))
+    kept, dropped = np.einsum("jt,jt->j", error, error)[order], np.einsum("jt,jt->j", clean, clean)[order]
+    return {bw: float(np.sum(kept[:bw]) + np.sum(dropped[bw:])) / energy for bw in bandwidths}
 
 
 def run_denoise(cfg: DenoiseConfig) -> Path:
-    """Denoising sweep: learned-transform filtering versus fixed-basis truncation.
+    """Denoising sweep: learned-basis truncation versus fixed-basis truncation.
 
     Clean data is read from ``dataset_dir`` when it is given (the surrogate
     settings are then ignored) and is otherwise a synthetic surrogate batch.
     For each SNR and noise realization the noisy input error is recorded,
-    then per bandwidth the transform is learned on the noisy data and the
-    filtered reconstruction compared against the clean signals, alongside
-    hard spectral truncation in the Dirac and Laplacian bases.  Each noisy
-    batch is reduced once (``topology.reduce_planes``), and every fit of a
-    realization, one per SNR and bandwidth, runs on its batch's two columns
-    in one ``ddtl_fit_many`` call, so that the per-iteration cost of the
-    learner is paid once for all of them.  Each reconstruction is lifted back
-    to T signals through the per-plane bases (``topology.lift_planes``).
+    the coupling is learned in closed form on the noisy batch
+    (``ddtl.fit_coupling``; the basis does not depend on the bandwidth), and
+    per bandwidth the clean signals are compared with hard truncation of the
+    noisy ones in the learned, the Dirac and the Laplacian basis.  The clean
+    batch is projected once and each noisy batch once
+    (``topology.project``); every truncation is read off the projections one
+    mode plane at a time, so no dense basis is built.
     """
     if cfg.dataset_dir:
         graph, clean = tsio.load_dataset(cfg.dataset_dir)
@@ -419,42 +427,42 @@ def run_denoise(cfg: DenoiseConfig) -> Path:
     if clean is None:
         spec = SignalClassSpec(cfg.signal_class, cfg.gen_eta0, cfg.num_signals, sub_seed(cfg.seed, 0, "signals"))
         clean, _ = gen_signals(d, spec)
-    phi, _ = dirac_eigenbasis(d)
-    theta, _ = super_laplacian_eigenbasis(d)
-    configs = [DdtlConfig(eta0=int(bandwidth), max_iter=cfg.ddtl_max_iter) for bandwidth in cfg.bandwidth_grid]
+    clean_z, energy = project(clean, d), float(np.linalg.norm(clean) ** 2)
+    bandwidths = [int(bw) for bw in cfg.bandwidth_grid]
+    methods = (("ddtl", "ddtl"), ("dirac_truncation", "dirac"), ("laplacian_truncation", "laplacian"))
 
     rows = []
-    reports = []
+    le_fixed = {snr: 0 for snr in cfg.snr_grid}
     for real in range(cfg.realizations):
-        noisy_batches = []  # per SNR: its noisy-input NMSE, truncation curves, reduced batch and per-plane bases
         for snr in cfg.snr_grid:
             noisy = add_awgn(clean, snr, sub_seed(cfg.seed, real, _noise_tag(snr)))
-            z, plane_basis = reduce_planes(noisy, d)
-            truncation = {
-                method: _truncation_nmse(clean, noisy, basis, cfg.bandwidth_grid)
-                for method, basis in (("dirac_truncation", phi), ("laplacian_truncation", theta))
+            noisy_z = project(noisy, d)
+            k = fit_coupling(noisy_z, d.rank)
+            dictionaries = _plane_dictionaries(d, CouplingVector(k, k))
+            curves = {
+                method: _truncation_nmse(clean_z, noisy_z, d.rank, dictionaries[name], bandwidths, energy)
+                for method, name in methods
             }
-            noisy_batches.append((nmse(clean, noisy), truncation, unproject(z, d), plane_basis))
-        fits = [reduced for _, _, reduced, _ in noisy_batches for _ in configs]
-        solutions = iter(ddtl_fit_many(fits, d, configs * len(noisy_batches)))
-        for snr, (noisy_nmse, truncation, _, plane_basis) in zip(cfg.snr_grid, noisy_batches):
-            rows.append(("noisy_input", float(snr), None, real, noisy_nmse))
-            for bandwidth in cfg.bandwidth_grid:
-                solution = next(solutions)
-                reports.append(solution.report)
-                s_hat = unproject(lift_planes(project(solution.s_hat, d), plane_basis), d)
-                rows.append(("ddtl", float(snr), int(bandwidth), real, nmse(clean, s_hat)))
-                for method, curve in truncation.items():
-                    rows.append((method, float(snr), int(bandwidth), real, curve[bandwidth]))
+            rows.append(("noisy_input", float(snr), None, real, nmse(clean, noisy)))
+            for bw in bandwidths:
+                rows.extend((method, float(snr), bw, real, curve[bw]) for method, curve in curves.items())
+                fixed = min(curves["dirac_truncation"][bw], curves["laplacian_truncation"][bw])
+                le_fixed[snr] += curves["ddtl"][bw] <= fixed + DOMINANCE_SLACK
 
     table = tsio.ResultTable(
         name="results",
         columns=("method", "snr_db", "bandwidth", "realization", "nmse"),
         rows=tuple(rows),
     )
+    fits = cfg.realizations * len(cfg.snr_grid)
     metadata = {
         **_run_header("denoise", cfg, graph),
-        "learner": _learner_tally(reports),
+        "learner": {"fits": fits, "stop_reasons": {"exact": fits}, "iterations": 0},
+        # Recorded, not asserted: a basis fitted to the noise has no dominance theorem (ROADMAP item 9).
+        "ddtl_le_truncations": {
+            "pairs_per_snr": cfg.realizations * len(bandwidths),
+            "by_snr": {f"{snr:g}": int(count) for snr, count in le_fixed.items()},
+        },
         "seed_rule": "sub_seed = SeedSequence([master, realization, crc32(tag)]) first word",
     }
     return tsio.save_results(cfg.out, table, metadata)

@@ -240,38 +240,30 @@ def nmse(S: np.ndarray, S_hat: np.ndarray) -> float:
     return float(np.linalg.norm(S - S_hat) ** 2) / denom
 
 
-def row_hard_threshold(M: np.ndarray, eta0) -> np.ndarray:
+def row_hard_threshold(M: np.ndarray, eta0: int) -> np.ndarray:
     """Keep the eta0 rows with largest l2 norm, zeroing the rest.
 
     This is the Euclidean projection onto matrices with at most eta0 nonzero
     rows; norm ties at the cutoff are resolved toward lower row indices.  If
     the input has fewer than eta0 nonzero rows the output has fewer as well
-    and a DegenerateRetractionWarning is issued.  A stack (B, n, T) is
-    thresholded slice by slice, with ``eta0`` a scalar or one value per
-    slice, and warns once per degenerate slice.
+    and a DegenerateRetractionWarning is issued.
     """
     M = np.asarray(M, dtype=float)
-    num_rows = M.shape[-2]
-    budget = np.asarray(eta0)
-    values = budget.tolist() if budget.ndim else [int(budget)]
-    if not all(0 < e <= num_rows for e in values):
+    num_rows = M.shape[0]
+    if not (0 < eta0 <= num_rows):
         raise ValueError(f"eta0 must lie in [1, {num_rows}], got {eta0}")
-    norms = np.sqrt(np.add.reduce(M * M, axis=-1))  # np.linalg.norm(M, axis=-1), without its overhead
-    order = (-norms).argsort(axis=-1, kind="stable")
-    if np.count_nonzero(norms) < norms.size:  # some slice may have fewer than eta0 nonzero rows
-        for count, target in np.broadcast(np.add.reduce(norms != 0.0, axis=-1), budget):
-            if count < target:
-                warnings.warn(
-                    f"input has only {int(count)} nonzero rows; fewer than eta0={int(target)} rows remain nonzero",
-                    DegenerateRetractionWarning,
-                    stacklevel=2,
-                )
-    if M.ndim == 2:
-        keep = np.zeros(num_rows, dtype=bool)
-        keep[order[:eta0]] = True
-    else:
-        keep = order.argsort(axis=-1) < budget[..., None]  # each row's rank in the order, against its slice's budget
-    return np.where(keep[..., None], M, 0.0)
+    norms = np.sqrt(np.add.reduce(M * M, axis=1))  # np.linalg.norm(M, axis=1), without its overhead
+    keep = np.argsort(-norms, kind="stable")[:eta0]
+    if np.count_nonzero(norms) < eta0:
+        warnings.warn(
+            f"input has only {int(np.count_nonzero(norms))} nonzero rows; "
+            f"fewer than eta0={eta0} rows remain nonzero",
+            DegenerateRetractionWarning,
+            stacklevel=2,
+        )
+    out = np.zeros(M.shape)
+    out[keep] = M[keep]
+    return out
 
 
 def column_normalize(P: np.ndarray) -> np.ndarray:
@@ -279,22 +271,17 @@ def column_normalize(P: np.ndarray) -> np.ndarray:
 
     Zero columns have no direction to keep; column j is replaced by the
     canonical basis vector e_j and a DegenerateRetractionWarning is issued.
-    A stack (B, n, N) is normalized slice by slice and warns once per slice
-    with a zero column.
     """
     P = np.asarray(P, dtype=float)
-    norms = np.sqrt(np.add.reduce(P * P, axis=-2, keepdims=True))  # np.linalg.norm(P, axis=-2), without its overhead
+    norms = np.sqrt(np.add.reduce(P * P, axis=0))  # np.linalg.norm(P, axis=0), without its overhead
     if norms.all():
         return P / norms
-    zero = norms == 0.0
-    out = P / np.where(zero, 1.0, norms)
-    for idx in np.ndindex(P.shape[:-2]):
-        zero_cols = np.flatnonzero(zero[idx])
-        if zero_cols.size:
-            warnings.warn(
-                f"zero columns at indices {zero_cols.tolist()} replaced by canonical basis vectors",
-                DegenerateRetractionWarning,
-                stacklevel=2,
-            )
-            out[idx][zero_cols % P.shape[-2], zero_cols] = 1.0
+    zero_cols = np.flatnonzero(norms == 0.0)
+    out = P / np.where(norms == 0.0, 1.0, norms)
+    warnings.warn(
+        f"zero columns at indices {zero_cols.tolist()} replaced by canonical basis vectors",
+        DegenerateRetractionWarning,
+        stacklevel=2,
+    )
+    out[zero_cols % P.shape[0], zero_cols] = 1.0
     return out

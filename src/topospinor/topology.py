@@ -25,7 +25,6 @@ __all__ = [
     "dirac_eigenbasis",
     "super_laplacian_eigenbasis",
     "project",
-    "unproject",
     "reduce_planes",
     "lift_planes",
     "decomposition_residuals",
@@ -255,14 +254,6 @@ def project(S: np.ndarray, d: SpectralDecomposition) -> np.ndarray:
     """Q^T S, Q = [(u; 0) | (u_H; 0) | (0; v_H) | (0; v)] orthonormal: mode plane i is rows i and n - rank + i."""
     s_node, s_edge = S[: d.num_nodes], S[d.num_nodes :]
     return np.vstack([d.u.T @ s_node, d.u_harmonic.T @ s_node, d.v_harmonic.T @ s_edge, d.v.T @ s_edge])
-
-
-def unproject(z: np.ndarray, d: SpectralDecomposition) -> np.ndarray:
-    """Q z, the inverse of ``project``: the signals whose spectral coordinates are z."""
-    n, r, xi0 = d.dim, d.rank, d.xi0
-    node = d.u @ z[:r] + d.u_harmonic @ z[r : r + xi0]
-    edge = d.v_harmonic @ z[r + xi0 : n - r] + d.v @ z[n - r :]
-    return np.vstack([node, edge])
 
 
 def reduce_planes(S: np.ndarray, d: SpectralDecomposition, basis: bool = True) -> tuple[np.ndarray, tuple | None]:

@@ -34,6 +34,14 @@ def connected_graphs(draw, max_nodes: int = 12) -> OrientedGraph:
     return random_graph(v, v - 1 + extra, seed)
 
 
+def unproject(z: np.ndarray, d: SpectralDecomposition) -> np.ndarray:
+    """Q z, the inverse of ``topology.project``: the signals whose spectral coordinates are z."""
+    n, r, xi0 = d.dim, d.rank, d.xi0
+    node = d.u @ z[:r] + d.u_harmonic @ z[r : r + xi0]
+    edge = d.v_harmonic @ z[r + xi0 : n - r] + d.v @ z[n - r :]
+    return np.vstack([node, edge])
+
+
 def shared_basis(d: SpectralDecomposition, value: float) -> np.ndarray:
     """The unit-column basis with both branches of every mode at the coupling ``value``."""
     k = np.full(d.rank, float(value))

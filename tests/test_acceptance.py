@@ -25,11 +25,10 @@ from topospinor.topology import (
     spectral_decompose,
     super_laplacian,
     super_laplacian_eigenbasis,
-    unproject,
 )
 from topospinor.transform import nonharmonic_column_indices, unnormalized_basis_matrix
 
-from conftest import shared_basis
+from conftest import shared_basis, unproject
 
 
 @contextmanager

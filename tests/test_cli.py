@@ -24,6 +24,8 @@ REMOVED_LEARNER_OPTIONS = {
     "rho2": ("--rho2", 1.0),
     "primal_tol": ("--primal-tol", 1e-6),
     "init_mode": ("--init-mode", "laplacian"),
+    # The ADMM budget of the two studies, which learn in closed form; ddtl-fit's budget is --max-iter.
+    "ddtl_max_iter": ("--ddtl-max-iter", 150),
 }
 # omega_update_mode, removed first, keeps the bare command as its id.
 REMOVED_LEARNER_CASES = [
@@ -204,7 +206,7 @@ class TestSweepCommand:
         code = main([
             "sparsity-sweep", "--num-nodes", "8", "--num-edges", "12", "--eta0", "5",
             "--num-signals", "12", "--realizations", "2", "--sparsity-grid", "2,5",
-            "--ddtl-max-iter", "10", "--seed", "4", "--out", str(out),
+            "--seed", "4", "--out", str(out),
         ])
         assert code == 0
         _, tables = load_results(out)
@@ -218,7 +220,7 @@ class TestSweepCommand:
     def test_config_file_round_trip(self, tmp_path):
         cfg = {
             "num_nodes": 8, "num_edges": 12, "eta0": 5, "num_signals": 12,
-            "realizations": 1, "sparsity_grid": [2, 5], "ddtl_max_iter": 8, "seed": 4,
+            "realizations": 1, "sparsity_grid": [2, 5], "seed": 4,
         }
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(cfg))
@@ -237,7 +239,7 @@ class TestSweepCommand:
         def no_fit(*args, **kwargs):
             raise AssertionError("the learner ran before the grid was checked")
 
-        monkeypatch.setattr(experiments, "ddtl_fit", no_fit)
+        monkeypatch.setattr(experiments, "fit_coupling", no_fit)
         out = tmp_path / "sweep"
         code = main(["sparsity-sweep", "--num-nodes", "8", "--num-edges", "12", "--sparsity-grid", grid,
                      "--out", str(out)])
@@ -253,7 +255,7 @@ class TestDenoiseCommand:
         code = main([
             "denoise", "--num-nodes", "8", "--num-edges", "12", "--num-signals", "20",
             "--gen-eta0", "6", "--snr-grid", "0,10", "--bandwidth-grid", "4,8",
-            "--realizations", "2", "--ddtl-max-iter", "15", "--seed", "5", "--out", str(out),
+            "--realizations", "2", "--seed", "5", "--out", str(out),
         ])
         assert code == 0
         _, tables = load_results(out)
@@ -294,7 +296,7 @@ class TestDenoiseCommand:
             assert main(["synth", *clean, "--eta0", "4", "--num-signals", "8", "--out", str(data)]) == 0
             clean = ["--dataset", str(data)]
         capsys.readouterr()
-        for name in ("ddtl_fit", "gen_signals", "add_awgn"):
+        for name in ("fit_coupling", "gen_signals", "add_awgn"):
             monkeypatch.setattr(experiments, name, no_draw)
         out = tmp_path / "denoise"
         assert main(["denoise", *clean, "--bandwidth-grid", grid, "--out", str(out)]) == 1
@@ -310,7 +312,7 @@ class TestDenoiseCommand:
         out = tmp_path / "denoise"
         code = main([
             "denoise", "--dataset", str(data), "--snr-grid", "10", "--bandwidth-grid", "4",
-            "--realizations", "1", "--ddtl-max-iter", "5", "--out", str(out),
+            "--realizations", "1", "--out", str(out),
         ])
         assert code == 0
         meta, tables = load_results(out)

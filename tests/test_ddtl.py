@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 import warnings
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from topospinor.ddtl import (
     DdtlConfig,
     NumericalDivergenceError,
     ddtl_fit,
-    ddtl_fit_many,
+    fit_coupling,
     initialize_state,
     update_duals,
     update_k,
@@ -22,10 +21,19 @@ from topospinor.ddtl import (
     update_p,
     update_x,
 )
-from topospinor.sparse import DegenerateRetractionWarning, column_normalize, nmse, row_hard_threshold
-from topospinor.synth import SIGNAL_CLASSES, SignalClassSpec, add_awgn, gen_signals, random_graph
-from topospinor.topology import OrientedGraph, build_incidence, lift_planes, project, spectral_decompose
-from topospinor.transform import nonharmonic_column_indices, unnormalized_basis_matrix
+from conftest import STRUCTURED_GRAPHS
+from topospinor.experiments import _plane_dictionaries
+from topospinor.sparse import DegenerateRetractionWarning, column_normalize, nmse, plane_pursuit_curve, row_hard_threshold
+from topospinor.synth import SIGNAL_CLASSES, SignalClassSpec, gen_signals, random_graph
+from topospinor.topology import (
+    OrientedGraph,
+    build_incidence,
+    lift_planes,
+    project,
+    reduce_planes,
+    spectral_decompose,
+)
+from topospinor.transform import CouplingVector, nonharmonic_column_indices, unnormalized_basis_matrix
 
 
 def small_problem(num_nodes=5, num_edges=7, seed=0):
@@ -795,103 +803,106 @@ class TestConvergenceReport:
         assert len(sol.report.objective_curve) == sol.report.iterations == 6
 
 
-def _assert_same_solution(many, lone):
-    assert many.report == lone.report
-    assert many.k_star.stacked().tobytes() == lone.k_star.stacked().tobytes()
-    for name in ("omega_star", "x_star", "s_hat", "basis"):
-        a, b = getattr(many, name), getattr(lone, name)
-        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+def learned_curve(z, d, levels):
+    """The residual energies of joint OMP in the basis ``fit_coupling`` learns from z, as the sweep reads them."""
+    k = fit_coupling(z, d.rank)
+    return plane_pursuit_curve(z, d.rank, *_plane_dictionaries(d, CouplingVector(k, k))["ddtl"], levels)[1]
 
 
-def _warned(fit):
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        result = fit()
-    return result, Counter((w.category, str(w.message)) for w in record)
+def brute_force_curve(z, d, angles):
+    """Per level, the least residual energy of any basis with one grid angle per plane (theta in [0, 45] degrees).
+
+    Plane i's basis puts its plus column at (cos theta, sin theta) and its minus column at
+    (sin theta, -cos theta); an orthonormal basis codes m atoms by keeping its m largest row energies.
+    Every combination of grid angles is tried.
+    """
+    n, r = len(z), d.rank
+    z_u, z_v, z_h = z[:r], z[n - r :], z[r : n - r]
+    c, s = np.cos(angles)[:, None, None], np.sin(angles)[:, None, None]
+    top = np.sum((c * z_u + s * z_v) ** 2, axis=-1)  # (angles, planes)
+    bottom = np.sum((s * z_u - c * z_v) ** 2, axis=-1)
+    combos = np.array(list(itertools.product(range(len(angles)), repeat=r))).reshape(-1, r)
+    planes = np.arange(r)
+    energies = np.concatenate(
+        [top[combos, planes], bottom[combos, planes], np.broadcast_to(np.sum(z_h**2, axis=-1), (len(combos), n - 2 * r))],
+        axis=1,
+    )
+    smallest_first = np.cumsum(np.sort(energies, axis=1), axis=1)
+    # Level m leaves the n - m smallest energies.
+    return np.array([smallest_first[:, n - m - 1].min() if m < n else 0.0 for m in range(1, n + 1)])
 
 
-class TestFitMany:
-    """``ddtl_fit_many`` returns, fit by fit, what ``ddtl_fit`` returns for each batch alone, bit for bit."""
+def principal_axis_coupling(z_u, z_v):
+    """The rule as stated in angles: phi mod 90 degrees, clipped to the box; k = tan theta."""
+    phi = np.degrees(0.5 * np.arctan2(2.0 * z_u @ z_v, z_u @ z_u - z_v @ z_v)) % 90.0
+    theta = phi if phi <= 45.0 else (45.0 if phi <= 67.5 else 0.0)
+    return np.tan(np.radians(theta))
 
-    @staticmethod
-    def _check(batches, d, configs):
-        many, many_warned = _warned(lambda: ddtl_fit_many(batches, d, configs))
-        lone_warned = Counter()
-        assert len(many) == len(batches)
-        for S, cfg, sol in zip(batches, configs, many):
-            lone, warned = _warned(lambda: ddtl_fit(S, d, cfg))
-            lone_warned += warned
-            _assert_same_solution(sol, lone)
-        assert many_warned == lone_warned
-        return many
 
-    @staticmethod
-    def _problem():
-        d = spectral_decompose(build_incidence(random_graph(12, 24, 0)))
-        clean, _ = gen_signals(d, SignalClassSpec("mixture_of_dirac", eta0=10, num_signals=40, seed=1))
-        return d, clean
+class TestFitCoupling:
+    @pytest.mark.parametrize(
+        "graph",
+        [random_graph(4, 4, 1), random_graph(5, 7, 2), STRUCTURED_GRAPHS["star_k14"][0], STRUCTURED_GRAPHS["single_edge"][0]],
+        ids=["V4-cycle", "V5-dense", "star_k14", "single_edge"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_curve_no_worse_than_a_brute_force_angle_grid(self, graph, seed):
+        d = spectral_decompose(build_incidence(graph))
+        assert d.num_nodes <= 5
+        S = np.random.default_rng(seed).normal(size=(d.dim, 6))
+        z = project(S, d)
+        learned = learned_curve(z, d, range(1, d.dim + 1))
+        brute = brute_force_curve(z, d, np.radians(np.linspace(0.0, 45.0, 19)))
+        assert np.all(learned <= brute + 1e-12 * np.sum(S**2))
 
-    def test_mixed_eta0_on_noisy_batches(self):
-        d, clean = self._problem()
-        noisy = [add_awgn(clean, snr, seed) for seed, snr in enumerate((0.0, 10.0, 20.0))]
-        batches = [S for S in noisy for _ in range(3)]
-        configs = [DdtlConfig(eta0=eta0, max_iter=40) for _ in noisy for eta0 in (3, 10, 30)]
-        many = self._check(batches, d, configs)
-        assert {sol.report.stop_reason for sol in many} == {"max_iter"}
+    @pytest.mark.parametrize("signal_class", SIGNAL_CLASSES)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_recovers_every_noiseless_class_exactly(self, signal_class, seed):
+        d = spectral_decompose(build_incidence(random_graph(12, 24, seed)))
+        S, _ = gen_signals(d, SignalClassSpec(signal_class, eta0=10, num_signals=40, seed=seed))
+        for z in (project(S, d), reduce_planes(S, d, basis=False)[0]):
+            (residual,) = learned_curve(z, d, [10])
+            assert residual <= 1e-25 * np.sum(S**2)
 
-    def test_a_fit_that_stops_on_tolerance_leaves_while_the_others_run_on(self):
-        # The zero batch stops at iteration 22 (see TestEdgeInputs) between two fits that run to max_iter,
-        # and warns at the start and at every iteration it runs, as alone.
-        d, S = TestEdgeInputs._problem()
-        batches = [S, np.zeros_like(S), S[:, :20]]
-        configs = [DdtlConfig(eta0=eta0, max_iter=60) for eta0 in (8, 8, 5)]
-        many = self._check(batches, d, configs)
-        reports = [sol.report for sol in many]
-        assert [(r.stop_reason, r.iterations) for r in reports] == [("max_iter", 60), ("tolerance", 22), ("max_iter", 60)]
-
-    def test_single_signal_batches(self):
-        d, clean = self._problem()
-        batches = [clean[:, t : t + 1] for t in (0, 7, 19)]
-        configs = [DdtlConfig(eta0=eta0, max_iter=30) for eta0 in (1, 5, 12)]
-        many = self._check(batches, d, configs)
-        assert all(sol.omega_star.shape == (d.dim, 1) for sol in many)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_recovers_the_coupling_of_single_column_modes(self, seed):
+        d = spectral_decompose(build_incidence(random_graph(20, 40, seed)))
+        S, truth = gen_signals(d, SignalClassSpec("mixture_of_dirac", eta0=16, num_signals=50, seed=seed))
+        modes, counts = np.unique(truth.support % d.rank, return_counts=True)
+        single = modes[counts == 1]
+        assert single.size >= 3
+        k = fit_coupling(project(S, d), d.rank)
+        assert np.max(np.abs(k[single] - truth.k_modes[single])) <= 1e-12
 
     @pytest.mark.parametrize(
-        "batches, configs, message",
+        "z_u, z_v",
         [
-            ([(40,), (40,)], [DdtlConfig(eta0=3)], "one config per batch"),
-            ([], [], "one config per batch"),
-            ([(40,), (40,)], [DdtlConfig(eta0=3), DdtlConfig(eta0=3, rho1=2.0)], "agree on rho1"),
-            ([(40,), (40,)], [DdtlConfig(eta0=3), DdtlConfig(eta0=3, rho2=2.0)], "agree on rho1"),
-            ([(40,), (40,)], [DdtlConfig(eta0=3), DdtlConfig(eta0=3, max_iter=9)], "agree on rho1"),
-            ([(40,), (1,)], [DdtlConfig(eta0=3), DdtlConfig(eta0=3)], "different widths"),
-            ([(40,), (40,)], [DdtlConfig(eta0=3), DdtlConfig(eta0=999)], "exceeds basis size"),
+            ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),  # zero block
+            ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]),  # isotropic: equal energies, no cross term
+            ([1.0, 0.0, 0.0], [2.0, 1.0, 0.0]),  # principal axis at exactly 67.5 degrees
+            ([2.0, 1.0, 0.0], [-1.0, 0.0, 0.0]),  # at exactly 157.5 degrees
         ],
-        ids=["count", "empty", "rho1", "rho2", "max_iter", "width", "eta0"],
+        ids=["zero", "isotropic", "axis-67.5", "axis-157.5"],
     )
-    def test_inputs_that_cannot_share_one_loop_are_refused(self, batches, configs, message):
-        d, clean = self._problem()
-        with pytest.raises(ValueError, match=message):
-            ddtl_fit_many([clean[:, : width] for (width,) in batches], d, configs)
+    def test_ties_go_to_the_dirac_coupling(self, z_u, z_v):
+        # One mode plane around one harmonic row: rows [z_u, harmonic, z_v].
+        z = np.array([z_u, [3.0, -1.0, 2.0], z_v])
+        assert fit_coupling(z, 1).tolist() == [1.0]
 
-    @pytest.mark.parametrize("variable", TestDivergence.VARIABLES)
-    def test_non_finite_iterate_names_the_fit_iteration_and_variable(self, monkeypatch, variable):
-        # The zero batch (call index 0) leaves the stack at iteration 22, so at iteration 30 the
-        # call's fit 2 is the stack's second fit; the error names it by its call index.
-        d, S = TestEdgeInputs._problem()
-        inner, calls = ddtl_module.update_duals, []
+    @pytest.mark.parametrize("angle", [0, 10, 30, 44, 45, 46, 60, 67, 68, 80, 90, 100, 120, 135, 150, 157, 158, 170])
+    def test_matches_the_rule_in_angles(self, angle):
+        # A rank-2 block whose principal axis is at the given angle, with some energy across it.
+        a = np.radians(angle)
+        axis, across = np.array([np.cos(a), np.sin(a)]), np.array([-np.sin(a), np.cos(a)])
+        signals = np.random.default_rng(angle).normal(size=(2, 30)) * [[3.0], [0.5]]
+        z_u, z_v = np.outer(axis, signals[0]) + np.outer(across, signals[1])
+        expected = principal_axis_coupling(z_u, z_v)
+        (k,) = fit_coupling(np.array([z_u, z_v]), 1)
+        assert 0.0 <= k <= 1.0
+        assert abs(k - expected) <= 1e-14
 
-        def poisoned(state, basis_res, code_res):
-            h, m = inner(state, basis_res, code_res)
-            calls.append(None)
-            if len(calls) == 30:
-                iterates = {"k": state.k, "omega": state.omega, "p": state.p, "x": state.x, "h": h, "m": m}
-                iterates[variable][1].flat[0] = np.nan
-            return h, m
-
-        monkeypatch.setattr(ddtl_module, "update_duals", poisoned)
-        batches = [np.zeros_like(S), S, S[:, :20]]
-        with pytest.warns(DegenerateRetractionWarning), pytest.raises(NumericalDivergenceError) as info:
-            ddtl_fit_many(batches, d, [DdtlConfig(eta0=8, max_iter=60)] * 3)
-        assert (info.value.fit, info.value.iteration, info.value.variable) == (2, 30, variable)
-        assert "iteration 30 of fit 2" in str(info.value)
+    def test_projection_and_plane_reduction_give_the_same_coupling(self):
+        d = spectral_decompose(build_incidence(random_graph(12, 24, 3)))
+        S = np.random.default_rng(4).normal(size=(d.dim, 40))
+        assert_allclose(fit_coupling(reduce_planes(S, d, basis=False)[0], d.rank), fit_coupling(project(S, d), d.rank),
+                        rtol=0, atol=1e-12)

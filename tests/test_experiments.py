@@ -1,21 +1,25 @@
+import sys
+
 import numpy as np
 import pytest
 
-from topospinor import experiments, frames, sparse, topology
-from topospinor.ddtl import DdtlConfig, ddtl_fit
+from topospinor import ddtl, experiments, frames, sparse, synth, topology, transform
+from topospinor.cli import main
+from topospinor.ddtl import fit_coupling
 from topospinor.experiments import (
+    DOMINANCE_SLACK,
     DenoiseConfig,
     SweepConfig,
-    _learner_tally,
     run_denoise,
     run_sparsity_sweep,
     sub_seed,
     sweep_dictionaries,
 )
 from topospinor.io import load_results
-from topospinor.sparse import omp
+from topospinor.sparse import nmse, omp, row_hard_threshold
 from topospinor.synth import SIGNAL_CLASSES, SignalClassSpec, add_awgn, gen_signals, random_graph
-from topospinor.topology import build_incidence, spectral_decompose
+from topospinor.topology import build_incidence, dirac_eigenbasis, project, spectral_decompose, super_laplacian_eigenbasis
+from topospinor.transform import CouplingVector, build_mass_basis
 
 
 class TestStudyDefaults:
@@ -54,7 +58,6 @@ class TestSweepPipeline:
             num_signals=10,
             realizations=3,
             sparsity_grid=(2, 4),
-            ddtl_max_iter=6,
             seed=1,
         )
         out = run_sparsity_sweep(cfg)
@@ -67,7 +70,7 @@ class TestSweepPipeline:
 
     def test_seed_changes_results(self, tmp_path):
         base = dict(num_nodes=8, num_edges=12, eta0=4, num_signals=10,
-                    realizations=1, sparsity_grid=(3,), ddtl_max_iter=5)
+                    realizations=1, sparsity_grid=(3,))
         a = run_sparsity_sweep(SweepConfig(out=str(tmp_path / "a"), seed=1, **base))
         b = run_sparsity_sweep(SweepConfig(out=str(tmp_path / "b"), seed=2, **base))
         _, ta = load_results(a)
@@ -75,36 +78,39 @@ class TestSweepPipeline:
         assert ta["results"].rows != tb["results"].rows
 
 
-def all_omp_sweep(cfg: SweepConfig):
-    """Oracle: the sweep with the learner and one joint OMP per dictionary, all on S itself.
+def exact_learner(fits: int) -> dict:
+    """The run.json learner record of a study that makes ``fits`` closed-form fits."""
+    return {"fits": fits, "stop_reasons": {"exact": fits}, "iterations": 0}
 
-    Returns the NMSE per (method, sparsity, realization) and the learner tally.
+
+def all_omp_sweep(cfg: SweepConfig):
+    """Oracle: the sweep with the closed-form learner and one dense joint OMP per dictionary, all on S itself.
+
+    Returns the NMSE per (method, sparsity, realization); the learned dictionary is ``build_mass_basis``.
     """
-    nmse, reports = {}, []
+    nmse = {}
     for real in range(cfg.realizations):
         graph = random_graph(cfg.num_nodes, cfg.num_edges, sub_seed(cfg.seed, real, "graph"))
         d = spectral_decompose(build_incidence(graph))
         spec = SignalClassSpec(cfg.signal_class, cfg.eta0, cfg.num_signals, sub_seed(cfg.seed, real, "signals"))
         S, _ = gen_signals(d, spec)
         energy = np.linalg.norm(S) ** 2
-        solution = ddtl_fit(S, d, DdtlConfig(eta0=cfg.eta0, max_iter=cfg.ddtl_max_iter))
-        reports.append(solution.report)
-        for method, dictionary in sweep_dictionaries(d, solution).items():
+        k = fit_coupling(project(S, d), d.rank)
+        for method, dictionary in sweep_dictionaries(d, CouplingVector(k, k)).items():
             history = omp(dictionary, S, max(cfg.sparsity_grid)).residual_history
             for level in cfg.sparsity_grid:
                 nmse[method, level, real] = history[level - 1] ** 2 / energy
-    return nmse, _learner_tally(reports)
+    return nmse
 
 
 @pytest.mark.parametrize("signal_class", SIGNAL_CLASSES)
 def test_sweep_matches_all_omp_oracle(tmp_path, signal_class):
-    # T = 40 > V + E = 28, so the sweep codes the rank factor of the batch.
+    # T = 40 > V + E = 28, so the sweep codes the plane reduction of the batch.
     cfg = SweepConfig(out=str(tmp_path / "run"), signal_class=signal_class, num_nodes=10, num_edges=18,
-                      eta0=6, num_signals=40, realizations=2, sparsity_grid=(2, 4, 6, 8, 12, 20, 28),
-                      ddtl_max_iter=20, seed=5)
+                      eta0=6, num_signals=40, realizations=2, sparsity_grid=(2, 4, 6, 8, 12, 20, 28), seed=5)
     meta, tables = load_results(run_sparsity_sweep(cfg))
-    expected, tally = all_omp_sweep(cfg)
-    assert meta["learner"] == tally
+    expected = all_omp_sweep(cfg)
+    assert meta["learner"] == exact_learner(2)
     got = {(m, int(lv), int(real)): float(v) for m, lv, real, v in tables["results"].rows}
     assert got.keys() == expected.keys()
     for key, value in expected.items():
@@ -114,20 +120,54 @@ def test_sweep_matches_all_omp_oracle(tmp_path, signal_class):
             assert got[key] <= 1e-20, key
 
 
-def test_sweep_needs_no_dense_dictionary_and_no_pursuit(tmp_path, monkeypatch):
-    # Every curve comes from the projected batch, one mode plane at a time.
-    def dense(*args, **kwargs):
-        raise AssertionError("the sweep built a dense dictionary or ran the dense pursuit")
+# The dense paths a study must not take: pursuit, dense dictionaries and bases, the ADMM and its retraction.
+DENSE_PATHS = (
+    (sparse, "omp"), (experiments, "sweep_dictionaries"), (frames, "build_frame"), (topology, "dirac_eigenbasis"),
+    (topology, "super_laplacian_eigenbasis"), (ddtl, "ddtl_fit"), (transform, "build_mass_basis"),
+    (transform, "unnormalized_basis_matrix"), (sparse, "row_hard_threshold"),
+)
 
-    for module, name in ((sparse, "omp"), (experiments, "omp"), (experiments, "sweep_dictionaries"),
-                         (frames, "build_frame"), (experiments, "build_frame"),
-                         (topology, "dirac_eigenbasis"), (experiments, "dirac_eigenbasis"),
-                         (topology, "super_laplacian_eigenbasis"), (experiments, "super_laplacian_eigenbasis")):
+
+@pytest.mark.parametrize("command", ["sparsity-sweep", "denoise"])
+def test_sweep_needs_no_dense_dictionary_and_no_pursuit(tmp_path, monkeypatch, command):
+    # Every curve and truncation comes from the projected batch, one mode plane at a time, and the coupling
+    # from fit_coupling.  Each dense path is made to raise wherever a module of the package binds it.
+    def dense(*args, **kwargs):
+        raise AssertionError("the study took a dense path")
+
+    originals = {id(getattr(module, name)) for module, name in DENSE_PATHS}
+    bindings = [
+        (module, name)
+        for module_name, module in list(sys.modules.items())
+        if module_name == "topospinor" or module_name.startswith("topospinor.")
+        for name, value in vars(module).items()
+        if id(value) in originals
+    ]
+    assert {(m.__name__, n) for m, n in bindings} >= {("topospinor.experiments", "ddtl_fit"),
+                                                      ("topospinor.synth", "build_mass_basis")}
+    real_gen = experiments.gen_signals
+    generator = [(synth, "build_mass_basis"), (transform, "unnormalized_basis_matrix")]
+    real_generator = [getattr(module, name) for module, name in generator]
+
+    def synthesize(d, spec):
+        # The generator synthesizes through the dense basis (ROADMAP item 8); only the study is checked here.
+        with monkeypatch.context() as m:
+            for (module, name), value in zip(generator, real_generator):
+                m.setattr(module, name, value)
+            return real_gen(d, spec)
+
+    for module, name in bindings:
         monkeypatch.setattr(module, name, dense)
-    cfg = SweepConfig(out=str(tmp_path / "run"), num_nodes=8, num_edges=12, eta0=4, num_signals=30,
-                      realizations=2, sparsity_grid=(2, 4, 20), ddtl_max_iter=5, seed=3)
-    _, tables = load_results(run_sparsity_sweep(cfg))
-    assert len(tables["results"].rows) == 4 * 3 * 2
+    monkeypatch.setattr(experiments, "gen_signals", synthesize)
+    small = ["--num-nodes", "8", "--num-edges", "12", "--realizations", "2", "--seed", "3"]
+    if command == "sparsity-sweep":
+        args, rows = ["--eta0", "4", "--num-signals", "30", "--sparsity-grid", "2,4,20"], 4 * 3 * 2
+    else:
+        args = ["--num-signals", "30", "--gen-eta0", "6", "--snr-grid", "0,10", "--bandwidth-grid", "3,20"]
+        rows = 2 * 2 * (1 + 3 * 2)
+    assert main([command, *small, *args, "--out", str(tmp_path / "run")]) == 0
+    _, tables = load_results(tmp_path / "run")
+    assert len(tables["results"].rows) == rows
 
 
 def test_sweep_codes_the_batch_at_its_rank(tmp_path, monkeypatch):
@@ -142,95 +182,139 @@ def test_sweep_codes_the_batch_at_its_rank(tmp_path, monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(experiments, "ddtl_fit", spy(experiments.ddtl_fit))
+    monkeypatch.setattr(experiments, "fit_coupling", spy(experiments.fit_coupling))
     monkeypatch.setattr(experiments, "plane_pursuit_curve", spy(experiments.plane_pursuit_curve))
     for signal_class in SIGNAL_CLASSES:
         widths.clear()
         run_sparsity_sweep(SweepConfig(out=str(tmp_path / signal_class), signal_class=signal_class, realizations=1))
-        assert widths == [("ddtl_fit", 2)] + [("plane_pursuit_curve", 2)] * 4, signal_class
+        assert widths == [("fit_coupling", 2)] + [("plane_pursuit_curve", 2)] * 4, signal_class
+
+
+def sweep_curves(tables):
+    """Per realization, per method, the NMSE at each sparsity level, from results.csv."""
+    curves = {}
+    for method, level, real, value in tables["results"].rows:
+        curves.setdefault(int(real), {}).setdefault(method, {})[int(level)] = float(value)
+    return curves
 
 
 class TestDominance:
     @staticmethod
-    def recount(tables, eta0):
-        curves = {}
-        for method, level, real, value in tables["results"].rows:
-            curves.setdefault(int(real), {}).setdefault(method, {})[int(level)] = float(value)
-        bases = sum(
-            all(c["ddtl"][lv] <= min(c["dirac"][lv], c["laplacian"][lv]) + 1e-12 for lv in c["ddtl"])
-            for c in curves.values()
+    def recount(tables):
+        curves = sweep_curves(tables).values()
+        count = sum(
+            all(c["ddtl"][lv] <= min(c["dirac"][lv], c["laplacian"][lv], c["frame"][lv]) + 1e-12 for lv in c["ddtl"])
+            for c in curves
         )
-        at_eta0 = all(eta0 in c["ddtl"] for c in curves.values())
-        frame = sum(c["ddtl"][eta0] <= c["frame"][eta0] + 1e-12 for c in curves.values()) if at_eta0 else None
-        return {"realizations": len(curves), "ddtl_le_bases_every_level": bases,
-                "ddtl_le_frame_at_eta0": frame}
+        return {"realizations": len(curves), "ddtl_le_fixed_every_level": count}
 
     @pytest.mark.parametrize(
         "signal_class, grid", [("partially_coupled", (2, 4, 6, 8, 20)), ("mixture_of_dirac", (2, 5, 8, 20))]
     )
     def test_run_json_counts_match_results(self, tmp_path, signal_class, grid):
-        # eta0 = 4 is a level of the first grid only, so the second run's frame count is null.
-        # Level 20 = V + E, where the Dirac and Laplacian NMSE is exactly 0 and the learned
-        # basis's is round-off, needs the slack.  At this seed the first run has one realization
-        # below min(dirac, laplacian) and one only below max(dirac, laplacian).
+        # Level 20 = V + E, where every NMSE is round-off, needs the slack.
         cfg = SweepConfig(out=str(tmp_path / "run"), signal_class=signal_class, num_nodes=8, num_edges=12,
-                          eta0=4, num_signals=30, realizations=2, sparsity_grid=grid, ddtl_max_iter=10, seed=0)
+                          eta0=4, num_signals=30, realizations=2, sparsity_grid=grid, seed=0)
         meta, tables = load_results(run_sparsity_sweep(cfg))
-        assert meta["dominance"] == self.recount(tables, cfg.eta0)
-        assert (meta["dominance"]["ddtl_le_frame_at_eta0"] is None) == (cfg.eta0 not in grid)
+        assert meta["dominance"] == self.recount(tables)
+
+    @pytest.mark.parametrize("signal_class", SIGNAL_CLASSES)
+    def test_learned_curve_dominates_in_every_realization(self, tmp_path, signal_class):
+        # The learned basis captures at every sparsity what any fixed dictionary's support does (ROADMAP item 4).
+        cfg = SweepConfig(out=str(tmp_path / "run"), signal_class=signal_class, num_nodes=10, num_edges=18,
+                          eta0=8, num_signals=40, realizations=4, sparsity_grid=tuple(range(1, 29)), seed=6)
+        meta, tables = load_results(run_sparsity_sweep(cfg))
+        assert meta["dominance"] == {"realizations": 4, "ddtl_le_fixed_every_level": 4}
+        assert self.recount(tables) == meta["dominance"]
 
 
 class TestLearnerTally:
-    @staticmethod
-    def check(meta, fits, max_iter):
-        tally = meta["learner"]
-        assert tally["fits"] == fits
-        assert sum(tally["stop_reasons"].values()) == fits
-        assert set(tally["stop_reasons"]) <= {"tolerance", "max_iter"}
-        budget_stops = tally["stop_reasons"].get("max_iter", 0)
-        assert budget_stops * max_iter + (fits - budget_stops) <= tally["iterations"] <= fits * max_iter
-
     def test_sweep_counts_every_fit(self, tmp_path):
         cfg = SweepConfig(out=str(tmp_path / "run"), num_nodes=8, num_edges=12, eta0=4, num_signals=10,
-                          realizations=3, sparsity_grid=(2,), ddtl_max_iter=6, seed=1)
+                          realizations=3, sparsity_grid=(2,), seed=1)
         meta, _ = load_results(run_sparsity_sweep(cfg))
-        self.check(meta, fits=3, max_iter=6)
+        assert meta["learner"] == exact_learner(3)
 
     def test_denoise_counts_every_fit(self, tmp_path):
+        # One fit per realization and SNR: the basis does not depend on the bandwidth.
         cfg = DenoiseConfig(out=str(tmp_path / "run"), num_nodes=6, num_edges=9, num_signals=12, gen_eta0=5,
-                            snr_grid=(0.0, 10.0), bandwidth_grid=(3, 5), realizations=2, ddtl_max_iter=4, seed=3)
+                            snr_grid=(0.0, 10.0), bandwidth_grid=(3, 5), realizations=2, seed=3)
         meta, _ = load_results(run_denoise(cfg))
-        self.check(meta, fits=2 * 2 * 2, max_iter=4)
+        assert meta["learner"] == exact_learner(2 * 2)
+
+
+def dense_truncation_nmse(clean, noisy, basis, bandwidths):
+    """Oracle: NMSE of hard truncation in a dense orthonormal basis, the coefficients thresholded per bandwidth."""
+    coeffs = basis.T @ noisy
+    return {bw: nmse(clean, basis @ row_hard_threshold(coeffs, int(bw))) for bw in bandwidths}
+
+
+def denoise_oracle(cfg: DenoiseConfig):
+    """Per (method, snr, bandwidth, realization), the NMSE of dense truncation in the Dirac, Laplacian and learned bases."""
+    d = spectral_decompose(build_incidence(random_graph(cfg.num_nodes, cfg.num_edges, sub_seed(cfg.seed, 0, "graph"))))
+    spec = SignalClassSpec(cfg.signal_class, cfg.gen_eta0, cfg.num_signals, sub_seed(cfg.seed, 0, "signals"))
+    clean, _ = gen_signals(d, spec)
+    expected = {}
+    for real in range(cfg.realizations):
+        for snr in cfg.snr_grid:
+            noisy = add_awgn(clean, snr, sub_seed(cfg.seed, real, f"awgn@{snr:g}"))
+            k = fit_coupling(project(noisy, d), d.rank)
+            bases = {"ddtl": build_mass_basis(d, CouplingVector(k, k)), "dirac_truncation": dirac_eigenbasis(d)[0],
+                     "laplacian_truncation": super_laplacian_eigenbasis(d)[0]}
+            for method, basis in bases.items():
+                for bw, value in dense_truncation_nmse(clean, noisy, basis, cfg.bandwidth_grid).items():
+                    expected[method, float(snr), int(bw), real] = value
+    return expected
+
+
+@pytest.mark.parametrize(
+    "size", [dict(num_nodes=22, num_edges=41, num_signals=240, gen_eta0=30), dict(num_nodes=6, num_edges=9,
+                                                                                  num_signals=5, gen_eta0=4)],
+    ids=["study-size", "fewer-signals-than-rows"],
+)
+def test_denoise_truncations_match_the_dense_oracle(tmp_path, size):
+    bandwidths = (1, 10, 30, 50, 63) if size["num_nodes"] == 22 else (1, 4, 8, 15)
+    cfg = DenoiseConfig(out=str(tmp_path / "run"), bandwidth_grid=bandwidths, realizations=2, seed=7, **size)
+    _, tables = load_results(run_denoise(cfg))
+    expected = denoise_oracle(cfg)
+    got = {(m, float(snr), int(bw), int(real)): v for m, snr, bw, real, v in tables["results"].rows if m != "noisy_input"}
+    assert got.keys() == expected.keys()
+    for key, value in expected.items():
+        assert abs(got[key] - value) <= 1e-12 * value, key
 
 
 def test_denoise_factors_each_noisy_batch_once(tmp_path, monkeypatch):
-    # One plane reduction per SNR and realization, and one ddtl_fit_many call per realization that fits
-    # every SNR and bandwidth on 2 columns; each ddtl row is the NMSE of a lone fit on the noisy batch
-    # itself, since the fits are lifted back to T = 40.
+    # The clean batch and each noisy batch are projected once, T wide, and the coupling is fitted once per
+    # realization and SNR, on the noisy projection: the learned basis serves every bandwidth.
     cfg = DenoiseConfig(out=str(tmp_path / "run"), num_nodes=6, num_edges=9, num_signals=40, gen_eta0=5,
-                        snr_grid=(0.0, 10.0), bandwidth_grid=(3, 8), realizations=2, ddtl_max_iter=20, seed=4)
-    reduced, calls = [], []
-    reduce_planes, fit_many = experiments.reduce_planes, experiments.ddtl_fit_many
+                        snr_grid=(0.0, 10.0), bandwidth_grid=(3, 8), realizations=2, seed=4)
+    projected, fitted = [], []
+    project_, fit = experiments.project, experiments.fit_coupling
 
-    def spied_fit_many(batches, d, configs):
-        calls.append(([S.shape[1] for S in batches], [c.eta0 for c in configs]))
-        return fit_many(batches, d, configs)
+    def spied_project(S, d):
+        projected.append((S.shape, project_(S, d)))
+        return projected[-1][1]
 
-    monkeypatch.setattr(experiments, "reduce_planes", lambda S, d: reduced.append(S) or reduce_planes(S, d))
-    monkeypatch.setattr(experiments, "ddtl_fit_many", spied_fit_many)
-    _, tables = load_results(run_denoise(cfg))
-    assert [S.shape[1] for S in reduced] == [40] * (2 * 2)
-    assert calls == [([2] * (2 * 2), [3, 8, 3, 8])] * 2
+    monkeypatch.setattr(experiments, "project", spied_project)
+    monkeypatch.setattr(experiments, "fit_coupling", lambda z, rank: fitted.append(z) or fit(z, rank))
+    run_denoise(cfg)
+    assert [shape for shape, _ in projected] == [(15, 40)] * (1 + 2 * 2)
+    assert len(fitted) == 2 * 2
+    assert all(z is noisy_z for z, (_, noisy_z) in zip(fitted, projected[1:]))
 
-    d = spectral_decompose(build_incidence(random_graph(6, 9, sub_seed(cfg.seed, 0, "graph"))))
-    spec = SignalClassSpec(cfg.signal_class, cfg.gen_eta0, cfg.num_signals, sub_seed(cfg.seed, 0, "signals"))
-    clean, _ = gen_signals(d, spec)
-    ddtl_rows = [row for row in tables["results"].rows if row[0] == "ddtl"]
-    assert len(ddtl_rows) == 2 * 2 * 2
-    for _, snr, bandwidth, real, value in ddtl_rows:
-        noisy = add_awgn(clean, snr, sub_seed(cfg.seed, real, f"awgn@{snr:g}"))
-        fit = ddtl_fit(noisy, d, DdtlConfig(eta0=int(bandwidth), max_iter=cfg.ddtl_max_iter))
-        assert abs(value - sparse.nmse(clean, fit.s_hat)) <= 1e-12 * value
+
+def test_denoise_records_how_often_the_learned_basis_beats_both_truncations(tmp_path):
+    cfg = DenoiseConfig(out=str(tmp_path / "run"), num_nodes=8, num_edges=12, num_signals=30, gen_eta0=6,
+                        snr_grid=(0.0, 5.0, 20.0), bandwidth_grid=(2, 6, 12, 20), realizations=3, seed=2)
+    meta, tables = load_results(run_denoise(cfg))
+    values = {(m, float(snr), bw, int(real)): v for m, snr, bw, real, v in tables["results"].rows}
+    by_snr = {}
+    for (method, snr, bw, real), value in values.items():
+        if method == "ddtl":
+            fixed = min(values["dirac_truncation", snr, bw, real], values["laplacian_truncation", snr, bw, real])
+            by_snr[f"{snr:g}"] = by_snr.get(f"{snr:g}", 0) + (value <= fixed + DOMINANCE_SLACK)
+    assert meta["ddtl_le_truncations"] == {"pairs_per_snr": 3 * 4, "by_snr": by_snr}
+    assert set(by_snr) == {"0", "5", "20"}
 
 
 def test_sub_seed_matches_documented_rule():

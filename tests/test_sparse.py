@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from conftest import STRUCTURED_GRAPHS
+from conftest import STRUCTURED_GRAPHS, unproject
 from topospinor.experiments import SWEEP_METHODS, _plane_dictionaries, sweep_dictionaries
 from topospinor.frames import build_frame
 from topospinor.sparse import (
@@ -30,9 +30,8 @@ from topospinor.topology import (
     reduce_planes,
     spectral_decompose,
     super_laplacian_eigenbasis,
-    unproject,
 )
-from topospinor.transform import CouplingVector, build_mass_basis
+from topospinor.transform import CouplingVector
 
 
 def brute_force_row_projection(M: np.ndarray, eta0: int) -> np.ndarray:
@@ -306,8 +305,7 @@ TWO_COMPONENTS = OrientedGraph(6, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5)))
 
 def _sweep_dictionaries_at(d, k):
     """The four sweep dictionaries at coupling k: dense (the oracle's input) and per mode plane."""
-    dense = sweep_dictionaries(d, SimpleNamespace(basis=build_mass_basis(d, k)))
-    return dense, _plane_dictionaries(d, k)
+    return sweep_dictionaries(d, k), _plane_dictionaries(d, k)
 
 
 def _random_coupling(rng, r, parallel=False):
@@ -657,7 +655,7 @@ class TestRowHardThreshold:
         assert np.linalg.norm(M - out) ** 2 == pytest.approx(np.linalg.norm(M - expected) ** 2, abs=1e-12)
 
     def test_wide_matrix_keeps_the_first_rows_of_the_stable_order(self, rng):
-        # The fixed-basis truncations call it on n x T coefficients; the kept rows are copied exactly.
+        # On n x T coefficients, as a dense truncation calls it, the kept rows are copied exactly.
         M = rng.normal(size=(30, 200))
         M[[4, 9]] = 0.0
         norms = np.sqrt(np.add.reduce(M * M, axis=1))
@@ -665,35 +663,6 @@ class TestRowHardThreshold:
         expected = np.zeros_like(M)
         expected[kept] = M[kept]
         assert row_hard_threshold(M, 12).tobytes() == expected.tobytes()
-
-    def test_stack_equals_its_slices(self, rng):
-        # One budget per slice.  Slice 1 has a norm tie across its cutoff, which the lower row wins;
-        # slices 2 and 3 have fewer nonzero rows than their budgets and warn once each.
-        M = rng.normal(size=(4, 7, 3))
-        M[1] = 0.0
-        M[1, [1, 3, 5]] = [[0.0, 2.0, 0.0], [0.0, 0.0, 3.0], [2.0, 0.0, 0.0]]
-        M[2, 2:] = 0.0
-        M[3] = 0.0
-        budgets = [2, 2, 4, 1]
-        with warnings.catch_warnings(record=True) as stacked_warnings:
-            warnings.simplefilter("always")
-            out = row_hard_threshold(M, np.array(budgets))
-        with warnings.catch_warnings(record=True) as slice_warnings:
-            warnings.simplefilter("always")
-            slices = [row_hard_threshold(M[b], budget) for b, budget in enumerate(budgets)]
-        assert out.tobytes() == np.stack(slices).tobytes()
-        assert np.flatnonzero(np.any(out[1] != 0.0, axis=1)).tolist() == [1, 3]
-        assert [w.category for w in stacked_warnings] == [DegenerateRetractionWarning] * 2
-        assert [str(w.message) for w in stacked_warnings] == [str(w.message) for w in slice_warnings]
-
-    def test_scalar_budget_applies_to_every_slice(self, rng):
-        M = rng.normal(size=(3, 6, 2))
-        assert row_hard_threshold(M, 4).tobytes() == np.stack([row_hard_threshold(s, 4) for s in M]).tobytes()
-
-    @pytest.mark.parametrize("budgets", [[2, 0, 3], [2, 7, 3]])
-    def test_stack_budget_out_of_range(self, rng, budgets):
-        with pytest.raises(ValueError, match="eta0 must lie in"):
-            row_hard_threshold(rng.normal(size=(3, 6, 2)), np.array(budgets))
 
 
 class TestColumnNormalize:
@@ -717,19 +686,3 @@ class TestColumnNormalize:
         M = rng.normal(size=(6, 4))
         once = column_normalize(M)
         assert_allclose(column_normalize(once), once, atol=1e-15)
-
-    def test_stack_equals_its_slices(self, rng):
-        # Slices 0 and 2 have zero columns and warn once each, naming their own columns.
-        P = rng.normal(size=(3, 4, 5))
-        P[0, :, 2] = 0.0
-        P[2][:, [0, 4]] = 0.0
-        with warnings.catch_warnings(record=True) as stacked_warnings:
-            warnings.simplefilter("always")
-            out = column_normalize(P)
-        with warnings.catch_warnings(record=True) as slice_warnings:
-            warnings.simplefilter("always")
-            slices = [column_normalize(s) for s in P]
-        assert out.tobytes() == np.stack(slices).tobytes()
-        assert_allclose(out[2][:, 4], [1.0, 0.0, 0.0, 0.0])  # e_j for column j = 4 of a 4-row slice: row 4 mod 4
-        assert [str(w.message) for w in stacked_warnings] == [str(w.message) for w in slice_warnings]
-        assert len(stacked_warnings) == 2
