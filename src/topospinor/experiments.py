@@ -32,7 +32,7 @@ import numpy as np
 from . import io as tsio
 from .ddtl import DdtlConfig, ddtl_fit, fit_coupling
 from .frames import build_frame
-from .sparse import nmse, plane_pursuit_curve
+from .sparse import nmse, plane_pursuit_curve, rotate_planes
 from .sparse import omp  # noqa: F401  unused; perfbench pins this binding (ROADMAP item 0)
 from .synth import SIGNAL_CLASSES, SignalClassSpec, add_awgn, gen_signals, random_graph
 from .topology import (
@@ -259,28 +259,27 @@ class SweepConfig:
 
 
 # No study path calls sweep_dictionaries; the tests' dense oracle and perfbench do (ROADMAP item 0).
-def sweep_dictionaries(d, k: CouplingVector) -> dict[str, np.ndarray]:
-    """The four dense unit-column dictionaries that ``_plane_dictionaries`` describes per mode plane."""
+def sweep_dictionaries(d, k: np.ndarray) -> dict[str, np.ndarray]:
+    """The four dense unit-column dictionaries that ``_plane_bases`` describes, at the shared coupling k (length r)."""
     phi, theta = dirac_eigenbasis(d)[0], super_laplacian_eigenbasis(d)[0]
-    return {"laplacian": theta, "dirac": phi, "frame": build_frame(phi, theta).matrix, "ddtl": build_mass_basis(d, k)}
+    ddtl = build_mass_basis(d, CouplingVector(k, k))
+    return {"laplacian": theta, "dirac": phi, "frame": build_frame(phi, theta).matrix, "ddtl": ddtl}
 
 
-def _plane_dictionaries(d, k: CouplingVector) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The four sweep dictionaries as ``plane_pursuit_curve`` takes them: atoms, atom indices, harmonic indices.
+def _plane_bases(k: np.ndarray) -> dict[str, np.ndarray]:
+    """The four sweep dictionaries as orthonormal atom pairs per mode plane: (bases, r or 1, 2, 2) each.
 
-    The dense column indices are those of ``super_laplacian_eigenbasis``,
-    ``dirac_eigenbasis``, the frame [Dirac | Laplacian] and ``build_mass_basis``.
+    Row j of a plane's 2 x 2 is atom j as (node, edge) coefficients: Laplacian
+    ((1, 0), (0, 1)), Dirac ((c, -c), (c, c)) with c = 1/sqrt(2), learned
+    ((k, -1), (1, k)) / sqrt(1 + k^2) at the shared coupling k, and the frame
+    [Dirac, Laplacian], each in its dense columns' order, so that a tie sent to
+    the first atom listed goes where dense OMP sends it.
     """
-    r, xi0, xi1, n = d.rank, d.xi0, d.xi1, d.dim
-    xi, i, h = xi0 + xi1, np.arange(r), np.arange(xi0 + xi1)
     c = 1.0 / np.sqrt(2.0)  # as in dirac_eigenbasis
-    laplacian = (np.array([[[1.0, 0.0]], [[0.0, 1.0]]]), np.array([xi + i, xi + r + i]), h)
-    dirac = (np.array([[[c, -c]], [[c, c]]]), np.array([i, r + xi + i]), np.where(h < xi0, r + xi1 + h, r + h - xi0))
-    frame = (np.concatenate([dirac[0], laplacian[0]]), np.concatenate([dirac[1], laplacian[1] + n]), dirac[2])
-    minus = np.stack([k.k_minus, -np.ones(r)], axis=1) / np.sqrt(1.0 + k.k_minus**2)[:, None]
-    plus = np.stack([np.ones(r), k.k_plus], axis=1) / np.sqrt(1.0 + k.k_plus**2)[:, None]
-    ddtl = (np.stack([minus, plus]), np.array([i, r + xi + i]), r + h)
-    return {"laplacian": laplacian, "dirac": dirac, "frame": frame, "ddtl": ddtl}
+    laplacian, dirac = np.array([[[[1.0, 0.0], [0.0, 1.0]]]]), np.array([[[[c, -c], [c, c]]]])
+    k, one = np.asarray(k, dtype=float), np.ones(len(k))
+    ddtl = np.stack([k, -one, one, k], axis=1).reshape(-1, 2, 2) / np.sqrt(1.0 + k**2)[:, None, None]
+    return {"laplacian": laplacian, "dirac": dirac, "frame": np.concatenate([dirac, laplacian]), "ddtl": ddtl[None]}
 
 
 def _dominance(curves: list[dict[str, dict[int, float]]]) -> dict:
@@ -306,8 +305,8 @@ def run_sparsity_sweep(cfg: SweepConfig) -> Path:
     formed).  Learn the coupling in closed form on the two reduced columns
     (``ddtl.fit_coupling``), and read every dictionary's joint OMP curve off
     the reduced projection, one mode plane at a time
-    (``plane_pursuit_curve``): each atom of the four dictionaries lies in one
-    mode plane or on one harmonic row.  Both read the batch only through
+    (``plane_pursuit_curve``): each dictionary is orthonormal atom pairs per
+    mode plane (``_plane_bases``).  Both read the batch only through
     within-plane rotations, row energies and within-plane sums of products,
     which the reduction keeps.
     """
@@ -322,8 +321,8 @@ def run_sparsity_sweep(cfg: SweepConfig) -> Path:
         z, _ = reduce_planes(S, d, basis=False)
         k = fit_coupling(z, d.rank)
         curve = {}
-        for method, (atoms, atom_index, harmonic_index) in _plane_dictionaries(d, CouplingVector(k, k)).items():
-            _, residual = plane_pursuit_curve(z, d.rank, atoms, atom_index, harmonic_index, cfg.sparsity_grid)
+        for method, pairs in _plane_bases(k).items():
+            residual = plane_pursuit_curve(z, d.rank, pairs, cfg.sparsity_grid)
             curve[method] = {int(lv): float(e / energy) for lv, e in zip(cfg.sparsity_grid, residual)}
             rows.extend((method, level, real, value) for level, value in curve[method].items())
         curves.append(curve)
@@ -379,27 +378,21 @@ def _noise_tag(snr: float) -> str:
     return f"awgn@{snr:g}"
 
 
-def _truncation_nmse(clean_z, noisy_z, rank, dictionary, bandwidths, energy) -> dict:
-    """NMSE of hard truncation in an orthonormal plane dictionary, per bandwidth, from the projected batches.
+def _truncation_nmse(clean_z, noisy_z, rank, pairs, bandwidths, energy) -> dict:
+    """NMSE of hard truncation in an orthonormal plane basis, per bandwidth, from the projected batches.
 
     ``clean_z`` and ``noisy_z`` are ``topology.project`` of the clean and the
-    noisy batch, and ``dictionary`` one of ``_plane_dictionaries`` (atoms,
-    atom indices, harmonic indices) whose atoms are orthonormal in each plane.
-    Both batches are rotated into the dictionary's rows; the noisy rows are
-    ordered by energy, ties to the lowest dense column index (a stable sort,
-    as in ``sparse.row_hard_threshold``), and the NMSE at bandwidth b is the
-    noise energy of the b kept rows plus the clean energy of the dropped
-    ones, over ``energy``.  Every energy is a sum of squares of rotated rows.
+    noisy batch, and ``pairs`` one basis of ``_plane_bases``.  Both are rotated
+    into its rows (``sparse.rotate_planes``); a stable sort orders the noisy
+    rows by energy, ties to the lower row of [first atoms | second atoms |
+    harmonic rows] (with Gaussian noise, ties have probability zero), and the
+    NMSE at bandwidth b is the noise energy of the b kept rows plus the clean
+    energy of the dropped ones, over ``energy``.  Every energy is a sum of
+    squares of rotated rows.
     """
-    atoms, atom_index, harmonic_index = dictionary
-    n, r = len(clean_z), rank
-
-    def rotate(z):  # every atom's row, then the harmonic rows
-        return np.concatenate([a[:, :1] * z[:r] + a[:, 1:] * z[n - r :] for a in atoms] + [z[r : n - r]])
-
-    clean, noisy = rotate(clean_z), rotate(noisy_z)
+    clean, noisy = rotate_planes(clean_z, rank, pairs), rotate_planes(noisy_z, rank, pairs)
     error = noisy - clean
-    order = np.lexsort((np.concatenate([*atom_index, harmonic_index]), -np.einsum("jt,jt->j", noisy, noisy)))
+    order = np.argsort(-np.einsum("jt,jt->j", noisy, noisy), kind="stable")
     kept, dropped = np.einsum("jt,jt->j", error, error)[order], np.einsum("jt,jt->j", clean, clean)[order]
     return {bw: float(np.sum(kept[:bw]) + np.sum(dropped[bw:])) / energy for bw in bandwidths}
 
@@ -438,9 +431,9 @@ def run_denoise(cfg: DenoiseConfig) -> Path:
             noisy = add_awgn(clean, snr, sub_seed(cfg.seed, real, _noise_tag(snr)))
             noisy_z = project(noisy, d)
             k = fit_coupling(noisy_z, d.rank)
-            dictionaries = _plane_dictionaries(d, CouplingVector(k, k))
+            bases = _plane_bases(k)
             curves = {
-                method: _truncation_nmse(clean_z, noisy_z, d.rank, dictionaries[name], bandwidths, energy)
+                method: _truncation_nmse(clean_z, noisy_z, d.rank, bases[name], bandwidths, energy)
                 for method, name in methods
             }
             rows.append(("noisy_input", float(snr), None, real, nmse(clean, noisy)))

@@ -5,11 +5,11 @@ all signal columns) by progressive orthogonalization of the selected atoms,
 on the n x n triangular factor of a batch with more signals than rows, with
 the coefficients solved once at the end.
 
-``plane_pursuit_curve`` is the same pursuit for a dictionary whose atoms
-each lie in one mode plane span{(u_i; 0), (0; v_i)} or on one harmonic
-coefficient, as every sweep dictionary's do.  It works on the projected
-signals one 2-D plane at a time, with the selection rule of Tropp, Gilbert
-& Strauss (2006) and no n-dimensional Gram-Schmidt.
+``plane_pursuit_curve`` is the same pursuit for a dictionary of orthonormal
+atom pairs per mode plane span{(u_i; 0), (0; v_i)} and one identity atom per
+harmonic coefficient, as every sweep dictionary is.  With the selection rule
+of Tropp, Gilbert & Strauss (2006) it is "rotate each plane (``rotate_planes``,
+which the denoising truncation shares), take row energies, sort".
 
 ``row_hard_threshold`` and ``column_normalize`` are the Euclidean
 projections onto row-sparse matrices and onto the unit-column (oblique)
@@ -27,6 +27,7 @@ __all__ = [
     "SparseCode",
     "DegenerateRetractionWarning",
     "omp",
+    "rotate_planes",
     "plane_pursuit_curve",
     "nmse",
     "row_hard_threshold",
@@ -34,6 +35,7 @@ __all__ = [
 ]
 
 _UNIT_NORM_TOL = 1e-6
+_EYE2 = np.eye(2)
 _RIDGE = 1e-12
 
 
@@ -158,76 +160,62 @@ def omp(dictionary: np.ndarray, signals: np.ndarray, sparsity: int) -> SparseCod
     )
 
 
-def plane_pursuit_curve(z, rank, atoms, atom_index, harmonic_index, levels) -> tuple[tuple[int, ...], np.ndarray]:
-    """Joint OMP's support and residual energies for a dictionary of mode-plane and harmonic atoms.
+def rotate_planes(z, rank, pairs) -> np.ndarray:
+    """Rotate each mode plane of a projected batch into orthonormal atom pairs.
 
-    ``z`` is the projected batch (``topology.project``), n x T or n: plane i
-    is rows i and n - rank + i, the rows between are harmonic.  ``atoms``
-    (A, rank, 2), or (A, 1, 2) if shared, are each plane's unit atoms in plane
-    coordinates, ``atom_index`` (A, rank) their dense column indices, and
-    ``harmonic_index`` the lowest dense index of each harmonic row's atom
-    (copies add nothing).  Returns the dense indices in pick order up to the
-    largest level and the squared residual norm at each level in [1, n].
-
-    The planes are mutually orthogonal, so OMP's residual splits by plane,
-    and each plane is a chain of two events.  First its best atom a: key and
-    gain s1 = max_a ||a^T z_i||^2.  Then the rest of the plane, along a's
-    orthogonal partner q: gain rem = ||q^T z_i||^2, key
-    min(s1, max_b (b.q)^2 rem), as OMP takes it at once if it outscores s1.
-    A harmonic row's key and gain are its energy.  A stable sort of the keys
-    is OMP's pick order, exact ties going to the lowest dense index.  If a
-    plane's atoms are parallel (OMP's rank rule), its second event gains
-    nothing and rem stays in every residual.
-
-    Precision rule: every energy is a sum of squares of rotated rows, and a
-    level's residual sums the gains not yet picked, smallest first; never
-    ||S||^2 minus the captured energy, a cancellation error near 1e-16 ||S||^2.
+    ``z`` (n x T, or n) is ``topology.project`` or ``topology.reduce_planes``:
+    plane i is rows z_u = z[i] and z_v = z[n - rank + i], the rows between are
+    harmonic.  Row j of pairs[b, i] (pairs is (B, rank or 1, 2, 2)) holds atom
+    j of basis b in plane i as (z_u, z_v) coefficients.  Returns the rows
+    c_u z_u + c_v z_v of basis 0's first atoms, its second atoms, basis 1's
+    and so on, then the harmonic rows.  Raises ValueError on mismatched
+    shapes, or naming the largest deviation, on pairs not orthonormal to 1e-6.
     """
     z = np.asarray(z, dtype=float).reshape(len(z), -1)
-    n, r = z.shape[0], int(rank)
-    atoms, atom_index = np.asarray(atoms, dtype=float), np.asarray(atom_index)
-    harmonic_index = np.asarray(harmonic_index)
-    planes_ok = atoms.ndim == 3 and atoms.shape[1:] in ((1, 2), (r, 2)) and atom_index.shape == (len(atoms), r)
-    if not planes_ok or harmonic_index.shape != (n - 2 * r,):
-        raise ValueError(f"shapes do not match: z {z.shape}, rank {r}, atoms {atoms.shape}, "
-                         f"atom_index {atom_index.shape}, harmonic_index {harmonic_index.shape}")
-    atoms = np.broadcast_to(atoms, (atoms.shape[0], r, 2))
-    worst = float(np.max(np.abs(np.hypot(atoms[..., 0], atoms[..., 1]) - 1.0), initial=0.0))
+    n, r, pairs = len(z), int(rank), np.asarray(pairs, dtype=float)
+    if pairs.ndim != 4 or not len(pairs) or pairs.shape[1:] not in ((1, 2, 2), (r, 2, 2)) or not 0 <= 2 * r <= n:
+        raise ValueError(f"shapes do not match: z {z.shape}, rank {r}, pairs {pairs.shape}")
+    worst = float(np.abs(pairs @ pairs.swapaxes(2, 3) - _EYE2).max(initial=0.0))
     if worst > _UNIT_NORM_TOL:
-        raise ValueError(f"atoms must have unit norm (max deviation {worst:.3e})")
-    levels = [int(lv) for lv in levels]
-    if not all(1 <= lv <= n for lv in levels):
-        raise ValueError(f"levels must lie in [1, {n}], got {levels}")
+        raise ValueError(f"atom pairs must be orthonormal (max deviation {worst:.3e})")
+    atoms = pairs.transpose(0, 2, 3, 1)  # basis, atom, coefficient, plane (one if shared: a scalar per row)
+    m = 2 * len(pairs) * r
+    out = np.empty((m + n - 2 * r, z.shape[1]))  # filled in place: fewer T-wide temporaries in denoise's loop
+    rows = out[:m].reshape(len(pairs), 2, r, z.shape[1])
+    np.multiply(atoms[:, :, 0, :, None], z[:r], out=rows)
+    rows += atoms[:, :, 1, :, None] * z[n - r :]
+    out[m:] = z[r : n - r]
+    return out
 
-    z_u, z_v, z_h, planes = z[:r], z[n - r :], z[r : n - r], np.arange(r)
 
-    def energy(c):  # ||c_u z_u + c_v z_v||^2 per plane, for c of shape (..., r, 2)
-        rows = c[..., 0, None] * z_u + c[..., 1, None] * z_v
-        return np.einsum("...t,...t->...", rows, rows)
+def plane_pursuit_curve(z, rank, pairs, levels) -> np.ndarray:
+    """Joint OMP's squared residual norm at each level in [1, n], for orthonormal atom pairs per mode plane.
 
-    def best(scores):  # per plane, the atom of largest score, ties to the lowest dense index
-        return np.argmin(np.where(scores == scores.max(axis=0), atom_index, np.iinfo(int).max), axis=0)
+    ``z``, ``rank`` and ``pairs`` are as in ``rotate_planes``; the dictionary
+    also holds one identity atom per harmonic row (a frame's copies add
+    nothing).  The planes are mutually orthogonal, so OMP's residual splits
+    by plane.  A plane's first gain is the energy of its best atom (exact
+    ties to the first atom listed), its second the energy of that atom's
+    partner, which spans the rest of the plane; a harmonic row's gain is its
+    energy.  Every event's OMP score equals its gain, and a plane's second
+    gain is at most its first, so the residual at level L is the sum of all
+    but the L largest gains, whichever of two equal gains is taken first.
 
-    first = best(energy(atoms))
-    a = atoms[first, planes]
-    q = np.stack([-a[:, 1], a[:, 0]], axis=1)
-    s1, rem = energy(a), energy(q)
-    cos2 = np.einsum("apc,pc->ap", atoms, q) ** 2
-    cos2[first, planes] = -1.0
-    second = best(cos2)
-    cos2 = cos2[second, planes]
-    parallel = cos2 <= (np.finfo(float).eps * n) ** 2
-    key2 = np.where(parallel, 0.0, cos2 * rem)
-    idx_a, idx_b = atom_index[first, planes], atom_index[second, planes]
-    # A second event that ties s1 comes after every tie below both its atoms; one above s1, at once.
-    tie2 = np.where(key2 < s1, idx_b, np.where(key2 == s1, np.maximum(idx_a, idx_b), idx_a))
-    keys = np.concatenate([s1, np.minimum(key2, s1), np.einsum("ht,ht->h", z_h, z_h)])
-    gains = np.concatenate([s1, np.where(parallel, 0.0, rem), keys[2 * r :]])
-    order = np.lexsort((np.repeat([0, 1, 0], [r, r, n - 2 * r]), np.concatenate([idx_a, tie2, harmonic_index]), -keys))
-    # tail[j] is the energy of the events order[j:], accumulated from the smallest.
-    tail = np.append(np.cumsum(gains[order[::-1]])[::-1], 0.0) + float(np.sum(rem[parallel]))
-    picks = np.concatenate([idx_a, idx_b, harmonic_index])[order]
-    return tuple(int(i) for i in picks[: max(levels, default=0)]), tail[levels]
+    Precision rule: every energy is a sum of squares of rotated rows, and a
+    level's residual sums the gains left, smallest first; never ||S||^2 minus
+    the captured energy, a cancellation error near 1e-16 ||S||^2.
+    """
+    rows = rotate_planes(z, rank, pairs)
+    n, r, bases = len(z), int(rank), len(pairs)
+    levels = np.array([int(lv) for lv in levels], dtype=int)
+    if not np.all((1 <= levels) & (levels <= n)):
+        raise ValueError(f"levels must lie in [1, {n}], got {levels.tolist()}")
+    energies = np.einsum("jt,jt->j", rows, rows)
+    atoms = energies[: 2 * bases * r].reshape(2 * bases, r)
+    first, planes = np.argmax(atoms, axis=0), np.arange(r)  # argmax: exact ties go to the first atom listed
+    gains = np.concatenate([atoms[first, planes], atoms[first ^ 1, planes], energies[2 * bases * r :]])
+    smallest = np.append(0.0, np.cumsum(np.sort(gains)))
+    return smallest[n - levels]
 
 
 def nmse(S: np.ndarray, S_hat: np.ndarray) -> float:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .topology import OrientedGraph, SpectralDecomposition
-from .transform import CouplingVector, build_mass_basis, nonharmonic_column_indices
 
 __all__ = [
     "SignalClassSpec",
@@ -139,7 +138,8 @@ def gen_signals(d: SpectralDecomposition, spec: SignalClassSpec) -> tuple[np.nda
     column indices and shared by all T signals; coefficients are i.i.d.
     standard Gaussian.  The synthesis basis is the unit-norm coupling basis
     at the class coupling profile (shared per mode pair, so it is
-    orthonormal).
+    orthonormal); only the support's columns are built, (k u; -v) for a
+    minus index s < r and (u; k v) for a plus index, over sqrt(1 + k^2).
     """
     rng = np.random.default_rng(spec.seed)
     available = 2 * d.rank
@@ -148,8 +148,10 @@ def gen_signals(d: SpectralDecomposition, spec: SignalClassSpec) -> tuple[np.nda
 
     support = np.sort(rng.choice(available, size=spec.eta0, replace=False))
     k_modes = _mode_couplings(d, spec, support, rng)
-    basis = build_mass_basis(d, CouplingVector(k_modes, k_modes.copy()))
-    full_cols = nonharmonic_column_indices(d)[support]
+    modes, minus = support % d.rank, support < d.rank
+    u, v, k = d.u[:, modes], d.v[:, modes], k_modes[modes]
+    columns = np.vstack([np.where(minus, u * k, u), np.where(minus, -v, v * k)]) / np.sqrt(1.0 + k**2)
+    full_cols = support + np.where(minus, 0, d.xi0 + d.xi1)  # the harmonic columns sit between
     coeffs = rng.normal(size=(spec.eta0, spec.num_signals))
     truth = GroundTruth(
         support=support,
@@ -158,7 +160,7 @@ def gen_signals(d: SpectralDecomposition, spec: SignalClassSpec) -> tuple[np.nda
         k_modes=k_modes,
         signal_class=spec.signal_class,
     )
-    return basis[:, full_cols] @ coeffs, truth
+    return columns @ coeffs, truth
 
 
 def add_awgn(S: np.ndarray, snr_db: float, seed) -> np.ndarray:

@@ -91,12 +91,6 @@ class CouplingVector:
         return np.concatenate([self.k_minus, self.k_plus])
 
 
-def nonharmonic_column_indices(d: SpectralDecomposition) -> np.ndarray:
-    """Full-basis column indices of the 2r coupled columns (minus block, then plus)."""
-    r, xi = d.rank, d.xi0 + d.xi1
-    return np.concatenate([np.arange(r), np.arange(r + xi, 2 * r + xi)])
-
-
 def unnormalized_basis_matrix(d: SpectralDecomposition, k_minus: np.ndarray, k_plus: np.ndarray) -> np.ndarray:
     """Assemble [(k- u; -v) | harmonic | (u; k+ v)] without column scaling."""
     V, E, r = d.num_nodes, d.num_edges, d.rank

@@ -42,6 +42,12 @@ def unproject(z: np.ndarray, d: SpectralDecomposition) -> np.ndarray:
     return np.vstack([node, edge])
 
 
+def nonharmonic_column_indices(d: SpectralDecomposition) -> np.ndarray:
+    """Full-basis column indices of the 2r coupled columns (minus block, then plus)."""
+    r, xi = d.rank, d.xi0 + d.xi1
+    return np.concatenate([np.arange(r), np.arange(r + xi, 2 * r + xi)])
+
+
 def shared_basis(d: SpectralDecomposition, value: float) -> np.ndarray:
     """The unit-column basis with both branches of every mode at the coupling ``value``."""
     k = np.full(d.rank, float(value))

@@ -21,8 +21,8 @@ from topospinor.ddtl import (
     update_p,
     update_x,
 )
-from conftest import STRUCTURED_GRAPHS
-from topospinor.experiments import _plane_dictionaries
+from conftest import STRUCTURED_GRAPHS, nonharmonic_column_indices
+from topospinor.experiments import _plane_bases
 from topospinor.sparse import DegenerateRetractionWarning, column_normalize, nmse, plane_pursuit_curve, row_hard_threshold
 from topospinor.synth import SIGNAL_CLASSES, SignalClassSpec, gen_signals, random_graph
 from topospinor.topology import (
@@ -33,7 +33,7 @@ from topospinor.topology import (
     reduce_planes,
     spectral_decompose,
 )
-from topospinor.transform import CouplingVector, nonharmonic_column_indices, unnormalized_basis_matrix
+from topospinor.transform import unnormalized_basis_matrix
 
 
 def small_problem(num_nodes=5, num_edges=7, seed=0):
@@ -806,7 +806,7 @@ class TestConvergenceReport:
 def learned_curve(z, d, levels):
     """The residual energies of joint OMP in the basis ``fit_coupling`` learns from z, as the sweep reads them."""
     k = fit_coupling(z, d.rank)
-    return plane_pursuit_curve(z, d.rank, *_plane_dictionaries(d, CouplingVector(k, k))["ddtl"], levels)[1]
+    return plane_pursuit_curve(z, d.rank, _plane_bases(k)["ddtl"], levels)
 
 
 def brute_force_curve(z, d, angles):

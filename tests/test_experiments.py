@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from topospinor import ddtl, experiments, frames, sparse, synth, topology, transform
+from topospinor import ddtl, experiments, frames, sparse, topology, transform
 from topospinor.cli import main
 from topospinor.ddtl import fit_coupling
 from topospinor.experiments import (
@@ -15,11 +15,10 @@ from topospinor.experiments import (
     sub_seed,
     sweep_dictionaries,
 )
-from topospinor.io import load_results
+from topospinor.io import load_dataset, load_results
 from topospinor.sparse import nmse, omp, row_hard_threshold
 from topospinor.synth import SIGNAL_CLASSES, SignalClassSpec, add_awgn, gen_signals, random_graph
-from topospinor.topology import build_incidence, dirac_eigenbasis, project, spectral_decompose, super_laplacian_eigenbasis
-from topospinor.transform import CouplingVector, build_mass_basis
+from topospinor.topology import build_incidence, project, spectral_decompose
 
 
 class TestStudyDefaults:
@@ -96,7 +95,7 @@ def all_omp_sweep(cfg: SweepConfig):
         S, _ = gen_signals(d, spec)
         energy = np.linalg.norm(S) ** 2
         k = fit_coupling(project(S, d), d.rank)
-        for method, dictionary in sweep_dictionaries(d, CouplingVector(k, k)).items():
+        for method, dictionary in sweep_dictionaries(d, k).items():
             history = omp(dictionary, S, max(cfg.sparsity_grid)).residual_history
             for level in cfg.sparsity_grid:
                 nmse[method, level, real] = history[level - 1] ** 2 / energy
@@ -128,12 +127,13 @@ DENSE_PATHS = (
 )
 
 
-@pytest.mark.parametrize("command", ["sparsity-sweep", "denoise"])
+@pytest.mark.parametrize("command", ["sparsity-sweep", "denoise", "synth"])
 def test_sweep_needs_no_dense_dictionary_and_no_pursuit(tmp_path, monkeypatch, command):
-    # Every curve and truncation comes from the projected batch, one mode plane at a time, and the coupling
-    # from fit_coupling.  Each dense path is made to raise wherever a module of the package binds it.
+    # Every curve and truncation comes from the projected batch, one mode plane at a time, the coupling
+    # from fit_coupling, and every batch from its support's columns alone.  Each dense path is made to
+    # raise wherever a module of the package binds it.
     def dense(*args, **kwargs):
-        raise AssertionError("the study took a dense path")
+        raise AssertionError("the command took a dense path")
 
     originals = {id(getattr(module, name)) for module, name in DENSE_PATHS}
     bindings = [
@@ -144,29 +144,24 @@ def test_sweep_needs_no_dense_dictionary_and_no_pursuit(tmp_path, monkeypatch, c
         if id(value) in originals
     ]
     assert {(m.__name__, n) for m, n in bindings} >= {("topospinor.experiments", "ddtl_fit"),
-                                                      ("topospinor.synth", "build_mass_basis")}
-    real_gen = experiments.gen_signals
-    generator = [(synth, "build_mass_basis"), (transform, "unnormalized_basis_matrix")]
-    real_generator = [getattr(module, name) for module, name in generator]
-
-    def synthesize(d, spec):
-        # The generator synthesizes through the dense basis (ROADMAP item 8); only the study is checked here.
-        with monkeypatch.context() as m:
-            for (module, name), value in zip(generator, real_generator):
-                m.setattr(module, name, value)
-            return real_gen(d, spec)
-
+                                                      ("topospinor.experiments", "build_mass_basis")}
     for module, name in bindings:
         monkeypatch.setattr(module, name, dense)
-    monkeypatch.setattr(experiments, "gen_signals", synthesize)
-    small = ["--num-nodes", "8", "--num-edges", "12", "--realizations", "2", "--seed", "3"]
+    out = tmp_path / "run"
+    small = ["--num-nodes", "8", "--num-edges", "12", "--seed", "3", "--out", str(out)]
+    if command == "synth":
+        assert main([command, *small, "--eta0", "6", "--num-signals", "30"]) == 0
+        _, S = load_dataset(out)
+        assert S.shape == (20, 30)
+        return
+    small += ["--realizations", "2"]
     if command == "sparsity-sweep":
         args, rows = ["--eta0", "4", "--num-signals", "30", "--sparsity-grid", "2,4,20"], 4 * 3 * 2
     else:
         args = ["--num-signals", "30", "--gen-eta0", "6", "--snr-grid", "0,10", "--bandwidth-grid", "3,20"]
         rows = 2 * 2 * (1 + 3 * 2)
-    assert main([command, *small, *args, "--out", str(tmp_path / "run")]) == 0
-    _, tables = load_results(tmp_path / "run")
+    assert main([command, *small, *args]) == 0
+    _, tables = load_results(out)
     assert len(tables["results"].rows) == rows
 
 
@@ -259,8 +254,9 @@ def denoise_oracle(cfg: DenoiseConfig):
         for snr in cfg.snr_grid:
             noisy = add_awgn(clean, snr, sub_seed(cfg.seed, real, f"awgn@{snr:g}"))
             k = fit_coupling(project(noisy, d), d.rank)
-            bases = {"ddtl": build_mass_basis(d, CouplingVector(k, k)), "dirac_truncation": dirac_eigenbasis(d)[0],
-                     "laplacian_truncation": super_laplacian_eigenbasis(d)[0]}
+            dense = sweep_dictionaries(d, k)
+            bases = {"ddtl": dense["ddtl"], "dirac_truncation": dense["dirac"],
+                     "laplacian_truncation": dense["laplacian"]}
             for method, basis in bases.items():
                 for bw, value in dense_truncation_nmse(clean, noisy, basis, cfg.bandwidth_grid).items():
                     expected[method, float(snr), int(bw), real] = value

@@ -1,6 +1,5 @@
 import itertools
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from conftest import STRUCTURED_GRAPHS, unproject
-from topospinor.experiments import SWEEP_METHODS, _plane_dictionaries, sweep_dictionaries
+from topospinor.experiments import SWEEP_METHODS, _plane_bases, sweep_dictionaries
 from topospinor.frames import build_frame
 from topospinor.sparse import (
     DegenerateRetractionWarning,
@@ -31,7 +30,6 @@ from topospinor.topology import (
     spectral_decompose,
     super_laplacian_eigenbasis,
 )
-from topospinor.transform import CouplingVector
 
 
 def brute_force_row_projection(M: np.ndarray, eta0: int) -> np.ndarray:
@@ -304,50 +302,48 @@ TWO_COMPONENTS = OrientedGraph(6, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5)))
 
 
 def _sweep_dictionaries_at(d, k):
-    """The four sweep dictionaries at coupling k: dense (the oracle's input) and per mode plane."""
-    return sweep_dictionaries(d, k), _plane_dictionaries(d, k)
+    """The four sweep dictionaries at the shared coupling k: dense (the oracle's input) and as plane pairs."""
+    return sweep_dictionaries(d, k), _plane_bases(k)
 
 
-def _random_coupling(rng, r, parallel=False):
-    """Couplings in the box; with ``parallel``, plane 0 at k- = 1, k+ = -1 and plane 1 at k- = -1, k+ = 1."""
-    k_minus, k_plus = rng.uniform(-1, 1, r), rng.uniform(-1, 1, r)
-    if parallel:
-        k_minus[:2], k_plus[:2] = [1.0, -1.0][:r], [-1.0, 1.0][:r]
-    return CouplingVector(k_minus, k_plus)
+def _random_coupling(rng, r):
+    """One shared coupling per mode plane, in the box [-1, 1]."""
+    return rng.uniform(-1, 1, r)
 
 
-def _plane_coordinate_dictionary(n, r, atoms, atom_index, harmonic_index):
-    """The dense dictionary of a per-plane description when Q = I: plane i is coordinates i and n - r + i."""
-    atoms = np.broadcast_to(atoms, (len(atoms), r, 2))
-    D = np.zeros((n, atom_index.size + len(harmonic_index)))
-    for a in range(len(atoms)):
-        D[np.arange(r), atom_index[a]] = atoms[a, :, 0]
-        D[n - r + np.arange(r), atom_index[a]] = atoms[a, :, 1]
-    D[r + np.arange(n - 2 * r), harmonic_index] = 1.0
-    return D
+def _plane_coordinate_dictionary(n, r, pairs):
+    """The dense dictionary of plane pairs when Q = I: plane i is coordinates i and n - r + i."""
+    pairs = np.broadcast_to(pairs, (len(pairs), r, 2, 2))
+    atoms = []
+    for b, j in itertools.product(range(len(pairs)), range(2)):
+        atom = np.zeros((n, r))
+        atom[np.arange(r), np.arange(r)] = pairs[b, :, j, 0]
+        atom[n - r + np.arange(r), np.arange(r)] = pairs[b, :, j, 1]
+        atoms.append(atom)
+    return np.hstack(atoms + [np.eye(n)[:, r : n - r]])
 
 
 @pytest.mark.parametrize("name", ["star_k14", "complete_k5", "two_components"])
-def test_plane_dictionaries_name_the_dense_columns(name):
-    # Every described atom is its dense column, and a harmonic row names its lowest copy.
+def test_plane_bases_lift_to_the_dense_columns(name):
+    # Every pair atom, lifted through Q, is one column of the dense dictionary, and with one identity
+    # atom per harmonic row they cover its columns: each harmonic atom is two columns of the frame.
     g = TWO_COMPONENTS if name == "two_components" else STRUCTURED_GRAPHS[name][0]
     d = spectral_decompose(build_incidence(g))
     n, r = d.dim, d.rank
     q = np.zeros((n, n))  # the columns of Q, in the row order of project
     q[: d.num_nodes, : r + d.xi0] = np.hstack([d.u, d.u_harmonic])
     q[d.num_nodes :, r + d.xi0 :] = np.hstack([d.v_harmonic, d.v])
-    dense, planes = _sweep_dictionaries_at(d, _random_coupling(np.random.default_rng(3), r, parallel=True))
-    for method, (atoms, atom_index, harmonic_index) in planes.items():
-        atoms = np.broadcast_to(atoms, (len(atoms), r, 2))
-        for a in range(len(atoms)):
-            expected = q[:, :r] * atoms[a, :, 0] + q[:, n - r :] * atoms[a, :, 1]
-            assert_allclose(dense[method][:, atom_index[a]], expected, rtol=0, atol=1e-15, err_msg=method)
-        for h, column in enumerate(harmonic_index):
-            copies = np.flatnonzero(np.all(dense[method] == q[:, [r + h]], axis=0))
-            assert column == copies[0] and len(copies) == (2 if method == "frame" else 1), method
-        described = set(atom_index.ravel()) | set(harmonic_index)
-        copies_left_out = len(harmonic_index) if method == "frame" else 0
-        assert len(described) + copies_left_out == dense[method].shape[1], method
+    dense, planes = _sweep_dictionaries_at(d, _random_coupling(np.random.default_rng(3), r))
+    for method, pairs in planes.items():
+        pairs = np.broadcast_to(pairs, (len(pairs), r, 2, 2))
+        lifted = [q[:, :r] * pairs[b, :, j, 0] + q[:, n - r :] * pairs[b, :, j, 1]
+                  for b, j in itertools.product(range(len(pairs)), range(2))]
+        lifted = np.hstack(lifted + [q[:, r : n - r]])
+        match = np.abs(dense[method][:, :, None] - lifted[:, None, :]).max(axis=0) <= 1e-15
+        assert np.all(match.sum(axis=1) == 1), method  # every dense column is one lifted atom
+        copies = np.ones(lifted.shape[1], dtype=int)
+        copies[4 * r if method == "frame" else 2 * r :] = 2 if method == "frame" else 1
+        assert np.array_equal(match.sum(axis=0), copies), method
 
 
 def _curve_cases():
@@ -367,17 +363,12 @@ def _curve_cases():
     [pytest.param(m, d, S, k, id=name) for name, m, d, S, k in _curve_cases()],
 )
 def test_row_energy_curve_matches_omp(method, d, signals, k):
-    # The per-plane curve against the dense pursuit: same picks until a tie or round-off, same residuals.
+    # The per-plane curve against the dense pursuit, at every level.
     n = d.dim
     dense, planes = _sweep_dictionaries_at(d, k)
-    support, residual = plane_pursuit_curve(project(signals, d), d.rank, *planes[method], range(1, n + 1))
-    code = omp(dense[method], signals, n)
-    ambiguous = lstsq_pursuit(dense[method], signals, n)[4]
-    differs = [j for j, (a, b) in enumerate(zip(support, code.support)) if a != b]
-    if differs:
-        assert ambiguous[differs[0]], f"supports part at step {differs[0]} without a tie or round-off residual"
+    residual = plane_pursuit_curve(project(signals, d), d.rank, planes[method], range(1, n + 1))
+    history = np.asarray(omp(dense[method], signals, n).residual_history)
     energy = np.linalg.norm(signals) ** 2
-    history = np.asarray(code.residual_history)
     assert_allclose(residual / energy, history**2 / energy, rtol=0, atol=1e-12)
 
 
@@ -387,10 +378,10 @@ def test_row_energy_curve_keeps_exact_residuals_at_round_off():
     d = spectral_decompose(build_incidence(random_graph(40, 80, 11)))
     S, _ = gen_signals(d, SignalClassSpec("fully_coupled", eta0=35, num_signals=600, seed=12))
     energy = np.linalg.norm(S) ** 2
-    planes = _plane_dictionaries(d, CouplingVector(np.ones(d.rank), np.ones(d.rank)))
+    planes = _plane_bases(np.ones(d.rank))
     for z in (project(S, d), reduce_planes(S, d, basis=False)[0]):
         for method in ("dirac", "frame", "ddtl"):
-            _, residual = plane_pursuit_curve(z, d.rank, *planes[method], [34, 35])
+            residual = plane_pursuit_curve(z, d.rank, planes[method], [34, 35])
             assert residual[0] > 1e-6 * energy, method
             assert 0.0 < residual[1] <= 1e-28 * energy, method
 
@@ -463,35 +454,42 @@ class TestReducePlanes:
 
 class TestRowEnergyCurveRejects:
     # Two mode planes and two harmonic rows: z has rows [u0, u1, h0, h1, v0, v1].
-    ATOMS = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
-    INDEX = np.array([[2, 3], [4, 5]])
-    HARMONIC = np.array([0, 1])
+    PAIRS = np.array([[[[1.0, 0.0], [0.0, 1.0]]]])
 
     def test_non_orthonormal(self, rng):
-        with pytest.raises(ValueError, match="unit norm"):
-            plane_pursuit_curve(rng.normal(size=(6, 3)), 2, self.ATOMS + 0.5, self.INDEX, self.HARMONIC, [2])
+        with pytest.raises(ValueError, match="orthonormal"):
+            plane_pursuit_curve(rng.normal(size=(6, 3)), 2, self.PAIRS + 0.5, [2])
 
     def test_orthogonal_but_not_unit(self, rng):
-        atoms = self.ATOMS.copy()
-        atoms[1] *= 1 + 1e-5
-        with pytest.raises(ValueError, match="unit norm"):
-            plane_pursuit_curve(rng.normal(size=(6, 3)), 2, atoms, self.INDEX, self.HARMONIC, [2])
+        pairs = np.concatenate([self.PAIRS, self.PAIRS])
+        pairs[1, 0, 1] *= 1 + 1e-5
+        with pytest.raises(ValueError, match=r"orthonormal \(max deviation 2\.000e-05\)"):
+            plane_pursuit_curve(rng.normal(size=(6, 3)), 2, pairs, [2])
+
+    def test_unit_but_not_orthogonal(self, rng):
+        # Two unit atoms 1e-4 radians short of a right angle, in one plane of two.
+        pairs = np.repeat(self.PAIRS, 2, axis=1)
+        pairs[0, 1, 1] = [-np.sin(1e-4), np.cos(1e-4)]
+        with pytest.raises(ValueError, match=r"max deviation 1\.000e-04"):
+            plane_pursuit_curve(rng.normal(size=(6, 3)), 2, pairs, [2])
+
+    def test_deviation_within_the_tolerance_is_accepted(self, rng):
+        pairs = self.PAIRS * (1 + 4e-7)
+        z = rng.normal(size=(6, 3))
+        assert_allclose(plane_pursuit_curve(z, 2, pairs, [2]), plane_pursuit_curve(z, 2, self.PAIRS, [2]), rtol=2e-6)
 
     def test_non_square(self, rng):
+        z = rng.normal(size=(6, 3))
+        for pairs in (self.PAIRS[..., :1], self.PAIRS[0], np.repeat(self.PAIRS, 3, axis=1), self.PAIRS[:0]):
+            with pytest.raises(ValueError, match="shapes"):
+                plane_pursuit_curve(z, 2, pairs, [2])
         with pytest.raises(ValueError, match="shapes"):
-            plane_pursuit_curve(rng.normal(size=(7, 3)), 2, self.ATOMS, self.INDEX, self.HARMONIC, [2])
-        with pytest.raises(ValueError, match="shapes"):
-            plane_pursuit_curve(rng.normal(size=(6, 3)), 2, self.ATOMS, self.INDEX[:, :1], self.HARMONIC, [2])
+            plane_pursuit_curve(z, 4, self.PAIRS, [2])  # four planes need eight rows
 
     @pytest.mark.parametrize("level", [0, 7])
     def test_level_out_of_range(self, rng, level):
         with pytest.raises(ValueError, match="levels"):
-            plane_pursuit_curve(rng.normal(size=(6, 3)), 2, self.ATOMS, self.INDEX, self.HARMONIC, [3, level])
-
-
-def _layout(n, r, xi0):
-    """The sizes that ``_plane_dictionaries`` reads from a decomposition."""
-    return SimpleNamespace(rank=r, xi0=xi0, xi1=n - 2 * r - xi0, dim=n)
+            plane_pursuit_curve(rng.normal(size=(6, 3)), 2, self.PAIRS, [3, level])
 
 
 @given(
@@ -502,66 +500,34 @@ def _layout(n, r, xi0):
     data=st.data(),
 )
 @settings(max_examples=80, deadline=None)
-def test_row_energy_curve_never_rises_and_ties_select_the_lower_index(seed, n, num_signals, flip, data):
+def test_row_energy_curve_never_rises_and_does_not_depend_on_ties(seed, n, num_signals, flip, data):
     rng = np.random.default_rng(seed)
     r = data.draw(st.integers(0, n // 2))
-    xi0 = data.draw(st.integers(0, n - 2 * r))
-    parallel = data.draw(st.booleans())
-    layout, levels = _layout(n, r, xi0), list(range(1, n + 1))
+    levels = list(range(1, n + 1))
     z = rng.normal(size=(n, num_signals))
-    for method, planes in _plane_dictionaries(layout, _random_coupling(rng, r, parallel)).items():
-        support, residual = plane_pursuit_curve(z, r, *planes, levels)
-        assert len(set(support)) == n, method
-        if method != "frame":  # the square dictionaries: every atom, once
-            assert sorted(support) == list(range(n)), method
+    for method, pairs in _plane_bases(_random_coupling(rng, r)).items():
+        residual = plane_pursuit_curve(z, r, pairs, levels)
         assert np.all(residual >= 0) and np.all(residual[1:] <= residual[:-1]), method
-        # Only parallel atoms leave a residual once every atom is in.
-        assert (residual[-1] > 0) == (method == "ddtl" and parallel and r > 0), method
+        assert residual[-1] == 0.0, method  # every atom in: the pairs span every plane
+        history = np.asarray(omp(_plane_coordinate_dictionary(n, r, pairs), z, n).residual_history)
+        assert_allclose(residual, history**2, rtol=0, atol=1e-12 * np.sum(z**2), err_msg=method)
     # Two rows of equal energy above every other row.  With the Laplacian atoms, and the
-    # learned ones at k = 0, a row's energy is computed exactly, so the tie is exact.
+    # learned ones at k = 0, a row's energy is computed exactly, so the tie is exact; either
+    # pick leaves the same residuals, so swapping the tied rows changes no bit of the curve.
     rows = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
     S = rng.uniform(-0.5, 0.5, size=(n, num_signals))
     tied = rng.uniform(1, 10, size=num_signals)
     S[rows[0]] = -tied if flip else tied
     S[rows[1]] = tied
-    zero = CouplingVector(np.zeros(r), np.zeros(r))
+    swapped = S.copy()
+    swapped[rows] = S[rows[::-1]]
     for method in ("laplacian", "ddtl"):
-        planes = _plane_dictionaries(layout, zero)[method]
-        dense = _plane_coordinate_dictionary(n, r, *planes)
-        column = {int(np.flatnonzero(np.abs(dense[row]) == 1.0)[0]) for row in rows}
-        support, _ = plane_pursuit_curve(S, r, *planes, [1, 2])
-        assert support == tuple(sorted(column)), method
-
-
-def test_second_event_that_outscores_the_first_follows_it_at_once():
-    # Plane 0 holds the learned atoms at k- = -1, k+ = 0: minus (-1, -1)/sqrt(2) and plus (1, 0).
-    # Its data (-1, 2) give s1 = 1 (plus) and rem = 4 along (0, 1), where minus scores 2 > s1.
-    # A harmonic row of energy 0.81 and plane 1, of energy 0.25, compete with both events.
-    layout = _layout(5, 2, 1)
-    planes = _plane_dictionaries(layout, CouplingVector([-1.0, 0.3], [0.0, 0.3]))["ddtl"]
-    z = np.array([-1.0, 0.3, 0.9, 2.0, 0.4])  # rows [u0, u1, h0, v0, v1]
-    support, residual = plane_pursuit_curve(z, 2, *planes, range(1, 6))
-    code = omp(_plane_coordinate_dictionary(5, 2, *planes), z, 5)
-    assert support[:3] == code.support[:3] == (3, 0, 2)  # plus 0, minus 0, the harmonic row
-    assert_allclose(residual[:3], [5.06, 1.06, 0.25], rtol=1e-14)
-    assert_allclose(residual, np.asarray(code.residual_history) ** 2, rtol=0, atol=1e-14)
-
-
-@pytest.mark.parametrize("k_minus, k_plus", [(1.0, -1.0), (-1.0, 1.0)])
-def test_parallel_atoms_leave_their_plane_s_remainder(k_minus, k_plus):
-    # Both learned atoms of plane 0 lie on one line, so OMP's rank rule keeps the part of the
-    # plane off that line in every residual, after the second atom of the plane too.
-    layout = _layout(5, 2, 1)
-    planes = _plane_dictionaries(layout, CouplingVector([k_minus, 0.4], [k_plus, -0.2]))["ddtl"]
-    z = np.array([[1.0, -0.5], [0.2, 0.1], [0.3, -0.7], [0.6, 0.8], [-0.4, 0.2]])
-    support, residual = plane_pursuit_curve(z, 2, *planes, range(1, 6))
-    code = omp(_plane_coordinate_dictionary(5, 2, *planes), z, 5)
-    assert code.ridge_regularized and sorted(support) == sorted(code.support) == list(range(5))
-    line = np.array([k_minus, -1.0]) / np.sqrt(2.0)  # the minus atom
-    off_line = np.array([line[1], -line[0]])
-    remainder = np.sum((off_line[0] * z[0] + off_line[1] * z[3]) ** 2)
-    assert residual[-1] == pytest.approx(remainder, rel=1e-14) and remainder > 0.1
-    assert_allclose(residual, np.asarray(code.residual_history) ** 2, rtol=0, atol=1e-14)
+        pairs = _plane_bases(np.zeros(r))[method]
+        residual = plane_pursuit_curve(S, r, pairs, levels)
+        assert np.array_equal(plane_pursuit_curve(swapped, r, pairs, levels), residual), method
+        energy = np.sum(S**2)
+        assert residual[0] == pytest.approx(energy - np.sum(tied**2), rel=1e-12), method
+        assert residual[1] == pytest.approx(energy - 2 * np.sum(tied**2), rel=1e-12, abs=1e-12 * energy), method
 
 
 def _oracle_cases():
@@ -581,16 +547,40 @@ def _oracle_cases():
         yield name, dg, rng.normal(size=(dg.dim, 9))
 
 
-@pytest.mark.parametrize("d, signals", [pytest.param(d, S, id=name) for name, d, S in _oracle_cases()])
-@pytest.mark.parametrize("parallel", [False, True], ids=["random-k", "parallel-k"])
-def test_plane_pursuit_curve_matches_dense_omp_at_every_level(d, signals, parallel):
+ORACLE_CASES = [pytest.param(d, S, id=name) for name, d, S in _oracle_cases()]
+
+
+def _shared_coupling(kind, r, seed):
+    """k drawn in the box [-1, 1], or at its edges and centre {-1, 0, 1}, where Dirac or Laplacian atoms recur."""
+    rng = np.random.default_rng(seed)
+    return _random_coupling(rng, r) if kind == "random-k" else rng.choice([-1.0, 0.0, 1.0], size=r)
+
+
+@pytest.mark.parametrize("d, signals", ORACLE_CASES)
+@pytest.mark.parametrize("kind", ["random-k", "box-k"])
+def test_plane_pursuit_curve_matches_dense_omp_at_every_level(d, signals, kind):
     n, energy = d.dim, np.linalg.norm(signals) ** 2
-    k = _random_coupling(np.random.default_rng(n), d.rank, parallel)
-    dense, planes = _sweep_dictionaries_at(d, k)
+    dense, planes = _sweep_dictionaries_at(d, _shared_coupling(kind, d.rank, n))
     for method in SWEEP_METHODS:
-        _, residual = plane_pursuit_curve(project(signals, d), d.rank, *planes[method], range(1, n + 1))
+        residual = plane_pursuit_curve(project(signals, d), d.rank, planes[method], range(1, n + 1))
         history = np.asarray(omp(dense[method], signals, n).residual_history)
         assert_allclose(residual / energy, history**2 / energy, rtol=0, atol=1e-12, err_msg=method)
+
+
+@pytest.mark.parametrize("d, signals", ORACLE_CASES)
+def test_curve_does_not_depend_on_the_order_of_bases_or_planes(d, signals):
+    # The frame's bases swapped (its ties then go to the Laplacian atom), or the mode planes
+    # listed in reverse: the same gains, so the same residuals.
+    n, r = d.dim, d.rank
+    z, levels, energy = project(signals, d), range(1, n + 1), np.linalg.norm(signals) ** 2
+    planes = _plane_bases(_random_coupling(np.random.default_rng(n), r))
+    frame = plane_pursuit_curve(z, r, planes["frame"], levels)
+    assert_allclose(plane_pursuit_curve(z, r, planes["frame"][::-1], levels), frame, rtol=0, atol=1e-15 * energy)
+    reverse = np.concatenate([np.arange(r)[::-1], np.arange(r, n - r), np.arange(n - r, n)[::-1]])
+    for method, pairs in planes.items():
+        residual = plane_pursuit_curve(z, r, pairs, levels)
+        reversed_curve = plane_pursuit_curve(z[reverse], r, pairs[:, ::-1], levels)
+        assert_allclose(reversed_curve, residual, rtol=0, atol=1e-15 * energy, err_msg=method)
 
 
 class TestNmse:

@@ -15,11 +15,10 @@ from topospinor.transform import (
     build_mass_basis,
     coupling_to_mass,
     mass_to_coupling,
-    nonharmonic_column_indices,
     unnormalized_basis_matrix,
 )
 
-from conftest import connected_graphs, shared_basis
+from conftest import connected_graphs, nonharmonic_column_indices, shared_basis
 
 SQRT3 = np.sqrt(3.0)
 
