@@ -34,14 +34,15 @@ from .ddtl import DdtlConfig, ddtl_fit, fit_coupling
 from .frames import build_frame
 from .sparse import nmse, plane_pursuit_curve, rotate_planes
 from .sparse import omp  # noqa: F401  unused; perfbench pins this binding (ROADMAP item 0)
-from .synth import SIGNAL_CLASSES, SignalClassSpec, add_awgn, gen_signals, random_graph
+from .synth import SIGNAL_CLASSES, SignalClassSpec, add_awgn, draw_signals, gen_signals, random_graph
 from .topology import (
     OrientedGraph,
     build_incidence,
     decomposition_residuals,
     dirac_eigenbasis,
     project,
-    reduce_planes,
+    reduce_blocks,
+    singular_values,
     spectral_decompose,
     super_laplacian_eigenbasis,
 )
@@ -266,6 +267,10 @@ def sweep_dictionaries(d, k: np.ndarray) -> dict[str, np.ndarray]:
     return {"laplacian": theta, "dirac": phi, "frame": build_frame(phi, theta).matrix, "ddtl": ddtl}
 
 
+# The two bases of _plane_bases that do not depend on k; 1/sqrt(2) as in dirac_eigenbasis.
+_FIXED_BASES = {"laplacian": np.eye(2)[None, None], "dirac": np.array([[[[1.0, -1.0], [1.0, 1.0]]]]) / np.sqrt(2.0)}
+
+
 def _plane_bases(k: np.ndarray) -> dict[str, np.ndarray]:
     """The four sweep dictionaries as orthonormal atom pairs per mode plane: (bases, r or 1, 2, 2) each.
 
@@ -275,8 +280,7 @@ def _plane_bases(k: np.ndarray) -> dict[str, np.ndarray]:
     [Dirac, Laplacian], each in its dense columns' order, so that a tie sent to
     the first atom listed goes where dense OMP sends it.
     """
-    c = 1.0 / np.sqrt(2.0)  # as in dirac_eigenbasis
-    laplacian, dirac = np.array([[[[1.0, 0.0], [0.0, 1.0]]]]), np.array([[[[c, -c], [c, c]]]])
+    laplacian, dirac = _FIXED_BASES["laplacian"], _FIXED_BASES["dirac"]
     k, one = np.asarray(k, dtype=float), np.ones(len(k))
     ddtl = np.stack([k, -one, one, k], axis=1).reshape(-1, 2, 2) / np.sqrt(1.0 + k**2)[:, None, None]
     return {"laplacian": laplacian, "dirac": dirac, "frame": np.concatenate([dirac, laplacian]), "ddtl": ddtl[None]}
@@ -297,32 +301,35 @@ def _dominance(curves: list[dict[str, dict[int, float]]]) -> dict:
 
 
 def run_sparsity_sweep(cfg: SweepConfig) -> Path:
-    """Reconstruction error versus sparsity for the four dictionaries.
+    """Reconstruction error versus sparsity for the four dictionaries, in spectral coordinates.
 
-    Per realization: draw a graph and a signal batch and reduce its
-    projection once, each mode plane's 2 x T block to its 2 x 2 QR triangle
-    (``topology.reduce_planes``, R only: the per-plane bases are never
-    formed).  Learn the coupling in closed form on the two reduced columns
-    (``ddtl.fit_coupling``), and read every dictionary's joint OMP curve off
-    the reduced projection, one mode plane at a time
-    (``plane_pursuit_curve``): each dictionary is orthonormal atom pairs per
-    mode plane (``_plane_bases``).  Both read the batch only through
-    within-plane rotations, row energies and within-plane sums of products,
-    which the reduction keeps.
+    The curves depend on the graph only through its rank r and singular
+    values sigma.  So per realization the batch is drawn from sigma alone
+    (``synth.draw_signals``; ``topology.singular_values`` forms no singular
+    vector) and written straight into its mode planes: plane i's 2 x T block
+    is the learned pair of ``_plane_bases`` at the generator's k_i times the
+    coefficients of its minus and plus columns, and the harmonic rows are
+    zero.  The blocks are reduced to their 2 x 2 QR triangles
+    (``topology.reduce_blocks``, R only), the coupling is learned in closed
+    form on them (``ddtl.fit_coupling``) and each dictionary's joint OMP curve
+    is read off them (``plane_pursuit_curve``), over the blocks' energy.
     """
     rows = []
     curves = []
     for real in range(cfg.realizations):
         graph = random_graph(cfg.num_nodes, cfg.num_edges, sub_seed(cfg.seed, real, "graph"))
-        d = spectral_decompose(build_incidence(graph))
+        sigma = singular_values(build_incidence(graph))
         spec = SignalClassSpec(cfg.signal_class, cfg.eta0, cfg.num_signals, sub_seed(cfg.seed, real, "signals"))
-        S, _ = gen_signals(d, spec)
-        energy = float(np.linalg.norm(S) ** 2)
-        z, _ = reduce_planes(S, d, basis=False)
-        k = fit_coupling(z, d.rank)
+        truth, r = draw_signals(sigma, graph.dim, spec), len(sigma)
+        codes = np.zeros((r, 2, cfg.num_signals))  # plane, (minus, plus) column
+        codes[truth.support % r, (truth.support >= r).astype(int)] = truth.coefficients
+        planes = _plane_bases(truth.k_modes)["ddtl"][0].swapaxes(1, 2) @ codes
+        energy = float(np.vdot(planes, planes))
+        z, _ = reduce_blocks(planes, np.zeros(graph.dim - 2 * r))
+        k = fit_coupling(z, r)
         curve = {}
         for method, pairs in _plane_bases(k).items():
-            residual = plane_pursuit_curve(z, d.rank, pairs, cfg.sparsity_grid)
+            residual = plane_pursuit_curve(z, r, pairs, cfg.sparsity_grid)
             curve[method] = {int(lv): float(e / energy) for lv, e in zip(cfg.sparsity_grid, residual)}
             rows.extend((method, level, real, value) for level, value in curve[method].items())
         curves.append(curve)
@@ -378,22 +385,28 @@ def _noise_tag(snr: float) -> str:
     return f"awgn@{snr:g}"
 
 
-def _truncation_nmse(clean_z, noisy_z, rank, pairs, bandwidths, energy) -> dict:
-    """NMSE of hard truncation in an orthonormal plane basis, per bandwidth, from the projected batches.
+def _rotated(z, rank, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """``sparse.rotate_planes(z, rank, pairs)`` and the energy of each of its rows."""
+    rows = rotate_planes(z, rank, pairs)
+    return rows, np.einsum("jt,jt->j", rows, rows)
 
-    ``clean_z`` and ``noisy_z`` are ``topology.project`` of the clean and the
-    noisy batch, and ``pairs`` one basis of ``_plane_bases``.  Both are rotated
-    into its rows (``sparse.rotate_planes``); a stable sort orders the noisy
-    rows by energy, ties to the lower row of [first atoms | second atoms |
-    harmonic rows] (with Gaussian noise, ties have probability zero), and the
-    NMSE at bandwidth b is the noise energy of the b kept rows plus the clean
-    energy of the dropped ones, over ``energy``.  Every energy is a sum of
-    squares of rotated rows.
+
+def _truncation_nmse(clean, noisy, bandwidths, energy) -> dict:
+    """NMSE of hard truncation in an orthonormal plane basis, per bandwidth, from the rotated batches.
+
+    ``clean`` and ``noisy`` are ``_rotated`` of the clean and the noisy
+    projected batch (``topology.project``) into one basis of
+    ``_plane_bases``.  A stable sort orders the noisy rows by energy, ties to
+    the lower row of [first atoms | second atoms | harmonic rows] (with
+    Gaussian noise, ties have probability zero), and the NMSE at bandwidth b
+    is the noise energy of the b kept rows plus the clean energy of the
+    dropped ones, over ``energy``.  Every energy is a sum of squares of
+    rotated rows.
     """
-    clean, noisy = rotate_planes(clean_z, rank, pairs), rotate_planes(noisy_z, rank, pairs)
+    (clean, clean_energy), (noisy, noisy_energy) = clean, noisy
     error = noisy - clean
-    order = np.argsort(-np.einsum("jt,jt->j", noisy, noisy), kind="stable")
-    kept, dropped = np.einsum("jt,jt->j", error, error)[order], np.einsum("jt,jt->j", clean, clean)[order]
+    order = np.argsort(-noisy_energy, kind="stable")
+    kept, dropped = np.einsum("jt,jt->j", error, error)[order], clean_energy[order]
     return {bw: float(np.sum(kept[:bw]) + np.sum(dropped[bw:])) / energy for bw in bandwidths}
 
 
@@ -409,7 +422,8 @@ def run_denoise(cfg: DenoiseConfig) -> Path:
     noisy ones in the learned, the Dirac and the Laplacian basis.  The clean
     batch is projected once and each noisy batch once
     (``topology.project``); every truncation is read off the projections one
-    mode plane at a time, so no dense basis is built.
+    mode plane at a time, so no dense basis is built.  The clean projection
+    is rotated into the fixed bases once per run, into the learned one per fit.
     """
     if cfg.dataset_dir:
         graph, clean = tsio.load_dataset(cfg.dataset_dir)
@@ -423,6 +437,7 @@ def run_denoise(cfg: DenoiseConfig) -> Path:
     clean_z, energy = project(clean, d), float(np.linalg.norm(clean) ** 2)
     bandwidths = [int(bw) for bw in cfg.bandwidth_grid]
     methods = (("ddtl", "ddtl"), ("dirac_truncation", "dirac"), ("laplacian_truncation", "laplacian"))
+    fixed_clean = {name: _rotated(clean_z, d.rank, pairs) for name, pairs in _FIXED_BASES.items()}
 
     rows = []
     le_fixed = {snr: 0 for snr in cfg.snr_grid}
@@ -432,8 +447,9 @@ def run_denoise(cfg: DenoiseConfig) -> Path:
             noisy_z = project(noisy, d)
             k = fit_coupling(noisy_z, d.rank)
             bases = _plane_bases(k)
+            clean_rows = {**fixed_clean, "ddtl": _rotated(clean_z, d.rank, bases["ddtl"])}
             curves = {
-                method: _truncation_nmse(clean_z, noisy_z, d.rank, bases[name], bandwidths, energy)
+                method: _truncation_nmse(clean_rows[name], _rotated(noisy_z, d.rank, bases[name]), bandwidths, energy)
                 for method, name in methods
             }
             rows.append(("noisy_input", float(snr), None, real, nmse(clean, noisy)))
@@ -451,7 +467,7 @@ def run_denoise(cfg: DenoiseConfig) -> Path:
     metadata = {
         **_run_header("denoise", cfg, graph),
         "learner": {"fits": fits, "stop_reasons": {"exact": fits}, "iterations": 0},
-        # Recorded, not asserted: a basis fitted to the noise has no dominance theorem (ROADMAP item 9).
+        # Recorded, not asserted: a basis fitted to the noise has no dominance theorem (ROADMAP item 11).
         "ddtl_le_truncations": {
             "pairs_per_snr": cfg.realizations * len(bandwidths),
             "by_snr": {f"{snr:g}": int(count) for snr, count in le_fixed.items()},

@@ -25,9 +25,10 @@ Matrix CSV dialect (``write_matrix_csv`` / ``read_matrix_csv``)
     Both functions work on two cores: a matrix of two or more rows has its
     first half formatted or parsed in the calling process and its second half
     in one child made with ``os.fork`` (POSIX), which hands its part back
-    through an unnamed temporary file.  The bytes written, the values read and
-    every error message are the ones a single process gives, and there is
-    nothing to configure.
+    through an unnamed temporary file; a process running another thread does
+    all of it itself.  The bytes written, the values read and every error
+    message are the ones a single process gives, and there is nothing to
+    configure.
 
 Results
     ``save_results`` writes a run directory containing ``run.json`` (metadata:
@@ -46,6 +47,7 @@ import json
 import os
 import shutil
 import tempfile
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -265,7 +267,7 @@ def _split_rows(num_rows: int, here, there):
     ``there(mid, num_rows, fh)`` runs in the child and writes its result to ``fh``, an
     unnamed temporary file.  Yields ``mid``, the result of ``here`` and ``fh`` rewound,
     or None in place of ``fh`` if the child failed.  With fewer than two rows, or no
-    fork to be had, there is no child: ``here`` takes every row and ``mid == num_rows``.
+    fork to be had (see ``_fork``), there is no child: ``here`` takes every row and ``mid == num_rows``.
     The child leaves by ``os._exit``, so it flushes no buffer it shares with this
     process (``sys.stdout``, an open output file), and this process always waits for it.
     """
@@ -292,7 +294,10 @@ def _split_rows(num_rows: int, here, there):
 
 
 def _fork() -> int | None:
-    """``os.fork()``, or None where there is none (not POSIX) or it fails (no process ids left, say)."""
+    """``os.fork()``, or None where there is none (not POSIX), it fails (no process ids left, say) or another
+    thread runs: one inside a multithreaded OpenBLAS call when the fork stops the BLAS threads never returns."""
+    if threading.active_count() > 1:
+        return None
     try:
         return os.fork()
     except (AttributeError, OSError):

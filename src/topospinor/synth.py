@@ -1,8 +1,11 @@
 """Random connected graphs, synthetic spinor signal classes, and noise injection.
 
 Signal batches follow the generative model: pick a shared support of
-non-harmonic basis columns, draw Gaussian coefficients and synthesize through
-the unit-norm coupling basis at a class-specific coupling profile.  The four
+non-harmonic basis columns, draw Gaussian coefficients (``draw_signals``, from
+the singular values alone) and synthesize through the unit-norm coupling basis
+at a class-specific coupling profile (``gen_signals``).  The sparsity sweep's
+curves depend on the graph only through r and sigma, so it writes the draw
+straight into the mode planes and never synthesizes.  The four
 classes differ only in the per-mode coupling: all-ones (fully coupled),
 all-zeros (fully decoupled), half of the touched mode pairs (rounded) coupled
 and the rest decoupled (partially coupled), or a Cauchy-profile decay in
@@ -25,6 +28,7 @@ __all__ = [
     "GroundTruth",
     "SIGNAL_CLASSES",
     "random_graph",
+    "draw_signals",
     "gen_signals",
     "add_awgn",
 ]
@@ -113,9 +117,9 @@ def random_graph(num_nodes: int, num_edges: int, seed) -> OrientedGraph:
     return OrientedGraph(V, tuple(oriented))
 
 
-def _mode_couplings(d: SpectralDecomposition, spec: SignalClassSpec, support: np.ndarray,
+def _mode_couplings(sigma: np.ndarray, spec: SignalClassSpec, support: np.ndarray,
                     rng: np.random.Generator) -> np.ndarray:
-    r = d.rank
+    r = len(sigma)
     if spec.signal_class == "fully_coupled":
         return np.ones(r)
     if spec.signal_class == "fully_decoupled":
@@ -127,40 +131,46 @@ def _mode_couplings(d: SpectralDecomposition, spec: SignalClassSpec, support: np
         coupled = rng.permutation(touched)[:n_coupled]
         k[coupled] = 1.0
         return k
-    gamma = float(np.median(d.sigma))
-    return 1.0 / (1.0 + (d.sigma / gamma) ** 2)
+    gamma = float(np.median(sigma))
+    return 1.0 / (1.0 + (sigma / gamma) ** 2)
 
 
-def gen_signals(d: SpectralDecomposition, spec: SignalClassSpec) -> tuple[np.ndarray, GroundTruth]:
-    """Draw a signal batch (V+E) x T for one class and its ground-truth record.
+def draw_signals(sigma: np.ndarray, dim: int, spec: SignalClassSpec) -> GroundTruth:
+    """The ground truth of one batch, drawn from the r nonzero singular values ``sigma`` alone.
 
     One support of size eta0 is drawn uniformly over the 2r non-harmonic
-    column indices and shared by all T signals; coefficients are i.i.d.
-    standard Gaussian.  The synthesis basis is the unit-norm coupling basis
-    at the class coupling profile (shared per mode pair, so it is
-    orthonormal); only the support's columns are built, (k u; -v) for a
-    minus index s < r and (u; k v) for a plus index, over sqrt(1 + k^2).
+    column indices and shared by all T signals, the class's couplings are
+    set, and the coefficients are i.i.d. standard Gaussian.  ``dim`` = V + E
+    only places the support among the full-basis columns.
     """
     rng = np.random.default_rng(spec.seed)
-    available = 2 * d.rank
-    if spec.eta0 > available:
-        raise ValueError(f"eta0={spec.eta0} exceeds the {available} available columns")
-
-    support = np.sort(rng.choice(available, size=spec.eta0, replace=False))
-    k_modes = _mode_couplings(d, spec, support, rng)
-    modes, minus = support % d.rank, support < d.rank
-    u, v, k = d.u[:, modes], d.v[:, modes], k_modes[modes]
-    columns = np.vstack([np.where(minus, u * k, u), np.where(minus, -v, v * k)]) / np.sqrt(1.0 + k**2)
-    full_cols = support + np.where(minus, 0, d.xi0 + d.xi1)  # the harmonic columns sit between
-    coeffs = rng.normal(size=(spec.eta0, spec.num_signals))
-    truth = GroundTruth(
+    r = len(sigma)
+    if spec.eta0 > 2 * r:
+        raise ValueError(f"eta0={spec.eta0} exceeds the {2 * r} available columns")
+    support = np.sort(rng.choice(2 * r, size=spec.eta0, replace=False))
+    k_modes = _mode_couplings(sigma, spec, support, rng)
+    return GroundTruth(
         support=support,
-        support_columns=full_cols,
-        coefficients=coeffs,
+        support_columns=support + np.where(support < r, 0, dim - 2 * r),  # the harmonic columns sit between
+        coefficients=rng.normal(size=(spec.eta0, spec.num_signals)),
         k_modes=k_modes,
         signal_class=spec.signal_class,
     )
-    return columns @ coeffs, truth
+
+
+def gen_signals(d: SpectralDecomposition, spec: SignalClassSpec) -> tuple[np.ndarray, GroundTruth]:
+    """Draw a signal batch (V+E) x T for one class (``draw_signals``) and synthesize it.
+
+    The synthesis basis is the unit-norm coupling basis at the class
+    coupling profile (shared per mode pair, so it is orthonormal); only the
+    support's columns are built, (k u; -v) for a minus index s < r and
+    (u; k v) for a plus index, over sqrt(1 + k^2).
+    """
+    truth = draw_signals(d.sigma, d.dim, spec)
+    modes, minus = truth.support % d.rank, truth.support < d.rank
+    u, v, k = d.u[:, modes], d.v[:, modes], truth.k_modes[modes]
+    columns = np.vstack([np.where(minus, u * k, u), np.where(minus, -v, v * k)]) / np.sqrt(1.0 + k**2)
+    return columns @ truth.coefficients, truth
 
 
 def add_awgn(S: np.ndarray, snr_db: float, seed) -> np.ndarray:

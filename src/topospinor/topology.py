@@ -21,11 +21,13 @@ __all__ = [
     "dirac_operator",
     "super_laplacian",
     "spectral_decompose",
+    "singular_values",
     "harmonic_columns",
     "dirac_eigenbasis",
     "super_laplacian_eigenbasis",
     "project",
     "reduce_planes",
+    "reduce_blocks",
     "lift_planes",
     "decomposition_residuals",
 ]
@@ -182,7 +184,7 @@ def spectral_decompose(B: np.ndarray) -> SpectralDecomposition:
         raise ValueError("incidence matrix contains non-finite entries")
     V, E = B.shape
     U, s, Vt = np.linalg.svd(B, full_matrices=True)
-    r = int(np.sum(s > 1e-8 * (s[0] if s.size else 1.0)))
+    r = _rank(s)
 
     u = U[:, :r].copy()
     vmat = Vt[:r, :].T.copy()
@@ -201,6 +203,17 @@ def spectral_decompose(B: np.ndarray) -> SpectralDecomposition:
         u_harmonic=u_harm,
         v_harmonic=v_harm,
     )
+
+
+def _rank(s: np.ndarray) -> int:
+    """The number of singular values ``s`` (descending) above 1e-8 times the largest."""
+    return int(np.sum(s > 1e-8 * (s[0] if s.size else 1.0)))
+
+
+def singular_values(B: np.ndarray) -> np.ndarray:
+    """``spectral_decompose(B).sigma`` to rounding, from an SVD without singular vectors (same rank rule)."""
+    s = np.linalg.svd(B, compute_uv=False)
+    return s[: _rank(s)]
 
 
 def harmonic_columns(d: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
@@ -259,29 +272,39 @@ def project(S: np.ndarray, d: SpectralDecomposition) -> np.ndarray:
 def reduce_planes(S: np.ndarray, d: SpectralDecomposition, basis: bool = True) -> tuple[np.ndarray, tuple | None]:
     """``project(S, d)`` with every mode plane's 2 x T block replaced by its 2 x 2 QR triangle: (z2, the bases).
 
-    Plane i of the projection z is rows i and n - rank + i.  One batched QR
-    writes z_i^T = Q_i R_i; z2 (n x min(T, 2)) holds R_i[:, 0] in row i,
-    R_i[:, 1] in row n - rank + i and each harmonic row's norm in column 0.
-    Rotations within a plane, row energies and within-plane sums over the
-    signals of products of rows read the same on z2 as on z, since none
-    changes when z_i becomes z_i Q for an orthogonal Q.  With ``basis``, the
-    Q_i and the harmonic rows over their norms (0 for a zero row) are kept
-    for ``lift_planes``; without it the QR is R-only.  z is never formed.
+    ``reduce_blocks`` of the projection's plane blocks and harmonic rows'
+    norms; with ``basis``, the Q_i and the harmonic rows over their norms (0
+    for a zero row) are kept for ``lift_planes``.  z is never formed.
     """
     s_node, s_edge = S[: d.num_nodes], S[d.num_nodes :]
-    n, r, T = d.dim, d.rank, S.shape[1]
+    r, T = d.rank, S.shape[1]
     harmonic = np.vstack([d.u_harmonic.T @ s_node, d.v_harmonic.T @ s_edge])
     norms = np.sqrt(np.einsum("ht,ht->h", harmonic, harmonic))
     unit = harmonic / np.where(norms == 0.0, 1.0, norms)[:, None] if basis else None
     del harmonic  # so that the peak is S, the blocks and the QR's copy of them
-    planes = np.empty((r, 2, T))  # z_i, filled in place; the QR takes its transpose
+    planes = np.empty((r, 2, T))  # z_i, filled in place
     np.matmul(d.u.T, s_node, out=planes[:, 0])
     np.matmul(d.v.T, s_edge, out=planes[:, 1])
+    z2, q = reduce_blocks(planes, norms, basis)
+    return z2, (q, unit) if basis else None
+
+
+def reduce_blocks(planes: np.ndarray, norms: np.ndarray, basis: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """z2 from the mode planes' blocks z_i (r x 2 x T) and the harmonic rows' norms, and the Q_i with ``basis``.
+
+    One batched QR writes z_i^T = Q_i R_i (R only without ``basis``); z2
+    (n x min(T, 2)) holds R_i[:, 0] in row i, R_i[:, 1] in row n - r + i and
+    each harmonic norm in column 0.  Rotations within a plane, row energies
+    and within-plane sums over the signals of products of rows read the same
+    on z2 as on the blocks, since none changes when z_i becomes z_i Q for an
+    orthogonal Q.
+    """
+    (r, _, T), n = planes.shape, 2 * len(planes) + len(norms)
     blocks = planes.transpose(0, 2, 1)
     q, tri = np.linalg.qr(blocks) if basis else (None, np.linalg.qr(blocks, mode="r"))
     z2 = np.zeros((n, min(T, 2)))
     z2[:r], z2[r : n - r, :1], z2[n - r :] = tri[..., 0], norms[:, None], tri[..., 1]
-    return z2, (q, unit) if basis else None
+    return z2, q
 
 
 def lift_planes(x2: np.ndarray, bases: tuple) -> np.ndarray:

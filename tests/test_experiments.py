@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from topospinor import ddtl, experiments, frames, sparse, topology, transform
+from topospinor import ddtl, experiments, frames, sparse, synth, topology, transform
 from topospinor.cli import main
 from topospinor.ddtl import fit_coupling
 from topospinor.experiments import (
@@ -102,11 +102,23 @@ def all_omp_sweep(cfg: SweepConfig):
     return nmse
 
 
+# Sweep settings the oracle checks: T = 40 > V + E = 28, so the sweep codes the plane reduction of the batch;
+# T = 1, where z2 has one column; a tree (E = V - 1, no harmonic edge row); and eta0 = 2r, every plane of rank 2.
+ORACLE_SWEEPS = {
+    "wide": dict(num_nodes=10, num_edges=18, eta0=6, num_signals=40, sparsity_grid=(2, 4, 6, 8, 12, 20, 28)),
+    "one_signal": dict(num_nodes=10, num_edges=18, eta0=6, num_signals=1, sparsity_grid=(1, 2, 4, 6, 8, 28)),
+    "tree": dict(num_nodes=10, num_edges=9, eta0=6, num_signals=40, sparsity_grid=(2, 4, 6, 8, 12, 19)),
+    "eta0_2r": dict(num_nodes=10, num_edges=18, eta0=18, num_signals=40, sparsity_grid=(2, 6, 9, 12, 18, 20, 28)),
+}
+
+
 @pytest.mark.parametrize("signal_class", SIGNAL_CLASSES)
-def test_sweep_matches_all_omp_oracle(tmp_path, signal_class):
-    # T = 40 > V + E = 28, so the sweep codes the plane reduction of the batch.
-    cfg = SweepConfig(out=str(tmp_path / "run"), signal_class=signal_class, num_nodes=10, num_edges=18,
-                      eta0=6, num_signals=40, realizations=2, sparsity_grid=(2, 4, 6, 8, 12, 20, 28), seed=5)
+@pytest.mark.parametrize("case", ORACLE_SWEEPS)
+def test_sweep_matches_all_omp_oracle(tmp_path, case, signal_class):
+    # The oracle synthesizes S and projects it with the singular vectors, so it checks the sweep's draw straight
+    # into the mode planes too.
+    cfg = SweepConfig(out=str(tmp_path / "run"), signal_class=signal_class, realizations=2, seed=5,
+                      **ORACLE_SWEEPS[case])
     meta, tables = load_results(run_sparsity_sweep(cfg))
     expected = all_omp_sweep(cfg)
     assert meta["learner"] == exact_learner(2)
@@ -127,15 +139,12 @@ DENSE_PATHS = (
 )
 
 
-@pytest.mark.parametrize("command", ["sparsity-sweep", "denoise", "synth"])
-def test_sweep_needs_no_dense_dictionary_and_no_pursuit(tmp_path, monkeypatch, command):
-    # Every curve and truncation comes from the projected batch, one mode plane at a time, the coupling
-    # from fit_coupling, and every batch from its support's columns alone.  Each dense path is made to
-    # raise wherever a module of the package binds it.
+def make_raise(monkeypatch, paths) -> set[tuple[str, str]]:
+    """Make each (module, name) of ``paths`` raise wherever a module of the package binds it; returns those bindings."""
     def dense(*args, **kwargs):
         raise AssertionError("the command took a dense path")
 
-    originals = {id(getattr(module, name)) for module, name in DENSE_PATHS}
+    originals = {id(getattr(module, name)) for module, name in paths}
     bindings = [
         (module, name)
         for module_name, module in list(sys.modules.items())
@@ -143,10 +152,18 @@ def test_sweep_needs_no_dense_dictionary_and_no_pursuit(tmp_path, monkeypatch, c
         for name, value in vars(module).items()
         if id(value) in originals
     ]
-    assert {(m.__name__, n) for m, n in bindings} >= {("topospinor.experiments", "ddtl_fit"),
-                                                      ("topospinor.experiments", "build_mass_basis")}
     for module, name in bindings:
         monkeypatch.setattr(module, name, dense)
+    return {(m.__name__, n) for m, n in bindings}
+
+
+@pytest.mark.parametrize("command", ["sparsity-sweep", "denoise", "synth"])
+def test_sweep_needs_no_dense_dictionary_and_no_pursuit(tmp_path, monkeypatch, command):
+    # Every curve and truncation comes from the projected batch, one mode plane at a time, the coupling
+    # from fit_coupling, and every batch from its support's columns alone.  Each dense path is made to
+    # raise wherever a module of the package binds it.
+    bindings = make_raise(monkeypatch, DENSE_PATHS)
+    assert bindings >= {("topospinor.experiments", "ddtl_fit"), ("topospinor.experiments", "build_mass_basis")}
     out = tmp_path / "run"
     small = ["--num-nodes", "8", "--num-edges", "12", "--seed", "3", "--out", str(out)]
     if command == "synth":
@@ -163,6 +180,20 @@ def test_sweep_needs_no_dense_dictionary_and_no_pursuit(tmp_path, monkeypatch, c
     assert main([command, *small, *args]) == 0
     _, tables = load_results(out)
     assert len(tables["results"].rows) == rows
+
+
+def test_sweep_needs_no_singular_vectors_no_synthesis_and_no_projection(tmp_path, monkeypatch):
+    # The sweep's curves depend on the graph only through r and sigma: each batch is drawn straight into its
+    # mode planes, so no n x T batch, no U or V^T and no projection of the batch is formed.
+    paths = [(topology, "spectral_decompose"), (synth, "gen_signals")]
+    bindings = make_raise(monkeypatch, paths + [(topology, "reduce_planes"), (topology, "project")])
+    assert bindings >= {("topospinor.experiments", name) for name in ("spectral_decompose", "gen_signals", "project")}
+    out = tmp_path / "run"
+    argv = ["sparsity-sweep", "--num-nodes", "8", "--num-edges", "12", "--eta0", "4", "--num-signals", "30",
+            "--sparsity-grid", "2,4,20", "--realizations", "2", "--seed", "3", "--out", str(out)]
+    assert main(argv) == 0
+    _, tables = load_results(out)
+    assert len(tables["results"].rows) == 4 * 3 * 2
 
 
 def test_sweep_codes_the_batch_at_its_rank(tmp_path, monkeypatch):
@@ -297,6 +328,19 @@ def test_denoise_factors_each_noisy_batch_once(tmp_path, monkeypatch):
     assert [shape for shape, _ in projected] == [(15, 40)] * (1 + 2 * 2)
     assert len(fitted) == 2 * 2
     assert all(z is noisy_z for z, (_, noisy_z) in zip(fitted, projected[1:]))
+
+
+def test_denoise_rotates_the_clean_batch_into_the_fixed_bases_once_per_run(tmp_path, monkeypatch):
+    # Per realization and SNR: the noisy batch into the three bases and the clean one into the learned pairs.
+    # Per run: the clean batch into the Dirac and the Laplacian pairs, which the fitted coupling does not change.
+    cfg = DenoiseConfig(out=str(tmp_path / "run"), num_nodes=6, num_edges=9, num_signals=40, gen_eta0=5,
+                        snr_grid=(0.0, 10.0, 20.0), bandwidth_grid=(3, 8), realizations=2, seed=4)
+    rotated, rotate = [], experiments.rotate_planes
+    monkeypatch.setattr(experiments, "rotate_planes", lambda z, r, pairs: rotated.append(z) or rotate(z, r, pairs))
+    run_denoise(cfg)
+    assert len(rotated) == 2 + 4 * 2 * 3
+    clean_z = rotated[0]
+    assert sum(z is clean_z for z in rotated) == 2 + 2 * 3
 
 
 def test_denoise_records_how_often_the_learned_basis_beats_both_truncations(tmp_path):

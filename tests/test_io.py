@@ -5,6 +5,8 @@ import re
 import signal
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -335,6 +337,44 @@ class TestMatrixCsvWriter:
         self.assert_matches_oracle(tmp_path, M)
         got, expected = read_matrix_csv(tmp_path / "new.csv", M.shape[1]), oracle_read(tmp_path / "old.csv", M.shape[1])
         assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_round_trips_while_a_thread_runs_svds(self, tmp_path, monkeypatch):
+        # A fork while another thread is inside a multithreaded OpenBLAS call leaves that thread hung for good
+        # (OpenBLAS's fork handler stops the BLAS threads under it), so a process running another thread
+        # formats and parses every row itself.  Warnings are errors: Python 3.12+ warns on a threaded fork.
+        M = np.random.default_rng(21).normal(size=(480, 600))
+        oracle_write(tmp_path / "oracle.csv", M)
+        expected = (tmp_path / "oracle.csv").read_bytes()
+        forks, real_fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        stop, svds_done = threading.Event(), []
+
+        def svds():
+            A = np.random.default_rng(22).normal(size=(80, 80))
+            while not stop.is_set():
+                np.linalg.svd(A)
+                svds_done.append(1)
+
+        thread = threading.Thread(target=svds, daemon=True)
+        thread.start()
+        try:
+            for _ in range(5):
+                before = len(svds_done)
+                write_matrix_csv(tmp_path / "m.csv", M)
+                assert (tmp_path / "m.csv").read_bytes() == expected
+                assert read_matrix_csv(tmp_path / "m.csv", M.shape[1]).tobytes() == M.tobytes()
+                deadline = time.monotonic() + 10
+                while len(svds_done) == before and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert len(svds_done) > before, "the thread is stuck"
+        finally:
+            stop.set()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert not forks
+        write_matrix_csv(tmp_path / "m.csv", M)  # this thread alone: the rows split again
+        assert forks and (tmp_path / "m.csv").read_bytes() == expected
 
     def test_buffered_stdout_appears_once(self, tmp_path):
         # Text waiting in this process's stdout buffer when the child is forked must not be flushed by the child too.

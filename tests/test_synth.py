@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from topospinor.sparse import nmse, omp
-from topospinor.synth import SignalClassSpec, add_awgn, gen_signals, random_graph
+from topospinor.synth import SIGNAL_CLASSES, SignalClassSpec, add_awgn, draw_signals, gen_signals, random_graph
 from topospinor.topology import (
     build_incidence,
     dirac_eigenbasis,
@@ -133,12 +133,23 @@ class TestGenSignals:
         basis = build_mass_basis(d, CouplingVector(truth.k_modes, truth.k_modes.copy()))
         assert np.array_equal(S, basis[:, truth.support_columns] @ truth.coefficients)
 
+    @pytest.mark.parametrize("signal_class", SIGNAL_CLASSES)
+    def test_truth_is_the_draw_from_sigma_alone(self, signal_class):
+        # The batch is drawn from the singular values and the dimension alone, then synthesized.
+        d, S, truth = small_batch_setup(signal_class, seed=3)
+        drawn = draw_signals(d.sigma, d.dim, SignalClassSpec(signal_class, eta0=8, num_signals=50, seed=3))
+        for name in ("support", "support_columns", "coefficients", "k_modes"):
+            assert np.array_equal(getattr(drawn, name), getattr(truth, name)), name
+        assert drawn.signal_class == truth.signal_class
+
     def test_eta0_too_large(self):
         g = random_graph(5, 6, 0)
         d = spectral_decompose(build_incidence(g))
         spec = SignalClassSpec("fully_coupled", eta0=2 * d.rank + 1, num_signals=3, seed=0)
         with pytest.raises(ValueError, match="eta0"):
             gen_signals(d, spec)
+        with pytest.raises(ValueError, match="eta0"):
+            draw_signals(d.sigma, d.dim, spec)
 
     def test_invalid_class_rejected(self):
         with pytest.raises(ValueError, match="signal_class"):

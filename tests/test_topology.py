@@ -11,6 +11,7 @@ from topospinor.topology import (
     dirac_eigenbasis,
     dirac_operator,
     harmonic_columns,
+    singular_values,
     spectral_decompose,
     super_laplacian,
     super_laplacian_eigenbasis,
@@ -193,6 +194,7 @@ class TestSpectralDecompose:
         # the scale) straddle the fixed cutoff 1e-8 sigma_max.
         d = spectral_decompose(scale * np.diag([1.0, 2e-8, 5e-9]))
         assert d.rank == 2 and d.xi0 == d.xi1 == 1
+        assert len(singular_values(scale * np.diag([1.0, 2e-8, 5e-9]))) == 2  # the same rule without vectors
 
 
 @pytest.mark.parametrize("name", STRUCTURED_GRAPHS)
@@ -206,6 +208,7 @@ def test_structured_graph_decomposition(name):
     assert d.xi1 == xi1 == g.num_edges - g.num_nodes + d.xi0
     if sigma is not None:
         assert_allclose(d.sigma, sigma, atol=1e-12)
+    assert_allclose(singular_values(B), d.sigma, rtol=1e-13)
     basis = shared_basis(d, 0.37)
     assert np.max(np.abs(basis.T @ basis - np.eye(g.dim))) <= 1e-12
 
