@@ -1,10 +1,12 @@
 """Joint node-edge signal processing on graphs.
 
-Spectral bases for topological spinors (stacked node+edge signals), the
-Dirac-Laplacian tight frame, a coupling-parameterized transform bridging the
-two, sparse coding utilities, the closed-form per-mode coupling that the
-studies learn, and an ADMM solver (DDTL) that learns couplings and row-sparse
-codes from data.
+Spectral bases for topological spinors (stacked node+edge signals), all read
+off one SVD of the incidence matrix, the Dirac-Laplacian tight frame, a
+coupling-parameterized transform bridging the two, sparse coding utilities,
+the closed-form per-mode coupling that the studies learn, and an ADMM solver
+(DDTL) that learns couplings and row-sparse codes from data.  The dense
+(V+E) x (V+E) bases stay library functions; of the commands, only
+``ddtl-fit`` builds one.
 """
 
 from .ddtl import (
@@ -36,9 +38,7 @@ from .topology import (
     SpectralDecomposition,
     build_incidence,
     dirac_eigenbasis,
-    dirac_operator,
     spectral_decompose,
-    super_laplacian,
     super_laplacian_eigenbasis,
 )
 from .transform import (

@@ -114,7 +114,7 @@ def fit_coupling(z: np.ndarray, rank: int) -> np.ndarray:
     """The coupling k in [0, 1] of each mode whose shared-coupling basis best codes the batch, in closed form.
 
     ``z`` is the projected batch (``topology.project``) or its plane reduction
-    (``topology.reduce_planes``), n x T: plane i is rows z_u = z[i] and
+    (``topology.reduce_blocks``), n x T: plane i is rows z_u = z[i] and
     z_v = z[n - rank + i].  The rule is the module notes' one, evaluated
     without angles: with x = ||z_u||^2 - ||z_v||^2 and y = 2 <z_u, z_v>, both
     negated when y < 0, the point (x, y) lies at twice the principal axis mod

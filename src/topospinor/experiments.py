@@ -89,6 +89,14 @@ def _check_levels(name: str, levels: tuple[int, ...], n: int) -> None:
         raise ValueError(f"{name} levels must lie in [1, V + E = {n}], got {levels}")
 
 
+def _load_dataset(dataset_dir: str) -> tuple[OrientedGraph, np.ndarray]:
+    """``io.load_dataset``, refusing a batch with zero energy: every NMSE of a fit to it would divide by zero."""
+    graph, S = tsio.load_dataset(dataset_dir)
+    if float(np.linalg.norm(S) ** 2) == 0.0:
+        raise ValueError(f"dataset {dataset_dir} has zero energy, so no NMSE against it is defined")
+    return graph, S
+
+
 def _load_graph(graph_path: str | None, num_nodes: int, num_edges: int, seed: int) -> OrientedGraph:
     if graph_path:
         return tsio.load_edge_list(graph_path)
@@ -109,7 +117,7 @@ class SpectraConfig:
 
 
 def run_spectra(cfg: SpectraConfig) -> Path:
-    """Dump the singular spectrum, harmonic counts, and structural residuals."""
+    """Dump the singular spectrum, harmonic counts, and the residuals of the SVD relations (no n x n array)."""
     graph = _load_graph(cfg.graph_path, cfg.num_nodes, cfg.num_edges, sub_seed(cfg.seed, 0, "graph"))
     B = build_incidence(graph)
     d = spectral_decompose(B)
@@ -200,7 +208,7 @@ class FitConfig:
 
 def run_ddtl_fit(cfg: FitConfig) -> Path:
     """Fit the coupling transform to a dataset and store (k*, Omega*, diagnostics)."""
-    graph, S = tsio.load_dataset(cfg.dataset_dir)
+    graph, S = _load_dataset(cfg.dataset_dir)
     d = spectral_decompose(build_incidence(graph))
     solution = ddtl_fit(S, d, DdtlConfig(eta0=cfg.eta0, max_iter=cfg.max_iter))
     report = solution.report
@@ -426,7 +434,7 @@ def run_denoise(cfg: DenoiseConfig) -> Path:
     is rotated into the fixed bases once per run, into the learned one per fit.
     """
     if cfg.dataset_dir:
-        graph, clean = tsio.load_dataset(cfg.dataset_dir)
+        graph, clean = _load_dataset(cfg.dataset_dir)
     else:
         graph, clean = random_graph(cfg.num_nodes, cfg.num_edges, sub_seed(cfg.seed, 0, "graph")), None
     d = spectral_decompose(build_incidence(graph))

@@ -163,7 +163,7 @@ def omp(dictionary: np.ndarray, signals: np.ndarray, sparsity: int) -> SparseCod
 def rotate_planes(z, rank, pairs) -> np.ndarray:
     """Rotate each mode plane of a projected batch into orthonormal atom pairs.
 
-    ``z`` (n x T, or n) is ``topology.project`` or ``topology.reduce_planes``:
+    ``z`` (n x T, or n) is ``topology.project`` or ``topology.reduce_blocks``:
     plane i is rows z_u = z[i] and z_v = z[n - rank + i], the rows between are
     harmonic.  Row j of pairs[b, i] (pairs is (B, rank or 1, 2, 2)) holds atom
     j of basis b in plane i as (z_u, z_v) coefficients.  Returns the rows

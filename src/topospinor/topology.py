@@ -1,10 +1,10 @@
-"""Oriented graphs, the incidence matrix, the network Dirac operator and its square.
+"""Oriented graphs, the incidence matrix B and its SVD, from which every spectral basis is read.
 
 Signals live on nodes (length V), on edges (length E), or jointly as a
 "topological spinor": the stacked vector (node block first, edge block second)
-of length V + E.  Everything in this module is a pure function of immutable
-inputs; dense numpy arrays are used throughout since the intended graph sizes
-are small (V + E up to a few thousand).
+of length V + E.  The SVD of B diagonalises the Dirac operator [[0, B], [B^T, 0]]
+and its square, the block-diagonal Laplacian (B B^T, B^T B), so neither is
+formed.  Everything in this module is a pure function of immutable inputs.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ __all__ = [
     "OrientedGraph",
     "SpectralDecomposition",
     "build_incidence",
-    "dirac_operator",
-    "super_laplacian",
     "spectral_decompose",
     "singular_values",
     "harmonic_columns",
@@ -101,20 +99,6 @@ def build_incidence(g: OrientedGraph) -> np.ndarray:
         B[tail, e] = -1.0
         B[head, e] = 1.0
     return B
-
-
-def dirac_operator(B: np.ndarray) -> np.ndarray:
-    """(V+E) x (V+E) block operator [[0, B], [B^T, 0]] acting on spinors."""
-    V, E = B.shape
-    return np.block([[np.zeros((V, V)), B], [B.T, np.zeros((E, E))]])
-
-
-def super_laplacian(B: np.ndarray) -> np.ndarray:
-    """Block-diagonal (BB^T, B^T B), node then edge Laplacian: the square of the Dirac operator."""
-    V, E = B.shape
-    top = np.hstack([B @ B.T, np.zeros((V, E))])
-    bottom = np.hstack([np.zeros((E, V)), B.T @ B])
-    return np.vstack([top, bottom])
 
 
 @dataclass(frozen=True)
@@ -269,24 +253,24 @@ def project(S: np.ndarray, d: SpectralDecomposition) -> np.ndarray:
     return np.vstack([d.u.T @ s_node, d.u_harmonic.T @ s_node, d.v_harmonic.T @ s_edge, d.v.T @ s_edge])
 
 
-def reduce_planes(S: np.ndarray, d: SpectralDecomposition, basis: bool = True) -> tuple[np.ndarray, tuple | None]:
+def reduce_planes(S: np.ndarray, d: SpectralDecomposition) -> tuple[np.ndarray, tuple]:
     """``project(S, d)`` with every mode plane's 2 x T block replaced by its 2 x 2 QR triangle: (z2, the bases).
 
     ``reduce_blocks`` of the projection's plane blocks and harmonic rows'
-    norms; with ``basis``, the Q_i and the harmonic rows over their norms (0
-    for a zero row) are kept for ``lift_planes``.  z is never formed.
+    norms; the Q_i and the harmonic rows over their norms (0 for a zero row)
+    are kept for ``lift_planes``.  z is never formed.
     """
     s_node, s_edge = S[: d.num_nodes], S[d.num_nodes :]
     r, T = d.rank, S.shape[1]
     harmonic = np.vstack([d.u_harmonic.T @ s_node, d.v_harmonic.T @ s_edge])
     norms = np.sqrt(np.einsum("ht,ht->h", harmonic, harmonic))
-    unit = harmonic / np.where(norms == 0.0, 1.0, norms)[:, None] if basis else None
+    unit = harmonic / np.where(norms == 0.0, 1.0, norms)[:, None]
     del harmonic  # so that the peak is S, the blocks and the QR's copy of them
     planes = np.empty((r, 2, T))  # z_i, filled in place
     np.matmul(d.u.T, s_node, out=planes[:, 0])
     np.matmul(d.v.T, s_edge, out=planes[:, 1])
-    z2, q = reduce_blocks(planes, norms, basis)
-    return z2, (q, unit) if basis else None
+    z2, q = reduce_blocks(planes, norms, basis=True)
+    return z2, (q, unit)
 
 
 def reduce_blocks(planes: np.ndarray, norms: np.ndarray, basis: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
@@ -320,18 +304,24 @@ def lift_planes(x2: np.ndarray, bases: tuple) -> np.ndarray:
 
 
 def decomposition_residuals(d: SpectralDecomposition, B: np.ndarray) -> dict[str, float]:
-    """Max-abs residuals of the structural identities (0 for an empty one, as with no edges); for diagnostics."""
-    phi, gamma = dirac_eigenbasis(d)
-    theta, lam = super_laplacian_eigenbasis(d)
-    D = dirac_operator(B)
-    LG = super_laplacian(B)
-    n = d.dim
-    eye = np.eye(n)
+    """Max-abs residuals of the SVD relations, each 0 when its array is empty (as with no edges); for diagnostics.
+
+    ``svd_roundtrip``: B - U diag(sigma) V^T; ``node_orthonormality`` and
+    ``edge_orthonormality``: [U | U_H]^T [U | U_H] - I and the same for V;
+    ``pairing``: B V - U diag(sigma) and B^T U - V diag(sigma); ``harmonic``:
+    B^T U_H and B V_H.  The two eigenbases are orthonormal and diagonalise the
+    Dirac operator and its square exactly when all five vanish, so neither
+    operator is built: nothing here is larger than max(V, E)^2.
+    """
+
+    def worst(*residuals: np.ndarray) -> float:
+        return float(max(np.max(np.abs(a), initial=0.0) for a in residuals))
+
+    node, edge = np.hstack([d.u, d.u_harmonic]), np.hstack([d.v, d.v_harmonic])
     return {
-        "svd_roundtrip": float(np.max(np.abs(B - d.u @ np.diag(d.sigma) @ d.v.T), initial=0.0)),
-        "dirac_squared_vs_super_laplacian": float(np.max(np.abs(D @ D - LG))),
-        "dirac_orthonormality": float(np.max(np.abs(phi @ phi.T - eye))),
-        "super_laplacian_orthonormality": float(np.max(np.abs(theta @ theta.T - eye))),
-        "dirac_reconstruction": float(np.max(np.abs(phi @ np.diag(gamma) @ phi.T - D))),
-        "super_laplacian_reconstruction": float(np.max(np.abs(theta @ np.diag(lam) @ theta.T - LG))),
+        "svd_roundtrip": worst(B - (d.u * d.sigma) @ d.v.T),
+        "node_orthonormality": worst(node.T @ node - np.eye(d.num_nodes)),
+        "edge_orthonormality": worst(edge.T @ edge - np.eye(d.num_edges)),
+        "pairing": worst(B @ d.v - d.u * d.sigma, B.T @ d.u - d.v * d.sigma),
+        "harmonic": worst(B.T @ d.u_harmonic, B @ d.v_harmonic),
     }

@@ -23,15 +23,14 @@ from topospinor.synth import SignalClassSpec, add_awgn, gen_signals, random_grap
 from topospinor.topology import (
     build_incidence,
     dirac_eigenbasis,
-    dirac_operator,
     project,
     spectral_decompose,
-    super_laplacian,
     super_laplacian_eigenbasis,
 )
 from topospinor.transform import CouplingVector, build_mass_basis, unnormalized_basis_matrix
 
 from conftest import nonharmonic_column_indices, shared_basis, unproject
+from oracles import dirac_operator, super_laplacian
 
 
 @contextmanager

@@ -111,7 +111,7 @@ class TestSpectraCommand:
         assert meta["xi1"] == 1
 
     def test_graph_without_edges(self, tmp_path):
-        # Three isolated nodes: B is 3 x 0, so the SVD round trip's residual is empty and reads 0.
+        # Three isolated nodes: B is 3 x 0 and U_H the identity, so every residual is of an empty array or exactly 0.
         graph = tmp_path / "nodes.txt"
         graph.write_text("3\n")
         out = tmp_path / "out"
@@ -119,7 +119,7 @@ class TestSpectraCommand:
         meta, tables = load_results(out)
         assert meta["rank"] == 0 and meta["xi0"] == 3 and meta["xi1"] == 0
         assert meta["sigma"] == [] and tables["spectrum"].rows == ()
-        assert len(meta["residuals"]) == 6
+        assert len(meta["residuals"]) == 5
         assert all(v == 0.0 for v in meta["residuals"].values())
 
     def test_random_graph_spectra(self, tmp_path):
@@ -350,6 +350,26 @@ class TestFailureModes:
             err = json.loads(capsys.readouterr().err.strip())
             assert err["error"] == error and message in err["message"]
             assert not out.exists()
+
+    @pytest.mark.parametrize("command, args", [("denoise", ["--bandwidth-grid", "1,2"]), ("ddtl-fit", ["--eta0", "2"])])
+    def test_zero_energy_dataset_is_refused_before_any_fit(self, tmp_path, capsys, monkeypatch, command, args):
+        # Every NMSE would divide by the batch's energy: both commands refuse it once read, before a fit or a write.
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "graph.txt").write_text("3\n0 1\n1 2\n")
+        (data / "node_series.csv").write_text("0,0,0\n" * 4)
+        (data / "edge_series.csv").write_text("0,0\n" * 4)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a zero-energy batch was fitted")
+
+        for name in ("ddtl_fit", "fit_coupling", "add_awgn"):
+            monkeypatch.setattr(experiments, name, no_fit)
+        out = tmp_path / "out"
+        assert main([command, "--dataset", str(data), *args, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ValueError", "message": f"dataset {data} has zero energy, so no NMSE against it is defined"}
+        assert not out.exists()
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

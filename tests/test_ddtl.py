@@ -860,7 +860,7 @@ class TestFitCoupling:
     def test_recovers_every_noiseless_class_exactly(self, signal_class, seed):
         d = spectral_decompose(build_incidence(random_graph(12, 24, seed)))
         S, _ = gen_signals(d, SignalClassSpec(signal_class, eta0=10, num_signals=40, seed=seed))
-        for z in (project(S, d), reduce_planes(S, d, basis=False)[0]):
+        for z in (project(S, d), reduce_planes(S, d)[0]):
             (residual,) = learned_curve(z, d, [10])
             assert residual <= 1e-25 * np.sum(S**2)
 
@@ -904,5 +904,5 @@ class TestFitCoupling:
     def test_projection_and_plane_reduction_give_the_same_coupling(self):
         d = spectral_decompose(build_incidence(random_graph(12, 24, 3)))
         S = np.random.default_rng(4).normal(size=(d.dim, 40))
-        assert_allclose(fit_coupling(reduce_planes(S, d, basis=False)[0], d.rank), fit_coupling(project(S, d), d.rank),
+        assert_allclose(fit_coupling(reduce_planes(S, d)[0], d.rank), fit_coupling(project(S, d), d.rank),
                         rtol=0, atol=1e-12)

@@ -157,11 +157,11 @@ def make_raise(monkeypatch, paths) -> set[tuple[str, str]]:
     return {(m.__name__, n) for m, n in bindings}
 
 
-@pytest.mark.parametrize("command", ["sparsity-sweep", "denoise", "synth"])
+@pytest.mark.parametrize("command", ["sparsity-sweep", "denoise", "synth", "spectra"])
 def test_sweep_needs_no_dense_dictionary_and_no_pursuit(tmp_path, monkeypatch, command):
     # Every curve and truncation comes from the projected batch, one mode plane at a time, the coupling
-    # from fit_coupling, and every batch from its support's columns alone.  Each dense path is made to
-    # raise wherever a module of the package binds it.
+    # from fit_coupling, every batch from its support's columns alone, and spectra's residuals from the SVD
+    # relations.  Each dense path is made to raise wherever a module of the package binds it.
     bindings = make_raise(monkeypatch, DENSE_PATHS)
     assert bindings >= {("topospinor.experiments", "ddtl_fit"), ("topospinor.experiments", "build_mass_basis")}
     out = tmp_path / "run"
@@ -170,6 +170,11 @@ def test_sweep_needs_no_dense_dictionary_and_no_pursuit(tmp_path, monkeypatch, c
         assert main([command, *small, "--eta0", "6", "--num-signals", "30"]) == 0
         _, S = load_dataset(out)
         assert S.shape == (20, 30)
+        return
+    if command == "spectra":
+        assert main([command, *small]) == 0
+        meta, _ = load_results(out)
+        assert len(meta["residuals"]) == 5 and max(meta["residuals"].values()) <= 1e-12
         return
     small += ["--realizations", "2"]
     if command == "sparsity-sweep":

@@ -26,6 +26,7 @@ from topospinor.topology import (
     dirac_eigenbasis,
     lift_planes,
     project,
+    reduce_blocks,
     reduce_planes,
     spectral_decompose,
     super_laplacian_eigenbasis,
@@ -379,7 +380,7 @@ def test_row_energy_curve_keeps_exact_residuals_at_round_off():
     S, _ = gen_signals(d, SignalClassSpec("fully_coupled", eta0=35, num_signals=600, seed=12))
     energy = np.linalg.norm(S) ** 2
     planes = _plane_bases(np.ones(d.rank))
-    for z in (project(S, d), reduce_planes(S, d, basis=False)[0]):
+    for z in (project(S, d), reduce_planes(S, d)[0]):
         for method in ("dirac", "frame", "ddtl"):
             residual = plane_pursuit_curve(z, d.rank, planes[method], [34, 35])
             assert residual[0] > 1e-6 * energy, method
@@ -408,7 +409,9 @@ class TestReducePlanes:
         assert q.shape == (r, T, min(T, 2)) and unit.shape == (n - 2 * r, T)
         assert np.max(np.abs(q.transpose(0, 2, 1) @ q - np.eye(min(T, 2))), initial=0.0) <= 1e-13
         assert np.max(np.abs(lift_planes(z2, bases) - z), initial=0.0) <= 1e-12 * np.abs(z).max(initial=0.0)
-        assert np.array_equal(reduce_planes(S, d, basis=False)[0], z2)
+        # The sweep's R-only QR gives the same z2, bit for bit, as the full QR.
+        planes, norms = np.stack([z[:r], z[n - r :]], axis=1), z2[r : n - r, 0]
+        assert np.array_equal(reduce_blocks(planes, norms)[0], reduce_blocks(planes, norms, basis=True)[0])
         return z2
 
     @pytest.mark.parametrize("num_nodes, num_edges", [(40, 80), (160, 320)])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,15 +11,14 @@ from topospinor.topology import (
     build_incidence,
     decomposition_residuals,
     dirac_eigenbasis,
-    dirac_operator,
     harmonic_columns,
     singular_values,
     spectral_decompose,
-    super_laplacian,
     super_laplacian_eigenbasis,
 )
 
 from conftest import STRUCTURED_GRAPHS, connected_graphs, shared_basis
+from oracles import dirac_operator, super_laplacian
 
 SQRT3 = np.sqrt(3.0)
 
@@ -211,6 +212,66 @@ def test_structured_graph_decomposition(name):
     assert_allclose(singular_values(B), d.sigma, rtol=1e-13)
     basis = shared_basis(d, 0.37)
     assert np.max(np.abs(basis.T @ basis - np.eye(g.dim))) <= 1e-12
+
+
+RESIDUAL_KEYS = ("svd_roundtrip", "node_orthonormality", "edge_orthonormality", "pairing", "harmonic")
+
+
+def dense_residuals(d, B) -> dict[str, float]:
+    """The six identities the residuals once checked on the (V+E) x (V+E) operators and eigenbases."""
+    phi, gamma = dirac_eigenbasis(d)
+    theta, lam = super_laplacian_eigenbasis(d)
+    D, L, eye = dirac_operator(B), super_laplacian(B), np.eye(d.dim)
+    return {
+        "svd_roundtrip": np.max(np.abs(B - d.u @ np.diag(d.sigma) @ d.v.T), initial=0.0),
+        "dirac_squared_vs_super_laplacian": np.max(np.abs(D @ D - L)),
+        "dirac_orthonormality": np.max(np.abs(phi @ phi.T - eye)),
+        "super_laplacian_orthonormality": np.max(np.abs(theta @ theta.T - eye)),
+        "dirac_reconstruction": np.max(np.abs(phi @ np.diag(gamma) @ phi.T - D)),
+        "super_laplacian_reconstruction": np.max(np.abs(theta @ np.diag(lam) @ theta.T - L)),
+    }
+
+
+@pytest.mark.parametrize("name", STRUCTURED_GRAPHS)
+def test_svd_relations_bound_the_dense_identities(name):
+    g = STRUCTURED_GRAPHS[name][0]
+    B = build_incidence(g)
+    d = spectral_decompose(B)
+    residuals = decomposition_residuals(d, B)
+    assert tuple(residuals) == RESIDUAL_KEYS and max(residuals.values()) <= 1e-12, residuals
+    assert max(dense_residuals(d, B).values()) < 1e-10
+
+
+def _swap_harmonic(d):
+    # v_0 and the first edge-harmonic vector trade places: both bases stay orthonormal, but v_0 is not in ker(B).
+    v, v_h = d.v.copy(), d.v_harmonic.copy()
+    v[:, 0], v_h[:, 0] = d.v_harmonic[:, 0], d.v[:, 0]
+    return dataclasses.replace(d, v=v, v_harmonic=v_h)
+
+
+def _flip_v(d):
+    v = d.v.copy()
+    v[:, 1] *= -1.0
+    return dataclasses.replace(d, v=v)
+
+
+@pytest.mark.parametrize(
+    "corrupt, tripped",
+    [
+        (lambda d: dataclasses.replace(d, sigma=d.sigma + np.eye(d.rank)[2] * 1e-6), {"svd_roundtrip", "pairing"}),
+        (_flip_v, {"svd_roundtrip", "pairing"}),
+        (_swap_harmonic, {"svd_roundtrip", "pairing", "harmonic"}),
+    ],
+    ids=["sigma-off-by-1e-6", "v-sign-flipped", "harmonic-not-in-kernel"],
+)
+def test_each_corruption_trips_its_residuals(corrupt, tripped):
+    # K_5 has six independent cycles, so an edge-harmonic vector to swap.
+    B = build_incidence(STRUCTURED_GRAPHS["complete_k5"][0])
+    d = spectral_decompose(B)
+    assert max(decomposition_residuals(d, B).values()) <= 1e-12
+    residuals = decomposition_residuals(corrupt(d), B)
+    assert {key for key, value in residuals.items() if value > 1e-7} == tripped, residuals
+    assert all(residuals[key] <= 1e-12 for key in set(RESIDUAL_KEYS) - tripped), residuals
 
 
 class TestHarmonicColumns:
