@@ -90,8 +90,10 @@ def _check_levels(name: str, levels: tuple[int, ...], n: int) -> None:
 
 
 def _load_dataset(dataset_dir: str) -> tuple[OrientedGraph, np.ndarray]:
-    """``io.load_dataset``, refusing a batch with zero energy: every NMSE of a fit to it would divide by zero."""
+    """``io.load_dataset``, refusing a batch with a non-finite cell or zero energy: no NMSE against it is defined."""
     graph, S = tsio.load_dataset(dataset_dir)
+    if not np.all(np.isfinite(S)):
+        raise ValueError(f"dataset {dataset_dir} has a non-finite cell, so no NMSE against it is defined")
     if float(np.linalg.norm(S) ** 2) == 0.0:
         raise ValueError(f"dataset {dataset_dir} has zero energy, so no NMSE against it is defined")
     return graph, S

@@ -66,10 +66,14 @@ class GroundTruth:
 def random_graph(num_nodes: int, num_edges: int, seed) -> OrientedGraph:
     """Connected simple graph with exactly the requested edge count.
 
-    A uniform random labeled spanning tree comes first (random parent
-    sequence), then the remaining edges are drawn uniformly without
-    replacement from the non-tree pairs; every edge is oriented by a fair
-    coin.  Requires num_nodes - 1 <= num_edges <= num_nodes(num_nodes - 1)/2.
+    A uniform random labeled spanning tree, decoded from a random Prüfer
+    sequence (Prüfer, 1918), plus the remaining edges drawn uniformly without
+    replacement from the non-tree pairs; a fair coin orients each edge.
+    Requires V - 1 <= E <= V(V - 1)/2.  A seed fixes three draws, in order:
+    the sequence, ``integers(0, V, size=V - 2)``; the sorted
+    ``choice(#pairs, size=E - (V - 1), replace=False)`` over the non-tree
+    pairs (a < b, in lexicographic order), skipped when E = V - 1; and the
+    coins, ``integers(0, 2, size=E)``, tree edges first, a 1 reversing its edge.
     """
     V, E = int(num_nodes), int(num_edges)
     max_edges = V * (V - 1) // 2
@@ -78,43 +82,33 @@ def random_graph(num_nodes: int, num_edges: int, seed) -> OrientedGraph:
             f"edge count {E} infeasible for a connected simple graph on {V} nodes "
             f"(needs {V - 1} <= E <= {max_edges})"
         )
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
 
     tree_edges: list[tuple[int, int]] = []
     if V >= 2:
-        # Uniform labeled tree via a random Pruefer sequence.
-        if V == 2:
-            tree_edges = [(0, 1)]
-        else:
-            pruefer = rng.integers(0, V, size=V - 2)
-            degree = np.ones(V, dtype=int)
-            for x in pruefer:
-                degree[x] += 1
-            leaves = [i for i in range(V) if degree[i] == 1]
-            heapq.heapify(leaves)
-            for x in pruefer:
-                leaf = heapq.heappop(leaves)
-                tree_edges.append((leaf, int(x)))
-                degree[x] -= 1
-                if degree[x] == 1:
-                    heapq.heappush(leaves, int(x))
-            u = heapq.heappop(leaves)
-            w = heapq.heappop(leaves)
-            tree_edges.append((u, w))
+        pruefer = rng.integers(0, V, size=V - 2)
+        degree = (np.bincount(pruefer, minlength=V) + 1).tolist()
+        leaves = [i for i in range(V) if degree[i] == 1]
+        heapq.heapify(leaves)
+        for x in pruefer.tolist():
+            tree_edges.append((heapq.heappop(leaves), x))
+            degree[x] -= 1
+            if degree[x] == 1:
+                heapq.heappush(leaves, x)
+        tree_edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
 
-    tree_set = {frozenset(e) for e in tree_edges}
-    candidates = [
-        (a, b) for a in range(V) for b in range(a + 1, V) if frozenset((a, b)) not in tree_set
-    ]
-    extra = E - len(tree_edges)
-    chosen = rng.choice(len(candidates), size=extra, replace=False) if extra else []
-    all_edges = tree_edges + [candidates[int(i)] for i in sorted(chosen)]
-
-    oriented = []
-    flips = rng.integers(0, 2, size=len(all_edges))
-    for (a, b), flip in zip(all_edges, flips):
-        oriented.append((b, a) if flip else (a, b))
-    return OrientedGraph(V, tuple(oriented))
+    tree = np.array(tree_edges, dtype=np.intp).reshape(-1, 2)
+    in_tree = np.zeros((V, V), dtype=bool)
+    in_tree[tree[:, 0], tree[:, 1]] = in_tree[tree[:, 1], tree[:, 0]] = True
+    a, b = np.triu_indices(V, 1)
+    free = ~in_tree[a, b]
+    candidates = np.column_stack([a[free], b[free]])
+    extra = E - len(tree)
+    chosen = np.sort(rng.choice(len(candidates), size=extra, replace=False)) if extra else []
+    edges = np.concatenate([tree, candidates[chosen]])
+    flip = rng.integers(0, 2, size=E) == 1
+    edges[flip] = edges[flip, ::-1]
+    return OrientedGraph(V, edges.tolist())
 
 
 def _mode_couplings(sigma: np.ndarray, spec: SignalClassSpec, support: np.ndarray,
@@ -180,7 +174,7 @@ def add_awgn(S: np.ndarray, snr_db: float, seed) -> np.ndarray:
     sigma^2 * (rows * cols) sits snr_db decibels below ||S||_F^2.
     """
     S = np.asarray(S, dtype=float)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     signal_energy = float(np.linalg.norm(S) ** 2)
     sigma = np.sqrt(signal_energy / (S.size * 10.0 ** (snr_db / 10.0)))
     return S + rng.normal(0.0, sigma, size=S.shape)

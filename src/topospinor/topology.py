@@ -139,13 +139,12 @@ class SpectralDecomposition:
 
 
 def _fix_signs(cols: np.ndarray, companion: np.ndarray | None = None) -> None:
-    # Deterministic orientation: largest-magnitude entry of each column positive.
-    for i in range(cols.shape[1]):
-        j = int(np.argmax(np.abs(cols[:, i])))
-        if cols[j, i] < 0:
-            cols[:, i] *= -1.0
-            if companion is not None:
-                companion[:, i] *= -1.0
+    # Deterministic orientation: each column's first largest-magnitude entry positive (argmax needs a row).
+    if cols.size:
+        flip = cols[np.argmax(np.abs(cols), axis=0), np.arange(cols.shape[1])] < 0
+        cols[:, flip] *= -1.0
+        if companion is not None:
+            companion[:, flip] *= -1.0
 
 
 def spectral_decompose(B: np.ndarray) -> SpectralDecomposition:

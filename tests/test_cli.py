@@ -351,24 +351,37 @@ class TestFailureModes:
             assert err["error"] == error and message in err["message"]
             assert not out.exists()
 
-    @pytest.mark.parametrize("command, args", [("denoise", ["--bandwidth-grid", "1,2"]), ("ddtl-fit", ["--eta0", "2"])])
-    def test_zero_energy_dataset_is_refused_before_any_fit(self, tmp_path, capsys, monkeypatch, command, args):
-        # Every NMSE would divide by the batch's energy: both commands refuse it once read, before a fit or a write.
+    @pytest.mark.parametrize(
+        "command, args, cell, refusal",
+        [
+            pytest.param(command, args, cell, refusal, id=f"{command}-{name}")
+            for command, args in (("denoise", ["--bandwidth-grid", "1,2"]), ("ddtl-fit", ["--eta0", "2"]))
+            for name, cell, refusal in (
+                ("zero", "0", "has zero energy"),
+                ("nan", "nan", "has a non-finite cell"),  # its energy is nan, which is not 0
+                ("inf", "inf", "has a non-finite cell"),  # its energy is inf, which is not 0
+            )
+        ],
+    )
+    def test_zero_energy_dataset_is_refused_before_any_fit(self, tmp_path, capsys, monkeypatch, command, args, cell,
+                                                          refusal):
+        # Every NMSE would divide by the batch's energy, or be nan: both commands refuse it once read, before a fit
+        # or a write.
         data = tmp_path / "data"
         data.mkdir()
         (data / "graph.txt").write_text("3\n0 1\n1 2\n")
-        (data / "node_series.csv").write_text("0,0,0\n" * 4)
+        (data / "node_series.csv").write_text(f"0,0,0\n0,{cell},0\n0,0,0\n0,0,0\n")
         (data / "edge_series.csv").write_text("0,0\n" * 4)
 
         def no_fit(*args, **kwargs):
-            raise AssertionError("a zero-energy batch was fitted")
+            raise AssertionError("a batch with no defined NMSE was fitted")
 
         for name in ("ddtl_fit", "fit_coupling", "add_awgn"):
             monkeypatch.setattr(experiments, name, no_fit)
         out = tmp_path / "out"
         assert main([command, "--dataset", str(data), *args, "--out", str(out)]) == 1
         err = json.loads(capsys.readouterr().err.strip())
-        assert err == {"error": "ValueError", "message": f"dataset {data} has zero energy, so no NMSE against it is defined"}
+        assert err == {"error": "ValueError", "message": f"dataset {data} {refusal}, so no NMSE against it is defined"}
         assert not out.exists()
 
     def test_unknown_config_key(self, tmp_path, capsys):

@@ -14,6 +14,8 @@ from topospinor.topology import (
 )
 from topospinor.transform import CouplingVector, build_mass_basis
 
+import oracles
+
 
 class TestRandomGraph:
     def test_default_scale_graph(self):
@@ -54,6 +56,22 @@ class TestRandomGraph:
         assert g.num_edges == e
         d = spectral_decompose(build_incidence(g))
         assert d.xi0 == 1
+
+    # Single nodes, V = 2 and 3, trees, complete graphs and the studies' sizes (22/41, 40/80, 160/320).
+    @pytest.mark.parametrize(
+        "v, e", [(1, 0), (2, 1), (3, 2), (3, 3), (7, 6), (30, 29), (5, 10), (12, 66), (22, 41), (40, 80), (160, 320)]
+    )
+    @pytest.mark.parametrize(
+        "seed", [0, 3_141_592_653, np.random.SeedSequence([2, 0, 7])], ids=["int-0", "int-large", "seed-sequence"]
+    )
+    def test_same_graph_as_the_loop_oracle(self, v, e, seed):
+        assert random_graph(v, e, seed) == oracles.random_graph(v, e, seed)
+
+    def test_a_generator_seed_is_used_as_it_is(self):
+        # default_rng returns a Generator unchanged, so it draws as the seed it was made from.
+        assert random_graph(12, 20, np.random.default_rng(5)) == random_graph(12, 20, 5)
+        S = np.ones((4, 3))
+        assert add_awgn(S, 10.0, np.random.default_rng(5)).tobytes() == add_awgn(S, 10.0, 5).tobytes()
 
 
 def small_batch_setup(signal_class, seed=0, **kwargs):

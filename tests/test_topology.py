@@ -3,8 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
+from topospinor import topology
+from topospinor.synth import random_graph
 from topospinor.topology import (
     GraphError,
     OrientedGraph,
@@ -18,7 +20,7 @@ from topospinor.topology import (
 )
 
 from conftest import STRUCTURED_GRAPHS, connected_graphs, shared_basis
-from oracles import dirac_operator, super_laplacian
+from oracles import dirac_operator, fix_signs, super_laplacian
 
 SQRT3 = np.sqrt(3.0)
 
@@ -212,6 +214,39 @@ def test_structured_graph_decomposition(name):
     assert_allclose(singular_values(B), d.sigma, rtol=1e-13)
     basis = shared_basis(d, 0.37)
     assert np.max(np.abs(basis.T @ basis - np.eye(g.dim))) <= 1e-12
+
+
+SIGN_FIX_GRAPHS = {
+    **{name: g for name, (g, *_) in STRUCTURED_GRAPHS.items()},
+    "no_edges": OrientedGraph(3, ()),  # the edge blocks are 0 x 0
+    # Paths whose u has entries of equal magnitude and opposite sign in exact arithmetic: (-1, 1)/sqrt(2) on two
+    # nodes, whose computed entries differ in the last bits, and a 4-node path whose tie the SVD may keep exactly.
+    "two_node_path": OrientedGraph(2, ((1, 0),)),
+    "path_p4": OrientedGraph(4, ((2, 0), (3, 1), (3, 2))),
+    "random_40_80": random_graph(40, 80, 0),
+}
+
+
+@pytest.mark.parametrize("name", SIGN_FIX_GRAPHS)
+def test_signs_are_fixed_as_the_column_loop_fixes_them(name, monkeypatch):
+    B = build_incidence(SIGN_FIX_GRAPHS[name])
+    d = spectral_decompose(B)
+    monkeypatch.setattr(topology, "_fix_signs", fix_signs)
+    expected = spectral_decompose(B)
+    for field in ("u", "v", "sigma", "u_harmonic", "v_harmonic"):
+        got, want = getattr(d, field), getattr(expected, field)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), field
+
+
+def test_sign_ties_go_to_the_first_largest_entry():
+    cols = np.array([[0.5, -0.5, 0.0, 0.0], [-0.5, 0.5, -0.75, 0.0], [0.0, 0.0, 0.75, -1.0]])
+    companion = np.arange(8.0).reshape(2, 4) + 1.0
+    loop_cols, loop_companion = cols.copy(), companion.copy()
+    topology._fix_signs(cols, companion)
+    fix_signs(loop_cols, loop_companion)
+    assert cols.tobytes() == loop_cols.tobytes() and companion.tobytes() == loop_companion.tobytes()
+    assert_array_equal(cols, [[0.5, 0.5, 0.0, 0.0], [-0.5, -0.5, 0.75, 0.0], [0.0, 0.0, -0.75, 1.0]])
+    assert_array_equal(companion, [[1.0, -2.0, -3.0, -4.0], [5.0, -6.0, -7.0, -8.0]])
 
 
 RESIDUAL_KEYS = ("svd_roundtrip", "node_orthonormality", "edge_orthonormality", "pairing", "harmonic")
