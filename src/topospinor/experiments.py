@@ -90,12 +90,16 @@ def _check_levels(name: str, levels: tuple[int, ...], n: int) -> None:
 
 
 def _load_dataset(dataset_dir: str) -> tuple[OrientedGraph, np.ndarray]:
-    """``io.load_dataset``, refusing a batch with a non-finite cell or zero energy: no NMSE against it is defined."""
+    """``io.load_dataset``, refusing a batch with a non-finite cell or an energy of zero or past the largest double:
+    no NMSE against it is defined."""
     graph, S = tsio.load_dataset(dataset_dir)
     if not np.all(np.isfinite(S)):
         raise ValueError(f"dataset {dataset_dir} has a non-finite cell, so no NMSE against it is defined")
-    if float(np.linalg.norm(S) ** 2) == 0.0:
-        raise ValueError(f"dataset {dataset_dir} has zero energy, so no NMSE against it is defined")
+    with np.errstate(over="ignore"):  # an overflow is refused below, by name
+        energy = float(np.linalg.norm(S) ** 2)
+    if not 0.0 < energy < np.inf:
+        kind = "zero energy" if energy == 0.0 else "an energy that overflows"
+        raise ValueError(f"dataset {dataset_dir} has {kind}, so no NMSE against it is defined")
     return graph, S
 
 
@@ -386,6 +390,8 @@ class DenoiseConfig:
             raise ValueError("snr_grid and bandwidth_grid must be non-empty")
         if self.realizations < 1:
             raise ValueError("realizations must be positive")
+        if not all(snr > -np.inf for snr in self.snr_grid):  # false for nan too; +inf is the noiseless case
+            raise ValueError(f"snr_grid levels must be numbers or inf, not nan or -inf: {self.snr_grid}")
         if len({_noise_tag(snr) for snr in self.snr_grid}) != len(self.snr_grid):
             raise ValueError(f"snr_grid values that print alike with %g would share one noise draw: {self.snr_grid}")
 

@@ -22,13 +22,13 @@ Matrix CSV dialect (``write_matrix_csv`` / ``read_matrix_csv``)
     non-numeric cell are rejected with a ValueError that names the row,
     counted among the non-blank rows.  Numbers are read as numpy reads them,
     so a spelling only Python's ``float`` accepts (``1_000``) is rejected.
-    Both functions work on two cores: a matrix of two or more rows has its
-    first half formatted or parsed in the calling process and its second half
-    in one child made with ``os.fork`` (POSIX), which hands its part back
-    through an unnamed temporary file; a process running another thread does
-    all of it itself.  The bytes written, the values read and every error
-    message are the ones a single process gives, and there is nothing to
-    configure.
+    A file is read in one process with one ``np.loadtxt`` parse.  Only the
+    writer works on two cores: a matrix of two or more rows has its first half
+    formatted in the calling process and its second half in one child made
+    with ``os.fork`` (POSIX), which hands its part back through an unnamed
+    temporary file; a process running another thread formats every row
+    itself.  The bytes written are the ones a single process writes, and
+    there is nothing to configure.
 
 Results
     ``save_results`` writes a run directory containing ``run.json`` (metadata:
@@ -45,10 +45,10 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 import shutil
 import tempfile
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -136,73 +136,58 @@ def format_float(x: float) -> str:
 def read_matrix_csv(path, expected_cols: int, what: str = "matrix") -> np.ndarray:
     """The rows of a numeric CSV; ValueError on an empty, ragged or non-numeric file.
 
-    Each row is checked (blank rows skipped, a header checked for its width and
-    skipped, column count), then each half of the checked body is parsed in one
-    ``np.loadtxt`` call, the second in a forked child (``_split_rows``).
+    Blank rows are skipped and a header is checked for its width and skipped; the
+    other rows are parsed in one ``np.loadtxt`` call.  Only when that call fails,
+    or gives the wrong width, are the rows checked one by one to name the bad one.
     """
     path = Path(path)
-    first_data_row = 1  # among the non-blank rows; 2 after a header
-    body: list[str] = []
-    row_no = 0  # 1-based among the non-blank rows, header included
     with path.open(newline="") as fh:
-        for line in fh:
-            # Only a quote makes the csv cells differ from a split on commas.
-            cells = _csv_cells(line) if '"' in line else line.split(",")
-            if not "".join(cells).strip():
-                continue
-            row_no += 1
-            if row_no == 1:
-                try:
-                    float(cells[0])
-                except ValueError:
-                    if len(cells) != expected_cols:
-                        raise ValueError(
-                            f"{path}: header row has {len(cells)} cells, expected {expected_cols} ({what})"
-                        ) from None
-                    first_data_row = 2
-                    continue
-            if len(cells) != expected_cols:
-                _raise_non_numeric(path, body, first_data_row)
-                raise ValueError(f"{path}: row {row_no} has {len(cells)} columns, expected {expected_cols} ({what})")
-            body.append(line)
-    if row_no == 0:
+        rows = [line for line in fh if not _is_blank(line)]
+    if not rows:
         raise ValueError(f"{path}: empty {what} file")
-    if not body:
-        raise ValueError(f"{path}: no data rows in {what} file")
-
-    def parse(start: int, stop: int) -> np.ndarray:
-        return np.loadtxt(body[start:stop], delimiter=",", quotechar='"', comments=None, ndmin=2)
-
-    def send(start: int, stop: int, fh) -> None:
-        fh.write(parse(start, stop).data)
-
+    first_data_row = 1  # among the non-blank rows; 2 after a header
+    header = _csv_cells(rows[0])
     try:
-        with _split_rows(len(body), parse, send) as (mid, head, tail):
-            if mid == len(body):
-                return head
-            # Grow this process's half in place (a realloc), so no second copy of it is made;
-            # ``_split_rows`` still refers to it, hence refcheck=False.
-            head.resize((len(body), expected_cols), refcheck=False)
-            if tail is None or tail.readinto(head[mid:]) != head[mid:].nbytes:
-                # The child failed, most likely on a bad cell: parse every row here, so that an
-                # error names its row among all of them, as one parse does.
-                return parse(0, len(body))
-            return head
+        float(header[0])
+    except ValueError:
+        if len(header) != expected_cols:
+            raise ValueError(f"{path}: header row has {len(header)} cells, expected {expected_cols} ({what})") from None
+        del rows[0]
+        first_data_row = 2
+    if not rows:
+        raise ValueError(f"{path}: no data rows in {what} file")
+    try:
+        matrix = np.loadtxt(rows, delimiter=",", quotechar='"', comments=None, ndmin=2)
     except ValueError as exc:
-        _raise_non_numeric(path, body, first_data_row)
+        _raise_bad_row(path, rows, first_data_row, expected_cols, what)
         # Every cell reads as a Python float but not as a numpy one (e.g. "1_000").
         raise ValueError(f"{path}: {exc}") from None
+    if matrix.shape[1] != expected_cols:
+        _raise_bad_row(path, rows, first_data_row, expected_cols, what)
+    return matrix
+
+
+# Matches a line of whitespace and commas only, stopping at the first other character.
+_BLANK = re.compile(r"[\s,]*\Z").match
+
+
+def _is_blank(line: str) -> bool:
+    """Whether every csv cell of ``line`` is blank; only a quote makes those cells differ from a split on commas."""
+    return _BLANK(line) is not None or ('"' in line and not "".join(_csv_cells(line)).strip())
 
 
 def _csv_cells(line: str) -> list[str]:
     return next(csv.reader([line]), [])
 
 
-def _raise_non_numeric(path, lines: list[str], first_row_no: int) -> None:
-    """Name the first of ``lines`` (numbered from ``first_row_no``) with a cell ``float`` rejects."""
-    for row_no, line in enumerate(lines, start=first_row_no):
+def _raise_bad_row(path, rows: list[str], first_row_no: int, expected_cols: int, what: str) -> None:
+    """Name the first of ``rows`` (numbered from ``first_row_no``) of the wrong width or with a cell ``float`` rejects."""
+    for row_no, line in enumerate(rows, start=first_row_no):
+        cells = _csv_cells(line)
+        if len(cells) != expected_cols:
+            raise ValueError(f"{path}: row {row_no} has {len(cells)} columns, expected {expected_cols} ({what})")
         try:
-            [float(cell) for cell in _csv_cells(line)]
+            [float(cell) for cell in cells]
         except ValueError as exc:
             raise ValueError(f"{path}: row {row_no} has a non-numeric cell: {exc}") from None
 
@@ -234,63 +219,47 @@ def load_dataset(path) -> tuple[OrientedGraph, np.ndarray]:
 
 
 def write_matrix_csv(path, matrix: np.ndarray) -> None:
-    """One CSV row per matrix row, every value with ``FLOAT_FORMAT``, and no header row."""
+    """One CSV row per matrix row, every value with ``FLOAT_FORMAT``, and no header row.
+
+    With two or more rows, the first ``mid = ceil(rows / 2)`` are formatted here while one
+    forked child (see ``_fork``) formats the rest into an unnamed temporary file, which is
+    then appended; with no fork to be had, every row is formatted here.  The child leaves by
+    ``os._exit``, so it flushes no buffer it shares with this process (``sys.stdout``, the
+    output file), and this process always waits for it.
+    """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
         raise ValueError(f"write_matrix_csv needs a 2-D matrix, got shape {matrix.shape}")
     row_format = ",".join([FLOAT_FORMAT] * matrix.shape[1]) + "\r\n"
 
-    def format_rows(start: int, stop: int, fh) -> None:
-        for row in matrix[start:stop]:
+    def format_rows(rows, fh) -> None:
+        for row in rows:
             fh.write(row_format % tuple(row.tolist()))
 
-    def send(start: int, stop: int, fh) -> None:
-        with open(fh.fileno(), "w", newline="", closefd=False) as text:
-            format_rows(start, stop, text)
-
     path = Path(path)
-    with path.open("w", newline="") as out:
-        with _split_rows(len(matrix), lambda start, stop: format_rows(start, stop, out), send) as (mid, _, tail):
-            if mid == len(matrix):
-                return
-            if tail is None:
-                raise OSError(f"{path}: the child process formatting rows {mid + 1} to {len(matrix)} failed")
-            out.flush()
-            shutil.copyfileobj(tail, out.buffer)  # in chunks of shutil.COPY_BUFSIZE (64 KiB on POSIX)
-
-
-@contextmanager
-def _split_rows(num_rows: int, here, there):
-    """Run a row-wise job on the first half of ``num_rows`` rows here and on the second half in one forked child.
-
-    ``here(0, mid)`` runs in this process, with ``mid = ceil(num_rows / 2)``, while
-    ``there(mid, num_rows, fh)`` runs in the child and writes its result to ``fh``, an
-    unnamed temporary file.  Yields ``mid``, the result of ``here`` and ``fh`` rewound,
-    or None in place of ``fh`` if the child failed.  With fewer than two rows, or no
-    fork to be had (see ``_fork``), there is no child: ``here`` takes every row and ``mid == num_rows``.
-    The child leaves by ``os._exit``, so it flushes no buffer it shares with this
-    process (``sys.stdout``, an open output file), and this process always waits for it.
-    """
-    mid = (num_rows + 1) // 2
-    with tempfile.TemporaryFile() as fh:
-        pid = _fork() if mid < num_rows else None
+    mid = (len(matrix) + 1) // 2
+    with path.open("w", newline="") as out, tempfile.TemporaryFile() as tail:
+        pid = _fork() if mid < len(matrix) else None
         if pid is None:
-            yield num_rows, here(0, num_rows), None
+            format_rows(matrix, out)
             return
         if pid == 0:
             code = 1
             try:
-                there(mid, num_rows, fh)
-                fh.flush()
+                with open(tail.fileno(), "w", newline="", closefd=False) as text:
+                    format_rows(matrix[mid:], text)
                 code = 0
             finally:
                 os._exit(code)
         try:
-            result = here(0, mid)
+            format_rows(matrix[:mid], out)
         finally:
             _, status = os.waitpid(pid, 0)
-        fh.seek(0)
-        yield mid, result, fh if os.waitstatus_to_exitcode(status) == 0 else None
+        if os.waitstatus_to_exitcode(status) != 0:
+            raise OSError(f"{path}: the child process formatting rows {mid + 1} to {len(matrix)} failed")
+        out.flush()
+        tail.seek(0)
+        shutil.copyfileobj(tail, out.buffer)  # in chunks of shutil.COPY_BUFSIZE (64 KiB on POSIX)
 
 
 def _fork() -> int | None:

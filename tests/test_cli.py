@@ -283,6 +283,22 @@ class TestDenoiseCommand:
         assert err["error"] == "ValueError" and "noise" in err["message"]
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("grid", ["nan", "0,nan", "-inf", "10,-inf"])
+    def test_nan_and_minus_inf_snr_levels_are_refused(self, tmp_path, capsys, grid):
+        # nan would make every NMSE nan, and -inf would divide by zero in add_awgn; +inf (noiseless) runs.
+        out = tmp_path / "x"
+        assert main(["denoise", f"--snr-grid={grid}", "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError" and "snr_grid" in err["message"] and "nan or -inf" in err["message"]
+        assert not out.exists()
+
+    def test_inf_snr_level_is_the_noiseless_case(self, tmp_path):
+        out = tmp_path / "x"
+        assert main(["denoise", "--num-nodes", "6", "--num-edges", "8", "--num-signals", "8", "--gen-eta0", "4",
+                     "--snr-grid", "inf", "--bandwidth-grid", "4", "--realizations", "1", "--out", str(out)]) == 0
+        _, tables = load_results(out)
+        assert [row[-1] for row in tables["results"].rows if row[0] == "noisy_input"] == [0.0]
+
     @pytest.mark.parametrize("source, grid", [("surrogate", "0,3"), ("surrogate", "3,15"), ("dataset", "3,15")])
     def test_bandwidths_outside_one_to_v_plus_e_are_refused_before_any_draw(
         self, tmp_path, capsys, monkeypatch, source, grid
@@ -360,6 +376,7 @@ class TestFailureModes:
                 ("zero", "0", "has zero energy"),
                 ("nan", "nan", "has a non-finite cell"),  # its energy is nan, which is not 0
                 ("inf", "inf", "has a non-finite cell"),  # its energy is inf, which is not 0
+                ("overflow", "1e200", "has an energy that overflows"),  # every cell is finite, its energy is not
             )
         ],
     )
