@@ -1,7 +1,10 @@
 """Coupling-transform learning: the closed form of the studies and the ADMM of ``ddtl-fit`` (DDTL).
 
-``fit_coupling`` is the learner of the two studies (``sparsity-sweep`` and
-``denoise``).  In the orthonormal frame Q of ``topology.project`` every
+The closed form is the learner of the two studies: ``plane_grams`` reduces a
+batch to its mode planes' 2 x 2 Grams and ``coupling_from_grams`` applies the
+rule to Grams of any leading shape.  ``sparsity-sweep`` calls both through
+``fit_coupling``; ``denoise`` applies the rule once to the stacked Grams of
+all its noisy batches.  In the orthonormal frame Q of ``topology.project`` every
 non-harmonic mode is a 2-D plane, and the shared-coupling basis puts its
 plus column at (cos theta, sin theta) and its minus column at
 (sin theta, -cos theta), theta = atan k, in the box k in [0, 1].  The best
@@ -93,6 +96,8 @@ from .transform import CouplingVector, build_mass_basis
 
 __all__ = [
     "fit_coupling",
+    "plane_grams",
+    "coupling_from_grams",
     "DdtlConfig",
     "DdtlState",
     "DdtlSolution",
@@ -113,20 +118,37 @@ PRIMAL_TOL = 1e-4
 def fit_coupling(z: np.ndarray, rank: int) -> np.ndarray:
     """The coupling k in [0, 1] of each mode whose shared-coupling basis best codes the batch, in closed form.
 
+    ``coupling_from_grams`` of ``plane_grams(z, rank)``.
+    """
+    return coupling_from_grams(plane_grams(z, rank))
+
+
+def plane_grams(z: np.ndarray, rank: int) -> np.ndarray:
+    """Each mode plane's Gram: (3, rank), the rows ||z_u||^2, <z_u, z_v> and ||z_v||^2.
+
     ``z`` is the projected batch (``topology.project``) or its plane reduction
-    (``topology.reduce_blocks``), n x T: plane i is rows z_u = z[i] and
-    z_v = z[n - rank + i].  The rule is the module notes' one, evaluated
-    without angles: with x = ||z_u||^2 - ||z_v||^2 and y = 2 <z_u, z_v>, both
-    negated when y < 0, the point (x, y) lies at twice the principal axis mod
-    90 degrees, in [0, 180].  Up to 90 (x >= 0) k is the half-angle tangent
-    y / (x + hypot(x, y)); up to 135 (x + y >= 0, the ties included) k = 1;
-    beyond, k = 0.  A zero or isotropic block has x = y = 0 and gets k = 1.
+    (``topology.reduce_blocks``), n x T (or n): plane i is rows z_u = z[i] and
+    z_v = z[n - rank + i].
     """
     z = np.asarray(z, dtype=float).reshape(len(z), -1)
     n, r = len(z), int(rank)
     z_u, z_v = z[:r], z[n - r :]
-    cross = np.einsum("it,it->i", z_u, z_v)
-    diff = np.einsum("it,it->i", z_u, z_u) - np.einsum("it,it->i", z_v, z_v)
+    return np.stack([np.einsum("it,it->i", z_u, z_u), np.einsum("it,it->i", z_u, z_v), np.einsum("it,it->i", z_v, z_v)])
+
+
+def coupling_from_grams(grams: np.ndarray) -> np.ndarray:
+    """The coupling k in [0, 1] of each mode from its plane's Gram: ``grams`` (..., 3, r) to k (..., r).
+
+    The rule is the module notes' one, evaluated without angles: with
+    x = ||z_u||^2 - ||z_v||^2 and y = 2 <z_u, z_v>, both negated when y < 0,
+    the point (x, y) lies at twice the principal axis mod 90 degrees, in
+    [0, 180].  Up to 90 (x >= 0) k is the half-angle tangent
+    y / (x + hypot(x, y)); up to 135 (x + y >= 0, the ties included) k = 1;
+    beyond, k = 0.  A zero or isotropic block has x = y = 0 and gets k = 1.
+    Any leading shape is one fit per index.
+    """
+    uu, cross, vv = np.moveaxis(np.asarray(grams, dtype=float), -2, 0)
+    diff = uu - vv
     x, y = np.where(cross < 0.0, -diff, diff), 2.0 * np.abs(cross)
     radius = np.hypot(x, y)
     k = (x + y >= 0.0).astype(float)

@@ -1,10 +1,12 @@
 """Experiment pipelines behind the CLI: spectra dump, synthesis, fitting, sweeps.
 
 The two studies (``run_sparsity_sweep`` and ``run_denoise``) learn the
-coupling in closed form (``ddtl.fit_coupling``), one angle per mode plane,
-and code or truncate in each dictionary one mode plane at a time, from the
-projected batch: no study builds a dense (V+E) x (V+E) basis or runs the
-ADMM, and neither has a learner setting (``ddtl_max_iter`` is gone).  The
+coupling in closed form, one angle per mode plane from the plane's 2 x 2
+Gram (``ddtl.plane_grams`` and ``ddtl.coupling_from_grams``), and code or
+truncate in each dictionary one mode plane at a time: the sweep on each
+plane's 2 x 2 triangle, the denoising sweep from each plane's Gram.  No
+study builds a dense (V+E) x (V+E) basis or runs the ADMM, and neither has
+a learner setting (``ddtl_max_iter`` is gone).  The
 rule (each plane's principal axis, mod 90 degrees, clipped to the box
 k in [0, 1], ties to k = 1) is stated in :mod:`topospinor.ddtl`.
 ``run_ddtl_fit`` runs the ADMM (``ddtl.ddtl_fit``) until ROADMAP item 0 lets
@@ -30,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as tsio
-from .ddtl import DdtlConfig, ddtl_fit, fit_coupling
+from .ddtl import DdtlConfig, coupling_from_grams, ddtl_fit, fit_coupling, plane_grams
 from .frames import build_frame
 from .sparse import nmse, plane_pursuit_curve, rotate_planes
 from .sparse import omp  # noqa: F401  unused; perfbench pins this binding (ROADMAP item 0)
@@ -84,21 +86,23 @@ def _run_header(command: str, cfg, graph: OrientedGraph) -> dict:
 
 
 def _check_levels(name: str, levels: tuple[int, ...], n: int) -> None:
-    """Refuse a grid of sparsity levels or bandwidths outside [1, n], n = V + E."""
+    """Refuse a grid of sparsity levels or bandwidths outside [1, n], n = V + E, or with a repeated level."""
     if not all(1 <= lv <= n for lv in levels):
         raise ValueError(f"{name} levels must lie in [1, V + E = {n}], got {levels}")
+    if len(set(levels)) != len(levels):
+        raise ValueError(f"{name} levels must not repeat, got {levels}")
 
 
 def _load_dataset(dataset_dir: str) -> tuple[OrientedGraph, np.ndarray]:
-    """``io.load_dataset``, refusing a batch with a non-finite cell or an energy of zero or past the largest double:
-    no NMSE against it is defined."""
+    """``io.load_dataset``, refusing a batch with a non-finite cell or an energy of zero, one that underflows to zero
+    or one past the largest double: no NMSE against it is defined."""
     graph, S = tsio.load_dataset(dataset_dir)
     if not np.all(np.isfinite(S)):
         raise ValueError(f"dataset {dataset_dir} has a non-finite cell, so no NMSE against it is defined")
     with np.errstate(over="ignore"):  # an overflow is refused below, by name
         energy = float(np.linalg.norm(S) ** 2)
     if not 0.0 < energy < np.inf:
-        kind = "zero energy" if energy == 0.0 else "an energy that overflows"
+        kind = "an energy that overflows" if energy else "an energy that underflows" if np.any(S) else "zero energy"
         raise ValueError(f"dataset {dataset_dir} has {kind}, so no NMSE against it is defined")
     return graph, S
 
@@ -290,14 +294,16 @@ def _plane_bases(k: np.ndarray) -> dict[str, np.ndarray]:
 
     Row j of a plane's 2 x 2 is atom j as (node, edge) coefficients: Laplacian
     ((1, 0), (0, 1)), Dirac ((c, -c), (c, c)) with c = 1/sqrt(2), learned
-    ((k, -1), (1, k)) / sqrt(1 + k^2) at the shared coupling k, and the frame
+    ((k, -1), (1, k)) / sqrt(1 + k^2) at the shared coupling k (one basis per
+    row of a fits x r array of couplings), and the frame
     [Dirac, Laplacian], each in its dense columns' order, so that a tie sent to
     the first atom listed goes where dense OMP sends it.
     """
     laplacian, dirac = _FIXED_BASES["laplacian"], _FIXED_BASES["dirac"]
-    k, one = np.asarray(k, dtype=float), np.ones(len(k))
-    ddtl = np.stack([k, -one, one, k], axis=1).reshape(-1, 2, 2) / np.sqrt(1.0 + k**2)[:, None, None]
-    return {"laplacian": laplacian, "dirac": dirac, "frame": np.concatenate([dirac, laplacian]), "ddtl": ddtl[None]}
+    k = np.atleast_2d(np.asarray(k, dtype=float))  # one learned basis per row
+    one = np.ones_like(k)
+    ddtl = np.stack([k, -one, one, k], axis=-1).reshape(*k.shape, 2, 2) / np.sqrt(1.0 + k**2)[..., None, None]
+    return {"laplacian": laplacian, "dirac": dirac, "frame": np.concatenate([dirac, laplacian]), "ddtl": ddtl}
 
 
 def _dominance(curves: list[dict[str, dict[int, float]]]) -> dict:
@@ -401,29 +407,50 @@ def _noise_tag(snr: float) -> str:
     return f"awgn@{snr:g}"
 
 
-def _rotated(z, rank, pairs) -> tuple[np.ndarray, np.ndarray]:
-    """``sparse.rotate_planes(z, rank, pairs)`` and the energy of each of its rows."""
-    rows = rotate_planes(z, rank, pairs)
-    return rows, np.einsum("jt,jt->j", rows, rows)
+def _grams(z, rank) -> tuple[np.ndarray, np.ndarray]:
+    """A projected batch's plane Grams (``ddtl.plane_grams``) and its harmonic rows' energies."""
+    harmonic = z[rank : len(z) - rank]
+    return plane_grams(z, rank), np.einsum("ht,ht->h", harmonic, harmonic)
 
 
-def _truncation_nmse(clean, noisy, bandwidths, energy) -> dict:
-    """NMSE of hard truncation in an orthonormal plane basis, per bandwidth, from the rotated batches.
+def _row_energies(grams, harmonic, pairs) -> np.ndarray:
+    """The energies of the rows of ``rotate_planes(z, rank, pairs)``, per basis, from ``_grams`` of z.
 
-    ``clean`` and ``noisy`` are ``_rotated`` of the clean and the noisy
-    projected batch (``topology.project``) into one basis of
-    ``_plane_bases``.  A stable sort orders the noisy rows by energy, ties to
-    the lower row of [first atoms | second atoms | harmonic rows] (with
-    Gaussian noise, ties have probability zero), and the NMSE at bandwidth b
-    is the noise energy of the b kept rows plus the clean energy of the
-    dropped ones, over ``energy``.  Every energy is a sum of squares of
-    rotated rows.
+    ``grams`` is (..., 3, r), ``harmonic`` (..., n - 2r) and ``pairs``
+    (..., B, r or 1, 2, 2); the result is (..., B, n), each basis's rows in
+    ``rotate_planes``' order [first atoms | second atoms | harmonic rows].
+    Atom (c_u, c_v) of plane i has the energy
+    c_u^2 ||z_u||^2 + 2 c_u c_v <z_u, z_v> + c_v^2 ||z_v||^2, a quadratic form
+    accurate to about 1e-16 of the plane's energy, not to its own size as a
+    sum of squares of the rotated row is.
     """
-    (clean, clean_energy), (noisy, noisy_energy) = clean, noisy
-    error = noisy - clean
-    order = np.argsort(-noisy_energy, kind="stable")
-    kept, dropped = np.einsum("jt,jt->j", error, error)[order], clean_energy[order]
-    return {bw: float(np.sum(kept[:bw]) + np.sum(dropped[bw:])) / energy for bw in bandwidths}
+    c_u, c_v = np.moveaxis(pairs, -1, 0).swapaxes(-1, -2)  # (..., B, atom, plane)
+    uu, cross, vv = np.moveaxis(grams[..., None, None, :, :], -2, 0)
+    planes = c_u**2 * uu + 2.0 * c_u * c_v * cross + c_v**2 * vv
+    return _with_harmonic(planes.reshape(*planes.shape[:-2], -1), harmonic)
+
+
+def _with_harmonic(planes, harmonic) -> np.ndarray:
+    """Per basis, the plane rows' energies (..., B, 2r) followed by the harmonic rows' (..., n - 2r)."""
+    harmonic = np.broadcast_to(harmonic[..., None, :], (*planes.shape[:-1], harmonic.shape[-1]))
+    return np.concatenate([planes, harmonic], axis=-1)
+
+
+def _truncation_nmse(clean, noisy, error, bandwidths, energy) -> np.ndarray:
+    """NMSE of hard truncation in orthonormal plane bases at each bandwidth: (..., len(bandwidths)).
+
+    ``clean``, ``noisy`` and ``error`` (..., n) are a basis's row energies of
+    the clean, the noisy and the error batch.  A stable sort orders the noisy
+    rows by energy, ties to the lower row of [first atoms | second atoms |
+    harmonic rows] (with Gaussian noise, ties have probability zero), and the
+    NMSE at bandwidth b is the error energy of the b kept rows (a prefix sum)
+    plus the clean energy of the dropped ones (a suffix sum), over ``energy``.
+    """
+    order = np.argsort(-noisy, axis=-1, kind="stable")
+    zero = np.zeros((*order.shape[:-1], 1))
+    kept = np.cumsum(np.concatenate([zero, np.take_along_axis(error, order, -1)], -1), -1)
+    dropped = np.cumsum(np.concatenate([zero, np.take_along_axis(clean, order, -1)[..., ::-1]], -1), -1)[..., ::-1]
+    return (kept[..., bandwidths] + dropped[..., bandwidths]) / energy
 
 
 def run_denoise(cfg: DenoiseConfig) -> Path:
@@ -432,14 +459,17 @@ def run_denoise(cfg: DenoiseConfig) -> Path:
     Clean data is read from ``dataset_dir`` when it is given (the surrogate
     settings are then ignored) and is otherwise a synthetic surrogate batch.
     For each SNR and noise realization the noisy input error is recorded,
-    the coupling is learned in closed form on the noisy batch
-    (``ddtl.fit_coupling``; the basis does not depend on the bandwidth), and
-    per bandwidth the clean signals are compared with hard truncation of the
-    noisy ones in the learned, the Dirac and the Laplacian basis.  The clean
-    batch is projected once and each noisy batch once
-    (``topology.project``); every truncation is read off the projections one
-    mode plane at a time, so no dense basis is built.  The clean projection
-    is rotated into the fixed bases once per run, into the learned one per fit.
+    and per bandwidth the clean signals are compared with hard truncation of
+    the noisy ones in the learned, the Dirac and the Laplacian basis, which
+    depends on a batch only through each mode plane's 2 x 2 Gram and the
+    harmonic rows' energies (``_grams``).  Each noisy batch is projected once
+    and reduced, with its error against the clean projection, to those; the
+    couplings of all fits come from the noisy Grams in one call
+    (``ddtl.coupling_from_grams``), and the noisy and error row energies are
+    their quadratic forms (``_row_energies``).  The clean row energies are
+    sums of squares, so never below 0: the clean batch is reduced once per
+    run to its 2 x 2 triangles (``topology.reduce_blocks``), which one
+    ``rotate_planes`` call turns into every basis of every fit.
     """
     if cfg.dataset_dir:
         graph, clean = _load_dataset(cfg.dataset_dir)
@@ -450,39 +480,47 @@ def run_denoise(cfg: DenoiseConfig) -> Path:
     if clean is None:
         spec = SignalClassSpec(cfg.signal_class, cfg.gen_eta0, cfg.num_signals, sub_seed(cfg.seed, 0, "signals"))
         clean, _ = gen_signals(d, spec)
-    clean_z, energy = project(clean, d), float(np.linalg.norm(clean) ** 2)
+    clean_z, energy, r = project(clean, d), float(np.linalg.norm(clean) ** 2), d.rank
+    fits = [(real, snr) for real in range(cfg.realizations) for snr in cfg.snr_grid]
+    inputs, noisy_grams, error_grams = [], [], []
+    for real, snr in fits:
+        noisy = add_awgn(clean, snr, sub_seed(cfg.seed, real, _noise_tag(snr)))
+        noisy_z = project(noisy, d)
+        inputs.append(nmse(clean, noisy))
+        noisy_grams.append(_grams(noisy_z, r))
+        error_grams.append(_grams(noisy_z - clean_z, r))
+    noisy_grams, error_grams = [[np.stack(g) for g in zip(*grams)] for grams in (noisy_grams, error_grams)]
+
+    # Per fit, in the rows' order, the learned, the Dirac and the Laplacian pairs.
+    fixed = np.concatenate([_FIXED_BASES["dirac"], _FIXED_BASES["laplacian"]])
+    learned = _plane_bases(coupling_from_grams(noisy_grams[0]))["ddtl"]
+    pairs = np.concatenate([learned[:, None], np.broadcast_to(fixed, (len(fits), 2, r, 2, 2))], axis=1)
+    z2, _ = reduce_blocks(np.stack([clean_z[:r], clean_z[d.dim - r :]], axis=1), np.sqrt(_grams(clean_z, r)[1]))
+    rotated = rotate_planes(z2, r, pairs.reshape(-1, *pairs.shape[2:]))
+    sums, m = np.einsum("jt,jt->j", rotated, rotated), 6 * r * len(fits)
+    clean_energies = _with_harmonic(sums[:m].reshape(len(fits), 3, 2 * r), sums[m:])
     bandwidths = [int(bw) for bw in cfg.bandwidth_grid]
-    methods = (("ddtl", "ddtl"), ("dirac_truncation", "dirac"), ("laplacian_truncation", "laplacian"))
-    fixed_clean = {name: _rotated(clean_z, d.rank, pairs) for name, pairs in _FIXED_BASES.items()}
+    curves = _truncation_nmse(
+        clean_energies, _row_energies(*noisy_grams, pairs), _row_energies(*error_grams, pairs), bandwidths, energy
+    )
 
     rows = []
     le_fixed = {snr: 0 for snr in cfg.snr_grid}
-    for real in range(cfg.realizations):
-        for snr in cfg.snr_grid:
-            noisy = add_awgn(clean, snr, sub_seed(cfg.seed, real, _noise_tag(snr)))
-            noisy_z = project(noisy, d)
-            k = fit_coupling(noisy_z, d.rank)
-            bases = _plane_bases(k)
-            clean_rows = {**fixed_clean, "ddtl": _rotated(clean_z, d.rank, bases["ddtl"])}
-            curves = {
-                method: _truncation_nmse(clean_rows[name], _rotated(noisy_z, d.rank, bases[name]), bandwidths, energy)
-                for method, name in methods
-            }
-            rows.append(("noisy_input", float(snr), None, real, nmse(clean, noisy)))
-            for bw in bandwidths:
-                rows.extend((method, float(snr), bw, real, curve[bw]) for method, curve in curves.items())
-                fixed = min(curves["dirac_truncation"][bw], curves["laplacian_truncation"][bw])
-                le_fixed[snr] += curves["ddtl"][bw] <= fixed + DOMINANCE_SLACK
+    methods = ("ddtl", "dirac_truncation", "laplacian_truncation")
+    for (real, snr), noisy_input, curve in zip(fits, inputs, curves):
+        rows.append(("noisy_input", float(snr), None, real, noisy_input))
+        for bw, values in zip(bandwidths, curve.T.tolist()):
+            rows.extend((method, float(snr), bw, real, value) for method, value in zip(methods, values))
+            le_fixed[snr] += values[0] <= min(values[1:]) + DOMINANCE_SLACK
 
     table = tsio.ResultTable(
         name="results",
         columns=("method", "snr_db", "bandwidth", "realization", "nmse"),
         rows=tuple(rows),
     )
-    fits = cfg.realizations * len(cfg.snr_grid)
     metadata = {
         **_run_header("denoise", cfg, graph),
-        "learner": {"fits": fits, "stop_reasons": {"exact": fits}, "iterations": 0},
+        "learner": {"fits": len(fits), "stop_reasons": {"exact": len(fits)}, "iterations": 0},
         # Recorded, not asserted: a basis fitted to the noise has no dominance theorem (ROADMAP item 11).
         "ddtl_le_truncations": {
             "pairs_per_snr": cfg.realizations * len(bandwidths),

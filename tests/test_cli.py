@@ -377,6 +377,7 @@ class TestFailureModes:
                 ("nan", "nan", "has a non-finite cell"),  # its energy is nan, which is not 0
                 ("inf", "inf", "has a non-finite cell"),  # its energy is inf, which is not 0
                 ("overflow", "1e200", "has an energy that overflows"),  # every cell is finite, its energy is not
+                ("underflow", "1e-170", "has an energy that underflows"),  # a cell is nonzero, its square is not
             )
         ],
     )
@@ -393,12 +394,27 @@ class TestFailureModes:
         def no_fit(*args, **kwargs):
             raise AssertionError("a batch with no defined NMSE was fitted")
 
-        for name in ("ddtl_fit", "fit_coupling", "add_awgn"):
+        for name in ("ddtl_fit", "fit_coupling", "coupling_from_grams", "add_awgn"):
             monkeypatch.setattr(experiments, name, no_fit)
         out = tmp_path / "out"
         assert main([command, "--dataset", str(data), *args, "--out", str(out)]) == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err == {"error": "ValueError", "message": f"dataset {data} {refusal}, so no NMSE against it is defined"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, args, grid",
+        [("sparsity-sweep", ["--sparsity-grid", "5,5,10"], "sparsity_grid"),
+         ("denoise", ["--bandwidth-grid", "10,10"], "bandwidth_grid")],
+        ids=["sparsity-sweep", "denoise"],
+    )
+    def test_repeated_level_is_refused(self, tmp_path, capsys, command, args, grid):
+        # A repeated sparsity level would collapse into one curve point and a repeated bandwidth would write its
+        # rows twice, while run.json recorded the grid as given: both are refused before any output.
+        out = tmp_path / "out"
+        assert main([command, *args, "--realizations", "1", "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError" and grid in err["message"] and "repeat" in err["message"]
         assert not out.exists()
 
     def test_unknown_config_key(self, tmp_path, capsys):

@@ -299,53 +299,98 @@ def denoise_oracle(cfg: DenoiseConfig):
     return expected
 
 
-@pytest.mark.parametrize(
-    "size", [dict(num_nodes=22, num_edges=41, num_signals=240, gen_eta0=30), dict(num_nodes=6, num_edges=9,
-                                                                                  num_signals=5, gen_eta0=4)],
-    ids=["study-size", "fewer-signals-than-rows"],
-)
-def test_denoise_truncations_match_the_dense_oracle(tmp_path, size):
-    bandwidths = (1, 10, 30, 50, 63) if size["num_nodes"] == 22 else (1, 4, 8, 15)
-    cfg = DenoiseConfig(out=str(tmp_path / "run"), bandwidth_grid=bandwidths, realizations=2, seed=7, **size)
+# Denoise settings the oracle checks, each with bandwidths 1 and V + E: the study's size; T = 5 < V + E = 15;
+# T = 1, where every plane's Gram has rank 1; a tree (E = V - 1, no harmonic edge row); and the noiseless case,
+# where a clean row outside the support has round-off energy, which a quadratic form could make negative.
+ORACLE_DENOISES = {
+    "study-size": dict(num_nodes=22, num_edges=41, num_signals=240, gen_eta0=30, bandwidth_grid=(1, 10, 30, 50, 63)),
+    "fewer-signals-than-rows": dict(num_nodes=6, num_edges=9, num_signals=5, gen_eta0=4, bandwidth_grid=(1, 4, 8, 15)),
+    "one-signal": dict(num_nodes=6, num_edges=9, num_signals=1, gen_eta0=4, bandwidth_grid=(1, 2, 8, 15)),
+    "tree": dict(num_nodes=10, num_edges=9, num_signals=30, gen_eta0=6, bandwidth_grid=(1, 5, 12, 19)),
+    "noiseless": dict(num_nodes=22, num_edges=41, num_signals=240, gen_eta0=30, bandwidth_grid=(1, 10, 30, 50, 63),
+                      snr_grid=(np.inf,)),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_DENOISES)
+def test_denoise_truncations_match_the_dense_oracle(tmp_path, case):
+    cfg = DenoiseConfig(out=str(tmp_path / "run"), realizations=2, seed=7, **ORACLE_DENOISES[case])
     _, tables = load_results(run_denoise(cfg))
     expected = denoise_oracle(cfg)
     got = {(m, float(snr), int(bw), int(real)): v for m, snr, bw, real, v in tables["results"].rows if m != "noisy_input"}
     assert got.keys() == expected.keys()
+    assert min(got.values()) >= 0.0
     for key, value in expected.items():
-        assert abs(got[key] - value) <= 1e-12 * value, key
+        if value > 1e-20:
+            assert abs(got[key] - value) <= 1e-12 * value, key
+        else:
+            assert got[key] <= 1e-20, key
 
 
 def test_denoise_factors_each_noisy_batch_once(tmp_path, monkeypatch):
-    # The clean batch and each noisy batch are projected once, T wide, and the coupling is fitted once per
-    # realization and SNR, on the noisy projection: the learned basis serves every bandwidth.
+    # The clean batch and each noisy batch are projected once, T wide, and the coupling is learned once per
+    # realization and SNR, from the noisy projection's plane Grams: the learned basis serves every bandwidth.
     cfg = DenoiseConfig(out=str(tmp_path / "run"), num_nodes=6, num_edges=9, num_signals=40, gen_eta0=5,
                         snr_grid=(0.0, 10.0), bandwidth_grid=(3, 8), realizations=2, seed=4)
     projected, fitted = [], []
-    project_, fit = experiments.project, experiments.fit_coupling
+    project_, rule = experiments.project, experiments.coupling_from_grams
 
     def spied_project(S, d):
         projected.append((S.shape, project_(S, d)))
         return projected[-1][1]
 
+    def spied_rule(grams):
+        fitted.append((grams, rule(grams)))
+        return fitted[-1][1]
+
     monkeypatch.setattr(experiments, "project", spied_project)
-    monkeypatch.setattr(experiments, "fit_coupling", lambda z, rank: fitted.append(z) or fit(z, rank))
+    monkeypatch.setattr(experiments, "coupling_from_grams", spied_rule)
     run_denoise(cfg)
     assert [shape for shape, _ in projected] == [(15, 40)] * (1 + 2 * 2)
-    assert len(fitted) == 2 * 2
-    assert all(z is noisy_z for z, (_, noisy_z) in zip(fitted, projected[1:]))
+    ((grams, k),) = fitted
+    rank = k.shape[1]
+    assert k.shape == (2 * 2, rank)
+    assert np.array_equal(grams, np.stack([ddtl.plane_grams(noisy_z, rank) for _, noisy_z in projected[1:]]))
+    assert all(np.array_equal(k_fit, fit_coupling(noisy_z, rank)) for k_fit, (_, noisy_z) in zip(k, projected[1:]))
 
 
 def test_denoise_rotates_the_clean_batch_into_the_fixed_bases_once_per_run(tmp_path, monkeypatch):
-    # Per realization and SNR: the noisy batch into the three bases and the clean one into the learned pairs.
-    # Per run: the clean batch into the Dirac and the Laplacian pairs, which the fitted coupling does not change.
+    # No T-wide batch is rotated: the clean batch is reduced once per run to its 2 x 2 triangles, which one call
+    # rotates into the learned, the Dirac and the Laplacian pairs of every realization and SNR.
     cfg = DenoiseConfig(out=str(tmp_path / "run"), num_nodes=6, num_edges=9, num_signals=40, gen_eta0=5,
                         snr_grid=(0.0, 10.0, 20.0), bandwidth_grid=(3, 8), realizations=2, seed=4)
-    rotated, rotate = [], experiments.rotate_planes
-    monkeypatch.setattr(experiments, "rotate_planes", lambda z, r, pairs: rotated.append(z) or rotate(z, r, pairs))
+    rotated, reduced = [], []
+    rotate, reduce = experiments.rotate_planes, experiments.reduce_blocks
+    monkeypatch.setattr(experiments, "rotate_planes",
+                        lambda z, r, pairs: rotated.append((z.shape, pairs.shape)) or rotate(z, r, pairs))
+    monkeypatch.setattr(experiments, "reduce_blocks",
+                        lambda planes, norms: reduced.append(planes.shape) or reduce(planes, norms))
     run_denoise(cfg)
-    assert len(rotated) == 2 + 4 * 2 * 3
-    clean_z = rotated[0]
-    assert sum(z is clean_z for z in rotated) == 2 + 2 * 3
+    (rank,) = {shape[0] for shape in reduced}
+    assert reduced == [(rank, 2, 40)]
+    assert rotated == [((15, 2), (3 * 2 * 3, rank, 2, 2))]
+
+
+@pytest.mark.parametrize("n, rank, num_signals", [(15, 5, 40), (15, 5, 1), (19, 9, 2), (6, 0, 3), (8, 4, 30)])
+def test_gram_row_energies_match_the_rotated_rows(n, rank, num_signals):
+    # The noisy and error energies are quadratic forms of the plane Grams: to 1e-12 of their plane's energy, the
+    # sums of squares of the rotated rows, in rotate_planes' order, for each basis, learned ones of several fits.
+    rng = np.random.default_rng(n + rank + num_signals)
+    z = rng.normal(size=(n, num_signals)) * rng.uniform(0.0, 3.0, size=(n, 1))
+    if rank:
+        z[n - rank] = 2.0 * z[0]  # a plane of rank 1
+        z[[1, n - rank + 1]] = 0.0  # a zero plane
+    k = rng.uniform(0.0, 1.0, size=(3, rank))
+    grams, harmonic = experiments._grams(z, rank)
+    plane_energy = np.concatenate([grams[0] + grams[2]] * 2 + [harmonic])
+    for name, pairs in experiments._plane_bases(k).items():
+        got = experiments._row_energies(grams, harmonic, pairs)
+        rows = sparse.rotate_planes(z, rank, pairs)
+        energies = np.einsum("jt,jt->j", rows, rows)
+        planes = energies[: 2 * rank * len(pairs)].reshape(len(pairs), 2 * rank)
+        expected = np.concatenate([planes, np.tile(energies[2 * rank * len(pairs) :], (len(pairs), 1))], axis=1)
+        assert got.shape == (len(pairs), n), name
+        assert np.all(np.abs(got - expected) <= 1e-12 * plane_energy), name
 
 
 def test_denoise_records_how_often_the_learned_basis_beats_both_truncations(tmp_path):
