@@ -4,9 +4,9 @@ The two studies (``run_sparsity_sweep`` and ``run_denoise``) learn the
 coupling in closed form, one angle per mode plane from the plane's 2 x 2
 Gram (``ddtl.plane_grams`` and ``ddtl.coupling_from_grams``), and code or
 truncate in each dictionary one mode plane at a time: the sweep on each
-plane's 2 x 2 triangle, the denoising sweep from each plane's Gram.  No
-study builds a dense (V+E) x (V+E) basis or runs the ADMM, and neither has
-a learner setting (``ddtl_max_iter`` is gone).  The
+plane's 2 x 2 factor, built from the batch's coefficient rows and rotated
+once into all four dictionaries, the denoising sweep from each plane's
+Gram.  No study builds a dense (V+E) x (V+E) basis or runs the ADMM.  The
 rule (each plane's principal axis, mod 90 degrees, clipped to the box
 k in [0, 1], ties to k = 1) is stated in :mod:`topospinor.ddtl`.
 ``run_ddtl_fit`` runs the ADMM (``ddtl.ddtl_fit``) until ROADMAP item 0 lets
@@ -34,7 +34,7 @@ import numpy as np
 from . import io as tsio
 from .ddtl import DdtlConfig, coupling_from_grams, ddtl_fit, fit_coupling, plane_grams
 from .frames import build_frame
-from .sparse import nmse, plane_pursuit_curve, rotate_planes
+from .sparse import nmse, plane_pursuit_curves, rotate_planes
 from .sparse import omp  # noqa: F401  unused; perfbench pins this binding (ROADMAP item 0)
 from .synth import SIGNAL_CLASSES, SignalClassSpec, add_awgn, draw_signals, gen_signals, random_graph
 from .topology import (
@@ -94,15 +94,15 @@ def _check_levels(name: str, levels: tuple[int, ...], n: int) -> None:
 
 
 def _load_dataset(dataset_dir: str) -> tuple[OrientedGraph, np.ndarray]:
-    """``io.load_dataset``, refusing a batch with a non-finite cell or an energy of zero, one that underflows to zero
-    or one past the largest double: no NMSE against it is defined."""
+    """``io.load_dataset``, refusing a batch with a non-finite cell or an energy of zero, one that underflows below
+    the smallest normal double (``np.finfo(float).tiny``) or one past the largest: no NMSE against it is defined."""
     graph, S = tsio.load_dataset(dataset_dir)
     if not np.all(np.isfinite(S)):
         raise ValueError(f"dataset {dataset_dir} has a non-finite cell, so no NMSE against it is defined")
     with np.errstate(over="ignore"):  # an overflow is refused below, by name
         energy = float(np.linalg.norm(S) ** 2)
-    if not 0.0 < energy < np.inf:
-        kind = "an energy that overflows" if energy else "an energy that underflows" if np.any(S) else "zero energy"
+    if not np.finfo(float).tiny <= energy < np.inf:
+        kind = ("an energy that " + ("underflows" if energy < 1 else "overflows")) if np.any(S) else "zero energy"
         raise ValueError(f"dataset {dataset_dir} has {kind}, so no NMSE against it is defined")
     return graph, S
 
@@ -307,17 +307,37 @@ def _plane_bases(k: np.ndarray) -> dict[str, np.ndarray]:
 
 
 def _dominance(curves: list[dict[str, dict[int, float]]]) -> dict:
-    """How many realizations have the learned curve at most min(dirac, laplacian, frame) at every grid level.
+    """How many realizations have, at every grid level and allowing ``DOMINANCE_SLACK``, the learned curve at most
+    min(dirac, laplacian, frame) and the frame's at most min(dirac, laplacian).
 
-    Allows ``DOMINANCE_SLACK``.  It holds for every realization: the learned
-    basis captures, at each sparsity, at least what any support of the fixed
-    dictionaries does (ROADMAP item 4).  Recorded here, asserted by the tests.
+    Both hold for every realization: the learned basis captures, at each sparsity, at least what any support of the
+    frame does, and the frame what either basis's does (ROADMAP item 4).  Recorded here, asserted by the tests.
     """
-    fixed = ("dirac", "laplacian", "frame")
-    count = sum(
-        all(c["ddtl"][lv] <= min(c[m][lv] for m in fixed) + DOMINANCE_SLACK for lv in c["ddtl"]) for c in curves
-    )
-    return {"realizations": len(curves), "ddtl_le_fixed_every_level": count}
+    def count(method: str, *rivals: str) -> int:
+        return sum(all(c[method][lv] <= min(c[m][lv] for m in rivals) + DOMINANCE_SLACK for lv in c[method])
+                   for c in curves)
+
+    ddtl, frame = count("ddtl", "dirac", "laplacian", "frame"), count("frame", "dirac", "laplacian")
+    return {"realizations": len(curves), "ddtl_le_fixed_every_level": ddtl, "frame_le_bases_every_level": frame}
+
+
+def _plane_factor(support: np.ndarray, coefficients: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
+    """z2 (n x min(T, 2)) of the batch whose support rows ``coefficients`` sit in the learned pairs at k.
+
+    Plane i's T-wide block A_i^T c_i (A_i the pair of ``_plane_bases`` at k_i, c_i the plane's minus and plus
+    rows) and its factor W_i = R_i A_i share their Gram, where R_i is zero for a plane with no supported column,
+    ||c|| in the slot of a plane's one supported column, and the R-only QR triangle of c_i^T for a plane with both:
+    one batched QR over those planes alone.  W_i goes into z2 as ``topology.reduce_blocks`` places its triangles.
+    """
+    r, T = len(k), coefficients.shape[1]
+    plane, plus = support % r, support >= r
+    both = np.bincount(plane, minlength=r)[plane] == 2  # per support row: its plane holds two
+    tri = np.zeros((r, min(T, 2), 2))
+    tri[plane[~both], 0, plus[~both].astype(int)] = np.linalg.norm(coefficients[~both], axis=1)
+    blocks = np.stack([coefficients[both & ~plus], coefficients[both & plus]], axis=-1)  # sorted support: planes align
+    tri[plane[both & ~plus]] = np.linalg.qr(blocks, mode="r")
+    factor = tri @ _plane_bases(k)["ddtl"][0]
+    return np.concatenate([factor[..., 0], np.zeros((n - 2 * r, min(T, 2))), factor[..., 1]])
 
 
 def run_sparsity_sweep(cfg: SweepConfig) -> Path:
@@ -326,13 +346,13 @@ def run_sparsity_sweep(cfg: SweepConfig) -> Path:
     The curves depend on the graph only through its rank r and singular
     values sigma.  So per realization the batch is drawn from sigma alone
     (``synth.draw_signals``; ``topology.singular_values`` forms no singular
-    vector) and written straight into its mode planes: plane i's 2 x T block
-    is the learned pair of ``_plane_bases`` at the generator's k_i times the
-    coefficients of its minus and plus columns, and the harmonic rows are
-    zero.  The blocks are reduced to their 2 x 2 QR triangles
-    (``topology.reduce_blocks``, R only), the coupling is learned in closed
-    form on them (``ddtl.fit_coupling``) and each dictionary's joint OMP curve
-    is read off them (``plane_pursuit_curve``), over the blocks' energy.
+    vector) and kept as its coefficient rows C.  Each mode plane's T-wide
+    block is replaced by a 2 x 2 factor with the same Gram (``_plane_factor``,
+    a QR only on planes holding both columns).  The coupling is learned in
+    closed form on that z2 (``ddtl.fit_coupling``), one rotation of z2 into
+    all four dictionaries gives every joint OMP curve
+    (``plane_pursuit_curves``), and each is divided by ||C||_F^2, the batch's
+    energy, since the synthesis basis is orthonormal.
     """
     rows = []
     curves = []
@@ -341,15 +361,11 @@ def run_sparsity_sweep(cfg: SweepConfig) -> Path:
         sigma = singular_values(build_incidence(graph))
         spec = SignalClassSpec(cfg.signal_class, cfg.eta0, cfg.num_signals, sub_seed(cfg.seed, real, "signals"))
         truth, r = draw_signals(sigma, graph.dim, spec), len(sigma)
-        codes = np.zeros((r, 2, cfg.num_signals))  # plane, (minus, plus) column
-        codes[truth.support % r, (truth.support >= r).astype(int)] = truth.coefficients
-        planes = _plane_bases(truth.k_modes)["ddtl"][0].swapaxes(1, 2) @ codes
-        energy = float(np.vdot(planes, planes))
-        z, _ = reduce_blocks(planes, np.zeros(graph.dim - 2 * r))
-        k = fit_coupling(z, r)
+        z = _plane_factor(truth.support, truth.coefficients, truth.k_modes, graph.dim)
+        energy = float(np.vdot(truth.coefficients, truth.coefficients))
+        bases = _plane_bases(fit_coupling(z, r))
         curve = {}
-        for method, pairs in _plane_bases(k).items():
-            residual = plane_pursuit_curve(z, r, pairs, cfg.sparsity_grid)
+        for method, residual in zip(bases, plane_pursuit_curves(z, r, list(bases.values()), cfg.sparsity_grid)):
             curve[method] = {int(lv): float(e / energy) for lv, e in zip(cfg.sparsity_grid, residual)}
             rows.extend((method, level, real, value) for level, value in curve[method].items())
         curves.append(curve)

@@ -5,11 +5,11 @@ all signal columns) by progressive orthogonalization of the selected atoms,
 on the n x n triangular factor of a batch with more signals than rows, with
 the coefficients solved once at the end.
 
-``plane_pursuit_curve`` is the same pursuit for a dictionary of orthonormal
+``plane_pursuit_curves`` is the same pursuit for dictionaries of orthonormal
 atom pairs per mode plane span{(u_i; 0), (0; v_i)} and one identity atom per
 harmonic coefficient, as every sweep dictionary is.  With the selection rule
-of Tropp, Gilbert & Strauss (2006) it is "rotate each plane (``rotate_planes``,
-which the denoising truncation shares), take row energies, sort".
+of Tropp, Gilbert & Strauss (2006) it is "rotate each plane into every
+dictionary at once (``rotate_planes``), take row energies, sort per dictionary".
 
 ``row_hard_threshold`` and ``column_normalize`` are the Euclidean
 projections onto row-sparse matrices and onto the unit-column (oblique)
@@ -29,6 +29,7 @@ __all__ = [
     "omp",
     "rotate_planes",
     "plane_pursuit_curve",
+    "plane_pursuit_curves",
     "nmse",
     "row_hard_threshold",
     "column_normalize",
@@ -189,33 +190,45 @@ def rotate_planes(z, rank, pairs) -> np.ndarray:
 
 
 def plane_pursuit_curve(z, rank, pairs, levels) -> np.ndarray:
-    """Joint OMP's squared residual norm at each level in [1, n], for orthonormal atom pairs per mode plane.
+    """Joint OMP's squared residual norm at each level, for one dictionary: ``plane_pursuit_curves`` of [pairs]."""
+    return plane_pursuit_curves(z, rank, [pairs], levels)[0]
 
-    ``z``, ``rank`` and ``pairs`` are as in ``rotate_planes``; the dictionary
-    also holds one identity atom per harmonic row (a frame's copies add
-    nothing).  The planes are mutually orthogonal, so OMP's residual splits
-    by plane.  A plane's first gain is the energy of its best atom (exact
-    ties to the first atom listed), its second the energy of that atom's
-    partner, which spans the rest of the plane; a harmonic row's gain is its
-    energy.  Every event's OMP score equals its gain, and a plane's second
-    gain is at most its first, so the residual at level L is the sum of all
-    but the L largest gains, whichever of two equal gains is taken first.
+
+def plane_pursuit_curves(z, rank, dictionaries, levels) -> np.ndarray:
+    """Joint OMP's squared residual norm at each level in [1, n], per dictionary: (len(dictionaries), len(levels)).
+
+    ``z`` and ``rank`` are as in ``rotate_planes``; each dictionary is its
+    ``pairs`` plus one identity atom per harmonic row (a frame's copies add
+    nothing).  One ``rotate_planes`` call rotates z into every dictionary's
+    pairs, stacked (shared pairs repeated per plane when shapes differ), and
+    the row energies are taken once: both are elementwise, so each curve is
+    bit-identical to a call on its dictionary alone.  The planes are mutually
+    orthogonal, so OMP's residual splits by plane.  A plane's first gain is
+    its best atom's energy (exact ties to the first atom listed), its second
+    that of the atom's partner, which spans the rest of the plane; a harmonic
+    row's gain is its energy.  Every event's OMP score equals its gain, and a
+    plane's second gain is at most its first, so the residual at level L sums
+    all but the L largest gains, whichever of two equal gains is taken first.
 
     Precision rule: every energy is a sum of squares of rotated rows, and a
     level's residual sums the gains left, smallest first; never ||S||^2 minus
     the captured energy, a cancellation error near 1e-16 ||S||^2.
     """
-    rows = rotate_planes(z, rank, pairs)
-    n, r, bases = len(z), int(rank), len(pairs)
+    n, r = len(z), int(rank)
+    pairs = [np.asarray(p, dtype=float) for p in dictionaries]
+    if len({p.shape[1:] for p in pairs}) > 1:
+        pairs = [np.broadcast_to(p, (len(p), r, 2, 2)) if p.shape[1:] == (1, 2, 2) else p for p in pairs]
+    rows = rotate_planes(z, r, np.concatenate(pairs))
     levels = np.array([int(lv) for lv in levels], dtype=int)
     if not np.all((1 <= levels) & (levels <= n)):
         raise ValueError(f"levels must lie in [1, {n}], got {levels.tolist()}")
-    energies = np.einsum("jt,jt->j", rows, rows)
-    atoms = energies[: 2 * bases * r].reshape(2 * bases, r)
-    first, planes = np.argmax(atoms, axis=0), np.arange(r)  # argmax: exact ties go to the first atom listed
-    gains = np.concatenate([atoms[first, planes], atoms[first ^ 1, planes], energies[2 * bases * r :]])
-    smallest = np.append(0.0, np.cumsum(np.sort(gains)))
-    return smallest[n - levels]
+    energies, sizes, planes = np.einsum("jt,jt->j", rows, rows), [2 * len(p) for p in pairs], np.arange(r)
+    gains = []
+    for atoms in np.split(energies[: sum(sizes) * r].reshape(sum(sizes), r), np.cumsum(sizes)[:-1]):
+        first = np.argmax(atoms, axis=0)  # exact ties go to the first atom listed
+        gains.append(np.concatenate([atoms[first, planes], atoms[first ^ 1, planes], energies[sum(sizes) * r :]]))
+    smallest = np.cumsum(np.sort(gains, axis=-1), axis=-1)
+    return np.concatenate([np.zeros((len(gains), 1)), smallest], axis=1)[:, n - levels]
 
 
 def nmse(S: np.ndarray, S_hat: np.ndarray) -> float:

@@ -378,6 +378,7 @@ class TestFailureModes:
                 ("inf", "inf", "has a non-finite cell"),  # its energy is inf, which is not 0
                 ("overflow", "1e200", "has an energy that overflows"),  # every cell is finite, its energy is not
                 ("underflow", "1e-170", "has an energy that underflows"),  # a cell is nonzero, its square is not
+                ("subnormal", "1e-160", "has an energy that underflows"),  # its energy, 1e-320, is subnormal
             )
         ],
     )

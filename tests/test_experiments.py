@@ -102,13 +102,16 @@ def all_omp_sweep(cfg: SweepConfig):
     return nmse
 
 
-# Sweep settings the oracle checks: T = 40 > V + E = 28, so the sweep codes the plane reduction of the batch;
-# T = 1, where z2 has one column; a tree (E = V - 1, no harmonic edge row); and eta0 = 2r, every plane of rank 2.
+# Sweep settings the oracle checks: T = 40 > V + E = 28, so the sweep codes the plane factor of the batch;
+# T = 1, where z2 has one column; a tree (E = V - 1, no harmonic edge row); eta0 = 2r, every plane of rank 2;
+# eta0 = 1, one supported column in all; and T = 2 with eta0 = 12, where the two-column planes' QR is square.
 ORACLE_SWEEPS = {
     "wide": dict(num_nodes=10, num_edges=18, eta0=6, num_signals=40, sparsity_grid=(2, 4, 6, 8, 12, 20, 28)),
     "one_signal": dict(num_nodes=10, num_edges=18, eta0=6, num_signals=1, sparsity_grid=(1, 2, 4, 6, 8, 28)),
     "tree": dict(num_nodes=10, num_edges=9, eta0=6, num_signals=40, sparsity_grid=(2, 4, 6, 8, 12, 19)),
     "eta0_2r": dict(num_nodes=10, num_edges=18, eta0=18, num_signals=40, sparsity_grid=(2, 6, 9, 12, 18, 20, 28)),
+    "one_column": dict(num_nodes=10, num_edges=18, eta0=1, num_signals=40, sparsity_grid=(1, 2, 4, 10, 28)),
+    "two_signals": dict(num_nodes=10, num_edges=18, eta0=12, num_signals=2, sparsity_grid=(1, 2, 6, 12, 18, 28)),
 }
 
 
@@ -188,11 +191,13 @@ def test_sweep_needs_no_dense_dictionary_and_no_pursuit(tmp_path, monkeypatch, c
 
 
 def test_sweep_needs_no_singular_vectors_no_synthesis_and_no_projection(tmp_path, monkeypatch):
-    # The sweep's curves depend on the graph only through r and sigma: each batch is drawn straight into its
-    # mode planes, so no n x T batch, no U or V^T and no projection of the batch is formed.
-    paths = [(topology, "spectral_decompose"), (synth, "gen_signals")]
-    bindings = make_raise(monkeypatch, paths + [(topology, "reduce_planes"), (topology, "project")])
-    assert bindings >= {("topospinor.experiments", name) for name in ("spectral_decompose", "gen_signals", "project")}
+    # The sweep's curves depend on the graph only through r and sigma: each batch is kept as its coefficient rows
+    # and factored plane by plane, so no n x T batch, no U or V^T, no projection of the batch and no QR of
+    # T-wide plane blocks is formed.
+    paths = [(topology, "spectral_decompose"), (synth, "gen_signals"), (topology, "reduce_planes"), (topology, "project")]
+    bindings = make_raise(monkeypatch, paths + [(topology, "reduce_blocks")])
+    names = ("spectral_decompose", "gen_signals", "project", "reduce_blocks")
+    assert bindings >= {("topospinor.experiments", name) for name in names}
     out = tmp_path / "run"
     argv = ["sparsity-sweep", "--num-nodes", "8", "--num-edges", "12", "--eta0", "4", "--num-signals", "30",
             "--sparsity-grid", "2,4,20", "--realizations", "2", "--seed", "3", "--out", str(out)]
@@ -202,8 +207,8 @@ def test_sweep_needs_no_singular_vectors_no_synthesis_and_no_projection(tmp_path
 
 
 def test_sweep_codes_the_batch_at_its_rank(tmp_path, monkeypatch):
-    # Each mode plane of the T = 600 signal batch is reduced to its 2 x 2 triangle, so the learner
-    # and every per-plane curve get 2 columns, not T.
+    # Each mode plane of the T = 600 signal batch is replaced by its 2 x 2 factor, so the learner and the one
+    # pursuit call, which reads all four curves, get 2 columns, not T.
     widths = []
 
     def spy(fn):
@@ -214,11 +219,36 @@ def test_sweep_codes_the_batch_at_its_rank(tmp_path, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(experiments, "fit_coupling", spy(experiments.fit_coupling))
-    monkeypatch.setattr(experiments, "plane_pursuit_curve", spy(experiments.plane_pursuit_curve))
+    monkeypatch.setattr(experiments, "plane_pursuit_curves", spy(experiments.plane_pursuit_curves))
     for signal_class in SIGNAL_CLASSES:
         widths.clear()
-        run_sparsity_sweep(SweepConfig(out=str(tmp_path / signal_class), signal_class=signal_class, realizations=1))
-        assert widths == [("fit_coupling", 2)] + [("plane_pursuit_curve", 2)] * 4, signal_class
+        run_sparsity_sweep(SweepConfig(out=str(tmp_path / signal_class), signal_class=signal_class, realizations=2))
+        assert widths == [("fit_coupling", 2), ("plane_pursuit_curves", 2)] * 2, signal_class
+
+
+@pytest.mark.parametrize("num_signals", [1, 2, 40])
+@pytest.mark.parametrize("planes", ["single-column", "two-column", "mixed"])
+def test_plane_factor_keeps_every_plane_gram(num_signals, planes):
+    # Hand-built supports over r = 6 planes (n = 15): the factor's plane Grams equal those of the T-wide blocks
+    # A_i^T c_i, to 1e-12 of each plane's energy, and its harmonic rows are zero.
+    r, n = 6, 15
+    support = {"single-column": [0, 2, 7, 9], "two-column": [1, 4, 7, 10], "mixed": [0, 1, 3, 5, 7, 9, 11]}[planes]
+    support = np.array(support)
+    rng = np.random.default_rng(len(support) + num_signals)
+    coefficients = rng.normal(size=(len(support), num_signals)) * rng.uniform(0.1, 10.0, size=(len(support), 1))
+    k = rng.uniform(0.0, 1.0, size=r)
+    codes = np.zeros((r, 2, num_signals))
+    codes[support % r, (support >= r).astype(int)] = coefficients
+    blocks = experiments._plane_bases(k)["ddtl"][0].swapaxes(1, 2) @ codes
+    z = np.zeros((n, num_signals))
+    z[:r], z[n - r :] = blocks[:, 0], blocks[:, 1]
+    z2 = experiments._plane_factor(support, coefficients, k, n)
+    assert z2.shape == (n, min(num_signals, 2))
+    assert not np.any(z2[r : n - r])
+    expected, got = ddtl.plane_grams(z, r), ddtl.plane_grams(z2, r)
+    energy = expected[0] + expected[2]
+    assert np.all(np.abs(got - expected) <= 1e-12 * energy)
+    assert np.array_equal(energy == 0.0, ~np.isin(np.arange(r), support % r))
 
 
 def sweep_curves(tables):
@@ -233,11 +263,15 @@ class TestDominance:
     @staticmethod
     def recount(tables):
         curves = sweep_curves(tables).values()
-        count = sum(
-            all(c["ddtl"][lv] <= min(c["dirac"][lv], c["laplacian"][lv], c["frame"][lv]) + 1e-12 for lv in c["ddtl"])
-            for c in curves
-        )
-        return {"realizations": len(curves), "ddtl_le_fixed_every_level": count}
+
+        def count(method, rivals):
+            return sum(all(c[method][lv] <= min(c[m][lv] for m in rivals) + 1e-12 for lv in c[method]) for c in curves)
+
+        return {
+            "realizations": len(curves),
+            "ddtl_le_fixed_every_level": count("ddtl", ("dirac", "laplacian", "frame")),
+            "frame_le_bases_every_level": count("frame", ("dirac", "laplacian")),
+        }
 
     @pytest.mark.parametrize(
         "signal_class, grid", [("partially_coupled", (2, 4, 6, 8, 20)), ("mixture_of_dirac", (2, 5, 8, 20))]
@@ -255,8 +289,18 @@ class TestDominance:
         cfg = SweepConfig(out=str(tmp_path / "run"), signal_class=signal_class, num_nodes=10, num_edges=18,
                           eta0=8, num_signals=40, realizations=4, sparsity_grid=tuple(range(1, 29)), seed=6)
         meta, tables = load_results(run_sparsity_sweep(cfg))
-        assert meta["dominance"] == {"realizations": 4, "ddtl_le_fixed_every_level": 4}
+        assert meta["dominance"] == {"realizations": 4, "ddtl_le_fixed_every_level": 4, "frame_le_bases_every_level": 4}
         assert self.recount(tables) == meta["dominance"]
+
+    @pytest.mark.parametrize("signal_class", SIGNAL_CLASSES)
+    def test_both_claims_hold_in_every_realization_at_the_defaults(self, tmp_path, signal_class):
+        # Claim (a), the frame at most either basis, and claim (b), the learned basis at most every fixed
+        # dictionary, recounted from results.csv of a default sweep (ROADMAP item 4).
+        cfg = SweepConfig(out=str(tmp_path / "run"), signal_class=signal_class)
+        meta, tables = load_results(run_sparsity_sweep(cfg))
+        n = cfg.realizations
+        expected = {"realizations": n, "ddtl_le_fixed_every_level": n, "frame_le_bases_every_level": n}
+        assert self.recount(tables) == meta["dominance"] == expected
 
 
 class TestLearnerTally:

@@ -17,6 +17,7 @@ from topospinor.sparse import (
     nmse,
     omp,
     plane_pursuit_curve,
+    plane_pursuit_curves,
     row_hard_threshold,
 )
 from topospinor.synth import SIGNAL_CLASSES, SignalClassSpec, add_awgn, gen_signals, random_graph
@@ -568,6 +569,20 @@ def test_plane_pursuit_curve_matches_dense_omp_at_every_level(d, signals, kind):
         residual = plane_pursuit_curve(project(signals, d), d.rank, planes[method], range(1, n + 1))
         history = np.asarray(omp(dense[method], signals, n).residual_history)
         assert_allclose(residual / energy, history**2 / energy, rtol=0, atol=1e-12, err_msg=method)
+
+
+@pytest.mark.parametrize("d, signals", ORACLE_CASES)
+@pytest.mark.parametrize("reduced", [False, True], ids=["projected", "reduced"])
+def test_one_rotation_gives_each_dictionary_its_own_curve_bit_for_bit(d, signals, reduced):
+    # The sweep's four dictionaries (shared Dirac and Laplacian pairs, per-plane learned ones, and the frame's two
+    # bases) rotated at once: every curve equals a call on its dictionary alone, to the last bit.
+    n, r = d.dim, d.rank
+    z = reduce_planes(signals, d)[0] if reduced else project(signals, d)
+    planes, levels = _plane_bases(_random_coupling(np.random.default_rng(n), r)), range(1, n + 1)
+    curves = plane_pursuit_curves(z, r, list(planes.values()), levels)
+    assert curves.shape == (len(planes), n)
+    for curve, pairs in zip(curves, planes.values()):
+        assert np.array_equal(curve, plane_pursuit_curve(z, r, pairs, levels))
 
 
 @pytest.mark.parametrize("d, signals", ORACLE_CASES)
