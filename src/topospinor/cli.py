@@ -5,8 +5,9 @@ dashes>, parsed by the field's annotation (a tuple grid as a comma-separated
 list), with the help text, the choices and the two renamed flags (--dataset,
 --graph) taken from the field's metadata.  An optional JSON config file
 (--config, keys matching the fields) is read first and explicit flags apply
-on top.  Exit code is 0 on success; failures print one machine-readable JSON
-line to stderr and exit nonzero.
+on top.  Exit code is 0 on success.  A usage error (an unknown flag, a value
+that does not parse) exits 2 with argparse's usage text on stderr; every
+other failure prints one machine-readable JSON line to stderr and exits 1.
 """
 
 from __future__ import annotations

@@ -3,11 +3,12 @@
 The two studies (``run_sparsity_sweep`` and ``run_denoise``) learn the
 coupling in closed form, one angle per mode plane from the plane's 2 x 2
 Gram (``ddtl.plane_grams`` and ``ddtl.coupling_from_grams``), and code or
-truncate in each dictionary one mode plane at a time: the sweep on each
-plane's 2 x 2 factor, built from the batch's coefficient rows and rotated
-once into all four dictionaries, the denoising sweep from each plane's
-Gram.  No study builds a dense (V+E) x (V+E) basis or runs the ADMM.  The
-rule (each plane's principal axis, mod 90 degrees, clipped to the box
+truncate in each dictionary one mode plane at a time, from its atoms'
+energies: the sweep's from each plane's 2 x 2 factor, built from the
+batch's coefficient rows (``sparse.plane_energies``), the denoising
+sweep's from each plane's Gram and, for the clean batch, its 2 x 2
+triangles.  No study builds a dense (V+E) x (V+E) basis or runs the ADMM.
+The rule (each plane's principal axis, mod 90 degrees, clipped to the box
 k in [0, 1], ties to k = 1) is stated in :mod:`topospinor.ddtl`.
 ``run_ddtl_fit`` runs the ADMM (``ddtl.ddtl_fit``) until ROADMAP item 0 lets
 it move to the closed form.
@@ -34,7 +35,7 @@ import numpy as np
 from . import io as tsio
 from .ddtl import DdtlConfig, coupling_from_grams, ddtl_fit, fit_coupling, plane_grams
 from .frames import build_frame
-from .sparse import nmse, plane_pursuit_curves, rotate_planes
+from .sparse import nmse, plane_energies, plane_pursuit_curves
 from .sparse import omp  # noqa: F401  unused; perfbench pins this binding (ROADMAP item 0)
 from .synth import SIGNAL_CLASSES, SignalClassSpec, add_awgn, draw_signals, gen_signals, random_graph
 from .topology import (
@@ -285,24 +286,22 @@ def sweep_dictionaries(d, k: np.ndarray) -> dict[str, np.ndarray]:
     return {"laplacian": theta, "dirac": phi, "frame": build_frame(phi, theta).matrix, "ddtl": ddtl}
 
 
-# The two bases of _plane_bases that do not depend on k; 1/sqrt(2) as in dirac_eigenbasis.
-_FIXED_BASES = {"laplacian": np.eye(2)[None, None], "dirac": np.array([[[[1.0, -1.0], [1.0, 1.0]]]]) / np.sqrt(2.0)}
-
-
 def _plane_bases(k: np.ndarray) -> dict[str, np.ndarray]:
-    """The four sweep dictionaries as orthonormal atom pairs per mode plane: (bases, r or 1, 2, 2) each.
+    """The four sweep dictionaries as orthonormal atom pairs per mode plane: (bases, r, 2, 2) each.
 
     Row j of a plane's 2 x 2 is atom j as (node, edge) coefficients: Laplacian
     ((1, 0), (0, 1)), Dirac ((c, -c), (c, c)) with c = 1/sqrt(2), learned
     ((k, -1), (1, k)) / sqrt(1 + k^2) at the shared coupling k (one basis per
     row of a fits x r array of couplings), and the frame
     [Dirac, Laplacian], each in its dense columns' order, so that a tie sent to
-    the first atom listed goes where dense OMP sends it.
+    the first atom listed goes where dense OMP sends it (the Laplacian and
+    Dirac pairs: read-only views of one 2 x 2 each).
     """
-    laplacian, dirac = _FIXED_BASES["laplacian"], _FIXED_BASES["dirac"]
     k = np.atleast_2d(np.asarray(k, dtype=float))  # one learned basis per row
     one = np.ones_like(k)
     ddtl = np.stack([k, -one, one, k], axis=-1).reshape(*k.shape, 2, 2) / np.sqrt(1.0 + k**2)[..., None, None]
+    dirac = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)  # 1/sqrt(2) as in dirac_eigenbasis
+    laplacian, dirac = (np.broadcast_to(pair, (1, k.shape[-1], 2, 2)) for pair in (np.eye(2), dirac))
     return {"laplacian": laplacian, "dirac": dirac, "frame": np.concatenate([dirac, laplacian]), "ddtl": ddtl}
 
 
@@ -349,8 +348,8 @@ def run_sparsity_sweep(cfg: SweepConfig) -> Path:
     vector) and kept as its coefficient rows C.  Each mode plane's T-wide
     block is replaced by a 2 x 2 factor with the same Gram (``_plane_factor``,
     a QR only on planes holding both columns).  The coupling is learned in
-    closed form on that z2 (``ddtl.fit_coupling``), one rotation of z2 into
-    all four dictionaries gives every joint OMP curve
+    closed form on that z2 (``ddtl.fit_coupling``), the energies of z2's
+    planes in all four dictionaries at once give every joint OMP curve
     (``plane_pursuit_curves``), and each is divided by ||C||_F^2, the batch's
     energy, since the synthesis basis is orthonormal.
     """
@@ -430,11 +429,11 @@ def _grams(z, rank) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _row_energies(grams, harmonic, pairs) -> np.ndarray:
-    """The energies of the rows of ``rotate_planes(z, rank, pairs)``, per basis, from ``_grams`` of z.
+    """The energies of ``sparse.plane_energies(z, rank, pairs)``, per basis, from ``_grams`` of z.
 
     ``grams`` is (..., 3, r), ``harmonic`` (..., n - 2r) and ``pairs``
-    (..., B, r or 1, 2, 2); the result is (..., B, n), each basis's rows in
-    ``rotate_planes``' order [first atoms | second atoms | harmonic rows].
+    (..., B, r, 2, 2); the result is (..., B, n), each basis's rows in the
+    order [first atoms | second atoms | harmonic rows] of ``_with_harmonic``.
     Atom (c_u, c_v) of plane i has the energy
     c_u^2 ||z_u||^2 + 2 c_u c_v <z_u, z_v> + c_v^2 ||z_v||^2, a quadratic form
     accurate to about 1e-16 of the plane's energy, not to its own size as a
@@ -474,6 +473,8 @@ def run_denoise(cfg: DenoiseConfig) -> Path:
 
     Clean data is read from ``dataset_dir`` when it is given (the surrogate
     settings are then ignored) and is otherwise a synthetic surrogate batch.
+    A finite SNR level whose ratio 10^(snr/10) is no finite normal double, or
+    whose expected noise energy ||S||^2 10^(-snr/10) is not finite, is refused.
     For each SNR and noise realization the noisy input error is recorded,
     and per bandwidth the clean signals are compared with hard truncation of
     the noisy ones in the learned, the Dirac and the Laplacian basis, which
@@ -484,8 +485,8 @@ def run_denoise(cfg: DenoiseConfig) -> Path:
     (``ddtl.coupling_from_grams``), and the noisy and error row energies are
     their quadratic forms (``_row_energies``).  The clean row energies are
     sums of squares, so never below 0: the clean batch is reduced once per
-    run to its 2 x 2 triangles (``topology.reduce_blocks``), which one
-    ``rotate_planes`` call turns into every basis of every fit.
+    run to its 2 x 2 triangles (``topology.reduce_blocks``), whose energies
+    in every basis of every fit come from one ``sparse.plane_energies`` call.
     """
     if cfg.dataset_dir:
         graph, clean = _load_dataset(cfg.dataset_dir)
@@ -497,6 +498,11 @@ def run_denoise(cfg: DenoiseConfig) -> Path:
         spec = SignalClassSpec(cfg.signal_class, cfg.gen_eta0, cfg.num_signals, sub_seed(cfg.seed, 0, "signals"))
         clean, _ = gen_signals(d, spec)
     clean_z, energy, r = project(clean, d), float(np.linalg.norm(clean) ** 2), d.rank
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):  # add_awgn's noise must be finite
+        for snr, ratio in zip(cfg.snr_grid, 10.0 ** (np.array(cfg.snr_grid) / 10.0)):
+            if snr < np.inf and not (np.finfo(float).tiny <= ratio < np.inf and energy / ratio < np.inf):
+                raise ValueError(f"snr_grid level {snr:g} dB leaves the float range for this batch: 10^(snr/10) is "
+                                 f"{ratio:.3g} and the expected noise energy ||S||^2 10^(-snr/10) {energy / ratio:.3g}")
     fits = [(real, snr) for real in range(cfg.realizations) for snr in cfg.snr_grid]
     inputs, noisy_grams, error_grams = [], [], []
     for real, snr in fits:
@@ -508,13 +514,11 @@ def run_denoise(cfg: DenoiseConfig) -> Path:
     noisy_grams, error_grams = [[np.stack(g) for g in zip(*grams)] for grams in (noisy_grams, error_grams)]
 
     # Per fit, in the rows' order, the learned, the Dirac and the Laplacian pairs.
-    fixed = np.concatenate([_FIXED_BASES["dirac"], _FIXED_BASES["laplacian"]])
-    learned = _plane_bases(coupling_from_grams(noisy_grams[0]))["ddtl"]
-    pairs = np.concatenate([learned[:, None], np.broadcast_to(fixed, (len(fits), 2, r, 2, 2))], axis=1)
+    bases = _plane_bases(coupling_from_grams(noisy_grams[0]))
+    pairs = np.stack(np.broadcast_arrays(bases["ddtl"], bases["dirac"], bases["laplacian"]), axis=1)
     z2, _ = reduce_blocks(np.stack([clean_z[:r], clean_z[d.dim - r :]], axis=1), np.sqrt(_grams(clean_z, r)[1]))
-    rotated = rotate_planes(z2, r, pairs.reshape(-1, *pairs.shape[2:]))
-    sums, m = np.einsum("jt,jt->j", rotated, rotated), 6 * r * len(fits)
-    clean_energies = _with_harmonic(sums[:m].reshape(len(fits), 3, 2 * r), sums[m:])
+    clean_planes, clean_harmonic = plane_energies(z2, r, pairs.reshape(-1, r, 2, 2))
+    clean_energies = _with_harmonic(clean_planes.reshape(len(fits), 3, 2 * r), clean_harmonic)
     bandwidths = [int(bw) for bw in cfg.bandwidth_grid]
     curves = _truncation_nmse(
         clean_energies, _row_energies(*noisy_grams, pairs), _row_energies(*error_grams, pairs), bandwidths, energy

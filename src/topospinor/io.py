@@ -26,9 +26,11 @@ Matrix CSV dialect (``write_matrix_csv`` / ``read_matrix_csv``)
     writer works on two cores: a matrix of two or more rows has its first half
     formatted in the calling process and its second half in one child made
     with ``os.fork`` (POSIX), which hands its part back through an unnamed
-    temporary file; a process running another thread formats every row
-    itself.  The bytes written are the ones a single process writes, and
-    there is nothing to configure.
+    temporary file; a process running another Python thread formats every
+    row itself.  A BLAS's own OS threads do not count (see ``_fork``), so at
+    numpy's default thread count a process still forks; CI and perfbench pin
+    one BLAS thread.  The bytes written are the ones a single process
+    writes, and there is nothing to configure.
 
 Results
     ``save_results`` writes a run directory containing ``run.json`` (metadata:
@@ -264,7 +266,10 @@ def write_matrix_csv(path, matrix: np.ndarray) -> None:
 
 def _fork() -> int | None:
     """``os.fork()``, or None where there is none (not POSIX), it fails (no process ids left, say) or another
-    thread runs: one inside a multithreaded OpenBLAS call when the fork stops the BLAS threads never returns."""
+    Python thread runs: one inside a multithreaded OpenBLAS call when the fork stops the BLAS threads never returns.
+    A BLAS's OS threads do not count: after ``import numpy`` at the default thread count, ``/proc/self/task`` holds
+    2 threads against a ``threading.active_count()`` of 1, so such a process forks (Python 3.12+ warns of it), and
+    counting them would stop every fork there.  CI and perfbench pin one BLAS thread."""
     if threading.active_count() > 1:
         return None
     try:

@@ -8,8 +8,8 @@ the coefficients solved once at the end.
 ``plane_pursuit_curves`` is the same pursuit for dictionaries of orthonormal
 atom pairs per mode plane span{(u_i; 0), (0; v_i)} and one identity atom per
 harmonic coefficient, as every sweep dictionary is.  With the selection rule
-of Tropp, Gilbert & Strauss (2006) it is "rotate each plane into every
-dictionary at once (``rotate_planes``), take row energies, sort per dictionary".
+of Tropp, Gilbert & Strauss (2006) it is "take each plane's atom energies in
+every dictionary at once (``plane_energies``), sort per dictionary".
 
 ``row_hard_threshold`` and ``column_normalize`` are the Euclidean
 projections onto row-sparse matrices and onto the unit-column (oblique)
@@ -27,8 +27,7 @@ __all__ = [
     "SparseCode",
     "DegenerateRetractionWarning",
     "omp",
-    "rotate_planes",
-    "plane_pursuit_curve",
+    "plane_energies",
     "plane_pursuit_curves",
     "nmse",
     "row_hard_threshold",
@@ -161,72 +160,59 @@ def omp(dictionary: np.ndarray, signals: np.ndarray, sparsity: int) -> SparseCod
     )
 
 
-def rotate_planes(z, rank, pairs) -> np.ndarray:
-    """Rotate each mode plane of a projected batch into orthonormal atom pairs.
+def plane_energies(z, rank, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The energies of a projected batch's rows rotated into orthonormal atom pairs per mode plane.
 
     ``z`` (n x T, or n) is ``topology.project`` or ``topology.reduce_blocks``:
     plane i is rows z_u = z[i] and z_v = z[n - rank + i], the rows between are
-    harmonic.  Row j of pairs[b, i] (pairs is (B, rank or 1, 2, 2)) holds atom
-    j of basis b in plane i as (z_u, z_v) coefficients.  Returns the rows
-    c_u z_u + c_v z_v of basis 0's first atoms, its second atoms, basis 1's
-    and so on, then the harmonic rows.  Raises ValueError on mismatched
-    shapes, or naming the largest deviation, on pairs not orthonormal to 1e-6.
+    harmonic.  Row j of pairs[b, i] (pairs is (B, rank, 2, 2)) holds atom j of
+    basis b in plane i as (z_u, z_v) coefficients.  Returns the energies of the
+    rotated rows c_u z_u + c_v z_v, (B, 2, rank) per basis, atom and plane, and
+    those of the harmonic rows, (n - 2 rank,).  Precision rule: each is a sum of
+    squares of a row, so never below 0, and accurate to its own size.  Raises
+    ValueError on mismatched shapes (shared (B, 1, 2, 2) pairs included, at
+    rank 2 or more), or naming the largest deviation, on pairs not orthonormal
+    to 1e-6.
     """
     z = np.asarray(z, dtype=float).reshape(len(z), -1)
     n, r, pairs = len(z), int(rank), np.asarray(pairs, dtype=float)
-    if pairs.ndim != 4 or not len(pairs) or pairs.shape[1:] not in ((1, 2, 2), (r, 2, 2)) or not 0 <= 2 * r <= n:
+    if pairs.ndim != 4 or not len(pairs) or pairs.shape[1:] != (r, 2, 2) or not 0 <= 2 * r <= n:
         raise ValueError(f"shapes do not match: z {z.shape}, rank {r}, pairs {pairs.shape}")
     worst = float(np.abs(pairs @ pairs.swapaxes(2, 3) - _EYE2).max(initial=0.0))
     if worst > _UNIT_NORM_TOL:
         raise ValueError(f"atom pairs must be orthonormal (max deviation {worst:.3e})")
-    atoms = pairs.transpose(0, 2, 3, 1)  # basis, atom, coefficient, plane (one if shared: a scalar per row)
-    m = 2 * len(pairs) * r
-    out = np.empty((m + n - 2 * r, z.shape[1]))  # filled in place: fewer T-wide temporaries in denoise's loop
-    rows = out[:m].reshape(len(pairs), 2, r, z.shape[1])
-    np.multiply(atoms[:, :, 0, :, None], z[:r], out=rows)
-    rows += atoms[:, :, 1, :, None] * z[n - r :]
-    out[m:] = z[r : n - r]
-    return out
-
-
-def plane_pursuit_curve(z, rank, pairs, levels) -> np.ndarray:
-    """Joint OMP's squared residual norm at each level, for one dictionary: ``plane_pursuit_curves`` of [pairs]."""
-    return plane_pursuit_curves(z, rank, [pairs], levels)[0]
+    atoms = pairs.transpose(0, 2, 3, 1)  # basis, atom, coefficient, plane
+    rows, harmonic = atoms[:, :, 0, :, None] * z[:r] + atoms[:, :, 1, :, None] * z[n - r :], z[r : n - r]
+    return np.einsum("bjit,bjit->bji", rows, rows), np.einsum("ht,ht->h", harmonic, harmonic)
 
 
 def plane_pursuit_curves(z, rank, dictionaries, levels) -> np.ndarray:
     """Joint OMP's squared residual norm at each level in [1, n], per dictionary: (len(dictionaries), len(levels)).
 
-    ``z`` and ``rank`` are as in ``rotate_planes``; each dictionary is its
-    ``pairs`` plus one identity atom per harmonic row (a frame's copies add
-    nothing).  One ``rotate_planes`` call rotates z into every dictionary's
-    pairs, stacked (shared pairs repeated per plane when shapes differ), and
-    the row energies are taken once: both are elementwise, so each curve is
-    bit-identical to a call on its dictionary alone.  The planes are mutually
-    orthogonal, so OMP's residual splits by plane.  A plane's first gain is
-    its best atom's energy (exact ties to the first atom listed), its second
-    that of the atom's partner, which spans the rest of the plane; a harmonic
-    row's gain is its energy.  Every event's OMP score equals its gain, and a
-    plane's second gain is at most its first, so the residual at level L sums
-    all but the L largest gains, whichever of two equal gains is taken first.
-
-    Precision rule: every energy is a sum of squares of rotated rows, and a
-    level's residual sums the gains left, smallest first; never ||S||^2 minus
-    the captured energy, a cancellation error near 1e-16 ||S||^2.
+    ``z``, ``rank`` and each dictionary's pairs are as in ``plane_energies``;
+    each dictionary is its pairs plus one identity atom per harmonic row (a
+    frame's copies add nothing).  One ``plane_energies`` call takes the
+    energies of every dictionary's atoms at once: they are elementwise, so
+    each curve is bit-identical to a call on its dictionary alone.  The planes
+    are mutually orthogonal, so OMP's residual splits by plane.  A plane's
+    first gain is its best atom's energy (exact ties to the first atom
+    listed), its second that of the atom's partner, which spans the rest of
+    the plane; a harmonic row's gain is its energy.  Every event's OMP score
+    equals its gain, and a plane's second gain is at most its first, so the
+    residual at level L sums all but the L largest gains, whichever of two
+    equal gains is taken first.  Precision rule: it sums the gains left,
+    smallest first; never ||S||^2 minus the captured energy, a cancellation
+    error near 1e-16 ||S||^2.
     """
-    n, r = len(z), int(rank)
-    pairs = [np.asarray(p, dtype=float) for p in dictionaries]
-    if len({p.shape[1:] for p in pairs}) > 1:
-        pairs = [np.broadcast_to(p, (len(p), r, 2, 2)) if p.shape[1:] == (1, 2, 2) else p for p in pairs]
-    rows = rotate_planes(z, r, np.concatenate(pairs))
+    n, r, sizes = len(z), int(rank), [len(p) for p in dictionaries]
+    planes, harmonic = plane_energies(z, r, np.concatenate(dictionaries))
     levels = np.array([int(lv) for lv in levels], dtype=int)
     if not np.all((1 <= levels) & (levels <= n)):
         raise ValueError(f"levels must lie in [1, {n}], got {levels.tolist()}")
-    energies, sizes, planes = np.einsum("jt,jt->j", rows, rows), [2 * len(p) for p in pairs], np.arange(r)
-    gains = []
-    for atoms in np.split(energies[: sum(sizes) * r].reshape(sum(sizes), r), np.cumsum(sizes)[:-1]):
+    gains, plane = [], np.arange(r)
+    for atoms in np.split(planes.reshape(2 * len(planes), r), 2 * np.cumsum(sizes)[:-1]):
         first = np.argmax(atoms, axis=0)  # exact ties go to the first atom listed
-        gains.append(np.concatenate([atoms[first, planes], atoms[first ^ 1, planes], energies[sum(sizes) * r :]]))
+        gains.append(np.concatenate([atoms[first, plane], atoms[first ^ 1, plane], harmonic]))
     smallest = np.cumsum(np.sort(gains, axis=-1), axis=-1)
     return np.concatenate([np.zeros((len(gains), 1)), smallest], axis=1)[:, n - levels]
 

@@ -418,6 +418,34 @@ class TestFailureModes:
         assert err["error"] == "ValueError" and grid in err["message"] and "repeat" in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "snr, args",
+        [("-3080", ["--bandwidth-grid", "10"]), ("-100", None), ("3090", []), ("-4000", [])],
+        ids=["ratio-underflows", "noise-energy-overflows", "ratio-overflows", "ratio-is-zero"],
+    )
+    def test_snr_level_out_of_the_float_range_is_refused(self, tmp_path, capsys, monkeypatch, snr, args):
+        # Each level once wrote inf or nan rows, or failed with an unnamed arithmetic error: 10^(snr/10) leaves the
+        # normal doubles, or the expected noise energy ||S||^2 10^(-snr/10) of the batch at hand is not finite
+        # (None: a dataset of energy 3.1e302 at -100 dB).  Refused by name, before any noise is drawn.
+        if args is None:
+            data = tmp_path / "data"
+            data.mkdir()
+            (data / "graph.txt").write_text("3\n0 1\n1 2\n")
+            (data / "node_series.csv").write_text("0,0,0\n0,1.76e151,0\n0,1,0\n1,0,0\n")
+            (data / "edge_series.csv").write_text("1,0\n0,1\n1,1\n0,2\n")
+            args = ["--dataset", str(data), "--bandwidth-grid", "1,2"]
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("noise was drawn at a level outside the float range")
+
+        monkeypatch.setattr(experiments, "add_awgn", no_draw)
+        out = tmp_path / "out"
+        assert main(["denoise", f"--snr-grid={snr}", "--realizations", "1", *args, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError", err
+        assert err["message"].startswith(f"snr_grid level {snr} dB leaves the float range for this batch")
+        assert not out.exists()
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))
@@ -442,6 +470,14 @@ class TestFailureModes:
         with pytest.raises(SystemExit) as exc:
             main([command, flag, str(value), "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
+
+    def test_unparsable_value_is_a_usage_error(self, tmp_path, capsys):
+        # The other failure channel: argparse's usage text and exit 2, not a JSON line.
+        with pytest.raises(SystemExit) as exc:
+            main(["denoise", "--snr-grid", "abc", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "usage: topospinor denoise" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_every_flag_sets_a_config_field(self):
         # Flags are copied onto the config by field name, so a flag without a

@@ -23,7 +23,7 @@ from topospinor.ddtl import (
 )
 from conftest import STRUCTURED_GRAPHS, nonharmonic_column_indices
 from topospinor.experiments import _plane_bases
-from topospinor.sparse import DegenerateRetractionWarning, column_normalize, nmse, plane_pursuit_curve, row_hard_threshold
+from topospinor.sparse import DegenerateRetractionWarning, column_normalize, nmse, plane_pursuit_curves, row_hard_threshold
 from topospinor.synth import SIGNAL_CLASSES, SignalClassSpec, gen_signals, random_graph
 from topospinor.topology import (
     OrientedGraph,
@@ -806,7 +806,7 @@ class TestConvergenceReport:
 def learned_curve(z, d, levels):
     """The residual energies of joint OMP in the basis ``fit_coupling`` learns from z, as the sweep reads them."""
     k = fit_coupling(z, d.rank)
-    return plane_pursuit_curve(z, d.rank, _plane_bases(k)["ddtl"], levels)
+    return plane_pursuit_curves(z, d.rank, [_plane_bases(k)["ddtl"]], levels)[0]
 
 
 def brute_force_curve(z, d, angles):

@@ -399,14 +399,14 @@ def test_denoise_factors_each_noisy_batch_once(tmp_path, monkeypatch):
 
 
 def test_denoise_rotates_the_clean_batch_into_the_fixed_bases_once_per_run(tmp_path, monkeypatch):
-    # No T-wide batch is rotated: the clean batch is reduced once per run to its 2 x 2 triangles, which one call
-    # rotates into the learned, the Dirac and the Laplacian pairs of every realization and SNR.
+    # No T-wide batch is rotated: the clean batch is reduced once per run to its 2 x 2 triangles, whose energies in
+    # the learned, the Dirac and the Laplacian pairs of every realization and SNR come from one plane_energies call.
     cfg = DenoiseConfig(out=str(tmp_path / "run"), num_nodes=6, num_edges=9, num_signals=40, gen_eta0=5,
                         snr_grid=(0.0, 10.0, 20.0), bandwidth_grid=(3, 8), realizations=2, seed=4)
     rotated, reduced = [], []
-    rotate, reduce = experiments.rotate_planes, experiments.reduce_blocks
-    monkeypatch.setattr(experiments, "rotate_planes",
-                        lambda z, r, pairs: rotated.append((z.shape, pairs.shape)) or rotate(z, r, pairs))
+    energies, reduce = experiments.plane_energies, experiments.reduce_blocks
+    monkeypatch.setattr(experiments, "plane_energies",
+                        lambda z, r, pairs: rotated.append((z.shape, pairs.shape)) or energies(z, r, pairs))
     monkeypatch.setattr(experiments, "reduce_blocks",
                         lambda planes, norms: reduced.append(planes.shape) or reduce(planes, norms))
     run_denoise(cfg)
@@ -418,7 +418,7 @@ def test_denoise_rotates_the_clean_batch_into_the_fixed_bases_once_per_run(tmp_p
 @pytest.mark.parametrize("n, rank, num_signals", [(15, 5, 40), (15, 5, 1), (19, 9, 2), (6, 0, 3), (8, 4, 30)])
 def test_gram_row_energies_match_the_rotated_rows(n, rank, num_signals):
     # The noisy and error energies are quadratic forms of the plane Grams: to 1e-12 of their plane's energy, the
-    # sums of squares of the rotated rows, in rotate_planes' order, for each basis, learned ones of several fits.
+    # sums of squares of plane_energies, in the rows' order, for each basis, learned ones of several fits.
     rng = np.random.default_rng(n + rank + num_signals)
     z = rng.normal(size=(n, num_signals)) * rng.uniform(0.0, 3.0, size=(n, 1))
     if rank:
@@ -429,10 +429,9 @@ def test_gram_row_energies_match_the_rotated_rows(n, rank, num_signals):
     plane_energy = np.concatenate([grams[0] + grams[2]] * 2 + [harmonic])
     for name, pairs in experiments._plane_bases(k).items():
         got = experiments._row_energies(grams, harmonic, pairs)
-        rows = sparse.rotate_planes(z, rank, pairs)
-        energies = np.einsum("jt,jt->j", rows, rows)
-        planes = energies[: 2 * rank * len(pairs)].reshape(len(pairs), 2 * rank)
-        expected = np.concatenate([planes, np.tile(energies[2 * rank * len(pairs) :], (len(pairs), 1))], axis=1)
+        planes, harmonic_energies = sparse.plane_energies(z, rank, pairs)
+        planes = planes.reshape(len(pairs), 2 * rank)
+        expected = np.concatenate([planes, np.tile(harmonic_energies, (len(pairs), 1))], axis=1)
         assert got.shape == (len(pairs), n), name
         assert np.all(np.abs(got - expected) <= 1e-12 * plane_energy), name
 

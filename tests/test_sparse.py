@@ -16,7 +16,7 @@ from topospinor.sparse import (
     column_normalize,
     nmse,
     omp,
-    plane_pursuit_curve,
+    plane_energies,
     plane_pursuit_curves,
     row_hard_threshold,
 )
@@ -315,7 +315,6 @@ def _random_coupling(rng, r):
 
 def _plane_coordinate_dictionary(n, r, pairs):
     """The dense dictionary of plane pairs when Q = I: plane i is coordinates i and n - r + i."""
-    pairs = np.broadcast_to(pairs, (len(pairs), r, 2, 2))
     atoms = []
     for b, j in itertools.product(range(len(pairs)), range(2)):
         atom = np.zeros((n, r))
@@ -337,7 +336,7 @@ def test_plane_bases_lift_to_the_dense_columns(name):
     q[d.num_nodes :, r + d.xi0 :] = np.hstack([d.v_harmonic, d.v])
     dense, planes = _sweep_dictionaries_at(d, _random_coupling(np.random.default_rng(3), r))
     for method, pairs in planes.items():
-        pairs = np.broadcast_to(pairs, (len(pairs), r, 2, 2))
+        assert pairs.shape[1:] == (r, 2, 2), method  # per plane, the fixed bases as views broadcast to r
         lifted = [q[:, :r] * pairs[b, :, j, 0] + q[:, n - r :] * pairs[b, :, j, 1]
                   for b, j in itertools.product(range(len(pairs)), range(2))]
         lifted = np.hstack(lifted + [q[:, r : n - r]])
@@ -368,7 +367,7 @@ def test_row_energy_curve_matches_omp(method, d, signals, k):
     # The per-plane curve against the dense pursuit, at every level.
     n = d.dim
     dense, planes = _sweep_dictionaries_at(d, k)
-    residual = plane_pursuit_curve(project(signals, d), d.rank, planes[method], range(1, n + 1))
+    residual = plane_pursuit_curves(project(signals, d), d.rank, [planes[method]], range(1, n + 1))[0]
     history = np.asarray(omp(dense[method], signals, n).residual_history)
     energy = np.linalg.norm(signals) ** 2
     assert_allclose(residual / energy, history**2 / energy, rtol=0, atol=1e-12)
@@ -383,7 +382,7 @@ def test_row_energy_curve_keeps_exact_residuals_at_round_off():
     planes = _plane_bases(np.ones(d.rank))
     for z in (project(S, d), reduce_planes(S, d)[0]):
         for method in ("dirac", "frame", "ddtl"):
-            residual = plane_pursuit_curve(z, d.rank, planes[method], [34, 35])
+            residual = plane_pursuit_curves(z, d.rank, [planes[method]], [34, 35])[0]
             assert residual[0] > 1e-6 * energy, method
             assert 0.0 < residual[1] <= 1e-28 * energy, method
 
@@ -458,42 +457,53 @@ class TestReducePlanes:
 
 class TestRowEnergyCurveRejects:
     # Two mode planes and two harmonic rows: z has rows [u0, u1, h0, h1, v0, v1].
-    PAIRS = np.array([[[[1.0, 0.0], [0.0, 1.0]]]])
+    PAIRS = np.repeat(np.eye(2)[None, None], 2, axis=1)
 
     def test_non_orthonormal(self, rng):
         with pytest.raises(ValueError, match="orthonormal"):
-            plane_pursuit_curve(rng.normal(size=(6, 3)), 2, self.PAIRS + 0.5, [2])
+            plane_energies(rng.normal(size=(6, 3)), 2, self.PAIRS + 0.5)
 
     def test_orthogonal_but_not_unit(self, rng):
         pairs = np.concatenate([self.PAIRS, self.PAIRS])
         pairs[1, 0, 1] *= 1 + 1e-5
         with pytest.raises(ValueError, match=r"orthonormal \(max deviation 2\.000e-05\)"):
-            plane_pursuit_curve(rng.normal(size=(6, 3)), 2, pairs, [2])
+            plane_energies(rng.normal(size=(6, 3)), 2, pairs)
 
     def test_unit_but_not_orthogonal(self, rng):
         # Two unit atoms 1e-4 radians short of a right angle, in one plane of two.
-        pairs = np.repeat(self.PAIRS, 2, axis=1)
+        pairs = self.PAIRS.copy()
         pairs[0, 1, 1] = [-np.sin(1e-4), np.cos(1e-4)]
         with pytest.raises(ValueError, match=r"max deviation 1\.000e-04"):
-            plane_pursuit_curve(rng.normal(size=(6, 3)), 2, pairs, [2])
+            plane_energies(rng.normal(size=(6, 3)), 2, pairs)
 
     def test_deviation_within_the_tolerance_is_accepted(self, rng):
-        pairs = self.PAIRS * (1 + 4e-7)
         z = rng.normal(size=(6, 3))
-        assert_allclose(plane_pursuit_curve(z, 2, pairs, [2]), plane_pursuit_curve(z, 2, self.PAIRS, [2]), rtol=2e-6)
+        for got, expected in zip(plane_energies(z, 2, self.PAIRS * (1 + 4e-7)), plane_energies(z, 2, self.PAIRS)):
+            assert_allclose(got, expected, rtol=2e-6)
 
     def test_non_square(self, rng):
         z = rng.normal(size=(6, 3))
         for pairs in (self.PAIRS[..., :1], self.PAIRS[0], np.repeat(self.PAIRS, 3, axis=1), self.PAIRS[:0]):
             with pytest.raises(ValueError, match="shapes"):
-                plane_pursuit_curve(z, 2, pairs, [2])
+                plane_energies(z, 2, pairs)
         with pytest.raises(ValueError, match="shapes"):
-            plane_pursuit_curve(z, 4, self.PAIRS, [2])  # four planes need eight rows
+            plane_energies(z, 4, np.repeat(self.PAIRS, 2, axis=1))  # four planes need eight rows
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_shared_pairs_are_refused(self, rng, rank):
+        # Pairs are per plane: one 2 x 2 shared by every plane is a shape mismatch once there are two planes.
+        shared = np.stack([np.eye(2), np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)])[:, None]
+        with pytest.raises(ValueError, match=r"shapes do not match: .*pairs \(2, 1, 2, 2\)"):
+            plane_energies(rng.normal(size=(8, 3)), rank, shared)
+        with pytest.raises(ValueError, match="shapes"):
+            plane_pursuit_curves(rng.normal(size=(8, 3)), rank, [shared], [2])
+        planes, harmonic = plane_energies(rng.normal(size=(8, 3)), 1, shared)  # one plane: per-plane pairs
+        assert planes.shape == (2, 2, 1) and harmonic.shape == (6,)
 
     @pytest.mark.parametrize("level", [0, 7])
     def test_level_out_of_range(self, rng, level):
         with pytest.raises(ValueError, match="levels"):
-            plane_pursuit_curve(rng.normal(size=(6, 3)), 2, self.PAIRS, [3, level])
+            plane_pursuit_curves(rng.normal(size=(6, 3)), 2, [self.PAIRS], [3, level])
 
 
 @given(
@@ -510,7 +520,7 @@ def test_row_energy_curve_never_rises_and_does_not_depend_on_ties(seed, n, num_s
     levels = list(range(1, n + 1))
     z = rng.normal(size=(n, num_signals))
     for method, pairs in _plane_bases(_random_coupling(rng, r)).items():
-        residual = plane_pursuit_curve(z, r, pairs, levels)
+        residual = plane_pursuit_curves(z, r, [pairs], levels)[0]
         assert np.all(residual >= 0) and np.all(residual[1:] <= residual[:-1]), method
         assert residual[-1] == 0.0, method  # every atom in: the pairs span every plane
         history = np.asarray(omp(_plane_coordinate_dictionary(n, r, pairs), z, n).residual_history)
@@ -527,8 +537,8 @@ def test_row_energy_curve_never_rises_and_does_not_depend_on_ties(seed, n, num_s
     swapped[rows] = S[rows[::-1]]
     for method in ("laplacian", "ddtl"):
         pairs = _plane_bases(np.zeros(r))[method]
-        residual = plane_pursuit_curve(S, r, pairs, levels)
-        assert np.array_equal(plane_pursuit_curve(swapped, r, pairs, levels), residual), method
+        residual = plane_pursuit_curves(S, r, [pairs], levels)[0]
+        assert np.array_equal(plane_pursuit_curves(swapped, r, [pairs], levels)[0], residual), method
         energy = np.sum(S**2)
         assert residual[0] == pytest.approx(energy - np.sum(tied**2), rel=1e-12), method
         assert residual[1] == pytest.approx(energy - 2 * np.sum(tied**2), rel=1e-12, abs=1e-12 * energy), method
@@ -566,7 +576,7 @@ def test_plane_pursuit_curve_matches_dense_omp_at_every_level(d, signals, kind):
     n, energy = d.dim, np.linalg.norm(signals) ** 2
     dense, planes = _sweep_dictionaries_at(d, _shared_coupling(kind, d.rank, n))
     for method in SWEEP_METHODS:
-        residual = plane_pursuit_curve(project(signals, d), d.rank, planes[method], range(1, n + 1))
+        residual = plane_pursuit_curves(project(signals, d), d.rank, [planes[method]], range(1, n + 1))[0]
         history = np.asarray(omp(dense[method], signals, n).residual_history)
         assert_allclose(residual / energy, history**2 / energy, rtol=0, atol=1e-12, err_msg=method)
 
@@ -582,7 +592,7 @@ def test_one_rotation_gives_each_dictionary_its_own_curve_bit_for_bit(d, signals
     curves = plane_pursuit_curves(z, r, list(planes.values()), levels)
     assert curves.shape == (len(planes), n)
     for curve, pairs in zip(curves, planes.values()):
-        assert np.array_equal(curve, plane_pursuit_curve(z, r, pairs, levels))
+        assert np.array_equal(curve, plane_pursuit_curves(z, r, [pairs], levels)[0])
 
 
 @pytest.mark.parametrize("d, signals", ORACLE_CASES)
@@ -592,12 +602,12 @@ def test_curve_does_not_depend_on_the_order_of_bases_or_planes(d, signals):
     n, r = d.dim, d.rank
     z, levels, energy = project(signals, d), range(1, n + 1), np.linalg.norm(signals) ** 2
     planes = _plane_bases(_random_coupling(np.random.default_rng(n), r))
-    frame = plane_pursuit_curve(z, r, planes["frame"], levels)
-    assert_allclose(plane_pursuit_curve(z, r, planes["frame"][::-1], levels), frame, rtol=0, atol=1e-15 * energy)
+    frame, swapped = plane_pursuit_curves(z, r, [planes["frame"], planes["frame"][::-1]], levels)
+    assert_allclose(swapped, frame, rtol=0, atol=1e-15 * energy)
     reverse = np.concatenate([np.arange(r)[::-1], np.arange(r, n - r), np.arange(n - r, n)[::-1]])
     for method, pairs in planes.items():
-        residual = plane_pursuit_curve(z, r, pairs, levels)
-        reversed_curve = plane_pursuit_curve(z[reverse], r, pairs[:, ::-1], levels)
+        residual = plane_pursuit_curves(z, r, [pairs], levels)[0]
+        reversed_curve = plane_pursuit_curves(z[reverse], r, [pairs[:, ::-1]], levels)[0]
         assert_allclose(reversed_curve, residual, rtol=0, atol=1e-15 * energy, err_msg=method)
 
 
