@@ -5,9 +5,10 @@ dashes>, parsed by the field's annotation (a tuple grid as a comma-separated
 list), with the help text, the choices and the two renamed flags (--dataset,
 --graph) taken from the field's metadata.  An optional JSON config file
 (--config, keys matching the fields) is read first and explicit flags apply
-on top.  Exit code is 0 on success.  A usage error (an unknown flag, a value
-that does not parse) exits 2 with argparse's usage text on stderr; every
-other failure prints one machine-readable JSON line to stderr and exits 1.
+on top; each file value must have its field's JSON type (``FILE_TYPES``).
+Exit code is 0 on success.  A usage error (an unknown flag, a value that
+does not parse) exits 2 with argparse's usage text on stderr; every other
+failure prints one machine-readable JSON line to stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -54,6 +55,23 @@ def _float_grid(text: str) -> tuple[float, ...]:
 PARSERS = {"int": int, "str": str, "str | None": str, "tuple[int, ...]": _int_grid, "tuple[float, ...]": _float_grid}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # JSON's true and false load as bool, an int
+
+
+# A config file value's JSON type, by its field's annotation as PARSERS: (what it must be, the check).
+FILE_TYPES = {
+    "int": ("an integer", _is_int),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "tuple[int, ...]": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    "tuple[float, ...]": (
+        "a list of numbers",
+        lambda v: isinstance(v, list) and all(_is_int(x) or isinstance(x, float) for x in v),
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="topospinor", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
@@ -74,18 +92,24 @@ def _build_config(args: argparse.Namespace):
     fields = dataclasses.fields(cls)
     values: dict = {}
     if args.config:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8-sig") as fh:  # as io reads every input file
             file_values = json.load(fh)
+        if not isinstance(file_values, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object, got {json.dumps(file_values)}")
         unknown = set(file_values) - {f.name for f in fields}
         if unknown:
             raise ValueError(f"unknown config keys for {cls.__name__}: {sorted(unknown)}")
-        values.update(file_values)
+        for f in (f for f in fields if f.name in file_values):
+            value = file_values[f.name]
+            kind, check = FILE_TYPES[f.type]
+            if not check(value):
+                raise ValueError(f"config key {f.name!r} must be {kind}, got {json.dumps(value)}")
+            if f.type.startswith("tuple["):  # JSON gives a grid as a list; the frozen configs hold tuples
+                value = tuple(map(float, value)) if f.type == "tuple[float, ...]" else tuple(value)
+            values[f.name] = value
     for f in fields:
         if getattr(args, f.name) is not None:
             values[f.name] = getattr(args, f.name)
-        # JSON gives a grid as a list; the frozen configs hold tuples.
-        if f.type.startswith("tuple[") and values.get(f.name) is not None:
-            values[f.name] = tuple(values[f.name])
     if values.get("out") is None:
         raise ValueError("an output directory is required (--out or config key 'out')")
     return cls(**values)

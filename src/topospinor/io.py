@@ -1,5 +1,8 @@
 r"""File formats: edge lists, dataset directories, matrix CSVs, and result tables.
 
+Input files are read as UTF-8, and a leading byte-order mark (the one
+Excel's "CSV UTF-8" writes) is ignored.
+
 Edge list format
     line 1:            V (node count)
     lines 2..E+1:      "tail head", whitespace separated, 0-indexed;
@@ -92,7 +95,7 @@ def load_edge_list(path) -> OrientedGraph:
     the line that introduced them.
     """
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8-sig").splitlines()
     meaningful = [(i + 1, line.strip()) for i, line in enumerate(lines) if line.strip()]
     if not meaningful:
         raise EdgeListParseError(path, 1, "empty file")
@@ -143,7 +146,7 @@ def read_matrix_csv(path, expected_cols: int, what: str = "matrix") -> np.ndarra
     or gives the wrong width, are the rows checked one by one to name the bad one.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         rows = [line for line in fh if not _is_blank(line)]
     if not rows:
         raise ValueError(f"{path}: empty {what} file")

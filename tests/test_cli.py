@@ -454,6 +454,65 @@ class TestFailureModes:
         err = json.loads(capsys.readouterr().err.strip())
         assert "bogus" in err["message"]
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("spectra", "num_nodes", "40"),
+            ("spectra", "seed", True),
+            ("spectra", "graph_path", 3),
+            ("synth", "signal_class", None),
+            ("sparsity-sweep", "sparsity_grid", "5,10"),
+            ("sparsity-sweep", "sparsity_grid", [5.0, 10]),
+            ("sparsity-sweep", "realizations", 1.5),
+            ("denoise", "snr_grid", [0, True]),
+            ("denoise", "snr_grid", 10),
+            ("denoise", "out", 7),
+        ],
+    )
+    def test_config_value_of_the_wrong_json_type_is_refused(self, tmp_path, capsys, command, key, value):
+        # Each file value must have its field's JSON type: checked by key, before any output is written.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": str(tmp_path / "o"), key: value}))
+        assert main([command, "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(f"config key {key!r} must be ")
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_config_file_may_start_with_a_byte_order_mark(self, tmp_path):
+        (tmp_path / "cfg.json").write_bytes(b"\xef\xbb\xbf" + json.dumps({"num_nodes": 6, "num_edges": 7}).encode())
+        assert main(["spectra", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")]) == 0
+        assert json.loads((tmp_path / "o" / "run.json").read_text())["graph"] == {"num_nodes": 6, "num_edges": 7}
+
+    @pytest.mark.parametrize("text", ["[]", '["seed"]', "5", "null"])
+    def test_config_file_that_is_no_json_object_is_refused(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["spectra", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError" and "must hold a JSON object" in err["message"]
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize(
+        "command, settings",
+        [
+            ("denoise", {"snr_grid": [0, 10], "bandwidth_grid": [2, 9], "num_nodes": 6, "num_edges": 9,
+                         "num_signals": 8, "gen_eta0": 4, "realizations": 2, "seed": 3}),
+            ("sparsity-sweep", {"sparsity_grid": [2, 5], "num_nodes": 6, "num_edges": 9, "eta0": 4,
+                                "num_signals": 8, "realizations": 2, "signal_class": "mixture_of_dirac"}),
+            ("spectra", {"num_nodes": 7, "num_edges": 10, "seed": 2}),
+        ],
+    )
+    def test_flags_and_config_file_write_the_same_run_json(self, tmp_path, command, settings):
+        argv = [command, "--out", str(tmp_path / "flags")]
+        for key, value in settings.items():
+            argv += ["--" + key.replace("_", "-"), ",".join(map(str, value)) if isinstance(value, list) else str(value)]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**settings, "out": str(tmp_path / "file")}))
+        assert main(argv) == 0 and main([command, "--config", str(cfg)]) == 0
+        from_flags, from_file = _files(tmp_path / "flags"), _files(tmp_path / "file")
+        assert from_flags == from_file and "run.json" in from_file
+
     @pytest.mark.parametrize("command, key", REMOVED_CASES)
     def test_removed_omega_update_mode_key(self, tmp_path, capsys, command, key):
         cfg = tmp_path / "cfg.json"

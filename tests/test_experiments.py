@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -19,6 +20,8 @@ from topospinor.io import load_dataset, load_results
 from topospinor.sparse import nmse, omp, row_hard_threshold
 from topospinor.synth import SIGNAL_CLASSES, SignalClassSpec, add_awgn, gen_signals, random_graph
 from topospinor.topology import build_incidence, project, spectral_decompose
+
+from conftest import STRUCTURED_GRAPHS
 
 
 class TestStudyDefaults:
@@ -303,6 +306,77 @@ class TestDominance:
         assert self.recount(tables) == meta["dominance"] == expected
 
 
+# Noiseless (inf) and the three noise levels at which the claim chain is asserted, in dB.
+CHAIN_SNRS = (np.inf, 20.0, 10.0, 0.0)
+CHAIN_GRAPHS = {
+    **{name: g for name, (g, *_) in STRUCTURED_GRAPHS.items()},
+    "random_6_9": random_graph(6, 9, 61),
+    "random_tree_9": random_graph(9, 8, 62),
+    "random_10_18": random_graph(10, 18, 63),
+    "random_12_30": random_graph(12, 30, 64),
+    "random_20_40": random_graph(20, 40, 65),
+}
+
+
+def chain_breaks(S, d):
+    """The levels 1..V+E at which learned <= frame <= min(Dirac, Laplacian) + DOMINANCE_SLACK fails on S.
+
+    The chain is ROADMAP item 4's theorem for joint sparsity in sample: per mode plane the learned pair's first gain
+    is at least the frame's, and the frame's the larger of Dirac's and Laplacian's, at every level.
+    """
+    z, r = project(S, d), d.rank
+    bases = experiments._plane_bases(fit_coupling(z, r))
+    levels = range(1, d.dim + 1)
+    laplacian, dirac, frame, learned = sparse.plane_pursuit_curves(z, r, list(bases.values()), levels) / np.sum(S**2)
+    holds = (learned <= frame + DOMINANCE_SLACK) & (frame <= np.minimum(dirac, laplacian) + DOMINANCE_SLACK)
+    return [lv for lv, ok in zip(levels, holds) if not ok]
+
+
+def chain_batches(d):
+    """Per class, batch width and noise level: (case, S), each S synthesized in ``d``'s singular vectors."""
+    eta0 = max(1, 2 * d.rank // 3)
+    for signal_class in SIGNAL_CLASSES:
+        for num_signals in (1, 12):
+            S, _ = gen_signals(d, SignalClassSpec(signal_class, eta0, num_signals, seed=7 + num_signals))
+            for snr in CHAIN_SNRS:
+                noisy = S if snr == np.inf else add_awgn(S, snr, seed=int(snr) + 100)
+                yield (signal_class, num_signals, snr), noisy
+
+
+class TestClaimChain:
+    @pytest.mark.parametrize("name", CHAIN_GRAPHS)
+    def test_learned_then_frame_then_each_basis_at_every_level(self, name):
+        # All four classes, one and twelve signals, noiseless and at 20, 10 and 0 dB: 32 batches per graph.
+        d = spectral_decompose(build_incidence(CHAIN_GRAPHS[name]))
+        breaks = {case: chain_breaks(S, d) for case, S in chain_batches(d)}
+        assert len(breaks) == 32
+        assert not {case: levels for case, levels in breaks.items() if levels}
+
+    @pytest.mark.parametrize("name", ["star_k14", "complete_k5"])
+    @pytest.mark.parametrize("rotation", range(3))
+    def test_chain_holds_in_any_basis_of_a_repeated_singular_value(self, name, rotation):
+        # Each cluster of equal sigma has no preferred singular vectors: rotating its columns of u and v by one
+        # orthogonal matrix is an equally valid SVD.  The data keep LAPACK's basis; the dictionaries take the other.
+        g = STRUCTURED_GRAPHS[name][0]
+        B = build_incidence(g)
+        d = spectral_decompose(B)
+        rng = np.random.default_rng(900 + rotation)
+        u, v = d.u.copy(), d.v.copy()
+        _, first, sizes = np.unique(np.round(d.sigma, 10), return_index=True, return_counts=True)
+        assert sizes.max() >= 3  # star_k14 repeats sigma = 1 three times, complete_k5 sqrt(5) four times
+        for start, size in zip(first, sizes):
+            cluster = slice(start, start + size)
+            q, upper = np.linalg.qr(rng.normal(size=(size, size)))
+            q *= np.sign(np.diag(upper))
+            u[:, cluster], v[:, cluster] = d.u[:, cluster] @ q, d.v[:, cluster] @ q
+        rotated = dataclasses.replace(d, u=u, v=v)
+        assert np.allclose(B @ rotated.v, rotated.u * d.sigma, atol=1e-12)
+        assert not np.allclose(u, d.u)
+        breaks = {case: chain_breaks(S, rotated) for case, S in chain_batches(d)}
+        assert len(breaks) == 32
+        assert not {case: levels for case, levels in breaks.items() if levels}
+
+
 class TestLearnerTally:
     def test_sweep_counts_every_fit(self, tmp_path):
         cfg = SweepConfig(out=str(tmp_path / "run"), num_nodes=8, num_edges=12, eta0=4, num_signals=10,
@@ -436,18 +510,21 @@ def test_gram_row_energies_match_the_rotated_rows(n, rank, num_signals):
         assert np.all(np.abs(got - expected) <= 1e-12 * plane_energy), name
 
 
-def test_denoise_records_how_often_the_learned_basis_beats_both_truncations(tmp_path):
+@pytest.mark.parametrize("snr_grid", [(0.0, 5.0, 20.0), (0.0, -0.0)])
+def test_denoise_records_how_often_the_learned_basis_beats_both_truncations(tmp_path, snr_grid):
+    # 0 and -0 dB are two levels with two noise draws ("awgn@0", "awgn@-0"), so each keeps its own count.
     cfg = DenoiseConfig(out=str(tmp_path / "run"), num_nodes=8, num_edges=12, num_signals=30, gen_eta0=6,
-                        snr_grid=(0.0, 5.0, 20.0), bandwidth_grid=(2, 6, 12, 20), realizations=3, seed=2)
+                        snr_grid=snr_grid, bandwidth_grid=(2, 6, 12, 20), realizations=3, seed=2)
     meta, tables = load_results(run_denoise(cfg))
-    values = {(m, float(snr), bw, int(real)): v for m, snr, bw, real, v in tables["results"].rows}
+    # Keyed by the %g spelling, as by_snr is: 0.0 and -0.0 are one dict key as floats.
+    values = {(m, f"{snr:g}", bw, int(real)): v for m, snr, bw, real, v in tables["results"].rows}
     by_snr = {}
     for (method, snr, bw, real), value in values.items():
         if method == "ddtl":
             fixed = min(values["dirac_truncation", snr, bw, real], values["laplacian_truncation", snr, bw, real])
-            by_snr[f"{snr:g}"] = by_snr.get(f"{snr:g}", 0) + (value <= fixed + DOMINANCE_SLACK)
+            by_snr[snr] = by_snr.get(snr, 0) + (value <= fixed + DOMINANCE_SLACK)
     assert meta["ddtl_le_truncations"] == {"pairs_per_snr": 3 * 4, "by_snr": by_snr}
-    assert set(by_snr) == {"0", "5", "20"}
+    assert list(by_snr) == [f"{snr:g}" for snr in snr_grid]
 
 
 def test_sub_seed_matches_documented_rule():

@@ -190,6 +190,18 @@ class TestTimeSeries:
         assert graph.num_nodes == 6 and graph.edges == g.edges
         assert np.array_equal(loaded, S)
 
+    def test_byte_order_marks_change_nothing(self, tmp_path):
+        # Excel's "CSV UTF-8" starts a file with a UTF-8 byte-order mark; in every file of a dataset directory it
+        # is ignored, so the node count still parses and the first step is kept.
+        g = random_graph(6, 9, 3)
+        S = np.random.default_rng(3).normal(size=(6 + 9, 11))
+        plain, marked = save_dataset(tmp_path / "plain", g, S), save_dataset(tmp_path / "marked", g, S)
+        for name in ("graph.txt", "node_series.csv", "edge_series.csv"):
+            (marked / name).write_bytes(b"\xef\xbb\xbf" + (plain / name).read_bytes())
+        (graph, loaded), (plain_graph, plain_loaded) = load_dataset(marked), load_dataset(plain)
+        assert graph == plain_graph and np.array_equal(loaded, plain_loaded)
+        assert np.array_equal(loaded, S)
+
 
 class TestResults:
     def test_round_trip_precision(self, tmp_path):
@@ -259,7 +271,7 @@ def oracle_write(path, matrix, header=None):
 
 def oracle_read(path, expected_cols, what="matrix"):
     path = Path(path)
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:  # a leading byte-order mark is no part of a cell
         rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
     if not rows:
         raise ValueError(f"{path}: empty {what} file")
@@ -483,6 +495,8 @@ READER_CASES = {
     "single_row": ("1,2,3\n", 3),
     "non_finite": ("nan,inf,-inf\nNaN,Infinity,-0\n", 3),
     "extremes": ("5e-324,1e308,-1.7976931348623157e308\n0.1,1e-400,1e400\n", 3),
+    "bom_before_data_row": ("\ufeff1.5,2.5\r\n3.5,4.5\r\n", 2),
+    "bom_before_header": ("\ufeffa,b,c\n1,2,3\n", 3),
 }
 
 # Files both must reject with the same message: (text, expected columns, row named).
@@ -521,11 +535,17 @@ class TestMatrixCsvReader:
         assert np.array_equal(got, expected, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(expected))
 
-    @pytest.mark.parametrize("name", ["header", "quoted_header", "header_after_blank_rows"])
+    @pytest.mark.parametrize("name", ["header", "quoted_header", "header_after_blank_rows", "bom_before_header"])
     def test_header_row_is_skipped(self, tmp_path, name):
         text, cols = READER_CASES[name]
         (tmp_path / "m.csv").write_bytes(text.encode())
         assert np.array_equal(read_matrix_csv(tmp_path / "m.csv", cols), [[1.0, 2.0, 3.0]])
+
+    def test_byte_order_mark_keeps_the_first_row(self, tmp_path):
+        # Read as a cell, "\ufeff1.5" is no number, and the row would pass for a header of the right width.
+        text, cols = READER_CASES["bom_before_data_row"]
+        (tmp_path / "m.csv").write_bytes(text.encode())
+        assert np.array_equal(read_matrix_csv(tmp_path / "m.csv", cols), [[1.5, 2.5], [3.5, 4.5]])
 
     @pytest.mark.parametrize("name", REJECTED_CASES)
     def test_same_error_as_oracle(self, tmp_path, name):
