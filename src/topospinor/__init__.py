@@ -42,7 +42,6 @@ from .topology import (
     super_laplacian_eigenbasis,
 )
 from .transform import (
-    CouplingVector,
     build_mass_basis,
     coupling_to_mass,
     mass_to_coupling,

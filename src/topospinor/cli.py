@@ -5,7 +5,7 @@ dashes>, parsed by the field's annotation (a tuple grid as a comma-separated
 list), with the help text, the choices and the two renamed flags (--dataset,
 --graph) taken from the field's metadata.  An optional JSON config file
 (--config, keys matching the fields) is read first and explicit flags apply
-on top; each file value must have its field's JSON type (``FILE_TYPES``).
+on top; each file value must have its field's JSON type (``FIELD_TYPES``).
 Exit code is 0 on success.  A usage error (an unknown flag, a value that
 does not parse) exits 2 with argparse's usage text on stderr; every other
 failure prints one machine-readable JSON line to stderr and exits 1.
@@ -43,32 +43,31 @@ COMMANDS = {
 }
 
 
-def _int_grid(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x.strip())
-
-
-def _float_grid(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",") if x.strip())
-
-
-# A flag's value parser, by its field's annotation (a string: experiments uses postponed annotations).
-PARSERS = {"int": int, "str": str, "str | None": str, "tuple[int, ...]": _int_grid, "tuple[float, ...]": _float_grid}
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)  # JSON's true and false load as bool, an int
 
 
-# A config file value's JSON type, by its field's annotation as PARSERS: (what it must be, the check).
-FILE_TYPES = {
-    "int": ("an integer", _is_int),
-    "str": ("a string", lambda v: isinstance(v, str)),
-    "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
-    "tuple[int, ...]": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
-    "tuple[float, ...]": (
-        "a list of numbers",
-        lambda v: isinstance(v, list) and all(_is_int(x) or isinstance(x, float) for x in v),
-    ),
+def _grid(kind, what: str, check) -> tuple:
+    """The FIELD_TYPES entry of a tuple of ``kind``: a comma-separated flag or a JSON list of ``what``."""
+
+    def parse(text: str) -> tuple:
+        return tuple(kind(x) for x in text.split(",") if x.strip())
+
+    def check_list(value) -> bool:
+        return isinstance(value, list) and all(map(check, value))
+
+    parse.__name__ = f"{kind.__name__} grid"  # argparse names the parser in "invalid ... value"
+    return parse, f"a list of {what}", check_list, lambda v: tuple(map(kind, v))
+
+
+# By a field's annotation (a string: experiments uses postponed annotations): the flag's value parser, what a
+# config file value must be, the check of its JSON type, and the value to store (the frozen configs hold tuples).
+FIELD_TYPES = {
+    "int": (int, "an integer", _is_int, lambda v: v),
+    "str": (str, "a string", lambda v: isinstance(v, str), lambda v: v),
+    "str | None": (str, "a string or null", lambda v: v is None or isinstance(v, str), lambda v: v),
+    "tuple[int, ...]": _grid(int, "integers", _is_int),
+    "tuple[float, ...]": _grid(float, "numbers", lambda x: _is_int(x) or isinstance(x, float)),
 }
 
 
@@ -81,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
         for f in dataclasses.fields(cls):
             flag = f.metadata.get("flag", "--" + f.name.replace("_", "-"))
             p.add_argument(
-                flag, dest=f.name, type=PARSERS[f.type], choices=f.metadata.get("choices"), help=f.metadata.get("help")
+                flag, dest=f.name, type=FIELD_TYPES[f.type][0], choices=f.metadata.get("choices"),
+                help=f.metadata.get("help"),
             )
         p.set_defaults(config_cls=cls, runner=runner)
     return parser
@@ -101,12 +101,10 @@ def _build_config(args: argparse.Namespace):
             raise ValueError(f"unknown config keys for {cls.__name__}: {sorted(unknown)}")
         for f in (f for f in fields if f.name in file_values):
             value = file_values[f.name]
-            kind, check = FILE_TYPES[f.type]
+            _, kind, check, store = FIELD_TYPES[f.type]
             if not check(value):
                 raise ValueError(f"config key {f.name!r} must be {kind}, got {json.dumps(value)}")
-            if f.type.startswith("tuple["):  # JSON gives a grid as a list; the frozen configs hold tuples
-                value = tuple(map(float, value)) if f.type == "tuple[float, ...]" else tuple(value)
-            values[f.name] = value
+            values[f.name] = store(value)
     for f in fields:
         if getattr(args, f.name) is not None:
             values[f.name] = getattr(args, f.name)

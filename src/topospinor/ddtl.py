@@ -92,7 +92,7 @@ import numpy as np
 
 from .sparse import column_normalize, row_hard_threshold
 from .topology import SpectralDecomposition, lift_planes, reduce_planes
-from .transform import CouplingVector, build_mass_basis
+from .transform import build_mass_basis
 
 __all__ = [
     "fit_coupling",
@@ -230,7 +230,7 @@ class DdtlState:
 class DdtlSolution:
     """Final iterate plus the unit-column basis (V+E) x (V+E) built at the learned coupling."""
 
-    k_star: CouplingVector
+    k_star: np.ndarray  # the 2r couplings, minus branch first
     omega_star: np.ndarray
     x_star: np.ndarray
     s_hat: np.ndarray
@@ -427,14 +427,14 @@ def ddtl_fit(S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -> DdtlSo
         final_objective=objectives[-1], objective_curve=tuple(objectives),
         basis_gap_curve=tuple(basis_gaps), code_gap_curve=tuple(code_gaps),
     )
-    k_star = CouplingVector.from_stacked(state.k)
+    k_star, r = state.k, d.rank
     omega, x = (lift_planes(a, state.plane_basis) for a in (state.omega, state.x))
     del state  # the per-plane bases go before the dense basis and s_hat are built
     # Psi(k) is the normalized basis with its coupled columns scaled back by sqrt(1 + k^2).
-    basis = build_mass_basis(d, k_star)
-    scale, r = np.ones(d.dim), d.rank
-    scale[:r] = np.sqrt(1.0 + k_star.k_minus**2)
-    scale[d.dim - r :] = np.sqrt(1.0 + k_star.k_plus**2)
+    basis = build_mass_basis(d, k_star[:r], k_star[r:])
+    scale = np.ones(d.dim)
+    scale[:r] = np.sqrt(1.0 + k_star[:r] ** 2)
+    scale[d.dim - r :] = np.sqrt(1.0 + k_star[r:] ** 2)
     return DdtlSolution(
         k_star=k_star, omega_star=omega, x_star=x, s_hat=(basis * scale) @ omega, basis=basis, report=report
     )

@@ -49,7 +49,7 @@ from .topology import (
     spectral_decompose,
     super_laplacian_eigenbasis,
 )
-from .transform import CouplingVector, build_mass_basis
+from .transform import build_mass_basis
 
 __all__ = [
     "sub_seed",
@@ -230,7 +230,7 @@ def run_ddtl_fit(cfg: FitConfig) -> Path:
     tsio.write_matrix_csv(out / "omega_star.csv", solution.omega_star)
     metadata = {
         **_run_header("ddtl-fit", cfg, graph),
-        "k_star": [float(k) for k in solution.k_star.stacked()],
+        "k_star": [float(k) for k in solution.k_star],
         "reconstruction_nmse": nmse(S, solution.s_hat),
         "stop_reason": report.stop_reason,
         "iterations": report.iterations,
@@ -282,7 +282,7 @@ class SweepConfig:
 def sweep_dictionaries(d, k: np.ndarray) -> dict[str, np.ndarray]:
     """The four dense unit-column dictionaries that ``_plane_bases`` describes, at the shared coupling k (length r)."""
     phi, theta = dirac_eigenbasis(d)[0], super_laplacian_eigenbasis(d)[0]
-    ddtl = build_mass_basis(d, CouplingVector(k, k))
+    ddtl = build_mass_basis(d, k, k)
     return {"laplacian": theta, "dirac": phi, "frame": build_frame(phi, theta).matrix, "ddtl": ddtl}
 
 
@@ -408,6 +408,8 @@ class DenoiseConfig:
             raise ValueError("realizations must be positive")
         if not all(snr > -np.inf for snr in self.snr_grid):  # false for nan too; +inf is the noiseless case
             raise ValueError(f"snr_grid levels must be numbers or inf, not nan or -inf: {self.snr_grid}")
+        if len(set(self.snr_grid)) != len(self.snr_grid):  # 0 and -0 are one level
+            raise ValueError(f"snr_grid repeats a level: {self.snr_grid}")
         if len({_noise_tag(snr) for snr in self.snr_grid}) != len(self.snr_grid):
             raise ValueError(f"snr_grid values that print alike with %g would share one noise draw: {self.snr_grid}")
 

@@ -13,14 +13,11 @@ identical for every k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .topology import SpectralDecomposition, harmonic_columns
 
 __all__ = [
-    "CouplingVector",
     "mass_to_coupling",
     "coupling_to_mass",
     "unnormalized_basis_matrix",
@@ -56,41 +53,6 @@ def coupling_to_mass(lam, k):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class CouplingVector:
-    """Per-mode coupling factors for both branches, each in the box [-1, 1]."""
-
-    k_minus: np.ndarray
-    k_plus: np.ndarray
-
-    def __post_init__(self):
-        km = np.atleast_1d(np.asarray(self.k_minus, dtype=float))
-        kp = np.atleast_1d(np.asarray(self.k_plus, dtype=float))
-        if km.shape != kp.shape or km.ndim != 1:
-            raise ValueError(f"branch couplings must be 1-D of equal length, got {km.shape}, {kp.shape}")
-        for name, arr in (("k_minus", km), ("k_plus", kp)):
-            if np.any(np.abs(arr) > 1.0 + 1e-12):
-                raise ValueError(f"{name} violates the box [-1, 1]")
-        object.__setattr__(self, "k_minus", km)
-        object.__setattr__(self, "k_plus", kp)
-
-    @property
-    def num_modes(self) -> int:
-        return self.k_minus.shape[0]
-
-    @classmethod
-    def from_stacked(cls, stacked: np.ndarray) -> "CouplingVector":
-        """Split a length-2r vector (minus block first) into the two branches."""
-        stacked = np.asarray(stacked, dtype=float)
-        if stacked.ndim != 1 or stacked.shape[0] % 2 != 0:
-            raise ValueError(f"stacked coupling must be 1-D of even length, got shape {stacked.shape}")
-        r = stacked.shape[0] // 2
-        return cls(stacked[:r].copy(), stacked[r:].copy())
-
-    def stacked(self) -> np.ndarray:
-        return np.concatenate([self.k_minus, self.k_plus])
-
-
 def unnormalized_basis_matrix(d: SpectralDecomposition, k_minus: np.ndarray, k_plus: np.ndarray) -> np.ndarray:
     """Assemble [(k- u; -v) | harmonic | (u; k+ v)] without column scaling."""
     V, E, r = d.num_nodes, d.num_edges, d.rank
@@ -105,17 +67,17 @@ def unnormalized_basis_matrix(d: SpectralDecomposition, k_minus: np.ndarray, k_p
     return psi
 
 
-def build_mass_basis(d: SpectralDecomposition, k: CouplingVector) -> np.ndarray:
+def build_mass_basis(d: SpectralDecomposition, k_minus: np.ndarray, k_plus: np.ndarray) -> np.ndarray:
     """The unit-column coupling-parameterized basis, columns [minus | harmonic | plus].
 
     The branch columns are scaled by 1/sqrt(1 + k^2) so every column has unit
     norm; the basis is then orthonormal exactly when the two branches share
     the same coupling per mode.
     """
-    if k.num_modes != d.rank:
-        raise ValueError(f"coupling has {k.num_modes} modes but decomposition has rank {d.rank}")
-    psi = unnormalized_basis_matrix(d, k.k_minus, k.k_plus)
+    if k_minus.shape != (d.rank,) or k_plus.shape != (d.rank,):
+        raise ValueError(f"couplings of shapes {k_minus.shape} and {k_plus.shape} for a decomposition of rank {d.rank}")
+    psi = unnormalized_basis_matrix(d, k_minus, k_plus)
     r, xi = d.rank, d.xi0 + d.xi1
-    psi[:, :r] /= np.sqrt(1.0 + k.k_minus**2)
-    psi[:, r + xi :] /= np.sqrt(1.0 + k.k_plus**2)
+    psi[:, :r] /= np.sqrt(1.0 + k_minus**2)
+    psi[:, r + xi :] /= np.sqrt(1.0 + k_plus**2)
     return psi

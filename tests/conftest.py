@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from topospinor.synth import random_graph
 from topospinor.topology import OrientedGraph, SpectralDecomposition
-from topospinor.transform import CouplingVector, build_mass_basis
+from topospinor.transform import build_mass_basis
 
 
 @pytest.fixture
@@ -51,7 +51,7 @@ def nonharmonic_column_indices(d: SpectralDecomposition) -> np.ndarray:
 def shared_basis(d: SpectralDecomposition, value: float) -> np.ndarray:
     """The unit-column basis with both branches of every mode at the coupling ``value``."""
     k = np.full(d.rank, float(value))
-    return build_mass_basis(d, CouplingVector(k, k.copy()))
+    return build_mass_basis(d, k, k)
 
 
 # Graphs with known invariants: name -> (graph, sigma in decreasing order or None, xi1).

@@ -283,6 +283,16 @@ class TestDenoiseCommand:
         assert err["error"] == "ValueError" and "noise" in err["message"]
         assert not (tmp_path / "x").exists()
 
+    def test_snr_levels_equal_as_floats_are_refused(self, tmp_path, capsys):
+        # 0 and -0 print apart, so they would not share a noise tag, yet they are one SNR.
+        out = tmp_path / "x"
+        assert main(["denoise", "--snr-grid=0,-0", "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ValueError" and "snr_grid" in err["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", ["nan", "0,nan", "-inf", "10,-inf"])
     def test_nan_and_minus_inf_snr_levels_are_refused(self, tmp_path, capsys, grid):
         # nan would make every NMSE nan, and -inf would divide by zero in add_awgn; +inf (noiseless) runs.

@@ -410,7 +410,7 @@ class TestDdtlFit:
         sol = ddtl_fit(S, d, cfg)
         assert len(vertices) == 7
         assert np.any(np.array(vertices) > 1.0) and np.any(np.array(vertices) < -1.0)
-        assert np.all(np.abs(sol.k_star.stacked()) <= 1.0)
+        assert sol.k_star.shape == (2 * d.rank,) and np.all(np.abs(sol.k_star) <= 1.0)
         row_norms = np.linalg.norm(sol.x_star, axis=1)
         assert np.count_nonzero(row_norms) <= 4
         assert_allclose(np.linalg.norm(sol.basis, axis=0), 1.0, atol=1e-12)
@@ -429,7 +429,7 @@ class TestDdtlFit:
         a, b = ddtl_fit(S, d, cfg), ddtl_fit(S, d, cfg)
         assert a.report.objective_curve == b.report.objective_curve
         assert a.report.basis_gap_curve == b.report.basis_gap_curve
-        assert np.array_equal(a.k_star.stacked(), b.k_star.stacked())
+        assert np.array_equal(a.k_star, b.k_star)
 
     def test_rejects_non_finite_input(self):
         g, d = small_problem()
@@ -490,7 +490,7 @@ class TestDivergence:
         _poison_after_duals(monkeypatch, 8, {"m": 1e200})
         sol = self._fit(max_iter=8)
         assert sol.report.stop_reason == "max_iter" and sol.report.iterations == 8
-        assert np.all(np.isfinite(sol.omega_star)) and np.all(np.isfinite(sol.k_star.stacked()))
+        assert np.all(np.isfinite(sol.omega_star)) and np.all(np.isfinite(sol.k_star))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_huge_batch_diverges_at_the_first_k_step(self):
@@ -544,7 +544,7 @@ class TestEdgeInputs:
         (sol, warned), (square, square_warned) = fits
         assert warned == square_warned
         assert sol.omega_star.shape == sol.s_hat.shape == batch.shape
-        assert all(np.all(np.isfinite(a)) for a in (sol.k_star.stacked(), sol.omega_star, sol.s_hat))
+        assert all(np.all(np.isfinite(a)) for a in (sol.k_star, sol.omega_star, sol.s_hat))
         assert (sol.report.stop_reason, sol.report.iterations) == (square.report.stop_reason, square.report.iterations)
         assert nmse(square.s_hat @ q.T, sol.s_hat) <= 1e-12
 
@@ -609,7 +609,7 @@ class TestSpectralCoordinates:
         square, reduced = ddtl_fit(r.T, d, cfg), ddtl_fit(S, d, cfg)
         assert reduced.report.stop_reason == square.report.stop_reason
         assert reduced.report.iterations == square.report.iterations
-        assert np.max(np.abs(reduced.k_star.stacked() - square.k_star.stacked())) <= 1e-10
+        assert np.max(np.abs(reduced.k_star - square.k_star)) <= 1e-10
         assert nmse(square.s_hat @ q.T, reduced.s_hat) <= 1e-12
 
     @pytest.mark.parametrize(
@@ -625,14 +625,14 @@ class TestSpectralCoordinates:
         mixing, _ = np.linalg.qr(np.random.default_rng(graph_seed).normal(size=(600, 600)))
         cfg = DdtlConfig(eta0=35, max_iter=30)
         plain, mixed = ddtl_fit(S, d, cfg), ddtl_fit(S @ mixing, d, cfg)
-        assert np.max(np.abs(mixed.k_star.stacked() - plain.k_star.stacked())) <= 1e-10
+        assert np.max(np.abs(mixed.k_star - plain.k_star)) <= 1e-10
 
     @staticmethod
     def _check(S, d, cfg):
         sol = ddtl_fit(S, d, cfg)
         assert sol.report.iterations == cfg.max_iter
         k, omega, objective, basis_gap, code_gap = dense_fit(S, d, cfg)
-        assert_relative(sol.k_star.stacked(), k)
+        assert_relative(sol.k_star, k)
         assert_relative(sol.omega_star, omega)
         assert_relative(sol.report.objective_curve, objective)
         assert_relative(sol.report.basis_gap_curve, basis_gap)
@@ -762,7 +762,7 @@ def test_fit_is_equivariant_under_orthogonal_mixing_of_signals(d, S, cfg):
     plain, mixed = ddtl_fit(S, d, cfg), ddtl_fit(S @ W, d, cfg)
     assert mixed.report.stop_reason == plain.report.stop_reason
     assert mixed.report.iterations == plain.report.iterations
-    assert np.max(np.abs(mixed.k_star.stacked() - plain.k_star.stacked())) <= 1e-9
+    assert np.max(np.abs(mixed.k_star - plain.k_star)) <= 1e-9
     energy = np.linalg.norm(S) ** 2
     assert_allclose(mixed.report.objective_curve, plain.report.objective_curve, rtol=0, atol=1e-10 * energy)
     for name in ("omega_star", "x_star", "s_hat"):

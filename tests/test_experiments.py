@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import sys
 
 import numpy as np
@@ -19,7 +20,7 @@ from topospinor.experiments import (
 from topospinor.io import load_dataset, load_results
 from topospinor.sparse import nmse, omp, row_hard_threshold
 from topospinor.synth import SIGNAL_CLASSES, SignalClassSpec, add_awgn, gen_signals, random_graph
-from topospinor.topology import build_incidence, project, spectral_decompose
+from topospinor.topology import OrientedGraph, build_incidence, project, spectral_decompose
 
 from conftest import STRUCTURED_GRAPHS
 
@@ -308,8 +309,16 @@ class TestDominance:
 
 # Noiseless (inf) and the three noise levels at which the claim chain is asserted, in dB.
 CHAIN_SNRS = (np.inf, 20.0, 10.0, 0.0)
+# The path, cycle and grid of ROADMAP item 6; the cycle and the grid repeat sigma.
+PATH_CYCLE_GRID = {
+    "path_p6": OrientedGraph(6, tuple((i, i + 1) for i in range(5))),
+    "cycle_c6": OrientedGraph(6, tuple((i, (i + 1) % 6) for i in range(6))),
+    "grid_3x3": OrientedGraph(9, tuple((3 * i + j, 3 * i + j + 1) for i in range(3) for j in range(2))
+                              + tuple((3 * i + j, 3 * i + j + 3) for i in range(2) for j in range(3))),
+}
 CHAIN_GRAPHS = {
     **{name: g for name, (g, *_) in STRUCTURED_GRAPHS.items()},
+    **PATH_CYCLE_GRID,
     "random_6_9": random_graph(6, 9, 61),
     "random_tree_9": random_graph(9, 8, 62),
     "random_10_18": random_graph(10, 18, 63),
@@ -375,6 +384,70 @@ class TestClaimChain:
         breaks = {case: chain_breaks(S, rotated) for case, S in chain_batches(d)}
         assert len(breaks) == 32
         assert not {case: levels for case, levels in breaks.items() if levels}
+
+
+@pytest.mark.parametrize("name", PATH_CYCLE_GRID)
+def test_learned_basis_recovers_a_noiseless_batch_at_its_support_size(name):
+    # A batch drawn on eta0 coupled atoms is exactly eta0 rows of the basis learned from it.
+    d = spectral_decompose(build_incidence(PATH_CYCLE_GRID[name]))
+    assert (len(np.unique(np.round(d.sigma, 10))) < d.rank) == (name != "path_p6")  # the cycle and grid repeat sigma
+    eta0 = min(5, 2 * d.rank)
+    for signal_class in SIGNAL_CLASSES:
+        for num_signals in (1, 12):
+            S, _ = gen_signals(d, SignalClassSpec(signal_class, eta0, num_signals, seed=20 + num_signals))
+            z = project(S, d)
+            learned = experiments._plane_bases(fit_coupling(z, d.rank))["ddtl"]
+            residual = sparse.plane_pursuit_curves(z, d.rank, [learned], [eta0])[0, 0]
+            assert residual <= 1e-12 * np.sum(S**2), (signal_class, num_signals)
+
+
+def exhaustive_best(D, signals):
+    """Per level L in 1..n, per batch: the least squared residual of a least-squares fit on any L columns of D.
+
+    The projector of each support is read off one batched SVD of all supports of a level, taken once for
+    every batch; columns beyond the support's rank (a frame's repeated harmonic atoms) capture nothing.
+    """
+    n, atoms = D.shape
+    energies = np.array([np.sum(S**2) for S in signals])
+    best = np.empty((len(signals), n))
+    for level in range(1, n + 1):
+        supports = np.array(list(itertools.combinations(range(atoms), level)))
+        u, sv, _ = np.linalg.svd(D[:, supports].transpose(1, 0, 2), full_matrices=False)
+        spans = u * (sv > 1e-10)[:, None, :]
+        for b, S in enumerate(signals):
+            captured = np.sum(np.matmul(spans.transpose(0, 2, 1), S) ** 2, axis=(1, 2))
+            best[b, level - 1] = energies[b] - captured.max()
+    return best
+
+
+@pytest.mark.parametrize("name", ["p3", "triangle", "p4", "star_k13"])
+def test_pursuit_curves_against_an_exhaustive_support_search(name):
+    # ROADMAP item 4 on graphs with V + E <= 7: for an orthonormal basis joint OMP finds the best support at every
+    # level, the frame's pursuit can only do worse than its best support, and the learned basis beats even that.
+    g = {"p3": OrientedGraph(3, ((0, 1), (1, 2))), "triangle": OrientedGraph(3, ((0, 1), (1, 2), (2, 0))),
+         "p4": OrientedGraph(4, ((0, 1), (1, 2), (2, 3))), "star_k13": OrientedGraph(4, ((0, 1), (0, 2), (0, 3)))}[name]
+    d = spectral_decompose(build_incidence(g))
+    eta0 = max(1, 2 * d.rank // 3)
+    signals = [
+        add_awgn(gen_signals(d, SignalClassSpec(signal_class, eta0, num_signals, seed=30 + num_signals))[0], 10.0,
+                 seed=40 + num_signals)
+        for signal_class in SIGNAL_CLASSES for num_signals in (1, 3)
+    ]
+    # The three fixed dense dictionaries do not depend on k; the learned one is fitted to each batch.
+    fixed = sweep_dictionaries(d, np.ones(d.rank))
+    best = {method: exhaustive_best(fixed[method], signals) for method in ("laplacian", "dirac", "frame")}
+    levels = range(1, d.dim + 1)
+    for b, S in enumerate(signals):
+        z, tol = project(S, d), 1e-12 * np.sum(S**2)
+        k = fit_coupling(z, d.rank)
+        learned_best = exhaustive_best(sweep_dictionaries(d, k)["ddtl"], [S])[0]
+        bases = experiments._plane_bases(k)
+        laplacian, dirac, frame, learned = sparse.plane_pursuit_curves(z, d.rank, list(bases.values()), levels)
+        assert np.all(np.abs(laplacian - best["laplacian"][b]) <= tol), b
+        assert np.all(np.abs(dirac - best["dirac"][b]) <= tol), b
+        assert np.all(np.abs(learned - learned_best) <= tol), b
+        assert np.all(frame >= best["frame"][b] - tol), b
+        assert np.all(learned <= best["frame"][b] + tol), b
 
 
 class TestLearnerTally:
@@ -510,13 +583,12 @@ def test_gram_row_energies_match_the_rotated_rows(n, rank, num_signals):
         assert np.all(np.abs(got - expected) <= 1e-12 * plane_energy), name
 
 
-@pytest.mark.parametrize("snr_grid", [(0.0, 5.0, 20.0), (0.0, -0.0)])
-def test_denoise_records_how_often_the_learned_basis_beats_both_truncations(tmp_path, snr_grid):
-    # 0 and -0 dB are two levels with two noise draws ("awgn@0", "awgn@-0"), so each keeps its own count.
+def test_denoise_records_how_often_the_learned_basis_beats_both_truncations(tmp_path):
+    snr_grid = (0.0, 5.0, 20.0)
     cfg = DenoiseConfig(out=str(tmp_path / "run"), num_nodes=8, num_edges=12, num_signals=30, gen_eta0=6,
                         snr_grid=snr_grid, bandwidth_grid=(2, 6, 12, 20), realizations=3, seed=2)
     meta, tables = load_results(run_denoise(cfg))
-    # Keyed by the %g spelling, as by_snr is: 0.0 and -0.0 are one dict key as floats.
+    # Keyed by the %g spelling, as by_snr is.
     values = {(m, f"{snr:g}", bw, int(real)): v for m, snr, bw, real, v in tables["results"].rows}
     by_snr = {}
     for (method, snr, bw, real), value in values.items():
@@ -525,6 +597,13 @@ def test_denoise_records_how_often_the_learned_basis_beats_both_truncations(tmp_
             by_snr[snr] = by_snr.get(snr, 0) + (value <= fixed + DOMINANCE_SLACK)
     assert meta["ddtl_le_truncations"] == {"pairs_per_snr": 3 * 4, "by_snr": by_snr}
     assert list(by_snr) == [f"{snr:g}" for snr in snr_grid]
+
+
+@pytest.mark.parametrize("snr_grid", [(0.0, -0.0), (5.0, 10.0, 5.0)])
+def test_denoise_refuses_snr_levels_equal_as_floats(snr_grid):
+    # 0 and -0 dB are one SNR, though they print apart ("0", "-0") and would draw two noises and count twice.
+    with pytest.raises(ValueError, match="snr_grid repeats a level"):
+        DenoiseConfig(out="unused", snr_grid=snr_grid)
 
 
 def test_sub_seed_matches_documented_rule():
