@@ -67,7 +67,8 @@ FIELD_TYPES = {
     "str": (str, "a string", lambda v: isinstance(v, str), lambda v: v),
     "str | None": (str, "a string or null", lambda v: v is None or isinstance(v, str), lambda v: v),
     "tuple[int, ...]": _grid(int, "integers", _is_int),
-    "tuple[float, ...]": _grid(float, "numbers", lambda x: _is_int(x) or isinstance(x, float)),
+    # "inf" as run.json spells the noiseless level, so that a run's stored config loads as a config file.
+    "tuple[float, ...]": _grid(float, 'numbers or "inf"', lambda x: _is_int(x) or isinstance(x, float) or x == "inf"),
 }
 
 
@@ -108,7 +109,7 @@ def _build_config(args: argparse.Namespace):
     for f in fields:
         if getattr(args, f.name) is not None:
             values[f.name] = getattr(args, f.name)
-    if values.get("out") is None:
+    if not values.get("out"):  # missing, or empty: "" would write into the working directory
         raise ValueError("an output directory is required (--out or config key 'out')")
     return cls(**values)
 

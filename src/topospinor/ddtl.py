@@ -47,7 +47,9 @@ its coordinate along (u_i; 0), row 1 along (0; v_i), and the columns are
 (1, k+).  This is exact: from H = 0 the unit-column retraction and the dual
 step never leave the planes, and the k-step reads only these coordinates.
 The harmonic columns are left out, since there P equals Psi and H stays 0.
-The dense basis is built once, at the end, for the reconstruction.
+The dense basis is built once, at the end, for ``DdtlSolution.basis``; the
+reconstruction Psi(k) Omega is never formed across the signals, as its
+error is the final objective.
 
 The cycle runs on two columns.  Every step reads z only through rotations
 within one mode plane (the analysis, the reconstruction, the 2x2 code
@@ -228,12 +230,16 @@ class DdtlState:
 
 @dataclass
 class DdtlSolution:
-    """Final iterate plus the unit-column basis (V+E) x (V+E) built at the learned coupling."""
+    """Final iterate plus the unit-column basis (V+E) x (V+E) built at the learned coupling.
+
+    The reconstruction Psi(k*) Omega* is not formed: its error
+    ||S - Psi(k*) Omega*||_F^2 is ``report.final_objective``, since Q and
+    each plane's Q_i keep the norm of the residual.
+    """
 
     k_star: np.ndarray  # the 2r couplings, minus branch first
     omega_star: np.ndarray
     x_star: np.ndarray
-    s_hat: np.ndarray
     basis: np.ndarray
     report: ConvergenceReport
 
@@ -427,14 +433,7 @@ def ddtl_fit(S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -> DdtlSo
         final_objective=objectives[-1], objective_curve=tuple(objectives),
         basis_gap_curve=tuple(basis_gaps), code_gap_curve=tuple(code_gaps),
     )
-    k_star, r = state.k, d.rank
+    k, r = state.k, d.rank
     omega, x = (lift_planes(a, state.plane_basis) for a in (state.omega, state.x))
-    del state  # the per-plane bases go before the dense basis and s_hat are built
-    # Psi(k) is the normalized basis with its coupled columns scaled back by sqrt(1 + k^2).
-    basis = build_mass_basis(d, k_star[:r], k_star[r:])
-    scale = np.ones(d.dim)
-    scale[:r] = np.sqrt(1.0 + k_star[:r] ** 2)
-    scale[d.dim - r :] = np.sqrt(1.0 + k_star[r:] ** 2)
-    return DdtlSolution(
-        k_star=k_star, omega_star=omega, x_star=x, s_hat=(basis * scale) @ omega, basis=basis, report=report
-    )
+    del state  # the per-plane bases go before the dense basis is built
+    return DdtlSolution(k_star=k, omega_star=omega, x_star=x, basis=build_mass_basis(d, k[:r], k[r:]), report=report)

@@ -94,9 +94,10 @@ def _check_levels(name: str, levels: tuple[int, ...], n: int) -> None:
         raise ValueError(f"{name} levels must not repeat, got {levels}")
 
 
-def _load_dataset(dataset_dir: str) -> tuple[OrientedGraph, np.ndarray]:
-    """``io.load_dataset``, refusing a batch with a non-finite cell or an energy of zero, one that underflows below
-    the smallest normal double (``np.finfo(float).tiny``) or one past the largest: no NMSE against it is defined."""
+def _load_dataset(dataset_dir: str) -> tuple[OrientedGraph, np.ndarray, float]:
+    """``io.load_dataset`` and the batch's energy ||S||_F^2, refusing a batch with a non-finite cell or an energy of
+    zero, one that underflows below the smallest normal double (``np.finfo(float).tiny``) or one past the largest:
+    no NMSE against it is defined."""
     graph, S = tsio.load_dataset(dataset_dir)
     if not np.all(np.isfinite(S)):
         raise ValueError(f"dataset {dataset_dir} has a non-finite cell, so no NMSE against it is defined")
@@ -105,7 +106,7 @@ def _load_dataset(dataset_dir: str) -> tuple[OrientedGraph, np.ndarray]:
     if not np.finfo(float).tiny <= energy < np.inf:
         kind = ("an energy that " + ("underflows" if energy < 1 else "overflows")) if np.any(S) else "zero energy"
         raise ValueError(f"dataset {dataset_dir} has {kind}, so no NMSE against it is defined")
-    return graph, S
+    return graph, S, energy
 
 
 def _load_graph(graph_path: str | None, num_nodes: int, num_edges: int, seed: int) -> OrientedGraph:
@@ -219,7 +220,7 @@ class FitConfig:
 
 def run_ddtl_fit(cfg: FitConfig) -> Path:
     """Fit the coupling transform to a dataset and store (k*, Omega*, diagnostics)."""
-    graph, S = _load_dataset(cfg.dataset_dir)
+    graph, S, energy = _load_dataset(cfg.dataset_dir)
     d = spectral_decompose(build_incidence(graph))
     solution = ddtl_fit(S, d, DdtlConfig(eta0=cfg.eta0, max_iter=cfg.max_iter))
     report = solution.report
@@ -231,7 +232,7 @@ def run_ddtl_fit(cfg: FitConfig) -> Path:
     metadata = {
         **_run_header("ddtl-fit", cfg, graph),
         "k_star": [float(k) for k in solution.k_star],
-        "reconstruction_nmse": nmse(S, solution.s_hat),
+        "reconstruction_nmse": report.final_objective / energy,  # the objective is ||S - Psi(k*) Omega*||^2
         "stop_reason": report.stop_reason,
         "iterations": report.iterations,
         "initial_objective": report.initial_objective,
@@ -240,12 +241,8 @@ def run_ddtl_fit(cfg: FitConfig) -> Path:
     history = tsio.ResultTable(
         name="history",
         columns=("iteration", "objective", "basis_gap", "code_gap"),
-        rows=tuple(
-            (i + 1, obj, bg, cg)
-            for i, (obj, bg, cg) in enumerate(
-                zip(report.objective_curve, report.basis_gap_curve, report.code_gap_curve)
-            )
-        ),
+        rows=tuple(zip(range(1, report.iterations + 1), report.objective_curve, report.basis_gap_curve,
+                       report.code_gap_curve)),
     )
     tsio.save_results(out, history, metadata)
     return out
@@ -486,15 +483,16 @@ def run_denoise(cfg: DenoiseConfig) -> Path:
     in every basis of every fit come from one ``sparse.plane_energies`` call.
     """
     if cfg.dataset_dir:
-        graph, clean = _load_dataset(cfg.dataset_dir)
+        graph, clean, energy = _load_dataset(cfg.dataset_dir)
     else:
-        graph, clean = random_graph(cfg.num_nodes, cfg.num_edges, sub_seed(cfg.seed, 0, "graph")), None
+        graph = random_graph(cfg.num_nodes, cfg.num_edges, sub_seed(cfg.seed, 0, "graph"))
     d = spectral_decompose(build_incidence(graph))
     _check_levels("bandwidth_grid", cfg.bandwidth_grid, d.dim)
-    if clean is None:
+    if not cfg.dataset_dir:
         spec = SignalClassSpec(cfg.signal_class, cfg.gen_eta0, cfg.num_signals, sub_seed(cfg.seed, 0, "signals"))
         clean, _ = gen_signals(d, spec)
-    clean_z, energy, r = project(clean, d), float(np.linalg.norm(clean) ** 2), d.rank
+        energy = float(np.linalg.norm(clean) ** 2)
+    clean_z, r = project(clean, d), d.rank
     with np.errstate(over="ignore", under="ignore", divide="ignore"):  # add_awgn's noise must be finite
         for snr, ratio in zip(cfg.snr_grid, 10.0 ** (np.array(cfg.snr_grid) / 10.0)):
             if snr < np.inf and not (np.finfo(float).tiny <= ratio < np.inf and energy / ratio < np.inf):

@@ -39,7 +39,9 @@ Results
     ``save_results`` writes a run directory containing ``run.json`` (metadata:
     config, seeds, graph summary) and one CSV per table with one row per
     (method, sweep point, realization).  Floats are printed with 17
-    significant digits so a load/save round trip is lossless.
+    significant digits so a load/save round trip is lossless.  ``run.json``
+    is strict JSON: a non-finite float in it (an ``inf`` SNR level) is the
+    string ``"inf"``, ``"-inf"`` or ``"nan"``, the CSVs' spelling.
 
 Joint signals everywhere use the fixed stacking order: node block first, edge
 block second.
@@ -303,15 +305,32 @@ def _format_cell(value) -> str:
     return "" if value is None else str(value)
 
 
+def _spell_non_finite(value):
+    """``value`` with every non-finite float, at any depth, replaced by its ``format_float`` string."""
+    if isinstance(value, dict):
+        return {key: _spell_non_finite(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_spell_non_finite(v) for v in value]
+    return format_float(value) if isinstance(value, float) and not np.isfinite(value) else value
+
+
 def save_results(path, tables: ResultTable | list[ResultTable], metadata: dict) -> Path:
-    """Write a run directory: run.json metadata plus one CSV per table."""
+    """Write a run directory: run.json metadata plus one CSV per table.
+
+    run.json is strict JSON: a non-finite float is written as the string
+    ``"inf"``, ``"-inf"`` or ``"nan"``, as the CSVs spell it.
+    """
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     if isinstance(tables, ResultTable):
         tables = [tables]
     meta = dict(metadata)
     meta["tables"] = [t.name for t in tables]
-    (out / "run.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(meta, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:  # a non-finite float: only then is the metadata walked
+        text = json.dumps(_spell_non_finite(meta), indent=2, sort_keys=True, allow_nan=False)
+    (out / "run.json").write_text(text + "\n")
     for table in tables:
         with (out / f"{table.name}.csv").open("w", newline="") as fh:
             writer = csv.writer(fh)

@@ -257,17 +257,14 @@ def reduce_planes(S: np.ndarray, d: SpectralDecomposition) -> tuple[np.ndarray, 
 
     ``reduce_blocks`` of the projection's plane blocks and harmonic rows'
     norms; the Q_i and the harmonic rows over their norms (0 for a zero row)
-    are kept for ``lift_planes``.  z is never formed.
+    are kept for ``lift_planes``.
     """
-    s_node, s_edge = S[: d.num_nodes], S[d.num_nodes :]
-    r, T = d.rank, S.shape[1]
-    harmonic = np.vstack([d.u_harmonic.T @ s_node, d.v_harmonic.T @ s_edge])
+    z, r = project(S, d), d.rank
+    harmonic = z[r : len(z) - r]
     norms = np.sqrt(np.einsum("ht,ht->h", harmonic, harmonic))
     unit = harmonic / np.where(norms == 0.0, 1.0, norms)[:, None]
-    del harmonic  # so that the peak is S, the blocks and the QR's copy of them
-    planes = np.empty((r, 2, T))  # z_i, filled in place
-    np.matmul(d.u.T, s_node, out=planes[:, 0])
-    np.matmul(d.v.T, s_edge, out=planes[:, 1])
+    planes = np.stack([z[:r], z[len(z) - r :]], axis=1)
+    del z, harmonic  # so that the peak past the projection is S, the blocks and the QR's copy of them
     z2, q = reduce_blocks(planes, norms, basis=True)
     return z2, (q, unit)
 

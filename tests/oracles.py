@@ -5,6 +5,7 @@ import heapq
 import numpy as np
 
 from topospinor.topology import OrientedGraph
+from topospinor.transform import unnormalized_basis_matrix
 
 
 def dirac_operator(B: np.ndarray) -> np.ndarray:
@@ -17,6 +18,12 @@ def super_laplacian(B: np.ndarray) -> np.ndarray:
     """Block-diagonal (B B^T, B^T B), node then edge Laplacian: the square of the Dirac operator."""
     V, E = B.shape
     return np.block([[B @ B.T, np.zeros((V, E))], [np.zeros((E, V)), B.T @ B]])
+
+
+def reconstruction(d, solution) -> np.ndarray:
+    """Psi(k*) Omega* of a ``ddtl_fit`` solution: the unnormalized coupling basis, formed densely, times the codes."""
+    k = solution.k_star
+    return unnormalized_basis_matrix(d, k[: d.rank], k[d.rank :]) @ solution.omega_star
 
 
 def random_graph(num_nodes: int, num_edges: int, seed) -> OrientedGraph:

@@ -187,11 +187,11 @@ class TestFitCommand:
         k_star = np.asarray(meta["k_star"])
         assert k_star.shape == (2 * d.rank,)
 
-        # Recompute the reconstruction from the saved pieces.
+        # Recompute the reconstruction from the saved pieces: the recorded NMSE is the fit's objective over ||S||^2.
         _, S = load_dataset(data)
         omega = read_matrix_csv(out / "omega_star.csv", S.shape[1])
         psi = unnormalized_basis_matrix(d, k_star[: d.rank], k_star[d.rank:])
-        assert abs(nmse(S, psi @ omega) - meta["reconstruction_nmse"]) < 1e-12
+        assert meta["reconstruction_nmse"] == pytest.approx(nmse(S, psi @ omega), rel=1e-12, abs=0)
 
     def test_requires_input(self, tmp_path, capsys):
         code = main(["ddtl-fit", "--eta0", "4", "--out", str(tmp_path / "fit")])
@@ -293,6 +293,24 @@ class TestDenoiseCommand:
         assert err["error"] == "ValueError" and "snr_grid" in err["message"]
         assert not out.exists()
 
+    def test_run_json_with_the_noiseless_level_is_strict_json(self, tmp_path):
+        # inf, the noiseless level, is written as the string "inf", as results.csv spells it; no bare Infinity.
+        out = tmp_path / "denoise"
+        assert main(["denoise", "--num-nodes", "6", "--num-edges", "9", "--num-signals", "12", "--gen-eta0", "4",
+                     "--snr-grid", "0,inf", "--bandwidth-grid", "2,5", "--realizations", "1", "--out", str(out)]) == 0
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        meta = json.loads((out / "run.json").read_text(), parse_constant=refuse)
+        assert meta["config"]["snr_grid"] == [0.0, "inf"]
+        _, tables = load_results(out)
+        assert {row[1] for row in tables["results"].rows} == {0.0, float("inf")}
+        # The stored config, "inf" and all, is a config file that writes the same run.
+        (tmp_path / "cfg.json").write_text(json.dumps(meta["config"]))
+        assert main(["denoise", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "again")]) == 0
+        assert _files(tmp_path / "again") == _files(out)
+
     @pytest.mark.parametrize("grid", ["nan", "0,nan", "-inf", "10,-inf"])
     def test_nan_and_minus_inf_snr_levels_are_refused(self, tmp_path, capsys, grid):
         # nan would make every NMSE nan, and -inf would divide by zero in add_awgn; +inf (noiseless) runs.
@@ -351,6 +369,23 @@ class TestFailureModes:
         assert main(["spectra"]) != 0
         err = json.loads(capsys.readouterr().err.strip())
         assert "output directory" in err["message"]
+
+    @pytest.mark.parametrize("given_as", ["flag", "config key"])
+    def test_empty_out_is_refused_before_anything_is_written(self, tmp_path, monkeypatch, capsys, given_as):
+        # "" would name the working directory: run.json, spectrum.csv and graph.txt would land there.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": ""}))
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        where = ["--out", ""] if given_as == "flag" else ["--config", str(cfg)]
+        assert main(["spectra", "--num-nodes", "5", "--num-edges", "6", *where]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and captured.out == ""
+        err = json.loads(lines[0])
+        assert err["error"] == "ValueError" and err["message"].startswith("an output directory is required")
+        assert list(cwd.iterdir()) == []
 
     def test_bad_graph_file(self, tmp_path, capsys):
         f = tmp_path / "bad.txt"
@@ -475,6 +510,8 @@ class TestFailureModes:
             ("sparsity-sweep", "sparsity_grid", [5.0, 10]),
             ("sparsity-sweep", "realizations", 1.5),
             ("denoise", "snr_grid", [0, True]),
+            ("denoise", "snr_grid", [0, "10"]),
+            ("denoise", "snr_grid", ["Infinity"]),
             ("denoise", "snr_grid", 10),
             ("denoise", "out", 7),
         ],

@@ -22,6 +22,7 @@ from topospinor.ddtl import (
     update_x,
 )
 from conftest import STRUCTURED_GRAPHS, nonharmonic_column_indices
+from oracles import reconstruction
 from topospinor.experiments import _plane_bases
 from topospinor.sparse import DegenerateRetractionWarning, column_normalize, nmse, plane_pursuit_curves, row_hard_threshold
 from topospinor.synth import SIGNAL_CLASSES, SignalClassSpec, gen_signals, random_graph
@@ -370,7 +371,7 @@ class TestDdtlFit:
         S, _ = gen_signals(d, spec)
         cfg = DdtlConfig(eta0=8, rho1=1e-6, rho2=1e-6, max_iter=100)
         sol = ddtl_fit(S, d, cfg)
-        assert nmse(S, sol.s_hat) < 1e-4
+        assert nmse(S, reconstruction(d, sol)) < 1e-4
 
     def test_fully_coupled_objective_collapses_immediately(self):
         # Fully coupled data, Dirac init: the completed first cycle already
@@ -518,7 +519,7 @@ class TestEdgeInputs:
         assert len(record) == 1 + sol.report.iterations
         assert sol.report.stop_reason == "tolerance" and sol.report.iterations == 22
         assert sol.report.initial_objective == sol.report.final_objective == 0.0
-        assert not np.any(sol.omega_star) and not np.any(sol.s_hat)
+        assert not np.any(sol.omega_star) and not np.any(reconstruction(d, sol))
 
     @pytest.mark.parametrize("case", ["rank-1", "harmonic", "T=1", "T=n"])
     def test_degenerate_batch_fits_as_its_square_factor_does(self, case):
@@ -542,11 +543,12 @@ class TestEdgeInputs:
                 warnings.simplefilter("always")
                 fits.append((ddtl_fit(fitted, d, cfg), [w.category for w in record]))
         (sol, warned), (square, square_warned) = fits
+        s_hat, square_s_hat = reconstruction(d, sol), reconstruction(d, square)
         assert warned == square_warned
-        assert sol.omega_star.shape == sol.s_hat.shape == batch.shape
-        assert all(np.all(np.isfinite(a)) for a in (sol.k_star, sol.omega_star, sol.s_hat))
+        assert sol.omega_star.shape == s_hat.shape == batch.shape
+        assert all(np.all(np.isfinite(a)) for a in (sol.k_star, sol.omega_star, s_hat))
         assert (sol.report.stop_reason, sol.report.iterations) == (square.report.stop_reason, square.report.iterations)
-        assert nmse(square.s_hat @ q.T, sol.s_hat) <= 1e-12
+        assert nmse(square_s_hat @ q.T, s_hat) <= 1e-12
 
     def test_eta0_one_runs_to_max_iter_with_one_kept_row(self):
         d, S = self._problem()
@@ -610,7 +612,7 @@ class TestSpectralCoordinates:
         assert reduced.report.stop_reason == square.report.stop_reason
         assert reduced.report.iterations == square.report.iterations
         assert np.max(np.abs(reduced.k_star - square.k_star)) <= 1e-10
-        assert nmse(square.s_hat @ q.T, reduced.s_hat) <= 1e-12
+        assert nmse(reconstruction(d, square) @ q.T, reconstruction(d, reduced)) <= 1e-12
 
     @pytest.mark.parametrize(
         "graph_seed",
@@ -637,7 +639,7 @@ class TestSpectralCoordinates:
         assert_relative(sol.report.objective_curve, objective)
         assert_relative(sol.report.basis_gap_curve, basis_gap)
         assert_relative(sol.report.code_gap_curve, code_gap)
-        assert_relative(sol.s_hat, dense_psi(d, k) @ omega)
+        assert_relative(reconstruction(d, sol), dense_psi(d, k) @ omega)
 
     def test_dense_oracle_keeps_p_and_h_in_the_mode_planes(self):
         # The premise of the plane-coordinate state: every coupled column of
@@ -694,7 +696,7 @@ class TestSpectralCoordinates:
 
     def test_dense_basis_is_built_a_fixed_number_of_times(self, monkeypatch):
         # The iterations build no (V+E) x (V+E) basis; the end of the fit
-        # builds the normalized one once and takes s_hat from it.
+        # builds the normalized one once, and no reconstruction from it.
         g, d = small_problem()
         S = np.random.default_rng(16).normal(size=(d.dim, 20))
         calls = []
@@ -765,10 +767,23 @@ def test_fit_is_equivariant_under_orthogonal_mixing_of_signals(d, S, cfg):
     assert np.max(np.abs(mixed.k_star - plain.k_star)) <= 1e-9
     energy = np.linalg.norm(S) ** 2
     assert_allclose(mixed.report.objective_curve, plain.report.objective_curve, rtol=0, atol=1e-10 * energy)
-    for name in ("omega_star", "x_star", "s_hat"):
+    for name in ("omega_star", "x_star"):
         expected = getattr(plain, name) @ W
         assert_relative(getattr(mixed, name), expected, bound=1e-9)
+    assert_relative(reconstruction(d, mixed), reconstruction(d, plain) @ W, bound=1e-9)
     assert np.array_equal(np.any(mixed.x_star != 0, axis=1), np.any(plain.x_star != 0, axis=1))
+
+
+@pytest.mark.parametrize(
+    "d, S, cfg", [pytest.param(d, S, cfg, id=name) for name, d, S, cfg in _orthogonal_mixing_cases()]
+)
+def test_final_objective_is_the_error_of_the_dense_reconstruction(d, S, cfg):
+    # Q and each plane's Q_i keep the norm of the residual, so the fit's last objective is ||S - Psi(k*) Omega*||^2,
+    # which ddtl-fit records over ||S||^2 as reconstruction_nmse.
+    for batch in (S, S[:, :1]):
+        sol = ddtl_fit(batch, d, cfg)
+        residual = np.linalg.norm(batch - reconstruction(d, sol)) ** 2
+        assert sol.report.final_objective == pytest.approx(residual, rel=1e-12)
 
 
 def test_orthogonal_mixing_cases_cover_both_stops():

@@ -17,7 +17,7 @@ from topospinor.experiments import (
     sub_seed,
     sweep_dictionaries,
 )
-from topospinor.io import load_dataset, load_results
+from topospinor.io import load_dataset, load_results, save_edge_list
 from topospinor.sparse import nmse, omp, row_hard_threshold
 from topospinor.synth import SIGNAL_CLASSES, SignalClassSpec, add_awgn, gen_signals, random_graph
 from topospinor.topology import OrientedGraph, build_incidence, project, spectral_decompose
@@ -399,6 +399,29 @@ def test_learned_basis_recovers_a_noiseless_batch_at_its_support_size(name):
             learned = experiments._plane_bases(fit_coupling(z, d.rank))["ddtl"]
             residual = sparse.plane_pursuit_curves(z, d.rank, [learned], [eta0])[0, 0]
             assert residual <= 1e-12 * np.sum(S**2), (signal_class, num_signals)
+
+
+@pytest.mark.parametrize("name", PATH_CYCLE_GRID)
+def test_every_command_writes_the_same_bytes_twice_on_the_path_cycle_and_grid(tmp_path, monkeypatch, name):
+    # Two runs in one process with one seed: spectra and synth on the graph, ddtl-fit and denoise on that dataset.
+    # Relative paths, so the paths each run.json records are the same too.
+    for run in ("a", "b"):
+        (tmp_path / run).mkdir()
+        monkeypatch.chdir(tmp_path / run)
+        save_edge_list("graph.txt", PATH_CYCLE_GRID[name])
+        for argv in (
+            ["spectra", "--graph", "graph.txt", "--out", "spectra"],
+            ["synth", "--graph", "graph.txt", "--signal-class", "partially_coupled", "--eta0", "5",
+             "--num-signals", "12", "--out", "data"],
+            ["ddtl-fit", "--dataset", "data", "--eta0", "5", "--max-iter", "5", "--out", "fit"],
+            ["denoise", "--dataset", "data", "--snr-grid", "0,20,inf", "--bandwidth-grid", "2,5",
+             "--realizations", "2", "--out", "denoise"],
+        ):
+            assert main([*argv, "--seed", "7"]) == 0, argv
+    written = {run: {f.relative_to(tmp_path / run).as_posix(): f.read_bytes()
+                     for f in (tmp_path / run).rglob("*") if f.is_file()} for run in ("a", "b")}
+    assert {path.split("/")[0] for path in written["a"]} == {"graph.txt", "spectra", "data", "fit", "denoise"}
+    assert written["a"] == written["b"]
 
 
 def exhaustive_best(D, signals):

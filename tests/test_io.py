@@ -1,5 +1,6 @@
 import builtins
 import csv
+import json
 import os
 import re
 import signal
@@ -242,6 +243,22 @@ class TestResults:
     def test_row_shape_validated(self):
         with pytest.raises(ValueError):
             ResultTable("bad", ("a", "b"), ((1,),))
+
+    def test_run_json_is_strict_json_with_non_finite_values(self, tmp_path):
+        # Every non-finite float, at any depth, is spelled as results.csv spells it; finite values keep their bytes.
+        meta = {"grid": (0.0, float("inf")), "nested": {"worst": float("-inf"), "rows": [[1.5, float("nan")]]}}
+        out = save_results(tmp_path / "run", ResultTable("t", ("x",), ((float("nan"),),)), meta)
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        loaded = json.loads((out / "run.json").read_text(), parse_constant=refuse)
+        assert loaded["grid"] == [0.0, "inf"]
+        assert loaded["nested"] == {"worst": "-inf", "rows": [[1.5, "nan"]]}
+        assert (out / "t.csv").read_text().splitlines()[1] == "nan"
+        finite = {"grid": (0.0, 0.1), "nested": {"worst": 1e-300}}
+        text = (save_results(tmp_path / "finite", [], finite) / "run.json").read_text()
+        assert text == json.dumps({**finite, "tables": []}, indent=2, sort_keys=True) + "\n"
 
     def test_matrix_csv_full_precision(self, tmp_path):
         M = np.random.default_rng(3).normal(size=(4, 5)) * 1e-13
