@@ -5,7 +5,8 @@ dashes>, parsed by the field's annotation (a tuple grid as a comma-separated
 list), with the help text, the choices and the two renamed flags (--dataset,
 --graph) taken from the field's metadata.  An optional JSON config file
 (--config, keys matching the fields) is read first and explicit flags apply
-on top; each file value must have its field's JSON type (``FIELD_TYPES``).
+on top; each file value must have its field's JSON type (``FIELD_TYPES``),
+a list of numbers spelling a non-finite one as run.json does (``"inf"``).
 Exit code is 0 on success.  A usage error (an unknown flag, a value that
 does not parse) exits 2 with argparse's usage text on stderr; every other
 failure prints one machine-readable JSON line to stderr and exits 1.
@@ -30,6 +31,7 @@ from .experiments import (
     run_spectra,
     run_synth,
 )
+from .io import read_non_finite
 
 __all__ = ["main", "build_parser"]
 
@@ -67,8 +69,7 @@ FIELD_TYPES = {
     "str": (str, "a string", lambda v: isinstance(v, str), lambda v: v),
     "str | None": (str, "a string or null", lambda v: v is None or isinstance(v, str), lambda v: v),
     "tuple[int, ...]": _grid(int, "integers", _is_int),
-    # "inf" as run.json spells the noiseless level, so that a run's stored config loads as a config file.
-    "tuple[float, ...]": _grid(float, 'numbers or "inf"', lambda x: _is_int(x) or isinstance(x, float) or x == "inf"),
+    "tuple[float, ...]": _grid(float, "numbers", lambda x: _is_int(x) or isinstance(x, float)),
 }
 
 
@@ -101,10 +102,10 @@ def _build_config(args: argparse.Namespace):
         if unknown:
             raise ValueError(f"unknown config keys for {cls.__name__}: {sorted(unknown)}")
         for f in (f for f in fields if f.name in file_values):
-            value = file_values[f.name]
+            value = read_non_finite(file_values[f.name])  # as run.json spells non-finite floats: a stored config loads
             _, kind, check, store = FIELD_TYPES[f.type]
             if not check(value):
-                raise ValueError(f"config key {f.name!r} must be {kind}, got {json.dumps(value)}")
+                raise ValueError(f"config key {f.name!r} must be {kind}, got {json.dumps(file_values[f.name])}")
             values[f.name] = store(value)
     for f in fields:
         if getattr(args, f.name) is not None:

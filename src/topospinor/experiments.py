@@ -241,8 +241,12 @@ def run_ddtl_fit(cfg: FitConfig) -> Path:
     history = tsio.ResultTable(
         name="history",
         columns=("iteration", "objective", "basis_gap", "code_gap"),
-        rows=tuple(zip(range(1, report.iterations + 1), report.objective_curve, report.basis_gap_curve,
-                       report.code_gap_curve)),
+        rows=tuple(
+            (i + 1, obj, bg, cg)
+            for i, (obj, bg, cg) in enumerate(
+                zip(report.objective_curve, report.basis_gap_curve, report.code_gap_curve)
+            )
+        ),
     )
     tsio.save_results(out, history, metadata)
     return out
@@ -483,16 +487,15 @@ def run_denoise(cfg: DenoiseConfig) -> Path:
     in every basis of every fit come from one ``sparse.plane_energies`` call.
     """
     if cfg.dataset_dir:
-        graph, clean, energy = _load_dataset(cfg.dataset_dir)
+        graph, clean, _ = _load_dataset(cfg.dataset_dir)
     else:
-        graph = random_graph(cfg.num_nodes, cfg.num_edges, sub_seed(cfg.seed, 0, "graph"))
+        graph, clean = random_graph(cfg.num_nodes, cfg.num_edges, sub_seed(cfg.seed, 0, "graph")), None
     d = spectral_decompose(build_incidence(graph))
     _check_levels("bandwidth_grid", cfg.bandwidth_grid, d.dim)
-    if not cfg.dataset_dir:
+    if clean is None:
         spec = SignalClassSpec(cfg.signal_class, cfg.gen_eta0, cfg.num_signals, sub_seed(cfg.seed, 0, "signals"))
         clean, _ = gen_signals(d, spec)
-        energy = float(np.linalg.norm(clean) ** 2)
-    clean_z, r = project(clean, d), d.rank
+    clean_z, energy, r = project(clean, d), float(np.linalg.norm(clean) ** 2), d.rank
     with np.errstate(over="ignore", under="ignore", divide="ignore"):  # add_awgn's noise must be finite
         for snr, ratio in zip(cfg.snr_grid, 10.0 ** (np.array(cfg.snr_grid) / 10.0)):
             if snr < np.inf and not (np.finfo(float).tiny <= ratio < np.inf and energy / ratio < np.inf):

@@ -42,6 +42,8 @@ Results
     significant digits so a load/save round trip is lossless.  ``run.json``
     is strict JSON: a non-finite float in it (an ``inf`` SNR level) is the
     string ``"inf"``, ``"-inf"`` or ``"nan"``, the CSVs' spelling.
+    ``read_non_finite`` turns them back into floats inside a list of numbers,
+    for ``load_results`` and for the CLI's config files.
 
 Joint signals everywhere use the fixed stacking order: node block first, edge
 block second.
@@ -73,6 +75,7 @@ __all__ = [
     "load_dataset",
     "save_results",
     "load_results",
+    "read_non_finite",
     "format_float",
     "write_matrix_csv",
     "read_matrix_csv",
@@ -305,6 +308,16 @@ def _format_cell(value) -> str:
     return "" if value is None else str(value)
 
 
+def _parse_cell(cell: str):
+    try:
+        return float(cell) if cell else None
+    except ValueError:
+        return cell
+
+
+NON_FINITE_SPELLINGS = tuple(format_float(x) for x in (np.inf, -np.inf, np.nan))  # "inf", "-inf", "nan"
+
+
 def _spell_non_finite(value):
     """``value`` with every non-finite float, at any depth, replaced by its ``format_float`` string."""
     if isinstance(value, dict):
@@ -312,6 +325,19 @@ def _spell_non_finite(value):
     if isinstance(value, (list, tuple)):
         return [_spell_non_finite(v) for v in value]
     return format_float(value) if isinstance(value, float) and not np.isfinite(value) else value
+
+
+def read_non_finite(value):
+    """Undo ``save_results``' spelling in loaded JSON, at any depth: in a list whose items are all numbers or
+    ``NON_FINITE_SPELLINGS``, those strings are floats again.  A string anywhere else stays a string, since a
+    path or a name may read ``inf``."""
+    if isinstance(value, dict):
+        return {key: read_non_finite(v) for key, v in value.items()}
+    if not isinstance(value, list):
+        return value
+    items = [read_non_finite(v) for v in value]
+    numbers = all(type(v) in (int, float) or v in NON_FINITE_SPELLINGS for v in items)  # a bool is no number
+    return [float(v) if numbers and isinstance(v, str) else v for v in items]
 
 
 def save_results(path, tables: ResultTable | list[ResultTable], metadata: dict) -> Path:
@@ -326,11 +352,7 @@ def save_results(path, tables: ResultTable | list[ResultTable], metadata: dict) 
         tables = [tables]
     meta = dict(metadata)
     meta["tables"] = [t.name for t in tables]
-    try:
-        text = json.dumps(meta, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError:  # a non-finite float: only then is the metadata walked
-        text = json.dumps(_spell_non_finite(meta), indent=2, sort_keys=True, allow_nan=False)
-    (out / "run.json").write_text(text + "\n")
+    (out / "run.json").write_text(json.dumps(_spell_non_finite(meta), indent=2, sort_keys=True, allow_nan=False) + "\n")
     for table in tables:
         with (out / f"{table.name}.csv").open("w", newline="") as fh:
             writer = csv.writer(fh)
@@ -344,26 +366,14 @@ def load_results(path) -> tuple[dict, dict[str, ResultTable]]:
     """Read back a run directory written by save_results.
 
     Numeric cells are parsed to float when possible; everything else stays a
-    string (empty cells become None).
+    string (empty cells become None).  In run.json, a list of numbers gets its
+    non-finite floats back (``read_non_finite``).
     """
     out = Path(path)
-    metadata = json.loads((out / "run.json").read_text())
+    metadata = read_non_finite(json.loads((out / "run.json").read_text()))
     tables: dict[str, ResultTable] = {}
     for name in metadata.get("tables", []):
         with (out / f"{name}.csv").open(newline="") as fh:
-            rows = list(csv.reader(fh))
-        columns = tuple(rows[0])
-        parsed = []
-        for row in rows[1:]:
-            cells = []
-            for cell in row:
-                if cell == "":
-                    cells.append(None)
-                    continue
-                try:
-                    cells.append(float(cell))
-                except ValueError:
-                    cells.append(cell)
-            parsed.append(tuple(cells))
-        tables[name] = ResultTable(name=name, columns=columns, rows=tuple(parsed))
+            header, *rows = csv.reader(fh)
+        tables[name] = ResultTable(name, tuple(header), tuple(tuple(map(_parse_cell, row)) for row in rows))
     return metadata, tables

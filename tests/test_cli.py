@@ -1,10 +1,15 @@
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import topospinor
 from topospinor import experiments
 from topospinor.cli import COMMANDS, _build_config, build_parser, main
 from topospinor.experiments import sub_seed
@@ -295,16 +300,26 @@ class TestDenoiseCommand:
 
     def test_run_json_with_the_noiseless_level_is_strict_json(self, tmp_path):
         # inf, the noiseless level, is written as the string "inf", as results.csv spells it; no bare Infinity.
+        # Run through the module entry point in its own process, as a user runs it.
         out = tmp_path / "denoise"
-        assert main(["denoise", "--num-nodes", "6", "--num-edges", "9", "--num-signals", "12", "--gen-eta0", "4",
-                     "--snr-grid", "0,inf", "--bandwidth-grid", "2,5", "--realizations", "1", "--out", str(out)]) == 0
+        src = str(Path(topospinor.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "topospinor.cli", "denoise", "--num-nodes", "6", "--num-edges", "9",
+             "--num-signals", "12", "--gen-eta0", "4", "--snr-grid", "0,inf", "--bandwidth-grid", "2,5",
+             "--realizations", "1", "--out", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, f"{out}\n", "")
 
         def refuse(token):
             raise ValueError(f"non-standard JSON token {token}")
 
         meta = json.loads((out / "run.json").read_text(), parse_constant=refuse)
         assert meta["config"]["snr_grid"] == [0.0, "inf"]
-        _, tables = load_results(out)
+        # load_results reads the level back as a float, in run.json as in results.csv.
+        loaded, tables = load_results(out)
+        assert loaded["config"]["snr_grid"] == [0.0, float("inf")]
         assert {row[1] for row in tables["results"].rows} == {0.0, float("inf")}
         # The stored config, "inf" and all, is a config file that writes the same run.
         (tmp_path / "cfg.json").write_text(json.dumps(meta["config"]))
@@ -512,6 +527,7 @@ class TestFailureModes:
             ("denoise", "snr_grid", [0, True]),
             ("denoise", "snr_grid", [0, "10"]),
             ("denoise", "snr_grid", ["Infinity"]),
+            ("sparsity-sweep", "sparsity_grid", [5, "inf"]),
             ("denoise", "snr_grid", 10),
             ("denoise", "out", 7),
         ],

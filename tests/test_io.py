@@ -260,6 +260,15 @@ class TestResults:
         text = (save_results(tmp_path / "finite", [], finite) / "run.json").read_text()
         assert text == json.dumps({**finite, "tables": []}, indent=2, sort_keys=True) + "\n"
 
+    def test_load_results_reads_non_finite_numbers_back_as_floats(self, tmp_path):
+        # In a list of numbers the spellings are floats again, at any depth; a string anywhere else stays a string.
+        meta = {"config": {"snr_grid": (0.0, float("inf")), "dataset_dir": "inf"}, "worst": float("-inf"),
+                "curves": [[1.5, float("-inf")], [float("nan")]], "names": ["a", "inf"]}
+        loaded, _ = load_results(save_results(tmp_path / "run", [], meta))
+        assert loaded["config"] == {"snr_grid": [0.0, float("inf")], "dataset_dir": "inf"}
+        assert loaded["curves"][0] == [1.5, float("-inf")] and np.isnan(loaded["curves"][1][0])
+        assert loaded["worst"] == "-inf" and loaded["names"] == ["a", "inf"]
+
     def test_matrix_csv_full_precision(self, tmp_path):
         M = np.random.default_rng(3).normal(size=(4, 5)) * 1e-13
         write_matrix_csv(tmp_path / "m.csv", M)
