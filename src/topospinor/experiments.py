@@ -8,6 +8,8 @@ energies: the sweep's from each plane's 2 x 2 factor, built from the
 batch's coefficient rows (``sparse.plane_energies``), the denoising
 sweep's from each plane's Gram and, for the clean batch, its 2 x 2
 triangles.  No study builds a dense (V+E) x (V+E) basis or runs the ADMM.
+The sweep reads no graph at all on the three classes whose model reads only
+the rank r = V - 1, and no singular vector on ``mixture_of_dirac``.
 The rule (each plane's principal axis, mod 90 degrees, clipped to the box
 k in [0, 1], ties to k = 1) is stated in :mod:`topospinor.ddtl`.
 ``run_ddtl_fit`` runs the ADMM (``ddtl.ddtl_fit``) until ROADMAP item 0 lets
@@ -37,15 +39,23 @@ from .ddtl import DdtlConfig, coupling_from_grams, ddtl_fit, fit_coupling, plane
 from .frames import build_frame
 from .sparse import nmse, plane_energies, plane_pursuit_curves
 from .sparse import omp  # noqa: F401  unused; perfbench pins this binding (ROADMAP item 0)
-from .synth import SIGNAL_CLASSES, SignalClassSpec, add_awgn, draw_signals, gen_signals, random_graph
+from .synth import (
+    SIGNAL_CLASSES,
+    SignalClassSpec,
+    add_awgn,
+    check_graph_size,
+    draw_signals,
+    gen_signals,
+    random_graph,
+)
 from .topology import (
     OrientedGraph,
     build_incidence,
     decomposition_residuals,
     dirac_eigenbasis,
+    laplacian_singular_values,
     project,
     reduce_blocks,
-    singular_values,
     spectral_decompose,
     super_laplacian_eigenbasis,
 )
@@ -79,11 +89,13 @@ def sub_seed(master_seed: int, realization: int, tag: str) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _run_header(command: str, cfg, graph: OrientedGraph) -> dict:
-    """The run.json keys of every command: its name, its config without ``out`` and the graph's size."""
+def _run_header(command: str, cfg, graph: OrientedGraph | None = None) -> dict:
+    """The run.json keys of every command: its name, its config without ``out`` and the graph's size, the config's
+    when no graph is given (``random_graph`` gives V and E exactly)."""
     config = asdict(cfg)
     config.pop("out")
-    return {"command": command, "config": config, "graph": {"num_nodes": graph.num_nodes, "num_edges": graph.num_edges}}
+    size = (cfg.num_nodes, cfg.num_edges) if graph is None else (graph.num_nodes, graph.num_edges)
+    return {"command": command, "config": config, "graph": dict(zip(("num_nodes", "num_edges"), size))}
 
 
 def _check_levels(name: str, levels: tuple[int, ...], n: int) -> None:
@@ -272,6 +284,7 @@ class SweepConfig:
     seed: int = field(default=0, metadata={"help": "master seed"})
 
     def __post_init__(self):
+        check_graph_size(self.num_nodes, self.num_edges)  # as random_graph would, which three classes never call
         if not self.sparsity_grid:
             raise ValueError("sparsity_grid must be non-empty")
         _check_levels("sparsity_grid", self.sparsity_grid, self.num_nodes + self.num_edges)
@@ -334,10 +347,13 @@ def _plane_factor(support: np.ndarray, coefficients: np.ndarray, k: np.ndarray, 
 def run_sparsity_sweep(cfg: SweepConfig) -> Path:
     """Reconstruction error versus sparsity for the four dictionaries, in spectral coordinates.
 
-    The curves depend on the graph only through its rank r and singular
-    values sigma.  So per realization the batch is drawn from sigma alone
-    (``synth.draw_signals``; ``topology.singular_values`` forms no singular
-    vector) and kept as its coefficient rows C.  Each mode plane's T-wide
+    The curves depend on the graph only through what ``synth.draw_signals``
+    reads: its rank r, which is V - 1 since ``random_graph`` is connected,
+    and on ``mixture_of_dirac`` alone its singular values sigma.  So the
+    three other classes draw no graph, and the mixture's sigma comes from
+    the V x V node Laplacian (``topology.laplacian_singular_values``: no
+    incidence, no SVD).  Per realization the batch is drawn and kept as its
+    coefficient rows C.  Each mode plane's T-wide
     block is replaced by a 2 x 2 factor with the same Gram (``_plane_factor``,
     a QR only on planes holding both columns).  The coupling is learned in
     closed form on that z2 (``ddtl.fit_coupling``), the energies of z2's
@@ -345,13 +361,16 @@ def run_sparsity_sweep(cfg: SweepConfig) -> Path:
     (``plane_pursuit_curves``), and each is divided by ||C||_F^2, the batch's
     energy, since the synthesis basis is orthonormal.
     """
+    r, n = cfg.num_nodes - 1, cfg.num_nodes + cfg.num_edges
     curves = []  # per realization, the NMSE curve of each of SWEEP_METHODS, the order of _plane_bases
     for real in range(cfg.realizations):
-        graph = random_graph(cfg.num_nodes, cfg.num_edges, sub_seed(cfg.seed, real, "graph"))
-        sigma = singular_values(build_incidence(graph))
+        sigma = None  # read by the mixture's couplings alone
+        if cfg.signal_class == "mixture_of_dirac":
+            graph = random_graph(cfg.num_nodes, cfg.num_edges, sub_seed(cfg.seed, real, "graph"))
+            sigma = laplacian_singular_values(graph)
         spec = SignalClassSpec(cfg.signal_class, cfg.eta0, cfg.num_signals, sub_seed(cfg.seed, real, "signals"))
-        truth, r = draw_signals(sigma, graph.dim, spec), len(sigma)
-        z = _plane_factor(truth.support, truth.coefficients, truth.k_modes, graph.dim)
+        truth = draw_signals(r, n, spec, sigma)
+        z = _plane_factor(truth.support, truth.coefficients, truth.k_modes, n)
         bases = _plane_bases(fit_coupling(z, r))
         residuals = plane_pursuit_curves(z, r, list(bases.values()), cfg.sparsity_grid)
         curves.append(residuals / np.vdot(truth.coefficients, truth.coefficients))
@@ -366,7 +385,7 @@ def run_sparsity_sweep(cfg: SweepConfig) -> Path:
     )
     fits = cfg.realizations
     metadata = {
-        **_run_header("sparsity-sweep", cfg, graph),  # random_graph gives every realization V and E exactly
+        **_run_header("sparsity-sweep", cfg),
         "learner": {"fits": fits, "stop_reasons": {"exact": fits}, "iterations": 0},
         # Curves 0-3 are SWEEP_METHODS.  Both counts hold in every realization, a theorem for joint sparsity in
         # sample (ROADMAP item 4); the tests assert it.

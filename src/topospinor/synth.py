@@ -2,10 +2,12 @@
 
 Signal batches follow the generative model: pick a shared support of
 non-harmonic basis columns, draw Gaussian coefficients (``draw_signals``, from
-the singular values alone) and synthesize through the unit-norm coupling basis
-at a class-specific coupling profile (``gen_signals``).  The sparsity sweep's
-curves depend on the graph only through r and sigma, so it writes the draw
-straight into the mode planes and never synthesizes.  The four
+the rank r, plus the singular values for the mixture class) and synthesize
+through the unit-norm coupling basis at a class-specific coupling profile
+(``gen_signals``).  The sparsity sweep's curves depend on the graph only
+through what the draw reads, so it writes the draw straight into the mode
+planes and never synthesizes; on the three classes that read r alone it draws
+no graph (``random_graph`` is connected, so r = V - 1).  The four
 classes differ only in the per-mode coupling: all-ones (fully coupled),
 all-zeros (fully decoupled), half of the touched mode pairs (rounded) coupled
 and the rest decoupled (partially coupled), or a Cauchy-profile decay in
@@ -27,6 +29,7 @@ __all__ = [
     "SignalClassSpec",
     "GroundTruth",
     "SIGNAL_CLASSES",
+    "check_graph_size",
     "random_graph",
     "draw_signals",
     "gen_signals",
@@ -63,25 +66,34 @@ class GroundTruth:
     signal_class: str
 
 
-def random_graph(num_nodes: int, num_edges: int, seed) -> OrientedGraph:
-    """Connected simple graph with exactly the requested edge count.
-
-    A uniform random labeled spanning tree, decoded from a random Prüfer
-    sequence (Prüfer, 1918), plus the remaining edges drawn uniformly without
-    replacement from the non-tree pairs; a fair coin orients each edge.
-    Requires V - 1 <= E <= V(V - 1)/2.  A seed fixes three draws, in order:
-    the sequence, ``integers(0, V, size=V - 2)``; the sorted
-    ``choice(#pairs, size=E - (V - 1), replace=False)`` over the non-tree
-    pairs (a < b, in lexicographic order), skipped when E = V - 1; and the
-    coins, ``integers(0, 2, size=E)``, tree edges first, a 1 reversing its edge.
-    """
+def check_graph_size(num_nodes: int, num_edges: int) -> None:
+    """Refuse a size no connected simple graph has: V < 1, or E outside V - 1 <= E <= V(V - 1)/2."""
     V, E = int(num_nodes), int(num_edges)
+    if V < 1:
+        raise ValueError(f"num_nodes must be positive, got {V}")
     max_edges = V * (V - 1) // 2
     if not (V - 1 <= E <= max_edges):
         raise ValueError(
             f"edge count {E} infeasible for a connected simple graph on {V} nodes "
             f"(needs {V - 1} <= E <= {max_edges})"
         )
+
+
+def random_graph(num_nodes: int, num_edges: int, seed) -> OrientedGraph:
+    """Connected simple graph with exactly the requested edge count.
+
+    A uniform random labeled spanning tree, decoded from a random Prüfer
+    sequence (Prüfer, 1918), plus the remaining edges drawn uniformly without
+    replacement from the non-tree pairs; a fair coin orients each edge.
+    Requires V >= 1 and V - 1 <= E <= V(V - 1)/2 (``check_graph_size``).  A
+    seed fixes three draws, in order: the sequence,
+    ``integers(0, V, size=V - 2)``; the sorted
+    ``choice(#pairs, size=E - (V - 1), replace=False)`` over the non-tree
+    pairs (a < b, in lexicographic order), skipped when E = V - 1; and the
+    coins, ``integers(0, 2, size=E)``, tree edges first, a 1 reversing its edge.
+    """
+    check_graph_size(num_nodes, num_edges)
+    V, E = int(num_nodes), int(num_edges)
     rng = np.random.default_rng(seed)
 
     tree_edges: list[tuple[int, int]] = []
@@ -111,9 +123,8 @@ def random_graph(num_nodes: int, num_edges: int, seed) -> OrientedGraph:
     return OrientedGraph(V, edges.tolist())
 
 
-def _mode_couplings(sigma: np.ndarray, spec: SignalClassSpec, support: np.ndarray,
+def _mode_couplings(r: int, sigma: np.ndarray | None, spec: SignalClassSpec, support: np.ndarray,
                     rng: np.random.Generator) -> np.ndarray:
-    r = len(sigma)
     if spec.signal_class == "fully_coupled":
         return np.ones(r)
     if spec.signal_class == "fully_decoupled":
@@ -125,24 +136,26 @@ def _mode_couplings(sigma: np.ndarray, spec: SignalClassSpec, support: np.ndarra
         coupled = rng.permutation(touched)[:n_coupled]
         k[coupled] = 1.0
         return k
+    if sigma is None:
+        raise ValueError("the mixture_of_dirac couplings need the singular values sigma")
     gamma = float(np.median(sigma))
     return 1.0 / (1.0 + (sigma / gamma) ** 2)
 
 
-def draw_signals(sigma: np.ndarray, dim: int, spec: SignalClassSpec) -> GroundTruth:
-    """The ground truth of one batch, drawn from the r nonzero singular values ``sigma`` alone.
+def draw_signals(rank: int, dim: int, spec: SignalClassSpec, sigma: np.ndarray | None = None) -> GroundTruth:
+    """The ground truth of one batch, drawn from the rank r alone, and on ``mixture_of_dirac`` from its couplings'
+    r nonzero singular values ``sigma`` (which no other class reads).
 
     One support of size eta0 is drawn uniformly over the 2r non-harmonic
     column indices and shared by all T signals, the class's couplings are
     set, and the coefficients are i.i.d. standard Gaussian.  ``dim`` = V + E
     only places the support among the full-basis columns.
     """
-    rng = np.random.default_rng(spec.seed)
-    r = len(sigma)
+    rng, r = np.random.default_rng(spec.seed), int(rank)
     if spec.eta0 > 2 * r:
         raise ValueError(f"eta0={spec.eta0} exceeds the {2 * r} available columns")
     support = np.sort(rng.choice(2 * r, size=spec.eta0, replace=False))
-    k_modes = _mode_couplings(sigma, spec, support, rng)
+    k_modes = _mode_couplings(r, sigma, spec, support, rng)
     return GroundTruth(
         support=support,
         support_columns=support + np.where(support < r, 0, dim - 2 * r),  # the harmonic columns sit between
@@ -160,7 +173,7 @@ def gen_signals(d: SpectralDecomposition, spec: SignalClassSpec) -> tuple[np.nda
     support's columns are built, (k u; -v) for a minus index s < r and
     (u; k v) for a plus index, over sqrt(1 + k^2).
     """
-    truth = draw_signals(d.sigma, d.dim, spec)
+    truth = draw_signals(d.rank, d.dim, spec, d.sigma)
     modes, minus = truth.support % d.rank, truth.support < d.rank
     u, v, k = d.u[:, modes], d.v[:, modes], truth.k_modes[modes]
     columns = np.vstack([np.where(minus, u * k, u), np.where(minus, -v, v * k)]) / np.sqrt(1.0 + k**2)

@@ -4,7 +4,9 @@ Signals live on nodes (length V), on edges (length E), or jointly as a
 "topological spinor": the stacked vector (node block first, edge block second)
 of length V + E.  The SVD of B diagonalises the Dirac operator [[0, B], [B^T, 0]]
 and its square, the block-diagonal Laplacian (B B^T, B^T B), so neither is
-formed.  Everything in this module is a pure function of immutable inputs.
+formed.  Where only the singular values are read, they come from the node
+Laplacian B B^T with a combinatorial rank (``laplacian_singular_values``).
+Everything in this module is a pure function of immutable inputs.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ __all__ = [
     "SpectralDecomposition",
     "build_incidence",
     "spectral_decompose",
-    "singular_values",
+    "laplacian_singular_values",
     "harmonic_columns",
     "dirac_eigenbasis",
     "super_laplacian_eigenbasis",
@@ -167,7 +169,7 @@ def spectral_decompose(B: np.ndarray) -> SpectralDecomposition:
         raise ValueError("incidence matrix contains non-finite entries")
     V, E = B.shape
     U, s, Vt = np.linalg.svd(B, full_matrices=True)
-    r = _rank(s)
+    r = int(np.sum(s > 1e-8 * (s[0] if s.size else 1.0)))
 
     u = U[:, :r].copy()
     vmat = Vt[:r, :].T.copy()
@@ -188,15 +190,39 @@ def spectral_decompose(B: np.ndarray) -> SpectralDecomposition:
     )
 
 
-def _rank(s: np.ndarray) -> int:
-    """The number of singular values ``s`` (descending) above 1e-8 times the largest."""
-    return int(np.sum(s > 1e-8 * (s[0] if s.size else 1.0)))
+def _num_components(g: OrientedGraph) -> int:
+    """The number c of connected components of g, from a depth-first traversal of its edge list."""
+    neighbours: list[list[int]] = [[] for _ in range(g.num_nodes)]
+    for tail, head in g.edges:
+        neighbours[tail].append(head)
+        neighbours[head].append(tail)
+    seen, c = [False] * g.num_nodes, 0
+    for start in range(g.num_nodes):
+        if not seen[start]:
+            c, seen[start], stack = c + 1, True, [start]
+            while stack:
+                for node in neighbours[stack.pop()]:
+                    if not seen[node]:
+                        seen[node] = True
+                        stack.append(node)
+    return c
 
 
-def singular_values(B: np.ndarray) -> np.ndarray:
-    """``spectral_decompose(B).sigma`` to rounding, from an SVD without singular vectors (same rank rule)."""
-    s = np.linalg.svd(B, compute_uv=False)
-    return s[: _rank(s)]
+def laplacian_singular_values(g: OrientedGraph) -> np.ndarray:
+    """The r = V - c nonzero singular values of B (descending), from ``eigvalsh`` of L0 = B B^T = D - A.
+
+    L0 is built from the edge list (degrees minus adjacency), so neither the
+    V x E incidence nor an SVD is formed.  The rank is combinatorial, V minus
+    the number of components (``_num_components``), never a cutoff on the
+    square roots: L0's null eigenvalues come out near 1e-14, whose roots sit
+    above ``spectral_decompose``'s 1e-8 sigma_max cutoff.
+    """
+    V, edges = g.num_nodes, np.array(g.edges, dtype=np.intp).reshape(-1, 2)
+    laplacian = np.zeros((V, V))
+    laplacian[edges[:, 0], edges[:, 1]] = laplacian[edges[:, 1], edges[:, 0]] = -1.0
+    laplacian[np.diag_indices(V)] = np.bincount(edges.ravel(), minlength=V)
+    r = V - _num_components(g)
+    return np.sqrt(np.linalg.eigvalsh(laplacian)[::-1][:r])
 
 
 def harmonic_columns(d: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:

@@ -64,3 +64,14 @@ STRUCTURED_GRAPHS = {
     "branching_tree": (OrientedGraph(6, ((0, 1), (1, 2), (1, 3), (3, 4), (3, 5))), None, 0),
     "single_edge": (OrientedGraph(2, ((0, 1),)), [np.sqrt(2.0)], 0),
 }
+
+# The signal classes whose model reads the graph's rank alone, never its singular values.
+SIGMA_FREE_CLASSES = ("fully_coupled", "fully_decoupled", "partially_coupled")
+
+# The path, cycle and grid of ROADMAP item 6; the cycle and the grid repeat sigma.
+PATH_CYCLE_GRID = {
+    "path_p6": OrientedGraph(6, tuple((i, i + 1) for i in range(5))),
+    "cycle_c6": OrientedGraph(6, tuple((i, (i + 1) % 6) for i in range(6))),
+    "grid_3x3": OrientedGraph(9, tuple((3 * i + j, 3 * i + j + 1) for i in range(3) for j in range(2))
+                              + tuple((3 * i + j, 3 * i + j + 3) for i in range(2) for j in range(3))),
+}

@@ -15,6 +15,7 @@ from topospinor.cli import COMMANDS, _build_config, build_parser, main
 from topospinor.experiments import sub_seed
 from topospinor.io import load_dataset, load_edge_list, load_results, read_matrix_csv
 from topospinor.sparse import nmse
+from topospinor.synth import SIGNAL_CLASSES
 from topospinor.topology import build_incidence, spectral_decompose
 from topospinor.transform import unnormalized_basis_matrix
 
@@ -401,6 +402,32 @@ class TestFailureModes:
         err = json.loads(lines[0])
         assert err["error"] == "ValueError" and err["message"].startswith("an output directory is required")
         assert list(cwd.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["spectra", "synth", "denoise", "sparsity-sweep"])
+    @pytest.mark.parametrize("num_nodes, num_edges", [(-3, 5), (-1, 0), (0, 1)])
+    def test_node_count_below_one_is_refused_by_name(self, tmp_path, capsys, command, num_nodes, num_edges):
+        # (-3, 5) and (-1, 0) pass the edge bounds V - 1 <= E <= V(V - 1)/2 and would reach numpy as a negative
+        # dimension; (0, 1) fails them, with bounds -1 and 0 that name no graph.  The sweep's levels fit in V + E.
+        out = tmp_path / "out"
+        levels = ["--eta0", "1", "--sparsity-grid", "1"] if command == "sparsity-sweep" else []
+        assert main([command, f"--num-nodes={num_nodes}", "--num-edges", str(num_edges), *levels,
+                     "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "ValueError", "message": f"num_nodes must be positive, got {num_nodes}"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("num_edges", [3, 11])
+    @pytest.mark.parametrize("signal_class", SIGNAL_CLASSES)
+    def test_infeasible_edge_count_is_refused_on_every_sweep_class(self, tmp_path, capsys, signal_class, num_edges):
+        # Three classes never draw the graph, so the sweep's config refuses a size that random_graph would.
+        out = tmp_path / "out"
+        assert main(["sparsity-sweep", "--signal-class", signal_class, "--num-nodes", "5", "--num-edges",
+                     str(num_edges), "--eta0", "1", "--sparsity-grid", "1", "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        message = f"edge count {num_edges} infeasible for a connected simple graph on 5 nodes (needs 4 <= E <= 10)"
+        assert err == {"error": "ValueError", "message": message}
+        assert not out.exists()
 
     def test_bad_graph_file(self, tmp_path, capsys):
         f = tmp_path / "bad.txt"

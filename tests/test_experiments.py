@@ -22,7 +22,7 @@ from topospinor.sparse import nmse, omp, row_hard_threshold
 from topospinor.synth import SIGNAL_CLASSES, SignalClassSpec, add_awgn, gen_signals, random_graph
 from topospinor.topology import OrientedGraph, build_incidence, project, spectral_decompose
 
-from conftest import STRUCTURED_GRAPHS
+from conftest import PATH_CYCLE_GRID, SIGMA_FREE_CLASSES, STRUCTURED_GRAPHS
 
 
 class TestStudyDefaults:
@@ -194,20 +194,64 @@ def test_sweep_needs_no_dense_dictionary_and_no_pursuit(tmp_path, monkeypatch, c
     assert len(tables["results"].rows) == rows
 
 
-def test_sweep_needs_no_singular_vectors_no_synthesis_and_no_projection(tmp_path, monkeypatch):
-    # The sweep's curves depend on the graph only through r and sigma: each batch is kept as its coefficient rows
-    # and factored plane by plane, so no n x T batch, no U or V^T, no projection of the batch and no QR of
-    # T-wide plane blocks is formed.
+@pytest.mark.parametrize("signal_class", SIGNAL_CLASSES)
+def test_sweep_needs_no_singular_vectors_no_synthesis_and_no_projection(tmp_path, monkeypatch, signal_class):
+    # The sweep's curves depend on the graph only through r = V - 1 and, on mixture_of_dirac, sigma: each batch is
+    # kept as its coefficient rows and factored plane by plane, so no n x T batch, no SVD, no U or V^T, no
+    # projection of the batch and no QR of T-wide plane blocks is formed, and the three sigma-free classes draw no
+    # graph at all.
     paths = [(topology, "spectral_decompose"), (synth, "gen_signals"), (topology, "reduce_planes"), (topology, "project")]
+    names = ["spectral_decompose", "gen_signals", "project", "reduce_blocks"]
+    if signal_class in SIGMA_FREE_CLASSES:
+        paths += [(synth, "random_graph"), (topology, "build_incidence")]
+        names += ["random_graph", "build_incidence"]
     bindings = make_raise(monkeypatch, paths + [(topology, "reduce_blocks")])
-    names = ("spectral_decompose", "gen_signals", "project", "reduce_blocks")
     assert bindings >= {("topospinor.experiments", name) for name in names}
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the sweep took an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
     out = tmp_path / "run"
-    argv = ["sparsity-sweep", "--num-nodes", "8", "--num-edges", "12", "--eta0", "4", "--num-signals", "30",
-            "--sparsity-grid", "2,4,20", "--realizations", "2", "--seed", "3", "--out", str(out)]
+    argv = ["sparsity-sweep", "--signal-class", signal_class, "--num-nodes", "8", "--num-edges", "12", "--eta0", "4",
+            "--num-signals", "30", "--sparsity-grid", "2,4,20", "--realizations", "2", "--seed", "3", "--out", str(out)]
     assert main(argv) == 0
-    _, tables = load_results(out)
+    meta, tables = load_results(out)
     assert len(tables["results"].rows) == 4 * 3 * 2
+    assert meta["graph"] == {"num_nodes": 8, "num_edges": 12}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("signal_class", SIGNAL_CLASSES)
+def test_sweep_curves_of_the_sigma_free_classes_do_not_depend_on_sigma(tmp_path, monkeypatch, signal_class, seed):
+    # ROADMAP item 17: on the three sigma-free classes the curves from each realization's true sigma (the SVD of its
+    # random graph's incidence) and from an arbitrary positive sigma of the same length are byte-identical to the
+    # sweep's own, which reads no sigma.  On mixture_of_dirac, which reads it, the arbitrary sigma moves them.
+    cfg = SweepConfig(out="", signal_class=signal_class, num_nodes=12, num_edges=20, eta0=10, num_signals=40,
+                      realizations=2, sparsity_grid=(2, 5, 10, 20, 30), seed=seed)
+
+    def with_sigma(choose):
+        realization = iter(range(cfg.realizations))
+
+        def draw(rank, dim, spec, sigma=None):
+            graph = random_graph(cfg.num_nodes, cfg.num_edges, sub_seed(cfg.seed, next(realization), "graph"))
+            true_sigma = spectral_decompose(build_incidence(graph)).sigma
+            assert len(true_sigma) == rank
+            return synth.draw_signals(rank, dim, spec, choose(true_sigma))
+
+        return draw
+
+    arbitrary = np.random.default_rng(seed).uniform(0.5, 6.0, size=cfg.num_nodes - 1)
+    results = {}
+    for name, draw in (("sweep", synth.draw_signals), ("true", with_sigma(lambda sigma: sigma)),
+                       ("arbitrary", with_sigma(lambda sigma: arbitrary))):
+        monkeypatch.setattr(experiments, "draw_signals", draw)
+        out = run_sparsity_sweep(dataclasses.replace(cfg, out=str(tmp_path / name)))
+        results[name] = (out / "results.csv").read_bytes()
+    if signal_class in SIGMA_FREE_CLASSES:
+        assert results["sweep"] == results["true"] == results["arbitrary"]
+    else:
+        assert results["true"] != results["arbitrary"]
 
 
 def test_sweep_codes_the_batch_at_its_rank(tmp_path, monkeypatch):
@@ -309,13 +353,6 @@ class TestDominance:
 
 # Noiseless (inf) and the three noise levels at which the claim chain is asserted, in dB.
 CHAIN_SNRS = (np.inf, 20.0, 10.0, 0.0)
-# The path, cycle and grid of ROADMAP item 6; the cycle and the grid repeat sigma.
-PATH_CYCLE_GRID = {
-    "path_p6": OrientedGraph(6, tuple((i, i + 1) for i in range(5))),
-    "cycle_c6": OrientedGraph(6, tuple((i, (i + 1) % 6) for i in range(6))),
-    "grid_3x3": OrientedGraph(9, tuple((3 * i + j, 3 * i + j + 1) for i in range(3) for j in range(2))
-                              + tuple((3 * i + j, 3 * i + j + 3) for i in range(2) for j in range(3))),
-}
 CHAIN_GRAPHS = {
     **{name: g for name, (g, *_) in STRUCTURED_GRAPHS.items()},
     **PATH_CYCLE_GRID,

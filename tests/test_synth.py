@@ -41,6 +41,12 @@ class TestRandomGraph:
         with pytest.raises(ValueError, match="infeasible"):
             random_graph(4, 7, 0)
 
+    @pytest.mark.parametrize("num_nodes, num_edges", [(-3, 5), (-1, 0), (0, 1), (0, 0)])
+    def test_node_count_below_one_is_refused_by_name(self, num_nodes, num_edges):
+        # (-3, 5) satisfies V - 1 <= E <= V(V - 1)/2, so the edge bounds alone would let it through to numpy.
+        with pytest.raises(ValueError, match=f"^num_nodes must be positive, got {num_nodes}$"):
+            random_graph(num_nodes, num_edges, 0)
+
     def test_both_orientations_occur(self):
         flips = set()
         for seed in range(20):
@@ -153,12 +159,17 @@ class TestGenSignals:
 
     @pytest.mark.parametrize("signal_class", SIGNAL_CLASSES)
     def test_truth_is_the_draw_from_sigma_alone(self, signal_class):
-        # The batch is drawn from the singular values and the dimension alone, then synthesized.
+        # The batch is drawn from the rank, the singular values and the dimension alone, then synthesized.
         d, S, truth = small_batch_setup(signal_class, seed=3)
-        drawn = draw_signals(d.sigma, d.dim, SignalClassSpec(signal_class, eta0=8, num_signals=50, seed=3))
+        drawn = draw_signals(d.rank, d.dim, SignalClassSpec(signal_class, eta0=8, num_signals=50, seed=3), d.sigma)
         for name in ("support", "support_columns", "coefficients", "k_modes"):
             assert np.array_equal(getattr(drawn, name), getattr(truth, name)), name
         assert drawn.signal_class == truth.signal_class
+
+    def test_mixture_needs_sigma(self):
+        spec = SignalClassSpec("mixture_of_dirac", eta0=4, num_signals=3, seed=0)
+        with pytest.raises(ValueError, match="sigma"):
+            draw_signals(5, 14, spec)
 
     def test_eta0_too_large(self):
         g = random_graph(5, 6, 0)
@@ -167,7 +178,7 @@ class TestGenSignals:
         with pytest.raises(ValueError, match="eta0"):
             gen_signals(d, spec)
         with pytest.raises(ValueError, match="eta0"):
-            draw_signals(d.sigma, d.dim, spec)
+            draw_signals(d.rank, d.dim, spec)
 
     def test_invalid_class_rejected(self):
         with pytest.raises(ValueError, match="signal_class"):

@@ -14,12 +14,12 @@ from topospinor.topology import (
     decomposition_residuals,
     dirac_eigenbasis,
     harmonic_columns,
-    singular_values,
+    laplacian_singular_values,
     spectral_decompose,
     super_laplacian_eigenbasis,
 )
 
-from conftest import STRUCTURED_GRAPHS, connected_graphs, shared_basis
+from conftest import PATH_CYCLE_GRID, STRUCTURED_GRAPHS, connected_graphs, shared_basis
 from oracles import dirac_operator, fix_signs, super_laplacian
 
 SQRT3 = np.sqrt(3.0)
@@ -197,7 +197,7 @@ class TestSpectralDecompose:
         # the scale) straddle the fixed cutoff 1e-8 sigma_max.
         d = spectral_decompose(scale * np.diag([1.0, 2e-8, 5e-9]))
         assert d.rank == 2 and d.xi0 == d.xi1 == 1
-        assert len(singular_values(scale * np.diag([1.0, 2e-8, 5e-9]))) == 2  # the same rule without vectors
+        assert_allclose(d.sigma, scale * np.array([1.0, 2e-8]), rtol=1e-15)  # the kept values, not only their count
 
 
 @pytest.mark.parametrize("name", STRUCTURED_GRAPHS)
@@ -211,9 +211,32 @@ def test_structured_graph_decomposition(name):
     assert d.xi1 == xi1 == g.num_edges - g.num_nodes + d.xi0
     if sigma is not None:
         assert_allclose(d.sigma, sigma, atol=1e-12)
-    assert_allclose(singular_values(B), d.sigma, rtol=1e-13)
+    assert_allclose(laplacian_singular_values(g), d.sigma, rtol=1e-13)
     basis = shared_basis(d, 0.37)
     assert np.max(np.abs(basis.T @ basis - np.eye(g.dim))) <= 1e-12
+
+
+LAPLACIAN_SIGMA_GRAPHS = {
+    **{name: g for name, (g, *_) in STRUCTURED_GRAPHS.items()},
+    **PATH_CYCLE_GRID,
+    "random_tree_12": random_graph(12, 11, 5),
+    "random_40_80": random_graph(40, 80, 0),
+    "two_components": OrientedGraph(7, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3), (3, 5))),
+    "isolated_node": OrientedGraph(5, ((0, 1), (1, 2), (2, 3), (3, 0))),
+    "single_node": OrientedGraph(1, ()),
+}
+
+
+@pytest.mark.parametrize("name", LAPLACIAN_SIGMA_GRAPHS)
+def test_laplacian_singular_values_are_the_incidence_svd_at_rank_v_minus_c(name):
+    # sqrt(eigvalsh(D - A)) against the SVD of the incidence, with the rank V - c from the components, not from a
+    # cutoff; the SVD's remaining values are the zero ones.
+    g = LAPLACIAN_SIGMA_GRAPHS[name]
+    sigma, svd = laplacian_singular_values(g), np.linalg.svd(build_incidence(g), compute_uv=False)
+    r = g.num_nodes - count_components(g)
+    assert sigma.shape == (r,)
+    assert_allclose(sigma, svd[:r], rtol=1e-13)
+    assert np.all(svd[r:] <= 1e-12)
 
 
 SIGN_FIX_GRAPHS = {
