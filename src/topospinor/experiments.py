@@ -227,7 +227,7 @@ class FitConfig:
 
     def __post_init__(self):
         if not self.dataset_dir:
-            raise ValueError("a dataset directory is required (--dataset or config key 'dataset_dir')")
+            raise ValueError("a dataset directory is required (--dataset)")
 
 
 def run_ddtl_fit(cfg: FitConfig) -> Path:
@@ -534,7 +534,7 @@ def run_denoise(cfg: DenoiseConfig) -> Path:
     bases = _plane_bases(coupling_from_grams(noisy_grams[0]))
     pairs = np.stack(np.broadcast_arrays(bases["ddtl"], bases["dirac"], bases["laplacian"]), axis=1)
     z2, _ = reduce_blocks(np.stack([clean_z[:r], clean_z[d.dim - r :]], axis=1), np.sqrt(_grams(clean_z, r)[1]))
-    clean_planes, clean_harmonic = plane_energies(z2, r, pairs.reshape(-1, r, 2, 2))
+    clean_planes, clean_harmonic = plane_energies(z2, r, pairs.reshape(3 * len(fits), r, 2, 2))  # not -1: r may be 0
     clean_energies = _with_harmonic(clean_planes.reshape(len(fits), 3, 2 * r), clean_harmonic)
     bandwidths = [int(bw) for bw in cfg.bandwidth_grid]
     curves = _truncation_nmse(  # fits x methods x bandwidths

@@ -13,6 +13,8 @@ Dataset directory (``save_dataset`` / ``load_dataset``)
     one row per time step, the same count in both, and V or E numeric columns
     in index order.  An optional header row, detected by a non-numeric first
     cell, is checked for its width and skipped; no file is written with one.
+    A graph with no edges has an edge file of blank rows, as the writer gives
+    a T x 0 matrix: its edge block is read as 0 x T, T taken from the nodes.
 
 Matrix CSV dialect (``write_matrix_csv`` / ``read_matrix_csv``)
     Written: comma-separated, ``\r\n`` row ends, every value with 17
@@ -43,7 +45,7 @@ Results
     is strict JSON: a non-finite float in it (an ``inf`` SNR level) is the
     string ``"inf"``, ``"-inf"`` or ``"nan"``, the CSVs' spelling.
     ``read_non_finite`` turns them back into floats inside a list of numbers,
-    for ``load_results`` and for the CLI's config files.
+    for ``load_results``.
 
 Joint signals everywhere use the fixed stacking order: node block first, edge
 block second.
@@ -151,8 +153,7 @@ def read_matrix_csv(path, expected_cols: int, what: str = "matrix") -> np.ndarra
     or gives the wrong width, are the rows checked one by one to name the bad one.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        rows = [line for line in fh if not _is_blank(line)]
+    rows = _non_blank_rows(path)
     if not rows:
         raise ValueError(f"{path}: empty {what} file")
     first_data_row = 1  # among the non-blank rows; 2 after a header
@@ -181,6 +182,11 @@ def read_matrix_csv(path, expected_cols: int, what: str = "matrix") -> np.ndarra
 _BLANK = re.compile(r"[\s,]*\Z").match
 
 
+def _non_blank_rows(path: Path) -> list[str]:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        return [line for line in fh if not _is_blank(line)]
+
+
 def _is_blank(line: str) -> bool:
     """Whether every csv cell of ``line`` is blank; only a quote makes those cells differ from a split on commas."""
     return _BLANK(line) is not None or ('"' in line and not "".join(_csv_cells(line)).strip())
@@ -205,7 +211,10 @@ def _raise_bad_row(path, rows: list[str], first_row_no: int, expected_cols: int,
 def load_time_series(graph: OrientedGraph, node_csv_path, edge_csv_path) -> np.ndarray:
     """The (V+E) x T spinor matrix of matching node/edge CSVs (one row per time step), node block on top."""
     node_series = read_matrix_csv(node_csv_path, graph.num_nodes, "node series")
-    edge_series = read_matrix_csv(edge_csv_path, graph.num_edges, "edge series")
+    if graph.num_edges == 0 and not _non_blank_rows(Path(edge_csv_path)):  # the T blank rows of a T x 0 matrix
+        edge_series = np.empty((node_series.shape[0], 0))
+    else:
+        edge_series = read_matrix_csv(edge_csv_path, graph.num_edges, "edge series")
     if node_series.shape[0] != edge_series.shape[0]:
         raise ValueError(f"node series has {node_series.shape[0]} steps but edge series has {edge_series.shape[0]}")
     return np.vstack([node_series.T, edge_series.T])

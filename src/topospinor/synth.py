@@ -109,15 +109,19 @@ def random_graph(num_nodes: int, num_edges: int, seed) -> OrientedGraph:
                 heapq.heappush(leaves, x)
         tree_edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
 
-    tree = np.array(tree_edges, dtype=np.intp).reshape(-1, 2)
-    in_tree = np.zeros((V, V), dtype=bool)
-    in_tree[tree[:, 0], tree[:, 1]] = in_tree[tree[:, 1], tree[:, 0]] = True
-    a, b = np.triu_indices(V, 1)
-    free = ~in_tree[a, b]
-    candidates = np.column_stack([a[free], b[free]])
-    extra = E - len(tree)
-    chosen = np.sort(rng.choice(len(candidates), size=extra, replace=False)) if extra else []
-    edges = np.concatenate([tree, candidates[chosen]])
+    edges = np.array(tree_edges, dtype=np.intp).reshape(-1, 2)
+    extra = E - len(edges)
+    if extra:
+        # A pair a < b has lexicographic rank starts[a] + b - a - 1.  Free (non-tree) pair j has rank
+        # j + #{i : t_i - i <= j}, t the sorted tree ranks, so no list of all V(V - 1)/2 pairs is built.
+        rows = np.arange(V)
+        starts = rows * V - rows * (rows + 1) // 2
+        low, high = edges.min(axis=1), edges.max(axis=1)
+        t = np.sort(starts[low] + high - low - 1)
+        chosen = np.sort(rng.choice(V * (V - 1) // 2 - len(t), size=extra, replace=False))
+        rank = chosen + np.searchsorted(t - np.arange(len(t)), chosen, side="right")
+        a = np.searchsorted(starts, rank, side="right") - 1
+        edges = np.concatenate([edges, np.column_stack([a, rank - starts[a] + a + 1])])
     flip = rng.integers(0, 2, size=E) == 1
     edges[flip] = edges[flip, ::-1]
     return OrientedGraph(V, edges.tolist())

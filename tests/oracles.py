@@ -27,7 +27,10 @@ def reconstruction(d, solution) -> np.ndarray:
 
 
 def random_graph(num_nodes: int, num_edges: int, seed) -> OrientedGraph:
-    """``synth.random_graph`` as a loop over a Python list of node pairs: the same three draws, in the same order."""
+    """``synth.random_graph`` with the extra edges picked from a Python list of every non-tree node pair.
+
+    The same three draws, in the same order; ``synth.random_graph`` maps the picked indices to pairs arithmetically.
+    """
     V, E = int(num_nodes), int(num_edges)
     rng = np.random.default_rng(seed)
     tree_edges: list[tuple[int, int]] = []

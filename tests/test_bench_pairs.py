@@ -6,7 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import bench_pairs  # noqa: E402
 
-METRICS = {"ops_per_s": "higher", "op_s.p50": "lower", "nmse_fixed.geomean": "lower"}
+METRICS = {"ops_per_s": ("higher", 0.25), "op_s.p50": ("lower", 0.25), "nmse_fixed.geomean": ("lower", 0.001)}
 
 
 def fake_result(ops_per_s: float, p50: float, nmse: float, failed: int = 0) -> dict:
@@ -55,3 +55,33 @@ def test_summary_ratios_wins_quartiles_and_bit_identity():
     assert summary["denoise"]["failed_ops"] == {"parent": 4, "change": 4}
     assert summary["sweep"]["errors"] == {"parent": 1, "change": 0}
     assert "bit_identical" not in sweep
+
+
+STEADY = [100.0, 104.0, 98.0, 102.0, 101.0, 99.0, 103.0, 97.0, 100.0, 102.0]  # median 100.5, IQR 2.75
+NOISY = [60.0, 140.0, 70.0, 130.0, 100.0, 80.0, 120.0, 90.0, 110.0, 100.0]  # median 100, IQR 35: above the bound
+
+
+@pytest.mark.parametrize(
+    "better, parent, change, expected",
+    [
+        ("higher", STEADY, [0.7 * v for v in STEADY], "worse"),  # median ratio 0.7, below 1 - bound
+        ("lower", STEADY, [1.3 * v for v in STEADY], "worse"),  # a time 30% longer
+        ("higher", NOISY, [v + 5 for v in NOISY], "unresolved"),  # wins every pair, within the parent's spread
+        ("higher", NOISY, [v + 100 for v in NOISY], "gain"),  # every change run beats every parent run
+        ("higher", STEADY, [v + 5 for v in STEADY], "gain"),  # 10 of 10 pairs, medians 5 apart, IQR 2.75
+        ("lower", STEADY, [v - 5 for v in STEADY], "gain"),
+        ("higher", STEADY, [v + 2 for v in STEADY], "same"),  # every pair won, but within the parent's IQR
+        ("higher", STEADY, [v + (5 if i < 8 else -5) for i, v in enumerate(STEADY)], "same"),  # 8 of 10 pairs
+    ],
+    ids=["worse", "worse-lower", "unresolved", "gain-beyond-the-noise", "gain", "gain-lower", "same-within-iqr",
+         "same-8-of-10"],
+)
+def test_verdict_per_metric(better, parent, change, expected):
+    values = {"parent": iter(parent), "change": iter(change)}
+
+    def run(side, workload):
+        value = next(values[side])
+        return {"result": {"correct": True, "failed": 0, "metrics": {"m": {"value": value, "unit": ""}}}}
+
+    runs = bench_pairs.pair_runs(["sweep"], len(parent), run, loadavg=lambda: (0.0, 0.0, 0.0))
+    assert bench_pairs.summarize(runs, {"m": (better, 0.25)})["sweep"]["m"]["verdict"] == expected

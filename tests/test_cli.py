@@ -13,15 +13,15 @@ import topospinor
 from topospinor import experiments
 from topospinor.cli import COMMANDS, _build_config, build_parser, main
 from topospinor.experiments import sub_seed
-from topospinor.io import load_dataset, load_edge_list, load_results, read_matrix_csv
+from topospinor.io import load_dataset, load_edge_list, load_results, read_matrix_csv, save_dataset
 from topospinor.sparse import nmse
 from topospinor.synth import SIGNAL_CLASSES
-from topospinor.topology import build_incidence, spectral_decompose
+from topospinor.topology import OrientedGraph, build_incidence, spectral_decompose
 from topospinor.transform import unnormalized_basis_matrix
 
 SQRT3 = np.sqrt(3.0)
 
-# Learner options deleted from every pipeline: config key -> (CLI flag, a value).
+# Learner options deleted from every pipeline: former config field -> (CLI flag, a value).
 REMOVED_LEARNER_OPTIONS = {
     "omega_update_mode": ("--omega-update-mode", "diagonal"),
     "c1": ("--c1", 0.5),
@@ -223,23 +223,6 @@ class TestSweepCommand:
         per_pair = [row for row in rows if row[0] == "dirac" and row[1] == 5]
         assert len(per_pair) == 2
 
-    def test_config_file_round_trip(self, tmp_path):
-        cfg = {
-            "num_nodes": 8, "num_edges": 12, "eta0": 5, "num_signals": 12,
-            "realizations": 1, "sparsity_grid": [2, 5], "seed": 4,
-        }
-        cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps(cfg))
-        main(["sparsity-sweep", "--config", str(cfg_file), "--out", str(tmp_path / "a")])
-        # Re-running from the stored config reproduces the results byte for byte.
-        stored = json.loads((tmp_path / "a" / "run.json").read_text())["config"]
-        cfg_file2 = tmp_path / "cfg2.json"
-        stored.pop("out", None)
-        cfg_file2.write_text(json.dumps(stored))
-        main(["sparsity-sweep", "--config", str(cfg_file2), "--out", str(tmp_path / "b")])
-        assert (tmp_path / "a" / "results.csv").read_bytes() == (tmp_path / "b" / "results.csv").read_bytes()
-        assert (tmp_path / "a" / "run.json").read_bytes() == (tmp_path / "b" / "run.json").read_bytes()
-
     @pytest.mark.parametrize("grid", ["0,3", "3,30"])
     def test_grid_outside_one_to_v_plus_e_is_refused_before_any_fit(self, tmp_path, capsys, monkeypatch, grid):
         def no_fit(*args, **kwargs):
@@ -322,9 +305,14 @@ class TestDenoiseCommand:
         loaded, tables = load_results(out)
         assert loaded["config"]["snr_grid"] == [0.0, float("inf")]
         assert {row[1] for row in tables["results"].rows} == {0.0, float("inf")}
-        # The stored config, "inf" and all, is a config file that writes the same run.
-        (tmp_path / "cfg.json").write_text(json.dumps(meta["config"]))
-        assert main(["denoise", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "again")]) == 0
+        # The stored config, written as flags ("inf" and all: --snr-grid 0.0,inf), writes the same run.
+        argv = ["denoise", "--out", str(tmp_path / "again")]
+        for name, value in meta["config"].items():
+            if value is not None:
+                text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+                argv += ["--" + name.replace("_", "-"), text]
+        assert "0.0,inf" in argv
+        assert main(argv) == 0
         assert _files(tmp_path / "again") == _files(out)
 
     @pytest.mark.parametrize("grid", ["nan", "0,nan", "-inf", "10,-inf"])
@@ -386,22 +374,31 @@ class TestFailureModes:
         err = json.loads(capsys.readouterr().err.strip())
         assert "output directory" in err["message"]
 
-    @pytest.mark.parametrize("given_as", ["flag", "config key"])
-    def test_empty_out_is_refused_before_anything_is_written(self, tmp_path, monkeypatch, capsys, given_as):
+    @pytest.mark.parametrize("where", [["--out", ""], ["--out="]], ids=["separate", "joined"])
+    def test_empty_out_is_refused_before_anything_is_written(self, tmp_path, monkeypatch, capsys, where):
         # "" would name the working directory: run.json, spectrum.csv and graph.txt would land there.
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"out": ""}))
         cwd = tmp_path / "cwd"
         cwd.mkdir()
         monkeypatch.chdir(cwd)
-        where = ["--out", ""] if given_as == "flag" else ["--config", str(cfg)]
         assert main(["spectra", "--num-nodes", "5", "--num-edges", "6", *where]) == 1
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert len(lines) == 1 and captured.out == ""
-        err = json.loads(lines[0])
-        assert err["error"] == "ValueError" and err["message"].startswith("an output directory is required")
+        assert json.loads(lines[0]) == {"error": "ValueError", "message": "an output directory is required (--out)"}
         assert list(cwd.iterdir()) == []
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_config_file_is_a_usage_error(self, tmp_path, capsys, command):
+        # A run is set by its flags alone: --config is an unknown flag, refused before anything is read or written.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1}))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg), "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: topospinor ") and "error: unrecognized arguments: --config" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["spectra", "synth", "denoise", "sparsity-sweep"])
     @pytest.mark.parametrize("num_nodes, num_edges", [(-3, 5), (-1, 0), (0, 1)])
@@ -453,6 +450,30 @@ class TestFailureModes:
             err = json.loads(capsys.readouterr().err.strip())
             assert err["error"] == error and message in err["message"]
             assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, args",
+        [("ddtl-fit", ["--eta0", "1"]), ("denoise", ["--bandwidth-grid", "1,2"])],
+        ids=["ddtl-fit", "denoise"],
+    )
+    def test_edgeless_dataset_runs(self, tmp_path, capsys, command, args):
+        # Three isolated nodes, as save_dataset writes them: edge_series.csv holds T blank rows, read as a 0 x T block.
+        # r = 0, so every row is harmonic and every basis is the identity.
+        data = save_dataset(tmp_path / "data", OrientedGraph(3, ()), np.random.default_rng(0).standard_normal((3, 6)))
+        assert (data / "edge_series.csv").read_bytes() == b"\r\n" * 6
+        out = tmp_path / "out"
+        assert main([command, "--dataset", str(data), *args, "--out", str(out)]) == 0
+        assert capsys.readouterr() == (f"{out}\n", "")
+        meta, tables = load_results(out)
+        assert meta["graph"] == {"num_nodes": 3, "num_edges": 0}
+        if command == "ddtl-fit":
+            assert meta["k_star"] == [] and 0 < meta["reconstruction_nmse"] < 1
+        else:
+            curves = {}
+            for method, snr, bandwidth, real, value in tables["results"].rows:
+                if method != "noisy_input":
+                    curves.setdefault((snr, bandwidth, real), set()).add(value)
+            assert len(curves) == 5 * 2 * 10 and all(len(values) == 1 for values in curves.values())
 
     @pytest.mark.parametrize(
         "command, args, cell, refusal",
@@ -533,86 +554,6 @@ class TestFailureModes:
         assert err["message"].startswith(f"snr_grid level {snr} dB leaves the float range for this batch")
         assert not out.exists()
 
-    def test_unknown_config_key(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"bogus": 1}))
-        code = main(["spectra", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert code != 0
-        err = json.loads(capsys.readouterr().err.strip())
-        assert "bogus" in err["message"]
-
-    @pytest.mark.parametrize(
-        "command, key, value",
-        [
-            ("spectra", "num_nodes", "40"),
-            ("spectra", "seed", True),
-            ("spectra", "graph_path", 3),
-            ("synth", "signal_class", None),
-            ("sparsity-sweep", "sparsity_grid", "5,10"),
-            ("sparsity-sweep", "sparsity_grid", [5.0, 10]),
-            ("sparsity-sweep", "realizations", 1.5),
-            ("denoise", "snr_grid", [0, True]),
-            ("denoise", "snr_grid", [0, "10"]),
-            ("denoise", "snr_grid", ["Infinity"]),
-            ("sparsity-sweep", "sparsity_grid", [5, "inf"]),
-            ("denoise", "snr_grid", 10),
-            ("denoise", "out", 7),
-        ],
-    )
-    def test_config_value_of_the_wrong_json_type_is_refused(self, tmp_path, capsys, command, key, value):
-        # Each file value must have its field's JSON type: checked by key, before any output is written.
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"out": str(tmp_path / "o"), key: value}))
-        assert main([command, "--config", str(cfg)]) == 1
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == "ValueError"
-        assert err["message"].startswith(f"config key {key!r} must be ")
-        assert list(tmp_path.iterdir()) == [cfg]
-
-    def test_config_file_may_start_with_a_byte_order_mark(self, tmp_path):
-        (tmp_path / "cfg.json").write_bytes(b"\xef\xbb\xbf" + json.dumps({"num_nodes": 6, "num_edges": 7}).encode())
-        assert main(["spectra", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")]) == 0
-        assert json.loads((tmp_path / "o" / "run.json").read_text())["graph"] == {"num_nodes": 6, "num_edges": 7}
-
-    @pytest.mark.parametrize("text", ["[]", '["seed"]', "5", "null"])
-    def test_config_file_that_is_no_json_object_is_refused(self, tmp_path, capsys, text):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(text)
-        assert main(["spectra", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == "ValueError" and "must hold a JSON object" in err["message"]
-        assert list(tmp_path.iterdir()) == [cfg]
-
-    @pytest.mark.parametrize(
-        "command, settings",
-        [
-            ("denoise", {"snr_grid": [0, 10], "bandwidth_grid": [2, 9], "num_nodes": 6, "num_edges": 9,
-                         "num_signals": 8, "gen_eta0": 4, "realizations": 2, "seed": 3}),
-            ("sparsity-sweep", {"sparsity_grid": [2, 5], "num_nodes": 6, "num_edges": 9, "eta0": 4,
-                                "num_signals": 8, "realizations": 2, "signal_class": "mixture_of_dirac"}),
-            ("spectra", {"num_nodes": 7, "num_edges": 10, "seed": 2}),
-        ],
-    )
-    def test_flags_and_config_file_write_the_same_run_json(self, tmp_path, command, settings):
-        argv = [command, "--out", str(tmp_path / "flags")]
-        for key, value in settings.items():
-            argv += ["--" + key.replace("_", "-"), ",".join(map(str, value)) if isinstance(value, list) else str(value)]
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({**settings, "out": str(tmp_path / "file")}))
-        assert main(argv) == 0 and main([command, "--config", str(cfg)]) == 0
-        from_flags, from_file = _files(tmp_path / "flags"), _files(tmp_path / "file")
-        assert from_flags == from_file and "run.json" in from_file
-
-    @pytest.mark.parametrize("command, key", REMOVED_CASES)
-    def test_removed_omega_update_mode_key(self, tmp_path, capsys, command, key):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({key: REMOVED_OPTIONS[key][1]}))
-        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert code == 1
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == "ValueError"
-        assert "unknown config keys" in err["message"] and repr(key) in err["message"]
-
     @pytest.mark.parametrize("command, key", REMOVED_CASES)
     def test_removed_omega_update_mode_flag(self, tmp_path, command, key):
         flag, value = REMOVED_OPTIONS[key]
@@ -631,21 +572,21 @@ class TestFailureModes:
     def test_every_flag_sets_a_config_field(self):
         # Flags are copied onto the config by field name, so a flag without a
         # field would be accepted and silently ignored; a field without a flag
-        # is a setting that only a config file can reach.
+        # is a setting that no run can change.
         parser = build_parser()
         (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         assert set(commands.choices) == {"spectra", "synth", "ddtl-fit", "sparsity-sweep", "denoise"}
         for name, sub in commands.choices.items():
             fields = {f.name for f in dataclasses.fields(sub.get_default("config_cls"))}
-            dests = {action.dest for action in sub._actions} - {"help", "config"}
+            dests = {action.dest for action in sub._actions} - {"help"}
             assert dests <= fields, f"{name}: flags without a config field: {sorted(dests - fields)}"
             assert fields <= dests, f"{name}: config fields without a flag: {sorted(fields - dests)}"
 
     @pytest.mark.parametrize("command, name", FIELD_CASES)
-    def test_every_field_round_trips_through_its_flag_and_config_key(self, tmp_path, command, name):
-        # The field's default, written as flag text (grids as comma lists) or as
-        # JSON (grids as lists), builds the default config with tuple grids; a
-        # field defaulting to None takes a path instead.
+    def test_every_field_round_trips_through_its_flag(self, command, name):
+        # The field's default, written as flag text (grids as comma lists),
+        # builds the default config with tuple grids; a field defaulting to
+        # None takes a path instead.
         parser = build_parser()
         (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         sub = commands.choices[command]
@@ -658,9 +599,5 @@ class TestFailureModes:
         argv = [command]
         for key, value in values.items():
             argv += [flags[key], ",".join(map(str, value)) if isinstance(value, tuple) else str(value)]
-        assert _build_config(parser.parse_args(argv)) == expected
-
-        cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps(values))
-        from_file = _build_config(parser.parse_args([command, "--config", str(cfg_file)]))
-        assert from_file == expected and type(getattr(from_file, name)) is type(values[name])
+        from_flags = _build_config(parser.parse_args(argv))
+        assert from_flags == expected and type(getattr(from_flags, name)) is type(values[name])

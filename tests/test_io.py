@@ -191,6 +191,20 @@ class TestTimeSeries:
         assert graph.num_nodes == 6 and graph.edges == g.edges
         assert np.array_equal(loaded, S)
 
+    def test_edgeless_dataset_round_trips(self, tmp_path):
+        # The edge file of a T x 0 block is T blank rows; T comes from the node file. A non-blank row is still read.
+        g = OrientedGraph(3, ())
+        S = np.random.default_rng(3).normal(size=(3, 5))
+        out = save_dataset(tmp_path / "data", g, S)
+        assert (out / "edge_series.csv").read_bytes() == b"\r\n" * 5
+        graph, loaded = load_dataset(out)
+        assert graph == g and loaded.shape == (3, 5) and np.array_equal(loaded, S)
+        (out / "edge_series.csv").write_text("")
+        assert np.array_equal(load_dataset(out)[1], S)
+        (out / "edge_series.csv").write_text("\n1\n")
+        with pytest.raises(ValueError, match="row 1 has 1 columns, expected 0"):
+            load_dataset(out)
+
     def test_byte_order_marks_change_nothing(self, tmp_path):
         # Excel's "CSV UTF-8" starts a file with a UTF-8 byte-order mark; in every file of a dataset directory it
         # is ignored, so the node count still parses and the first step is kept.

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from topospinor.cli import build_parser
+from topospinor.cli import build_parser, main
 from topospinor.synth import SIGNAL_CLASSES
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -39,9 +39,15 @@ def _commands() -> list[str]:
 COMMANDS = _commands()
 
 
-def test_readme_has_commands_and_one_library_example():
+def _python_example(marker: str) -> str:
+    (example,) = [block for block in _blocks("python") if marker in block]
+    return example
+
+
+def test_readme_has_commands_a_library_example_and_a_repeat_example():
     assert {shlex.split(c)[1] for c in COMMANDS} == {"spectra", "synth", "ddtl-fit", "sparsity-sweep", "denoise"}
-    assert len(_blocks("python")) == 1
+    assert len(_blocks("python")) == 2
+    assert _python_example("reconstruction NMSE") != _python_example("run.json")
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -52,7 +58,18 @@ def test_command_parses(command):
 
 
 def test_library_example_prints_a_finite_nmse(capsys):
-    (example,) = _blocks("python")
-    exec(compile(example, "README.md", "exec"), {})
+    exec(compile(_python_example("reconstruction NMSE"), "README.md", "exec"), {})
     match = re.search(r"^reconstruction NMSE: (\S+)$", capsys.readouterr().out, flags=re.MULTILINE)
     assert match and math.isfinite(float(match.group(1)))
+
+
+def test_repeat_example_writes_the_same_run_from_run_json(tmp_path, monkeypatch):
+    # The README's sweep into runs/sweep, then its example that repeats it from run.json's config alone.
+    (sweep,) = [c for c in COMMANDS if c.endswith("--out runs/sweep")]
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(sweep)[1:]) == 0
+    exec(compile(_python_example("run.json"), "README.md", "exec"), {})
+    first, again = tmp_path / "runs" / "sweep", tmp_path / "runs" / "sweep-again"
+    names = sorted(f.name for f in first.iterdir())
+    assert "run.json" in names and names == sorted(f.name for f in again.iterdir())
+    assert all((first / name).read_bytes() == (again / name).read_bytes() for name in names)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,6 +74,26 @@ class TestRandomGraph:
     )
     def test_same_graph_as_the_loop_oracle(self, v, e, seed):
         assert random_graph(v, e, seed) == oracles.random_graph(v, e, seed)
+
+    def test_same_graph_as_the_pair_list_oracle_on_every_small_size(self):
+        # The extra edges are picked by rank among the non-tree pairs, which the oracle lists and random_graph
+        # computes: every V up to 13 at E = V - 1, V, 2V and V(V - 1)/2, 20 seeds each, then one larger graph.
+        for v in range(1, 14):
+            max_edges = v * (v - 1) // 2
+            for e in {v - 1, min(v, max_edges), min(2 * v, max_edges), max_edges}:
+                for seed in range(20):
+                    assert random_graph(v, e, seed) == oracles.random_graph(v, e, seed), (v, e, seed)
+        assert random_graph(800, 3_200, 0) == oracles.random_graph(800, 3_200, 0)
+
+    def test_no_array_of_all_node_pairs(self):
+        # V(V - 1)/2 is about 2e6 pairs at V = 2,000: a list of them, or a V x V mask, would take tens of MB.
+        tracemalloc.start()
+        try:
+            random_graph(2_000, 8_000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10e6
 
     def test_a_generator_seed_is_used_as_it_is(self):
         # default_rng returns a Generator unchanged, so it draws as the seed it was made from.

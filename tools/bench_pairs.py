@@ -33,8 +33,14 @@ Output schema (``"schema": "bench_pairs/1"``):
   pairs where both sides ran; ``pairs_won``, how many of those ``pairs`` favour
   the change; ``parent_iqr_rel``, (q3 - q1) / median of the parent; and, for
   the NMSE metrics, ``bit_identical``, whether every run of both sides gave
-  one value.  ``failed_ops`` sums each side's failed operations and ``errors``
-  counts its runs without a result.
+  one value; and ``verdict``, the first that holds of
+  ``"worse"`` (the change's median is worse than the parent's by more than the
+  metric's ``bound``, relative to the parent's median), ``"unresolved"`` (the
+  parent's IQR over its median exceeds that bound, and not every change run
+  beats every parent run), ``"gain"`` (the change wins at least 9 in 10 of
+  the pairs, and the medians differ, in its favour, by more than the
+  parent's IQR) and ``"same"``.  ``failed_ops`` sums each side's failed
+  operations and ``errors`` counts its runs without a result.
 """
 
 from __future__ import annotations
@@ -101,8 +107,22 @@ def _quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs: list[dict], metrics: dict[str, str]) -> dict:
-    """Per workload and metric (name -> ``"higher"`` or ``"lower"``), the summary of the module docstring."""
+def verdict(parent: list[float], change: list[float], better: str, bound: float, pairs_won: int, pairs: int) -> str:
+    """The ``verdict`` of the module docstring, from each side's values and the paired wins."""
+    sign = 1.0 if better == "higher" else -1.0  # sign * value grows as the metric gets better
+    p, c = _quartiles(parent), _quartiles(change)
+    gain, iqr, scale = sign * (c["median"] - p["median"]), p["q3"] - p["q1"], bound * abs(p["median"])
+    if gain < -scale:
+        return "worse"
+    if iqr > scale and min(sign * v for v in change) <= max(sign * v for v in parent):
+        return "unresolved"
+    if pairs_won >= 0.9 * pairs and gain > iqr:
+        return "gain"
+    return "same"
+
+
+def summarize(runs: list[dict], metrics: dict[str, tuple[str, float]]) -> dict:
+    """Per workload and metric (name -> (``"higher"`` or ``"lower"``, bound)), the summary of the module docstring."""
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         done = {side: {r["pair"]: r["result"] for r in runs
@@ -112,7 +132,7 @@ def summarize(runs: list[dict], metrics: dict[str, str]) -> dict:
             "errors": {side: sum(r["workload"] == workload and r["side"] == side and "error" in r for r in runs)
                        for side in SIDES},
         }
-        for name, better in metrics.items():
+        for name, (better, bound) in metrics.items():
             values = {side: {p: res["metrics"][name]["value"] for p, res in done[side].items()
                              if name in res["metrics"]} for side in SIDES}
             if not values["parent"] or not values["change"]:
@@ -128,6 +148,7 @@ def summarize(runs: list[dict], metrics: dict[str, str]) -> dict:
                 "median_ratio": statistics.median(ratios) if ratios else None,
                 "pairs_won": won, "pairs": len(paired),
                 "parent_iqr_rel": (parent["q3"] - parent["q1"]) / parent["median"] if parent["median"] else None,
+                "verdict": verdict(*(list(values[side].values()) for side in SIDES), better, bound, won, len(paired)),
             }
             if name.startswith("nmse"):
                 entry[name]["bit_identical"] = len({*values["parent"].values(), *values["change"].values()}) == 1
@@ -163,7 +184,8 @@ def main(argv: list[str] | None = None) -> int:
     revs["change"] = revs["parent"] if args.aa else _git("rev-parse", "HEAD")
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {side: export(rev, Path(tmp) / side) for side, rev in revs.items()}
-        directions = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+        end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+        metrics = {m["name"]: (m["better"], m["bound"]) for m in end_to_end}
 
         def run(side: str, workload: str) -> dict:
             outcome = perfbench(trees[side], workload, args.seed, args.seconds)
@@ -179,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
             "aa": args.aa, "pairs": args.pairs, "seconds": args.seconds, "seed": args.seed, "workloads": workloads,
             "environment": {"python": platform.python_version(), "cpu_count": os.cpu_count(), "env": RUN_ENV},
             "runs": runs,
-            "summary": summarize(runs, directions),
+            "summary": summarize(runs, metrics),
         }
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     print(json.dumps(report["summary"], indent=1))
