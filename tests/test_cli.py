@@ -69,6 +69,22 @@ FIELD_CASES = [
     for command, (cls, _, _) in COMMANDS.items()
     for f in dataclasses.fields(cls)
 ]
+# A flag value that does not parse, by the field's annotation; a field with choices takes a name outside them.
+BAD_FLAG_VALUES = {"int": "1.5", "tuple[int, ...]": "5,1.5", "tuple[float, ...]": "0,ten", "choices": "dirac"}
+BAD_VALUE_CASES = [
+    pytest.param(command, f.name, BAD_FLAG_VALUES["choices" if "choices" in f.metadata else f.type],
+                 id=f"{command}-{f.name}")
+    for command, (cls, _, _) in COMMANDS.items()
+    for f in dataclasses.fields(cls)
+    if "choices" in f.metadata or f.type in BAD_FLAG_VALUES
+]
+
+
+def _subparser(command):
+    """The parser and the subcommand's parser, whose actions map each field (dest) to its flag."""
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return parser, commands.choices[command]
 
 
 def write_p3(tmp_path):
@@ -561,6 +577,61 @@ class TestFailureModes:
             main([command, flag, str(value), "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command, key", REMOVED_CASES)
+    def test_removed_omega_update_mode_key(self, command, key):
+        # The field went with its flag: the config class, as a library caller builds it, refuses the key.
+        cls = COMMANDS[command][0]
+        assert key not in {f.name for f in dataclasses.fields(cls)}
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{key}'"):
+            cls(out="o", **{key: REMOVED_OPTIONS[key][1]})
+
+    @pytest.mark.parametrize("command, name, text", BAD_VALUE_CASES)
+    def test_flag_value_that_does_not_parse_is_refused_by_name(self, tmp_path, capsys, command, name, text):
+        # Each value is parsed by its field's annotation (or checked against its choices) before anything is written.
+        _, sub = _subparser(command)
+        (flag,) = [action.option_strings[0] for action in sub._actions if action.dest == name]
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, text, "--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"usage: topospinor {command} ")
+        assert f"error: argument {flag}: invalid " in captured.err and repr(text) in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, args",
+        [
+            ("spectra", ["--num-nodes", "7", "--num-edges", "10", "--seed", "2"]),
+            ("synth", ["--num-nodes", "6", "--num-edges", "9", "--eta0", "4", "--num-signals", "8",
+                       "--signal-class", "mixture_of_dirac", "--seed", "3"]),
+            ("ddtl-fit", ["--dataset", "data", "--eta0", "4", "--max-iter", "12", "--seed", "9"]),
+            ("sparsity-sweep", ["--sparsity-grid", "2,5", "--num-nodes", "6", "--num-edges", "9", "--eta0", "4",
+                                "--num-signals", "8", "--realizations", "2", "--signal-class", "mixture_of_dirac"]),
+            ("denoise", ["--snr-grid", "0,inf", "--bandwidth-grid", "2,9", "--num-nodes", "6", "--num-edges", "9",
+                         "--num-signals", "8", "--gen-eta0", "4", "--realizations", "2", "--seed", "3"]),
+        ],
+        ids=["spectra", "synth", "ddtl-fit", "sparsity-sweep", "denoise"],
+    )
+    def test_run_json_config_written_as_flags_repeats_the_run(self, tmp_path, monkeypatch, command, args):
+        # run.json's config records every field: written as each field's flag (grids as comma lists), it writes
+        # the same files. Relative paths, so a recorded dataset path names the same directory in both runs.
+        monkeypatch.chdir(tmp_path)
+        if command == "ddtl-fit":
+            assert main(["synth", "--num-nodes", "7", "--num-edges", "10", "--eta0", "4", "--num-signals", "9",
+                         "--seed", "9", "--out", "data"]) == 0
+        assert main([command, *args, "--out", "first"]) == 0
+        config = json.loads((tmp_path / "first" / "run.json").read_text())["config"]
+        _, sub = _subparser(command)
+        flags = {action.dest: action.option_strings[0] for action in sub._actions}
+        argv = [command, "--out", "again"]
+        for name, value in config.items():
+            if name != "out" and value is not None:
+                argv += [flags[name], ",".join(map(str, value)) if isinstance(value, list) else str(value)]
+        assert main(argv) == 0
+        first = _files(tmp_path / "first")
+        assert "run.json" in first and _files(tmp_path / "again") == first
+
     def test_unparsable_value_is_a_usage_error(self, tmp_path, capsys):
         # The other failure channel: argparse's usage text and exit 2, not a JSON line.
         with pytest.raises(SystemExit) as exc:
@@ -587,9 +658,7 @@ class TestFailureModes:
         # The field's default, written as flag text (grids as comma lists),
         # builds the default config with tuple grids; a field defaulting to
         # None takes a path instead.
-        parser = build_parser()
-        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        sub = commands.choices[command]
+        parser, sub = _subparser(command)
         values = {"out": "o", "dataset_dir": "data"} if command == "ddtl-fit" else {"out": "o"}
         default = sub.get_default("config_cls")(**values)
         values[name] = getattr(default, name) if getattr(default, name) is not None else "some/path"
