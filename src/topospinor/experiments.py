@@ -83,7 +83,9 @@ _GRAPH_FLAG = {"flag": "--graph", "help": "edge-list file (otherwise a random gr
 
 
 def sub_seed(master_seed: int, realization: int, tag: str) -> int:
-    """Deterministic per-(realization, stage) seed derived from the master seed."""
+    """Deterministic per-(realization, stage) seed derived from the master seed, which must not be negative."""
+    if master_seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {master_seed}")
     digest = zlib.crc32(tag.encode("utf-8"))
     ss = np.random.SeedSequence([int(master_seed), int(realization), int(digest)])
     return int(ss.generate_state(1)[0])
@@ -121,10 +123,11 @@ def _load_dataset(dataset_dir: str) -> tuple[OrientedGraph, np.ndarray, float]:
     return graph, S, energy
 
 
-def _load_graph(graph_path: str | None, num_nodes: int, num_edges: int, seed: int) -> OrientedGraph:
-    if graph_path:
-        return tsio.load_edge_list(graph_path)
-    return random_graph(num_nodes, num_edges, seed)
+def _load_graph(cfg: SpectraConfig | SynthConfig) -> OrientedGraph:
+    """The graph of ``cfg.graph_path``, else a random one: only then is the ``"graph"`` sub-seed derived."""
+    if cfg.graph_path:
+        return tsio.load_edge_list(cfg.graph_path)
+    return random_graph(cfg.num_nodes, cfg.num_edges, sub_seed(cfg.seed, 0, "graph"))
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +145,7 @@ class SpectraConfig:
 
 def run_spectra(cfg: SpectraConfig) -> Path:
     """Dump the singular spectrum, harmonic counts, and the residuals of the SVD relations (no n x n array)."""
-    graph = _load_graph(cfg.graph_path, cfg.num_nodes, cfg.num_edges, sub_seed(cfg.seed, 0, "graph"))
+    graph = _load_graph(cfg)
     B = build_incidence(graph)
     d = spectral_decompose(B)
     residuals = decomposition_residuals(d, B)
@@ -187,7 +190,7 @@ def run_synth(cfg: SynthConfig) -> Path:
     the touched mode pairs coupled in the partially coupled class, and the
     mixture's Cauchy scale gamma at the median singular value.
     """
-    graph = _load_graph(cfg.graph_path, cfg.num_nodes, cfg.num_edges, sub_seed(cfg.seed, 0, "graph"))
+    graph = _load_graph(cfg)
     d = spectral_decompose(build_incidence(graph))
     spec = SignalClassSpec(cfg.signal_class, cfg.eta0, cfg.num_signals, sub_seed(cfg.seed, 0, "signals"))
     S, truth = gen_signals(d, spec)
@@ -197,9 +200,10 @@ def run_synth(cfg: SynthConfig) -> Path:
     metadata = {
         **_run_header("synth", cfg, graph),
         "truth": {
-            "signal_class": truth.signal_class,
+            "signal_class": cfg.signal_class,
             "support": [int(i) for i in truth.support],
-            "support_columns": [int(i) for i in truth.support_columns],
+            # The support as full-basis columns: the harmonic ones sit between the minus and the plus block.
+            "support_columns": (truth.support + np.where(truth.support < d.rank, 0, d.dim - 2 * d.rank)).tolist(),
             "k_modes": [float(k) for k in truth.k_modes],
         },
     }
@@ -369,7 +373,7 @@ def run_sparsity_sweep(cfg: SweepConfig) -> Path:
             graph = random_graph(cfg.num_nodes, cfg.num_edges, sub_seed(cfg.seed, real, "graph"))
             sigma = laplacian_singular_values(graph)
         spec = SignalClassSpec(cfg.signal_class, cfg.eta0, cfg.num_signals, sub_seed(cfg.seed, real, "signals"))
-        truth = draw_signals(r, n, spec, sigma)
+        truth = draw_signals(r, spec, sigma)
         z = _plane_factor(truth.support, truth.coefficients, truth.k_modes, n)
         bases = _plane_bases(fit_coupling(z, r))
         residuals = plane_pursuit_curves(z, r, list(bases.values()), cfg.sparsity_grid)

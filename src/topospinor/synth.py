@@ -2,12 +2,15 @@
 
 Signal batches follow the generative model: pick a shared support of
 non-harmonic basis columns, draw Gaussian coefficients (``draw_signals``, from
-the rank r, plus the singular values for the mixture class) and synthesize
+the rank r alone, plus the singular values for the mixture class) and synthesize
 through the unit-norm coupling basis at a class-specific coupling profile
-(``gen_signals``).  The sparsity sweep's curves depend on the graph only
-through what the draw reads, so it writes the draw straight into the mode
-planes and never synthesizes; on the three classes that read r alone it draws
-no graph (``random_graph`` is connected, so r = V - 1).  The four
+(``gen_signals``).  The ground truth (``GroundTruth``) holds the draw alone:
+the support, the coefficients and the couplings; the ``synth`` command's
+run.json places the support among the full basis's columns.  The sparsity
+sweep's curves depend on the graph only through what the draw reads, so it
+writes the draw straight into the mode planes and never synthesizes; on the
+three classes that read r alone it draws no graph (``random_graph`` is
+connected, so r = V - 1).  The four
 classes differ only in the per-mode coupling: all-ones (fully coupled),
 all-zeros (fully decoupled), half of the touched mode pairs (rounded) coupled
 and the rest decoupled (partially coupled), or a Cauchy-profile decay in
@@ -57,13 +60,11 @@ class SignalClassSpec:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Everything needed to reproduce a generated batch exactly."""
+    """One batch's draw: with the graph's decomposition, everything needed to reproduce the batch exactly."""
 
     support: np.ndarray            # indices into the 2r non-harmonic columns (minus block first)
-    support_columns: np.ndarray    # same support as full-basis column indices
     coefficients: np.ndarray       # (eta0, T)
     k_modes: np.ndarray            # shared per-pair coupling, length r
-    signal_class: str
 
 
 def check_graph_size(num_nodes: int, num_edges: int) -> None:
@@ -146,27 +147,20 @@ def _mode_couplings(r: int, sigma: np.ndarray | None, spec: SignalClassSpec, sup
     return 1.0 / (1.0 + (sigma / gamma) ** 2)
 
 
-def draw_signals(rank: int, dim: int, spec: SignalClassSpec, sigma: np.ndarray | None = None) -> GroundTruth:
+def draw_signals(rank: int, spec: SignalClassSpec, sigma: np.ndarray | None = None) -> GroundTruth:
     """The ground truth of one batch, drawn from the rank r alone, and on ``mixture_of_dirac`` from its couplings'
     r nonzero singular values ``sigma`` (which no other class reads).
 
     One support of size eta0 is drawn uniformly over the 2r non-harmonic
     column indices and shared by all T signals, the class's couplings are
-    set, and the coefficients are i.i.d. standard Gaussian.  ``dim`` = V + E
-    only places the support among the full-basis columns.
+    set, and the coefficients are i.i.d. standard Gaussian.
     """
     rng, r = np.random.default_rng(spec.seed), int(rank)
     if spec.eta0 > 2 * r:
         raise ValueError(f"eta0={spec.eta0} exceeds the {2 * r} available columns")
     support = np.sort(rng.choice(2 * r, size=spec.eta0, replace=False))
     k_modes = _mode_couplings(r, sigma, spec, support, rng)
-    return GroundTruth(
-        support=support,
-        support_columns=support + np.where(support < r, 0, dim - 2 * r),  # the harmonic columns sit between
-        coefficients=rng.normal(size=(spec.eta0, spec.num_signals)),
-        k_modes=k_modes,
-        signal_class=spec.signal_class,
-    )
+    return GroundTruth(support, rng.normal(size=(spec.eta0, spec.num_signals)), k_modes)
 
 
 def gen_signals(d: SpectralDecomposition, spec: SignalClassSpec) -> tuple[np.ndarray, GroundTruth]:
@@ -177,7 +171,7 @@ def gen_signals(d: SpectralDecomposition, spec: SignalClassSpec) -> tuple[np.nda
     support's columns are built, (k u; -v) for a minus index s < r and
     (u; k v) for a plus index, over sqrt(1 + k^2).
     """
-    truth = draw_signals(d.rank, d.dim, spec, d.sigma)
+    truth = draw_signals(d.rank, spec, d.sigma)
     modes, minus = truth.support % d.rank, truth.support < d.rank
     u, v, k = d.u[:, modes], d.v[:, modes], truth.k_modes[modes]
     columns = np.vstack([np.where(minus, u * k, u), np.where(minus, -v, v * k)]) / np.sqrt(1.0 + k**2)

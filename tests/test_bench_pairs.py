@@ -1,3 +1,5 @@
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -85,3 +87,28 @@ def test_verdict_per_metric(better, parent, change, expected):
 
     runs = bench_pairs.pair_runs(["sweep"], len(parent), run, loadavg=lambda: (0.0, 0.0, 0.0))
     assert bench_pairs.summarize(runs, {"m": (better, 0.25)})["sweep"]["m"]["verdict"] == expected
+
+
+def test_each_run_keeps_its_report_environment_and_the_file_names_numpy_and_the_blas(monkeypatch, tmp_path):
+    # run.py prints its report line, then its result line; the environment of the first goes with each run.
+    env = {"numpy": "2.4.6", "blas": {"name": "scipy-openblas", "version": "0.3.31"},
+           "blas_threads": {"OPENBLAS_NUM_THREADS": "1"}, "cpu_count": 2, "python": "3.11.7"}
+    report = {"report": {"workload": "sweep", "seed": 1, "op_s_samples": [0.01], "environment": env}}
+    result = fake_result(1.0, 1.0, 0.5)
+    stdout = json.dumps(report) + "\n" + json.dumps(result) + "\n"
+
+    def fake_run(argv, **kwargs):
+        assert argv[1:3] == ["perfbench/run.py", "--workload"] and kwargs["env"]["OPENBLAS_NUM_THREADS"] == "1"
+        return subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    outcome = bench_pairs.perfbench(tmp_path, "sweep", 1, 1)
+    assert outcome == {"environment": env, "result": result}
+    runs = bench_pairs.pair_runs(["sweep"], 1, lambda side, workload: outcome, loadavg=lambda: (0.0, 0.0, 0.0))
+    assert [r["environment"] for r in runs] == [env, env]
+    block = bench_pairs.environment([{"error": "exit 1"}, *runs])
+    assert block["numpy"] == "2.4.6" and block["blas"] == env["blas"] and block["blas_threads"] == env["blas_threads"]
+    assert block["env"] == bench_pairs.RUN_ENV
+
+    stdout = json.dumps(result) + "\n"  # a result with no report line
+    assert "error" in bench_pairs.perfbench(tmp_path, "sweep", 1, 1)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 import topospinor
 from topospinor import experiments
@@ -17,7 +18,7 @@ from topospinor.io import load_dataset, load_edge_list, load_results, read_matri
 from topospinor.sparse import nmse
 from topospinor.synth import SIGNAL_CLASSES
 from topospinor.topology import OrientedGraph, build_incidence, spectral_decompose
-from topospinor.transform import unnormalized_basis_matrix
+from topospinor.transform import build_mass_basis, unnormalized_basis_matrix
 
 SQRT3 = np.sqrt(3.0)
 
@@ -154,6 +155,23 @@ class TestSpectraCommand:
 
 
 class TestSynthCommand:
+    @pytest.mark.parametrize("signal_class", SIGNAL_CLASSES)
+    def test_run_json_support_columns_synthesize_the_batch(self, tmp_path, signal_class):
+        # run.json places the drawn support among the coupling basis's columns, [minus | harmonic | plus]: those
+        # columns at the recorded couplings times coefficients.csv give the batch back.
+        out = tmp_path / "data"
+        assert main(["synth", "--num-nodes", "8", "--num-edges", "12", "--signal-class", signal_class, "--eta0", "6",
+                     "--num-signals", "5", "--seed", "4", "--out", str(out)]) == 0
+        graph, S = load_dataset(out)
+        truth = json.loads((out / "run.json").read_text())["truth"]
+        d = spectral_decompose(build_incidence(graph))
+        support, columns = np.array(truth["support"]), np.array(truth["support_columns"])
+        assert truth["signal_class"] == signal_class
+        assert np.array_equal(columns[support < d.rank], support[support < d.rank])
+        assert np.array_equal(columns[support >= d.rank], support[support >= d.rank] + d.dim - 2 * d.rank)
+        basis = build_mass_basis(d, np.array(truth["k_modes"]), np.array(truth["k_modes"]))
+        assert_allclose(S, basis[:, columns] @ read_matrix_csv(out / "coefficients.csv", 5), rtol=0, atol=1e-12)
+
     def test_dataset_files(self, tmp_path):
         out = tmp_path / "data"
         code = main([
@@ -440,6 +458,58 @@ class TestFailureModes:
         err = json.loads(capsys.readouterr().err.strip())
         message = f"edge count {num_edges} infeasible for a connected simple graph on 5 nodes (needs 4 <= E <= 10)"
         assert err == {"error": "ValueError", "message": message}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, args", [
+        ("spectra", []),
+        ("synth", ["--eta0", "2", "--num-signals", "3"]),
+        ("synth-graph", ["--eta0", "2", "--num-signals", "3"]),  # the "signals" sub-seed alone
+        ("sparsity-sweep", ["--signal-class", "fully_coupled", "--eta0", "2", "--sparsity-grid", "2"]),
+        ("sparsity-sweep", ["--signal-class", "mixture_of_dirac", "--eta0", "2", "--sparsity-grid", "2"]),
+        ("denoise", ["--num-signals", "3", "--gen-eta0", "2", "--bandwidth-grid", "2"]),
+        ("denoise-dataset", ["--bandwidth-grid", "2"]),
+    ], ids=["spectra", "synth", "synth-graph", "sweep-fully_coupled", "sweep-mixture_of_dirac", "denoise",
+            "denoise-dataset"])
+    def test_negative_seed_is_refused_by_name_before_anything_is_written(self, tmp_path, capsys, command, args):
+        # A master seed becomes RNG state in sub_seed, which refuses a negative one by name; numpy's own refusal,
+        # "expected non-negative integer", names no flag.
+        size = ["--num-nodes", "5", "--num-edges", "6"]
+        if command == "synth-graph":
+            command, size = "synth", ["--graph", str(write_triangle(tmp_path))]
+        elif command == "denoise-dataset":
+            data = save_dataset(tmp_path / "data", OrientedGraph(3, ((0, 1), (1, 2))), np.ones((5, 4)))
+            command, size = "denoise", ["--dataset", str(data)]
+        out = tmp_path / "out"
+        assert main([command, *size, *args, "--seed=-1", "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "ValueError", "message": "seed must be a non-negative integer, got -1"}
+        assert not out.exists()
+
+    def test_negative_seed_is_recorded_by_the_commands_that_draw_nothing(self, tmp_path):
+        # spectra on a graph file and ddtl-fit draw no random numbers, so they derive no sub-seed: --seed is recorded.
+        data = save_dataset(tmp_path / "data", OrientedGraph(3, ((0, 1), (1, 2))), np.ones((5, 4)))
+        for command, args in (("spectra", ["--graph", str(write_p3(tmp_path))]),
+                              ("ddtl-fit", ["--dataset", str(data), "--eta0", "2", "--max-iter", "3"])):
+            out = tmp_path / command
+            assert main([command, *args, "--seed=-1", "--out", str(out)]) == 0
+            assert load_results(out)[0]["config"]["seed"] == -1
+
+    @pytest.mark.parametrize("num_nodes", [3, 1])
+    def test_edgeless_graph_file(self, tmp_path, capsys, num_nodes):
+        # r = 0: spectra writes an empty spectrum with every node harmonic, and synth has no column to draw.
+        graph = tmp_path / "graph.txt"
+        graph.write_text(f"{num_nodes}\n")
+        out = tmp_path / "spectra"
+        assert main(["spectra", "--graph", str(graph), "--out", str(out)]) == 0
+        meta, tables = load_results(out)
+        assert (meta["rank"], meta["xi0"], meta["xi1"], meta["sigma"]) == (0, num_nodes, 0, [])
+        assert tables["spectrum"].rows == ()
+        capsys.readouterr()
+        out = tmp_path / "synth"
+        assert main(["synth", "--graph", str(graph), "--eta0", "1", "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ValueError", "message": "eta0=1 exceeds the 0 available columns"}
         assert not out.exists()
 
     def test_bad_graph_file(self, tmp_path, capsys):

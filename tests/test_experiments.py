@@ -233,11 +233,11 @@ def test_sweep_curves_of_the_sigma_free_classes_do_not_depend_on_sigma(tmp_path,
     def with_sigma(choose):
         realization = iter(range(cfg.realizations))
 
-        def draw(rank, dim, spec, sigma=None):
+        def draw(rank, spec, sigma=None):
             graph = random_graph(cfg.num_nodes, cfg.num_edges, sub_seed(cfg.seed, next(realization), "graph"))
             true_sigma = spectral_decompose(build_incidence(graph)).sigma
             assert len(true_sigma) == rank
-            return synth.draw_signals(rank, dim, spec, choose(true_sigma))
+            return synth.draw_signals(rank, spec, choose(true_sigma))
 
         return draw
 

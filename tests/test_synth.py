@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -112,13 +113,18 @@ def small_batch_setup(signal_class, seed=0, **kwargs):
     return d, S, truth
 
 
+def support_columns(d, truth):
+    """The support as full-basis columns, [minus block | harmonic columns | plus block], as synth's run.json holds it."""
+    return truth.support + np.where(truth.support < d.rank, 0, d.dim - 2 * d.rank)
+
+
 class TestGenSignals:
     def test_fully_coupled_lies_in_dirac_span(self):
         d, S, truth = small_batch_setup("fully_coupled")
         phi, _ = dirac_eigenbasis(d)
         # Supported non-harmonic columns sit at identical indices in the
         # Dirac layout, so the generating atoms are Dirac eigenvectors.
-        atoms = phi[:, truth.support_columns]
+        atoms = phi[:, support_columns(d, truth)]
         q, _ = np.linalg.qr(atoms)
         residual = S - q @ (q.T @ S)
         assert np.max(np.abs(residual)) < 1e-10
@@ -177,21 +183,21 @@ class TestGenSignals:
         # The generator adds no noise: the batch is the synthesis of the coefficients on the support.
         d, S, truth = small_batch_setup("partially_coupled", seed=2)
         basis = build_mass_basis(d, truth.k_modes, truth.k_modes)
-        assert np.array_equal(S, basis[:, truth.support_columns] @ truth.coefficients)
+        assert np.array_equal(S, basis[:, support_columns(d, truth)] @ truth.coefficients)
 
     @pytest.mark.parametrize("signal_class", SIGNAL_CLASSES)
     def test_truth_is_the_draw_from_sigma_alone(self, signal_class):
-        # The batch is drawn from the rank, the singular values and the dimension alone, then synthesized.
+        # The batch is drawn from the rank and the singular values alone, then synthesized; the truth holds the draw.
         d, S, truth = small_batch_setup(signal_class, seed=3)
-        drawn = draw_signals(d.rank, d.dim, SignalClassSpec(signal_class, eta0=8, num_signals=50, seed=3), d.sigma)
-        for name in ("support", "support_columns", "coefficients", "k_modes"):
+        drawn = draw_signals(d.rank, SignalClassSpec(signal_class, eta0=8, num_signals=50, seed=3), d.sigma)
+        assert [f.name for f in dataclasses.fields(drawn)] == ["support", "coefficients", "k_modes"]
+        for name in ("support", "coefficients", "k_modes"):
             assert np.array_equal(getattr(drawn, name), getattr(truth, name)), name
-        assert drawn.signal_class == truth.signal_class
 
     def test_mixture_needs_sigma(self):
         spec = SignalClassSpec("mixture_of_dirac", eta0=4, num_signals=3, seed=0)
         with pytest.raises(ValueError, match="sigma"):
-            draw_signals(5, 14, spec)
+            draw_signals(5, spec)
 
     def test_eta0_too_large(self):
         g = random_graph(5, 6, 0)
@@ -200,7 +206,7 @@ class TestGenSignals:
         with pytest.raises(ValueError, match="eta0"):
             gen_signals(d, spec)
         with pytest.raises(ValueError, match="eta0"):
-            draw_signals(d.rank, d.dim, spec)
+            draw_signals(d.rank, spec)
 
     def test_invalid_class_rejected(self):
         with pytest.raises(ValueError, match="signal_class"):

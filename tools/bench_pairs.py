@@ -22,11 +22,15 @@ Output schema (``"schema": "bench_pairs/1"``):
 - ``parent`` and ``change``: ``{"rev", "src_lines": {"raw", "code"}}``, the
   exported commit and the totals of ``tools/src_lines.py`` over its ``src``;
 - ``aa``, ``pairs``, ``seconds``, ``seed``, ``workloads``, ``description``;
-- ``environment``: Python version, CPU count, the variables set for each run;
+- ``environment``: Python version, CPU count, the variables set for each run,
+  and the ``numpy``, ``blas`` (name and version) and ``blas_threads`` that
+  the first run with a result reported (every run uses this interpreter);
 - ``runs``: one object per run, in the order run: ``pair``, ``workload``,
   ``side`` (``"parent"`` or ``"change"``), ``first`` (whether that side went
-  first in its pair), ``loadavg`` (1, 5 and 15 min) and ``result`` (run.py's
-  last line), or ``error`` for a run that printed no result;
+  first in its pair), ``loadavg`` (1, 5 and 15 min), ``environment`` (the
+  ``environment`` of the report line that run.py prints before its result)
+  and ``result`` (run.py's last line), or ``error`` for a run that printed no
+  result;
 - ``summary``: per workload, per end-to-end metric of ``BENCHMARK.json``:
   ``better``; ``parent`` and ``change``, each ``{"median", "q1", "q3"}`` over
   that side's runs; ``median_ratio``, the median of change / parent over the
@@ -76,14 +80,22 @@ def export(rev: str, into: Path) -> Path:
 
 
 def perfbench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One untraced perfbench run from ``tree``: its result line, or ``{"error": ...}``."""
+    """One untraced perfbench run from ``tree``: its report line's environment and its result line, or
+    ``{"error": ...}``."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=tree, env=dict(os.environ, **RUN_ENV), capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
+    if proc.returncode != 0 or len(lines) < 2:
         return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
-    return {"result": json.loads(lines[-1])}
+    return {"environment": json.loads(lines[-2])["report"]["environment"], "result": json.loads(lines[-1])}
+
+
+def environment(runs: list[dict]) -> dict:
+    """The ``environment`` block of the module docstring."""
+    reported = next((r["environment"] for r in runs if "environment" in r), {})
+    return {"python": platform.python_version(), "cpu_count": os.cpu_count(), "env": RUN_ENV,
+            **{key: reported.get(key) for key in ("numpy", "blas", "blas_threads")}}
 
 
 def pair_runs(workloads: list[str], pairs: int, run: Callable[[str, str], dict],
@@ -199,7 +211,7 @@ def main(argv: list[str] | None = None) -> int:
             "description": args.description,
             **{side: {"rev": revs[side], "src_lines": src_size(trees[side])} for side in SIDES},
             "aa": args.aa, "pairs": args.pairs, "seconds": args.seconds, "seed": args.seed, "workloads": workloads,
-            "environment": {"python": platform.python_version(), "cpu_count": os.cpu_count(), "env": RUN_ENV},
+            "environment": environment(runs),
             "runs": runs,
             "summary": summarize(runs, metrics),
         }
