@@ -201,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
 
         def run(side: str, workload: str) -> dict:
             outcome = perfbench(trees[side], workload, args.seed, args.seconds)
-            print(f"{workload} {side}: {json.dumps(outcome)[:200]}", file=sys.stderr, flush=True)
+            print(f"{workload} {side}: {json.dumps(outcome.get('result', outcome))[:200]}", file=sys.stderr, flush=True)
             return outcome
 
         runs = pair_runs(workloads, args.pairs, run)
