@@ -47,9 +47,9 @@ its coordinate along (u_i; 0), row 1 along (0; v_i), and the columns are
 (1, k+).  This is exact: from H = 0 the unit-column retraction and the dual
 step never leave the planes, and the k-step reads only these coordinates.
 The harmonic columns are left out, since there P equals Psi and H stays 0.
-The dense basis is built once, at the end, for ``DdtlSolution.basis``; the
-reconstruction Psi(k) Omega is never formed across the signals, as its
-error is the final objective.
+The dense basis is built once, at the end, for ``DdtlSolution.basis``; no
+reconstruction is formed across the signals, as the module's objective
+gives its error.
 
 The cycle runs on two columns.  Every step reads z only through rotations
 within one mode plane (the analysis, the reconstruction, the 2x2 code
@@ -83,6 +83,16 @@ raise.
 Every fit starts from the Dirac coupling k = 1 and stops once both relative
 primal gaps fall below ``PRIMAL_TOL``, or at ``max_iter``.  The report keeps
 the objective and both splitting gaps of every iteration.
+
+The fit ends by polishing (Boyd et al., 2011, for ADMM under a nonconvex
+constraint): the codes it returns are the least-squares codes of the batch
+on the rows the final X keeps, at k*, so at most eta0 rows are nonzero.  X
+itself carries the scaled dual M, and Omega keeps every row.  In plane i the
+kept atoms of Psi(k*) among the minus column (k-, -1) and the plus column
+(1, k+) get the minimum-norm least-squares fit, which is exact where both
+are kept and not parallel (1 + k- k+ != 0); a kept harmonic row is its own
+code.  This is O(V+E) on the plane reduction, and the codes' error is the
+objective at them; only the codes and Omega are lifted to T columns.
 """
 
 from __future__ import annotations
@@ -230,16 +240,19 @@ class DdtlState:
 
 @dataclass
 class DdtlSolution:
-    """Final iterate plus the unit-column basis (V+E) x (V+E) built at the learned coupling.
+    """The learned couplings, the final Omega, the polished codes and the unit-column basis built at k*.
 
-    The reconstruction Psi(k*) Omega* is not formed: its error
-    ||S - Psi(k*) Omega*||_F^2 is ``report.final_objective``, since Q and
-    each plane's Q_i keep the norm of the residual.
+    ``codes`` are the least-squares codes on the rows the final X keeps (see
+    the module notes), every dropped row +0.0.  No reconstruction is formed:
+    ``codes_error`` is ||S - Psi(k*) codes||_F^2 and ``report.final_objective``
+    ||S - Psi(k*) Omega*||_F^2, since Q and each plane's Q_i keep the norm of
+    the residual.
     """
 
     k_star: np.ndarray  # the 2r couplings, minus branch first
     omega_star: np.ndarray
-    x_star: np.ndarray
+    codes: np.ndarray
+    codes_error: float
     basis: np.ndarray
     report: ConvergenceReport
 
@@ -271,9 +284,9 @@ def _analysis(z: np.ndarray, k: np.ndarray, d: SpectralDecomposition) -> np.ndar
     return out
 
 
-def _objective(state: DdtlState, d: SpectralDecomposition) -> float:
-    """||S - Psi(k) Omega||_F^2, evaluated as ||z - Q^T Psi(k) Omega||_F^2."""
-    omega, k = state.omega, state.k
+def _objective(state: DdtlState, d: SpectralDecomposition, omega: np.ndarray | None = None) -> float:
+    """||S - Psi(k) Omega||_F^2, evaluated as ||z - Q^T Psi(k) Omega||_F^2, for the state's Omega unless one is given."""
+    omega, k = state.omega if omega is None else omega, state.k
     n, r = omega.shape[0], d.rank
     om, op = omega[:r], omega[n - r :]
     res = state.z.copy()
@@ -281,6 +294,30 @@ def _objective(state: DdtlState, d: SpectralDecomposition) -> float:
     res[r : n - r] -= omega[r : n - r]
     res[n - r :] -= k[r:, None] * op - om
     return _sumsq(res)
+
+
+def _codes(z: np.ndarray, k: np.ndarray, kept: np.ndarray, d: SpectralDecomposition) -> np.ndarray:
+    """Least-squares codes of z on the atoms of Psi(k) whose rows are ``kept``, every other row 0.
+
+    Plane i's 2 x 2 matrix A = [a | b], a = (k-, -1), b = (1, k+), with each
+    dropped column zeroed, gets its Moore-Penrose inverse: adj(A) / det(A)
+    where det(A) != 0, A^T / ||A||_F^2 where A has rank one (one atom kept,
+    or two parallel ones: the minimum-norm codes), and 0 where A = 0.  A
+    kept harmonic row is z's.  ``z`` is n x any width.
+    """
+    n, r = len(z), d.rank
+    psi = _build_psi(d, k) * np.concatenate([kept[:r], kept[n - r :]])
+    (au, bu), (av, bv) = psi[0].reshape(2, r), psi[1].reshape(2, r)
+    det = au * bv - bu * av
+    full = det != 0.0
+    scale = np.where(full, det, au * au + av * av + bu * bu + bv * bv)
+    scale[scale == 0.0] = 1.0  # A = 0: its inverse is 0
+    inv = np.where(full, [[bv, -bu], [-av, au]], [[au, av], [bu, bv]]) / scale
+    codes = np.where(kept[:, None], z, 0.0)
+    z_u, z_v = z[:r], z[n - r :]
+    codes[:r] = inv[0, 0, :, None] * z_u + inv[0, 1, :, None] * z_v
+    codes[n - r :] = inv[1, 0, :, None] * z_u + inv[1, 1, :, None] * z_v
+    return codes
 
 
 def initialize_state(S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -> DdtlState:
@@ -386,8 +423,9 @@ def ddtl_fit(S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -> DdtlSo
     The coupling applies only to the 2r non-harmonic columns; harmonic columns
     of the basis are fixed.  Stops at ``cfg.max_iter`` otherwise.  The report
     records, per iteration, the data objective and both splitting gaps.  The
-    fit runs on the plane-reduced batch (see the module notes) and its codes
-    are mapped back to T columns once, a dropped row of X to exact zeros.
+    fit runs on the plane-reduced batch (see the module notes); Omega and the
+    least-squares codes on the rows the final X keeps are mapped back to T
+    columns once, each dropped row of the codes to exact +0.0.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != d.dim:
@@ -434,6 +472,11 @@ def ddtl_fit(S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -> DdtlSo
         basis_gap_curve=tuple(basis_gaps), code_gap_curve=tuple(code_gaps),
     )
     k, r = state.k, d.rank
-    omega, x = (lift_planes(a, state.plane_basis) for a in (state.omega, state.x))
+    kept = np.any(state.x != 0.0, axis=1)
+    codes = _codes(state.z, k, kept, d)
+    codes_error = _objective(state, d, codes)
+    omega, codes = (lift_planes(a, state.plane_basis) for a in (state.omega, codes))
+    codes[~kept] = 0.0  # a lifted 0 times a negative basis entry is -0.0
     del state  # the per-plane bases go before the dense basis is built
-    return DdtlSolution(k_star=k, omega_star=omega, x_star=x, basis=build_mass_basis(d, k[:r], k[r:]), report=report)
+    return DdtlSolution(k_star=k, omega_star=omega, codes=codes, codes_error=codes_error,
+                        basis=build_mass_basis(d, k[:r], k[r:]), report=report)

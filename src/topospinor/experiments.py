@@ -13,7 +13,8 @@ the rank r = V - 1, and no singular vector on ``mixture_of_dirac``.
 The rule (each plane's principal axis, mod 90 degrees, clipped to the box
 k in [0, 1], ties to k = 1) is stated in :mod:`topospinor.ddtl`.
 ``run_ddtl_fit`` runs the ADMM (``ddtl.ddtl_fit``) until ROADMAP item 0 lets
-it move to the closed form.
+it move to the closed form, and writes the least-squares codes on the at most
+eta0 rows its final X keeps, not the ADMM's dense Omega.
 
 Every pipeline is deterministic given its master seed, at a fixed BLAS
 thread count.  Sub-seeds are derived by the documented splitting rule
@@ -235,7 +236,7 @@ class FitConfig:
 
 
 def run_ddtl_fit(cfg: FitConfig) -> Path:
-    """Fit the coupling transform to a dataset and store (k*, Omega*, diagnostics)."""
+    """Fit the coupling transform to a dataset and store k*, the row-sparse codes and the diagnostics."""
     graph, S, energy = _load_dataset(cfg.dataset_dir)
     d = spectral_decompose(build_incidence(graph))
     solution = ddtl_fit(S, d, DdtlConfig(eta0=cfg.eta0, max_iter=cfg.max_iter))
@@ -244,11 +245,12 @@ def run_ddtl_fit(cfg: FitConfig) -> Path:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     tsio.save_edge_list(out / "graph.txt", graph)
-    tsio.write_matrix_csv(out / "omega_star.csv", solution.omega_star)
+    tsio.write_matrix_csv(out / "omega_star.csv", solution.codes)
     metadata = {
         **_run_header("ddtl-fit", cfg, graph),
         "k_star": [float(k) for k in solution.k_star],
-        "reconstruction_nmse": report.final_objective / energy,  # the objective is ||S - Psi(k*) Omega*||^2
+        "reconstruction_nmse": solution.codes_error / energy,  # ||S - Psi(k*) codes||^2
+        "kept_rows": int(np.count_nonzero(np.any(solution.codes != 0.0, axis=1))),
         "stop_reason": report.stop_reason,
         "iterations": report.iterations,
         "initial_objective": report.initial_objective,

@@ -48,6 +48,7 @@ def test_summary_ratios_wins_quartiles_and_bit_identity():
     sweep = summary["sweep"]["ops_per_s"]
     assert sweep["pairs"] == 4 and sweep["pairs_won"] == 3
     assert sweep["median_ratio"] == pytest.approx((1.1 + 1.2) / 2)  # ratios 1.2, 1.1, 0.9, 1.5
+    assert sweep["ratio_q1"] == pytest.approx(1.05) and sweep["ratio_q3"] == pytest.approx(1.275)
     assert sweep["parent"] == {"median": 100.0, "q1": 97.5, "q3": 102.5}
     assert sweep["parent_iqr_rel"] == pytest.approx(0.05)
     assert summary["sweep"]["op_s.p50"]["pairs_won"] == 3  # lower is better: the same pairs
@@ -87,6 +88,22 @@ def test_verdict_per_metric(better, parent, change, expected):
 
     runs = bench_pairs.pair_runs(["sweep"], len(parent), run, loadavg=lambda: (0.0, 0.0, 0.0))
     assert bench_pairs.summarize(runs, {"m": (better, 0.25)})["sweep"]["m"]["verdict"] == expected
+
+
+def test_ratio_quartiles_stay_narrow_when_both_sides_drift_together():
+    # The machine slows by a third from pair 6 on, on both sides alike: the parent's IQR is about a quarter of its
+    # median, so the verdict cannot tell, while every pair reads the change 2% ahead.
+    drift = [100.0] * 5 + [66.0] * 5
+    values = {"parent": iter(drift), "change": iter(1.02 * v for v in drift)}
+
+    def run(side, workload):
+        return {"result": fake_result(next(values[side]), 1.0, 0.5)}
+
+    runs = bench_pairs.pair_runs(["file_fit"], len(drift), run, loadavg=lambda: (0.0, 0.0, 0.0))
+    ops = bench_pairs.summarize(runs, METRICS)["file_fit"]["ops_per_s"]
+    assert ops["parent_iqr_rel"] > 0.25 and ops["verdict"] == "unresolved"
+    assert ops["ratio_q1"] == pytest.approx(1.02) and ops["ratio_q3"] == pytest.approx(1.02)
+    assert ops["median_ratio"] == pytest.approx(1.02) and ops["pairs_won"] == 10
 
 
 def test_each_run_keeps_its_report_environment_and_the_file_names_numpy_and_the_blas(monkeypatch, tmp_path):

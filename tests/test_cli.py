@@ -233,6 +233,19 @@ class TestFitCommand:
         psi = unnormalized_basis_matrix(d, k_star[: d.rank], k_star[d.rank:])
         assert meta["reconstruction_nmse"] == pytest.approx(nmse(S, psi @ omega), rel=1e-12, abs=0)
 
+    def test_written_codes_have_at_most_eta0_nonzero_rows_and_plain_zeros_elsewhere(self, tmp_path):
+        # At the round trip's size: omega_star.csv holds the row-sparse codes, and a dropped row is all "0", never
+        # "-0"; run.json's kept_rows counts the rest.
+        data, out = tmp_path / "data", tmp_path / "fit"
+        main(["synth", "--num-nodes", "8", "--num-edges", "12", "--eta0", "5", "--num-signals", "15",
+              "--signal-class", "mixture_of_dirac", "--seed", "2", "--out", str(data)])
+        assert main(["ddtl-fit", "--dataset", str(data), "--eta0", "5", "--max-iter", "20", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "omega_star.csv").read_text().splitlines()]
+        assert len(rows) == 20 and {len(row) for row in rows} == {15}
+        nonzero = [row for row in rows if row != ["0"] * 15]
+        assert 0 < len(nonzero) <= 5
+        assert json.loads((out / "run.json").read_text())["kept_rows"] == len(nonzero)
+
     def test_requires_input(self, tmp_path, capsys):
         code = main(["ddtl-fit", "--eta0", "4", "--out", str(tmp_path / "fit")])
         assert code != 0

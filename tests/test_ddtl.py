@@ -21,7 +21,7 @@ from topospinor.ddtl import (
     update_p,
     update_x,
 )
-from conftest import STRUCTURED_GRAPHS, nonharmonic_column_indices
+from conftest import PATH_CYCLE_GRID, STRUCTURED_GRAPHS, nonharmonic_column_indices
 from oracles import reconstruction
 from topospinor.experiments import _plane_bases
 from topospinor.sparse import DegenerateRetractionWarning, column_normalize, nmse, plane_pursuit_curves, row_hard_threshold
@@ -412,7 +412,7 @@ class TestDdtlFit:
         assert len(vertices) == 7
         assert np.any(np.array(vertices) > 1.0) and np.any(np.array(vertices) < -1.0)
         assert sol.k_star.shape == (2 * d.rank,) and np.all(np.abs(sol.k_star) <= 1.0)
-        row_norms = np.linalg.norm(sol.x_star, axis=1)
+        row_norms = np.linalg.norm(sol.codes, axis=1)
         assert np.count_nonzero(row_norms) <= 4
         assert_allclose(np.linalg.norm(sol.basis, axis=0), 1.0, atol=1e-12)
 
@@ -554,7 +554,7 @@ class TestEdgeInputs:
         d, S = self._problem()
         sol = ddtl_fit(S, d, DdtlConfig(eta0=1, max_iter=60))
         assert sol.report.stop_reason == "max_iter" and sol.report.iterations == 60
-        assert np.count_nonzero(np.any(sol.x_star != 0.0, axis=1)) == 1
+        assert np.count_nonzero(np.any(sol.codes != 0.0, axis=1)) == 1
         assert np.all(np.isfinite(sol.report.objective_curve))
 
     def test_eta0_full_runs_to_max_iter_with_an_inactive_code_split(self):
@@ -563,7 +563,6 @@ class TestEdgeInputs:
         sol = ddtl_fit(S, d, DdtlConfig(eta0=d.dim, max_iter=60))
         assert sol.report.stop_reason == "max_iter" and sol.report.iterations == 60
         assert max(sol.report.code_gap_curve) == 0.0
-        assert np.array_equal(sol.x_star, sol.omega_star)
 
 
 class TestSpectralCoordinates:
@@ -767,11 +766,11 @@ def test_fit_is_equivariant_under_orthogonal_mixing_of_signals(d, S, cfg):
     assert np.max(np.abs(mixed.k_star - plain.k_star)) <= 1e-9
     energy = np.linalg.norm(S) ** 2
     assert_allclose(mixed.report.objective_curve, plain.report.objective_curve, rtol=0, atol=1e-10 * energy)
-    for name in ("omega_star", "x_star"):
+    for name in ("omega_star", "codes"):
         expected = getattr(plain, name) @ W
         assert_relative(getattr(mixed, name), expected, bound=1e-9)
     assert_relative(reconstruction(d, mixed), reconstruction(d, plain) @ W, bound=1e-9)
-    assert np.array_equal(np.any(mixed.x_star != 0, axis=1), np.any(plain.x_star != 0, axis=1))
+    assert np.array_equal(np.any(mixed.codes != 0, axis=1), np.any(plain.codes != 0, axis=1))
 
 
 @pytest.mark.parametrize(
@@ -789,6 +788,56 @@ def test_final_objective_is_the_error_of_the_dense_reconstruction(d, S, cfg):
 def test_orthogonal_mixing_cases_cover_both_stops():
     reasons = {name: ddtl_fit(S, d, cfg).report.stop_reason for name, d, S, cfg in _orthogonal_mixing_cases()}
     assert reasons == {"tolerance-stop-wide": "tolerance", "max-iter-wide": "max_iter", "max-iter-narrow": "max_iter"}
+
+
+def _codes_cases():
+    for name, (graph, _, _) in STRUCTURED_GRAPHS.items():
+        yield name, graph, 12, 3
+    yield "random-12-24", random_graph(12, 24, 3), 30, 6
+    yield "T=1", random_graph(8, 12, 4), 1, 4
+    yield "isolated-node", OrientedGraph(5, ((0, 1), (1, 2), (2, 3), (3, 1))), 9, 3
+    yield "eta0=1", random_graph(8, 12, 4), 20, 1
+    yield "eta0=V+E", random_graph(8, 12, 4), 20, 20
+
+
+class TestLeastSquaresCodes:
+    @pytest.mark.parametrize(
+        "graph, T, eta0", [pytest.param(g, T, eta0, id=name) for name, g, T, eta0 in _codes_cases()]
+    )
+    def test_codes_are_the_dense_least_squares_fit_on_the_kept_atoms(self, graph, T, eta0, monkeypatch):
+        # The codes' nonzero rows are the eta0 rows the final X keeps; there they are lstsq of the kept columns of
+        # Psi(k*) on S, and their error is that fit's residual.  Every other row is +0.0.
+        d = spectral_decompose(build_incidence(graph))
+        S = np.random.default_rng(T).normal(size=(d.dim, T))
+        inner, xs = ddtl_module.update_x, []
+        monkeypatch.setattr(ddtl_module, "update_x", lambda state, eta0: xs.append(inner(state, eta0)) or xs[-1])
+        sol = ddtl_fit(S, d, DdtlConfig(eta0=eta0, max_iter=30))
+        kept = np.any(sol.codes != 0.0, axis=1)
+        assert np.count_nonzero(kept) == eta0
+        assert np.array_equal(kept, np.any(xs[-1] != 0.0, axis=1))
+        psi = dense_psi(d, sol.k_star)[:, kept]
+        fit = np.linalg.lstsq(psi, S, rcond=None)[0]
+        expected = np.zeros_like(S)
+        expected[kept] = fit
+        assert_relative(sol.codes, expected, bound=1e-12)
+        assert not np.any(np.signbit(sol.codes[~kept]))
+        energy = np.linalg.norm(S) ** 2
+        residual = np.linalg.norm(S - psi @ fit) ** 2
+        assert sol.codes_error == pytest.approx(residual, rel=1e-12, abs=1e-12 * energy)
+
+    @pytest.mark.parametrize("k_minus, k_plus", [(1.0, -1.0), (-1.0, 1.0)])
+    def test_parallel_kept_atoms_get_the_minimum_norm_codes(self, k_minus, k_plus):
+        # 1 + k- k+ = 0 puts plane 0's minus atom (k-, -1) on its plus atom (1, k+); lstsq's minimum-norm
+        # solution splits the plane's projection onto that direction evenly between the two.
+        d = spectral_decompose(build_incidence(PATH_CYCLE_GRID["path_p6"]))
+        r = d.rank
+        k = np.random.default_rng(2).uniform(-0.9, 0.9, 2 * r)
+        k[0], k[r] = k_minus, k_plus
+        S = np.random.default_rng(3).normal(size=(d.dim, 7))
+        codes = ddtl_module._codes(project(S, d), k, np.ones(d.dim, dtype=bool), d)
+        expected = np.linalg.lstsq(dense_psi(d, k), S, rcond=None)[0]
+        assert_relative(codes, expected, bound=1e-12)
+        assert_allclose(codes[0], k_minus * codes[d.dim - r], rtol=1e-12)
 
 
 class TestConvergenceReport:

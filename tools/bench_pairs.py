@@ -34,8 +34,12 @@ Output schema (``"schema": "bench_pairs/1"``):
 - ``summary``: per workload, per end-to-end metric of ``BENCHMARK.json``:
   ``better``; ``parent`` and ``change``, each ``{"median", "q1", "q3"}`` over
   that side's runs; ``median_ratio``, the median of change / parent over the
-  pairs where both sides ran; ``pairs_won``, how many of those ``pairs`` favour
-  the change; ``parent_iqr_rel``, (q3 - q1) / median of the parent; and, for
+  pairs where both sides ran, and ``ratio_q1`` and ``ratio_q3``, the
+  quartiles of those per-pair ratios (informational, the verdict does not
+  read them: a machine that drifts moves both sides of a pair together, so
+  their band stays narrow while the parent's IQR widens); ``pairs_won``, how
+  many of those ``pairs`` favour the change; ``parent_iqr_rel``,
+  (q3 - q1) / median of the parent; and, for
   the NMSE metrics, ``bit_identical``, whether every run of both sides gave
   one value; and ``verdict``, the first that holds of
   ``"worse"`` (the change's median is worse than the parent's by more than the
@@ -154,10 +158,10 @@ def summarize(runs: list[dict], metrics: dict[str, tuple[str, float]]) -> dict:
             won = sum((values["change"][p] > values["parent"][p]) if better == "higher"
                       else (values["change"][p] < values["parent"][p]) for p in paired)
             stats = {side: _quartiles(list(values[side].values())) for side in SIDES}
-            parent = stats["parent"]
+            parent, ratio = stats["parent"], _quartiles(ratios) if ratios else {}
             entry[name] = {
                 "better": better, **stats,
-                "median_ratio": statistics.median(ratios) if ratios else None,
+                "median_ratio": ratio.get("median"), "ratio_q1": ratio.get("q1"), "ratio_q3": ratio.get("q3"),
                 "pairs_won": won, "pairs": len(paired),
                 "parent_iqr_rel": (parent["q3"] - parent["q1"]) / parent["median"] if parent["median"] else None,
                 "verdict": verdict(*(list(values[side].values()) for side in SIDES), better, bound, won, len(paired)),
