@@ -810,7 +810,12 @@ class TestLeastSquaresCodes:
         d = spectral_decompose(build_incidence(graph))
         S = np.random.default_rng(T).normal(size=(d.dim, T))
         inner, xs = ddtl_module.update_x, []
-        monkeypatch.setattr(ddtl_module, "update_x", lambda state, eta0: xs.append(inner(state, eta0)) or xs[-1])
+
+        def recorded(state, eta0):
+            xs.append(inner(state, eta0))
+            return xs[-1]
+
+        monkeypatch.setattr(ddtl_module, "update_x", recorded)
         sol = ddtl_fit(S, d, DdtlConfig(eta0=eta0, max_iter=30))
         kept = np.any(sol.codes != 0.0, axis=1)
         assert np.count_nonzero(kept) == eta0
