@@ -13,7 +13,8 @@ METRICS = {"ops_per_s": ("higher", 0.25), "op_s.p50": ("lower", 0.25), "nmse_fix
 
 def fake_result(ops_per_s: float, p50: float, nmse: float, failed: int = 0) -> dict:
     metrics = {"ops_per_s": ops_per_s, "op_s.p50": p50, "nmse_fixed.geomean": nmse}
-    return {"correct": True, "failed": failed, "metrics": {k: {"value": v, "unit": ""} for k, v in metrics.items()}}
+    return {"correct": not failed, "attempted": 10, "failed": failed,
+            "metrics": {k: {"value": v, "unit": ""} for k, v in metrics.items()}}
 
 
 def test_pairs_alternate_which_side_goes_first_with_workloads_interleaved():
@@ -56,6 +57,7 @@ def test_summary_ratios_wins_quartiles_and_bit_identity():
     assert summary["denoise"]["nmse_fixed.geomean"]["bit_identical"] is True
     assert summary["denoise"]["ops_per_s"]["pairs_won"] == 0  # the same values on both sides win nothing
     assert summary["denoise"]["failed_ops"] == {"parent": 4, "change": 4}
+    assert summary["denoise"]["failed_share"] == {"parent": 0.1, "change": 0.1}
     assert summary["sweep"]["errors"] == {"parent": 1, "change": 0}
     assert "bit_identical" not in sweep
 
@@ -84,10 +86,26 @@ def test_verdict_per_metric(better, parent, change, expected):
 
     def run(side, workload):
         value = next(values[side])
-        return {"result": {"correct": True, "failed": 0, "metrics": {"m": {"value": value, "unit": ""}}}}
+        return {"result": {"correct": True, "attempted": 10, "failed": 0, "metrics": {"m": {"value": value, "unit": ""}}}}
 
     runs = bench_pairs.pair_runs(["sweep"], len(parent), run, loadavg=lambda: (0.0, 0.0, 0.0))
     assert bench_pairs.summarize(runs, {"m": (better, 0.25)})["sweep"]["m"]["verdict"] == expected
+
+
+def test_no_gain_where_the_change_fails_a_larger_share_of_operations():
+    # Every pair is a clear gain on both metrics, but the change fails 1 of its 10 operations in the first pair.
+    values = {"parent": iter(STEADY), "change": iter(v + 5 for v in STEADY)}
+    failures = {"parent": iter([0] * 10), "change": iter([1] + [0] * 9)}
+
+    def run(side, workload):
+        value = next(values[side])
+        return {"result": fake_result(value, 1 / value, 0.5, next(failures[side]))}
+
+    runs = bench_pairs.pair_runs(["file_fit"], len(STEADY), run, loadavg=lambda: (0.0, 0.0, 0.0))
+    summary = bench_pairs.summarize(runs, METRICS)["file_fit"]
+    assert summary["failed_share"] == {"parent": 0.0, "change": 0.01}
+    assert summary["ops_per_s"]["pairs_won"] == 10 and summary["ops_per_s"]["verdict"] == "same"
+    assert summary["op_s.p50"]["verdict"] == "same"
 
 
 def test_ratio_quartiles_stay_narrow_when_both_sides_drift_together():

@@ -48,7 +48,11 @@ Output schema (``"schema": "bench_pairs/1"``):
   beats every parent run), ``"gain"`` (the change wins at least 9 in 10 of
   the pairs, and the medians differ, in its favour, by more than the
   parent's IQR) and ``"same"``.  ``failed_ops`` sums each side's failed
-  operations and ``errors`` counts its runs without a result.
+  operations, ``failed_share`` is that sum over the operations the side
+  attempted (None with no result), and ``errors`` counts its runs without a
+  result.  A change that fails a larger share of a workload's operations than
+  the parent gains nothing there: none of that workload's metrics reads
+  ``"gain"``, and ``"same"`` stands in its place.
 """
 
 from __future__ import annotations
@@ -123,8 +127,10 @@ def _quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def verdict(parent: list[float], change: list[float], better: str, bound: float, pairs_won: int, pairs: int) -> str:
-    """The ``verdict`` of the module docstring, from each side's values and the paired wins."""
+def verdict(parent: list[float], change: list[float], better: str, bound: float, pairs_won: int, pairs: int,
+            fails_more: bool) -> str:
+    """The ``verdict`` of the module docstring, from each side's values, the paired wins and whether the change
+    fails a larger share of operations."""
     sign = 1.0 if better == "higher" else -1.0  # sign * value grows as the metric gets better
     p, c = _quartiles(parent), _quartiles(change)
     gain, iqr, scale = sign * (c["median"] - p["median"]), p["q3"] - p["q1"], bound * abs(p["median"])
@@ -132,7 +138,7 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float,
         return "worse"
     if iqr > scale and min(sign * v for v in change) <= max(sign * v for v in parent):
         return "unresolved"
-    if pairs_won >= 0.9 * pairs and gain > iqr:
+    if pairs_won >= 0.9 * pairs and gain > iqr and not fails_more:
         return "gain"
     return "same"
 
@@ -143,8 +149,13 @@ def summarize(runs: list[dict], metrics: dict[str, tuple[str, float]]) -> dict:
     for workload in dict.fromkeys(r["workload"] for r in runs):
         done = {side: {r["pair"]: r["result"] for r in runs
                        if r["workload"] == workload and r["side"] == side and "result" in r} for side in SIDES}
+        failed = {side: sum(res["failed"] for res in done[side].values()) for side in SIDES}
+        attempted = {side: sum(res["attempted"] for res in done[side].values()) for side in SIDES}
+        share = {side: failed[side] / attempted[side] if attempted[side] else None for side in SIDES}
+        fails_more = (share["change"] or 0.0) > (share["parent"] or 0.0)
         entry = {
-            "failed_ops": {side: sum(res["failed"] for res in done[side].values()) for side in SIDES},
+            "failed_ops": failed,
+            "failed_share": share,
             "errors": {side: sum(r["workload"] == workload and r["side"] == side and "error" in r for r in runs)
                        for side in SIDES},
         }
@@ -164,7 +175,8 @@ def summarize(runs: list[dict], metrics: dict[str, tuple[str, float]]) -> dict:
                 "median_ratio": ratio.get("median"), "ratio_q1": ratio.get("q1"), "ratio_q3": ratio.get("q3"),
                 "pairs_won": won, "pairs": len(paired),
                 "parent_iqr_rel": (parent["q3"] - parent["q1"]) / parent["median"] if parent["median"] else None,
-                "verdict": verdict(*(list(values[side].values()) for side in SIDES), better, bound, won, len(paired)),
+                "verdict": verdict(*(list(values[side].values()) for side in SIDES), better, bound, won, len(paired),
+                                   fails_more),
             }
             if name.startswith("nmse"):
                 entry[name]["bit_identical"] = len({*values["parent"].values(), *values["change"].values()}) == 1
