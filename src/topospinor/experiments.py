@@ -17,7 +17,8 @@ it move to the closed form, and writes the least-squares codes on the at most
 eta0 rows its final X keeps, not the ADMM's dense Omega.
 
 Every pipeline is deterministic given its master seed, at a fixed BLAS
-thread count.  Sub-seeds are derived by the documented splitting rule
+thread count and one numpy/LAPACK build (ROADMAP item 15: LAPACK picks the
+basis of a degenerate eigenspace).  Sub-seeds follow the splitting rule
 
     sub_seed(master, realization, tag) =
         first word of SeedSequence([master, realization, crc32(tag)])

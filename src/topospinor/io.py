@@ -27,8 +27,15 @@ Matrix CSV dialect (``write_matrix_csv`` / ``read_matrix_csv``)
     non-numeric cell are rejected with a ValueError that names the row,
     counted among the non-blank rows.  Numbers are read as numpy reads them,
     so a spelling only Python's ``float`` accepts (``1_000``) is rejected.
-    A file is written and read in the calling process: written row by row with
-    one printf-style format, read with one ``np.loadtxt`` parse.
+    A file is read in one process with one ``np.loadtxt`` parse.  Only the
+    writer works on two cores: a matrix of two or more rows has its first half
+    formatted in the calling process and its second half in one child made
+    with ``os.fork`` (POSIX), which hands its part back through an unnamed
+    temporary file; a process running another Python thread formats every
+    row itself.  A BLAS's own OS threads do not count (see ``_fork``), so at
+    numpy's default thread count a process still forks; CI and perfbench pin
+    one BLAS thread.  The bytes written are the ones a single process
+    writes, and there is nothing to configure.
 
 Results
     ``save_results`` writes a run directory containing ``run.json`` (metadata:
@@ -48,7 +55,11 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
+import shutil
+import tempfile
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -227,15 +238,61 @@ def load_dataset(path) -> tuple[OrientedGraph, np.ndarray]:
 
 
 def write_matrix_csv(path, matrix: np.ndarray) -> None:
-    """One CSV row per matrix row, every value with ``FLOAT_FORMAT``, and no header row, formatted and
-    written in the calling process."""
+    """One CSV row per matrix row, every value with ``FLOAT_FORMAT``, and no header row.
+
+    With two or more rows, the first ``mid = ceil(rows / 2)`` are formatted here while one
+    forked child (see ``_fork``) formats the rest into an unnamed temporary file, which is
+    then appended; with no fork to be had, every row is formatted here.  The child leaves by
+    ``os._exit``, so it flushes no buffer it shares with this process (``sys.stdout``, the
+    output file), and this process always waits for it.
+    """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
         raise ValueError(f"write_matrix_csv needs a 2-D matrix, got shape {matrix.shape}")
     row_format = ",".join([FLOAT_FORMAT] * matrix.shape[1]) + "\r\n"
-    with Path(path).open("w", newline="") as out:
-        for row in matrix:
-            out.write(row_format % tuple(row.tolist()))
+
+    def format_rows(rows, fh) -> None:
+        for row in rows:
+            fh.write(row_format % tuple(row.tolist()))
+
+    path = Path(path)
+    mid = (len(matrix) + 1) // 2
+    with path.open("w", newline="") as out, tempfile.TemporaryFile() as tail:
+        pid = _fork() if mid < len(matrix) else None
+        if pid is None:
+            format_rows(matrix, out)
+            return
+        if pid == 0:
+            code = 1
+            try:
+                with open(tail.fileno(), "w", newline="", closefd=False) as text:
+                    format_rows(matrix[mid:], text)
+                code = 0
+            finally:
+                os._exit(code)
+        try:
+            format_rows(matrix[:mid], out)
+        finally:
+            _, status = os.waitpid(pid, 0)
+        if os.waitstatus_to_exitcode(status) != 0:
+            raise OSError(f"{path}: the child process formatting rows {mid + 1} to {len(matrix)} failed")
+        out.flush()
+        tail.seek(0)
+        shutil.copyfileobj(tail, out.buffer)  # in chunks of shutil.COPY_BUFSIZE (64 KiB on POSIX)
+
+
+def _fork() -> int | None:
+    """``os.fork()``, or None where there is none (not POSIX), it fails (no process ids left, say) or another
+    Python thread runs: one inside a multithreaded OpenBLAS call when the fork stops the BLAS threads never returns.
+    A BLAS's OS threads do not count: after ``import numpy`` at the default thread count, ``/proc/self/task`` holds
+    2 threads against a ``threading.active_count()`` of 1, so such a process forks (Python 3.12+ warns of it), and
+    counting them would stop every fork there.  CI and perfbench pin one BLAS thread."""
+    if threading.active_count() > 1:
+        return None
+    try:
+        return os.fork()
+    except (AttributeError, OSError):
+        return None
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ METRICS = {"ops_per_s": ("higher", 0.25), "op_s.p50": ("lower", 0.25), "nmse_fix
 
 def fake_result(ops_per_s: float, p50: float, nmse: float, failed: int = 0) -> dict:
     metrics = {"ops_per_s": ops_per_s, "op_s.p50": p50, "nmse_fixed.geomean": nmse}
-    return {"correct": not failed, "attempted": 10, "failed": failed,
+    return {"correct": True, "attempted": 10, "failed": failed,
             "metrics": {k: {"value": v, "unit": ""} for k, v in metrics.items()}}
 
 
@@ -85,8 +85,8 @@ def test_verdict_per_metric(better, parent, change, expected):
     values = {"parent": iter(parent), "change": iter(change)}
 
     def run(side, workload):
-        value = next(values[side])
-        return {"result": {"correct": True, "attempted": 10, "failed": 0, "metrics": {"m": {"value": value, "unit": ""}}}}
+        metrics = {"m": {"value": next(values[side]), "unit": ""}}
+        return {"result": {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}}
 
     runs = bench_pairs.pair_runs(["sweep"], len(parent), run, loadavg=lambda: (0.0, 0.0, 0.0))
     assert bench_pairs.summarize(runs, {"m": (better, 0.25)})["sweep"]["m"]["verdict"] == expected

@@ -1,7 +1,14 @@
+import builtins
 import csv
 import json
 import os
 import re
+import signal
+import subprocess
+import sys
+import threading
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
+import topospinor
 from topospinor.io import (
     EdgeListParseError,
     ResultTable,
@@ -27,6 +35,14 @@ from topospinor.io import (
 )
 from topospinor.synth import random_graph
 from topospinor.topology import OrientedGraph
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every test leaves no child process behind, the half of a matrix CSV that a forked child writes included."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestEdgeList:
@@ -323,22 +339,20 @@ SPECIAL_VALUES = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e308, -1
                   1.0, -3.0, 12345678.0, 2.0**53, 0.1, 1 / 3]
 
 
-def _special_values_in_last_rows():
-    # Five rows: rows 4 and 5 hold every special value.
+def _special_values_in_second_half():
+    # Five rows: the child formats and parses rows 4 and 5, which hold every special value.
     M = np.random.default_rng(11).normal(size=(5, len(SPECIAL_VALUES)))
     M[3:] = [SPECIAL_VALUES, [-x for x in SPECIAL_VALUES]]
     return M
 
 
-# Matrices of few rows: none, one, two, an odd count, one column, and every special value.
-FEW_ROW_MATRICES = {
-    "rows_0_arange": np.arange(0.0).reshape(0, 3),
+# Matrices whose rows are split between this process and a forked child (none below two rows).
+SPLIT_MATRICES = {
     "rows_1": np.random.default_rng(1).normal(size=(1, 4)),
-    "rows_1_arange": np.arange(3.0).reshape(1, 3),
     "rows_2": np.random.default_rng(2).normal(size=(2, 4)),
     "rows_3": np.random.default_rng(3).normal(size=(3, 4)) * 1e-200,
     "rows_7": np.random.default_rng(7).normal(size=(7, 1)),
-    "special_values_in_last_rows": _special_values_in_last_rows(),
+    "special_values_in_second_half": _special_values_in_second_half(),
 }
 
 
@@ -348,25 +362,112 @@ class TestMatrixCsvWriter:
         oracle_write(tmp_path / "old.csv", matrix)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
-    @pytest.mark.parametrize("name", FEW_ROW_MATRICES)
-    def test_split_rows_match_oracle(self, tmp_path, name):
-        M = FEW_ROW_MATRICES[name]
-        self.assert_matches_oracle(tmp_path, M)
-        if not len(M):
-            assert (tmp_path / "new.csv").read_bytes() == b""
-            return
-        got = read_matrix_csv(tmp_path / "new.csv", M.shape[1])
+    @pytest.mark.parametrize("name", SPLIT_MATRICES)
+    def test_split_rows_match_oracle(self, tmp_path, monkeypatch, name):
+        # Python 3.12+ warns on a fork in a process with more than one OS thread, and clears the error that
+        # "-W error" would make of it, so only a recorded warning shows it: there must be none.
+        M = SPLIT_MATRICES[name]
+        forks, real_fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            self.assert_matches_oracle(tmp_path, M)
+            got = read_matrix_csv(tmp_path / "new.csv", M.shape[1])
+        assert len(forks) == (1 if len(M) >= 2 else 0)  # the write's; a read never forks
+        assert not [w for w in caught if issubclass(w.category, DeprecationWarning)], [str(w.message) for w in caught]
         expected = oracle_read(tmp_path / "old.csv", M.shape[1])
         assert got.shape == expected.shape == M.shape
         assert got.tobytes() == expected.tobytes()
 
-    def test_large_write_forks_no_child(self, tmp_path, monkeypatch):
-        # The size of ddtl-fit's codes at perfbench's file_fit dataset: formatted and written here alone.
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_no_fork_below_two_rows(self, tmp_path, monkeypatch, rows):
+        def no_fork():
+            raise AssertionError("forked for fewer than two rows")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        M = np.arange(3.0 * rows).reshape(rows, 3)
+        self.assert_matches_oracle(tmp_path, M)
+        if rows:
+            assert read_matrix_csv(tmp_path / "new.csv", 3).tobytes() == M.tobytes()
+
+    def test_failed_fork_leaves_every_row_here(self, tmp_path, monkeypatch):
+        def no_process_ids():
+            raise BlockingIOError("Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_process_ids)
+        M = SPLIT_MATRICES["special_values_in_second_half"]
+        self.assert_matches_oracle(tmp_path, M)
+        got, expected = read_matrix_csv(tmp_path / "new.csv", M.shape[1]), oracle_read(tmp_path / "old.csv", M.shape[1])
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_round_trips_while_a_thread_runs_svds(self, tmp_path, monkeypatch):
+        # A fork while another thread is inside a multithreaded OpenBLAS call leaves that thread hung for good
+        # (OpenBLAS's fork handler stops the BLAS threads under it), so a process running another thread
+        # formats every row itself.  Warnings are errors: Python 3.12+ warns on a threaded fork.
         M = np.random.default_rng(21).normal(size=(480, 600))
+        oracle_write(tmp_path / "oracle.csv", M)
+        expected = (tmp_path / "oracle.csv").read_bytes()
         forks, real_fork = [], os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
-        self.assert_matches_oracle(tmp_path, M)
+        stop, svds_done = threading.Event(), []
+
+        def svds():
+            A = np.random.default_rng(22).normal(size=(80, 80))
+            while not stop.is_set():
+                np.linalg.svd(A)
+                svds_done.append(1)
+
+        thread = threading.Thread(target=svds, daemon=True)
+        thread.start()
+        try:
+            for _ in range(5):
+                before = len(svds_done)
+                write_matrix_csv(tmp_path / "m.csv", M)
+                assert (tmp_path / "m.csv").read_bytes() == expected
+                assert read_matrix_csv(tmp_path / "m.csv", M.shape[1]).tobytes() == M.tobytes()
+                deadline = time.monotonic() + 10
+                while len(svds_done) == before and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert len(svds_done) > before, "the thread is stuck"
+        finally:
+            stop.set()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
         assert not forks
+        write_matrix_csv(tmp_path / "m.csv", M)  # this thread alone: the rows split again
+        assert forks and (tmp_path / "m.csv").read_bytes() == expected
+
+    def test_buffered_stdout_appears_once(self, tmp_path):
+        # Text waiting in this process's stdout buffer when the child is forked must not be flushed by the child too.
+        script = (
+            "import sys, numpy as np\n"
+            "from topospinor.io import read_matrix_csv, write_matrix_csv\n"
+            "sys.stdout.write('before the write;')\n"
+            f"write_matrix_csv({str(tmp_path / 'm.csv')!r}, np.ones((6, 3)))\n"
+            f"read_matrix_csv({str(tmp_path / 'm.csv')!r}, 3)\n"
+        )
+        src = str(Path(topospinor.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe is then block-buffered
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+        assert done.stdout == "before the write;"
+
+    @pytest.mark.parametrize("how", ["raises", "killed"])
+    def test_failed_child_fails_the_write(self, tmp_path, monkeypatch, how):
+        # The child formats its half through ``open``; make that fail in any process but this one.
+        parent, real_open = os.getpid(), builtins.open
+
+        def open_here_only(*args, **kwargs):
+            if os.getpid() != parent:
+                if how == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise OSError("no open in the child")
+            return real_open(*args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", open_here_only)
+        with pytest.raises(OSError, match=re.escape(f"{tmp_path / 'm.csv'}: the child process formatting rows 4 to 6")):
+            write_matrix_csv(tmp_path / "m.csv", np.ones((6, 3)))
 
     def test_random_normals(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -518,7 +619,10 @@ class TestMatrixCsvReader:
         assert str(got.value) == f"{tmp_path / 'm.csv'}: {one_parse.value}"
 
     @pytest.mark.parametrize("name", [*READER_CASES, *REJECTED_CASES, "quoted_blank_rows", "wide_with_header_cr_ends"])
-    def test_reads_in_this_process_alone(self, tmp_path, name):
+    def test_reads_in_this_process_alone(self, tmp_path, monkeypatch, name):
+        def no_fork():
+            raise AssertionError("a read forked")
+
         if name == "wide_with_header_cr_ends":  # 600 x 320, a ",," row ahead of every 50th
             lines = [",".join(f"e{j}" for j in range(320))]
             for i, row in enumerate(np.random.default_rng(600).normal(size=(600, 320))):
@@ -532,6 +636,7 @@ class TestMatrixCsvReader:
             }[name]
         path = tmp_path / "m.csv"
         path.write_bytes(text.encode())
+        monkeypatch.setattr(os, "fork", no_fork)
 
         def outcome(read):
             try:
