@@ -39,7 +39,7 @@ import numpy as np
 from . import io as tsio
 from .ddtl import DdtlConfig, coupling_from_grams, ddtl_fit, fit_coupling, plane_grams
 from .frames import build_frame
-from .sparse import nmse, plane_energies, plane_pursuit_curves
+from .sparse import nmse, plane_energies, plane_pursuit_curves, truncation_curves
 from .sparse import omp  # noqa: F401  unused; perfbench pins this binding (ROADMAP item 0)
 from .synth import (
     SIGNAL_CLASSES,
@@ -475,23 +475,6 @@ def _with_harmonic(planes, harmonic) -> np.ndarray:
     return np.concatenate([planes, harmonic], axis=-1)
 
 
-def _truncation_nmse(clean, noisy, error, bandwidths, energy) -> np.ndarray:
-    """NMSE of hard truncation in orthonormal plane bases at each bandwidth: (..., len(bandwidths)).
-
-    ``clean``, ``noisy`` and ``error`` (..., n) are a basis's row energies of
-    the clean, the noisy and the error batch.  A stable sort orders the noisy
-    rows by energy, ties to the lower row of [first atoms | second atoms |
-    harmonic rows] (with Gaussian noise, ties have probability zero), and the
-    NMSE at bandwidth b is the error energy of the b kept rows (a prefix sum)
-    plus the clean energy of the dropped ones (a suffix sum), over ``energy``.
-    """
-    order = np.argsort(-noisy, axis=-1, kind="stable")
-    zero = np.zeros((*order.shape[:-1], 1))
-    kept = np.cumsum(np.concatenate([zero, np.take_along_axis(error, order, -1)], -1), -1)
-    dropped = np.cumsum(np.concatenate([zero, np.take_along_axis(clean, order, -1)[..., ::-1]], -1), -1)[..., ::-1]
-    return (kept[..., bandwidths] + dropped[..., bandwidths]) / energy
-
-
 def run_denoise(cfg: DenoiseConfig) -> Path:
     """Denoising sweep: learned-basis truncation versus fixed-basis truncation.
 
@@ -510,7 +493,8 @@ def run_denoise(cfg: DenoiseConfig) -> Path:
     their quadratic forms (``_row_energies``).  The clean row energies are
     sums of squares, so never below 0: the clean batch is reduced once per
     run to its 2 x 2 triangles (``topology.reduce_blocks``), whose energies
-    in every basis of every fit come from one ``sparse.plane_energies`` call.
+    in every basis of every fit come from one ``sparse.plane_energies`` call,
+    and every truncation curve from one ``sparse.truncation_curves`` call.
     """
     if cfg.dataset_dir:
         graph, clean, _ = _load_dataset(cfg.dataset_dir)
@@ -544,9 +528,8 @@ def run_denoise(cfg: DenoiseConfig) -> Path:
     clean_planes, clean_harmonic = plane_energies(z2, r, pairs.reshape(3 * len(fits), r, 2, 2))  # not -1: r may be 0
     clean_energies = _with_harmonic(clean_planes.reshape(len(fits), 3, 2 * r), clean_harmonic)
     bandwidths = [int(bw) for bw in cfg.bandwidth_grid]
-    curves = _truncation_nmse(  # fits x methods x bandwidths
-        clean_energies, _row_energies(*noisy_grams, pairs), _row_energies(*error_grams, pairs), bandwidths, energy
-    )
+    curves = truncation_curves(  # fits x methods x bandwidths
+        _row_energies(*noisy_grams, pairs), _row_energies(*error_grams, pairs), clean_energies, bandwidths) / energy
 
     rows = []
     methods = ("ddtl", "dirac_truncation", "laplacian_truncation")

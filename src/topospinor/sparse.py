@@ -7,9 +7,10 @@ the coefficients solved once at the end.
 
 ``plane_pursuit_curves`` is the same pursuit for dictionaries of orthonormal
 atom pairs per mode plane span{(u_i; 0), (0; v_i)} and one identity atom per
-harmonic coefficient, as every sweep dictionary is.  With the selection rule
-of Tropp, Gilbert & Strauss (2006) it is "take each plane's atom energies in
-every dictionary at once (``plane_energies``), sort per dictionary".
+harmonic coefficient, as every sweep dictionary is.  With the selection rule of
+Tropp, Gilbert & Strauss (2006) it is "take each plane's atom energies in every
+dictionary at once (``plane_energies``), truncate each dictionary's gains" with
+``truncation_curves``, which states the tie and the precision rule.
 
 ``row_hard_threshold`` and ``column_normalize`` are the Euclidean
 projections onto row-sparse matrices and onto the unit-column (oblique)
@@ -29,6 +30,7 @@ __all__ = [
     "omp",
     "plane_energies",
     "plane_pursuit_curves",
+    "truncation_curves",
     "nmse",
     "row_hard_threshold",
     "column_normalize",
@@ -191,30 +193,44 @@ def plane_pursuit_curves(z, rank, dictionaries, levels) -> np.ndarray:
 
     ``z``, ``rank`` and each dictionary's pairs are as in ``plane_energies``;
     each dictionary is its pairs plus one identity atom per harmonic row (a
-    frame's copies add nothing).  One ``plane_energies`` call takes the
-    energies of every dictionary's atoms at once: they are elementwise, so
-    each curve is bit-identical to a call on its dictionary alone.  The planes
-    are mutually orthogonal, so OMP's residual splits by plane.  A plane's
-    first gain is its best atom's energy (exact ties to the first atom
-    listed), its second that of the atom's partner, which spans the rest of
-    the plane; a harmonic row's gain is its energy.  Every event's OMP score
-    equals its gain, and a plane's second gain is at most its first, so the
-    residual at level L sums all but the L largest gains, whichever of two
-    equal gains is taken first.  Precision rule: it sums the gains left,
-    smallest first; never ||S||^2 minus the captured energy, a cancellation
-    error near 1e-16 ||S||^2.
+    frame's copies add nothing).  One ``plane_energies`` call takes every
+    dictionary's atom energies: they are elementwise, so each curve is
+    bit-identical to a call on its dictionary alone.  The planes are mutually
+    orthogonal, so OMP's residual splits by plane.  A plane's gains are its
+    best atom's energy (exact ties to the first atom listed), then its
+    partner's, which spans the rest of the plane; a harmonic row's gain is its
+    energy.  Every event's OMP score equals its gain, and a plane's second gain
+    is at most its first, so the residual at level L sums all but the L largest
+    gains, whichever of two equal gains is taken first:
+    ``truncation_curves(gains, 0.0, gains, levels)`` (see it for ties and precision).
     """
-    n, r, sizes = len(z), int(rank), [len(p) for p in dictionaries]
+    r, sizes = int(rank), [len(p) for p in dictionaries]
     planes, harmonic = plane_energies(z, r, np.concatenate(dictionaries))
-    levels = np.array([int(lv) for lv in levels], dtype=int)
-    if not np.all((1 <= levels) & (levels <= n)):
-        raise ValueError(f"levels must lie in [1, {n}], got {levels.tolist()}")
     gains, plane = [], np.arange(r)
     for atoms in np.split(planes.reshape(2 * len(planes), r), 2 * np.cumsum(sizes)[:-1]):
         first = np.argmax(atoms, axis=0)  # exact ties go to the first atom listed
         gains.append(np.concatenate([atoms[first, plane], atoms[first ^ 1, plane], harmonic]))
-    smallest = np.cumsum(np.sort(gains, axis=-1), axis=-1)
-    return np.concatenate([np.zeros((len(gains), 1)), smallest], axis=1)[:, n - levels]
+    return truncation_curves(gains, 0.0, gains, levels)
+
+
+def truncation_curves(rank_by, kept, dropped, levels) -> np.ndarray:
+    """Per level b, the ``kept`` energy of the b rows largest in ``rank_by`` plus the others' ``dropped`` energy.
+
+    ``kept`` and ``dropped`` broadcast to ``rank_by``, (..., n) with the rows
+    last; the result is (..., len(levels)).  Tie rule: a stable sort ranks the
+    rows, so of equal ``rank_by`` values the lower row is kept.  Precision
+    rule: the dropped energies are summed from the lowest-ranked row up, never
+    as a total minus the kept part (a cancellation error near 1e-16 of the
+    total).  Raises ValueError naming each level not an integer in [1, n].
+    """
+    n, levels = np.shape(rank_by)[-1], list(levels)
+    if bad := [level for level in levels if not (isinstance(level, (int, np.integer)) and 1 <= level <= n)]:
+        raise ValueError(f"levels must be integers in [1, {n}], not {', '.join(map(str, bad))}")
+    order = np.argsort(np.negative(rank_by, dtype=float), axis=-1, kind="stable")
+    kept, dropped = (np.take_along_axis(np.broadcast_to(e, order.shape), order, -1) for e in (kept, dropped))
+    zero = np.zeros((*order.shape[:-1], 1))
+    head, tail = (np.cumsum(np.concatenate([zero, e], -1), -1) for e in (kept, dropped[..., ::-1]))
+    return head[..., levels] + tail[..., n - np.array(levels, dtype=int)]
 
 
 def nmse(S: np.ndarray, S_hat: np.ndarray) -> float:

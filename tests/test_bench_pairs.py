@@ -124,6 +124,26 @@ def test_ratio_quartiles_stay_narrow_when_both_sides_drift_together():
     assert ops["median_ratio"] == pytest.approx(1.02) and ops["pairs_won"] == 10
 
 
+
+def test_first_ratio_shows_a_pair_order_effect_on_identical_code():
+    # An A/A run in which whichever run goes first in its pair is 10% faster: the alternation cancels the effect in
+    # the medians, and first_ratio reads it.
+    calls = []
+
+    def run(side, workload):
+        value = STEADY[len(calls) // 2] * (1.1 if len(calls) % 2 == 0 else 1.0)
+        calls.append(side)
+        return {"result": fake_result(value, 1 / value, 0.5)}
+
+    runs = bench_pairs.pair_runs(["file_fit"], len(STEADY), run, loadavg=lambda: (0.0, 0.0, 0.0))
+    summary = bench_pairs.summarize(runs, METRICS)["file_fit"]
+    assert summary["ops_per_s"]["first_ratio"] == pytest.approx(1.1)
+    assert summary["op_s.p50"]["first_ratio"] == pytest.approx(1 / 1.1)
+    assert summary["ops_per_s"]["verdict"] == "same" and summary["ops_per_s"]["pairs_won"] == 5
+    # Runs that do not record which went first give no first_ratio.
+    unordered = [{key: value for key, value in r.items() if key != "first"} for r in runs]
+    assert bench_pairs.summarize(unordered, METRICS)["file_fit"]["ops_per_s"]["first_ratio"] is None
+
 def test_each_run_keeps_its_report_environment_and_the_file_names_numpy_and_the_blas(monkeypatch, tmp_path):
     # run.py prints its report line, then its result line; the environment of the first goes with each run.
     env = {"numpy": "2.4.6", "blas": {"name": "scipy-openblas", "version": "0.3.31"},

@@ -256,22 +256,27 @@ def test_sweep_curves_of_the_sigma_free_classes_do_not_depend_on_sigma(tmp_path,
 
 def test_sweep_codes_the_batch_at_its_rank(tmp_path, monkeypatch):
     # Each mode plane of the T = 600 signal batch is replaced by its 2 x 2 factor, so the learner and the one
-    # pursuit call, which reads all four curves, get 2 columns, not T.
-    widths = []
+    # pursuit call, which reads all four curves, get 2 columns, not T; the pursuit ranks the four dictionaries'
+    # gains in one truncation_curves call per realization.
+    shapes = []
 
     def spy(fn):
         def wrapper(signals, *args, **kwargs):
-            widths.append((fn.__name__, signals.shape[1]))
+            shapes.append((fn.__name__, np.shape(signals)))
             return fn(signals, *args, **kwargs)
 
         return wrapper
 
     monkeypatch.setattr(experiments, "fit_coupling", spy(experiments.fit_coupling))
     monkeypatch.setattr(experiments, "plane_pursuit_curves", spy(experiments.plane_pursuit_curves))
+    monkeypatch.setattr(sparse, "truncation_curves", spy(sparse.truncation_curves))
     for signal_class in SIGNAL_CLASSES:
-        widths.clear()
-        run_sparsity_sweep(SweepConfig(out=str(tmp_path / signal_class), signal_class=signal_class, realizations=2))
-        assert widths == [("fit_coupling", 2), ("plane_pursuit_curves", 2)] * 2, signal_class
+        shapes.clear()
+        cfg = SweepConfig(out=str(tmp_path / signal_class), signal_class=signal_class, realizations=2)
+        run_sparsity_sweep(cfg)
+        n = cfg.num_nodes + cfg.num_edges
+        per_realization = [("fit_coupling", (n, 2)), ("plane_pursuit_curves", (n, 2)), ("truncation_curves", (4, n))]
+        assert shapes == per_realization * 2, signal_class
 
 
 @pytest.mark.parametrize("num_signals", [1, 2, 40])
@@ -610,16 +615,20 @@ def test_denoise_rotates_the_clean_batch_into_the_fixed_bases_once_per_run(tmp_p
     # the learned, the Dirac and the Laplacian pairs of every realization and SNR come from one plane_energies call.
     cfg = DenoiseConfig(out=str(tmp_path / "run"), num_nodes=6, num_edges=9, num_signals=40, gen_eta0=5,
                         snr_grid=(0.0, 10.0, 20.0), bandwidth_grid=(3, 8), realizations=2, seed=4)
-    rotated, reduced = [], []
-    energies, reduce = experiments.plane_energies, experiments.reduce_blocks
+    rotated, reduced, truncated = [], [], []
+    energies, reduce, truncate = experiments.plane_energies, experiments.reduce_blocks, experiments.truncation_curves
     monkeypatch.setattr(experiments, "plane_energies",
                         lambda z, r, pairs: rotated.append((z.shape, pairs.shape)) or energies(z, r, pairs))
     monkeypatch.setattr(experiments, "reduce_blocks",
                         lambda planes, norms: reduced.append(planes.shape) or reduce(planes, norms))
+    monkeypatch.setattr(experiments, "truncation_curves", lambda noisy, error, clean, levels: truncated.append(
+        (noisy.shape, error.shape, clean.shape, list(levels))) or truncate(noisy, error, clean, levels))
     run_denoise(cfg)
     (rank,) = {shape[0] for shape in reduced}
     assert reduced == [(rank, 2, 40)]
     assert rotated == [((15, 2), (3 * 2 * 3, rank, 2, 2))]
+    # Every fit's learned, Dirac and Laplacian curves come from one ranking of the noisy row energies.
+    assert truncated == [((2 * 3, 3, 15),) * 3 + ([3, 8],)]
 
 
 @pytest.mark.parametrize("n, rank, num_signals", [(15, 5, 40), (15, 5, 1), (19, 9, 2), (6, 0, 3), (8, 4, 30)])

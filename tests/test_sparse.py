@@ -19,6 +19,7 @@ from topospinor.sparse import (
     plane_energies,
     plane_pursuit_curves,
     row_hard_threshold,
+    truncation_curves,
 )
 from topospinor.synth import SIGNAL_CLASSES, SignalClassSpec, add_awgn, gen_signals, random_graph
 from topospinor.topology import (
@@ -500,11 +501,56 @@ class TestRowEnergyCurveRejects:
         planes, harmonic = plane_energies(rng.normal(size=(8, 3)), 1, shared)  # one plane: per-plane pairs
         assert planes.shape == (2, 2, 1) and harmonic.shape == (6,)
 
-    @pytest.mark.parametrize("level", [0, 7])
+    @pytest.mark.parametrize("level", [0, 7, 2.7])
     def test_level_out_of_range(self, rng, level):
         with pytest.raises(ValueError, match="levels"):
             plane_pursuit_curves(rng.normal(size=(6, 3)), 2, [self.PAIRS], [3, level])
 
+
+
+def sorted_gain_curves(gains, levels):
+    """The sweep's former ranking: all but the L largest gains, summed as a cumulative sum of the sorted gains."""
+    smallest = np.concatenate([np.zeros((*gains.shape[:-1], 1)), np.cumsum(np.sort(gains, axis=-1), axis=-1)], axis=-1)
+    return smallest[..., gains.shape[-1] - np.array(levels)]
+
+
+def prefix_suffix_curves(noisy, error, clean, levels):
+    """Denoise's former ranking: a stable sort of the noisy energies, then a prefix sum of the kept rows' error
+    energy plus a suffix sum of the dropped rows' clean energy."""
+    order = np.argsort(-noisy, axis=-1, kind="stable")
+    zero = np.zeros((*order.shape[:-1], 1))
+    kept = np.cumsum(np.concatenate([zero, np.take_along_axis(error, order, -1)], -1), -1)
+    dropped = np.cumsum(np.concatenate([zero, np.take_along_axis(clean, order, -1)[..., ::-1]], -1), -1)[..., ::-1]
+    return kept[..., levels] + dropped[..., levels]
+
+
+def test_truncation_keeps_the_lower_of_tied_rows():
+    # Rows 1 and 2 tie at the top.  Keeping row 1 at level 1 leaves 20 + (1 + 3 + 4); keeping row 2 would leave 37.
+    rank_by, kept, dropped = np.array([1.0, 3.0, 3.0, 2.0]), np.array([10.0, 20.0, 30.0, 40.0]), np.arange(1.0, 5.0)
+    assert truncation_curves(rank_by, kept, dropped, [1, 2, 3, 4]).tolist() == [28.0, 55.0, 91.0, 100.0]
+    # Every row tied, along a leading axis: level b keeps the first b rows of each.
+    kept, dropped = np.stack([kept, -kept]), np.stack([dropped, 2 * dropped])
+    expected = [[kept[i, :b].sum() + dropped[i, b:].sum() for b in range(1, 5)] for i in range(2)]
+    assert truncation_curves(np.ones((2, 4)), kept, dropped, range(1, 5)).tolist() == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 63])
+@pytest.mark.parametrize("seed", range(4))
+def test_truncation_matches_the_two_formulations_it_replaces_bit_for_bit(seed, n):
+    # Random energies over (fits x methods x rows), with forced ties: a few rounded values, and copied rows.
+    rng = np.random.default_rng(seed)
+
+    def energies():
+        values = rng.exponential(size=(5, 3, n)) * 10.0 ** rng.integers(-8, 3, size=(5, 3, 1))
+        values[..., ::3] = np.round(values[..., ::3], 1)
+        values[..., n // 2 :: 4] = values[..., :1]
+        return values
+
+    gains, noisy, error, clean = energies(), energies(), energies(), energies()
+    levels = [1, n, *rng.integers(1, n + 1, size=5).tolist()]
+    assert np.array_equal(truncation_curves(gains, 0.0, gains, levels), sorted_gain_curves(gains, levels))
+    expected = prefix_suffix_curves(noisy, error, clean, levels)
+    assert np.array_equal(truncation_curves(noisy, error, clean, levels), expected)
 
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),

@@ -37,7 +37,11 @@ Output schema (``"schema": "bench_pairs/1"``):
   pairs where both sides ran, and ``ratio_q1`` and ``ratio_q3``, the
   quartiles of those per-pair ratios (informational, the verdict does not
   read them: a machine that drifts moves both sides of a pair together, so
-  their band stays narrow while the parent's IQR widens); ``pairs_won``, how
+  their band stays narrow while the parent's IQR widens); ``first_ratio``,
+  the median over the pairs of the first run's value over the second run's
+  (None if no run records ``first``; informational, the verdict does not
+  read it: on an A/A run, where both sides are one commit, it shows how much
+  the order within a pair moves the metric); ``pairs_won``, how
   many of those ``pairs`` favour the change; ``parent_iqr_rel``,
   (q3 - q1) / median of the parent; and, for
   the NMSE metrics, ``bit_identical``, whether every run of both sides gave
@@ -149,6 +153,8 @@ def summarize(runs: list[dict], metrics: dict[str, tuple[str, float]]) -> dict:
     for workload in dict.fromkeys(r["workload"] for r in runs):
         done = {side: {r["pair"]: r["result"] for r in runs
                        if r["workload"] == workload and r["side"] == side and "result" in r} for side in SIDES}
+        first = {r["pair"]: r["side"] for r in runs if r["workload"] == workload and r.get("first")}
+        second = {pair: SIDES[side == "parent"] for pair, side in first.items()}
         failed = {side: sum(res["failed"] for res in done[side].values()) for side in SIDES}
         attempted = {side: sum(res["attempted"] for res in done[side].values()) for side in SIDES}
         share = {side: failed[side] / attempted[side] if attempted[side] else None for side in SIDES}
@@ -166,6 +172,7 @@ def summarize(runs: list[dict], metrics: dict[str, tuple[str, float]]) -> dict:
                 continue
             paired = sorted(values["parent"].keys() & values["change"].keys())
             ratios = [values["change"][p] / values["parent"][p] for p in paired if values["parent"][p]]
+            leads = [values[first[p]][p] / values[second[p]][p] for p in paired if p in first and values[second[p]][p]]
             won = sum((values["change"][p] > values["parent"][p]) if better == "higher"
                       else (values["change"][p] < values["parent"][p]) for p in paired)
             stats = {side: _quartiles(list(values[side].values())) for side in SIDES}
@@ -173,6 +180,7 @@ def summarize(runs: list[dict], metrics: dict[str, tuple[str, float]]) -> dict:
             entry[name] = {
                 "better": better, **stats,
                 "median_ratio": ratio.get("median"), "ratio_q1": ratio.get("q1"), "ratio_q3": ratio.get("q3"),
+                "first_ratio": statistics.median(leads) if leads else None,
                 "pairs_won": won, "pairs": len(paired),
                 "parent_iqr_rel": (parent["q3"] - parent["q1"]) / parent["median"] if parent["median"] else None,
                 "verdict": verdict(*(list(values[side].values()) for side in SIDES), better, bound, won, len(paired),
