@@ -48,20 +48,17 @@ its coordinate along (u_i; 0), row 1 along (0; v_i), and the columns are
 step never leave the planes, and the k-step reads only these coordinates.
 The harmonic columns are left out, since there P equals Psi and H stays 0.
 The dense basis is built once, at the end, for ``DdtlSolution.basis``; no
-reconstruction is formed across the signals, as the module's objective
-gives its error.
+reconstruction is formed, as the objective gives its error.
 
 The cycle runs on two columns.  Every step reads z only through rotations
 within one mode plane (the analysis, the reconstruction, the 2x2 code
 solve), row norms (the hard threshold) and within-plane sums over the
 signals of products of rows (the k-step, the gaps, the objective), none of
 which changes when plane i's block z_i (2 x T) becomes z_i Q for an
-orthogonal Q.  So the fit runs on ``topology.reduce_planes``, each z_i
-replaced by its 2 x 2 QR triangle, and maps the codes back through the Q_i
-once at the end (``topology.lift_planes``), never through R_i^-1, singular
-on every plane a noiseless batch leaves empty.  After the O((V^2 + E^2) T)
-reduction an iteration costs O(V+E).  The hard threshold's ties (ROADMAP
-item 6) stay: rounding decides which row of a tied pair is kept.
+orthogonal Q.  So the fit runs on ``topology.reduce_planes`` of the
+projection, each z_i replaced by its 2 x 2 triangle R_i, and an iteration
+costs O(V+E).  Rounding picks the row of a tied pair at the hard threshold
+(ROADMAP item 6).
 
 An iteration reads and writes the n x 2 iterates (n = V+E) through their
 row blocks [minus | harmonic | plus], never stacking them anew.  What is
@@ -91,8 +88,9 @@ itself carries the scaled dual M, and Omega keeps every row.  In plane i the
 kept atoms of Psi(k*) among the minus column (k-, -1) and the plus column
 (1, k+) get the minimum-norm least-squares fit, which is exact where both
 are kept and not parallel (1 + k- k+ != 0); a kept harmonic row is its own
-code.  This is O(V+E) on the plane reduction, and the codes' error is the
-objective at them; only the codes and Omega are lifted to T columns.
+code.  This map gives the codes' error, the objective at them, from the
+plane reduction and the T-wide codes from the projection: no code passes
+through R_i^-1, singular on every plane a noiseless batch leaves empty.
 """
 
 from __future__ import annotations
@@ -103,7 +101,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sparse import column_normalize, row_hard_threshold
-from .topology import SpectralDecomposition, lift_planes, reduce_planes
+from .topology import SpectralDecomposition, project, reduce_planes
 from .transform import build_mass_basis
 
 __all__ = [
@@ -139,7 +137,7 @@ def plane_grams(z: np.ndarray, rank: int) -> np.ndarray:
     """Each mode plane's Gram: (3, rank), the rows ||z_u||^2, <z_u, z_v> and ||z_v||^2.
 
     ``z`` is the projected batch (``topology.project``) or its plane reduction
-    (``topology.reduce_blocks``), n x T (or n): plane i is rows z_u = z[i] and
+    (``topology.reduce_planes``), n x T (or n): plane i is rows z_u = z[i] and
     z_v = z[n - rank + i].
     """
     z = np.asarray(z, dtype=float).reshape(len(z), -1)
@@ -219,12 +217,11 @@ class ConvergenceReport:
 class DdtlState:
     """Mutable ADMM iterate.
 
-    ``z`` is the data in spectral coordinates (fixed for the fit; rows
-    [u^T S_V; u_H^T S_V; v_H^T S_E; v^T S_E]), each mode plane reduced to its
-    2 x 2 triangle, min(T, 2) columns as are ``omega``, ``x`` and ``m``; the
-    per-plane Q_i in ``plane_basis`` lift them to T columns (see the module
-    notes).  ``psi`` caches the unnormalized basis at ``k``; it, ``p`` and
-    ``h`` hold the (2, 2r) plane coordinates of the coupled columns.
+    ``projection`` is the data in spectral coordinates (fixed for the fit;
+    rows [u^T S_V; u_H^T S_V; v_H^T S_E; v^T S_E]) and ``z`` its plane
+    reduction, min(T, 2) columns as are ``omega``, ``x`` and ``m`` (see the
+    module notes).  ``psi`` caches the unnormalized basis at ``k``; it, ``p``
+    and ``h`` hold the (2, 2r) plane coordinates of the coupled columns.
     """
 
     z: np.ndarray
@@ -235,22 +232,21 @@ class DdtlState:
     h: np.ndarray
     m: np.ndarray
     psi: np.ndarray
-    plane_basis: tuple
+    projection: np.ndarray
 
 
 @dataclass
 class DdtlSolution:
-    """The learned couplings, the final Omega, the polished codes and the unit-column basis built at k*.
+    """The learned couplings, the polished codes and the unit-column basis built at k*.
 
     ``codes`` are the least-squares codes on the rows the final X keeps (see
     the module notes), every dropped row +0.0.  No reconstruction is formed:
     ``codes_error`` is ||S - Psi(k*) codes||_F^2 and ``report.final_objective``
-    ||S - Psi(k*) Omega*||_F^2, since Q and each plane's Q_i keep the norm of
-    the residual.
+    ||S - Psi(k*) Omega*||_F^2 for the final Omega, since Q and each plane's
+    Q_i keep the norm of the residual.
     """
 
     k_star: np.ndarray  # the 2r couplings, minus branch first
-    omega_star: np.ndarray
     codes: np.ndarray
     codes_error: float
     basis: np.ndarray
@@ -317,13 +313,14 @@ def _codes(z: np.ndarray, k: np.ndarray, kept: np.ndarray, d: SpectralDecomposit
     z_u, z_v = z[:r], z[n - r :]
     codes[:r] = inv[0, 0, :, None] * z_u + inv[0, 1, :, None] * z_v
     codes[n - r :] = inv[1, 0, :, None] * z_u + inv[1, 1, :, None] * z_v
+    codes[~kept] = 0.0  # 0 times a negative entry of z is -0.0
     return codes
 
 
 def initialize_state(S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -> DdtlState:
     """Project the data, reduce each mode plane to its triangle and start at the Dirac coupling k = 1."""
-    k = np.ones(2 * d.rank)
-    z, plane_basis = reduce_planes(S, d)
+    k, projection = np.ones(2 * d.rank), project(S, d)
+    z = reduce_planes(projection, d.rank)
     psi = _build_psi(d, k)
     omega = _analysis(z, k, d)
     return DdtlState(
@@ -335,7 +332,7 @@ def initialize_state(S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -
         h=np.zeros_like(psi),
         m=np.zeros_like(omega),
         psi=psi,
-        plane_basis=plane_basis,
+        projection=projection,
     )
 
 
@@ -423,9 +420,9 @@ def ddtl_fit(S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -> DdtlSo
     The coupling applies only to the 2r non-harmonic columns; harmonic columns
     of the basis are fixed.  Stops at ``cfg.max_iter`` otherwise.  The report
     records, per iteration, the data objective and both splitting gaps.  The
-    fit runs on the plane-reduced batch (see the module notes); Omega and the
-    least-squares codes on the rows the final X keeps are mapped back to T
-    columns once, each dropped row of the codes to exact +0.0.
+    fit runs on the plane-reduced batch (see the module notes); the
+    least-squares codes on the rows the final X keeps are computed once, from
+    the projection, each dropped row exact +0.0.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != d.dim:
@@ -473,10 +470,8 @@ def ddtl_fit(S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -> DdtlSo
     )
     k, r = state.k, d.rank
     kept = np.any(state.x != 0.0, axis=1)
-    codes = _codes(state.z, k, kept, d)
-    codes_error = _objective(state, d, codes)
-    omega, codes = (lift_planes(a, state.plane_basis) for a in (state.omega, codes))
-    codes[~kept] = 0.0  # a lifted 0 times a negative basis entry is -0.0
-    del state  # the per-plane bases go before the dense basis is built
-    return DdtlSolution(k_star=k, omega_star=omega, codes=codes, codes_error=codes_error,
+    codes_error = _objective(state, d, _codes(state.z, k, kept, d))
+    codes = _codes(state.projection, k, kept, d)
+    del state  # the projection goes before the dense basis is built
+    return DdtlSolution(k_star=k, codes=codes, codes_error=codes_error,
                         basis=build_mass_basis(d, k[:r], k[r:]), report=report)

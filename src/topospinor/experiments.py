@@ -13,8 +13,7 @@ the rank r = V - 1, and no singular vector on ``mixture_of_dirac``.
 The rule (each plane's principal axis, mod 90 degrees, clipped to the box
 k in [0, 1], ties to k = 1) is stated in :mod:`topospinor.ddtl`.
 ``run_ddtl_fit`` runs the ADMM (``ddtl.ddtl_fit``) until ROADMAP item 0 lets
-it move to the closed form, and writes the least-squares codes on the at most
-eta0 rows its final X keeps, not the ADMM's dense Omega.
+it move to the closed form, and writes its eta0-row-sparse codes.
 
 Every pipeline is deterministic given its master seed, at a fixed BLAS
 thread count and one numpy/LAPACK build (ROADMAP item 15: LAPACK picks the
@@ -57,7 +56,7 @@ from .topology import (
     dirac_eigenbasis,
     laplacian_singular_values,
     project,
-    reduce_blocks,
+    reduce_planes,
     spectral_decompose,
     super_laplacian_eigenbasis,
 )
@@ -102,9 +101,13 @@ def _run_header(command: str, cfg, graph: OrientedGraph | None = None) -> dict:
     return {"command": command, "config": config, "graph": dict(zip(("num_nodes", "num_edges"), size))}
 
 
-def _check_levels(name: str, levels: tuple[int, ...], n: int) -> None:
-    """Refuse a grid of sparsity levels or bandwidths outside [1, n], n = V + E, or with a repeated level."""
-    if not all(1 <= lv <= n for lv in levels):
+def _check_levels(name: str, levels: tuple[int, ...], n: int | None) -> None:
+    """Refuse a grid of sparsity levels or bandwidths with a level that is not an integer (a bool is not one), one
+    outside [1, n], n = V + E, or a repeated level.  With n None, as in ``DenoiseConfig`` before its graph is read,
+    the range is left to a later call."""
+    if bad := [lv for lv in levels if isinstance(lv, bool) or not isinstance(lv, (int, np.integer))]:
+        raise ValueError(f"{name} levels must be integers, not {', '.join(map(repr, bad))}")
+    if n is not None and not all(1 <= lv <= n for lv in levels):
         raise ValueError(f"{name} levels must lie in [1, V + E = {n}], got {levels}")
     if len(set(levels)) != len(levels):
         raise ValueError(f"{name} levels must not repeat, got {levels}")
@@ -338,7 +341,7 @@ def _plane_factor(support: np.ndarray, coefficients: np.ndarray, k: np.ndarray, 
     Plane i's T-wide block A_i^T c_i (A_i the pair of ``_plane_bases`` at k_i, c_i the plane's minus and plus
     rows) and its factor W_i = R_i A_i share their Gram, where R_i is zero for a plane with no supported column,
     ||c|| in the slot of a plane's one supported column, and the R-only QR triangle of c_i^T for a plane with both:
-    one batched QR over those planes alone.  W_i goes into z2 as ``topology.reduce_blocks`` places its triangles.
+    one batched QR over those planes alone.  W_i goes into z2 as ``topology.reduce_planes`` places its triangles.
     """
     r, T = len(k), coefficients.shape[1]
     plane, plus = support % r, support >= r
@@ -433,6 +436,7 @@ class DenoiseConfig:
             raise ValueError("snr_grid and bandwidth_grid must be non-empty")
         if self.realizations < 1:
             raise ValueError("realizations must be positive")
+        _check_levels("bandwidth_grid", self.bandwidth_grid, None)
         if not all(snr > -np.inf for snr in self.snr_grid):  # false for nan too; +inf is the noiseless case
             raise ValueError(f"snr_grid levels must be numbers or inf, not nan or -inf: {self.snr_grid}")
         if len(set(self.snr_grid)) != len(self.snr_grid):  # 0 and -0 are one level
@@ -492,7 +496,7 @@ def run_denoise(cfg: DenoiseConfig) -> Path:
     (``ddtl.coupling_from_grams``), and the noisy and error row energies are
     their quadratic forms (``_row_energies``).  The clean row energies are
     sums of squares, so never below 0: the clean batch is reduced once per
-    run to its 2 x 2 triangles (``topology.reduce_blocks``), whose energies
+    run to its 2 x 2 triangles (``topology.reduce_planes``), whose energies
     in every basis of every fit come from one ``sparse.plane_energies`` call,
     and every truncation curve from one ``sparse.truncation_curves`` call.
     """
@@ -524,18 +528,18 @@ def run_denoise(cfg: DenoiseConfig) -> Path:
     # Per fit, in the rows' order, the learned, the Dirac and the Laplacian pairs.
     bases = _plane_bases(coupling_from_grams(noisy_grams[0]))
     pairs = np.stack(np.broadcast_arrays(bases["ddtl"], bases["dirac"], bases["laplacian"]), axis=1)
-    z2, _ = reduce_blocks(np.stack([clean_z[:r], clean_z[d.dim - r :]], axis=1), np.sqrt(_grams(clean_z, r)[1]))
+    z2 = reduce_planes(clean_z, r)
     clean_planes, clean_harmonic = plane_energies(z2, r, pairs.reshape(3 * len(fits), r, 2, 2))  # not -1: r may be 0
     clean_energies = _with_harmonic(clean_planes.reshape(len(fits), 3, 2 * r), clean_harmonic)
-    bandwidths = [int(bw) for bw in cfg.bandwidth_grid]
     curves = truncation_curves(  # fits x methods x bandwidths
-        _row_energies(*noisy_grams, pairs), _row_energies(*error_grams, pairs), clean_energies, bandwidths) / energy
+        _row_energies(*noisy_grams, pairs), _row_energies(*error_grams, pairs), clean_energies, cfg.bandwidth_grid)
+    curves /= energy
 
     rows = []
     methods = ("ddtl", "dirac_truncation", "laplacian_truncation")
     for (real, snr), noisy_input, curve in zip(fits, inputs, curves.tolist()):
         rows.append(("noisy_input", float(snr), None, real, noisy_input))
-        for bw, values in zip(bandwidths, zip(*curve)):
+        for bw, values in zip(cfg.bandwidth_grid, zip(*curve)):
             rows.extend((method, float(snr), bw, real, value) for method, value in zip(methods, values))
     # The fits run realization-major, so the claim is (realization, snr, bandwidth) once reshaped.
     wins = _at_most_rivals(curves, 0, [1, 2]).reshape(cfg.realizations, len(cfg.snr_grid), -1).sum(axis=(0, 2))
@@ -550,7 +554,7 @@ def run_denoise(cfg: DenoiseConfig) -> Path:
         "learner": {"fits": len(fits), "stop_reasons": {"exact": len(fits)}, "iterations": 0},
         # Recorded, not asserted: a basis fitted to the noise has no dominance theorem (ROADMAP item 11).
         "ddtl_le_truncations": {
-            "pairs_per_snr": cfg.realizations * len(bandwidths),
+            "pairs_per_snr": cfg.realizations * len(cfg.bandwidth_grid),
             "by_snr": {f"{snr:g}": int(count) for snr, count in zip(cfg.snr_grid, wins)},
         },
         "seed_rule": "sub_seed = SeedSequence([master, realization, crc32(tag)]) first word",

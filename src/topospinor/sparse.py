@@ -165,7 +165,7 @@ def omp(dictionary: np.ndarray, signals: np.ndarray, sparsity: int) -> SparseCod
 def plane_energies(z, rank, pairs) -> tuple[np.ndarray, np.ndarray]:
     """The energies of a projected batch's rows rotated into orthonormal atom pairs per mode plane.
 
-    ``z`` (n x T, or n) is ``topology.project`` or ``topology.reduce_blocks``:
+    ``z`` (n x T, or n) is ``topology.project`` or ``topology.reduce_planes``:
     plane i is rows z_u = z[i] and z_v = z[n - rank + i], the rows between are
     harmonic.  Row j of pairs[b, i] (pairs is (B, rank, 2, 2)) holds atom j of
     basis b in plane i as (z_u, z_v) coefficients.  Returns the energies of the
@@ -221,10 +221,11 @@ def truncation_curves(rank_by, kept, dropped, levels) -> np.ndarray:
     rows, so of equal ``rank_by`` values the lower row is kept.  Precision
     rule: the dropped energies are summed from the lowest-ranked row up, never
     as a total minus the kept part (a cancellation error near 1e-16 of the
-    total).  Raises ValueError naming each level not an integer in [1, n].
+    total).  Raises ValueError naming each level not an integer in [1, n]; a
+    bool is not one.
     """
     n, levels = np.shape(rank_by)[-1], list(levels)
-    if bad := [level for level in levels if not (isinstance(level, (int, np.integer)) and 1 <= level <= n)]:
+    if bad := [lv for lv in levels if isinstance(lv, bool) or not (isinstance(lv, (int, np.integer)) and 1 <= lv <= n)]:
         raise ValueError(f"levels must be integers in [1, {n}], not {', '.join(map(str, bad))}")
     order = np.argsort(np.negative(rank_by, dtype=float), axis=-1, kind="stable")
     kept, dropped = (np.take_along_axis(np.broadcast_to(e, order.shape), order, -1) for e in (kept, dropped))

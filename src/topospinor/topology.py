@@ -27,8 +27,6 @@ __all__ = [
     "super_laplacian_eigenbasis",
     "project",
     "reduce_planes",
-    "reduce_blocks",
-    "lift_planes",
     "decomposition_residuals",
 ]
 
@@ -278,51 +276,23 @@ def project(S: np.ndarray, d: SpectralDecomposition) -> np.ndarray:
     return np.vstack([d.u.T @ s_node, d.u_harmonic.T @ s_node, d.v_harmonic.T @ s_edge, d.v.T @ s_edge])
 
 
-def reduce_planes(S: np.ndarray, d: SpectralDecomposition) -> tuple[np.ndarray, tuple]:
-    """``project(S, d)`` with every mode plane's 2 x T block replaced by its 2 x 2 QR triangle: (z2, the bases).
+def reduce_planes(z: np.ndarray, rank: int) -> np.ndarray:
+    """z2 (n x min(T, 2)) of a projected batch z (``project``): each mode plane's 2 x T block as its 2 x 2 triangle.
 
-    ``reduce_blocks`` of the projection's plane blocks and harmonic rows'
-    norms; the Q_i and the harmonic rows over their norms (0 for a zero row)
-    are kept for ``lift_planes``.
-    """
-    z, r = project(S, d), d.rank
-    harmonic = z[r : len(z) - r]
-    norms = np.sqrt(np.einsum("ht,ht->h", harmonic, harmonic))
-    unit = harmonic / np.where(norms == 0.0, 1.0, norms)[:, None]
-    planes = np.stack([z[:r], z[len(z) - r :]], axis=1)
-    del z, harmonic  # so that the peak past the projection is S, the blocks and the QR's copy of them
-    z2, q = reduce_blocks(planes, norms, basis=True)
-    return z2, (q, unit)
-
-
-def reduce_blocks(planes: np.ndarray, norms: np.ndarray, basis: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-    """z2 from the mode planes' blocks z_i (r x 2 x T) and the harmonic rows' norms, and the Q_i with ``basis``.
-
-    One batched QR writes z_i^T = Q_i R_i (R only without ``basis``); z2
-    (n x min(T, 2)) holds R_i[:, 0] in row i, R_i[:, 1] in row n - r + i and
-    each harmonic norm in column 0.  Rotations within a plane, row energies
-    and within-plane sums over the signals of products of rows read the same
-    on z2 as on the blocks, since none changes when z_i becomes z_i Q for an
+    One batched R-only QR writes z_i^T = Q_i R_i, z_i the plane's rows i and
+    n - rank + i; z2 holds R_i[:, 0] in row i, R_i[:, 1] in row n - rank + i
+    and each harmonic row's norm in column 0.  Rotations within a plane, row
+    energies and within-plane sums over the signals of products of rows read
+    the same on z2 as on z, since none changes when z_i becomes z_i Q for an
     orthogonal Q.
     """
-    (r, _, T), n = planes.shape, 2 * len(planes) + len(norms)
-    blocks = planes.transpose(0, 2, 1)
-    q, tri = np.linalg.qr(blocks) if basis else (None, np.linalg.qr(blocks, mode="r"))
+    (n, T), r = z.shape, int(rank)
+    harmonic = z[r : n - r]
+    tri = np.linalg.qr(np.stack([z[:r], z[n - r :]], axis=-1), mode="r")
     z2 = np.zeros((n, min(T, 2)))
-    z2[:r], z2[r : n - r, :1], z2[n - r :] = tri[..., 0], norms[:, None], tri[..., 1]
-    return z2, q
-
-
-def lift_planes(x2: np.ndarray, bases: tuple) -> np.ndarray:
-    """Each row of x2 times its basis from ``reduce_planes``, transposed: n x T, and z for x2 = z2.
-
-    Whatever is computed from z2 by maps within each plane and within each
-    harmonic row lifts to the same computed from z.
-    """
-    q, unit = bases
-    n, r = len(x2), q.shape[0]
-    minus, plus = np.einsum("iw,itw->it", x2[:r], q), np.einsum("iw,itw->it", x2[n - r :], q)
-    return np.concatenate([minus, x2[r : n - r, :1] * unit, plus])
+    z2[:r], z2[n - r :] = tri[..., 0], tri[..., 1]
+    z2[r : n - r, 0] = np.sqrt(np.einsum("ht,ht->h", harmonic, harmonic))
+    return z2
 
 
 def decomposition_residuals(d: SpectralDecomposition, B: np.ndarray) -> dict[str, float]:

@@ -21,9 +21,9 @@ def super_laplacian(B: np.ndarray) -> np.ndarray:
 
 
 def reconstruction(d, solution) -> np.ndarray:
-    """Psi(k*) Omega* of a ``ddtl_fit`` solution: the unnormalized coupling basis, formed densely, times the codes."""
+    """Psi(k*) codes of a ``ddtl_fit`` solution: the unnormalized coupling basis, formed densely, times the codes."""
     k = solution.k_star
-    return unnormalized_basis_matrix(d, k[: d.rank], k[d.rank :]) @ solution.omega_star
+    return unnormalized_basis_matrix(d, k[: d.rank], k[d.rank :]) @ solution.codes
 
 
 def random_graph(num_nodes: int, num_edges: int, seed) -> OrientedGraph:

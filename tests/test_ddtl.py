@@ -29,7 +29,6 @@ from topospinor.synth import SIGNAL_CLASSES, SignalClassSpec, gen_signals, rando
 from topospinor.topology import (
     OrientedGraph,
     build_incidence,
-    lift_planes,
     project,
     reduce_planes,
     spectral_decompose,
@@ -67,12 +66,14 @@ def off_plane(d, M):
 def manual_state(d, S, cfg, k=None, omega=None, p=None, h=None, x=None, m=None):
     """A state with the given iterates; dense P and H enter as their plane coordinates.
 
-    Its data and codes are lifted back to T columns, so that T-wide codes can be set; a fit runs
-    the same steps on the plane-reduced ones, two columns wide.
+    Its data and codes are T columns wide: the projection, the Dirac start's analysis of it, that
+    analysis hard-thresholded and zeros, so that T-wide codes can be set; a fit runs the same steps
+    on the plane-reduced ones, two columns wide.
     """
     state = initialize_state(S, d, cfg)
-    lifted = (lift_planes(a, state.plane_basis) for a in (state.z, state.omega, state.x, state.m))
-    state.z, state.omega, state.x, state.m = lifted
+    state.z = state.projection
+    state.omega = ddtl_module._analysis(state.z, state.k, d)
+    state.x, state.m = row_hard_threshold(state.omega, cfg.eta0), np.zeros_like(state.omega)
     if k is not None:
         state.k = np.asarray(k, dtype=float)
         state.psi = plane_coordinates(d, dense_psi(d, state.k))
@@ -371,7 +372,7 @@ class TestDdtlFit:
         S, _ = gen_signals(d, spec)
         cfg = DdtlConfig(eta0=8, rho1=1e-6, rho2=1e-6, max_iter=100)
         sol = ddtl_fit(S, d, cfg)
-        assert nmse(S, reconstruction(d, sol)) < 1e-4
+        assert sol.report.final_objective < 1e-4 * np.linalg.norm(S) ** 2  # ||S - Psi(k*) Omega*||^2
 
     def test_fully_coupled_objective_collapses_immediately(self):
         # Fully coupled data, Dirac init: the completed first cycle already
@@ -491,7 +492,7 @@ class TestDivergence:
         _poison_after_duals(monkeypatch, 8, {"m": 1e200})
         sol = self._fit(max_iter=8)
         assert sol.report.stop_reason == "max_iter" and sol.report.iterations == 8
-        assert np.all(np.isfinite(sol.omega_star)) and np.all(np.isfinite(sol.k_star))
+        assert np.all(np.isfinite(sol.codes)) and np.all(np.isfinite(sol.k_star))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_huge_batch_diverges_at_the_first_k_step(self):
@@ -519,7 +520,7 @@ class TestEdgeInputs:
         assert len(record) == 1 + sol.report.iterations
         assert sol.report.stop_reason == "tolerance" and sol.report.iterations == 22
         assert sol.report.initial_objective == sol.report.final_objective == 0.0
-        assert not np.any(sol.omega_star) and not np.any(reconstruction(d, sol))
+        assert not np.any(sol.codes) and not np.any(reconstruction(d, sol))
 
     @pytest.mark.parametrize("case", ["rank-1", "harmonic", "T=1", "T=n"])
     def test_degenerate_batch_fits_as_its_square_factor_does(self, case):
@@ -545,8 +546,8 @@ class TestEdgeInputs:
         (sol, warned), (square, square_warned) = fits
         s_hat, square_s_hat = reconstruction(d, sol), reconstruction(d, square)
         assert warned == square_warned
-        assert sol.omega_star.shape == s_hat.shape == batch.shape
-        assert all(np.all(np.isfinite(a)) for a in (sol.k_star, sol.omega_star, s_hat))
+        assert sol.codes.shape == s_hat.shape == batch.shape
+        assert all(np.all(np.isfinite(a)) for a in (sol.k_star, sol.codes, s_hat))
         assert (sol.report.stop_reason, sol.report.iterations) == (square.report.stop_reason, square.report.iterations)
         assert nmse(square_s_hat @ q.T, s_hat) <= 1e-12
 
@@ -591,13 +592,14 @@ class TestSpectralCoordinates:
 
     @pytest.mark.parametrize("width", [1, 2, 3, 60], ids=["T=1", "T=2", "T=3", "T=60"])
     def test_batch_is_reduced_to_two_columns(self, width):
-        # z is the plane reduction of Q^T S, and lifting it through the per-plane bases gives Q^T S back.
+        # The state keeps the projection Q^T S, and z is its plane reduction.
         g, d = small_problem()
         S = np.random.default_rng(6).normal(size=(d.dim, width))
         state = initialize_state(S, d, DdtlConfig(eta0=4))
         assert state.z.shape == state.omega.shape == state.x.shape == state.m.shape == (d.dim, min(width, 2))
         z = project(S, d)
-        assert_allclose(lift_planes(state.z, state.plane_basis), z, rtol=0, atol=1e-12 * np.abs(z).max())
+        assert np.array_equal(state.projection, z)
+        assert np.array_equal(state.z, reduce_planes(z, d.rank))
 
     @pytest.mark.parametrize("graph_seed, signal_class", [(31, c) for c in SIGNAL_CLASSES] + [(33, "fully_decoupled")])
     def test_fit_on_the_plane_reduction_matches_the_fit_on_the_square_factor(self, graph_seed, signal_class):
@@ -634,11 +636,9 @@ class TestSpectralCoordinates:
         assert sol.report.iterations == cfg.max_iter
         k, omega, objective, basis_gap, code_gap = dense_fit(S, d, cfg)
         assert_relative(sol.k_star, k)
-        assert_relative(sol.omega_star, omega)
         assert_relative(sol.report.objective_curve, objective)
         assert_relative(sol.report.basis_gap_curve, basis_gap)
         assert_relative(sol.report.code_gap_curve, code_gap)
-        assert_relative(reconstruction(d, sol), dense_psi(d, k) @ omega)
 
     def test_dense_oracle_keeps_p_and_h_in_the_mode_planes(self):
         # The premise of the plane-coordinate state: every coupled column of
@@ -766,9 +766,7 @@ def test_fit_is_equivariant_under_orthogonal_mixing_of_signals(d, S, cfg):
     assert np.max(np.abs(mixed.k_star - plain.k_star)) <= 1e-9
     energy = np.linalg.norm(S) ** 2
     assert_allclose(mixed.report.objective_curve, plain.report.objective_curve, rtol=0, atol=1e-10 * energy)
-    for name in ("omega_star", "codes"):
-        expected = getattr(plain, name) @ W
-        assert_relative(getattr(mixed, name), expected, bound=1e-9)
+    assert_relative(mixed.codes, plain.codes @ W, bound=1e-9)
     assert_relative(reconstruction(d, mixed), reconstruction(d, plain) @ W, bound=1e-9)
     assert np.array_equal(np.any(mixed.codes != 0, axis=1), np.any(plain.codes != 0, axis=1))
 
@@ -777,12 +775,12 @@ def test_fit_is_equivariant_under_orthogonal_mixing_of_signals(d, S, cfg):
     "d, S, cfg", [pytest.param(d, S, cfg, id=name) for name, d, S, cfg in _orthogonal_mixing_cases()]
 )
 def test_final_objective_is_the_error_of_the_dense_reconstruction(d, S, cfg):
-    # Q and each plane's Q_i keep the norm of the residual, so the fit's last objective is ||S - Psi(k*) Omega*||^2,
-    # which ddtl-fit records over ||S||^2 as reconstruction_nmse.
+    # Q and each plane's Q_i keep the norm of the residual, so the fit's last objective, which ddtl-fit records as
+    # final_objective, is the dense ADMM's ||S - Psi(k*) Omega*||^2 after as many iterations.
     for batch in (S, S[:, :1]):
         sol = ddtl_fit(batch, d, cfg)
-        residual = np.linalg.norm(batch - reconstruction(d, sol)) ** 2
-        assert sol.report.final_objective == pytest.approx(residual, rel=1e-12)
+        objective = dense_fit(batch, d, dataclasses.replace(cfg, max_iter=sol.report.iterations))[2]
+        assert sol.report.final_objective == pytest.approx(objective[-1], rel=1e-12)
 
 
 def test_orthogonal_mixing_cases_cover_both_stops():
@@ -929,7 +927,7 @@ class TestFitCoupling:
     def test_recovers_every_noiseless_class_exactly(self, signal_class, seed):
         d = spectral_decompose(build_incidence(random_graph(12, 24, seed)))
         S, _ = gen_signals(d, SignalClassSpec(signal_class, eta0=10, num_signals=40, seed=seed))
-        for z in (project(S, d), reduce_planes(S, d)[0]):
+        for z in (project(S, d), reduce_planes(project(S, d), d.rank)):
             (residual,) = learned_curve(z, d, [10])
             assert residual <= 1e-25 * np.sum(S**2)
 
@@ -973,5 +971,5 @@ class TestFitCoupling:
     def test_projection_and_plane_reduction_give_the_same_coupling(self):
         d = spectral_decompose(build_incidence(random_graph(12, 24, 3)))
         S = np.random.default_rng(4).normal(size=(d.dim, 40))
-        assert_allclose(fit_coupling(reduce_planes(S, d)[0], d.rank), fit_coupling(project(S, d), d.rank),
-                        rtol=0, atol=1e-12)
+        z = project(S, d)
+        assert_allclose(fit_coupling(reduce_planes(z, d.rank), d.rank), fit_coupling(z, d.rank), rtol=0, atol=1e-12)

@@ -201,11 +201,11 @@ def test_sweep_needs_no_singular_vectors_no_synthesis_and_no_projection(tmp_path
     # projection of the batch and no QR of T-wide plane blocks is formed, and the three sigma-free classes draw no
     # graph at all.
     paths = [(topology, "spectral_decompose"), (synth, "gen_signals"), (topology, "reduce_planes"), (topology, "project")]
-    names = ["spectral_decompose", "gen_signals", "project", "reduce_blocks"]
+    names = ["spectral_decompose", "gen_signals", "project", "reduce_planes"]
     if signal_class in SIGMA_FREE_CLASSES:
         paths += [(synth, "random_graph"), (topology, "build_incidence")]
         names += ["random_graph", "build_incidence"]
-    bindings = make_raise(monkeypatch, paths + [(topology, "reduce_blocks")])
+    bindings = make_raise(monkeypatch, paths)
     assert bindings >= {("topospinor.experiments", name) for name in names}
 
     def no_svd(*args, **kwargs):
@@ -615,17 +615,18 @@ def test_denoise_rotates_the_clean_batch_into_the_fixed_bases_once_per_run(tmp_p
     # the learned, the Dirac and the Laplacian pairs of every realization and SNR come from one plane_energies call.
     cfg = DenoiseConfig(out=str(tmp_path / "run"), num_nodes=6, num_edges=9, num_signals=40, gen_eta0=5,
                         snr_grid=(0.0, 10.0, 20.0), bandwidth_grid=(3, 8), realizations=2, seed=4)
-    rotated, reduced, truncated = [], [], []
-    energies, reduce, truncate = experiments.plane_energies, experiments.reduce_blocks, experiments.truncation_curves
+    projected, rotated, reduced, truncated = [], [], [], []
+    project_, energies = experiments.project, experiments.plane_energies
+    reduce, truncate = experiments.reduce_planes, experiments.truncation_curves
+    monkeypatch.setattr(experiments, "project", lambda S, d: projected.append(project_(S, d)) or projected[-1])
     monkeypatch.setattr(experiments, "plane_energies",
                         lambda z, r, pairs: rotated.append((z.shape, pairs.shape)) or energies(z, r, pairs))
-    monkeypatch.setattr(experiments, "reduce_blocks",
-                        lambda planes, norms: reduced.append(planes.shape) or reduce(planes, norms))
+    monkeypatch.setattr(experiments, "reduce_planes", lambda z, r: reduced.append((z, r)) or reduce(z, r))
     monkeypatch.setattr(experiments, "truncation_curves", lambda noisy, error, clean, levels: truncated.append(
         (noisy.shape, error.shape, clean.shape, list(levels))) or truncate(noisy, error, clean, levels))
     run_denoise(cfg)
-    (rank,) = {shape[0] for shape in reduced}
-    assert reduced == [(rank, 2, 40)]
+    ((z, rank),) = reduced
+    assert z is projected[0] and z.shape == (15, 40)  # the clean batch's projection, projected first
     assert rotated == [((15, 2), (3 * 2 * 3, rank, 2, 2))]
     # Every fit's learned, Dirac and Laplacian curves come from one ranking of the noisy row energies.
     assert truncated == [((2 * 3, 3, 15),) * 3 + ([3, 8],)]
@@ -666,6 +667,15 @@ def test_denoise_records_how_often_the_learned_basis_beats_both_truncations(tmp_
             by_snr[snr] = by_snr.get(snr, 0) + (value <= fixed + DOMINANCE_SLACK)
     assert meta["ddtl_le_truncations"] == {"pairs_per_snr": 3 * 4, "by_snr": by_snr}
     assert list(by_snr) == [f"{snr:g}" for snr in snr_grid]
+
+
+@pytest.mark.parametrize("level", [2.7, 10.5, True])
+@pytest.mark.parametrize("config, grid", [(SweepConfig, "sparsity_grid"), (DenoiseConfig, "bandwidth_grid")])
+def test_configs_refuse_a_level_that_is_not_an_integer_by_name(config, grid, level):
+    # 2.7 would run as level 2 and True as level 1 while run.json recorded the grid as given; each is refused when
+    # the config is made, before anything is drawn.
+    with pytest.raises(ValueError, match=rf"^{grid} levels must be integers, not {level!r}$"):
+        config(out="unused", **{grid: (level, 30)})
 
 
 @pytest.mark.parametrize("snr_grid", [(0.0, -0.0), (5.0, 10.0, 5.0)])
