@@ -601,6 +601,18 @@ class TestSpectralCoordinates:
         assert np.array_equal(state.projection, z)
         assert np.array_equal(state.z, reduce_planes(z, d.rank))
 
+    def test_fit_projects_once_and_forms_no_plane_basis(self, monkeypatch):
+        # The fit keeps its one projection for the codes and reduces it with one R-only QR: no Q_i is formed.
+        g, d = small_problem()
+        S = np.random.default_rng(8).normal(size=(d.dim, 20))
+        projected, modes = [], []
+        project_, qr = ddtl_module.project, np.linalg.qr
+        monkeypatch.setattr(ddtl_module, "project", lambda S, d: projected.append(S) or project_(S, d))
+        monkeypatch.setattr(np.linalg, "qr", lambda a, mode="reduced": modes.append(mode) or qr(a, mode=mode))
+        ddtl_fit(S, d, DdtlConfig(eta0=4, max_iter=5))
+        assert len(projected) == 1 and np.array_equal(projected[0], S)
+        assert modes == ["r"]
+
     @pytest.mark.parametrize("graph_seed, signal_class", [(31, c) for c in SIGNAL_CLASSES] + [(33, "fully_decoupled")])
     def test_fit_on_the_plane_reduction_matches_the_fit_on_the_square_factor(self, graph_seed, signal_class):
         # The square factor R^T of S^T = Q R is what the learner ran on before any reduction:
