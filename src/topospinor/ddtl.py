@@ -60,22 +60,10 @@ projection, each z_i replaced by its 2 x 2 triangle R_i, and an iteration
 costs O(V+E).  Rounding picks the row of a tied pair at the hard threshold
 (ROADMAP item 6).
 
-An iteration reads and writes the n x 2 iterates (n = V+E) through their
-row blocks [minus | harmonic | plus], never stacking them anew.  What is
-left per iteration over those arrays: the k-step's four row-wise sums over
-the coupled rows; the code step's right-hand side
-Psi(k)^T z + rho2 (X - M) and its per-mode 2x2 solve, written back into that
-right-hand side; the hard threshold's input Omega + M, its row norms and its
-copy of the kept rows; the residual Omega - X, computed once for both the
-dual step and the code gap; the dual step's M + (Omega - X); the
-objective's residual; and one sum of squares each for the code gap, ||X||,
-||Omega||, ||M|| and the objective.  Everything else is on the (2, 2r)
-plane arrays or on length-r vectors.  Finiteness costs one scalar test:
-||X||^2, which the stop rule needs anyway, plus ||k||^2, ||Omega||^2,
-||P||^2, ||H||^2 and ||M||^2 is finite when every iterate is.  Only when it
-is not are the six iterates scanned one by one, to name the first
-non-finite one; a finite iterate whose squared norm overflows does not
-raise.
+Each iteration scans the six iterates, in step order k, Omega, P, X, H, M,
+and names the first non-finite one; a finite iterate whose squared norm
+overflows does not raise.  ``update_k`` and ``update_omega`` keep a ``cfg``
+argument they do not read: the penalties are the constants ``RHO1``, ``RHO2``.
 
 Every fit starts from the Dirac coupling k = 1 and stops once both relative
 primal gaps fall below ``PRIMAL_TOL``, or at ``max_iter``.  The report keeps
@@ -123,6 +111,7 @@ __all__ = [
 ]
 
 PRIMAL_TOL = 1e-4
+RHO1 = RHO2 = 10.0  # the penalty weights of the basis and code splittings
 
 
 def fit_coupling(z: np.ndarray, rank: int) -> np.ndarray:
@@ -181,21 +170,15 @@ class DdtlConfig:
     """Hyperparameters of the ADMM solver.
 
     eta0 is the target number of nonzero coefficient rows (the bandwidth) and
-    max_iter the iteration budget: the two values ``ddtl-fit`` sets.
-    rho1/rho2 are the penalty weights of the basis and code splittings; no
-    pipeline exposes them, and they stay here so the ADMM steps can be
-    checked away from their defaults.  The coupling box [-1, 1], the start,
-    the stopping tolerance and the closed-form steps have no settings.
+    max_iter the iteration budget: the two values ``ddtl-fit`` sets.  The
+    penalties ``RHO1`` and ``RHO2``, the coupling box [-1, 1], the start, the
+    stopping tolerance and the closed-form steps have no settings.
     """
 
     eta0: int
-    rho1: float = 10.0
-    rho2: float = 10.0
     max_iter: int = 500
 
     def __post_init__(self):
-        if self.rho1 <= 0 or self.rho2 <= 0:
-            raise ValueError("penalty parameters rho1, rho2 must be positive")
         if self.eta0 < 1:
             raise ValueError(f"eta0 must be positive, got {self.eta0}")
         if self.max_iter < 1:
@@ -271,13 +254,8 @@ def _build_psi(d: SpectralDecomposition, k: np.ndarray) -> np.ndarray:
 def _analysis(z: np.ndarray, k: np.ndarray, d: SpectralDecomposition) -> np.ndarray:
     """Psi(k)^T S, from the projected data z: rows k- z_minus - z_plus, z_harm, z_minus + k+ z_plus."""
     n, r = z.shape[0], d.rank
-    out = z.copy()
-    minus, plus = out[:r], out[n - r :]
-    minus *= k[:r, None]
-    minus -= z[n - r :]
-    plus *= k[r:, None]
-    plus += z[:r]
-    return out
+    z_m, z_p = z[:r], z[n - r :]
+    return np.concatenate([z_m * k[:r, None] - z_p, z[r : n - r], z_p * k[r:, None] + z_m])
 
 
 def _objective(state: DdtlState, d: SpectralDecomposition, omega: np.ndarray | None = None) -> float:
@@ -343,7 +321,7 @@ def update_k(state: DdtlState, d: SpectralDecomposition, cfg: DdtlConfig) -> np.
     row u_i of the reconstruction, and a plus coupling only Omega_plus_i in
     row v_i; its penalty direction (u_i; 0) or (0; v_i) is orthogonal to every
     other column's.  Each coordinate is therefore an independent scalar
-    quadratic with curvature ||Omega_row||^2 + rho1/2 (at least rho1/2 > 0),
+    quadratic with curvature ||Omega_row||^2 + RHO1/2 (at least RHO1/2 > 0),
     minimized by clipping its vertex to the box.  Its penalty term reads the
     coordinate of P - H along that direction: row 0 of the minus columns,
     row 1 of the plus columns.
@@ -351,46 +329,30 @@ def update_k(state: DdtlState, d: SpectralDecomposition, cfg: DdtlConfig) -> np.
     z, omega = state.z, state.omega
     n, r = z.shape[0], d.rank
     om, op = omega[:r], omega[n - r :]
-    half_rho1 = 0.5 * cfg.rho1
-    g, w2 = np.empty(2 * r), np.empty(2 * r)
-    np.einsum("it,it->i", z[:r] - op, om, out=g[:r])
-    np.einsum("it,it->i", z[n - r :] + om, op, out=g[r:])
-    np.einsum("it,it->i", om, om, out=w2[:r])
-    np.einsum("it,it->i", op, op, out=w2[r:])
-    penalty = half_rho1 * (state.p - state.h)
-    g[:r] += penalty[0, :r]
-    g[r:] += penalty[1, r:]
-    w2 += half_rho1
-    g /= w2
-    np.maximum(g, -1.0, out=g)  # the clip to the box, as np.clip does it
-    return np.minimum(g, 1.0, out=g)
+    penalty = 0.5 * RHO1 * (state.p - state.h)
+    g = np.concatenate([np.einsum("it,it->i", z[:r] - op, om) + penalty[0, :r],
+                        np.einsum("it,it->i", z[n - r :] + om, op) + penalty[1, r:]])
+    w2 = np.concatenate([np.einsum("it,it->i", om, om), np.einsum("it,it->i", op, op)]) + 0.5 * RHO1
+    return np.clip(g / w2, -1.0, 1.0)
 
 
 def update_omega(state: DdtlState, d: SpectralDecomposition, cfg: DdtlConfig) -> np.ndarray:
     """Solve the ridge-regularized code subproblem at the current basis.
 
     The Gram of Psi(k) is block-diagonal with one 2x2 block per branch pair
-    and ones on harmonic rows, so the solve is exact per mode.  The right-hand
-    side Psi(k)^T S + rho2 (X - M) is formed in one buffer and solved into it.
+    and ones on harmonic rows, so the solve is exact per mode, on the
+    right-hand side Psi(k)^T S + RHO2 (X - M).
     """
-    rho2, k = cfg.rho2, state.k
+    k = state.k
     n, r = state.z.shape[0], d.rank
-    omega = _analysis(state.z, k, d)
-    ridge = state.x - state.m
-    ridge *= rho2
-    omega += ridge
-    harmonic = omega[r : n - r]
-    harmonic /= 1.0 + rho2
-    # Per-mode 2x2 blocks [[a, b], [b, c]] on length-r vectors: a, c = 1 + k^2 + rho2, b = k- - k+.
-    diag = 1.0 + k * k + rho2
+    rhs = _analysis(state.z, k, d) + (state.x - state.m) * RHO2
+    rhs_m, rhs_p = rhs[:r], rhs[n - r :]
+    # Per-mode 2x2 blocks [[a, b], [b, c]] on length-r vectors: a, c = 1 + k^2 + RHO2, b = k- - k+.
+    diag = 1.0 + k * k + RHO2
     a, c = diag[:r, None], diag[r:, None]
     b = k[:r, None] - k[r:, None]
-    det = a * c - b * b  # positive for rho2 > 0 since (1 + km kp)^2 >= 0
-    rhs_m, rhs_p = omega[:r], omega[n - r :]
-    new_m, new_p = c * rhs_m - b * rhs_p, a * rhs_p - b * rhs_m
-    np.divide(new_m, det, out=rhs_m)
-    np.divide(new_p, det, out=rhs_p)
-    return omega
+    det = a * c - b * b  # positive for RHO2 > 0 since (1 + km kp)^2 >= 0
+    return np.concatenate([(c * rhs_m - b * rhs_p) / det, rhs[r : n - r] / (1.0 + RHO2), (a * rhs_p - b * rhs_m) / det])
 
 
 def update_p(state: DdtlState) -> np.ndarray:
@@ -447,12 +409,8 @@ def ddtl_fit(S: np.ndarray, d: SpectralDecomposition, cfg: DdtlConfig) -> DdtlSo
         basis_res, code_res = state.psi - state.p, state.omega - state.x
         state.h, state.m = update_duals(state, basis_res, code_res)
 
+        _check_finite(it, k=state.k, omega=state.omega, p=state.p, x=state.x, h=state.h, m=state.m)
         basis_sq, code_sq, x_sq, objective = _sumsq(basis_res), _sumsq(code_res), _sumsq(state.x), _objective(state, d)
-        # With ||X||^2, finite when every iterate is (see the module notes).
-        rest = _sumsq(state.k) + _sumsq(state.omega) + _sumsq(state.p)
-        rest += _sumsq(state.h) + _sumsq(state.m)
-        if not math.isfinite(x_sq + rest):
-            _check_finite(it, k=state.k, omega=state.omega, p=state.p, x=state.x, h=state.h, m=state.m)
         basis_gap, code_gap, x_norm = math.sqrt(basis_sq), math.sqrt(code_sq), math.sqrt(x_sq)
         rel_basis = basis_gap / p_norm
         rel_code = code_gap / x_norm if x_norm > 0 else code_gap

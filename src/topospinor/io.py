@@ -328,7 +328,10 @@ NON_FINITE_SPELLINGS = tuple(format_float(x) for x in (np.inf, -np.inf, np.nan))
 
 
 def _spell_non_finite(value):
-    """``value`` with every non-finite float, at any depth, replaced by its ``format_float`` string."""
+    """``value`` with every non-finite float, at any depth, replaced by its ``format_float`` string, and every numpy
+    array or scalar made the Python value ``json.dumps`` takes."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
     if isinstance(value, dict):
         return {key: _spell_non_finite(v) for key, v in value.items()}
     if isinstance(value, (list, tuple)):

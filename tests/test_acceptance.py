@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+import topospinor.ddtl as ddtl_module
 from topospinor.ddtl import DdtlConfig, ddtl_fit, fit_coupling, initialize_state, update_k, update_omega
 from topospinor.experiments import sweep_dictionaries
 from topospinor.frames import build_frame
@@ -182,7 +183,7 @@ def _plane_coordinates(d, M):
     return np.vstack([node, edge])
 
 
-def test_criterion_3_oracle_equivalence():
+def test_criterion_3_oracle_equivalence(monkeypatch):
     with verdict(3, "closed-form updates match brute-force oracles"):
         rng = np.random.default_rng(77)
 
@@ -199,8 +200,8 @@ def test_criterion_3_oracle_equivalence():
         state.m = rng.normal(size=state.omega.shape)
         omega = update_omega(state, d, cfg)
         # The state holds the plane reduction of S, two columns; unproject gives it in signal coordinates.
-        rhs = psi.T @ unproject(state.z, d) + cfg.rho2 * (state.x - state.m)
-        dense = np.linalg.solve(psi.T @ psi + cfg.rho2 * np.eye(12), rhs)
+        rhs = psi.T @ unproject(state.z, d) + ddtl_module.RHO2 * (state.x - state.m)
+        dense = np.linalg.solve(psi.T @ psi + ddtl_module.RHO2 * np.eye(12), rhs)
         assert np.max(np.abs(omega - dense)) < 1e-10
 
         # (b) row threshold vs exhaustive subset search, N <= 8; exact match.
@@ -223,7 +224,8 @@ def test_criterion_3_oracle_equivalence():
         g1 = random_graph(2, 1, 1)
         d1 = spectral_decompose(build_incidence(g1))
         S1 = rng.normal(size=(d1.dim, 1))
-        cfg1 = DdtlConfig(eta0=2, rho1=3.0)
+        monkeypatch.setattr(ddtl_module, "RHO1", 3.0)
+        cfg1 = DdtlConfig(eta0=2)
         state1 = initialize_state(S1, d1, cfg1)
         state1.omega = rng.normal(size=(d1.dim, 1))
         p1 = rng.normal(size=(d1.dim, d1.dim))
@@ -237,7 +239,7 @@ def test_criterion_3_oracle_equivalence():
             psi = unnormalized_basis_matrix(d1, k_stacked[:1], k_stacked[1:])
             return float(
                 np.linalg.norm(S1 - psi @ state1.omega) ** 2
-                + 0.5 * cfg1.rho1 * np.linalg.norm(psi - p1 + h1) ** 2
+                + 0.5 * ddtl_module.RHO1 * np.linalg.norm(psi - p1 + h1) ** 2
             )
 
         for coord in range(2):

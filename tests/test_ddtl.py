@@ -90,13 +90,13 @@ def manual_state(d, S, cfg, k=None, omega=None, p=None, h=None, x=None, m=None):
     return state
 
 
-def k_subproblem(state, d, cfg, k):
+def k_subproblem(state, d, k):
     """The k-step's objective at k, from the state's spectral data and plane coordinates (up to a constant)."""
     data = ddtl_module._objective(dataclasses.replace(state, k=k), d)
-    return data + 0.5 * cfg.rho1 * np.sum((ddtl_module._build_psi(d, k) - state.p + state.h) ** 2)
+    return data + 0.5 * ddtl_module.RHO1 * np.sum((ddtl_module._build_psi(d, k) - state.p + state.h) ** 2)
 
 
-def unclipped_vertices(state, d, cfg, k):
+def unclipped_vertices(state, d, k):
     """Per coordinate, the vertex of the k-step's objective along it at k; the objective is quadratic in each."""
     vertices = np.empty(k.size)
     for coord in range(k.size):
@@ -104,16 +104,16 @@ def unclipped_vertices(state, d, cfg, k):
         for t in (-1.0, 0.0, 1.0):
             probe = k.copy()
             probe[coord] = t
-            f.append(k_subproblem(state, d, cfg, probe))
+            f.append(k_subproblem(state, d, probe))
         vertices[coord] = (f[0] - f[2]) / (2.0 * (f[0] + f[2] - 2.0 * f[1]))
     return vertices
 
 
-def k_objective(d, S, omega, p, h, cfg, k_stacked):
+def k_objective(d, S, omega, p, h, k_stacked):
     """Direct evaluation of the k-subproblem objective with dense P and H; oracle helper."""
     psi = unnormalized_basis_matrix(d, k_stacked[: d.rank], k_stacked[d.rank :])
     data = np.linalg.norm(S - psi @ omega) ** 2
-    penalty = 0.5 * cfg.rho1 * np.linalg.norm(psi - p + h) ** 2
+    penalty = 0.5 * ddtl_module.RHO1 * np.linalg.norm(psi - p + h) ** 2
     return data + penalty
 
 
@@ -125,7 +125,7 @@ def dense_psi(d, k):
     return unnormalized_basis_matrix(d, k[: d.rank], k[d.rank :])
 
 
-def dense_update_k(d, S, cfg, k, omega, p, h):
+def dense_update_k(d, S, k, omega, p, h):
     """Projected coordinate sweeps on the dense residual S - Psi(k) Omega."""
     V, r = d.num_nodes, d.rank
     cols = nonharmonic_column_indices(d)
@@ -143,7 +143,8 @@ def dense_update_k(d, S, cfg, k, omega, p, h):
                 np.einsum("it,it->i", d.v.T @ residual[V:], rows[r:]),
             ]
         )
-        new_k = np.clip((g + k * w2 + 0.5 * cfg.rho1 * c_lin) / (w2 + 0.5 * cfg.rho1), -1.0, 1.0)
+        half_rho1 = 0.5 * ddtl_module.RHO1
+        new_k = np.clip((g + k * w2 + half_rho1 * c_lin) / (w2 + half_rho1), -1.0, 1.0)
         change = float(np.max(np.abs(new_k - k))) if k.size else 0.0
         k = new_k
         if change < 1e-10:
@@ -151,14 +152,15 @@ def dense_update_k(d, S, cfg, k, omega, p, h):
     return k
 
 
-def dense_update_omega(d, S, cfg, k, x, m):
+def dense_update_omega(d, S, k, x, m):
     """Pair-block code solve with the right-hand side Psi(k)^T S + rho2 (X - M)."""
     r = d.rank
     cols = nonharmonic_column_indices(d)
-    rhs = dense_psi(d, k).T @ S + cfg.rho2 * (x - m)
-    omega = rhs / (1.0 + cfg.rho2)
+    rho2 = ddtl_module.RHO2
+    rhs = dense_psi(d, k).T @ S + rho2 * (x - m)
+    omega = rhs / (1.0 + rho2)
     km, kp = k[:r, None], k[r:, None]
-    a, c, b = 1.0 + km**2 + cfg.rho2, 1.0 + kp**2 + cfg.rho2, km - kp
+    a, c, b = 1.0 + km**2 + rho2, 1.0 + kp**2 + rho2, km - kp
     det = a * c - b**2
     rhs_m, rhs_p = rhs[cols[:r]], rhs[cols[r:]]
     omega[cols[:r]] = (c * rhs_m - b * rhs_p) / det
@@ -178,9 +180,9 @@ def dense_fit(S, d, cfg, iterates=None):
     p, h, m = column_normalize(psi), np.zeros_like(psi), np.zeros_like(omega)
     curves = ([], [], [])
     for _ in range(cfg.max_iter):
-        k = dense_update_k(d, S, cfg, k, omega, p, h)
+        k = dense_update_k(d, S, k, omega, p, h)
         psi = dense_psi(d, k)
-        omega = dense_update_omega(d, S, cfg, k, x, m)
+        omega = dense_update_omega(d, S, k, x, m)
         p = column_normalize(h + psi)
         x = row_hard_threshold(omega + m, cfg.eta0)
         h, m = h + (psi - p), m + (omega - x)
@@ -235,7 +237,7 @@ class TestUpdateK:
         k = update_k(state, d, cfg)
         assert_allclose(k, 1.0, atol=1e-12)
 
-    def test_scalar_minimizer_matches_grid_refinement(self):
+    def test_scalar_minimizer_matches_grid_refinement(self, monkeypatch):
         # Single-mode instance (one edge), T = 1: compare each coordinate's
         # closed form against a 1-D oracle (grid refinement to bracket the
         # minimizer, then a dense quadratic fit for the exact vertex; the
@@ -244,7 +246,8 @@ class TestUpdateK:
         assert d.rank == 1
         rng = np.random.default_rng(9)
         S = rng.normal(size=(d.dim, 1))
-        cfg = DdtlConfig(eta0=2, rho1=3.0, max_iter=1)
+        monkeypatch.setattr(ddtl_module, "RHO1", 3.0)
+        cfg = DdtlConfig(eta0=2, max_iter=1)
         k = rng.uniform(-0.5, 0.5, 2)
         omega = rng.normal(size=(d.dim, 1))
         # The oracle sees the whole dense P and H, the state only their plane part.
@@ -259,7 +262,7 @@ class TestUpdateK:
 
             def value(val, probe=probe, coord=coord):
                 probe[coord] = val
-                return k_objective(d, S, omega, p, h, cfg, probe)
+                return k_objective(d, S, omega, p, h, probe)
 
             lo, hi = -1.0, 1.0
             for _ in range(12):  # bracket the box minimizer to ~1e-6
@@ -289,20 +292,21 @@ class TestUpdateK:
         p = 4.0 * rng.normal(size=(d.dim, d.dim))
         state = manual_state(d, S, cfg, omega=rng.normal(size=(d.dim, 6)), p=p, h=np.zeros_like(p))
         k = update_k(state, d, cfg)
-        vertices = unclipped_vertices(state, d, cfg, k)
+        vertices = unclipped_vertices(state, d, k)
         assert np.any(vertices > 1.0) and np.any(vertices < -1.0)
         assert np.all(np.abs(k) <= 1.0)
         assert_allclose(k, np.clip(vertices, -1.0, 1.0), atol=1e-10)
 
 
 class TestUpdateOmega:
-    def test_near_orthonormal_limit(self):
+    def test_near_orthonormal_limit(self, monkeypatch):
         # At zero coupling the unnormalized basis is orthonormal, so with a
         # vanishing penalty the update approaches the plain analysis coefficients.
         g, d = small_problem()
         rng = np.random.default_rng(5)
         S = rng.normal(size=(d.dim, 3))
-        cfg = DdtlConfig(eta0=3, rho2=1e-10, max_iter=1)
+        monkeypatch.setattr(ddtl_module, "RHO2", 1e-10)
+        cfg = DdtlConfig(eta0=3, max_iter=1)
         state = manual_state(d, S, cfg, k=np.zeros(2 * d.rank))
         state.x = np.zeros_like(state.omega)
         state.m = np.zeros_like(state.omega)
@@ -323,8 +327,8 @@ class TestUpdateOmega:
         omega = update_omega(state, d, cfg)
         # Oracle: dense linear solve of (Psi^T Psi + rho2 I) Omega = rhs.
         psi = dense_psi(d, k)
-        rhs = psi.T @ S + cfg.rho2 * (state.x - state.m)
-        dense = np.linalg.solve(psi.T @ psi + cfg.rho2 * np.eye(12), rhs)
+        rhs = psi.T @ S + ddtl_module.RHO2 * (state.x - state.m)
+        dense = np.linalg.solve(psi.T @ psi + ddtl_module.RHO2 * np.eye(12), rhs)
         assert np.max(np.abs(omega - dense)) < 1e-10
 
 
@@ -364,17 +368,19 @@ class TestAuxiliaryUpdates:
 
 
 class TestDdtlFit:
-    def test_generate_and_fit_recovery(self):
+    def test_generate_and_fit_recovery(self, monkeypatch):
         # Oracle run on a 10-node graph: refit noiseless row-sparse data.
         g = random_graph(10, 18, 1)
         d = spectral_decompose(build_incidence(g))
         spec = SignalClassSpec("mixture_of_dirac", eta0=8, num_signals=60, seed=5)
         S, _ = gen_signals(d, spec)
-        cfg = DdtlConfig(eta0=8, rho1=1e-6, rho2=1e-6, max_iter=100)
+        monkeypatch.setattr(ddtl_module, "RHO1", 1e-6)
+        monkeypatch.setattr(ddtl_module, "RHO2", 1e-6)
+        cfg = DdtlConfig(eta0=8, max_iter=100)
         sol = ddtl_fit(S, d, cfg)
         assert sol.report.final_objective < 1e-4 * np.linalg.norm(S) ** 2  # ||S - Psi(k*) Omega*||^2
 
-    def test_fully_coupled_objective_collapses_immediately(self):
+    def test_fully_coupled_objective_collapses_immediately(self, monkeypatch):
         # Fully coupled data, Dirac init: the completed first cycle already
         # fits the batch essentially exactly when the penalties are small.
         g = random_graph(10, 18, 1)
@@ -382,14 +388,17 @@ class TestDdtlFit:
         spec = SignalClassSpec("fully_coupled", eta0=8, num_signals=100, seed=3)
         S, _ = gen_signals(d, spec)
         energy = np.linalg.norm(S) ** 2
-        cfg = DdtlConfig(eta0=8, rho1=1e-8, rho2=1e-8, max_iter=20)
+        monkeypatch.setattr(ddtl_module, "RHO1", 1e-8)
+        monkeypatch.setattr(ddtl_module, "RHO2", 1e-8)
+        cfg = DdtlConfig(eta0=8, max_iter=20)
         sol = ddtl_fit(S, d, cfg)
         assert sol.report.objective_curve[0] < 1e-10 * energy
         assert sol.report.final_objective < 1e-10 * energy
 
     def test_default_hyperparameters(self):
-        cfg = DdtlConfig(eta0=35)
-        assert cfg.rho1 == cfg.rho2 == 10.0
+        assert ddtl_module.RHO1 == ddtl_module.RHO2 == 10.0
+        assert [f.name for f in dataclasses.fields(DdtlConfig)] == ["eta0", "max_iter"]
+        assert DdtlConfig(eta0=35).max_iter == 500
 
     def test_iterates_satisfy_constraints(self, monkeypatch):
         # Data synthesized at couplings +-1.7, outside the box: during the fit
@@ -399,12 +408,14 @@ class TestDdtlFit:
         rng = np.random.default_rng(0)
         k0 = np.where(rng.random(2 * d.rank) < 0.5, -1.7, 1.7)
         S = unnormalized_basis_matrix(d, k0[: d.rank], k0[d.rank :]) @ rng.normal(size=(d.dim, 10))
-        cfg = DdtlConfig(eta0=4, rho1=1.0, rho2=1.0, max_iter=7)
+        monkeypatch.setattr(ddtl_module, "RHO1", 1.0)
+        monkeypatch.setattr(ddtl_module, "RHO2", 1.0)
+        cfg = DdtlConfig(eta0=4, max_iter=7)
         inner, vertices = ddtl_module.update_k, []
 
         def recorded(state, d, cfg):
             k = inner(state, d, cfg)
-            vertices.append(unclipped_vertices(state, d, cfg, k))
+            vertices.append(unclipped_vertices(state, d, k))
             assert_allclose(k, np.clip(vertices[-1], -1.0, 1.0), atol=1e-10)
             return k
 
@@ -734,11 +745,13 @@ class TestSpectralCoordinates:
             assert sol.report.iterations == max_iter
             assert calls == ["build_mass_basis", "unnormalized_basis_matrix"]
 
-    def test_single_steps_match_dense_oracle(self):
+    def test_single_steps_match_dense_oracle(self, monkeypatch):
         g, d = small_problem(num_nodes=6, num_edges=9, seed=4)
         rng = np.random.default_rng(21)
         S = rng.normal(size=(d.dim, 7))
-        cfg = DdtlConfig(eta0=4, rho1=2.5, rho2=0.7, max_iter=1)
+        monkeypatch.setattr(ddtl_module, "RHO1", 2.5)
+        monkeypatch.setattr(ddtl_module, "RHO2", 0.7)
+        cfg = DdtlConfig(eta0=4, max_iter=1)
         k = rng.uniform(-1, 1, 2 * d.rank)
         omega = rng.normal(size=(d.dim, 7))
         p = rng.normal(size=(d.dim, d.dim))
@@ -747,9 +760,9 @@ class TestSpectralCoordinates:
         m = rng.normal(size=(d.dim, 7))
         state = manual_state(d, S, cfg, k=k, omega=omega, p=p, h=h, x=x, m=m)
         # The oracle steps take the dense P and H, off-plane parts included.
-        expected_k = dense_update_k(d, S, cfg, state.k, state.omega, p, h)
+        expected_k = dense_update_k(d, S, state.k, state.omega, p, h)
         assert_relative(update_k(state, d, cfg), expected_k)
-        expected_omega = dense_update_omega(d, S, cfg, state.k, state.x, state.m)
+        expected_omega = dense_update_omega(d, S, state.k, state.x, state.m)
         assert_relative(update_omega(state, d, cfg), expected_omega)
 
 

@@ -33,4 +33,4 @@ def test_a_missing_file_is_named_with_the_side_that_has_it(tmp_path):
 
 def test_every_command_writes_under_its_own_runs_directory():
     outs = [argv[argv.index("--out") + 1] for argv in diff_outputs.commands()]
-    assert len(outs) == len(set(outs)) == 3 * 9 and all(out.startswith("runs/") for out in outs)
+    assert len(outs) == len(set(outs)) == 3 * 11 and all(out.startswith("runs/") for out in outs)

@@ -530,6 +530,34 @@ class TestLearnerTally:
         assert meta["learner"] == exact_learner(2 * 2)
 
 
+NUMPY_INT_CASES = {
+    "sweep-sparsity_grid": (SweepConfig, {"sparsity_grid": (np.int64(2), np.int64(5))}),
+    "sweep-realizations": (SweepConfig, {"realizations": np.int64(2)}),
+    "sweep-seed": (SweepConfig, {"seed": np.int64(1)}),
+    "sweep-num_nodes": (SweepConfig, {"num_nodes": np.int64(8)}),
+    "sweep-num_edges": (SweepConfig, {"num_edges": np.int64(12)}),
+    "denoise-bandwidth_grid": (DenoiseConfig, {"bandwidth_grid": (np.int64(3), np.int64(5))}),
+}
+SMALL_STUDIES = {
+    SweepConfig: (run_sparsity_sweep, dict(num_nodes=8, num_edges=12, eta0=4, num_signals=10, realizations=2,
+                                           sparsity_grid=(2, 5), seed=1)),
+    DenoiseConfig: (run_denoise, dict(num_nodes=6, num_edges=9, num_signals=12, gen_eta0=5, snr_grid=(0.0, 10.0),
+                                      bandwidth_grid=(3, 5), realizations=2, seed=3)),
+}
+
+
+@pytest.mark.parametrize("case", NUMPY_INT_CASES)
+def test_numpy_integers_in_a_study_config_write_the_python_int_run(tmp_path, case):
+    # Each numpy value equals the small study's Python int, so both runs must write the same bytes.
+    config_class, numpy_fields = NUMPY_INT_CASES[case]
+    run, fields = SMALL_STUDIES[config_class]
+    assert all(np.array_equal(v, fields[key]) for key, v in numpy_fields.items())
+    python_run = run(config_class(out=str(tmp_path / "python"), **fields))
+    numpy_run = run(config_class(out=str(tmp_path / "numpy"), **{**fields, **numpy_fields}))
+    for name in ("run.json", "results.csv"):
+        assert (python_run / name).read_bytes() == (numpy_run / name).read_bytes(), name
+
+
 def dense_truncation_nmse(clean, noisy, basis, bandwidths):
     """Oracle: NMSE of hard truncation in a dense orthonormal basis, the coefficients thresholded per bandwidth."""
     coeffs = basis.T @ noisy

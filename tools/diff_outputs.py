@@ -17,7 +17,11 @@ uncommitted edit.  In each tree the commands run in order as
 - ``synth --num-nodes 40 --num-edges 80 --signal-class mixture_of_dirac``
   into ``runs/synth-sS``, then ``ddtl-fit --max-iter 25`` on it into
   ``runs/fit-sS`` and ``denoise --dataset`` on it into
-  ``runs/denoise-data-sS``.
+  ``runs/denoise-data-sS``;
+- ``synth --num-nodes 40 --num-edges 80 --signal-class fully_decoupled``
+  into ``runs/synth-dec-sS``, then ``ddtl-fit --max-iter 25`` on it into
+  ``runs/fit-dec-sS``: the class whose tied rows at the ADMM's hard
+  threshold a round-off change can flip.
 
 Every file under ``runs/`` is compared byte for byte.  Each one that differs
 or exists on one side only is printed with its path, and the exit status is
@@ -54,6 +58,10 @@ def commands() -> list[list[str]]:
                       "--out", data])
         argvs.append(["ddtl-fit", "--dataset", data, "--max-iter", "25", *s, "--out", f"runs/fit-s{seed}"])
         argvs.append(["denoise", "--dataset", data, *s, "--out", f"runs/denoise-data-s{seed}"])
+        data = f"runs/synth-dec-s{seed}"
+        argvs.append(["synth", "--num-nodes", "40", "--num-edges", "80", "--signal-class", "fully_decoupled", *s,
+                      "--out", data])
+        argvs.append(["ddtl-fit", "--dataset", data, "--max-iter", "25", *s, "--out", f"runs/fit-dec-s{seed}"])
     return argvs
 
 
