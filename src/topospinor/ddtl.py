@@ -372,7 +372,7 @@ def update_duals(state: DdtlState, basis_res: np.ndarray, code_res: np.ndarray) 
 
 def _check_finite(iteration: int, **arrays: np.ndarray) -> None:
     for name, arr in arrays.items():
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericalDivergenceError(iteration, name)
 
 
