@@ -129,7 +129,7 @@ def dense_update_k(d, S, k, omega, p, h):
     """Projected coordinate sweeps on the dense residual S - Psi(k) Omega."""
     V, r = d.num_nodes, d.rank
     cols = nonharmonic_column_indices(d)
-    ph = p - h
+    ph, half_rho1 = p - h, 0.5 * ddtl_module.RHO1
     c_lin = np.concatenate(
         [np.einsum("vi,vi->i", d.u, ph[:V, cols[:r]]), np.einsum("ei,ei->i", d.v, ph[V:, cols[r:]])]
     )
@@ -143,7 +143,6 @@ def dense_update_k(d, S, k, omega, p, h):
                 np.einsum("it,it->i", d.v.T @ residual[V:], rows[r:]),
             ]
         )
-        half_rho1 = 0.5 * ddtl_module.RHO1
         new_k = np.clip((g + k * w2 + half_rho1 * c_lin) / (w2 + half_rho1), -1.0, 1.0)
         change = float(np.max(np.abs(new_k - k))) if k.size else 0.0
         k = new_k
@@ -153,7 +152,7 @@ def dense_update_k(d, S, k, omega, p, h):
 
 
 def dense_update_omega(d, S, k, x, m):
-    """Pair-block code solve with the right-hand side Psi(k)^T S + rho2 (X - M)."""
+    """Pair-block code solve with the right-hand side Psi(k)^T S + RHO2 (X - M)."""
     r = d.rank
     cols = nonharmonic_column_indices(d)
     rho2 = ddtl_module.RHO2
