@@ -1,12 +1,15 @@
-"""Joint node-edge signal processing on graphs.
+"""Joint node-edge signal processing on graphs: topological spinors (stacked node and edge signals).
 
-Spectral bases for topological spinors (stacked node+edge signals), all read
-off one SVD of the incidence matrix, the Dirac-Laplacian tight frame, a
-coupling-parameterized transform bridging the two, sparse coding utilities,
-the closed-form per-mode coupling that the studies learn, and an ADMM solver
-(DDTL) that learns couplings and row-sparse codes from data.  The dense
-(V+E) x (V+E) bases stay library functions; of the commands, only
-``ddtl-fit`` builds one.
+Modules: ``topology`` (oriented graphs, the incidence matrix, its SVD, the
+Dirac and Laplacian eigenbases, the projection into spectral coordinates);
+``planes`` (the plane model, one 2-D plane per non-harmonic mode: the
+closed-form coupling the studies learn, atom energies, the per-plane pursuit,
+the truncation kernel and the mass map); ``synth`` (random graphs, signal
+classes, noise); ``experiments`` and ``cli`` (the five commands); ``io``
+(their files); ``ddtl`` (the ADMM of ``ddtl-fit``); ``sparse`` (dense joint
+OMP, NMSE and the ADMM's retractions); ``transform`` (the dense
+coupling-parameterized basis); ``frames`` (the Dirac-Laplacian tight frame).
+Of the commands, only ``ddtl-fit`` builds a dense (V+E) x (V+E) basis.
 """
 
 from .ddtl import (
@@ -16,7 +19,6 @@ from .ddtl import (
     DdtlState,
     NumericalDivergenceError,
     ddtl_fit,
-    fit_coupling,
 )
 from .frames import DiracLaplacianFrame, build_frame
 from .io import (
@@ -30,6 +32,7 @@ from .io import (
     save_edge_list,
     save_results,
 )
+from .planes import coupling_to_mass, fit_coupling, mass_to_coupling
 from .sparse import SparseCode, column_normalize, nmse, omp, row_hard_threshold
 from .synth import GroundTruth, SignalClassSpec, add_awgn, gen_signals, random_graph
 from .topology import (
@@ -41,10 +44,6 @@ from .topology import (
     spectral_decompose,
     super_laplacian_eigenbasis,
 )
-from .transform import (
-    build_mass_basis,
-    coupling_to_mass,
-    mass_to_coupling,
-)
+from .transform import build_mass_basis
 
 __version__ = "0.1.0"

@@ -1,24 +1,8 @@
-"""Coupling-transform learning: the closed form of the studies and the ADMM of ``ddtl-fit`` (DDTL).
+"""The ADMM of ``ddtl-fit`` (DDTL): coupling-transform learning by alternating directions.
 
-The closed form is the learner of the two studies: ``plane_grams`` reduces a
-batch to its mode planes' 2 x 2 Grams and ``coupling_from_grams`` applies the
-rule to Grams of any leading shape.  ``sparsity-sweep`` calls both through
-``fit_coupling``; ``denoise`` applies the rule once to the stacked Grams of
-all its noisy batches.  In the orthonormal frame Q of ``topology.project`` every
-non-harmonic mode is a 2-D plane, and the shared-coupling basis puts its
-plus column at (cos theta, sin theta) and its minus column at
-(sin theta, -cos theta), theta = atan k, in the box k in [0, 1].  The best
-reachable pair of columns is the plane's principal axis clipped to that box
-(Eckart & Young, 1936, per 2 x 2 block): with
-phi = atan2(2 <z_u, z_v>, ||z_u||^2 - ||z_v||^2) / 2 taken mod 90 degrees,
-theta = phi up to 45 degrees, 45 degrees up to 67.5 and 0 beyond.  An axis
-at exactly 67.5 or 157.5 degrees, a zero block and an isotropic block (equal
-energies, zero cross term) get k = 1.  This basis is optimal for every
-sparsity at once (ROADMAP item 1), costs one pass over the batch and has no
-settings: the studies' former ADMM budget ``--ddtl-max-iter`` is gone.
-
-``ddtl_fit``, the ADMM below, is what ``ddtl-fit`` runs until ROADMAP item 0
-lets it move to the closed form.  It jointly estimates per-mode node-edge
+The studies learn the coupling in closed form (``planes.fit_coupling``);
+``ddtl_fit``, the ADMM here, is what ``ddtl-fit`` runs until ROADMAP item 0
+lets it move to the closed form too.  It jointly estimates per-mode node-edge
 coupling factors k and spectral codes Omega so that the coupling basis
 reproduces a batch of spinor signals,
 
@@ -32,13 +16,12 @@ The structural constraints are handled through the auxiliary variables P and
 X with scaled dual matrices H and M, giving the six-step cycle
 k -> Omega -> P -> X -> H -> M per iteration.
 
-The data enter the cycle only in spectral coordinates.  With the orthonormal
-frame Q = [(u; 0) | (u_H; 0) | (0; v_H) | (0; v)], the batch is projected
-once per fit to z = Q^T S (``topology.project``), whose rows follow the
-basis columns [minus | node-harmonic | edge-harmonic | plus].  Q^T Psi(k)
-pairs row u_i only with row v_i, so Psi(k)^T S, the reconstruction
-Psi(k) Omega and the objective need no (V+E) x (V+E) product across the
-signals.
+The data enter the cycle only in spectral coordinates: the batch is
+projected once per fit to z = Q^T S (``topology.project``), whose rows, in
+the layout of :mod:`topospinor.planes`, follow the basis columns
+[minus | node-harmonic | edge-harmonic | plus].  Q^T Psi(k) pairs row u_i
+only with row v_i, so Psi(k)^T S, the reconstruction Psi(k) Omega and the
+objective need no (V+E) x (V+E) product across the signals.
 
 Psi, P and H are held in plane coordinates, as (2, 2r) arrays.  Coupled
 column j of each lies in its mode plane span{(u_i; 0), (0; v_i)}: row 0 is
@@ -53,12 +36,11 @@ reconstruction is formed, as the objective gives its error.
 The cycle runs on two columns.  Every step reads z only through rotations
 within one mode plane (the analysis, the reconstruction, the 2x2 code
 solve), row norms (the hard threshold) and within-plane sums over the
-signals of products of rows (the k-step, the gaps, the objective), none of
-which changes when plane i's block z_i (2 x T) becomes z_i Q for an
-orthogonal Q.  So the fit runs on ``topology.reduce_planes`` of the
-projection, each z_i replaced by its 2 x 2 triangle R_i, and an iteration
-costs O(V+E).  Rounding picks the row of a tied pair at the hard threshold
-(ROADMAP item 6).
+signals of products of rows (the k-step, the gaps, the objective), which
+read the same on a plane reduction (:mod:`topospinor.planes`).  So the fit
+runs on ``planes.reduce_planes`` of the projection, each plane's block
+replaced by its 2 x 2 triangle R_i, and an iteration costs O(V+E).
+Rounding picks the row of a tied pair at the hard threshold (ROADMAP item 6).
 
 Each iteration scans the six iterates, in step order k, Omega, P, X, H, M,
 and names the first non-finite one; a finite iterate whose squared norm
@@ -88,14 +70,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .planes import reduce_planes
 from .sparse import column_normalize, row_hard_threshold
-from .topology import SpectralDecomposition, project, reduce_planes
+from .topology import SpectralDecomposition, project
 from .transform import build_mass_basis
 
 __all__ = [
-    "fit_coupling",
-    "plane_grams",
-    "coupling_from_grams",
     "DdtlConfig",
     "DdtlState",
     "DdtlSolution",
@@ -112,48 +92,6 @@ __all__ = [
 
 PRIMAL_TOL = 1e-4
 RHO1 = RHO2 = 10.0  # the penalty weights of the basis and code splittings
-
-
-def fit_coupling(z: np.ndarray, rank: int) -> np.ndarray:
-    """The coupling k in [0, 1] of each mode whose shared-coupling basis best codes the batch, in closed form.
-
-    ``coupling_from_grams`` of ``plane_grams(z, rank)``.
-    """
-    return coupling_from_grams(plane_grams(z, rank))
-
-
-def plane_grams(z: np.ndarray, rank: int) -> np.ndarray:
-    """Each mode plane's Gram: (3, rank), the rows ||z_u||^2, <z_u, z_v> and ||z_v||^2.
-
-    ``z`` is the projected batch (``topology.project``) or its plane reduction
-    (``topology.reduce_planes``), n x T (or n): plane i is rows z_u = z[i] and
-    z_v = z[n - rank + i].
-    """
-    z = np.asarray(z, dtype=float).reshape(len(z), -1)
-    n, r = len(z), int(rank)
-    z_u, z_v = z[:r], z[n - r :]
-    return np.stack([np.einsum("it,it->i", z_u, z_u), np.einsum("it,it->i", z_u, z_v), np.einsum("it,it->i", z_v, z_v)])
-
-
-def coupling_from_grams(grams: np.ndarray) -> np.ndarray:
-    """The coupling k in [0, 1] of each mode from its plane's Gram: ``grams`` (..., 3, r) to k (..., r).
-
-    The rule is the module notes' one, evaluated without angles: with
-    x = ||z_u||^2 - ||z_v||^2 and y = 2 <z_u, z_v>, both negated when y < 0,
-    the point (x, y) lies at twice the principal axis mod 90 degrees, in
-    [0, 180].  Up to 90 (x >= 0) k is the half-angle tangent
-    y / (x + hypot(x, y)); up to 135 (x + y >= 0, the ties included) k = 1;
-    beyond, k = 0.  A zero or isotropic block has x = y = 0 and gets k = 1.
-    Any leading shape is one fit per index.
-    """
-    uu, cross, vv = np.moveaxis(np.asarray(grams, dtype=float), -2, 0)
-    diff = uu - vv
-    x, y = np.where(cross < 0.0, -diff, diff), 2.0 * np.abs(cross)
-    radius = np.hypot(x, y)
-    k = (x + y >= 0.0).astype(float)
-    below = (x >= 0.0) & (radius > 0.0)
-    k[below] = y[below] / (x[below] + radius[below])
-    return k
 
 
 class NumericalDivergenceError(RuntimeError):

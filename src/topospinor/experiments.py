@@ -1,17 +1,15 @@
 """Experiment pipelines behind the CLI: spectra dump, synthesis, fitting, sweeps.
 
-The two studies (``run_sparsity_sweep`` and ``run_denoise``) learn the
-coupling in closed form, one angle per mode plane from the plane's 2 x 2
-Gram (``ddtl.plane_grams`` and ``ddtl.coupling_from_grams``), and code or
-truncate in each dictionary one mode plane at a time, from its atoms'
-energies: the sweep's from each plane's 2 x 2 factor, built from the
-batch's coefficient rows (``sparse.plane_energies``), the denoising
-sweep's from each plane's Gram and, for the clean batch, its 2 x 2
-triangles.  No study builds a dense (V+E) x (V+E) basis or runs the ADMM.
-The sweep reads no graph at all on the three classes whose model reads only
-the rank r = V - 1, and no singular vector on ``mixture_of_dirac``.
-The rule (each plane's principal axis, mod 90 degrees, clipped to the box
-k in [0, 1], ties to k = 1) is stated in :mod:`topospinor.ddtl`.
+The two studies (``run_sparsity_sweep`` and ``run_denoise``) run on the
+plane model of :mod:`topospinor.planes`, which states its layout, box, tie
+and precision rules: they learn the coupling in closed form from each mode
+plane's 2 x 2 Gram and code or truncate in each dictionary one mode plane
+at a time, from its atoms' energies: the sweep's from each plane's 2 x 2
+factor, built from the batch's coefficient rows, the denoising sweep's from
+each plane's Gram and, for the clean batch, its 2 x 2 triangles.  No study
+builds a dense (V+E) x (V+E) basis or runs the ADMM.  The sweep reads no
+graph at all on the three classes whose model reads only the rank
+r = V - 1, and no singular vector on ``mixture_of_dirac``.
 ``run_ddtl_fit`` runs the ADMM (``ddtl.ddtl_fit``) until ROADMAP item 0 lets
 it move to the closed form, and writes its eta0-row-sparse codes.
 
@@ -36,9 +34,10 @@ from pathlib import Path
 import numpy as np
 
 from . import io as tsio
-from .ddtl import DdtlConfig, coupling_from_grams, ddtl_fit, fit_coupling, plane_grams
+from . import planes
+from .ddtl import DdtlConfig, ddtl_fit
 from .frames import build_frame
-from .sparse import nmse, plane_energies, plane_pursuit_curves, truncation_curves
+from .sparse import nmse
 from .sparse import omp  # noqa: F401  unused; perfbench pins this binding (ROADMAP item 0)
 from .synth import (
     SIGNAL_CLASSES,
@@ -56,7 +55,6 @@ from .topology import (
     dirac_eigenbasis,
     laplacian_singular_values,
     project,
-    reduce_planes,
     spectral_decompose,
     super_laplacian_eigenbasis,
 )
@@ -102,13 +100,9 @@ def _run_header(command: str, cfg, graph: OrientedGraph | None = None) -> dict:
 
 
 def _check_levels(name: str, levels: tuple[int, ...], n: int | None) -> None:
-    """Refuse a grid of sparsity levels or bandwidths with a level that is not an integer (a bool is not one), one
-    outside [1, n], n = V + E, or a repeated level.  With n None, as in ``DenoiseConfig`` before its graph is read,
-    the range is left to a later call."""
-    if bad := [lv for lv in levels if isinstance(lv, bool) or not isinstance(lv, (int, np.integer))]:
-        raise ValueError(f"{name} levels must be integers, not {', '.join(map(repr, bad))}")
-    if n is not None and not all(1 <= lv <= n for lv in levels):
-        raise ValueError(f"{name} levels must lie in [1, V + E = {n}], got {levels}")
+    """Refuse a grid of sparsity levels or bandwidths that breaks the level rule (``planes.check_levels``), n None
+    in ``DenoiseConfig`` before its graph is read, or that repeats a level."""
+    planes.check_levels(f"{name} levels", levels, n)
     if len(set(levels)) != len(levels):
         raise ValueError(f"{name} levels must not repeat, got {levels}")
 
@@ -310,48 +304,10 @@ def sweep_dictionaries(d, k: np.ndarray) -> dict[str, np.ndarray]:
     return {"laplacian": theta, "dirac": phi, "frame": build_frame(phi, theta).matrix, "ddtl": ddtl}
 
 
-def _plane_bases(k: np.ndarray) -> dict[str, np.ndarray]:
-    """The four sweep dictionaries as orthonormal atom pairs per mode plane: (bases, r, 2, 2) each.
-
-    Row j of a plane's 2 x 2 is atom j as (node, edge) coefficients: Laplacian
-    ((1, 0), (0, 1)), Dirac ((c, -c), (c, c)) with c = 1/sqrt(2), learned
-    ((k, -1), (1, k)) / sqrt(1 + k^2) at the shared coupling k (one basis per
-    row of a fits x r array of couplings), and the frame
-    [Dirac, Laplacian], each in its dense columns' order, so that a tie sent to
-    the first atom listed goes where dense OMP sends it (the Laplacian and
-    Dirac pairs: read-only views of one 2 x 2 each).
-    """
-    k = np.atleast_2d(np.asarray(k, dtype=float))  # one learned basis per row
-    one = np.ones_like(k)
-    ddtl = np.stack([k, -one, one, k], axis=-1).reshape(*k.shape, 2, 2) / np.sqrt(1.0 + k**2)[..., None, None]
-    dirac = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)  # 1/sqrt(2) as in dirac_eigenbasis
-    laplacian, dirac = (np.broadcast_to(pair, (1, k.shape[-1], 2, 2)) for pair in (np.eye(2), dirac))
-    return {"laplacian": laplacian, "dirac": dirac, "frame": np.concatenate([dirac, laplacian]), "ddtl": ddtl}
-
-
 def _at_most_rivals(curves: np.ndarray, method: int, rivals: list[int]) -> np.ndarray:
     """Per level of ``curves`` (..., methods, levels), whether curve ``method`` is at most the least of its
     ``rivals`` plus ``DOMINANCE_SLACK``: (..., levels).  The one rule of both studies' claim counts in run.json."""
     return curves[..., method, :] <= curves[..., rivals, :].min(axis=-2) + DOMINANCE_SLACK
-
-
-def _plane_factor(support: np.ndarray, coefficients: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
-    """z2 (n x min(T, 2)) of the batch whose support rows ``coefficients`` sit in the learned pairs at k.
-
-    Plane i's T-wide block A_i^T c_i (A_i the pair of ``_plane_bases`` at k_i, c_i the plane's minus and plus
-    rows) and its factor W_i = R_i A_i share their Gram, where R_i is zero for a plane with no supported column,
-    ||c|| in the slot of a plane's one supported column, and the R-only QR triangle of c_i^T for a plane with both:
-    one batched QR over those planes alone.  W_i goes into z2 as ``topology.reduce_planes`` places its triangles.
-    """
-    r, T = len(k), coefficients.shape[1]
-    plane, plus = support % r, support >= r
-    both = np.bincount(plane, minlength=r)[plane] == 2  # per support row: its plane holds two
-    tri = np.zeros((r, min(T, 2), 2))
-    tri[plane[~both], 0, plus[~both].astype(int)] = np.linalg.norm(coefficients[~both], axis=1)
-    blocks = np.stack([coefficients[both & ~plus], coefficients[both & plus]], axis=-1)  # sorted support: planes align
-    tri[plane[both & ~plus]] = np.linalg.qr(blocks, mode="r")
-    factor = tri @ _plane_bases(k)["ddtl"][0]
-    return np.concatenate([factor[..., 0], np.zeros((n - 2 * r, min(T, 2))), factor[..., 1]])
 
 
 def run_sparsity_sweep(cfg: SweepConfig) -> Path:
@@ -363,13 +319,13 @@ def run_sparsity_sweep(cfg: SweepConfig) -> Path:
     three other classes draw no graph, and the mixture's sigma comes from
     the V x V node Laplacian (``topology.laplacian_singular_values``: no
     incidence, no SVD).  Per realization the batch is drawn and kept as its
-    coefficient rows C.  Each mode plane's T-wide
-    block is replaced by a 2 x 2 factor with the same Gram (``_plane_factor``,
-    a QR only on planes holding both columns).  The coupling is learned in
-    closed form on that z2 (``ddtl.fit_coupling``), the energies of z2's
-    planes in all four dictionaries at once give every joint OMP curve
-    (``plane_pursuit_curves``), and each is divided by ||C||_F^2, the batch's
-    energy, since the synthesis basis is orthonormal.
+    coefficient rows C.  Each mode plane's T-wide block is replaced by a 2 x 2
+    factor with the same Gram (``_plane_factor``, a QR only on planes holding
+    both columns).  The coupling is learned in closed form on that z2
+    (``fit_coupling``), the energies of z2's planes in all four dictionaries
+    at once give every joint OMP curve (``plane_pursuit_curves``), and each is
+    divided by ||C||_F^2, the batch's energy, since the synthesis basis is
+    orthonormal.
     """
     r, n = cfg.num_nodes - 1, cfg.num_nodes + cfg.num_edges
     curves = []  # per realization, the NMSE curve of each of SWEEP_METHODS, the order of _plane_bases
@@ -380,9 +336,9 @@ def run_sparsity_sweep(cfg: SweepConfig) -> Path:
             sigma = laplacian_singular_values(graph)
         spec = SignalClassSpec(cfg.signal_class, cfg.eta0, cfg.num_signals, sub_seed(cfg.seed, real, "signals"))
         truth = draw_signals(r, spec, sigma)
-        z = _plane_factor(truth.support, truth.coefficients, truth.k_modes, n)
-        bases = _plane_bases(fit_coupling(z, r))
-        residuals = plane_pursuit_curves(z, r, list(bases.values()), cfg.sparsity_grid)
+        z = planes._plane_factor(truth.support, truth.coefficients, truth.k_modes, n)
+        bases = planes._plane_bases(planes.fit_coupling(z, r))
+        residuals = planes.plane_pursuit_curves(z, r, list(bases.values()), cfg.sparsity_grid)
         curves.append(residuals / np.vdot(truth.coefficients, truth.coefficients))
     curves = np.array(curves)
     rows = [(method, level, real, value) for real, curve in enumerate(curves.tolist())
@@ -450,35 +406,6 @@ def _noise_tag(snr: float) -> str:
     return f"awgn@{snr:g}"
 
 
-def _grams(z, rank) -> tuple[np.ndarray, np.ndarray]:
-    """A projected batch's plane Grams (``ddtl.plane_grams``) and its harmonic rows' energies."""
-    harmonic = z[rank : len(z) - rank]
-    return plane_grams(z, rank), np.einsum("ht,ht->h", harmonic, harmonic)
-
-
-def _row_energies(grams, harmonic, pairs) -> np.ndarray:
-    """The energies of ``sparse.plane_energies(z, rank, pairs)``, per basis, from ``_grams`` of z.
-
-    ``grams`` is (..., 3, r), ``harmonic`` (..., n - 2r) and ``pairs``
-    (..., B, r, 2, 2); the result is (..., B, n), each basis's rows in the
-    order [first atoms | second atoms | harmonic rows] of ``_with_harmonic``.
-    Atom (c_u, c_v) of plane i has the energy
-    c_u^2 ||z_u||^2 + 2 c_u c_v <z_u, z_v> + c_v^2 ||z_v||^2, a quadratic form
-    accurate to about 1e-16 of the plane's energy, not to its own size as a
-    sum of squares of the rotated row is.
-    """
-    c_u, c_v = np.moveaxis(pairs, -1, 0).swapaxes(-1, -2)  # (..., B, atom, plane)
-    uu, cross, vv = np.moveaxis(grams[..., None, None, :, :], -2, 0)
-    planes = c_u**2 * uu + 2.0 * c_u * c_v * cross + c_v**2 * vv
-    return _with_harmonic(planes.reshape(*planes.shape[:-2], -1), harmonic)
-
-
-def _with_harmonic(planes, harmonic) -> np.ndarray:
-    """Per basis, the plane rows' energies (..., B, 2r) followed by the harmonic rows' (..., n - 2r)."""
-    harmonic = np.broadcast_to(harmonic[..., None, :], (*planes.shape[:-1], harmonic.shape[-1]))
-    return np.concatenate([planes, harmonic], axis=-1)
-
-
 def run_denoise(cfg: DenoiseConfig) -> Path:
     """Denoising sweep: learned-basis truncation versus fixed-basis truncation.
 
@@ -492,13 +419,11 @@ def run_denoise(cfg: DenoiseConfig) -> Path:
     depends on a batch only through each mode plane's 2 x 2 Gram and the
     harmonic rows' energies (``_grams``).  Each noisy batch is projected once
     and reduced, with its error against the clean projection, to those; the
-    couplings of all fits come from the noisy Grams in one call
-    (``ddtl.coupling_from_grams``), and the noisy and error row energies are
-    their quadratic forms (``_row_energies``).  The clean row energies are
-    sums of squares, so never below 0: the clean batch is reduced once per
-    run to its 2 x 2 triangles (``topology.reduce_planes``), whose energies
-    in every basis of every fit come from one ``sparse.plane_energies`` call,
-    and every truncation curve from one ``sparse.truncation_curves`` call.
+    couplings of all fits come from one ``coupling_from_grams`` call.  The
+    row energies follow the precision rules of :mod:`topospinor.planes`: the
+    clean batch is reduced once per run (``reduce_planes``), and one
+    ``plane_energies`` call gives its energies in every basis of every fit.
+    Every truncation curve comes from one ``truncation_curves`` call.
     """
     if cfg.dataset_dir:
         graph, clean, _ = _load_dataset(cfg.dataset_dir)
@@ -521,19 +446,19 @@ def run_denoise(cfg: DenoiseConfig) -> Path:
         noisy = add_awgn(clean, snr, sub_seed(cfg.seed, real, _noise_tag(snr)))
         noisy_z = project(noisy, d)
         inputs.append(nmse(clean, noisy))
-        noisy_grams.append(_grams(noisy_z, r))
-        error_grams.append(_grams(noisy_z - clean_z, r))
+        noisy_grams.append(planes._grams(noisy_z, r))
+        error_grams.append(planes._grams(noisy_z - clean_z, r))
     noisy_grams, error_grams = [[np.stack(g) for g in zip(*grams)] for grams in (noisy_grams, error_grams)]
 
     # Per fit, in the rows' order, the learned, the Dirac and the Laplacian pairs.
-    bases = _plane_bases(coupling_from_grams(noisy_grams[0]))
+    bases = planes._plane_bases(planes.coupling_from_grams(noisy_grams[0]))
     pairs = np.stack(np.broadcast_arrays(bases["ddtl"], bases["dirac"], bases["laplacian"]), axis=1)
-    z2 = reduce_planes(clean_z, r)
-    clean_planes, clean_harmonic = plane_energies(z2, r, pairs.reshape(3 * len(fits), r, 2, 2))  # not -1: r may be 0
-    clean_energies = _with_harmonic(clean_planes.reshape(len(fits), 3, 2 * r), clean_harmonic)
-    curves = truncation_curves(  # fits x methods x bandwidths
-        _row_energies(*noisy_grams, pairs), _row_energies(*error_grams, pairs), clean_energies, cfg.bandwidth_grid)
-    curves /= energy
+    z2 = planes.reduce_planes(clean_z, r)
+    # The reshapes name every size, since -1 is undefined at r = 0.
+    clean_planes, clean_harmonic = planes.plane_energies(z2, r, pairs.reshape(3 * len(fits), r, 2, 2))
+    clean_energies = planes._with_harmonic(clean_planes.reshape(len(fits), 3, 2 * r), clean_harmonic)
+    noisy_energies, error_energies = (planes._row_energies(*grams, pairs) for grams in (noisy_grams, error_grams))
+    curves = planes.truncation_curves(noisy_energies, error_energies, clean_energies, cfg.bandwidth_grid) / energy
 
     rows = []
     methods = ("ddtl", "dirac_truncation", "laplacian_truncation")

@@ -5,12 +5,8 @@ all signal columns) by progressive orthogonalization of the selected atoms,
 on the n x n triangular factor of a batch with more signals than rows, with
 the coefficients solved once at the end.
 
-``plane_pursuit_curves`` is the same pursuit for dictionaries of orthonormal
-atom pairs per mode plane span{(u_i; 0), (0; v_i)} and one identity atom per
-harmonic coefficient, as every sweep dictionary is.  With the selection rule of
-Tropp, Gilbert & Strauss (2006) it is "take each plane's atom energies in every
-dictionary at once (``plane_energies``), truncate each dictionary's gains" with
-``truncation_curves``, which states the tie and the precision rule.
+``planes.plane_pursuit_curves`` is the same pursuit for the sweep's
+dictionaries, one mode plane at a time.
 
 ``row_hard_threshold`` and ``column_normalize`` are the Euclidean
 projections onto row-sparse matrices and onto the unit-column (oblique)
@@ -28,16 +24,12 @@ __all__ = [
     "SparseCode",
     "DegenerateRetractionWarning",
     "omp",
-    "plane_energies",
-    "plane_pursuit_curves",
-    "truncation_curves",
     "nmse",
     "row_hard_threshold",
     "column_normalize",
 ]
 
 _UNIT_NORM_TOL = 1e-6
-_EYE2 = np.eye(2)
 _RIDGE = 1e-12
 
 
@@ -160,78 +152,6 @@ def omp(dictionary: np.ndarray, signals: np.ndarray, sparsity: int) -> SparseCod
         residual_history=tuple(history),
         ridge_regularized=ridge_used,
     )
-
-
-def plane_energies(z, rank, pairs) -> tuple[np.ndarray, np.ndarray]:
-    """The energies of a projected batch's rows rotated into orthonormal atom pairs per mode plane.
-
-    ``z`` (n x T, or n) is ``topology.project`` or ``topology.reduce_planes``:
-    plane i is rows z_u = z[i] and z_v = z[n - rank + i], the rows between are
-    harmonic.  Row j of pairs[b, i] (pairs is (B, rank, 2, 2)) holds atom j of
-    basis b in plane i as (z_u, z_v) coefficients.  Returns the energies of the
-    rotated rows c_u z_u + c_v z_v, (B, 2, rank) per basis, atom and plane, and
-    those of the harmonic rows, (n - 2 rank,).  Precision rule: each is a sum of
-    squares of a row, so never below 0, and accurate to its own size.  Raises
-    ValueError on mismatched shapes (shared (B, 1, 2, 2) pairs included, at
-    rank 2 or more), or naming the largest deviation, on pairs not orthonormal
-    to 1e-6.
-    """
-    z = np.asarray(z, dtype=float).reshape(len(z), -1)
-    n, r, pairs = len(z), int(rank), np.asarray(pairs, dtype=float)
-    if pairs.ndim != 4 or not len(pairs) or pairs.shape[1:] != (r, 2, 2) or not 0 <= 2 * r <= n:
-        raise ValueError(f"shapes do not match: z {z.shape}, rank {r}, pairs {pairs.shape}")
-    worst = float(np.abs(pairs @ pairs.swapaxes(2, 3) - _EYE2).max(initial=0.0))
-    if worst > _UNIT_NORM_TOL:
-        raise ValueError(f"atom pairs must be orthonormal (max deviation {worst:.3e})")
-    atoms = pairs.transpose(0, 2, 3, 1)  # basis, atom, coefficient, plane
-    rows, harmonic = atoms[:, :, 0, :, None] * z[:r] + atoms[:, :, 1, :, None] * z[n - r :], z[r : n - r]
-    return np.einsum("bjit,bjit->bji", rows, rows), np.einsum("ht,ht->h", harmonic, harmonic)
-
-
-def plane_pursuit_curves(z, rank, dictionaries, levels) -> np.ndarray:
-    """Joint OMP's squared residual norm at each level in [1, n], per dictionary: (len(dictionaries), len(levels)).
-
-    ``z``, ``rank`` and each dictionary's pairs are as in ``plane_energies``;
-    each dictionary is its pairs plus one identity atom per harmonic row (a
-    frame's copies add nothing).  One ``plane_energies`` call takes every
-    dictionary's atom energies: they are elementwise, so each curve is
-    bit-identical to a call on its dictionary alone.  The planes are mutually
-    orthogonal, so OMP's residual splits by plane.  A plane's gains are its
-    best atom's energy (exact ties to the first atom listed), then its
-    partner's, which spans the rest of the plane; a harmonic row's gain is its
-    energy.  Every event's OMP score equals its gain, and a plane's second gain
-    is at most its first, so the residual at level L sums all but the L largest
-    gains, whichever of two equal gains is taken first:
-    ``truncation_curves(gains, 0.0, gains, levels)`` (see it for ties and precision).
-    """
-    r, sizes = int(rank), [len(p) for p in dictionaries]
-    planes, harmonic = plane_energies(z, r, np.concatenate(dictionaries))
-    gains, plane = [], np.arange(r)
-    for atoms in np.split(planes.reshape(2 * len(planes), r), 2 * np.cumsum(sizes)[:-1]):
-        first = np.argmax(atoms, axis=0)  # exact ties go to the first atom listed
-        gains.append(np.concatenate([atoms[first, plane], atoms[first ^ 1, plane], harmonic]))
-    return truncation_curves(gains, 0.0, gains, levels)
-
-
-def truncation_curves(rank_by, kept, dropped, levels) -> np.ndarray:
-    """Per level b, the ``kept`` energy of the b rows largest in ``rank_by`` plus the others' ``dropped`` energy.
-
-    ``kept`` and ``dropped`` broadcast to ``rank_by``, (..., n) with the rows
-    last; the result is (..., len(levels)).  Tie rule: a stable sort ranks the
-    rows, so of equal ``rank_by`` values the lower row is kept.  Precision
-    rule: the dropped energies are summed from the lowest-ranked row up, never
-    as a total minus the kept part (a cancellation error near 1e-16 of the
-    total).  Raises ValueError naming each level not an integer in [1, n]; a
-    bool is not one.
-    """
-    n, levels = np.shape(rank_by)[-1], list(levels)
-    if bad := [lv for lv in levels if isinstance(lv, bool) or not (isinstance(lv, (int, np.integer)) and 1 <= lv <= n)]:
-        raise ValueError(f"levels must be integers in [1, {n}], not {', '.join(map(str, bad))}")
-    order = np.argsort(np.negative(rank_by, dtype=float), axis=-1, kind="stable")
-    kept, dropped = (np.take_along_axis(np.broadcast_to(e, order.shape), order, -1) for e in (kept, dropped))
-    zero = np.zeros((*order.shape[:-1], 1))
-    head, tail = (np.cumsum(np.concatenate([zero, e], -1), -1) for e in (kept, dropped[..., ::-1]))
-    return head[..., levels] + tail[..., n - np.array(levels, dtype=int)]
 
 
 def nmse(S: np.ndarray, S_hat: np.ndarray) -> float:

@@ -26,7 +26,6 @@ __all__ = [
     "dirac_eigenbasis",
     "super_laplacian_eigenbasis",
     "project",
-    "reduce_planes",
     "decomposition_residuals",
 ]
 
@@ -271,28 +270,9 @@ def super_laplacian_eigenbasis(d: SpectralDecomposition) -> tuple[np.ndarray, np
 
 
 def project(S: np.ndarray, d: SpectralDecomposition) -> np.ndarray:
-    """Q^T S, Q = [(u; 0) | (u_H; 0) | (0; v_H) | (0; v)] orthonormal: mode plane i is rows i and n - rank + i."""
+    """Q^T S, Q = [(u; 0) | (u_H; 0) | (0; v_H) | (0; v)] orthonormal, in the row layout of ``planes``."""
     s_node, s_edge = S[: d.num_nodes], S[d.num_nodes :]
     return np.vstack([d.u.T @ s_node, d.u_harmonic.T @ s_node, d.v_harmonic.T @ s_edge, d.v.T @ s_edge])
-
-
-def reduce_planes(z: np.ndarray, rank: int) -> np.ndarray:
-    """z2 (n x min(T, 2)) of a projected batch z (``project``): each mode plane's 2 x T block as its 2 x 2 triangle.
-
-    One batched R-only QR writes z_i^T = Q_i R_i, z_i the plane's rows i and
-    n - rank + i; z2 holds R_i[:, 0] in row i, R_i[:, 1] in row n - rank + i
-    and each harmonic row's norm in column 0.  Rotations within a plane, row
-    energies and within-plane sums over the signals of products of rows read
-    the same on z2 as on z, since none changes when z_i becomes z_i Q for an
-    orthogonal Q.
-    """
-    (n, T), r = z.shape, int(rank)
-    harmonic = z[r : n - r]
-    tri = np.linalg.qr(np.stack([z[:r], z[n - r :]], axis=-1), mode="r")
-    z2 = np.zeros((n, min(T, 2)))
-    z2[:r], z2[n - r :] = tri[..., 0], tri[..., 1]
-    z2[r : n - r, 0] = np.sqrt(np.einsum("ht,ht->h", harmonic, harmonic))
-    return z2
 
 
 def decomposition_residuals(d: SpectralDecomposition, B: np.ndarray) -> dict[str, float]:

@@ -3,7 +3,7 @@
 The heavyweight artifacts (full-scale mixture-class learning runs, the denoising
 sweep on the surrogate network) are computed once in module-scoped fixtures
 and shared by the criteria that consume them.  Both learn as the studies do,
-with the closed-form coupling (``ddtl.fit_coupling``); the solver-health
+with the closed-form coupling (``planes.fit_coupling``); the solver-health
 criterion audits the ADMM that ``ddtl-fit`` runs, on fits it makes itself.
 """
 
@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 
 import topospinor.ddtl as ddtl_module
-from topospinor.ddtl import DdtlConfig, ddtl_fit, fit_coupling, initialize_state, update_k, update_omega
+from topospinor.ddtl import DdtlConfig, ddtl_fit, initialize_state, update_k, update_omega
 from topospinor.experiments import sweep_dictionaries
 from topospinor.frames import build_frame
+from topospinor.planes import fit_coupling
 from topospinor.sparse import nmse, omp, row_hard_threshold
 from topospinor.synth import SignalClassSpec, add_awgn, gen_signals, random_graph
 from topospinor.topology import (

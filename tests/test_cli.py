@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import topospinor
-from topospinor import experiments
+from topospinor import experiments, planes
 from topospinor.cli import COMMANDS, _build_config, build_parser, main
 from topospinor.experiments import sub_seed
 from topospinor.io import load_dataset, load_edge_list, load_results, read_matrix_csv, save_dataset
@@ -275,7 +275,7 @@ class TestSweepCommand:
         def no_fit(*args, **kwargs):
             raise AssertionError("the learner ran before the grid was checked")
 
-        monkeypatch.setattr(experiments, "fit_coupling", no_fit)
+        monkeypatch.setattr(planes, "fit_coupling", no_fit)
         out = tmp_path / "sweep"
         code = main(["sparsity-sweep", "--num-nodes", "8", "--num-edges", "12", "--sparsity-grid", grid,
                      "--out", str(out)])
@@ -391,8 +391,8 @@ class TestDenoiseCommand:
             assert main(["synth", *clean, "--eta0", "4", "--num-signals", "8", "--out", str(data)]) == 0
             clean = ["--dataset", str(data)]
         capsys.readouterr()
-        for name in ("fit_coupling", "gen_signals", "add_awgn"):
-            monkeypatch.setattr(experiments, name, no_draw)
+        for module, name in ((planes, "fit_coupling"), (experiments, "gen_signals"), (experiments, "add_awgn")):
+            monkeypatch.setattr(module, name, no_draw)
         out = tmp_path / "denoise"
         assert main(["denoise", *clean, "--bandwidth-grid", grid, "--out", str(out)]) == 1
         err = json.loads(capsys.readouterr().err.strip())
@@ -602,8 +602,9 @@ class TestFailureModes:
         def no_fit(*args, **kwargs):
             raise AssertionError("a batch with no defined NMSE was fitted")
 
-        for name in ("ddtl_fit", "fit_coupling", "coupling_from_grams", "add_awgn"):
-            monkeypatch.setattr(experiments, name, no_fit)
+        for module, name in ((experiments, "ddtl_fit"), (planes, "fit_coupling"), (planes, "coupling_from_grams"),
+                             (experiments, "add_awgn")):
+            monkeypatch.setattr(module, name, no_fit)
         out = tmp_path / "out"
         assert main([command, "--dataset", str(data), *args, "--out", str(out)]) == 1
         err = json.loads(capsys.readouterr().err.strip())

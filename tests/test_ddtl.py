@@ -13,7 +13,6 @@ from topospinor.ddtl import (
     DdtlConfig,
     NumericalDivergenceError,
     ddtl_fit,
-    fit_coupling,
     initialize_state,
     update_duals,
     update_k,
@@ -23,14 +22,13 @@ from topospinor.ddtl import (
 )
 from conftest import PATH_CYCLE_GRID, STRUCTURED_GRAPHS, nonharmonic_column_indices
 from oracles import reconstruction
-from topospinor.experiments import _plane_bases
-from topospinor.sparse import DegenerateRetractionWarning, column_normalize, nmse, plane_pursuit_curves, row_hard_threshold
+from topospinor.planes import _plane_bases, fit_coupling, plane_pursuit_curves, reduce_planes
+from topospinor.sparse import DegenerateRetractionWarning, column_normalize, nmse, row_hard_threshold
 from topospinor.synth import SIGNAL_CLASSES, SignalClassSpec, gen_signals, random_graph
 from topospinor.topology import (
     OrientedGraph,
     build_incidence,
     project,
-    reduce_planes,
     spectral_decompose,
 )
 from topospinor.transform import unnormalized_basis_matrix

@@ -5,9 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from topospinor import ddtl, experiments, frames, sparse, synth, topology, transform
+from topospinor import ddtl, experiments, frames, planes, sparse, synth, topology, transform
 from topospinor.cli import main
-from topospinor.ddtl import fit_coupling
 from topospinor.experiments import (
     DOMINANCE_SLACK,
     DenoiseConfig,
@@ -18,6 +17,7 @@ from topospinor.experiments import (
     sweep_dictionaries,
 )
 from topospinor.io import load_dataset, load_results, save_edge_list
+from topospinor.planes import fit_coupling
 from topospinor.sparse import nmse, omp, row_hard_threshold
 from topospinor.synth import SIGNAL_CLASSES, SignalClassSpec, add_awgn, gen_signals, random_graph
 from topospinor.topology import OrientedGraph, build_incidence, project, spectral_decompose
@@ -200,13 +200,13 @@ def test_sweep_needs_no_singular_vectors_no_synthesis_and_no_projection(tmp_path
     # kept as its coefficient rows and factored plane by plane, so no n x T batch, no SVD, no U or V^T, no
     # projection of the batch and no QR of T-wide plane blocks is formed, and the three sigma-free classes draw no
     # graph at all.
-    paths = [(topology, "spectral_decompose"), (synth, "gen_signals"), (topology, "reduce_planes"), (topology, "project")]
-    names = ["spectral_decompose", "gen_signals", "project", "reduce_planes"]
+    paths = [(topology, "spectral_decompose"), (synth, "gen_signals"), (planes, "reduce_planes"), (topology, "project")]
+    names = ["spectral_decompose", "gen_signals", "project"]
     if signal_class in SIGMA_FREE_CLASSES:
         paths += [(synth, "random_graph"), (topology, "build_incidence")]
         names += ["random_graph", "build_incidence"]
     bindings = make_raise(monkeypatch, paths)
-    assert bindings >= {("topospinor.experiments", name) for name in names}
+    assert bindings >= {("topospinor.experiments", name) for name in names} | {("topospinor.planes", "reduce_planes")}
 
     def no_svd(*args, **kwargs):
         raise AssertionError("the sweep took an SVD")
@@ -267,9 +267,9 @@ def test_sweep_codes_the_batch_at_its_rank(tmp_path, monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(experiments, "fit_coupling", spy(experiments.fit_coupling))
-    monkeypatch.setattr(experiments, "plane_pursuit_curves", spy(experiments.plane_pursuit_curves))
-    monkeypatch.setattr(sparse, "truncation_curves", spy(sparse.truncation_curves))
+    monkeypatch.setattr(planes, "fit_coupling", spy(planes.fit_coupling))
+    monkeypatch.setattr(planes, "plane_pursuit_curves", spy(planes.plane_pursuit_curves))
+    monkeypatch.setattr(planes, "truncation_curves", spy(planes.truncation_curves))
     for signal_class in SIGNAL_CLASSES:
         shapes.clear()
         cfg = SweepConfig(out=str(tmp_path / signal_class), signal_class=signal_class, realizations=2)
@@ -280,25 +280,25 @@ def test_sweep_codes_the_batch_at_its_rank(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("num_signals", [1, 2, 40])
-@pytest.mark.parametrize("planes", ["single-column", "two-column", "mixed"])
-def test_plane_factor_keeps_every_plane_gram(num_signals, planes):
+@pytest.mark.parametrize("layout", ["single-column", "two-column", "mixed"])
+def test_plane_factor_keeps_every_plane_gram(num_signals, layout):
     # Hand-built supports over r = 6 planes (n = 15): the factor's plane Grams equal those of the T-wide blocks
     # A_i^T c_i, to 1e-12 of each plane's energy, and its harmonic rows are zero.
     r, n = 6, 15
-    support = {"single-column": [0, 2, 7, 9], "two-column": [1, 4, 7, 10], "mixed": [0, 1, 3, 5, 7, 9, 11]}[planes]
+    support = {"single-column": [0, 2, 7, 9], "two-column": [1, 4, 7, 10], "mixed": [0, 1, 3, 5, 7, 9, 11]}[layout]
     support = np.array(support)
     rng = np.random.default_rng(len(support) + num_signals)
     coefficients = rng.normal(size=(len(support), num_signals)) * rng.uniform(0.1, 10.0, size=(len(support), 1))
     k = rng.uniform(0.0, 1.0, size=r)
     codes = np.zeros((r, 2, num_signals))
     codes[support % r, (support >= r).astype(int)] = coefficients
-    blocks = experiments._plane_bases(k)["ddtl"][0].swapaxes(1, 2) @ codes
+    blocks = planes._plane_bases(k)["ddtl"][0].swapaxes(1, 2) @ codes
     z = np.zeros((n, num_signals))
     z[:r], z[n - r :] = blocks[:, 0], blocks[:, 1]
-    z2 = experiments._plane_factor(support, coefficients, k, n)
+    z2 = planes._plane_factor(support, coefficients, k, n)
     assert z2.shape == (n, min(num_signals, 2))
     assert not np.any(z2[r : n - r])
-    expected, got = ddtl.plane_grams(z, r), ddtl.plane_grams(z2, r)
+    expected, got = planes.plane_grams(z, r), planes.plane_grams(z2, r)
     energy = expected[0] + expected[2]
     assert np.all(np.abs(got - expected) <= 1e-12 * energy)
     assert np.array_equal(energy == 0.0, ~np.isin(np.arange(r), support % r))
@@ -376,9 +376,9 @@ def chain_breaks(S, d):
     is at least the frame's, and the frame's the larger of Dirac's and Laplacian's, at every level.
     """
     z, r = project(S, d), d.rank
-    bases = experiments._plane_bases(fit_coupling(z, r))
+    bases = planes._plane_bases(fit_coupling(z, r))
     levels = range(1, d.dim + 1)
-    laplacian, dirac, frame, learned = sparse.plane_pursuit_curves(z, r, list(bases.values()), levels) / np.sum(S**2)
+    laplacian, dirac, frame, learned = planes.plane_pursuit_curves(z, r, list(bases.values()), levels) / np.sum(S**2)
     holds = (learned <= frame + DOMINANCE_SLACK) & (frame <= np.minimum(dirac, laplacian) + DOMINANCE_SLACK)
     return [lv for lv, ok in zip(levels, holds) if not ok]
 
@@ -438,8 +438,8 @@ def test_learned_basis_recovers_a_noiseless_batch_at_its_support_size(name):
         for num_signals in (1, 12):
             S, _ = gen_signals(d, SignalClassSpec(signal_class, eta0, num_signals, seed=20 + num_signals))
             z = project(S, d)
-            learned = experiments._plane_bases(fit_coupling(z, d.rank))["ddtl"]
-            residual = sparse.plane_pursuit_curves(z, d.rank, [learned], [eta0])[0, 0]
+            learned = planes._plane_bases(fit_coupling(z, d.rank))["ddtl"]
+            residual = planes.plane_pursuit_curves(z, d.rank, [learned], [eta0])[0, 0]
             assert residual <= 1e-12 * np.sum(S**2), (signal_class, num_signals)
 
 
@@ -506,8 +506,8 @@ def test_pursuit_curves_against_an_exhaustive_support_search(name):
         z, tol = project(S, d), 1e-12 * np.sum(S**2)
         k = fit_coupling(z, d.rank)
         learned_best = exhaustive_best(sweep_dictionaries(d, k)["ddtl"], [S])[0]
-        bases = experiments._plane_bases(k)
-        laplacian, dirac, frame, learned = sparse.plane_pursuit_curves(z, d.rank, list(bases.values()), levels)
+        bases = planes._plane_bases(k)
+        laplacian, dirac, frame, learned = planes.plane_pursuit_curves(z, d.rank, list(bases.values()), levels)
         assert np.all(np.abs(laplacian - best["laplacian"][b]) <= tol), b
         assert np.all(np.abs(dirac - best["dirac"][b]) <= tol), b
         assert np.all(np.abs(learned - learned_best) <= tol), b
@@ -617,7 +617,7 @@ def test_denoise_factors_each_noisy_batch_once(tmp_path, monkeypatch):
     cfg = DenoiseConfig(out=str(tmp_path / "run"), num_nodes=6, num_edges=9, num_signals=40, gen_eta0=5,
                         snr_grid=(0.0, 10.0), bandwidth_grid=(3, 8), realizations=2, seed=4)
     projected, fitted = [], []
-    project_, rule = experiments.project, experiments.coupling_from_grams
+    project_, rule = experiments.project, planes.coupling_from_grams
 
     def spied_project(S, d):
         projected.append((S.shape, project_(S, d)))
@@ -628,13 +628,13 @@ def test_denoise_factors_each_noisy_batch_once(tmp_path, monkeypatch):
         return fitted[-1][1]
 
     monkeypatch.setattr(experiments, "project", spied_project)
-    monkeypatch.setattr(experiments, "coupling_from_grams", spied_rule)
+    monkeypatch.setattr(planes, "coupling_from_grams", spied_rule)
     run_denoise(cfg)
     assert [shape for shape, _ in projected] == [(15, 40)] * (1 + 2 * 2)
     ((grams, k),) = fitted
     rank = k.shape[1]
     assert k.shape == (2 * 2, rank)
-    assert np.array_equal(grams, np.stack([ddtl.plane_grams(noisy_z, rank) for _, noisy_z in projected[1:]]))
+    assert np.array_equal(grams, np.stack([planes.plane_grams(noisy_z, rank) for _, noisy_z in projected[1:]]))
     assert all(np.array_equal(k_fit, fit_coupling(noisy_z, rank)) for k_fit, (_, noisy_z) in zip(k, projected[1:]))
 
 
@@ -644,13 +644,13 @@ def test_denoise_rotates_the_clean_batch_into_the_fixed_bases_once_per_run(tmp_p
     cfg = DenoiseConfig(out=str(tmp_path / "run"), num_nodes=6, num_edges=9, num_signals=40, gen_eta0=5,
                         snr_grid=(0.0, 10.0, 20.0), bandwidth_grid=(3, 8), realizations=2, seed=4)
     projected, rotated, reduced, truncated = [], [], [], []
-    project_, energies = experiments.project, experiments.plane_energies
-    reduce, truncate = experiments.reduce_planes, experiments.truncation_curves
+    project_, energies = experiments.project, planes.plane_energies
+    reduce, truncate = planes.reduce_planes, planes.truncation_curves
     monkeypatch.setattr(experiments, "project", lambda S, d: projected.append(project_(S, d)) or projected[-1])
-    monkeypatch.setattr(experiments, "plane_energies",
+    monkeypatch.setattr(planes, "plane_energies",
                         lambda z, r, pairs: rotated.append((z.shape, pairs.shape)) or energies(z, r, pairs))
-    monkeypatch.setattr(experiments, "reduce_planes", lambda z, r: reduced.append((z, r)) or reduce(z, r))
-    monkeypatch.setattr(experiments, "truncation_curves", lambda noisy, error, clean, levels: truncated.append(
+    monkeypatch.setattr(planes, "reduce_planes", lambda z, r: reduced.append((z, r)) or reduce(z, r))
+    monkeypatch.setattr(planes, "truncation_curves", lambda noisy, error, clean, levels: truncated.append(
         (noisy.shape, error.shape, clean.shape, list(levels))) or truncate(noisy, error, clean, levels))
     run_denoise(cfg)
     ((z, rank),) = reduced
@@ -670,13 +670,13 @@ def test_gram_row_energies_match_the_rotated_rows(n, rank, num_signals):
         z[n - rank] = 2.0 * z[0]  # a plane of rank 1
         z[[1, n - rank + 1]] = 0.0  # a zero plane
     k = rng.uniform(0.0, 1.0, size=(3, rank))
-    grams, harmonic = experiments._grams(z, rank)
+    grams, harmonic = planes._grams(z, rank)
     plane_energy = np.concatenate([grams[0] + grams[2]] * 2 + [harmonic])
-    for name, pairs in experiments._plane_bases(k).items():
-        got = experiments._row_energies(grams, harmonic, pairs)
-        planes, harmonic_energies = sparse.plane_energies(z, rank, pairs)
-        planes = planes.reshape(len(pairs), 2 * rank)
-        expected = np.concatenate([planes, np.tile(harmonic_energies, (len(pairs), 1))], axis=1)
+    for name, pairs in planes._plane_bases(k).items():
+        got = planes._row_energies(grams, harmonic, pairs)
+        energies, harmonic_energies = planes.plane_energies(z, rank, pairs)
+        energies = energies.reshape(len(pairs), 2 * rank)
+        expected = np.concatenate([energies, np.tile(harmonic_energies, (len(pairs), 1))], axis=1)
         assert got.shape == (len(pairs), n), name
         assert np.all(np.abs(got - expected) <= 1e-12 * plane_energy), name
 

@@ -9,17 +9,15 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from conftest import STRUCTURED_GRAPHS, unproject
-from topospinor.experiments import SWEEP_METHODS, _plane_bases, sweep_dictionaries
+from topospinor.experiments import SWEEP_METHODS, sweep_dictionaries
 from topospinor.frames import build_frame
+from topospinor.planes import _plane_bases, plane_energies, plane_pursuit_curves, reduce_planes, truncation_curves
 from topospinor.sparse import (
     DegenerateRetractionWarning,
     column_normalize,
     nmse,
     omp,
-    plane_energies,
-    plane_pursuit_curves,
     row_hard_threshold,
-    truncation_curves,
 )
 from topospinor.synth import SIGNAL_CLASSES, SignalClassSpec, add_awgn, gen_signals, random_graph
 from topospinor.topology import (
@@ -27,7 +25,6 @@ from topospinor.topology import (
     build_incidence,
     dirac_eigenbasis,
     project,
-    reduce_planes,
     spectral_decompose,
     super_laplacian_eigenbasis,
 )

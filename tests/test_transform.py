@@ -4,18 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from topospinor.planes import coupling_to_mass, mass_to_coupling
 from topospinor.topology import (
     build_incidence,
     dirac_eigenbasis,
     spectral_decompose,
     super_laplacian_eigenbasis,
 )
-from topospinor.transform import (
-    build_mass_basis,
-    coupling_to_mass,
-    mass_to_coupling,
-    unnormalized_basis_matrix,
-)
+from topospinor.transform import build_mass_basis, unnormalized_basis_matrix
 
 from conftest import connected_graphs, nonharmonic_column_indices, shared_basis
 
