@@ -267,6 +267,9 @@ def truncation_curves(rank_by, kept, dropped, levels) -> np.ndarray:
     check_levels("levels", levels, n)
     order = np.argsort(np.negative(rank_by, dtype=float), axis=-1, kind="stable")
     zero = np.zeros((*order.shape[:-1], 1))
-    kept, dropped = (np.take_along_axis(np.broadcast_to(e, order.shape), order, -1) for e in (kept, dropped))
-    head, tail = (np.cumsum(np.concatenate([zero, e], -1), -1) for e in (kept, dropped[..., ::-1]))
-    return head[..., levels] + tail[..., n - np.array(levels, dtype=int)]
+    dropped = np.take_along_axis(np.broadcast_to(dropped, order.shape), order, -1)
+    curves = np.cumsum(np.concatenate([zero, dropped[..., ::-1]], -1), -1)[..., n - np.array(levels, dtype=int)]
+    if np.any(kept):  # an all-zero kept, as in the pursuit, would add 0.0 at every level
+        kept = np.take_along_axis(np.broadcast_to(kept, order.shape), order, -1)
+        curves = np.cumsum(np.concatenate([zero, kept], -1), -1)[..., levels] + curves
+    return curves

@@ -539,6 +539,11 @@ def test_truncation_matches_the_two_formulations_it_replaces_bit_for_bit(seed, n
     assert np.array_equal(truncation_curves(gains, 0.0, gains, levels), sorted_gain_curves(gains, levels))
     expected = prefix_suffix_curves(noisy, error, clean, levels)
     assert np.array_equal(truncation_curves(noisy, error, clean, levels), expected)
+    # An all-zero kept energy, a scalar or an array, skips the kept rows' sum and gives the same curves.
+    expected = prefix_suffix_curves(noisy, np.zeros_like(error), clean, levels)
+    for zero in (0, np.zeros_like(error)):
+        assert np.array_equal(truncation_curves(gains, zero, gains, levels), sorted_gain_curves(gains, levels))
+        assert np.array_equal(truncation_curves(noisy, zero, clean, levels), expected)
 
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
