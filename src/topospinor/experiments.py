@@ -81,10 +81,15 @@ DOMINANCE_SLACK = 1e-12
 _GRAPH_FLAG = {"flag": "--graph", "help": "edge-list file (otherwise a random graph)"}
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse a negative master seed in every command, also in those that derive no sub-seed from it."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
 def sub_seed(master_seed: int, realization: int, tag: str) -> int:
     """Deterministic per-(realization, stage) seed derived from the master seed, which must not be negative."""
-    if master_seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {master_seed}")
+    _check_seed(master_seed)
     digest = zlib.crc32(tag.encode("utf-8"))
     ss = np.random.SeedSequence([int(master_seed), int(realization), int(digest)])
     return int(ss.generate_state(1)[0])
@@ -140,6 +145,9 @@ class SpectraConfig:
     num_nodes: int = 40
     num_edges: int = 80
     seed: int = field(default=0, metadata={"help": "master seed"})
+
+    def __post_init__(self):
+        _check_seed(self.seed)  # a graph file derives no sub-seed
 
 
 def run_spectra(cfg: SpectraConfig) -> Path:
@@ -217,7 +225,8 @@ def run_synth(cfg: SynthConfig) -> Path:
 class FitConfig:
     """A dataset directory (the layout ``synth`` writes; required) and the learner's bandwidth and budget.
 
-    The fit draws no random numbers: ``seed`` is only recorded in run.json.
+    The fit draws no random numbers: ``seed`` is only recorded in run.json, and a negative one is refused as in
+    every command.
     """
 
     out: str = field(metadata={"help": "output directory"})
@@ -231,6 +240,7 @@ class FitConfig:
     def __post_init__(self):
         if not self.dataset_dir:
             raise ValueError("a dataset directory is required (--dataset)")
+        _check_seed(self.seed)
 
 
 def run_ddtl_fit(cfg: FitConfig) -> Path:

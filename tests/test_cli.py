@@ -475,38 +475,32 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("command, args", [
         ("spectra", []),
+        ("spectra-graph", []),  # no sub-seed: the config refuses it
         ("synth", ["--eta0", "2", "--num-signals", "3"]),
         ("synth-graph", ["--eta0", "2", "--num-signals", "3"]),  # the "signals" sub-seed alone
         ("sparsity-sweep", ["--signal-class", "fully_coupled", "--eta0", "2", "--sparsity-grid", "2"]),
         ("sparsity-sweep", ["--signal-class", "mixture_of_dirac", "--eta0", "2", "--sparsity-grid", "2"]),
         ("denoise", ["--num-signals", "3", "--gen-eta0", "2", "--bandwidth-grid", "2"]),
         ("denoise-dataset", ["--bandwidth-grid", "2"]),
-    ], ids=["spectra", "synth", "synth-graph", "sweep-fully_coupled", "sweep-mixture_of_dirac", "denoise",
-            "denoise-dataset"])
+        ("ddtl-fit", ["--eta0", "2", "--max-iter", "3"]),  # no sub-seed: the config refuses it
+    ], ids=["spectra", "spectra-graph", "synth", "synth-graph", "sweep-fully_coupled", "sweep-mixture_of_dirac",
+            "denoise", "denoise-dataset", "ddtl-fit"])
     def test_negative_seed_is_refused_by_name_before_anything_is_written(self, tmp_path, capsys, command, args):
         # A master seed becomes RNG state in sub_seed, which refuses a negative one by name; numpy's own refusal,
-        # "expected non-negative integer", names no flag.
+        # "expected non-negative integer", names no flag.  spectra on a graph file and ddtl-fit derive no sub-seed,
+        # and their configs refuse a negative seed with the same message.
         size = ["--num-nodes", "5", "--num-edges", "6"]
-        if command == "synth-graph":
-            command, size = "synth", ["--graph", str(write_triangle(tmp_path))]
-        elif command == "denoise-dataset":
+        if command in ("synth-graph", "spectra-graph"):
+            command, size = command.removesuffix("-graph"), ["--graph", str(write_triangle(tmp_path))]
+        elif command in ("denoise-dataset", "ddtl-fit"):
             data = save_dataset(tmp_path / "data", OrientedGraph(3, ((0, 1), (1, 2))), np.ones((5, 4)))
-            command, size = "denoise", ["--dataset", str(data)]
+            command, size = command.removesuffix("-dataset"), ["--dataset", str(data)]
         out = tmp_path / "out"
         assert main([command, *size, *args, "--seed=-1", "--out", str(out)]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0]) == {"error": "ValueError", "message": "seed must be a non-negative integer, got -1"}
         assert not out.exists()
-
-    def test_negative_seed_is_recorded_by_the_commands_that_draw_nothing(self, tmp_path):
-        # spectra on a graph file and ddtl-fit draw no random numbers, so they derive no sub-seed: --seed is recorded.
-        data = save_dataset(tmp_path / "data", OrientedGraph(3, ((0, 1), (1, 2))), np.ones((5, 4)))
-        for command, args in (("spectra", ["--graph", str(write_p3(tmp_path))]),
-                              ("ddtl-fit", ["--dataset", str(data), "--eta0", "2", "--max-iter", "3"])):
-            out = tmp_path / command
-            assert main([command, *args, "--seed=-1", "--out", str(out)]) == 0
-            assert load_results(out)[0]["config"]["seed"] == -1
 
     @pytest.mark.parametrize("num_nodes", [3, 1])
     def test_edgeless_graph_file(self, tmp_path, capsys, num_nodes):
