@@ -138,11 +138,14 @@ def test_sweep_matches_all_omp_oracle(tmp_path, case, signal_class):
             assert got[key] <= 1e-20, key
 
 
-# The dense paths a study must not take: pursuit, dense dictionaries and bases, the ADMM and its retraction.
+# The dense paths a study must not take: pursuit, dense dictionaries and bases, the ADMM, its six phases and its
+# retraction.
 DENSE_PATHS = (
     (sparse, "omp"), (experiments, "sweep_dictionaries"), (frames, "build_frame"), (topology, "dirac_eigenbasis"),
     (topology, "super_laplacian_eigenbasis"), (ddtl, "ddtl_fit"), (transform, "build_mass_basis"),
     (transform, "unnormalized_basis_matrix"), (sparse, "row_hard_threshold"),
+    *((ddtl, phase)
+      for phase in ("initialize_state", "update_k", "update_omega", "update_p", "update_x", "update_duals")),
 )
 
 
