@@ -105,8 +105,8 @@ def _run_header(command: str, cfg, graph: OrientedGraph | None = None) -> dict:
 
 
 def _check_levels(name: str, levels: tuple[int, ...], n: int | None) -> None:
-    """Refuse a grid of sparsity levels or bandwidths that breaks the level rule (``planes.check_levels``), n None
-    in ``DenoiseConfig`` before its graph is read, or that repeats a level."""
+    """Refuse a grid of sparsity levels or bandwidths that breaks the level rule (``planes.check_levels``; n is
+    None in ``DenoiseConfig``, before its graph is read) or that repeats a level."""
     planes.check_levels(f"{name} levels", levels, n)
     if len(set(levels)) != len(levels):
         raise ValueError(f"{name} levels must not repeat, got {levels}")
